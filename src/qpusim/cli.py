@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "(default: <scenario name>.out)")
     run_p.add_argument("--seed", type=int, help="override the scenario seed")
     run_p.add_argument("--trace", action="store_true",
-                       help="record per-message network traces")
+                       help="also write every delivered message to "
+                            "messages.csv")
     run_p.add_argument("--oracle", action="store_true",
                        help="check every query against a full scan as it "
                             "completes, plus end-state index rebuilds")
@@ -105,8 +106,9 @@ def _cmd_run(args) -> int:
     paths = write_outputs(report, out_dir)
     print(f"{sc.name}: {len(report.results)} queries, "
           f"{report.sim.delivered} messages, finished at tick {report.sim.now}")
-    for name in ("metrics", "traces", "verify"):
-        print(f"  {name}: {paths[name]}")
+    for name in ("metrics", "traces", "verify", "messages"):
+        if name in paths:
+            print(f"  {name}: {paths[name]}")
     if report.runtime_errors:
         print(f"  {len(report.runtime_errors)} structural ops refused "
               f"(see verify report)")

@@ -93,10 +93,14 @@ class CrdtIndex:
 
     # -- ingestion -------------------------------------------------------------
 
-    def delta_for(self, entry: LogEntry) -> IndexDelta:
+    def delta_for(self, entry: LogEntry, region: Region | None = None) -> IndexDelta:
+        """The entry's index delta. With a `region`, an added point outside it
+        adds nothing, as on a leaf that owns only that region; removes stay,
+        since the superseded version may have lived inside."""
         adds = ()
         point = None
-        if entry.attrs is not None:
+        if entry.attrs is not None and (
+                region is None or region.contains_point(entry.attrs)):
             adds = tuple(
                 (t, entry.stamp, entry.key) for t in self.binner.terms_for(entry.attrs))
             point = entry.attrs

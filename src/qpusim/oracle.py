@@ -8,8 +8,10 @@ paths against these.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .crdt_index import Binner, CrdtIndex
-from .geostore import DcReplica, Stamp
+from .geostore import DcReplica, GeoStore, Stamp
 from .regions import Region
 from .router import Query, eval_expr
 from .staleness import VectorClock
@@ -67,4 +69,29 @@ def rebuild_index(replica: DcReplica, binner: Binner,
             idx.terms[term.attr].setdefault(term.bin, set()).add(ver.stamp)
     heads = replica.heads
     idx.clock = heads if origins is None else heads.restrict(origins)
+    return idx
+
+
+def index_at(store: GeoStore, binner: Binner, clock: VectorClock,
+             region: Region, culls=(), parts=()) -> CrdtIndex:
+    """The index a history leaf over `region` holds at `clock`: every entry
+    up to the clock applied with adds outside the region dropped, then the
+    leaf's scrub `culls` retracted. `parts` lists the (region, clock) of
+    leaves merged into this one, whose postings may run past the merged
+    clock. Entries come from each origin's own log, because a delta-mode leaf
+    can index entries that its colocated replica has not received yet."""
+    views = [(region, clock), *parts]
+    reach = VectorClock()
+    for _, c in views:
+        reach = reach.merge(c)
+    idx = CrdtIndex(store.schema, binner)
+    for origin in sorted(reach.entries):
+        for entry in store.replicas[origin].log[origin][:reach.get(origin)]:
+            delta = idx.delta_for(entry, region)
+            if delta.point is not None and not any(
+                    entry.seq <= c.get(origin) and r.contains_point(delta.point)
+                    for r, c in views):
+                delta = replace(delta, adds=(), point=None)
+            idx.apply_delta(delta)
+    idx.cull_many(culls)
     return idx

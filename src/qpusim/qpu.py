@@ -8,22 +8,22 @@ peer leaves abroad); live leaves scan the tail of the local log so results can
 reach targets the history side has not indexed yet.
 
 Caching note: internal nodes and history leaves keep result caches whose
-entries are frozen at their insertion coverage clock. Index deltas pushed up
-the tree keep entry *contents* maintained, but never advance entry clocks, so
-a hit only serves targets at or below what the entry actually joined. Any
-freshness beyond a response's claimed coverage is recovered by the coordinator,
-which rescans its origin log past the claim and candidate-checks every key.
-That keeps cache staleness and cross-DC push reordering out of the result
-path entirely.
+entries are frozen at insertion: the content is the join result at the
+entry's coverage clock, and neither changes afterwards. A hit serves only
+targets at or below that clock and claims that clock as its coverage. Any
+freshness beyond a response's claimed coverage is recovered by the
+coordinator, which rescans its origin log past the claim and candidate-checks
+every key, so later writes never need to reach the caches.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .crdt_index import Binner, CrdtIndex, IndexDelta
 from .geostore import GeoStore, LogEntry
+from .oracle import index_at
 from .regions import Interval, Region, greedy_cover
 from .router import Query, QueryResult, candidate_check, rect_match, to_rectangles
 from .simcore import Envelope, Simulation
@@ -157,20 +157,23 @@ def bin_hit(binner: Binner, point: dict, rects) -> bool:
 
 
 class ResultCache:
-    """LRU of joined results keyed by (rectangles, residual).
+    """LRU of frozen joined results keyed by (rectangles, residual).
 
     A probe hits when some entry carries the same residual, each probe
     rectangle lies wholly inside one of the entry's rectangles, and the entry
-    clock dominates the target; the content is then re-filtered to the probe
-    rectangles at bin granularity. Pushed index deltas adjust content in
-    place (see module note on frozen entry clocks).
+    clock dominates the target; the least recently used such entry answers.
+    Its content is re-filtered to the probe rectangles at bin granularity,
+    unless the rectangles are the entry's own. Entries are never updated
+    after insertion (see the module note).
     """
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
+        self.entries: dict[tuple, CacheEntry] = {}  # oldest use first
+        # the same entries per residual, kept in the same LRU order
+        self._by_residual: dict[str, dict[tuple, CacheEntry]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -179,13 +182,15 @@ class ResultCache:
         return (tuple(r.key() for r in rects), residual)
 
     def probe(self, rects, residual: str, target: VectorClock, binner: Binner):
-        for k, e in self.entries.items():
-            if e.residual != residual or not e.clock.dominates(target):
+        for k, e in self._by_residual.get(residual, {}).items():
+            if not e.clock.dominates(target):
                 continue
             if not all(any(pr.wholly_inside(er) for er in e.rects) for pr in rects):
                 continue
-            self.entries.move_to_end(k)
+            self._touch(k)
             self.hits += 1
+            if k == self._key(rects, residual):
+                return e.content, e.clock
             out = {
                 tag: kv for tag, kv in e.content.items() if bin_hit(binner, kv[1], rects)
             }
@@ -195,25 +200,26 @@ class ResultCache:
 
     def insert(self, rects, residual: str, content: dict, clock: VectorClock):
         k = self._key(rects, residual)
-        self.entries[k] = CacheEntry(tuple(rects), residual, dict(content), clock)
-        self.entries.move_to_end(k)
+        e = CacheEntry(tuple(rects), residual, dict(content), clock)
+        bucket = self._by_residual.setdefault(residual, {})
+        for lru in (self.entries, bucket):
+            lru.pop(k, None)
+            lru[k] = e
         while len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
+            old = next(iter(self.entries))
+            del self.entries[old]
+            bucket = self._by_residual[old[1]]
+            del bucket[old]
+            if not bucket:
+                del self._by_residual[old[1]]
 
-    def push(self, delta: IndexDelta, binner: Binner) -> int:
-        touched = 0
-        for e in self.entries.values():
-            changed = False
-            tag = delta.tag
-            if tag is not None and bin_hit(binner, delta.point, e.rects):
-                e.content[tag] = (delta.adds[0][2], delta.point)
-                changed = True
-            for _, rtag in delta.removes:
-                if e.content.pop(rtag, None) is not None:
-                    changed = True
-            if changed:
-                touched += 1
-        return touched
+    def _touch(self, k: tuple):
+        for lru in (self.entries, self._by_residual[k[1]]):
+            lru[k] = lru.pop(k)
+
+    def clear(self):
+        self.entries.clear()
+        self._by_residual.clear()
 
 
 # -- join bookkeeping --------------------------------------------------------------
@@ -255,6 +261,10 @@ class Qpu:
         self._seen_qids: set[str] = set()
         # history-leaf state; unused elsewhere
         self.index = CrdtIndex(net.schema, net.binner) if kind == "hist" else None
+        # what the index holds beyond a log replay to its clock, for verify:
+        # scrubbed (key, tag) pairs, and the (region, clock) of merged leaves
+        self.culls: list[tuple] = []
+        self.parts: tuple = ()
         self.repl_mode = LOG
         self.window: deque = deque(maxlen=net.cfg.selectivity.window)
         self.subscribers: set[str] = set()  # peers fed my local-origin deltas
@@ -285,8 +295,6 @@ class Qpu:
             self.on_resp(env.src, env.payload)
         elif k == "clock.gossip":
             self.on_gossip(env.src, env.payload)
-        elif k == "index.push":
-            self.on_push(env.payload)
         elif k == "index.delta":
             self.on_peer_delta(env.payload)
         elif k == "index.sub":
@@ -496,13 +504,8 @@ class Qpu:
             if got is not None:
                 hits, cclock = got
                 if self.net.cfg.verify:
-                    fresh = self._lookup(probe.rects)
-                    if fresh != hits:
-                        self.net.verify_errors.append(
-                            f"{self.actor}: cache hit diverges from fresh lookup "
-                            f"for {probe.residual}")
-                self._respond(probe, hits, self.index.clock,
-                              (self._line("cache-hit", self.index.clock),), 1)
+                    self._verify_hit(probe, hits, cclock)
+                self._respond(probe, hits, cclock, (self._line("cache-hit", cclock),), 1)
                 return
         try:
             catch_up(self, self.replica, probe.target)
@@ -520,6 +523,19 @@ class Qpu:
         for rect in rects:
             hits.update(self.index.lookup(rect))
         return hits
+
+    def _verify_hit(self, probe: Probe, hits, clock: VectorClock):
+        """A hit claims this leaf's index as it stood at the entry clock, so
+        compare it with a lookup on that index rebuilt from the logs."""
+        then = index_at(self.net.store, self.net.binner, clock, self.region,
+                        self.culls, self.parts)
+        want: dict = {}
+        for rect in probe.rects:
+            want.update(then.lookup(rect))
+        if want != hits:
+            self.net.verify_errors.append(
+                f"{self.actor}: cache hit diverges from its index at {clock!r} "
+                f"for {probe.residual}")
 
     def _serve_live(self, probe: Probe):
         boundary = probe.boundary or VectorClock()
@@ -553,9 +569,7 @@ class Qpu:
         self._apply_entry(entry)
 
     def _apply_entry(self, entry: LogEntry):
-        delta = self.index.delta_for(entry)
-        if delta.point is not None and not self.region.contains_point(delta.point):
-            delta = replace(delta, adds=(), point=None)
+        delta = self.index.delta_for(entry, self.region)
         self.index.apply_delta(delta)
         self._post_apply(delta, entry.attrs, entry.origin_dc)
 
@@ -581,11 +595,6 @@ class Qpu:
     def _post_apply(self, delta: IndexDelta, raw_attrs, origin: str):
         if raw_attrs is not None:  # selectivity tracks writes, not deletes
             self.window.append(1 if self.region.contains_point(raw_attrs) else 0)
-        if delta.adds or delta.removes:
-            if self.cache is not None:
-                self.cache.push(delta, self.net.binner)
-            if self.parent is not None:
-                self.sim.send(self.actor, self.parent, "index.push", delta)
         if origin == self.dc and self.subscribers:
             for peer in sorted(self.subscribers):
                 self.sim.send(self.actor, peer, "index.delta", (delta, raw_attrs),
@@ -632,14 +641,6 @@ class Qpu:
             buf = self._delta_buf[origin]
             for seq in [s for s in buf if s <= self.index.clock.get(origin)]:
                 del buf[seq]
-
-    # -- cache push relay -------------------------------------------------------------
-
-    def on_push(self, delta: IndexDelta):
-        if self.cache is not None:
-            self.cache.push(delta, self.net.binner)
-        if self.parent is not None:
-            self.sim.send(self.actor, self.parent, "index.push", delta)
 
     # -- gossip ---------------------------------------------------------------------
 
@@ -936,6 +937,8 @@ class QpuNetwork:
             child.repl_mode = leaf.repl_mode
             child.index.clock = leaf.index.clock.copy()
             child.index.removed = set(leaf.index.removed)
+            child.culls = list(leaf.culls)
+            child.parts = leaf.parts
             self.store.replicas[leaf.dc].subscribe(child._on_feed)
             kids.append(child)
         for tag, (key, attrs) in leaf.index.tag_info.items():
@@ -1023,6 +1026,9 @@ class QpuNetwork:
         # the cohort clock must under-claim: components the two leaves do not
         # agree on are only safe at the lower of the two
         merged.index.clock = a.index.clock.floor(b.index.clock)
+        merged.culls = a.culls + b.culls
+        merged.parts = (a.parts + b.parts
+                        + ((a.region, a.index.clock), (b.region, b.index.clock)))
         self.store.replicas[a.dc].subscribe(merged._on_feed)
         for old in (a, b):
             self.store.replicas[old.dc].unsubscribe(old._on_feed)
@@ -1117,8 +1123,11 @@ class QpuNetwork:
 
     def scrub_all(self) -> int:
         """One scrub pass: sync leaves up to their local logs, then drop every
-        posting whose tag lost to the current winner, pushing the removals
-        through the caches."""
+        posting whose tag lost to the current winner. A cull changes a leaf's
+        index without advancing its clock, so the leaf records the culls and
+        empties its cache: every entry left is then its index at the entry's
+        clock with all recorded culls applied. Caches above the leaves keep
+        the culled postings; the coordinator's candidate check drops them."""
         self.sync_leaves()
         total = 0
         for leaf in self.hist_leaves():
@@ -1126,9 +1135,6 @@ class QpuNetwork:
             if not pairs:
                 continue
             total += leaf.index.cull_many(pairs)
-            ghost = IndexDelta(leaf.dc, -1, (), tuple(pairs), None)
-            if leaf.cache is not None:
-                leaf.cache.push(ghost, self.binner)
-            if leaf.parent is not None:
-                self.sim.send(leaf.actor, leaf.parent, "index.push", ghost)
+            leaf.culls.extend(pairs)
+            leaf.cache.clear()
         return total

@@ -26,7 +26,7 @@ from .qpu import (
     SplitRefused,
     TreeConfig,
 )
-from .regions import AttributeSchema, Interval, Region, subtract_all
+from .regions import AttributeSchema, Interval, Region
 from .router import Query, QueryError, QueryResult, parse
 from .simcore import NetConfig, Simulation
 from .staleness import Level
@@ -136,7 +136,7 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         fail(f"tree: {exc}", '"tree"')
     if tree.root_dc not in dcs:
         fail(f"tree.root_dc {tree.root_dc!r} is not a declared DC", '"root_dc"')
-    _validate_history(history, dcs, schema, fail)
+    _validate_history(history, Region.whole(schema), schema, fail)
 
     workload = raw.get("workload", [])
     if "generate" in raw:
@@ -175,87 +175,26 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     )
 
 
-def _validate_history(spec, dcs, schema, fail):
-    if isinstance(spec, dict) and not ("attr" in spec or "leaves" in spec):
-        extra = [d for d in spec if d not in dcs]
-        if extra:
-            fail(f"tree.history names unknown DC {extra[0]!r}", f'"{extra[0]}"')
-        for dc in spec:
-            _validate_history_one(spec[dc], schema, fail)
-        return
-    _validate_history_one(spec, schema, fail)
-
-
-def _validate_history_one(spec, schema, fail):
-    whole = Region.whole(schema)
-    leaves = _history_leaf_regions(spec, whole, schema, fail)
-    rest = [whole]
-    for region in leaves:
-        rest = subtract_all(rest, region)
-    if rest:
-        point = _witness_point(rest[0], schema)
-        fail(f"history leaves do not cover the value space: point {point} "
-             f"in {rest[0].render()} is unassigned", '"history"')
-
-
-def _history_leaf_regions(spec, region, schema, fail) -> list[Region]:
+def _validate_history(spec, region, schema, fail, where="tree.history"):
+    """A history node is "leaf" (or null) or a cut {attr, at, lo, hi} whose
+    two sides are history nodes again, so the leaves always tile the value
+    space. Anything else is rejected with its path in the tree."""
     if spec == "leaf" or spec is None:
-        return [region]
-    if not isinstance(spec, dict):
-        fail(f"history node must be \"leaf\" or an object, got {spec!r}")
-    if "leaves" in spec:
-        out = []
-        for i, leaf in enumerate(spec["leaves"]):
-            out.append(_region_from_bounds(leaf.get("region", {}), schema, fail))
-        return out
-    if "attr" not in spec or "at" not in spec:
-        fail("history cut needs attr and at")
+        return
+    if not isinstance(spec, dict) or set(spec) != {"attr", "at", "lo", "hi"}:
+        got = sorted(spec) if isinstance(spec, dict) else repr(spec)
+        fail(f"{where} must be \"leaf\" or a cut with exactly attr, at, lo "
+             f"and hi, got {got}", '"history"')
     attr, at = spec["attr"], spec["at"]
     if attr not in schema:
-        fail(f"history cut names unknown attribute {attr!r}", f'"{attr}"')
+        fail(f"{where} cuts unknown attribute {attr!r}", '"history"')
     iv = region.ivs[attr]
     lo_part = region.narrowed(attr, Interval(iv.lo, at, iv.lo_open, True))
     hi_part = region.narrowed(attr, Interval(at, iv.hi, False, iv.hi_open))
     if lo_part is None or hi_part is None:
-        fail(f"history cut {attr}@{at!r} leaves an empty side", '"at"')
-    return (_history_leaf_regions(spec["lo"], lo_part, schema, fail)
-            + _history_leaf_regions(spec["hi"], hi_part, schema, fail))
-
-
-def _region_from_bounds(bounds: dict, schema, fail) -> Region:
-    region = Region.whole(schema)
-    for attr, b in bounds.items():
-        if attr not in schema:
-            fail(f"leaf region names unknown attribute {attr!r}", f'"{attr}"')
-        if not isinstance(b, list) or len(b) not in (2, 4):
-            fail(f"leaf region bound for {attr!r} must be [lo, hi] or "
-                 f"[lo, hi, lo_open, hi_open]")
-        lo, hi = b[0], b[1]
-        lo_open = bool(b[2]) if len(b) == 4 else False
-        hi_open = bool(b[3]) if len(b) == 4 else False
-        narrowed = region.narrowed(attr, Interval(lo, hi, lo_open, hi_open))
-        if narrowed is None:
-            fail(f"leaf region bound for {attr!r} is empty")
-        region = narrowed
-    return region
-
-
-def _witness_point(region: Region, schema) -> dict:
-    point = {}
-    for attr, iv in region.ivs.items():
-        sch = schema[attr]
-        if sch.kind == "text":
-            v = iv.lo if iv.contains(iv.lo) else iv.lo + sch.alphabet[0]
-        elif sch.kind == "int":
-            v = iv.lo if iv.contains(iv.lo) else iv.lo + 1
-        else:
-            if iv.contains(iv.lo):
-                v = iv.lo
-            else:
-                hi = iv.hi if iv.hi is not None else iv.lo + 2.0
-                v = (iv.lo + hi) / 2
-        point[attr] = v
-    return point
+        fail(f"{where} cut {attr}@{at!r} leaves an empty side", '"history"')
+    _validate_history(spec["lo"], lo_part, schema, fail, f"{where}.lo")
+    _validate_history(spec["hi"], hi_part, schema, fail, f"{where}.hi")
 
 
 _OPS = {"put", "delete", "query", "force-split", "force-merge", "partition",
@@ -398,7 +337,8 @@ def run_scenario(sc: Scenario, trace: bool = False,
     for msg in net.verify_errors:
         verify_lines.append(f"FAIL cache: {msg}")
     if oracle and not net.verify_errors:
-        verify_lines.append("PASS cache: no hit diverged from a fresh lookup")
+        verify_lines.append("PASS cache: no leaf hit diverged from its index "
+                            "at the entry clock")
     return RunReport(sc, sim, store, net, results, verify_lines,
                      runtime_errors, scrubbed)
 
@@ -496,4 +436,7 @@ def write_outputs(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     }
     paths["manifest"].write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if report.sim.trace_rows is not None:
+        paths["messages"] = out / "messages.csv"
+        report.sim.dump_trace(paths["messages"])
     return paths

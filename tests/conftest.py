@@ -88,7 +88,7 @@ def ask(net, text, dc):
 def clear_caches(net):
     for node in net.nodes.values():
         if node.cache is not None:
-            node.cache.entries.clear()
+            node.cache.clear()
 
 
 def random_partition(rng, schema, depth=3):

@@ -12,6 +12,7 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert main(["run", STUDENTS, "--out-dir", str(out)]) == 0
     for name in ("metrics.csv", "traces.txt", "verify.txt", "manifest.json"):
         assert (out / name).exists(), name
+    assert not (out / "messages.csv").exists()  # only written with --trace
     stdout = capsys.readouterr().out
     assert "queries" in stdout and "verify" in stdout
 
@@ -117,3 +118,50 @@ def test_run_exit_1_on_failed_verification(tmp_path, capsys, monkeypatch):
     code = main(["run", STUDENTS, "--oracle", "--out-dir", str(tmp_path / "o")])
     assert code == 1
     assert "FAILED" in capsys.readouterr().err
+
+
+def students_with_history(tmp_path, history):
+    doc = json.loads(Path(STUDENTS).read_text())
+    doc["tree"]["history"] = history
+    path = tmp_path / "students.json"
+    path.write_text(json.dumps(doc, indent=2))
+    return str(path)
+
+
+def test_history_leaf_list_is_rejected(tmp_path, capsys):
+    path = students_with_history(tmp_path, {"leaves": [
+        {"region": {"GPA": [0.0, 2.0, False, True]}},
+        {"region": {"GPA": [2.0, 4.0]}}]})
+    assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "tree.history must be" in err and "['leaves']" in err
+    assert "(line " in err
+
+
+def test_history_per_dc_map_is_rejected(tmp_path, capsys):
+    cut = {"attr": "GPA", "at": 2.0, "lo": "leaf", "hi": "leaf"}
+    path = students_with_history(
+        tmp_path, {"dc1": cut, "dc2": "leaf", "dc3": cut})
+    assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "tree.history must be" in err and "['dc1', 'dc2', 'dc3']" in err
+    assert "(line " in err
+
+
+def test_history_error_names_the_nested_node(tmp_path, capsys):
+    path = students_with_history(tmp_path, {
+        "attr": "GPA", "at": 2.0, "lo": "leaf",
+        "hi": {"attr": "GPA", "at": 3.0, "lo": "leaf"}})
+    assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "tree.history.hi must be" in capsys.readouterr().err
+
+
+def test_run_trace_writes_messages_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", STUDENTS, "--trace", "--out-dir", str(out)]) == 0
+    rows = (out / "messages.csv").read_text().splitlines()
+    assert rows[0] == "tick,src,dst,kind,detail"
+    assert len(rows) > 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(rows) - 1 == manifest["delivered"]
+    assert "messages.csv" in capsys.readouterr().out

@@ -200,26 +200,170 @@ def test_cache_rejects_pieces_outside_its_rectangles():
     assert cache.probe((poking,), "q", VectorClock(), binner) is None
 
 
-def test_cache_push_updates_matching_entries_only():
-    sim, store, net = quiesced(dcs=("dc1",))
-    cache = ResultCache()
-    binner = net.binner
-    inside, outside = rect_for(0.0, 2.0), rect_for(3.0, 4.0)
-    cache.insert((inside,), inside.render(), {}, VectorClock({"dc1": 1}))
-    cache.insert((outside,), outside.render(), {}, VectorClock({"dc1": 1}))
-    store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
+def test_cache_answers_with_the_least_recently_used_match():
+    cache = ResultCache(capacity=3)
+    binner = Binner(SCHEMA, {})
+    other = rect_for(1.0, 4.0)
+    cache.insert((rect_for(0.0, 3.0),), "q", {}, VectorClock({"dc1": 1}))
+    cache.insert((other,), "other", {}, VectorClock({"dc1": 9}))
+    cache.insert((rect_for(0.0, 4.0),), "q", {}, VectorClock({"dc1": 2}))
+    piece = rect_for(1.0, 2.0)
+
+    def answered_by():
+        return cache.probe((piece,), "q", VectorClock(), binner)[1]
+
+    assert answered_by() == VectorClock({"dc1": 1})
+    assert answered_by() == VectorClock({"dc1": 2})  # the hit renewed dc1:1
+    # a fourth entry evicts the least recently used one, of either residual
+    cache.insert((piece,), "q", {}, VectorClock({"dc1": 3}))
+    assert len(cache.entries) == 3
+    assert cache.probe((other,), "other", VectorClock(), binner) is None
+    assert answered_by() == VectorClock({"dc1": 1})
+
+
+def one_leaf_with(*rows, **kw):
+    sim, store, net = quiesced(dcs=("dc1",), **kw)
+    for key, gpa in rows:
+        store.put("dc1", key, {"gpa": gpa, "dept": "cs"})
     sim.run_until_quiescent()
-    entry = next(store.replicas["dc1"].entries_after(VectorClock()))
-    delta = net.hist_leaves()[0].index.delta_for(entry)
-    assert cache.push(delta, binner) == 1
-    low = cache.probe((inside,), inside.render(), VectorClock(), binner)
-    assert {kv[0] for kv in low[0].values()} == {"k"}
-    high = cache.probe((outside,), outside.render(), VectorClock(), binner)
-    assert high[0] == {}
-    # replaying the same delta rewrites the same tag; content is unchanged
-    again = cache.push(delta, binner)
-    assert again == 1
-    assert cache.probe((inside,), inside.render(), VectorClock(), binner) == low
+    return sim, store, net, net.nodes["qpu/dc1/h0"]
+
+
+def clear_upper_caches(net):
+    # so a repeated query reaches the leaf instead of hitting above it
+    for node in net.nodes.values():
+        if node.kind != "hist" and node.cache is not None:
+            node.cache.clear()
+
+
+def test_cache_entry_stays_frozen_after_later_writes():
+    sim, store, net, leaf = one_leaf_with(("a", 1.0))
+    ask(net, "gpa < 2.0 FRESHNESS snapshot", "dc1")
+    (entry,) = leaf.cache.entries.values()
+    content, clock = dict(entry.content), entry.clock
+    store.delete("dc1", "a")
+    store.put("dc1", "b", {"gpa": 1.5, "dept": "cs"})
+    sim.run_until_quiescent()
+    assert leaf.index.clock == VectorClock({"dc1": 3})
+    assert entry.clock == clock == VectorClock({"dc1": 1})
+    assert entry.content == content
+    assert {kv[0] for kv in entry.content.values()} == {"a"}
+
+
+def test_leaf_cache_hit_claims_the_entry_clock():
+    sim, store, net, leaf = one_leaf_with(("a", 1.0))
+    got = []
+    sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
+    rect = rect_for(0.0, 2.0)
+
+    def send(qid):
+        probe = Probe(qid=qid, rects=(rect,), residual=rect.render(),
+                      origin_dc="dc1", reply_to="probe/sink",
+                      target=VectorClock({"dc1": 1}))
+        sim.send("probe/sink", leaf.actor, "query.value", probe)
+        sim.run_until_quiescent()
+
+    send("t1")
+    store.put("dc1", "b", {"gpa": 1.5, "dept": "cs"})
+    sim.run_until_quiescent()
+    send("t2")
+    miss, hit = got
+    assert (miss.cache_hits, hit.cache_hits) == (0, 1)
+    # the index has moved on to dc1:2, but the hit serves dc1:1 content
+    assert leaf.index.clock == VectorClock({"dc1": 2})
+    assert miss.clock == hit.clock == VectorClock({"dc1": 1})
+    assert {kv[0] for kv in hit.hits.values()} == {"a"}
+
+
+def test_cache_check_flags_a_corrupted_leaf_entry():
+    sim, store, net, leaf = one_leaf_with(("a", 1.0), ("b", 1.5), verify=True)
+    text = "gpa < 2.0 FRESHNESS any"
+    ask(net, text, "dc1")
+    (entry,) = leaf.cache.entries.values()
+    store.put("dc1", "c", {"gpa": 0.5, "dept": "cs"})
+    sim.run_until_quiescent()
+    clear_upper_caches(net)
+    # a hit frozen at dc1:2 is checked against the index at dc1:2, not now
+    assert ask(net, text, "dc1").stats["cache_hits"] == 1
+    assert net.verify_errors == []
+    c_tag = next(t for t, kv in leaf.index.tag_info.items() if kv[0] == "c")
+    b_tag = next(t for t, kv in entry.content.items() if kv[0] == "b")
+    corruptions = [
+        lambda content: content.pop(b_tag),
+        # what pushing the later write would have done: right for the
+        # current index, wrong for the entry clock the hit claims
+        lambda content: content.update({c_tag: leaf.index.tag_info[c_tag]}),
+    ]
+    for corrupt in corruptions:
+        saved = dict(entry.content)
+        corrupt(entry.content)
+        clear_upper_caches(net)
+        ask(net, text, "dc1")
+        assert len(net.verify_errors) == 1
+        assert net.verify_errors.pop().startswith("qpu/dc1/h0: cache hit diverges")
+        entry.content = saved
+
+
+def test_cache_check_accepts_hits_on_a_merge_of_uneven_leaves():
+    # delta-mode siblings take peer deltas at their own pace, so a merged
+    # leaf holds postings past its floor clock; its hits must still check
+    sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="delta", jitter=15,
+                            seed=31, verify=True)
+    fill(store, random.Random(31), 60)
+    sim.run_until_quiescent()
+    a, b = net.force_split("qpu/dc2/h0")
+    net.force_split("qpu/dc1/h0")
+    for i in range(30):
+        sim.at(sim.now + i, lambda i=i: store.put(
+            "dc1", f"n{i}", {"gpa": i / 8, "dept": "cs"}))
+    sim.run_until(sim.now + 20)
+    assert net.nodes[a].index.clock != net.nodes[b].index.clock
+    merged = net.nodes[net.merge_siblings(a, b)]
+    for _ in range(2):
+        clear_upper_caches(net)
+        ask(net, "gpa < 3.0 FRESHNESS any", "dc2")
+    assert merged.cache.hits == 1
+    assert net.verify_errors == []
+
+
+def test_scrub_empties_leaf_caches_so_later_hits_check_clean():
+    # a concurrent conflict leaves the losing version visible until a scrub
+    # culls it without advancing any clock, so an entry cached before the
+    # scrub no longer matches the leaf's index at its clock
+    sim, store, net = quiesced(dcs=("dc1", "dc2"), verify=True)
+    store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
+    store.put("dc2", "k", {"gpa": 1.5, "dept": "cs"})
+    sim.run_until_quiescent()
+    text = "gpa < 2.0 FRESHNESS any"
+    leaf = net.nodes["qpu/dc2/h0"]
+    ask(net, text, "dc2")
+    assert leaf.index.visible_count() == 2 and len(leaf.cache.entries) == 1
+    assert net.scrub_all() == 2  # the loser, culled at each DC's leaf
+    assert not leaf.cache.entries
+    for _ in range(2):
+        clear_upper_caches(net)
+        ask(net, text, "dc2")
+    assert leaf.cache.hits == 1
+    assert net.verify_errors == []
+
+
+def test_root_cache_keeps_a_key_the_querying_dc_still_holds():
+    # dc1 deletes k while partitioned from dc2. The root cache (at dc3) must
+    # not lose k before dc2 sees the delete: the coordinator at dc2 rescans
+    # only past the cached clock and would never add k back.
+    sim, store, net = quiesced(root_dc="dc3")
+    store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    text = "gpa > 2.0 FRESHNESS any"
+    assert ask(net, text, "dc2").keys == {"k"}
+    sim.partition("dc1", "dc2", sim.now, sim.now + 500)
+    sim.run_until(sim.now)
+    store.delete("dc1", "k")
+    sim.run_until(sim.now + 30)  # dc1 and dc3 have ingested the delete
+    res = ask(net, text, "dc2")
+    assert res.stats["cache_hits"] >= 1
+    assert res.keys == scan(store.replicas["dc2"], parse("gpa > 2.0", SCHEMA))
+    assert res.keys == {"k"}
 
 
 def test_cache_lru_eviction():

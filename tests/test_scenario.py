@@ -73,16 +73,6 @@ def test_missing_required_fields():
         parse_scenario(minimal(dcs=["dc1", "dc1"]))
 
 
-def test_history_gap_names_a_witness_point():
-    tree = {"history": {"leaves": [
-        {"region": {"x": [0.0, 4.0]}},
-        {"region": {"x": [6.0, 10.0]}},
-    ]}}
-    with pytest.raises(ScenarioError, match="unassigned") as exc:
-        parse_scenario(minimal(tree=tree))
-    assert "point" in str(exc.value)
-
-
 def test_history_cut_must_leave_two_sides():
     tree = {"history": {"attr": "x", "at": 0.0, "lo": "leaf", "hi": "leaf"}}
     with pytest.raises(ScenarioError, match="empty side"):
