@@ -17,7 +17,7 @@ from .qpu import (
     SplitRefused,
     TreeConfig,
 )
-from .regions import (AttributeSchema, Interval, Region, covers, greedy_cover,
+from .regions import (AttributeSchema, Interval, Region, greedy_cover,
                       subtract_all, text_embed)
 from .router import (
     And,

@@ -179,7 +179,7 @@ class CrdtIndex:
                 continue  # unconstrained axis selects every tag
             acc = set()
             for bin_iv, tags in self.terms[attr].items():
-                if bin_iv.intersect(iv) is not None:
+                if bin_iv.overlaps(iv):
                     acc |= tags
             cand = acc if cand is None else cand & acc
             if not cand:
@@ -187,28 +187,6 @@ class CrdtIndex:
         if cand is None:
             cand = set(self.tag_info)
         return {tag: self.tag_info[tag] for tag in cand}
-
-    def lookup_range(
-        self, attr: str, lo, hi, lo_open: bool = False, hi_open: bool = False
-    ) -> tuple[set, set]:
-        """Single-attribute range probe returning (exact_keys, candidate_keys):
-        keys from bins wholly inside the interval are exact; keys from bins
-        that only overlap it need a candidate check. Sets self.last_touched to
-        the number of terms the probe visited."""
-        iv = Interval(lo, hi, lo_open, hi_open)
-        exact: set = set()
-        cand: set = set()
-        touched = 0
-        if not iv.is_empty():
-            for bin_iv, tags in self.terms[attr].items():
-                if bin_iv.intersect(iv) is None:
-                    continue
-                touched += 1
-                dst = exact if bin_iv.wholly_inside(iv) else cand
-                for tag in tags:
-                    dst.add(self.tag_info[tag][0])
-        self.last_touched = touched
-        return exact, cand - exact
 
     def visible_count(self) -> int:
         return len(self.tag_info)

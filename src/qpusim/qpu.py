@@ -149,7 +149,7 @@ def bin_hit(binner: Binner, point: dict, rects) -> bool:
     on every axis? Matches what a leaf lookup would return for the point."""
     for r in rects:
         for attr, iv in r.ivs.items():
-            if binner.bin_of(attr, point[attr]).intersect(iv) is None:
+            if not binner.bin_of(attr, point[attr]).overlaps(iv):
                 break
         else:
             return True
@@ -560,9 +560,7 @@ class Qpu:
 
     def _on_feed(self, entry: LogEntry):
         # synchronous callback from the colocated replica's apply
-        if self.kind != "hist" or entry.origin_dc not in self.scope:
-            return
-        if self.repl_mode == DELTA and entry.origin_dc != self.dc:
+        if self.kind != "hist" or not self._log_fed(entry.origin_dc):
             return
         if entry.seq <= self.index.clock.get(entry.origin_dc):
             return  # already in via peer delta or catch-up
@@ -632,9 +630,21 @@ class Qpu:
         else:
             self.net._subscribe_peers(self)
 
+    def _log_fed(self, origin: str) -> bool:
+        """Whether this leaf ingests `origin` from its colocated log. In delta
+        mode a foreign origin comes from the same-region peer in that DC;
+        an origin with no such peer still comes from the log."""
+        if origin not in self.scope:
+            return False
+        return self.repl_mode != DELTA or origin not in self.peers
+
     def _replay_local_gap(self):
+        """Apply what the colocated log holds past the index clock for every
+        log-fed origin, and drop buffered peer deltas that are now covered.
+        The origins are fixed up front: an apply may flip the mode midway."""
+        origins = {o for o in self.scope if self._log_fed(o)}
         for entry in self.replica.entries_after(self.index.clock):
-            if entry.origin_dc in self.scope:
+            if entry.origin_dc in origins:
                 if entry.seq == self.index.clock.get(entry.origin_dc) + 1:
                     self._apply_entry(entry)
         for origin in list(self._delta_buf):
@@ -904,6 +914,9 @@ class QpuNetwork:
             leaf.peers = {dc: a for dc, a in sorted(group.items()) if dc != leaf.dc}
             if leaf.repl_mode == DELTA:
                 self._subscribe_peers(leaf)
+                # an origin whose peer went away is log-fed from now on; the
+                # next entry must follow the index clock, so close the gap
+                leaf._replay_local_gap()
             else:
                 self._unsubscribe_peers(leaf)
 

@@ -4,10 +4,17 @@ Intervals carry explicit open/closed flags on both ends so bin edges, point
 lookups, and whole-domain ranges classify exactly. A hi bound of None means
 "no upper bound" and only occurs on text attributes, whose domain has no
 largest element.
+
+Intervals are immutable tuples. Query planning builds and hashes them by the
+thousand per probe, and a tuple is built and hashed in less than half the
+time of a frozen dataclass; methods unpack the tuple once, because reading a
+named field of a tuple is the slower part. Cuts that change nothing return
+the operand itself, so callers can test `cut is r` instead of comparing
+bounds.
 """
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 def _below(a, b) -> bool:
@@ -44,11 +51,12 @@ class AttributeSchema:
                 raise ValueError(f"{self.name}: text domain needs a duplicate-free alphabet")
         else:
             raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
+        dom = (Interval("", None, False, False) if self.kind == "text"
+               else Interval(self.lo, self.hi, False, False))
+        object.__setattr__(self, "_domain", dom)
 
     def domain(self) -> "Interval":
-        if self.kind == "text":
-            return Interval("", None, False, False)
-        return Interval(self.lo, self.hi, False, False)
+        return self._domain
 
     def validate(self, value) -> bool:
         if self.kind == "int":
@@ -92,8 +100,11 @@ def text_embed(s: str, alphabet: str, depth: int = 12) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
+    """One axis of a rectangle, as an immutable (lo, hi, lo_open, hi_open)
+    tuple. Equality, hashing and repr are the tuple's, so an interval hashes
+    like its key() and serves as a dict key for index bins."""
+
     lo: Any
     hi: Any  # None = unbounded above (text only)
     lo_open: bool = False
@@ -104,71 +115,95 @@ class Interval:
         return cls(v, v, False, False)
 
     def is_empty(self) -> bool:
-        if _below(self.hi, self.lo):
-            return True
-        if _beq(self.lo, self.hi) and (self.lo_open or self.hi_open):
-            return True
-        return False
+        lo, hi, lo_open, hi_open = self
+        return _below(hi, lo) or ((lo_open or hi_open) and _beq(lo, hi))
 
     def is_point(self) -> bool:
-        return _beq(self.lo, self.hi) and not self.lo_open and not self.hi_open
+        lo, hi, lo_open, hi_open = self
+        return _beq(lo, hi) and not lo_open and not hi_open
 
     def contains(self, v) -> bool:
-        if _below(v, self.lo) or (v == self.lo and self.lo_open):
+        lo, hi, lo_open, hi_open = self
+        if _below(v, lo) or (v == lo and lo_open):
             return False
-        if _below(self.hi, v) or (_beq(v, self.hi) and self.hi_open):
+        if _below(hi, v) or (_beq(v, hi) and hi_open):
             return False
         return True
+
+    def _cut(self, o: "Interval"):
+        """Bounds of self ∩ o as (lo, hi, lo_open, hi_open, changed), or None
+        when the intersection is empty; `changed` is False when the bounds
+        are exactly self's."""
+        lo, hi, lo_open, hi_open = self
+        olo, ohi, olo_open, ohi_open = o
+        changed = False
+        if _below(lo, olo):
+            lo, lo_open, changed = olo, olo_open, True
+        elif olo_open and not lo_open and not _below(olo, lo):
+            lo_open = changed = True
+        if _below(ohi, hi):
+            hi, hi_open, changed = ohi, ohi_open, True
+        elif ohi_open and not hi_open and not _below(hi, ohi):
+            hi_open = changed = True
+        if _below(hi, lo) or ((lo_open or hi_open) and _beq(lo, hi)):
+            return None
+        return lo, hi, lo_open, hi_open, changed
+
+    def overlaps(self, o: "Interval") -> bool:
+        """True when self ∩ o is non-empty; builds no interval."""
+        return self._cut(o) is not None
 
     def intersect(self, o: "Interval") -> "Interval | None":
-        if _below(self.lo, o.lo):
-            lo, lo_open = o.lo, o.lo_open
-        elif _below(o.lo, self.lo):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = self.lo, self.lo_open or o.lo_open
-        if _below(self.hi, o.hi):
-            hi, hi_open = self.hi, self.hi_open
-        elif _below(o.hi, self.hi):
-            hi, hi_open = o.hi, o.hi_open
-        else:
-            hi, hi_open = self.hi, self.hi_open or o.hi_open
-        out = Interval(lo, hi, lo_open, hi_open)
-        return None if out.is_empty() else out
+        """self ∩ o, None when empty, self itself when o cuts nothing off."""
+        cut = self._cut(o)
+        if cut is None:
+            return None
+        lo, hi, lo_open, hi_open, changed = cut
+        return Interval(lo, hi, lo_open, hi_open) if changed else self
 
     def wholly_inside(self, o: "Interval") -> bool:
-        if _below(self.lo, o.lo):
+        lo, hi, lo_open, hi_open = self
+        olo, ohi, olo_open, ohi_open = o
+        if _below(lo, olo):
             return False
-        if _beq(self.lo, o.lo) and o.lo_open and not self.lo_open:
+        if olo_open and not lo_open and _beq(lo, olo):
             return False
-        if _below(o.hi, self.hi):
+        if _below(ohi, hi):
             return False
-        if _beq(self.hi, o.hi) and o.hi_open and not self.hi_open:
+        if ohi_open and not hi_open and _beq(hi, ohi):
             return False
         return True
 
-    def subtract(self, o: "Interval") -> "list[Interval]":
-        cut = self.intersect(o)
+    def subtract(self, o: "Interval", cut: "Interval | None" = None) -> "list[Interval]":
+        """Disjoint pieces of self outside o. `cut` is self ∩ o when the
+        caller already has it."""
         if cut is None:
-            return [self]
+            cut = self.intersect(o)
+            if cut is None:
+                return [self]
+        if cut is self:
+            return []
+        lo, hi, lo_open, hi_open = self
+        clo, chi, clo_open, chi_open = cut
         out = []
-        left = Interval(self.lo, cut.lo, self.lo_open, not cut.lo_open)
+        left = Interval(lo, clo, lo_open, not clo_open)
         if not left.is_empty():
             out.append(left)
-        if cut.hi is not None:
-            right = Interval(cut.hi, self.hi, not cut.hi_open, self.hi_open)
+        if chi is not None:
+            right = Interval(chi, hi, not chi_open, hi_open)
             if not right.is_empty():
                 out.append(right)
         return out
 
     def key(self) -> tuple:
-        return (self.lo, self.hi, self.lo_open, self.hi_open)
+        return tuple(self)
 
     def render(self) -> str:
-        lb = "(" if self.lo_open else "["
-        rb = ")" if self.hi_open else "]"
-        hi = "inf" if self.hi is None else self.hi
-        return f"{lb}{self.lo!r},{hi!r}{rb}"
+        lo, hi, lo_open, hi_open = self
+        lb = "(" if lo_open else "["
+        rb = ")" if hi_open else "]"
+        hi = "inf" if hi is None else hi
+        return f"{lb}{lo!r},{hi!r}{rb}"
 
 
 class Region:
@@ -184,21 +219,29 @@ class Region:
         return cls({a: s.domain() for a, s in schema.items()})
 
     def narrowed(self, attr: str, iv: Interval) -> "Region | None":
-        cut = self.ivs[attr].intersect(iv)
+        old = self.ivs[attr]
+        cut = old.intersect(iv)
         if cut is None:
             return None
+        if cut is old:
+            return self
         out = dict(self.ivs)
         out[attr] = cut
         return Region(out)
 
     def intersect(self, o: "Region") -> "Region | None":
-        out = {}
+        """self ∩ o, None when empty, self itself when o cuts nothing off."""
+        out = None
+        oivs = o.ivs
         for a, iv in self.ivs.items():
-            cut = iv.intersect(o.ivs[a])
+            cut = iv.intersect(oivs[a])
             if cut is None:
                 return None
-            out[a] = cut
-        return Region(out)
+            if cut is not iv:
+                if out is None:
+                    out = dict(self.ivs)
+                out[a] = cut
+        return self if out is None else Region(out)
 
     def contains_point(self, point: dict) -> bool:
         return all(iv.contains(point[a]) for a, iv in self.ivs.items())
@@ -206,22 +249,23 @@ class Region:
     def wholly_inside(self, o: "Region") -> bool:
         return all(iv.wholly_inside(o.ivs[a]) for a, iv in self.ivs.items())
 
-    def subtract(self, o: "Region") -> "list[Region]":
-        """Disjoint rectangles covering self minus o, by axis sweep."""
-        if self.intersect(o) is None:
-            return [self]
+    def subtract(self, o: "Region", cut: "Region | None" = None) -> "list[Region]":
+        """Disjoint rectangles covering self minus o, by axis sweep. `cut` is
+        self ∩ o when the caller already has it."""
+        if cut is None:
+            cut = self.intersect(o)
+            if cut is None:
+                return [self]
         pieces = []
-        rem = self
+        rem = dict(self.ivs)
         for a in sorted(self.ivs):
-            for part in rem.ivs[a].subtract(o.ivs[a]):
-                out = dict(rem.ivs)
+            iv, civ = rem[a], cut.ivs[a]
+            for part in iv.subtract(o.ivs[a], civ):
+                out = dict(rem)
                 out[a] = part
                 pieces.append(Region(out))
-            slab = rem.narrowed(a, o.ivs[a])
-            if slab is None:
-                return pieces
-            rem = slab
-        return pieces  # rem is inside o, dropped
+            rem[a] = civ
+        return pieces  # rem is the cut, inside o, dropped
 
     def volume(self, schema: dict[str, AttributeSchema]) -> float:
         v = 1.0
@@ -230,7 +274,8 @@ class Region:
         return v
 
     def key(self) -> tuple:
-        return tuple((a, *self.ivs[a].key()) for a in sorted(self.ivs))
+        ivs = self.ivs
+        return tuple((a, *ivs[a]) for a in sorted(ivs))
 
     def render(self) -> str:
         return " x ".join(f"{a}:{self.ivs[a].render()}" for a in sorted(self.ivs))
@@ -252,16 +297,6 @@ def subtract_all(targets: list[Region], cover: Region) -> list[Region]:
     return out
 
 
-def covers(target: Region, pieces: list[Region]) -> bool:
-    """True when the union of pieces geometrically contains target."""
-    rem = [target]
-    for p in pieces:
-        rem = subtract_all(rem, p)
-        if not rem:
-            return True
-    return not rem
-
-
 def greedy_cover(
     rects: list[Region],
     children: list[tuple[str, Region]],
@@ -272,9 +307,10 @@ def greedy_cover(
     uncovered (ties go to the earlier child in the given order), hand it the
     intersection pieces, and subtract its region. Returns (assignments,
     uncovered remainder); a non-empty remainder means the children do not
-    cover the rectangles.
+    cover the rectangles. The cuts computed to pick a child are the ones
+    subtracted, and a rectangle the child holds whole is dropped outright.
     """
-    remaining = [r for r in rects]
+    remaining = list(rects)
     assignments: list[tuple[str, list[Region]]] = []
     chosen: set[str] = set()
     while remaining:
@@ -282,20 +318,23 @@ def greedy_cover(
         for cid, creg in children:
             if cid in chosen:
                 continue
-            pieces = []
-            for r in remaining:
-                cut = r.intersect(creg)
-                if cut is not None:
-                    pieces.append(cut)
+            cuts = [r.intersect(creg) for r in remaining]
+            pieces = [c for c in cuts if c is not None]
             if not pieces:
                 continue
             vol = sum(p.volume(schema) for p in pieces)
             if best is None or vol > best[0]:
-                best = (vol, cid, creg, pieces)
+                best = (vol, cid, creg, pieces, cuts)
         if best is None:
             break
-        _, cid, creg, pieces = best
+        _, cid, creg, pieces, cuts = best
         assignments.append((cid, pieces))
         chosen.add(cid)
-        remaining = subtract_all(remaining, creg)
+        rest = []
+        for r, cut in zip(remaining, cuts):
+            if cut is None:
+                rest.append(r)
+            elif cut is not r:
+                rest.extend(r.subtract(creg, cut))
+        remaining = rest
     return assignments, remaining

@@ -13,13 +13,21 @@ Grammar (AND binds tighter than OR, parentheses honored):
 The default level is "any". A parsed query normalizes to DNF; every conjunct
 becomes one axis-aligned rectangle whose intervals carry exact open/closed
 bounds, so the rectangle itself is the residual predicate the candidate check
-re-applies.
+re-applies. The parser rejects a query whose DNF would have more than
+MAX_DNF_TERMS conjuncts, because the expansion is exponential in the number
+of ANDed OR-groups.
 """
 
+import re
 from dataclasses import dataclass, field, replace
 
 from .regions import AttributeSchema, Interval, Region
 from .staleness import Level, StalenessLevel
+
+
+# Most DNF conjuncts a query may expand to: 2**10, ten ANDed two-way ORs.
+# Generated workloads reach at most 27.
+MAX_DNF_TERMS = 1024
 
 
 class QueryError(Exception):
@@ -76,6 +84,7 @@ class QueryResult:
 # -- lexer ----------------------------------------------------------------------
 
 _CMP = ("<=", ">=", "=", "<", ">")
+_WORD_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
 
 
 def _tokens(text: str):
@@ -112,11 +121,13 @@ def _tokens(text: str):
             i = j
             continue
         if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+            j = _WORD_TAIL.match(text, i + 1).end()
             out.append(("ident", text[i:j], i))
             i = j
+            continue
+        if c in "():":
+            out.append((c, c, i))
+            i += 1
             continue
         for op in _CMP:
             if text.startswith(op, i):
@@ -124,11 +135,7 @@ def _tokens(text: str):
                 i += len(op)
                 break
         else:
-            if c in "():":
-                out.append((c, c, i))
-                i += 1
-            else:
-                raise QueryError(f"unexpected character {c!r}", i)
+            raise QueryError(f"unexpected character {c!r}", i)
     out.append(("end", "", n))
     return out
 
@@ -153,12 +160,19 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def _keyword(self, word: str) -> int | None:
+        """Consume `word` when it is the next token and return its offset;
+        None when the next token is anything else."""
+        kind, val, off = self.toks[self.pos]
+        if kind == "ident" and val == word:
+            self.pos += 1
+            return off
+        return None
+
     def parse(self) -> Query:
-        expr = self.expr()
+        expr, _ = self.expr()
         level = StalenessLevel.any()
-        kind, val, off = self.peek()
-        if kind == "ident" and val == "FRESHNESS":
-            self.take()
+        if self._keyword("FRESHNESS") is not None:
             level = self.level()
         kind, val, off = self.peek()
         if kind != "end":
@@ -177,29 +191,45 @@ class _Parser:
             return StalenessLevel.bounded(nval)
         return StalenessLevel(Level(val))
 
+    # expr, term and factor return (node, DNF term count): a sum over OR, a
+    # product over AND, checked against MAX_DNF_TERMS as it grows
+
+    @staticmethod
+    def _too_many(off: int) -> QueryError:
+        return QueryError(
+            f"query expands to more than {MAX_DNF_TERMS} DNF terms", off)
+
     def expr(self):
-        parts = [self.term()]
-        while self.peek()[:2] == ("ident", "OR"):
-            self.take()
-            parts.append(self.term())
+        node, terms = self.term()
+        parts = [node]
+        while (off := self._keyword("OR")) is not None:
+            node, more = self.term()
+            terms += more
+            if terms > MAX_DNF_TERMS:
+                raise self._too_many(off)
+            parts.append(node)
         if len(parts) == 1:
-            return parts[0]
+            return parts[0], terms
         flat = []
         for p in parts:
             flat.extend(p.parts if isinstance(p, Or) else (p,))
-        return Or(tuple(flat))
+        return Or(tuple(flat)), terms
 
     def term(self):
-        parts = [self.factor()]
-        while self.peek()[:2] == ("ident", "AND"):
-            self.take()
-            parts.append(self.factor())
+        node, terms = self.factor()
+        parts = [node]
+        while (off := self._keyword("AND")) is not None:
+            node, more = self.factor()
+            terms *= more
+            if terms > MAX_DNF_TERMS:
+                raise self._too_many(off)
+            parts.append(node)
         if len(parts) == 1:
-            return parts[0]
+            return parts[0], terms
         flat = []
         for p in parts:
             flat.extend(p.parts if isinstance(p, And) else (p,))
-        return And(tuple(flat))
+        return And(tuple(flat)), terms
 
     def factor(self):
         kind, val, off = self.peek()
@@ -208,7 +238,7 @@ class _Parser:
             inner = self.expr()
             self.take(")")
             return inner
-        return self.predicate()
+        return self.predicate(), 1
 
     def predicate(self) -> Pred:
         kind, attr, off = self.take()
@@ -304,18 +334,38 @@ def _pred_interval(p: Pred, sch: AttributeSchema) -> Interval:
     return Interval(p.value, dom.hi, False, dom.hi_open)
 
 
-def _dnf(node) -> list[tuple]:
+def _unique(rects: list) -> list[Region]:
+    """Drop empty (None) and repeated rectangles, keeping first occurrences."""
+    if len(rects) == 1:
+        return rects if rects[0] is not None else []
+    seen = set()
+    out = []
+    for r in rects:
+        if r is not None:
+            k = r.key()
+            if k not in seen:
+                seen.add(k)
+                out.append(r)
+    return out
+
+
+def _expand(node, rects: list[Region], schema) -> list[Region]:
+    """Narrow each partial rectangle by `node`, in DNF product order: an OR
+    splits every partial into one per branch, an AND narrows by its parts in
+    turn. Every partial in a list faces the same rest of the query, so an
+    empty or repeated one can be dropped at each step without changing which
+    rectangles come out, or their order."""
     if isinstance(node, Pred):
-        return [(node,)]
-    if isinstance(node, Or):
-        out = []
+        iv = _pred_interval(node, schema[node.attr])
+        return _unique([r.narrowed(node.attr, iv) for r in rects])
+    if isinstance(node, And):
         for p in node.parts:
-            out.extend(_dnf(p))
-        return out
-    combos = [()]
-    for p in node.parts:
-        combos = [c + d for c in combos for d in _dnf(p)]
-    return combos
+            if not rects:
+                break
+            rects = _expand(p, rects, schema)
+        return rects
+    return _unique([x for r in rects for p in node.parts
+                    for x in _expand(p, [r], schema)])
 
 
 def to_rectangles(
@@ -324,22 +374,8 @@ def to_rectangles(
     """DNF expansion to (rectangle, residual) pairs. Unconstrained attributes
     span their full axis; contradictory conjuncts drop out; the residual is
     the canonical text of the exact bounds."""
-    out: list[tuple[Region, str]] = []
-    seen = set()
-    for conjunct in _dnf(q.expr):
-        rect: Region | None = Region.whole(schema)
-        for p in conjunct:
-            rect = rect.narrowed(p.attr, _pred_interval(p, schema[p.attr]))
-            if rect is None:
-                break
-        if rect is None:
-            continue
-        k = rect.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        out.append((rect, rect.render()))
-    return out
+    rects = _expand(q.expr, [Region.whole(schema)], schema)
+    return [(rect, rect.render()) for rect in rects]
 
 
 def rect_match(rects, attrs: dict) -> bool:

@@ -50,6 +50,7 @@ class Scenario:
     net: NetConfig
     tree: TreeConfig
     workload: list[dict]
+    queries: dict[int, Query]  # workload index -> parsed query action
     verify_caches: bool = False
     oracle: bool = False
     scrub_at_end: bool = True
@@ -152,7 +153,7 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         except (TypeError, ValueError) as exc:
             fail(f"generate: {exc}", '"generate"')
         workload = gen_phases(schema, dcs, specs, raw.get("seed", 0))
-    _validate_workload(workload, dcs, schema, fail)
+    queries = _validate_workload(workload, dcs, schema, fail)
 
     verify = raw.get("verify", {})
     limits = raw.get("limits", {})
@@ -165,6 +166,7 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         net=net,
         tree=tree,
         workload=workload,
+        queries=queries,
         verify_caches=bool(verify.get("caches", False)),
         oracle=bool(verify.get("oracle", False)),
         scrub_at_end=bool(raw.get("scrub_at_end", True)),
@@ -201,9 +203,12 @@ _OPS = {"put", "delete", "query", "force-split", "force-merge", "partition",
         "scrub"}
 
 
-def _validate_workload(workload, dcs, schema, fail):
+def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
+    """Check every action; returns the parsed query of each query action by
+    its index, so a run does not parse the texts again."""
     if not isinstance(workload, list):
         fail("workload must be a list", '"workload"')
+    queries: dict[int, Query] = {}
     for i, act in enumerate(workload):
         def bad(msg):
             fail(f"workload action {i}: {msg}", '"op"', i)
@@ -232,7 +237,7 @@ def _validate_workload(workload, dcs, schema, fail):
             bad("delete needs a key")
         if op == "query":
             try:
-                parse(act.get("text", ""), schema)
+                queries[i] = parse(act.get("text", ""), schema)
             except QueryError as exc:
                 bad(f"query does not parse: {exc}")
         if op == "force-split" and not isinstance(act.get("qpu"), str):
@@ -245,6 +250,7 @@ def _validate_workload(workload, dcs, schema, fail):
                 bad("partition needs two declared DCs")
             if not isinstance(act.get("until"), int) or act["until"] <= t:
                 bad("partition needs until > t")
+    return queries
 
 
 # -- running ------------------------------------------------------------------------
@@ -308,14 +314,14 @@ def run_scenario(sc: Scenario, trace: bool = False,
                         f"{sorted(need - res.keys)}")
         return cb
 
-    for act in sc.workload:
+    for i, act in enumerate(sc.workload):
         op, t = act["op"], act["t"]
         if op == "put":
             sim.at(t, lambda a=act: store.put(a["dc"], a["key"], a["attrs"]))
         elif op == "delete":
             sim.at(t, lambda a=act: store.delete(a["dc"], a["key"]))
         elif op == "query":
-            q = parse(act["text"], sc.schema).at(act["dc"])
+            q = sc.queries[i].at(act["dc"])
             sim.at(t, lambda q=q: net.submit(q, on_result(q)))
         elif op == "force-split":
             sim.at(t, lambda a=act: _forced(

@@ -37,6 +37,20 @@ def test_bad_query_text_exits_2(capsys):
     assert "query error" in capsys.readouterr().err
 
 
+def test_query_past_the_dnf_bound_exits_2(tmp_path, capsys):
+    text = " AND ".join(f"(GPA > 3.{i} OR GPA < 0.{i})" for i in range(14))
+    assert main(["query", STUDENTS, text, "--dc", "dc1"]) == 2
+    err = capsys.readouterr().err
+    assert "DNF terms" in err and "at byte" in err
+    doc = json.loads(Path(STUDENTS).read_text())
+    doc["workload"].append({"op": "query", "t": 5, "dc": "dc1", "text": text})
+    path = tmp_path / "students.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "DNF terms" in err and "at byte" in err
+
+
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -30,16 +30,22 @@ def visible(index):
     return {(tag, key) for tag, (key, _) in index.tag_info.items()}
 
 
+def keys_in(index, attr, lo, hi, lo_open=False, hi_open=False):
+    """Keys of the tags a lookup over one attribute range returns."""
+    rect = Region.whole(index.schema).narrowed(
+        attr, Interval(lo, hi, lo_open, hi_open))
+    return {key for key, _ in index.lookup(rect).values()}
+
+
 # -- single-entry effects ------------------------------------------------------------
 
 
 def test_put_adds_postings_under_each_attribute_term():
     idx = mk_index()
     idx.apply_entry(entry("dc1", 1, 1, "o", {"gpa": 3.0, "dept": "cs"}))
-    exact, cand = idx.lookup_range("gpa", 3.0, 3.0)
-    assert exact == {"o"} and cand == set()
-    exact, cand = idx.lookup_range("dept", "cs", "cs")
-    assert exact == {"o"}
+    assert keys_in(idx, "gpa", 3.0, 3.0) == {"o"}
+    assert keys_in(idx, "gpa", 1.0, 1.0) == set()
+    assert keys_in(idx, "dept", "cs", "cs") == {"o"}
     assert idx.clock == VectorClock({"dc1": 1})
 
 
@@ -49,8 +55,8 @@ def test_overwrite_tombstones_old_tag_and_adds_new():
     e2 = entry("dc1", 2, 2, "o", {"gpa": 1.0, "dept": "cc"}, prev=e1.stamp)
     idx.apply_entry(e1)
     idx.apply_entry(e2)
-    assert idx.lookup_range("dept", "aa", "aa")[0] == set()
-    assert idx.lookup_range("dept", "cc", "cc")[0] == {"o"}
+    assert keys_in(idx, "dept", "aa", "aa") == set()
+    assert keys_in(idx, "dept", "cc", "cc") == {"o"}
     assert e1.stamp in idx.removed
 
 
@@ -62,9 +68,9 @@ def test_losing_overwrite_keeps_the_observed_winner_visible():
     loser = entry("dc1", 1, 5, "o", {"gpa": 2.0, "dept": "aa"}, prev=winner.stamp)
     idx.apply_entry(winner)
     idx.apply_entry(loser)
-    assert idx.lookup_range("dept", "bb", "bb")[0] == {"o"}
+    assert keys_in(idx, "dept", "bb", "bb") == {"o"}
     # both postings stay visible until a scrub resolves them
-    assert idx.lookup_range("dept", "aa", "aa")[0] == {"o"}
+    assert keys_in(idx, "dept", "aa", "aa") == {"o"}
 
 
 def test_concurrent_values_both_visible_after_cross_merge():
@@ -76,8 +82,8 @@ def test_concurrent_values_both_visible_after_cross_merge():
     a.merge(b)
     b.merge(a)
     for idx in (a, b):
-        assert idx.lookup_range("dept", "aa", "aa")[0] == {"obj"}
-        assert idx.lookup_range("dept", "bb", "bb")[0] == {"obj"}
+        assert keys_in(idx, "dept", "aa", "aa") == {"obj"}
+        assert keys_in(idx, "dept", "bb", "bb") == {"obj"}
     assert a.canonical() == b.canonical()
 
 
@@ -122,7 +128,9 @@ def test_remove_arriving_before_add_suppresses_it():
     direct = mk_index()
     direct.merge(late)
     assert e1.stamp not in direct.tag_info
-    assert direct.lookup_range("gpa", 0.0, 4.0)[0] == {"o"}
+    assert keys_in(direct, "gpa", 0.0, 4.0) == {"o"}
+    assert keys_in(direct, "gpa", 1.5, 2.5) == {"o"}
+    assert keys_in(direct, "gpa", 0.5, 1.5) == set()
 
 
 # -- merge algebra --------------------------------------------------------------------
@@ -201,8 +209,8 @@ def test_unbinned_text_lookup_is_exact():
     idx = mk_index()
     idx.apply_entry(entry("dc1", 1, 1, "a", {"gpa": 3.0, "dept": "cs"}))
     idx.apply_entry(entry("dc1", 2, 2, "b", {"gpa": 3.0, "dept": "bio"}))
-    exact, cand = idx.lookup_range("dept", "cs", "cs")
-    assert exact == {"a"} and cand == set()
+    assert keys_in(idx, "dept", "cs", "cs") == {"a"}
+    assert keys_in(idx, "dept", "bio", "bio") == {"b"}
 
 
 def test_full_domain_range_returns_everything_exactly():
@@ -210,8 +218,10 @@ def test_full_domain_range_returns_everything_exactly():
     for i in range(10):
         idx.apply_entry(entry("dc1", i + 1, i + 1, f"k{i}",
                               {"gpa": i * 0.4, "dept": "cs"}))
-    exact, cand = idx.lookup_range("gpa", 0.0, 4.0)
-    assert exact == {f"k{i}" for i in range(10)} and cand == set()
+    everything = {f"k{i}" for i in range(10)}
+    assert keys_in(idx, "gpa", 0.0, 4.0) == everything
+    # the same range short of the domain top scans every bin instead
+    assert keys_in(idx, "gpa", 0.0, 4.0, hi_open=True) == everything
 
 
 def test_partial_bin_overlap_yields_candidates():
@@ -219,10 +229,11 @@ def test_partial_bin_overlap_yields_candidates():
     idx.apply_entry(entry("dc1", 1, 1, "lo", {"gpa": 2.1, "dept": "cs"}))
     idx.apply_entry(entry("dc1", 2, 2, "edge", {"gpa": 2.0, "dept": "cs"}))
     idx.apply_entry(entry("dc1", 3, 3, "hi", {"gpa": 2.6, "dept": "cs"}))
-    exact, cand = idx.lookup_range("gpa", 2.0, 3.0, lo_open=True, hi_open=True)
-    # bin [2.0,2.5) pokes out of (2.0,3.0), so its members are candidates
-    assert cand == {"lo", "edge"}
-    assert exact == {"hi"}
+    # bin [2.0,2.5) pokes out of (2.0,3.0), so "edge" comes back as a
+    # candidate the exact check must drop
+    assert keys_in(idx, "gpa", 2.0, 3.0, lo_open=True, hi_open=True) == {
+        "lo", "edge", "hi"}
+    assert keys_in(idx, "gpa", 2.5, 3.0) == {"hi"}
 
 
 def test_lookup_superset_of_true_matches_on_random_data():
@@ -237,11 +248,14 @@ def test_lookup_superset_of_true_matches_on_random_data():
     for _ in range(200):
         lo, hi = sorted((round(rng.uniform(0, 4), 2), round(rng.uniform(0, 4), 2)))
         lo_open, hi_open = rng.random() < 0.5, rng.random() < 0.5
-        exact, cand = idx.lookup_range("gpa", lo, hi, lo_open, hi_open)
         probe = Interval(lo, hi, lo_open, hi_open)
+        if probe.is_empty():
+            continue
+        got = keys_in(idx, "gpa", lo, hi, lo_open, hi_open)
         truth = {k for k, a in rows.items() if probe.contains(a["gpa"])}
-        assert truth <= exact | cand
-        assert exact <= truth
+        binned = {k for k, a in rows.items()
+                  if idx.binner.bin_of("gpa", a["gpa"]).overlaps(probe)}
+        assert truth <= got == binned
 
 
 def test_rect_lookup_intersects_across_attributes():
@@ -278,11 +292,11 @@ def test_scrub_culls_the_losing_concurrent_posting():
     sim.run_until_quiescent()
     for dc in ("dc1", "dc2"):
         leaf = [l for l in net.hist_leaves() if l.dc == dc][0]
-        assert leaf.index.lookup_range("dept", "aa", "aa")[0] == {"obj"}
+        assert keys_in(leaf.index, "dept", "aa", "aa") == {"obj"}
         removed = leaf.index.scrub(store.replicas[dc])
         assert removed == 1
-        assert leaf.index.lookup_range("dept", "aa", "aa")[0] == set()
-        assert leaf.index.lookup_range("dept", "bb", "bb")[0] == {"obj"}
+        assert keys_in(leaf.index, "dept", "aa", "aa") == set()
+        assert keys_in(leaf.index, "dept", "bb", "bb") == {"obj"}
 
 
 def test_churn_then_scrub_equals_rebuild_oracle():

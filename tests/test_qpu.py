@@ -534,3 +534,25 @@ def test_delta_mode_converges_via_peer_feeds():
     want = rebuild_index(store.replicas["dc1"], net.binner).canonical()
     for leaf in net.hist_leaves():
         assert leaf.index.canonical() == want, leaf.actor
+
+
+def test_delta_leaf_without_a_peer_takes_foreign_origins_from_its_log():
+    # merging at dc2 only leaves the merged leaf with no same-region peer at
+    # dc1, so dc1 writes must reach it through dc2's log
+    sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="delta", seed=1)
+    rng = random.Random(1)
+    fill(store, rng, 40)
+    sim.run_until_quiescent()
+    for dc in ("dc1", "dc2"):
+        net.force_split(f"qpu/{dc}/h0")
+    sim.run_until_quiescent()
+    merged = net.merge_siblings("qpu/dc2/h0.a", "qpu/dc2/h0.b")
+    sim.run_until_quiescent()
+    fill(store, rng, 20, dcs=["dc1"], prefix="n")
+    sim.run_until_quiescent()
+    leaf = net.nodes[merged]
+    assert leaf.peers == {}
+    assert leaf.index.clock == store.replicas["dc2"].heads
+    for actor in ("qpu/dc1/h0.a", "qpu/dc1/h0.b"):
+        assert net.nodes[actor].peers == {}
+        assert net.nodes[actor].index.clock == store.replicas["dc1"].heads

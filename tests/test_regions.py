@@ -6,13 +6,12 @@ from qpusim import (
     AttributeSchema,
     Interval,
     Region,
-    covers,
     greedy_cover,
     subtract_all,
     text_embed,
 )
 
-from conftest import numeric_schema, random_partition, random_rect
+from conftest import LOWER, numeric_schema, random_partition, random_rect, wide_schema
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -124,14 +123,15 @@ def test_volume_of_half_cut_is_half():
     assert abs(half.volume(schema) - 0.5) < 1e-9
 
 
-def test_covers_detects_gaps():
+def test_subtract_all_detects_gaps():
     schema = numeric_schema(1)
     whole = Region.whole(schema)
     lo = whole.narrowed("a0", iv(0.0, 40.0, False, True))
     hi = whole.narrowed("a0", iv(60.0, 100.0))
     mid = whole.narrowed("a0", iv(40.0, 60.0, False, True))
-    assert not covers(whole, [lo, hi])
-    assert covers(whole, [lo, hi, mid])
+    gap = subtract_all(subtract_all([whole], lo), hi)
+    assert [g.key() for g in gap] == [mid.key()]
+    assert subtract_all(gap, mid) == []
 
 
 def test_random_partitions_tile_the_space():
@@ -189,6 +189,166 @@ def test_greedy_cover_prefers_larger_intersection():
         [rect], [("small", small), ("big", big)], schema)
     assert uncovered == []
     assert assignments[0][0] == "big"
+
+
+# -- the tuple kernel against the dataclass-era reference ---------------------------
+
+
+def ref_interval_subtract(x, y):
+    cut = x.intersect(y)
+    if cut is None:
+        return [x]
+    out = []
+    left = Interval(x.lo, cut.lo, x.lo_open, not cut.lo_open)
+    if not left.is_empty():
+        out.append(left)
+    if cut.hi is not None:
+        right = Interval(cut.hi, x.hi, not cut.hi_open, x.hi_open)
+        if not right.is_empty():
+            out.append(right)
+    return out
+
+
+def ref_region_subtract(r, o):
+    if r.intersect(o) is None:
+        return [r]
+    pieces = []
+    rem = r
+    for a in sorted(r.ivs):
+        for part in ref_interval_subtract(rem.ivs[a], o.ivs[a]):
+            pieces.append(Region({**rem.ivs, a: part}))
+        rem = rem.narrowed(a, o.ivs[a])
+        if rem is None:
+            return pieces
+    return pieces
+
+
+def ref_greedy_cover(rects, children, schema):
+    """greedy_cover as it was before it reused its cuts: every round
+    subtracts the chosen child from each remaining rectangle afresh."""
+    remaining = list(rects)
+    assignments = []
+    chosen = set()
+    while remaining:
+        best = None
+        for cid, creg in children:
+            if cid in chosen:
+                continue
+            pieces = [c for c in (r.intersect(creg) for r in remaining)
+                      if c is not None]
+            if not pieces:
+                continue
+            vol = sum(p.volume(schema) for p in pieces)
+            if best is None or vol > best[0]:
+                best = (vol, cid, creg, pieces)
+        if best is None:
+            break
+        _, cid, creg, pieces = best
+        assignments.append((cid, pieces))
+        chosen.add(cid)
+        remaining = [p for r in remaining for p in ref_region_subtract(r, creg)]
+    return assignments, remaining
+
+
+def _cut_point(rng, schema, attr, iv):
+    if schema[attr].kind == "text":
+        return "".join(rng.choice(LOWER) for _ in range(rng.randint(1, 2)))
+    return round(rng.uniform(iv.lo, iv.hi), 1)
+
+
+def mixed_partition(rng, schema, depth=3):
+    """Random cuts on every axis, text included, with the cut point on a
+    random side, so leaves carry open and closed bounds alike."""
+    def cut(region, d):
+        if d == 0 or rng.random() < 0.25:
+            return [region]
+        attr = rng.choice(sorted(region.ivs))
+        iv = region.ivs[attr]
+        at = _cut_point(rng, schema, attr, iv)
+        closed_below = rng.random() < 0.5
+        lo = region.narrowed(attr, Interval(iv.lo, at, iv.lo_open, not closed_below))
+        hi = region.narrowed(attr, Interval(at, iv.hi, closed_below, iv.hi_open))
+        if lo is None or hi is None:
+            return [region]
+        return cut(lo, d - 1) + cut(hi, d - 1)
+
+    return cut(Region.whole(schema), depth)
+
+
+def mixed_rect(rng, schema):
+    rect = Region.whole(schema)
+    for attr in schema:
+        if rng.random() < 0.4:
+            continue
+        iv = rect.ivs[attr]
+        a, b = sorted((_cut_point(rng, schema, attr, iv),
+                       _cut_point(rng, schema, attr, iv)))
+        hi = None if schema[attr].kind == "text" and rng.random() < 0.3 else b
+        narrowed = rect.narrowed(
+            attr, Interval(a, hi, rng.random() < 0.3, rng.random() < 0.3))
+        rect = narrowed or rect
+    return rect
+
+
+def plan_keys(plan):
+    assignments, remainder = plan
+    return ([(cid, [(p.key(), list(p.ivs)) for p in pieces])
+             for cid, pieces in assignments],
+            [(r.key(), list(r.ivs)) for r in remainder])
+
+
+def test_greedy_cover_matches_the_subtract_reference():
+    schema = wide_schema()
+    rng = random.Random(12)
+    uncovered = 0
+    for _ in range(300):
+        leaves = mixed_partition(rng, schema)
+        children = [(f"c{i}", reg) for i, reg in enumerate(leaves)]
+        if len(children) > 1 and rng.random() < 0.3:
+            children.pop(rng.randrange(len(children)))  # leave a hole
+        rects = [mixed_rect(rng, schema) for _ in range(rng.randint(1, 3))]
+        got = greedy_cover(rects, children, schema)
+        want = ref_greedy_cover(rects, children, schema)
+        assert plan_keys(got) == plan_keys(want)
+        uncovered += bool(want[1])
+    assert uncovered > 10  # the holes were exercised
+
+
+def test_overlaps_agrees_with_intersect():
+    rng = random.Random(13)
+    words = ["", "a", "ab", "b", "m", "mz", "z"]
+
+    def rand_iv():
+        if rng.random() < 0.5:
+            a, b = sorted((rng.randint(0, 6), rng.randint(0, 6)))
+        else:
+            a, b = sorted((rng.choice(words), rng.choice(words)))
+            b = None if rng.random() < 0.4 else b
+        return iv(a, b, rng.random() < 0.4, rng.random() < 0.4)
+
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        x, y = rand_iv(), rand_iv()
+        if isinstance(x.lo, str) != isinstance(y.lo, str):
+            continue
+        cut = x.intersect(y)
+        assert x.overlaps(y) == (cut is not None), (x, y)
+        seen[cut is not None] += 1
+        if cut is not None and cut == x:
+            assert cut is x  # a cut that changes nothing is the operand
+    assert min(seen.values()) > 100
+
+
+def test_intervals_are_immutable_tuples():
+    x = iv(1.0, 2.0, True, False)
+    with pytest.raises(AttributeError):
+        x.lo = 0.0
+    assert hash(x) == hash(x.key())
+    assert x == iv(1.0, 2.0, True, False) and x != iv(1.0, 2.0)
+    assert repr(x) == "Interval(lo=1.0, hi=2.0, lo_open=True, hi_open=False)"
+    whole = Region.whole(numeric_schema(2))
+    assert whole.intersect(whole) is whole
+    assert whole.narrowed("a0", iv(0.0, 100.0)) is whole
 
 
 # -- text embedding ----------------------------------------------------------------

@@ -152,6 +152,83 @@ def test_duplicate_rectangles_are_planned_once():
 # -- end-to-end routing and checking ----------------------------------------------------
 
 
+
+# -- bounded DNF expansion --------------------------------------------------------
+
+
+def ref_to_rectangles(q, schema):
+    """to_rectangles as it was before the bound: expand the full DNF product,
+    then narrow each conjunct from the whole space and drop repeats."""
+    from qpusim import Region
+    from qpusim.router import _pred_interval
+
+    def dnf(node):
+        if isinstance(node, Pred):
+            return [(node,)]
+        if isinstance(node, Or):
+            return [c for p in node.parts for c in dnf(p)]
+        combos = [()]
+        for p in node.parts:
+            combos = [c + d for c in combos for d in dnf(p)]
+        return combos
+
+    out, seen = [], set()
+    for conjunct in dnf(q.expr):
+        rect = Region.whole(schema)
+        for p in conjunct:
+            rect = rect.narrowed(p.attr, _pred_interval(p, schema[p.attr]))
+            if rect is None:
+                break
+        if rect is not None and rect.key() not in seen:
+            seen.add(rect.key())
+            out.append((rect, rect.render()))
+    return out
+
+
+def plan_of(pairs):
+    return [(r.key(), list(r.ivs), res) for r, res in pairs]
+
+
+def or_clauses(n, rng):
+    return " AND ".join(
+        f"(gpa > {round(rng.uniform(2, 4), 1)} OR gpa < {round(rng.uniform(0, 2), 1)})"
+        for _ in range(n))
+
+
+def test_dnf_past_the_bound_is_rejected_fast():
+    import time
+
+    text = or_clauses(14, random.Random(3))
+    start = time.perf_counter()
+    with pytest.raises(QueryError, match="DNF terms") as exc:
+        parse(text, SCHEMA)
+    assert time.perf_counter() - start < 0.1
+    # 2**11 terms cross the bound at the tenth AND
+    tenth_and = [i for i in range(len(text)) if text.startswith(" AND ", i)][9]
+    assert exc.value.offset == tenth_and + 1
+    assert "at byte" in str(exc.value)
+
+
+def test_in_bound_expansion_matches_the_full_product():
+    rng = random.Random(4)
+    q = parse(or_clauses(10, rng), SCHEMA)
+    pairs = to_rectangles(q, SCHEMA)
+    assert plan_of(pairs) == plan_of(ref_to_rectangles(q, SCHEMA))
+    mixed = parse(" AND ".join(
+        f'(gpa > {i / 4} OR dept < "{chr(98 + i)}" OR dept = "cs")'
+        for i in range(6)), SCHEMA)
+    assert plan_of(to_rectangles(mixed, SCHEMA)) == plan_of(
+        ref_to_rectangles(mixed, SCHEMA))
+
+
+def test_generated_queries_expand_like_the_full_product():
+    rng = random.Random(5)
+    pools = {"dept": ["math", "physics", "cs", "bio", "art"]}
+    for _ in range(400):
+        q = parse(random_query_text(rng, SCHEMA, pools), SCHEMA)
+        assert plan_of(to_rectangles(q, SCHEMA)) == plan_of(
+            ref_to_rectangles(q, SCHEMA))
+
 def test_route_on_empty_store_returns_nothing_checked():
     sim, store, net = build()
     res = ask(net, 'dept = "cs" FRESHNESS strong', "dc1")
