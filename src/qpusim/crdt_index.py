@@ -10,6 +10,11 @@ The index never stores which exact value a posting had, only its bins, so a
 range query touching part of a bin returns candidates that may not match.
 Callers resolve those against source data; the scrub pass does the same in
 bulk for postings whose object has moved on.
+
+Every write is binned on ingest and binned again when its posting is culled,
+so a binner builds the terms of its equi-width bins once, up front: binning a
+value is then one division and a table read, and a bin is the same object
+every time it comes up.
 """
 
 import json
@@ -33,6 +38,11 @@ class Binner:
     point bin) or an equi-width bin count over the numeric domain; the last
     bin is closed above so the domain maximum belongs to it. Text attributes
     only support "none".
+
+    The terms of a binned attribute are built once, here, from the same
+    float expressions a per-value computation would use, because ingest bins
+    every write and every cull bins it again. Values must lie in their
+    attribute's domain, which the store checks on every write.
     """
 
     def __init__(self, schema: dict[str, AttributeSchema], spec: dict | None = None):
@@ -49,21 +59,45 @@ class Binner:
             if sch.kind == "text":
                 raise ValueError(f"{attr}: text attributes take 'none' binning")
             self.spec[attr] = mode
+        # per attribute, in name order: (attr, lo, width, last bin, terms),
+        # with terms None for point bins
+        self._axes = []
+        for attr in sorted(schema):
+            mode = self.spec[attr]
+            if mode == "none":
+                self._axes.append((attr, None, None, None, None))
+                continue
+            sch = schema[attr]
+            width = (sch.hi - sch.lo) / mode
+            terms = []
+            for i in range(mode):
+                lo = sch.lo + i * width
+                if i == mode - 1:
+                    terms.append(Term(attr, Interval(lo, sch.hi, False, False)))
+                else:
+                    terms.append(Term(attr, Interval(lo, lo + width, False, True)))
+            self._axes.append((attr, sch.lo, width, mode - 1, tuple(terms)))
+        self._axis = {axis[0]: axis for axis in self._axes}
 
     def bin_of(self, attr: str, value) -> Interval:
-        mode = self.spec[attr]
-        if mode == "none":
-            return Interval.point(value)
-        sch = self.schema[attr]
-        width = (sch.hi - sch.lo) / mode
-        i = min(int((value - sch.lo) / width), mode - 1)
-        lo = sch.lo + i * width
-        if i == mode - 1:
-            return Interval(lo, sch.hi, False, False)
-        return Interval(lo, lo + width, False, True)
+        _, lo, width, last, terms = self._axis[attr]
+        if terms is None:
+            return Interval(value, value, False, False)
+        i = int((value - lo) / width)
+        return terms[i if i < last else last].bin
 
     def terms_for(self, attrs: dict) -> tuple[Term, ...]:
-        return tuple(Term(a, self.bin_of(a, v)) for a, v in sorted(attrs.items()))
+        """One term per schema attribute, in name order; `attrs` holds
+        exactly the schema's attributes, as the store checks."""
+        out = []
+        for attr, lo, width, last, terms in self._axes:
+            v = attrs[attr]
+            if terms is None:
+                out.append(Term(attr, Interval(v, v, False, False)))
+            else:
+                i = int((v - lo) / width)
+                out.append(terms[i if i < last else last])
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -75,11 +109,7 @@ class IndexDelta:
     seq: int
     adds: tuple  # ((Term, tag, key), ...)
     removes: tuple  # ((key, tag), ...)
-    point: dict | None  # attrs behind the added tag, None for deletes
-
-    @property
-    def tag(self) -> Stamp | None:
-        return self.adds[0][1] if self.adds else None
+    point: dict | None  # attrs behind the added tag; None when nothing is added
 
 
 class CrdtIndex:
@@ -98,23 +128,18 @@ class CrdtIndex:
         adds nothing, as on a leaf that owns only that region; removes stay,
         since the superseded version may have lived inside."""
         adds = ()
-        point = None
-        if entry.attrs is not None and (
-                region is None or region.contains_point(entry.attrs)):
-            adds = tuple(
-                (t, entry.stamp, entry.key) for t in self.binner.terms_for(entry.attrs))
-            point = entry.attrs
+        point = entry.attrs
+        if point is not None and (region is None or region.contains_point(point)):
+            stamp, key = entry.stamp, entry.key
+            adds = tuple([(t, stamp, key) for t in self.binner.terms_for(point)])
+        else:
+            point = None
         removes = ()
         # a write only retracts the version it actually superseded; when it
         # lost the tie-break to what it observed, that version stays visible
         if entry.prev_tag is not None and entry.stamp > entry.prev_tag:
             removes = ((entry.key, entry.prev_tag),)
         return IndexDelta(entry.origin_dc, entry.seq, adds, removes, point)
-
-    def apply_entry(self, entry: LogEntry) -> IndexDelta:
-        delta = self.delta_for(entry)
-        self.apply_delta(delta)
-        return delta
 
     def apply_delta(self, delta: IndexDelta) -> bool:
         """Apply one delta; True when it advanced the state, False for a
@@ -126,12 +151,19 @@ class CrdtIndex:
             raise ValueError(
                 f"delta gap for {delta.origin}: got seq {delta.seq}, "
                 f"expected {expected}")
-        tag = delta.tag
-        if tag is not None and tag not in self.removed:
-            key = delta.adds[0][2]
-            self.tag_info[tag] = (key, delta.point)
-            for term, _, _ in delta.adds:
-                self.terms[term.attr].setdefault(term.bin, set()).add(tag)
+        adds = delta.adds
+        if adds:
+            tag = adds[0][1]
+            if tag not in self.removed:
+                self.tag_info[tag] = (adds[0][2], delta.point)
+                terms = self.terms
+                for (attr, bin_iv), _, _ in adds:
+                    bins = terms[attr]
+                    tags = bins.get(bin_iv)
+                    if tags is None:
+                        bins[bin_iv] = {tag}
+                    else:
+                        tags.add(tag)
         for _, rtag in delta.removes:
             self._cull(rtag)
         self.clock = self.clock.with_entry(delta.origin, delta.seq)
@@ -142,13 +174,14 @@ class CrdtIndex:
         info = self.tag_info.pop(tag, None)
         if info is None:
             return
-        _, attrs = info
-        for term in self.binner.terms_for(attrs):
-            tags = self.terms[term.attr].get(term.bin)
+        terms = self.terms
+        for attr, bin_iv in self.binner.terms_for(info[1]):
+            bins = terms[attr]
+            tags = bins.get(bin_iv)
             if tags is not None:
                 tags.discard(tag)
                 if not tags:
-                    del self.terms[term.attr][term.bin]
+                    del bins[bin_iv]
 
     # -- merge -------------------------------------------------------------------
 
@@ -211,11 +244,6 @@ class CrdtIndex:
                 self._cull(tag)
                 n += 1
         return n
-
-    def scrub(self, replica: DcReplica) -> int:
-        """Drop every posting whose tag is not the current winning version of
-        its key in `replica`. Returns the number of postings dropped."""
-        return self.cull_many(self.stale_postings(replica))
 
     # -- serialization -------------------------------------------------------------------
 

@@ -32,6 +32,7 @@ from .staleness import (
     UnsatisfiableStaleness,
     VectorClock,
     catch_up,
+    floor_all,
     resolve_target,
 )
 
@@ -78,6 +79,35 @@ class SelectivityConfig:
             raise ValueError("window must be positive")
         if not 0.0 < self.theta_low < self.theta_high < 1.0:
             raise ValueError("need 0 < theta_low < theta_high < 1")
+
+
+class SelectivityWindow:
+    """The relevance bits (1 = the write lay in the leaf's region) of a
+    leaf's last `size` ingested writes, with a running count of the ones, so
+    the ratio costs nothing per write."""
+
+    __slots__ = ("bits", "ones")
+
+    def __init__(self, size: int):
+        self.bits: deque = deque(maxlen=size)
+        self.ones = 0
+
+    def append(self, bit: int):
+        bits = self.bits
+        if len(bits) == bits.maxlen:
+            self.ones -= bits[0]
+        bits.append(bit)
+        self.ones += bit
+
+    def clear(self):
+        self.bits.clear()
+        self.ones = 0
+
+    def full(self) -> bool:
+        return len(self.bits) == self.bits.maxlen
+
+    def ratio(self) -> float:
+        return self.ones / len(self.bits)
 
 
 @dataclass
@@ -266,7 +296,7 @@ class Qpu:
         self.culls: list[tuple] = []
         self.parts: tuple = ()
         self.repl_mode = LOG
-        self.window: deque = deque(maxlen=net.cfg.selectivity.window)
+        self.window = SelectivityWindow(net.cfg.selectivity.window)
         self.subscribers: set[str] = set()  # peers fed my local-origin deltas
         self.subscribed_to: set[str] = set()
         self.peers: dict[str, str] = {}  # dc -> same-region leaf abroad
@@ -403,10 +433,8 @@ class Qpu:
         return plan, roles
 
     def _hist_boundary(self, hist_refs) -> VectorClock:
-        out: VectorClock | None = None
-        for c in hist_refs:
-            cl = self.child_clocks.get(c.actor, VectorClock())
-            out = cl if out is None else out.floor(cl)
+        out = floor_all(self.child_clocks.get(c.actor, VectorClock())
+                        for c in hist_refs)
         return out if out is not None else VectorClock()
 
     # -- responses ------------------------------------------------------------------
@@ -451,19 +479,14 @@ class Qpu:
                 out = out.merge(join.clocks[a])
             return out
         if self.kind == "freshness":
-            hist = [join.clocks[a] for a in join.order if join.roles[a] != "live"]
-            out: VectorClock | None = None
-            for cl in hist:
-                out = cl if out is None else out.floor(cl)
+            out = floor_all(join.clocks[a] for a in join.order
+                            if join.roles[a] != "live")
             out = out if out is not None else VectorClock()
             for a in join.order:
                 if join.roles[a] == "live":
                     out = out.merge(join.clocks[a])
             return out
-        out = None
-        for a in join.order:
-            cl = join.clocks[a]
-            out = cl if out is None else out.floor(cl)
+        out = floor_all(join.clocks[a] for a in join.order)
         return out if out is not None else join.probe.target.copy()
 
     def _assemble_trace(self, join: _Join, coverage) -> tuple:
@@ -591,8 +614,11 @@ class Qpu:
             self._post_apply(delta, raw_attrs, origin)
 
     def _post_apply(self, delta: IndexDelta, raw_attrs, origin: str):
-        if raw_attrs is not None:  # selectivity tracks writes, not deletes
-            self.window.append(1 if self.region.contains_point(raw_attrs) else 0)
+        # selectivity tracks writes, not deletes; a delta adds a point only
+        # when it lies in the region, as decided by delta_for on this leaf or
+        # on the same-region peer that sent it
+        if raw_attrs is not None:
+            self.window.append(0 if delta.point is None else 1)
         if origin == self.dc and self.subscribers:
             for peer in sorted(self.subscribers):
                 self.sim.send(self.actor, peer, "index.delta", (delta, raw_attrs),
@@ -611,9 +637,9 @@ class Qpu:
 
     def _maybe_switch(self):
         cfg = self.net.cfg
-        if cfg.repl_mode != "adaptive" or len(self.window) < self.window.maxlen:
+        if cfg.repl_mode != "adaptive" or not self.window.full():
             return
-        s = sum(self.window) / len(self.window)
+        s = self.window.ratio()
         if self.repl_mode == DELTA and s > cfg.selectivity.theta_high:
             self._switch(LOG, s)
         elif self.repl_mode == LOG and s < cfg.selectivity.theta_low:
@@ -683,12 +709,8 @@ class Qpu:
         """Clock every covered subtree has durably indexed: the floor over the
         last gossiped child clocks. Live children derive their coverage from
         the history boundary, so they stay out of the floor."""
-        out: VectorClock | None = None
-        for c in self.children:
-            if c.kind == "live":
-                continue
-            cl = self.child_clocks.get(c.actor, VectorClock())
-            out = cl if out is None else out.floor(cl)
+        out = floor_all(self.child_clocks.get(c.actor, VectorClock())
+                        for c in self.children if c.kind != "live")
         return out if out is not None else VectorClock()
 
 

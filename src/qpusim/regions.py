@@ -123,12 +123,14 @@ class Interval(NamedTuple):
         return _beq(lo, hi) and not lo_open and not hi_open
 
     def contains(self, v) -> bool:
+        """True when v lies in the interval. A hi of None (text axes only)
+        bounds nothing above, so the interval holds every v >= lo, or > lo
+        when lo is open. Bounds are compared directly, without the None-aware
+        helpers, because leaf ingest tests every write against its region."""
         lo, hi, lo_open, hi_open = self
-        if _below(v, lo) or (v == lo and lo_open):
+        if v < lo or (lo_open and v == lo):
             return False
-        if _below(hi, v) or (_beq(v, hi) and hi_open):
-            return False
-        return True
+        return hi is None or v < hi or (not hi_open and v == hi)
 
     def _cut(self, o: "Interval"):
         """Bounds of self ∩ o as (lo, hi, lo_open, hi_open, changed), or None
@@ -244,7 +246,10 @@ class Region:
         return self if out is None else Region(out)
 
     def contains_point(self, point: dict) -> bool:
-        return all(iv.contains(point[a]) for a, iv in self.ivs.items())
+        for a, iv in self.ivs.items():
+            if not iv.contains(point[a]):
+                return False
+        return True
 
     def wholly_inside(self, o: "Region") -> bool:
         return all(iv.wholly_inside(o.ivs[a]) for a, iv in self.ivs.items())

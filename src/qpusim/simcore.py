@@ -178,10 +178,6 @@ class Simulation:
 
     # -- trace -----------------------------------------------------------------
 
-    def trace_event(self, src: str, dst: str, kind: str, detail: str):
-        if self.trace_rows is not None:
-            self.trace_rows.append((self.now, src, dst, kind, detail))
-
     def dump_trace(self, path: str):
         if self.trace_rows is None:
             raise ValueError("simulation was built without trace=True")

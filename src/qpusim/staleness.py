@@ -70,9 +70,14 @@ class VectorClock:
         return all(self.get(d) >= s for d, s in other.entries.items())
 
     def with_entry(self, dc: str, seq: int) -> "VectorClock":
-        out = dict(self.entries)
-        out[dc] = seq
-        return VectorClock(out)
+        out = dict(self.entries)  # already free of zero components
+        if seq > 0:
+            out[dc] = seq
+        else:
+            out.pop(dc, None)
+        clock = VectorClock.__new__(VectorClock)
+        clock.entries = out
+        return clock
 
     def restrict(self, dcs) -> "VectorClock":
         return VectorClock({d: s for d, s in self.entries.items() if d in dcs})
@@ -99,25 +104,23 @@ class VectorClock:
         return "{" + inner + "}"
 
 
-ZERO = VectorClock()
-
-
-def merge_clock(a: VectorClock, b: VectorClock) -> VectorClock:
-    """Pointwise maximum of two clocks."""
-    return a.merge(b)
+def floor_all(clocks) -> VectorClock | None:
+    """Pointwise minimum of the clocks (absent components count as 0): the
+    prefix every clock in the set has applied. None when there are no
+    clocks, so each caller picks its own answer for that case; a single
+    clock comes back as is."""
+    out = None
+    for c in clocks:
+        out = c if out is None else out.floor(c)
+    return out
 
 
 def stable_snapshot(clocks: list[VectorClock]) -> VectorClock:
-    """Componentwise minimum over the union of DC keys (absent = 0).
-
-    This is the prefix every clock in the set has applied.
-    """
-    if not clocks:
+    """The floor of a non-empty clock list (see floor_all)."""
+    out = floor_all(clocks)
+    if out is None:
         raise ValueError("stable_snapshot of empty clock list")
-    dcs = set()
-    for c in clocks:
-        dcs.update(c.entries)
-    return VectorClock({d: min(c.get(d) for c in clocks) for d in dcs})
+    return out
 
 
 @dataclass

@@ -8,6 +8,7 @@ they need tighter control. Reports for scenarios that later checks reuse are
 cached so the expensive runs happen once.
 """
 
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -345,3 +346,33 @@ def test_11_determinism():
     verdict(11, "determinism", not diffs,
             f"{len(names)} bundled scenarios re-run byte-identical"
             if not diffs else f"diverged: {diffs}")
+
+
+# SHA-256 of output_bytes for each bundled scenario. A change that is meant
+# to keep behaviour must leave these alone; one that changes an output byte
+# on purpose regenerates them and says why.
+OUTPUT_DIGESTS = {
+    "students.json":
+        "bbf9b489d4a9779fba10cdfac3f54e4def65d43750c63b1b0aecd6b691047e4a",
+    "convergence.json":
+        "f83a9c7cad275ed8d3545cdcec708529fe6aa46b6d00465eb0d781b066f698c0",
+    "churn.json":
+        "91a30b13fa1931ca081285623000ea76030f61ff54be21a7ec184c49088de170",
+    "hysteresis.json":
+        "206cd567629cf69251f852d25a18e05fd87c5685198302087888d194149bb4d2",
+    "maintenance.json":
+        "f8fbfede777a711bf53a02ac1f4c26577140d25c56c25d23d32ce94f6b85556e",
+}
+
+
+def output_digest(report):
+    h = hashlib.sha256()
+    for part in output_bytes(report):
+        h.update(part.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_outputs_match_the_pinned_digest(name):
+    assert output_digest(bundled(name)) == OUTPUT_DIGESTS[name]

@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from qpusim import (
+    AttributeSchema,
     Binner,
     CrdtIndex,
     Interval,
     LogEntry,
     Region,
     Stamp,
+    Term,
     VectorClock,
     rebuild_index,
 )
@@ -24,6 +27,11 @@ def mk_index(binning=None, schema=None):
 
 def entry(origin, seq, ts, key, attrs, prev=None):
     return LogEntry(origin, seq, Stamp(ts, origin, seq), key, attrs, prev)
+
+
+def ingest(index, e):
+    """Apply one log entry's delta, as an index without a region does."""
+    index.apply_delta(index.delta_for(e))
 
 
 def visible(index):
@@ -42,7 +50,7 @@ def keys_in(index, attr, lo, hi, lo_open=False, hi_open=False):
 
 def test_put_adds_postings_under_each_attribute_term():
     idx = mk_index()
-    idx.apply_entry(entry("dc1", 1, 1, "o", {"gpa": 3.0, "dept": "cs"}))
+    ingest(idx, entry("dc1", 1, 1, "o", {"gpa": 3.0, "dept": "cs"}))
     assert keys_in(idx, "gpa", 3.0, 3.0) == {"o"}
     assert keys_in(idx, "gpa", 1.0, 1.0) == set()
     assert keys_in(idx, "dept", "cs", "cs") == {"o"}
@@ -53,8 +61,8 @@ def test_overwrite_tombstones_old_tag_and_adds_new():
     idx = mk_index()
     e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "aa"})
     e2 = entry("dc1", 2, 2, "o", {"gpa": 1.0, "dept": "cc"}, prev=e1.stamp)
-    idx.apply_entry(e1)
-    idx.apply_entry(e2)
+    ingest(idx, e1)
+    ingest(idx, e2)
     assert keys_in(idx, "dept", "aa", "aa") == set()
     assert keys_in(idx, "dept", "cc", "cc") == {"o"}
     assert e1.stamp in idx.removed
@@ -66,8 +74,8 @@ def test_losing_overwrite_keeps_the_observed_winner_visible():
     # that observed it must not retract it
     winner = entry("dc2", 1, 5, "o", {"gpa": 2.0, "dept": "bb"})
     loser = entry("dc1", 1, 5, "o", {"gpa": 2.0, "dept": "aa"}, prev=winner.stamp)
-    idx.apply_entry(winner)
-    idx.apply_entry(loser)
+    ingest(idx, winner)
+    ingest(idx, loser)
     assert keys_in(idx, "dept", "bb", "bb") == {"o"}
     # both postings stay visible until a scrub resolves them
     assert keys_in(idx, "dept", "aa", "aa") == {"o"}
@@ -77,8 +85,8 @@ def test_concurrent_values_both_visible_after_cross_merge():
     a, b = mk_index(), mk_index()
     ea = entry("dc1", 1, 3, "obj", {"gpa": 2.0, "dept": "aa"})
     eb = entry("dc2", 1, 3, "obj", {"gpa": 2.0, "dept": "bb"})
-    a.apply_entry(ea)
-    b.apply_entry(eb)
+    ingest(a, ea)
+    ingest(b, eb)
     a.merge(b)
     b.merge(a)
     for idx in (a, b):
@@ -90,8 +98,8 @@ def test_concurrent_values_both_visible_after_cross_merge():
 def test_delete_entry_retracts_and_adds_nothing():
     idx = mk_index()
     e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "aa"})
-    idx.apply_entry(e1)
-    idx.apply_entry(entry("dc1", 2, 2, "o", None, prev=e1.stamp))
+    ingest(idx, e1)
+    ingest(idx, entry("dc1", 2, 2, "o", None, prev=e1.stamp))
     assert idx.visible_count() == 0
     assert idx.clock == VectorClock({"dc1": 2})
 
@@ -138,12 +146,12 @@ def test_remove_arriving_before_add_suppresses_it():
 
 def test_merge_identity_and_idempotence():
     idx = mk_index()
-    idx.apply_entry(entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"}))
+    ingest(idx, entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"}))
     snap = idx.canonical()
     idx.merge(mk_index())
     assert idx.canonical() == snap
     other = mk_index()
-    other.apply_entry(entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"}))
+    ingest(other, entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"}))
     idx.merge(other)
     assert idx.canonical() == snap
 
@@ -173,7 +181,7 @@ def test_random_interleavings_merge_to_identical_states():
             while any(cursors[dc] < len(logs[dc]) for dc in logs):
                 dc = r.choice([d for d in sorted(logs)
                                if cursors[d] < len(logs[d])])
-                idx.apply_entry(logs[dc][cursors[dc]])
+                ingest(idx, logs[dc][cursors[dc]])
                 cursors[dc] += 1
             return idx
 
@@ -207,8 +215,8 @@ def test_random_interleavings_merge_to_identical_states():
 
 def test_unbinned_text_lookup_is_exact():
     idx = mk_index()
-    idx.apply_entry(entry("dc1", 1, 1, "a", {"gpa": 3.0, "dept": "cs"}))
-    idx.apply_entry(entry("dc1", 2, 2, "b", {"gpa": 3.0, "dept": "bio"}))
+    ingest(idx, entry("dc1", 1, 1, "a", {"gpa": 3.0, "dept": "cs"}))
+    ingest(idx, entry("dc1", 2, 2, "b", {"gpa": 3.0, "dept": "bio"}))
     assert keys_in(idx, "dept", "cs", "cs") == {"a"}
     assert keys_in(idx, "dept", "bio", "bio") == {"b"}
 
@@ -216,8 +224,8 @@ def test_unbinned_text_lookup_is_exact():
 def test_full_domain_range_returns_everything_exactly():
     idx = mk_index(binning={"gpa": 8})
     for i in range(10):
-        idx.apply_entry(entry("dc1", i + 1, i + 1, f"k{i}",
-                              {"gpa": i * 0.4, "dept": "cs"}))
+        ingest(idx, entry("dc1", i + 1, i + 1, f"k{i}",
+                          {"gpa": i * 0.4, "dept": "cs"}))
     everything = {f"k{i}" for i in range(10)}
     assert keys_in(idx, "gpa", 0.0, 4.0) == everything
     # the same range short of the domain top scans every bin instead
@@ -226,9 +234,9 @@ def test_full_domain_range_returns_everything_exactly():
 
 def test_partial_bin_overlap_yields_candidates():
     idx = mk_index(binning={"gpa": 8})  # bins of width 0.5
-    idx.apply_entry(entry("dc1", 1, 1, "lo", {"gpa": 2.1, "dept": "cs"}))
-    idx.apply_entry(entry("dc1", 2, 2, "edge", {"gpa": 2.0, "dept": "cs"}))
-    idx.apply_entry(entry("dc1", 3, 3, "hi", {"gpa": 2.6, "dept": "cs"}))
+    ingest(idx, entry("dc1", 1, 1, "lo", {"gpa": 2.1, "dept": "cs"}))
+    ingest(idx, entry("dc1", 2, 2, "edge", {"gpa": 2.0, "dept": "cs"}))
+    ingest(idx, entry("dc1", 3, 3, "hi", {"gpa": 2.6, "dept": "cs"}))
     # bin [2.0,2.5) pokes out of (2.0,3.0), so "edge" comes back as a
     # candidate the exact check must drop
     assert keys_in(idx, "gpa", 2.0, 3.0, lo_open=True, hi_open=True) == {
@@ -243,7 +251,7 @@ def test_lookup_superset_of_true_matches_on_random_data():
     rows = {}
     for i in range(120):
         attrs = random_student(rng)
-        idx.apply_entry(entry("dc1", i + 1, i + 1, f"k{i}", attrs))
+        ingest(idx, entry("dc1", i + 1, i + 1, f"k{i}", attrs))
         rows[f"k{i}"] = attrs
     for _ in range(200):
         lo, hi = sorted((round(rng.uniform(0, 4), 2), round(rng.uniform(0, 4), 2)))
@@ -261,9 +269,9 @@ def test_lookup_superset_of_true_matches_on_random_data():
 def test_rect_lookup_intersects_across_attributes():
     schema = student_schema()
     idx = mk_index(binning={"gpa": 4}, schema=schema)
-    idx.apply_entry(entry("dc1", 1, 1, "a", {"gpa": 3.5, "dept": "cs"}))
-    idx.apply_entry(entry("dc1", 2, 2, "b", {"gpa": 3.5, "dept": "bio"}))
-    idx.apply_entry(entry("dc1", 3, 3, "c", {"gpa": 0.5, "dept": "cs"}))
+    ingest(idx, entry("dc1", 1, 1, "a", {"gpa": 3.5, "dept": "cs"}))
+    ingest(idx, entry("dc1", 2, 2, "b", {"gpa": 3.5, "dept": "bio"}))
+    ingest(idx, entry("dc1", 3, 3, "c", {"gpa": 0.5, "dept": "cs"}))
     rect = Region.whole(schema).narrowed("gpa", Interval(3.0, 4.0)) \
                                .narrowed("dept", Interval.point("cs"))
     hits = idx.lookup(rect)
@@ -282,7 +290,8 @@ def test_scrub_on_consistent_index_removes_nothing():
                store.put("dc1", f"k{i}", a))
     sim.run_until_quiescent()
     leaf = net.hist_leaves()[0]
-    assert leaf.index.scrub(store.replicas["dc1"]) == 0
+    assert leaf.index.cull_many(
+        leaf.index.stale_postings(store.replicas["dc1"])) == 0
 
 
 def test_scrub_culls_the_losing_concurrent_posting():
@@ -293,7 +302,8 @@ def test_scrub_culls_the_losing_concurrent_posting():
     for dc in ("dc1", "dc2"):
         leaf = [l for l in net.hist_leaves() if l.dc == dc][0]
         assert keys_in(leaf.index, "dept", "aa", "aa") == {"obj"}
-        removed = leaf.index.scrub(store.replicas[dc])
+        removed = leaf.index.cull_many(
+            leaf.index.stale_postings(store.replicas[dc]))
         assert removed == 1
         assert keys_in(leaf.index, "dept", "aa", "aa") == set()
         assert keys_in(leaf.index, "dept", "bb", "bb") == {"obj"}
@@ -312,7 +322,8 @@ def test_churn_then_scrub_equals_rebuild_oracle():
                    store.put(dc, key, a))
     sim.run_until_quiescent()
     for leaf in net.hist_leaves():
-        leaf.index.scrub(store.replicas[leaf.dc])
+        leaf.index.cull_many(
+            leaf.index.stale_postings(store.replicas[leaf.dc]))
         want = rebuild_index(store.replicas[leaf.dc], net.binner, leaf.region)
         assert leaf.index.canonical() == want.canonical()
 
@@ -323,8 +334,8 @@ def test_canonical_ignores_tombstone_history():
     a, b = mk_index(), mk_index()
     e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
     e2 = entry("dc1", 2, 2, "o", {"gpa": 2.0, "dept": "x"}, prev=e1.stamp)
-    a.apply_entry(e1)
-    a.apply_entry(e2)
+    ingest(a, e1)
+    ingest(a, e2)
     b.clock = VectorClock({"dc1": 1})
     b.apply_delta(b.delta_for(e2))
     b.removed.add(Stamp(9, "dc9", 1))  # tombstone for a tag b never held
@@ -346,3 +357,63 @@ def test_bin_of_puts_domain_max_in_last_bin():
     top = binner.bin_of("gpa", 4.0)
     assert top.contains(4.0) and not top.hi_open
     assert binner.bin_of("gpa", 0.0).lo == 0.0
+
+
+def ref_bin_of(schema, spec, attr, value):
+    """Binner.bin_of as computed per value, before bins were prebuilt."""
+    mode = spec.get(attr, "none")
+    if mode == "none":
+        return Interval.point(value)
+    sch = schema[attr]
+    width = (sch.hi - sch.lo) / mode
+    i = min(int((value - sch.lo) / width), mode - 1)
+    lo = sch.lo + i * width
+    if i == mode - 1:
+        return Interval(lo, sch.hi, False, False)
+    return Interval(lo, lo + width, False, True)
+
+
+def test_bin_table_matches_per_value_binning():
+    rng = random.Random(31)
+    schema = {
+        "lat": AttributeSchema("lat", "float", -90.0, 90.0),
+        "gpa": AttributeSchema("gpa", "float", 0.0, 4.0),
+        "odd": AttributeSchema("odd", "float", -0.3, 0.7),
+        "floors": AttributeSchema("floors", "int", 1, 60),
+        "tag": AttributeSchema("tag", "text", alphabet="abc"),
+    }
+    specs = [{"lat": 12, "gpa": 8, "odd": 7, "floors": 6},
+             {"lat": 7, "gpa": 3, "odd": 1, "floors": 59},
+             {"lat": 1, "floors": 13},
+             {}]
+    for spec in specs:
+        binner = Binner(schema, spec)
+        for attr, sch in schema.items():
+            if sch.kind == "text":
+                values = ["", "a", "abc", "cab"]
+            elif sch.kind == "int":
+                values = list(range(sch.lo, sch.hi + 1))
+            else:
+                values = [sch.lo, sch.hi] + [rng.uniform(sch.lo, sch.hi)
+                                             for _ in range(300)]
+                mode = spec.get(attr)
+                if mode is not None:
+                    width = (sch.hi - sch.lo) / mode
+                    for i in range(mode + 1):
+                        edge = min(max(sch.lo + i * width, sch.lo), sch.hi)
+                        values += [edge, max(math.nextafter(edge, -math.inf), sch.lo),
+                                   min(math.nextafter(edge, math.inf), sch.hi)]
+            for v in values:
+                got = binner.bin_of(attr, v)
+                want = ref_bin_of(schema, spec, attr, v)
+                assert type(got) is Interval
+                assert got == want and got.key() == want.key(), (attr, v)
+                assert hash(got) == hash(want)
+        for _ in range(200):
+            point = {"lat": rng.uniform(-90.0, 90.0), "gpa": rng.uniform(0.0, 4.0),
+                     "odd": rng.uniform(-0.3, 0.7), "floors": rng.randint(1, 60),
+                     "tag": rng.choice(["", "a", "bca"])}
+            want = tuple(Term(a, ref_bin_of(schema, spec, a, v))
+                         for a, v in sorted(point.items()))
+            got = binner.terms_for(point)
+            assert got == want and hash(got) == hash(want)

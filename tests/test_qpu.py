@@ -50,8 +50,8 @@ def test_entry_outside_region_advances_clock_without_postings():
     assert hi.index.visible_count() == 1
     # both track the write in their clocks and selectivity windows
     assert lo.index.clock == hi.index.clock == VectorClock({"dc1": 1})
-    assert list(lo.window) == [0]
-    assert list(hi.window) == [1]
+    assert list(lo.window.bits) == [0]
+    assert list(hi.window.bits) == [1]
 
 
 def test_delete_reaches_the_leaf_holding_the_posting():
@@ -483,16 +483,21 @@ def adaptive_net(**kw):
                                                theta_high=0.6), **kw)
 
 
+def feed(leaf, bits):
+    for bit in bits:
+        leaf.window.append(bit)
+
+
 def test_adaptive_leaf_switches_down_then_up():
     sim, store, net = adaptive_net()
     leaf = net.nodes["qpu/dc1/h0"]
     assert leaf.repl_mode == "log"
-    leaf.window.extend([0] * 8)
+    feed(leaf, [0] * 8)
     leaf._maybe_switch()
     assert leaf.repl_mode == "delta"
-    assert len(leaf.window) == 0  # hysteresis: a full fresh window is needed
+    assert len(leaf.window.bits) == 0  # hysteresis: a full fresh window is needed
     assert leaf.switch_log[-1][1:3] == ("log", "delta")
-    leaf.window.extend([1] * 8)
+    feed(leaf, [1] * 8)
     leaf._maybe_switch()
     assert leaf.repl_mode == "log"
     assert [s[1:3] for s in leaf.switch_log] == [("log", "delta"),
@@ -502,7 +507,7 @@ def test_adaptive_leaf_switches_down_then_up():
 def test_adaptive_deadband_holds_the_mode():
     sim, store, net = adaptive_net()
     leaf = net.nodes["qpu/dc1/h0"]
-    leaf.window.extend([1, 0, 0, 1, 0, 0, 1, 0])  # ratio 0.375, inside band
+    feed(leaf, [1, 0, 0, 1, 0, 0, 1, 0])  # ratio 0.375, inside band
     leaf._maybe_switch()
     assert leaf.repl_mode == "log" and leaf.switch_log == []
 
@@ -510,16 +515,29 @@ def test_adaptive_deadband_holds_the_mode():
 def test_adaptive_waits_for_a_full_window():
     sim, store, net = adaptive_net()
     leaf = net.nodes["qpu/dc1/h0"]
-    leaf.window.extend([0] * 7)
+    feed(leaf, [0] * 7)
     leaf._maybe_switch()
     assert leaf.repl_mode == "log"
+
+
+def test_window_count_matches_its_bits_across_switches():
+    sim, store, net = adaptive_net()
+    leaf = net.nodes["qpu/dc1/h0"]
+    rng = random.Random(6)
+    for phase in range(8):
+        share = 0.9 if phase % 2 else 0.05
+        for _ in range(40):
+            leaf.window.append(1 if rng.random() < share else 0)
+            leaf._maybe_switch()
+            assert leaf.window.ones == sum(leaf.window.bits)
+    assert len(leaf.switch_log) >= 4
 
 
 def test_fixed_modes_never_switch():
     sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="log",
                             selectivity=SelectivityConfig(window=4))
     leaf = net.nodes["qpu/dc1/h0"]
-    leaf.window.extend([0, 0, 0, 0])
+    feed(leaf, [0, 0, 0, 0])
     leaf._maybe_switch()
     assert leaf.repl_mode == "log" and leaf.switch_log == []
 

@@ -339,6 +339,55 @@ def test_overlaps_agrees_with_intersect():
     assert min(seen.values()) > 100
 
 
+def ref_contains(x, v):
+    """Interval.contains as written on the _below/_beq helpers, where a
+    bound of None stands for +infinity."""
+
+    def below(a, b):
+        if b is None:
+            return a is not None
+        if a is None:
+            return False
+        return a < b
+
+    def beq(a, b):
+        if a is None or b is None:
+            return a is None and b is None
+        return a == b
+
+    lo, hi, lo_open, hi_open = x
+    if below(v, lo) or (v == lo and lo_open):
+        return False
+    if below(hi, v) or (beq(v, hi) and hi_open):
+        return False
+    return True
+
+
+def test_contains_matches_the_bound_helper_reference():
+    rng = random.Random(17)
+    words = ["", "a", "ab", "b", "m", "mz", "z", "zz"]
+    seen = {True: 0, False: 0}
+    for n in range(2000):
+        if n % 2:
+            a, b = sorted((rng.choice(words), rng.choice(words)))
+            b = None if rng.random() < 0.4 else b
+            values = words
+        elif rng.random() < 0.5:
+            a, b = sorted((rng.randint(0, 6), rng.randint(0, 6)))
+            values = [-1, 0, 1, 2, 3, 4, 5, 6, 7, 2.5]
+        else:
+            a, b = sorted((rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            values = [a, b, (a + b) / 2, a - 1e-9, b + 1e-9, -2.0, 2.0]
+        for lo_open in (False, True):
+            for hi_open in (False, True):
+                x = iv(a, b, lo_open, hi_open)
+                for v in values:
+                    got = x.contains(v)
+                    assert got == ref_contains(x, v), (x, v)
+                    seen[got] += 1
+    assert min(seen.values()) > 1000
+
+
 def test_intervals_are_immutable_tuples():
     x = iv(1.0, 2.0, True, False)
     with pytest.raises(AttributeError):
