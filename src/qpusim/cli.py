@@ -22,6 +22,24 @@ from .scenario import (
 from .workload import WorkloadSpec, gen_workload
 
 
+def _in_range(kind, lo, hi=None, lo_open=False):
+    """An argparse type: `kind` parsed from the text and checked against
+    the bounds, so a bad value exits 2 with a message naming its flag
+    instead of failing inside the generator."""
+    def convert(text: str):
+        value = kind(text)  # a ValueError reads "invalid <kind> value"
+        low_ok = value > lo if lo_open else value >= lo
+        if not (low_ok and (hi is None or value <= hi)):  # NaN fails too
+            need = [f"> {lo}" if lo_open else f">= {lo}"]
+            if hi is not None:
+                need.append(f"<= {hi}")
+            raise argparse.ArgumentTypeError(
+                f"must be {' and '.join(need)}, got {text}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qpusim",
@@ -46,13 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--base", required=True,
                        help="scenario file supplying schema, DCs and tree")
     gen_p.add_argument("--out", required=True, help="scenario file to write")
-    gen_p.add_argument("--objects", type=int, default=200)
-    gen_p.add_argument("--actions", type=int, default=1000)
+    gen_p.add_argument("--objects", type=_in_range(int, 1), default=200)
+    gen_p.add_argument("--actions", type=_in_range(int, 0), default=1000)
     gen_p.add_argument("--key-dist", choices=["uniform", "zipf"], default="zipf")
-    gen_p.add_argument("--theta", type=float, default=0.99)
-    gen_p.add_argument("--query-frac", type=float, default=0.2)
-    gen_p.add_argument("--delete-frac", type=float, default=0.05)
-    gen_p.add_argument("--gap", type=int, default=2,
+    gen_p.add_argument("--theta", type=_in_range(float, 0, lo_open=True),
+                       default=0.99)
+    gen_p.add_argument("--query-frac", type=_in_range(float, 0, 1), default=0.2)
+    gen_p.add_argument("--delete-frac", type=_in_range(float, 0, 1),
+                       default=0.05)
+    gen_p.add_argument("--gap", type=_in_range(int, 1), default=2,
                        help="ticks between consecutive actions")
     gen_p.add_argument("--seed", type=int, default=0)
 
@@ -131,6 +151,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.query_frac + args.delete_frac > 1:
+        print("usage error: --query-frac plus --delete-frac exceeds 1",
+              file=sys.stderr)
+        return 2
     base = load_scenario(args.base)
     spec = WorkloadSpec(
         objects=args.objects, actions=args.actions, key_dist=args.key_dist,
@@ -161,6 +185,10 @@ def _cmd_query(args) -> int:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"manifest.json is not valid JSON: {exc.msg}",
                                 exc.lineno) from None
+        if not isinstance(manifest, dict) or "scenario" not in manifest:
+            raise ScenarioError(
+                f"{path / 'manifest.json'} is not a JSON object with a "
+                f"\"scenario\" field")
         sc = parse_scenario(manifest["scenario"], "", str(path))
     else:
         sc = load_scenario(path)

@@ -18,7 +18,7 @@ every time it comes up.
 """
 
 import json
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .geostore import DcReplica, LogEntry, Stamp
@@ -100,16 +100,19 @@ class Binner:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class IndexDelta:
+class IndexDelta(NamedTuple):
     """Index effect of one log entry; a pure function of the entry, so any
-    replica can regenerate it from its log."""
+    replica can regenerate it from its log. A tuple, because ingest builds
+    one per applied entry."""
 
     origin: str
     seq: int
     adds: tuple  # ((Term, tag, key), ...)
     removes: tuple  # ((key, tag), ...)
     point: dict | None  # attrs behind the added tag; None when nothing is added
+
+
+_term_of = itemgetter(0)  # the Term of an IndexDelta add
 
 
 class CrdtIndex:
@@ -155,19 +158,27 @@ class CrdtIndex:
         if adds:
             tag = adds[0][1]
             if tag not in self.removed:
-                self.tag_info[tag] = (adds[0][2], delta.point)
-                terms = self.terms
-                for (attr, bin_iv), _, _ in adds:
-                    bins = terms[attr]
-                    tags = bins.get(bin_iv)
-                    if tags is None:
-                        bins[bin_iv] = {tag}
-                    else:
-                        tags.add(tag)
+                self.post(tag, adds[0][2], delta.point, map(_term_of, adds))
         for _, rtag in delta.removes:
             self._cull(rtag)
         self.clock = self.clock.with_entry(delta.origin, delta.seq)
         return True
+
+    def post(self, tag: Stamp, key: str, point: dict, terms=None):
+        """Make `tag` visible as `key` at `point`, with one posting per term
+        (by default the point's own terms). The one place that writes the
+        attribute -> bin -> tags layout; `_cull` is its inverse."""
+        self.tag_info[tag] = (key, point)
+        if terms is None:
+            terms = self.binner.terms_for(point)
+        all_terms = self.terms
+        for attr, bin_iv in terms:
+            bins = all_terms[attr]
+            tags = bins.get(bin_iv)
+            if tags is None:
+                bins[bin_iv] = {tag}
+            else:
+                tags.add(tag)
 
     def _cull(self, tag: Stamp):
         self.removed.add(tag)

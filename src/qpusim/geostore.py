@@ -57,7 +57,7 @@ class DcReplica:
 
     @property
     def heads(self) -> VectorClock:
-        return VectorClock({d: len(es) for d, es in self.log.items()})
+        return VectorClock._of({d: len(es) for d, es in self.log.items() if es})
 
     def subscribe(self, cb: Callable[[LogEntry], None]):
         self._subscribers.append(cb)
@@ -191,7 +191,11 @@ class GeoStore:
         return entry
 
     def max_heads(self) -> VectorClock:
-        out = VectorClock()
+        """Per origin, the longest log any replica has applied."""
+        out: dict[str, int] = {}
         for r in self.replicas.values():
-            out = out.merge(r.heads)
-        return out
+            for d, es in r.log.items():
+                n = len(es)
+                if n > out.get(d, 0):
+                    out[d] = n
+        return VectorClock._of(out)

@@ -8,8 +8,6 @@ paths against these.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .crdt_index import Binner, CrdtIndex
 from .geostore import DcReplica, GeoStore, Stamp
 from .regions import Region
@@ -19,10 +17,11 @@ from .staleness import VectorClock
 
 def scan(replica: DcReplica, q: Query) -> set[str]:
     """Exact-bounds full scan of the replica's current state."""
+    expr = q.expr
     out = set()
-    for key in replica.objects:
-        attrs = replica.get(key)
-        if attrs is not None and eval_expr(q.expr, attrs):
+    for key, ver in replica.objects.items():
+        attrs = ver.attrs
+        if attrs is not None and eval_expr(expr, attrs):
             out.add(key)
     return out
 
@@ -64,9 +63,7 @@ def rebuild_index(replica: DcReplica, binner: Binner,
             continue
         if origins is not None and ver.stamp.dc not in origins:
             continue
-        idx.tag_info[ver.stamp] = (key, ver.attrs)
-        for term in binner.terms_for(ver.attrs):
-            idx.terms[term.attr].setdefault(term.bin, set()).add(ver.stamp)
+        idx.post(ver.stamp, key, ver.attrs)
     heads = replica.heads
     idx.clock = heads if origins is None else heads.restrict(origins)
     return idx
@@ -91,7 +88,7 @@ def index_at(store: GeoStore, binner: Binner, clock: VectorClock,
             if delta.point is not None and not any(
                     entry.seq <= c.get(origin) and r.contains_point(delta.point)
                     for r, c in views):
-                delta = replace(delta, adds=(), point=None)
+                delta = delta._replace(adds=(), point=None)
             idx.apply_delta(delta)
     idx.cull_many(culls)
     return idx

@@ -25,7 +25,14 @@ from .crdt_index import Binner, CrdtIndex, IndexDelta
 from .geostore import GeoStore, LogEntry
 from .oracle import index_at
 from .regions import Interval, Region, greedy_cover
-from .router import Query, QueryResult, candidate_check, rect_match, to_rectangles
+from .router import (
+    Query,
+    QueryResult,
+    candidate_check,
+    rect_match,
+    same_literals,
+    to_rectangles,
+)
 from .simcore import Envelope, Simulation
 from .staleness import (
     SnapshotReport,
@@ -280,7 +287,8 @@ class Qpu:
         self.actor = actor
         self.kind = kind
         self.dc = dc
-        self.region = region
+        self.region = region  # fixed for the node's life
+        self._region_text = region.render()
         self.scope = scope
         self.parent = parent
         self.children: list[ChildRef] = []
@@ -497,8 +505,8 @@ class Qpu:
         return tuple(lines)
 
     def _line(self, decision: str, clock, target=None) -> str:
-        reg = self.region.render()
-        s = f"{self.actor} [{self.kind}] region=({reg}) decision={decision}"
+        s = (f"{self.actor} [{self.kind}] region=({self._region_text})"
+             f" decision={decision}")
         if target is not None and self.actor == self.net.root.actor:
             s += f" target={target!r}"
         if clock is not None:
@@ -729,7 +737,15 @@ class Coordinator:
     """Per-DC entry point. Snapshots origin heads at submit, routes through
     the tree, then squares the response with the origin replica: a rescan of
     the log past the claimed coverage picks up anything newer, and a candidate
-    check against current state drops every false positive."""
+    check against current state drops every false positive.
+
+    A plan (the query's rectangles and residual text) depends only on the
+    expression and the schema, so the network memoizes it per expression
+    for the run (see QpuNetwork._plan_of). A memoized plan serves only an
+    expression whose literals also have the same types and reprs:
+    `lat < 1` and `lat < 1.0` (or `lat < 0.0` and `lat < -0.0`) compare
+    equal but render different residuals, and the residual is what caches
+    match on and traces print."""
 
     def __init__(self, net: "QpuNetwork", dc: str):
         self.net = net
@@ -741,8 +757,7 @@ class Coordinator:
     def submit(self, q: Query, cb):
         net = self.net
         qid = net._next_qid()
-        pairs = to_rectangles(q, net.schema)
-        rects = tuple(r for r, _ in pairs)
+        rects, residual = net._plan_of(q)
         net.inflight += 1
         if not rects:  # contradictory bounds: a valid, empty plan
             heads = self.replica.heads
@@ -754,7 +769,6 @@ class Coordinator:
                      (f"{self.actor} [coord] empty plan",), target=None)))
             return qid
         self.pending[qid] = _Pending(q, cb, rects, net.sim.now)
-        residual = " OR ".join(res for _, res in pairs)
         probe = Probe(qid, rects, residual, origin_dc=self.dc, reply_to=self.actor,
                       level=q.staleness, origin_heads=self.replica.heads)
         net.sim.send(self.actor, net.root.actor, "query.route", probe, note=qid)
@@ -839,6 +853,8 @@ class QpuNetwork:
         self._maint: list[tuple] = []
         self._maint_set: set = set()
         self._maint_armed = False
+        # expr -> (expr planned, rects, residual), oldest first; see Coordinator
+        self._plans: dict[object, tuple] = {}
 
         whole = Region.whole(self.schema)
         self.root = self._new_node("qpu/root", "dc", cfg.root_dc, whole,
@@ -899,13 +915,29 @@ class QpuNetwork:
             raise ValueError(f"no coordinator for origin DC {q.origin_dc!r}")
         return self.coordinators[q.origin_dc].submit(q, cb)
 
+    def _plan_of(self, q: Query) -> tuple[tuple, str]:
+        """The query's rectangles and their residual text, planned once per
+        distinct expression in this run. At most cfg.cache_capacity plans
+        are kept; the oldest goes first."""
+        expr = q.expr
+        plan = self._plans.get(expr)
+        if plan is not None and (plan[0] is expr or same_literals(plan[0], expr)):
+            return plan[1], plan[2]
+        pairs = to_rectangles(q, self.schema)
+        rects = tuple(r for r, _ in pairs)
+        residual = " OR ".join(res for _, res in pairs)
+        if plan is None and len(self._plans) >= self.cfg.cache_capacity:
+            del self._plans[next(iter(self._plans))]
+        self._plans[expr] = (expr, rects, residual)
+        return rects, residual
+
     def _next_qid(self) -> str:
         self._qn += 1
         return f"q{self._qn}"
 
     def _record_metrics(self, result: QueryResult):
         glob = self.store.max_heads()
-        local = self.store.replicas[result.origin_dc].heads
+        local = self.store.replicas[result.origin_dc].log
         self.metrics.append({
             "tick": result.response_tick,
             "query_id": result.query_id,
@@ -915,7 +947,8 @@ class QpuNetwork:
             "candidate_checked": result.stats["candidate_checked"],
             "false_positives_removed": result.stats["false_positives_removed"],
             "result_size": result.stats["result_size"],
-            "lag_per_dc": {d: glob.get(d) - local.get(d) for d in self.store.dcs},
+            "lag_per_dc": {d: glob.get(d) - len(local.get(d, ()))
+                           for d in self.store.dcs},
         })
 
     # -- registries ---------------------------------------------------------------
@@ -978,9 +1011,7 @@ class QpuNetwork:
             kids.append(child)
         for tag, (key, attrs) in leaf.index.tag_info.items():
             child = kids[0] if region_a.contains_point(attrs) else kids[1]
-            child.index.tag_info[tag] = (key, attrs)
-            for term in self.binner.terms_for(attrs):
-                child.index.terms[term.attr].setdefault(term.bin, set()).add(tag)
+            child.index.post(tag, key, attrs)
         self.store.replicas[leaf.dc].unsubscribe(leaf._on_feed)
         self._unsubscribe_peers(leaf)
         refs = [ChildRef(k.actor, "hist", k.region, k.dc, k.scope) for k in kids]

@@ -252,7 +252,11 @@ class Region:
         return True
 
     def wholly_inside(self, o: "Region") -> bool:
-        return all(iv.wholly_inside(o.ivs[a]) for a, iv in self.ivs.items())
+        oivs = o.ivs
+        for a, iv in self.ivs.items():
+            if not iv.wholly_inside(oivs[a]):
+                return False
+        return True
 
     def subtract(self, o: "Region", cut: "Region | None" = None) -> "list[Region]":
         """Disjoint rectangles covering self minus o, by axis sweep. `cut` is

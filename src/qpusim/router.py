@@ -297,25 +297,45 @@ def render(q: Query) -> str:
     return f"{_render_expr(q.expr)} FRESHNESS {q.staleness.render()}"
 
 
+def same_literals(a, b) -> bool:
+    """For two equal expressions, whether their literals also have the same
+    repr, and so the same type. Equality is looser: 1 == 1.0 and
+    0.0 == -0.0, yet each prints, and so plans, a different residual."""
+    if type(a) is Pred:
+        return repr(a.value) == repr(b.value)
+    for x, y in zip(a.parts, b.parts):
+        if not same_literals(x, y):
+            return False
+    return True
+
+
 # -- evaluation ----------------------------------------------------------------------
 
 
 def eval_expr(node, attrs: dict) -> bool:
-    if isinstance(node, Pred):
+    t = type(node)
+    if t is Pred:
         v = attrs[node.attr]
         w = node.value
-        if node.op == "=":
+        op = node.op
+        if op == "=":
             return v == w
-        if node.op == "<":
+        if op == "<":
             return v < w
-        if node.op == "<=":
+        if op == "<=":
             return v <= w
-        if node.op == ">":
+        if op == ">":
             return v > w
         return v >= w
-    if isinstance(node, And):
-        return all(eval_expr(p, attrs) for p in node.parts)
-    return any(eval_expr(p, attrs) for p in node.parts)
+    if t is And:
+        for p in node.parts:
+            if not eval_expr(p, attrs):
+                return False
+        return True
+    for p in node.parts:
+        if eval_expr(p, attrs):
+            return True
+    return False
 
 
 # -- rectangles ------------------------------------------------------------------------
@@ -398,10 +418,11 @@ def route(q: Query, network):
 def candidate_check(keys, q: Query, store, dc: str):
     """Re-evaluate keys against the current origin-replica state with exact
     bounds; deleted or absent objects fail. Returns (kept, removed_count)."""
-    replica = store.replicas[dc]
+    get = store.replicas[dc].get
+    expr = q.expr
     kept = set()
-    for key in sorted(keys):
-        attrs = replica.get(key)
-        if attrs is not None and eval_expr(q.expr, attrs):
+    for key in keys:
+        attrs = get(key)
+        if attrs is not None and eval_expr(expr, attrs):
             kept.add(key)
     return kept, len(keys) - len(kept)

@@ -48,13 +48,25 @@ class StalenessLevel:
 
 
 class VectorClock:
-    """Map of origin DC -> highest contiguous applied sequence (absent = 0)."""
+    """Map of origin DC -> highest contiguous applied sequence (absent = 0).
+
+    Invariant: `entries` holds no zero (or negative) component, so equal
+    clocks have equal entries. The public constructor filters its input to
+    keep it; `_of` skips the filter and is only for callers whose dict
+    already has no such component, such as a merge or floor of clocks.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: dict[str, int] | None = None):
-        # zero components are dropped so equal clocks compare equal
         self.entries = {d: s for d, s in (entries or {}).items() if s > 0}
+
+    @classmethod
+    def _of(cls, entries: dict[str, int]) -> "VectorClock":
+        """Wrap `entries`, which must hold no zero component, as is."""
+        clock = object.__new__(cls)
+        clock.entries = entries
+        return clock
 
     def get(self, dc: str) -> int:
         return self.entries.get(dc, 0)
@@ -64,34 +76,44 @@ class VectorClock:
         for d, s in other.entries.items():
             if s > out.get(d, 0):
                 out[d] = s
-        return VectorClock(out)
+        return VectorClock._of(out)
 
     def dominates(self, other: "VectorClock") -> bool:
-        return all(self.get(d) >= s for d, s in other.entries.items())
+        get = self.entries.get
+        for d, s in other.entries.items():
+            if get(d, 0) < s:
+                return False
+        return True
 
     def with_entry(self, dc: str, seq: int) -> "VectorClock":
-        out = dict(self.entries)  # already free of zero components
+        out = dict(self.entries)
         if seq > 0:
             out[dc] = seq
         else:
             out.pop(dc, None)
-        clock = VectorClock.__new__(VectorClock)
-        clock.entries = out
-        return clock
+        return VectorClock._of(out)
 
     def restrict(self, dcs) -> "VectorClock":
-        return VectorClock({d: s for d, s in self.entries.items() if d in dcs})
+        return VectorClock._of(
+            {d: s for d, s in self.entries.items() if d in dcs})
 
     def floor(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise minimum (absent components count as 0)."""
-        dcs = set(self.entries) | set(other.entries)
-        return VectorClock({d: min(self.get(d), other.get(d)) for d in dcs})
+        """Pointwise minimum (absent components count as 0). A component
+        missing from either side floors to 0, so only this clock's
+        components can survive."""
+        oget = other.entries.get
+        out = {}
+        for d, s in self.entries.items():
+            o = oget(d)
+            if o is not None:
+                out[d] = s if s < o else o
+        return VectorClock._of(out)
 
     def lag_behind(self, heads: "VectorClock") -> dict[str, int]:
         return {d: heads.get(d) - self.get(d) for d in heads.entries}
 
     def copy(self) -> "VectorClock":
-        return VectorClock(dict(self.entries))
+        return VectorClock._of(dict(self.entries))
 
     def __eq__(self, other):
         return isinstance(other, VectorClock) and self.entries == other.entries

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qpusim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -179,3 +181,34 @@ def test_run_trace_writes_messages_csv(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(rows) - 1 == manifest["delivered"]
     assert "messages.csv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--objects", "0"), ("--gap", "-1"), ("--actions", "-5"),
+    ("--theta", "-1"), ("--query-frac", "2"), ("--delete-frac", "1.5")])
+def test_gen_workload_out_of_range_flag_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "w.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-workload", "--base", STUDENTS, "--out", str(out),
+              flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err and f"got {value}" in err
+    assert not out.exists()
+
+
+def test_gen_workload_fractions_over_one_exit_2(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert main(["gen-workload", "--base", STUDENTS, "--out", str(out),
+                 "--query-frac", "0.6", "--delete-frac", "0.5"]) == 2
+    assert "--query-frac plus --delete-frac" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest", ['{"delivered": 3}', "[1, 2]", '"x"'])
+def test_manifest_without_a_scenario_object_exits_2(tmp_path, capsys,
+                                                    manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    assert main(["query", str(tmp_path), "GPA > 2.0"]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "manifest.json" in err

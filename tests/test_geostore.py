@@ -160,3 +160,28 @@ def test_entries_after_respects_upto_bound():
     got = list(replica.entries_after(VectorClock(), upto=upto))
     assert {(e.origin_dc, e.seq) for e in got} == {
         ("dc1", 1), ("dc1", 2), ("dc1", 3), ("dc2", 1), ("dc2", 2)}
+
+
+def test_heads_and_max_heads_match_a_fold_of_merge():
+    """Compared with the old definitions at every step of a lossy,
+    reordering run, while replicas still disagree."""
+    sim, store, net = build(jitter=12, dup=0.25, seed=7)
+    rng = random.Random(8)
+    for i in range(300):
+        dc = store.dcs[rng.randrange(3)]
+        sim.at(i + 1, lambda dc=dc, k=f"k{rng.randrange(40)}",
+               a=random_student(rng): store.put(dc, k, a))
+    checked = 0
+    while sim.step():
+        old_heads = [VectorClock({d: len(es) for d, es in r.log.items()})
+                     for r in store.replicas.values()]
+        fold = VectorClock()
+        for r, old in zip(store.replicas.values(), old_heads):
+            assert r.heads.entries == old.entries
+            assert repr(r.heads) == repr(old)
+            fold = fold.merge(old)
+        assert store.max_heads().entries == fold.entries
+        assert repr(store.max_heads()) == repr(fold)
+        assert all(s > 0 for s in store.max_heads().entries.values())
+        checked += 1
+    assert checked > 300

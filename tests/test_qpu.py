@@ -1,19 +1,24 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from qpusim import (
     Binner,
     Interval,
+    Pred,
     Probe,
+    Query,
     Region,
     ResultCache,
     SelectivityConfig,
     SplitRefused,
+    StalenessLevel,
     VectorClock,
     parse,
     rebuild_index,
     scan,
+    to_rectangles,
 )
 
 from conftest import (
@@ -574,3 +579,81 @@ def test_delta_leaf_without_a_peer_takes_foreign_origins_from_its_log():
     for actor in ("qpu/dc1/h0.a", "qpu/dc1/h0.b"):
         assert net.nodes[actor].peers == {}
         assert net.nodes[actor].index.clock == store.replicas["dc1"].heads
+
+
+# -- query plans --------------------------------------------------------------------
+
+
+def count_plans(monkeypatch):
+    """Count to_rectangles calls made by the coordinators."""
+    import qpusim.qpu as qpu_mod
+
+    calls = []
+    orig = qpu_mod.to_rectangles
+
+    def counted(q, schema):
+        calls.append(q.expr)
+        return orig(q, schema)
+
+    monkeypatch.setattr(qpu_mod, "to_rectangles", counted)
+    return calls
+
+
+def test_repeated_expression_reuses_its_plan(monkeypatch):
+    calls = count_plans(monkeypatch)
+    sim, store, net = quiesced(n=30, history=CUT)
+    text = 'gpa > 1.5 AND (dept = "cs" OR gpa < 0.5)'
+    first = ask(net, text, "dc1")
+    again = ask(net, text + " FRESHNESS strong", "dc2")
+    other = ask(net, text, "dc3")
+    assert len(calls) == 1
+    assert len(net._plans) == 1
+    for res, dc in ((first, "dc1"), (again, "dc2"), (other, "dc3")):
+        assert res.error is None
+        assert res.keys == scan(store.replicas[dc], parse(text, SCHEMA))
+
+
+def test_equal_expressions_with_unlike_literals_get_their_own_plans(
+        monkeypatch):
+    calls = count_plans(monkeypatch)
+    sim, store, net = quiesced(n=10)
+    for a, b in ((1, 1.0), (0.0, -0.0)):
+        qa = Query(Pred("gpa", "<=", a), StalenessLevel.any(), "dc1")
+        qb = Query(Pred("gpa", "<=", b), StalenessLevel.any(), "dc1")
+        assert qa.expr == qb.expr
+        plans = [net._plan_of(q) for q in (qa, qb, qa)]
+        for q, (rects, residual) in zip((qa, qb, qa), plans):
+            pairs = to_rectangles(q, SCHEMA)
+            assert rects == tuple(r for r, _ in pairs)
+            assert residual == " OR ".join(res for _, res in pairs)
+        assert plans[0][1] != plans[1][1]
+    assert len(calls) == 6  # each switch between the two replans
+    assert len(net._plans) == 2
+
+
+def test_plan_memo_keeps_at_most_cache_capacity_oldest_out(monkeypatch):
+    calls = count_plans(monkeypatch)
+    sim, store, net = quiesced(cache_capacity=2)
+    qs = [parse(f"gpa > {v}", SCHEMA).at("dc1") for v in (1.0, 2.0, 3.0)]
+    for q in qs:
+        net._plan_of(q)
+    assert list(net._plans) == [qs[1].expr, qs[2].expr]
+    net._plan_of(qs[2])
+    assert len(calls) == 3
+    net._plan_of(qs[0])  # evicted, so planned again
+    assert len(calls) == 4 and list(net._plans) == [qs[2].expr, qs[0].expr]
+
+
+def test_each_run_starts_with_an_empty_plan_memo(monkeypatch):
+    from qpusim import load_scenario, run_scenario
+
+    calls = count_plans(monkeypatch)
+    sc = load_scenario(Path(__file__).resolve().parent.parent
+                       / "scenarios" / "students.json")
+    distinct = {repr(q.expr) for q in sc.queries.values()}
+    assert len(distinct) < len(sc.queries)  # some expression repeats
+    for _ in range(2):
+        calls.clear()
+        report = run_scenario(sc)
+        assert len(calls) == len(distinct)
+        assert len(report.net._plans) == len(distinct)

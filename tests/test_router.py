@@ -17,7 +17,7 @@ from qpusim import (
 )
 from qpusim.workload import random_query_text
 
-from conftest import ask, build, fill, student_schema
+from conftest import ask, build, fill, student_schema, wide_schema
 
 SCHEMA = student_schema()
 
@@ -304,3 +304,56 @@ def test_query_survives_duplicated_probe_messages():
     res = route(q, net)
     assert res.keys == scan(store.replicas["dc3"], q)
     assert res.error is None
+
+
+def old_eval_expr(node, attrs):
+    """eval_expr as it was before the type-dispatch rewrite."""
+    if isinstance(node, Pred):
+        v = attrs[node.attr]
+        w = node.value
+        if node.op == "=":
+            return v == w
+        if node.op == "<":
+            return v < w
+        if node.op == "<=":
+            return v <= w
+        if node.op == ">":
+            return v > w
+        return v >= w
+    if isinstance(node, And):
+        return all(old_eval_expr(p, attrs) for p in node.parts)
+    return any(old_eval_expr(p, attrs) for p in node.parts)
+
+
+def test_eval_expr_matches_the_reference_on_random_expressions():
+    schema = wide_schema()
+    words = ["ab", "abc", "b", "", "zz"]
+
+    def value(rng, attr):
+        sch = schema[attr]
+        if sch.kind == "text":
+            return rng.choice(words)
+        if sch.kind == "int":
+            return rng.randint(sch.lo, sch.hi)
+        return rng.choice([round(rng.uniform(sch.lo, sch.hi), 1), 0, 1.0])
+
+    def expr(rng, depth):
+        if depth == 0 or rng.random() < 0.3:
+            attr = rng.choice(sorted(schema))
+            return Pred(attr, rng.choice(["=", "<", "<=", ">", ">="]),
+                        value(rng, attr))
+        kind = rng.choice([And, Or])
+        return kind(tuple(expr(rng, depth - 1)
+                          for _ in range(rng.randint(1, 3))))
+
+    rng = random.Random(21)
+    single = 0
+    for _ in range(400):
+        e = expr(rng, 3)
+        single += type(e) is not Pred and len(e.parts) == 1
+        for _ in range(10):
+            point = {a: value(rng, a) for a in schema}
+            got = eval_expr(e, point)
+            assert type(got) is bool
+            assert got == old_eval_expr(e, point), (e, point)
+    assert single > 0

@@ -174,3 +174,59 @@ def test_catch_up_beyond_local_heads_is_unsatisfiable():
 
 def test_level_enum_values_are_the_wire_names():
     assert {l.value for l in Level} == {"strong", "bounded", "snapshot", "any"}
+
+
+class OldClock:
+    """The clock operations as they were before the allocation-light
+    rewrite, kept as the reference the current ones must match."""
+
+    def __init__(self, entries=None):
+        self.entries = {d: s for d, s in (entries or {}).items() if s > 0}
+
+    def get(self, dc):
+        return self.entries.get(dc, 0)
+
+    def merge(self, other):
+        out = dict(self.entries)
+        for d, s in other.entries.items():
+            if s > out.get(d, 0):
+                out[d] = s
+        return OldClock(out)
+
+    def dominates(self, other):
+        return all(self.get(d) >= s for d, s in other.entries.items())
+
+    def floor(self, other):
+        dcs = set(self.entries) | set(other.entries)
+        return OldClock({d: min(self.get(d), other.get(d)) for d in dcs})
+
+    def copy(self):
+        return OldClock(dict(self.entries))
+
+    def __repr__(self):
+        inner = ",".join(f"{d}:{s}" for d, s in sorted(self.entries.items()))
+        return "{" + inner + "}"
+
+
+def same_clock(new, old):
+    assert new.entries == old.entries
+    assert repr(new) == repr(old)
+    assert all(s > 0 for s in new.entries.values())
+
+
+def test_clock_ops_match_the_reference_on_random_clocks():
+    rng = random.Random(11)
+    for _ in range(2000):
+        raw = [{d: rng.randint(0, 3) for d in "abcd" if rng.random() < 0.7}
+               for _ in range(2)]
+        x, y = (VectorClock(r) for r in raw)
+        ox, oy = (OldClock(r) for r in raw)
+        if rng.random() < 0.3:  # a zero written through with_entry
+            d = rng.choice("abcd")
+            x, ox = x.with_entry(d, 0), OldClock({**ox.entries, d: 0})
+        same_clock(x.merge(y), ox.merge(oy))
+        same_clock(x.floor(y), ox.floor(oy))
+        same_clock(y.floor(x), oy.floor(ox))
+        same_clock(x.copy(), ox.copy())
+        assert x.dominates(y) == ox.dominates(oy)
+        assert y.dominates(x) == oy.dominates(ox)
