@@ -1,9 +1,9 @@
 """Reference answers computed directly from replica state.
 
 Everything here is independent of the tree, the caches, and the index
-structures: full scans with exact bounds, log folds to a clock, and
-from-scratch index rebuilds. Tests and the verify tooling compare the fast
-paths against these.
+structures: full scans with exact bounds, log folds to a clock,
+from-scratch index rebuilds, and a check of result-cache hits against the
+logs. Tests and the verify tooling compare the fast paths against these.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from .crdt_index import Binner, CrdtIndex
 from .geostore import DcReplica, GeoStore, Stamp
 from .regions import Region
-from .router import Query, eval_expr
+from .router import Query, eval_expr, rect_match
 from .staleness import VectorClock
 
 
@@ -33,8 +33,14 @@ def replay_to(replica: DcReplica, target: VectorClock) -> dict[str, dict]:
     for dc, seq in target.entries.items():
         if seq > replica.heads.get(dc):
             raise ValueError(f"target {target!r} is beyond local history for {dc}")
+    return _live_winners(replica.entries_after(VectorClock(), upto=target))
+
+
+def _live_winners(entries) -> dict[str, dict]:
+    """Last-writer-wins fold of log entries: key -> attrs of the version
+    with the highest stamp, leaving out keys whose winner is a delete."""
     winners: dict[str, tuple[Stamp, dict | None]] = {}
-    for entry in replica.entries_after(VectorClock(), upto=target):
+    for entry in entries:
         cur = winners.get(entry.key)
         if cur is None or entry.stamp > cur[0]:
             winners[entry.key] = (entry.stamp, entry.attrs)
@@ -69,26 +75,53 @@ def rebuild_index(replica: DcReplica, binner: Binner,
     return idx
 
 
-def index_at(store: GeoStore, binner: Binner, clock: VectorClock,
-             region: Region, culls=(), parts=()) -> CrdtIndex:
-    """The index a history leaf over `region` holds at `clock`: every entry
-    up to the clock applied with adds outside the region dropped, then the
-    leaf's scrub `culls` retracted. `parts` lists the (region, clock) of
-    leaves merged into this one, whose postings may run past the merged
-    clock. Entries come from each origin's own log, because a delta-mode leaf
-    can index entries that its colocated replica has not received yet."""
-    views = [(region, clock), *parts]
-    reach = VectorClock()
-    for _, c in views:
-        reach = reach.merge(c)
-    idx = CrdtIndex(store.schema, binner)
-    for origin in sorted(reach.entries):
-        for entry in store.replicas[origin].log[origin][:reach.get(origin)]:
-            delta = idx.delta_for(entry, region)
-            if delta.point is not None and not any(
-                    entry.seq <= c.get(origin) and r.contains_point(delta.point)
-                    for r, c in views):
-                delta = delta._replace(adds=(), point=None)
-            idx.apply_delta(delta)
-    idx.cull_many(culls)
-    return idx
+class HitCheck:
+    """Checks result-cache hits at any tree node against the origin logs.
+
+    A hit for a probe from DC `o` with rectangles R serves content H and
+    claims clock C. The coordinator at `o` rescans its replica's log past C
+    and candidate-checks every key, so the answer misses no key when every
+    key whose last-writer-wins version at C is a write lying in some
+    rectangle of R is a key of H or has an entry past C in o's log. The
+    versions at C are folded from each origin's own log. Call it as
+    (actor, o, R, H, C) when the hit is served; `lines` reports the result.
+    """
+
+    def __init__(self, store: GeoStore):
+        self.store = store
+        self.checked = 0
+        self.failures: list[str] = []
+        self._states: dict[VectorClock, dict[str, dict]] = {}  # by C
+        self._needed: dict[tuple, set[str]] = {}  # by (C, rectangle keys)
+
+    def __call__(self, actor: str, origin_dc: str, rects, hits: dict,
+                 clock: VectorClock):
+        self.checked += 1
+        memo = (clock, tuple(r.key() for r in rects))
+        need = self._needed.get(memo)
+        if need is None:
+            need = self._needed[memo] = {
+                k for k, attrs in self._state_at(clock).items()
+                if rect_match(rects, attrs)}
+        missing = need - {kv[0] for kv in hits.values()}
+        if missing:
+            replica = self.store.replicas[origin_dc]
+            missing -= {e.key for e in replica.entries_after(clock)}
+        if missing:
+            self.failures.append(
+                f"{actor}: hit at {clock!r} for a probe from {origin_dc} "
+                f"misses {sorted(missing)}")
+
+    def _state_at(self, clock: VectorClock) -> dict[str, dict]:
+        state = self._states.get(clock)
+        if state is None:
+            logs = self.store.replicas
+            state = self._states[clock] = _live_winners(
+                entry for origin, seq in sorted(clock.entries.items())
+                for entry in logs[origin].log[origin][:seq])
+        return state
+
+    def lines(self) -> list[str]:
+        if self.failures:
+            return [f"FAIL cache: {msg}" for msg in self.failures]
+        return [f"PASS cache: {self.checked} hits checked"]

@@ -7,13 +7,14 @@ inverted indexes fed from their colocated replica (and, in delta mode, from
 peer leaves abroad); live leaves scan the tail of the local log so results can
 reach targets the history side has not indexed yet.
 
-Caching note: internal nodes and history leaves keep result caches whose
-entries are frozen at insertion: the content is the join result at the
-entry's coverage clock, and neither changes afterwards. A hit serves only
-targets at or below that clock and claims that clock as its coverage. Any
-freshness beyond a response's claimed coverage is recovered by the
-coordinator, which rescans its origin log past the claim and candidate-checks
-every key, so later writes never need to reach the caches.
+Caching note: the dispatch stages (dc, freshness and value nodes) keep
+result caches whose entries are frozen at insertion: the content is the join
+result at the entry's coverage clock, and neither changes afterwards. A hit
+serves only targets at or below that clock and claims that clock as its
+coverage. Any freshness beyond a response's claimed coverage is recovered by
+the coordinator, which rescans its origin log past the claim and
+candidate-checks every key, so later writes never need to reach the caches.
+Leaves keep no cache: a history leaf answers from its index after catch-up.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field, replace
 
 from .crdt_index import Binner, CrdtIndex, IndexDelta
 from .geostore import GeoStore, LogEntry
-from .oracle import index_at
 from .regions import Interval, Region, greedy_cover
 from .router import (
     Query,
@@ -63,13 +63,10 @@ class SplitPolicy:
     t_split: int = 1000
     t_merge: int = 100
     auto: bool = False
-    mode: str = "internal"  # what becomes of a split leaf: internal | replace
 
     def __post_init__(self):
         if self.t_merge < 1 or self.t_merge >= self.t_split / 2:
             raise ValueError("need 1 <= t_merge < t_split / 2")
-        if self.mode not in ("internal", "replace"):
-            raise ValueError(f"unknown split mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,6 @@ class TreeConfig:
     split: SplitPolicy = field(default_factory=SplitPolicy)
     selectivity: SelectivityConfig = field(default_factory=SelectivityConfig)
     history_tree: object = "leaf"
-    verify: bool = False
 
     def __post_init__(self):
         if self.repl_mode not in (LOG, DELTA, "adaptive"):
@@ -175,33 +171,23 @@ class ChildRef:
 
 @dataclass
 class CacheEntry:
-    rects: tuple
-    residual: str
     content: dict  # tag -> (key, attrs)
     clock: VectorClock  # coverage at insertion; never advanced
 
 
-def bin_hit(binner: Binner, point: dict, rects) -> bool:
-    """Bin-granular membership: does the point's bin intersect some rectangle
-    on every axis? Matches what a leaf lookup would return for the point."""
-    for r in rects:
-        for attr, iv in r.ivs.items():
-            if not binner.bin_of(attr, point[attr]).overlaps(iv):
-                break
-        else:
-            return True
-    return False
-
-
 class ResultCache:
-    """LRU of frozen joined results keyed by (rectangles, residual).
+    """LRU of frozen joined results keyed exactly by (rectangles, residual).
 
-    A probe hits when some entry carries the same residual, each probe
-    rectangle lies wholly inside one of the entry's rectangles, and the entry
-    clock dominates the target; the least recently used such entry answers.
-    Its content is re-filtered to the probe rectangles at bin granularity,
-    unless the rectangles are the entry's own. Entries are never updated
-    after insertion (see the module note).
+    A probe hits when an entry has its exact key and the entry clock
+    dominates the target. Entries are never updated after insertion (see
+    the module note).
+
+    An exact key is enough because a node's pieces of a query depend only
+    on the query and on the regions of its parent's children, and those
+    children never change while the node lives: a split morphs the leaf
+    into a value node that keeps its region, and a merge retires both
+    leaves. So every repeat of a query reaches a node with the same
+    rectangles, and no entry would ever answer a probe for a sub-piece.
     """
 
     def __init__(self, capacity: int = 256):
@@ -209,8 +195,6 @@ class ResultCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.entries: dict[tuple, CacheEntry] = {}  # oldest use first
-        # the same entries per residual, kept in the same LRU order
-        self._by_residual: dict[str, dict[tuple, CacheEntry]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -218,45 +202,25 @@ class ResultCache:
     def _key(rects, residual: str) -> tuple:
         return (tuple(r.key() for r in rects), residual)
 
-    def probe(self, rects, residual: str, target: VectorClock, binner: Binner):
-        for k, e in self._by_residual.get(residual, {}).items():
-            if not e.clock.dominates(target):
-                continue
-            if not all(any(pr.wholly_inside(er) for er in e.rects) for pr in rects):
-                continue
-            self._touch(k)
-            self.hits += 1
-            if k == self._key(rects, residual):
-                return e.content, e.clock
-            out = {
-                tag: kv for tag, kv in e.content.items() if bin_hit(binner, kv[1], rects)
-            }
-            return out, e.clock
-        self.misses += 1
-        return None
+    def probe(self, rects, residual: str, target: VectorClock):
+        k = self._key(rects, residual)
+        e = self.entries.get(k)
+        if e is None or not e.clock.dominates(target):
+            self.misses += 1
+            return None
+        self.entries[k] = self.entries.pop(k)
+        self.hits += 1
+        return e.content, e.clock
 
     def insert(self, rects, residual: str, content: dict, clock: VectorClock):
         k = self._key(rects, residual)
-        e = CacheEntry(tuple(rects), residual, dict(content), clock)
-        bucket = self._by_residual.setdefault(residual, {})
-        for lru in (self.entries, bucket):
-            lru.pop(k, None)
-            lru[k] = e
-        while len(self.entries) > self.capacity:
-            old = next(iter(self.entries))
-            del self.entries[old]
-            bucket = self._by_residual[old[1]]
-            del bucket[old]
-            if not bucket:
-                del self._by_residual[old[1]]
-
-    def _touch(self, k: tuple):
-        for lru in (self.entries, self._by_residual[k[1]]):
-            lru[k] = lru.pop(k)
+        self.entries.pop(k, None)
+        self.entries[k] = CacheEntry(dict(content), clock)
+        if len(self.entries) > self.capacity:
+            del self.entries[next(iter(self.entries))]
 
     def clear(self):
         self.entries.clear()
-        self._by_residual.clear()
 
 
 # -- join bookkeeping --------------------------------------------------------------
@@ -294,15 +258,12 @@ class Qpu:
         self.children: list[ChildRef] = []
         self.child_clocks: dict[str, VectorClock] = {}
         self.child_sizes: dict[str, int] = {}
-        self.cache = ResultCache(net.cfg.cache_capacity) if kind != "live" else None
+        self.cache = (ResultCache(net.cfg.cache_capacity)
+                      if kind in ("dc", "freshness", "value") else None)
         self.joins: dict[str, _Join] = {}
         self._seen_qids: set[str] = set()
         # history-leaf state; unused elsewhere
         self.index = CrdtIndex(net.schema, net.binner) if kind == "hist" else None
-        # what the index holds beyond a log replay to its clock, for verify:
-        # scrubbed (key, tag) pairs, and the (region, clock) of merged leaves
-        self.culls: list[tuple] = []
-        self.parts: tuple = ()
         self.repl_mode = LOG
         self.window = SelectivityWindow(net.cfg.selectivity.window)
         self.subscribers: set[str] = set()  # peers fed my local-origin deltas
@@ -357,12 +318,14 @@ class Qpu:
         if self.kind == "live":
             self._serve_live(probe)
             return
-        if self.cache is not None:
-            got = self.cache.probe(probe.rects, probe.residual, probe.target, self.net.binner)
-            if got is not None:
-                hits, cclock = got
-                self._respond(probe, hits, cclock, (self._line("cache-hit", cclock),), 1)
-                return
+        got = self.cache.probe(probe.rects, probe.residual, probe.target)
+        if got is not None:
+            hits, cclock = got
+            if self.net.check_hit is not None:
+                self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
+                                   hits, cclock)
+            self._respond(probe, hits, cclock, (self._line("cache-hit", cclock),), 1)
+            return
         self._dispatch(probe)
 
     def _dispatch(self, probe: Probe):
@@ -472,8 +435,7 @@ class Qpu:
             return
         coverage = self._joined_clock(join)
         lines = self._assemble_trace(join, coverage)
-        if self.cache is not None:
-            self.cache.insert(probe.rects, probe.residual, join.hits, coverage)
+        self.cache.insert(probe.rects, probe.residual, join.hits, coverage)
         self._respond(probe, join.hits, coverage, lines, join.cache_hits,
                       visited=join.visited)
 
@@ -530,14 +492,6 @@ class Qpu:
     # -- leaf serving ------------------------------------------------------------
 
     def _serve_hist(self, probe: Probe):
-        if self.cache is not None:
-            got = self.cache.probe(probe.rects, probe.residual, probe.target, self.net.binner)
-            if got is not None:
-                hits, cclock = got
-                if self.net.cfg.verify:
-                    self._verify_hit(probe, hits, cclock)
-                self._respond(probe, hits, cclock, (self._line("cache-hit", cclock),), 1)
-                return
         try:
             catch_up(self, self.replica, probe.target)
         except UnsatisfiableStaleness as exc:
@@ -545,7 +499,6 @@ class Qpu:
                           error=str(exc))
             return
         hits = self._lookup(probe.rects)
-        self.cache.insert(probe.rects, probe.residual, hits, self.index.clock)
         self._respond(probe, hits, self.index.clock,
                       (self._line("leaf-serve", self.index.clock),), 0)
 
@@ -554,19 +507,6 @@ class Qpu:
         for rect in rects:
             hits.update(self.index.lookup(rect))
         return hits
-
-    def _verify_hit(self, probe: Probe, hits, clock: VectorClock):
-        """A hit claims this leaf's index as it stood at the entry clock, so
-        compare it with a lookup on that index rebuilt from the logs."""
-        then = index_at(self.net.store, self.net.binner, clock, self.region,
-                        self.culls, self.parts)
-        want: dict = {}
-        for rect in probe.rects:
-            want.update(then.lookup(rect))
-        if want != hits:
-            self.net.verify_errors.append(
-                f"{self.actor}: cache hit diverges from its index at {clock!r} "
-                f"for {probe.residual}")
 
     def _serve_live(self, probe: Probe):
         boundary = probe.boundary or VectorClock()
@@ -846,7 +786,9 @@ class QpuNetwork:
         self.nodes: dict[str, Qpu] = {}
         self.coordinators: dict[str, Coordinator] = {}
         self.metrics: list[dict] = []
-        self.verify_errors: list[str] = []
+        # called as (actor, origin dc, rects, hits, clock) on every cache
+        # hit when set; run_scenario sets it to the oracle's hit check
+        self.check_hit = None
         self.inflight = 0
         self._qn = 0
         self._ids: dict[str, int] = {}
@@ -1005,8 +947,6 @@ class QpuNetwork:
             child.repl_mode = leaf.repl_mode
             child.index.clock = leaf.index.clock.copy()
             child.index.removed = set(leaf.index.removed)
-            child.culls = list(leaf.culls)
-            child.parts = leaf.parts
             self.store.replicas[leaf.dc].subscribe(child._on_feed)
             kids.append(child)
         for tag, (key, attrs) in leaf.index.tag_info.items():
@@ -1014,25 +954,14 @@ class QpuNetwork:
             child.index.post(tag, key, attrs)
         self.store.replicas[leaf.dc].unsubscribe(leaf._on_feed)
         self._unsubscribe_peers(leaf)
-        refs = [ChildRef(k.actor, "hist", k.region, k.dc, k.scope) for k in kids]
-        if self.cfg.split.mode == "internal":
-            leaf.kind = "value"
-            leaf.index = None
-            leaf.children = refs
-            leaf.child_clocks = {k.actor: k.index.clock.copy() for k in kids}
-            leaf.child_sizes = {k.actor: k.index.visible_count() for k in kids}
-        else:
-            parent = self.nodes[leaf.parent]
-            i = next(j for j, c in enumerate(parent.children) if c.actor == actor)
-            parent.children[i:i + 1] = refs
-            parent.child_clocks.pop(actor, None)
-            parent.child_sizes.pop(actor, None)
-            for k in kids:
-                k.parent = parent.actor
-                parent.child_clocks[k.actor] = k.index.clock.copy()
-                parent.child_sizes[k.actor] = k.index.visible_count()
-            leaf.kind = "retired"
-            leaf.index = None
+        # the leaf morphs in place into the value node over its halves
+        leaf.kind = "value"
+        leaf.index = None
+        leaf.cache = ResultCache(self.cfg.cache_capacity)
+        leaf.children = [ChildRef(k.actor, "hist", k.region, k.dc, k.scope)
+                         for k in kids]
+        leaf.child_clocks = {k.actor: k.index.clock.copy() for k in kids}
+        leaf.child_sizes = {k.actor: k.index.visible_count() for k in kids}
         for k in kids:
             k._mark_dirty()
         self._rewire_peers()
@@ -1092,9 +1021,6 @@ class QpuNetwork:
         # the cohort clock must under-claim: components the two leaves do not
         # agree on are only safe at the lower of the two
         merged.index.clock = a.index.clock.floor(b.index.clock)
-        merged.culls = a.culls + b.culls
-        merged.parts = (a.parts + b.parts
-                        + ((a.region, a.index.clock), (b.region, b.index.clock)))
         self.store.replicas[a.dc].subscribe(merged._on_feed)
         for old in (a, b):
             self.store.replicas[old.dc].unsubscribe(old._on_feed)
@@ -1190,17 +1116,13 @@ class QpuNetwork:
     def scrub_all(self) -> int:
         """One scrub pass: sync leaves up to their local logs, then drop every
         posting whose tag lost to the current winner. A cull changes a leaf's
-        index without advancing its clock, so the leaf records the culls and
-        empties its cache: every entry left is then its index at the entry's
-        clock with all recorded culls applied. Caches above the leaves keep
-        the culled postings; the coordinator's candidate check drops them."""
+        index without advancing its clock. Cache entries above the leaves
+        keep the culled postings; the coordinator's candidate check drops
+        them."""
         self.sync_leaves()
         total = 0
         for leaf in self.hist_leaves():
             pairs = leaf.index.stale_postings(leaf.replica)
-            if not pairs:
-                continue
-            total += leaf.index.cull_many(pairs)
-            leaf.culls.extend(pairs)
-            leaf.cache.clear()
+            if pairs:
+                total += leaf.index.cull_many(pairs)
         return total

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .crdt_index import Binner
 from .geostore import GeoStore
-from .oracle import rebuild_index, replay_matches, scan
+from .oracle import HitCheck, rebuild_index, replay_matches, scan
 from .qpu import (
     MergeRefused,
     QpuNetwork,
@@ -51,7 +51,6 @@ class Scenario:
     tree: TreeConfig
     workload: list[dict]
     queries: dict[int, Query]  # workload index -> parsed query action
-    verify_caches: bool = False
     oracle: bool = False
     scrub_at_end: bool = True
     max_ticks: int = 1_000_000
@@ -85,10 +84,21 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(raw, text, str(path))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     def fail(msg: str, needle: str | None = None, occurrence: int = 0):
         line = _line_of(text, needle, occurrence) if needle and text else 0
         raise ScenarioError(msg, line)
+
+    def section(name: str) -> dict:
+        """The optional top-level object `name`, empty when absent."""
+        value = raw.get(name, {})
+        if not isinstance(value, dict):
+            fail(f"{name} must be a JSON object", f'"{name}"')
+        return value
 
     if not isinstance(raw, dict):
         fail("scenario document must be a JSON object")
@@ -100,9 +110,12 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
             or len(set(dcs)) != len(dcs)
             or not all(isinstance(d, str) for d in dcs)):
         fail("dcs must be a list of unique datacenter names", '"dcs"')
+    seed = raw.get("seed", 0)
+    if not _is_int(seed):
+        fail("seed must be an integer", '"seed"')
 
     schema: dict[str, AttributeSchema] = {}
-    for attr, spec in raw["schema"].items():
+    for attr, spec in section("schema").items():
         try:
             schema[attr] = AttributeSchema(
                 attr, spec.get("kind", ""), spec.get("lo"), spec.get("hi"),
@@ -110,7 +123,7 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         except (ValueError, AttributeError) as exc:
             fail(f"schema attribute {attr!r}: {exc}", f'"{attr}"')
 
-    binning = raw.get("binning", {})
+    binning = section("binning")
     for attr in binning:
         if attr not in schema:
             fail(f"binning names unknown attribute {attr!r}", f'"{attr}"')
@@ -120,11 +133,11 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         fail(f"binning: {exc}", '"binning"')
 
     try:
-        net = NetConfig(**raw.get("net", {}))
+        net = NetConfig(**section("net"))
     except (TypeError, ValueError) as exc:
         fail(f"net: {exc}", '"net"')
 
-    tree_raw = dict(raw.get("tree", {}))
+    tree_raw = dict(section("tree"))
     if "root_dc" not in tree_raw:
         tree_raw["root_dc"] = dcs[0]
     history = tree_raw.pop("history", "leaf")
@@ -143,23 +156,27 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     if "generate" in raw:
         if workload:
             fail("give either workload or generate, not both", '"generate"')
-        gen = raw["generate"]
-        phases = gen["phases"] if isinstance(gen, dict) and "phases" in gen \
-            else [gen]
+        gen = section("generate")
+        phases = gen["phases"] if "phases" in gen else [gen]
         try:
             specs = [WorkloadSpec(**{k: tuple(v) if k == "staleness_mix"
                                      else v for k, v in p.items()})
                      for p in phases]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, AttributeError) as exc:
             fail(f"generate: {exc}", '"generate"')
-        workload = gen_phases(schema, dcs, specs, raw.get("seed", 0))
+        workload = gen_phases(schema, dcs, specs, seed)
     queries = _validate_workload(workload, dcs, schema, fail)
 
-    verify = raw.get("verify", {})
-    limits = raw.get("limits", {})
+    verify = section("verify")
+    limits = section("limits")
+    bounds = {"max_ticks": 1_000_000, "max_events": 5_000_000}
+    for name in bounds:
+        value = bounds[name] = limits.get(name, bounds[name])
+        if not _is_int(value) or value < 1:
+            fail(f"limits.{name} must be a positive integer", f'"{name}"')
     return Scenario(
         name=raw.get("name", path or "scenario"),
-        seed=raw.get("seed", 0),
+        seed=seed,
         dcs=list(dcs),
         schema=schema,
         binning=binning,
@@ -167,11 +184,10 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         tree=tree,
         workload=workload,
         queries=queries,
-        verify_caches=bool(verify.get("caches", False)),
         oracle=bool(verify.get("oracle", False)),
         scrub_at_end=bool(raw.get("scrub_at_end", True)),
-        max_ticks=int(limits.get("max_ticks", 1_000_000)),
-        max_events=int(limits.get("max_events", 5_000_000)),
+        max_ticks=bounds["max_ticks"],
+        max_events=bounds["max_events"],
         raw=raw,
         path=path,
     )
@@ -209,6 +225,8 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
     if not isinstance(workload, list):
         fail("workload must be a list", '"workload"')
     queries: dict[int, Query] = {}
+    parsed: dict[str, Query] = {}  # query text -> its one parse
+    exprs: dict[str, object] = {}  # expression repr -> one shared object
     for i, act in enumerate(workload):
         def bad(msg):
             fail(f"workload action {i}: {msg}", '"op"', i)
@@ -236,10 +254,20 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
         if op == "delete" and not isinstance(act.get("key"), str):
             bad("delete needs a key")
         if op == "query":
-            try:
-                queries[i] = parse(act.get("text", ""), schema)
-            except QueryError as exc:
-                bad(f"query does not parse: {exc}")
+            text = act.get("text", "")
+            if not isinstance(text, str):
+                bad("query text must be a string")
+            if text not in parsed:
+                try:
+                    q = parse(text, schema)
+                except QueryError as exc:
+                    bad(f"query does not parse: {exc}")
+                # texts that differ only in FRESHNESS share one expression,
+                # so the run's plan memo finds it by identity; the repr
+                # tells 1 from 1.0 and 0.0 from -0.0, which plan differently
+                expr = exprs.setdefault(repr(q.expr), q.expr)
+                parsed[text] = replace(q, expr=expr)
+            queries[i] = parsed[text]
         if op == "force-split" and not isinstance(act.get("qpu"), str):
             bad("force-split needs a qpu actor name")
         if op == "force-merge" and not (
@@ -283,9 +311,9 @@ def build_scenario(sc: Scenario, trace: bool = False):
 def run_scenario(sc: Scenario, trace: bool = False,
                  oracle: bool | None = None) -> RunReport:
     oracle = sc.oracle if oracle is None else oracle
-    if sc.verify_caches or oracle:
-        sc.tree.verify = True
     sim, store, net = build_scenario(sc, trace=trace)
+    if oracle:
+        net.check_hit = HitCheck(store)
     results: list[QueryResult] = []
     verify_lines: list[str] = []
     runtime_errors: list[str] = []
@@ -340,11 +368,7 @@ def run_scenario(sc: Scenario, trace: bool = False,
         sim.run_until_quiescent(max_ticks=sc.max_ticks, max_events=sc.max_events)
     if oracle:
         verify_lines.extend(_verify_end_state(sc, store, net, scrubbed))
-    for msg in net.verify_errors:
-        verify_lines.append(f"FAIL cache: {msg}")
-    if oracle and not net.verify_errors:
-        verify_lines.append("PASS cache: no leaf hit diverged from its index "
-                            "at the entry clock")
+        verify_lines.extend(net.check_hit.lines())
     return RunReport(sc, sim, store, net, results, verify_lines,
                      runtime_errors, scrubbed)
 

@@ -50,7 +50,7 @@ def numeric_schema(n=3):
 def build(dcs=("dc1", "dc2", "dc3"), schema=None, binning=None, history="leaf",
           replicated=True, repl_mode="log", seed=0, intra=1, inter=5,
           jitter=0, dup=0.0, gossip_every=10, cache_capacity=256,
-          verify=False, split=None, selectivity=None, root_dc=None,
+          split=None, selectivity=None, root_dc=None,
           trace=False):
     schema = schema or student_schema()
     sim = Simulation(NetConfig(intra, inter, jitter, dup), seed=seed, trace=trace)
@@ -60,7 +60,7 @@ def build(dcs=("dc1", "dc2", "dc3"), schema=None, binning=None, history="leaf",
         root_dc or dcs[0], replicated=replicated, repl_mode=repl_mode,
         gossip_every=gossip_every, cache_capacity=cache_capacity,
         split=split or SplitPolicy(), selectivity=selectivity or SelectivityConfig(),
-        history_tree=history, verify=verify)
+        history_tree=history)
     net = QpuNetwork(sim, store, binner, cfg)
     return sim, store, net
 

@@ -353,15 +353,15 @@ def test_11_determinism():
 # on purpose regenerates them and says why.
 OUTPUT_DIGESTS = {
     "students.json":
-        "bbf9b489d4a9779fba10cdfac3f54e4def65d43750c63b1b0aecd6b691047e4a",
+        "f2ae5a6f40ad3a4cba70909c2e52cf99fc3c5cc570b66eb65ce4e9b4748e17bb",
     "convergence.json":
-        "f83a9c7cad275ed8d3545cdcec708529fe6aa46b6d00465eb0d781b066f698c0",
+        "fdab74ede85e37114fbbbb53d98115a97a32a9e39b2c184a8bdca7dc6a28fefb",
     "churn.json":
-        "91a30b13fa1931ca081285623000ea76030f61ff54be21a7ec184c49088de170",
+        "910b7fbc89b264b31cc28264bd7e1bae39b079ed0a4b657d97418f3a3a615b6f",
     "hysteresis.json":
-        "206cd567629cf69251f852d25a18e05fd87c5685198302087888d194149bb4d2",
+        "86e3babb7ab2e43ffa06d013c0fca025347f5ee69a3ea88ad78503c30edd2e2b",
     "maintenance.json":
-        "f8fbfede777a711bf53a02ac1f4c26577140d25c56c25d23d32ce94f6b85556e",
+        "8e9f50e6d26e21fd014d51dfaae7d5a4624835275eccabb80f908f45205875c1",
 }
 
 

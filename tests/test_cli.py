@@ -212,3 +212,28 @@ def test_manifest_without_a_scenario_object_exits_2(tmp_path, capsys,
     assert main(["query", str(tmp_path), "GPA > 2.0"]) == 2
     err = capsys.readouterr().err
     assert "scenario error" in err and "manifest.json" in err
+
+
+def students_with(tmp_path, **fields):
+    doc = json.loads(Path(STUDENTS).read_text())
+    doc.update(fields)
+    path = tmp_path / "students.json"
+    path.write_text(json.dumps(doc, indent=2))
+    return str(path)
+
+
+@pytest.mark.parametrize("fields, field", [
+    ({"schema": 5}, "schema"),
+    ({"schema": [1]}, "schema"),
+    ({"tree": [1]}, "tree"),
+    ({"verify": True}, "verify"),
+    ({"limits": 7}, "limits"),
+    ({"limits": {"max_ticks": "abc"}}, "max_ticks"),
+    ({"limits": {"max_ticks": None}}, "max_ticks"),
+    ({"seed": [1]}, "seed"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_section_of_the_wrong_type_exits_2(tmp_path, capsys, fields, field):
+    assert main(["verify", students_with(tmp_path, **fields)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and field in err
+    assert "(line " in err

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from qpusim import (
-    Binner,
     Interval,
     Pred,
     Probe,
@@ -20,6 +19,7 @@ from qpusim import (
     scan,
     to_rectangles,
 )
+from qpusim.oracle import HitCheck
 
 from conftest import (
     ask,
@@ -157,73 +157,33 @@ def rect_for(lo, hi):
 
 def test_cache_miss_then_hit_then_staleness_miss():
     cache = ResultCache()
-    binner = Binner(SCHEMA, {})
     r = rect_for(1.0, 2.0)
-    assert cache.probe((r,), r.render(), VectorClock(), binner) is None
+    assert cache.probe((r,), r.render(), VectorClock()) is None
     content = {("t", 1): ("k", {"gpa": 1.5, "dept": "cs"})}
     cache.insert((r,), r.render(), content, VectorClock({"dc1": 4}))
-    got = cache.probe((r,), r.render(), VectorClock({"dc1": 3}), binner)
+    got = cache.probe((r,), r.render(), VectorClock({"dc1": 3}))
     assert got == (content, VectorClock({"dc1": 4}))
     # a target past the entry's coverage cannot be served from it
-    assert cache.probe((r,), r.render(), VectorClock({"dc1": 5}), binner) is None
+    assert cache.probe((r,), r.render(), VectorClock({"dc1": 5})) is None
     assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_cache_requires_matching_residual():
     cache = ResultCache()
-    binner = Binner(SCHEMA, {})
     r = rect_for(1.0, 2.0)
     cache.insert((r,), r.render(), {}, VectorClock({"dc1": 1}))
-    assert cache.probe((r,), "something else", VectorClock(), binner) is None
-
-
-def test_cache_serves_narrowed_pieces_filtered_to_bins():
-    # after a split the same query reaches a leaf as a smaller piece with an
-    # unchanged residual; the entry answers it filtered to the piece's bins
-    cache = ResultCache()
-    binner = Binner(SCHEMA, {"gpa": 8})  # 0.5-wide bins
-    wide = rect_for(0.0, 4.0)
-    content = {
-        ("a", 1): ("ka", {"gpa": 0.7, "dept": "cs"}),
-        ("b", 2): ("kb", {"gpa": 2.2, "dept": "cs"}),
-        ("c", 3): ("kc", {"gpa": 3.8, "dept": "cs"}),
-    }
-    cache.insert((wide,), wide.render(), content, VectorClock({"dc1": 9}))
-    sub = rect_for(2.0, 3.0)
-    got = cache.probe((sub,), wide.render(), VectorClock({"dc1": 1}), binner)
-    assert got is not None
-    # only the posting whose bin intersects the piece survives
-    assert set(got[0]) == {("b", 2)}
+    assert cache.probe((r,), "something else", VectorClock()) is None
 
 
 def test_cache_rejects_pieces_outside_its_rectangles():
+    # entries are keyed exactly: neither a piece poking out of an entry's
+    # rectangle nor one wholly inside it is served from that entry
     cache = ResultCache()
-    binner = Binner(SCHEMA, {})
     narrow = rect_for(0.0, 3.0)
     cache.insert((narrow,), "q", {}, VectorClock({"dc1": 9}))
-    poking = rect_for(2.0, 4.0)
-    assert cache.probe((poking,), "q", VectorClock(), binner) is None
-
-
-def test_cache_answers_with_the_least_recently_used_match():
-    cache = ResultCache(capacity=3)
-    binner = Binner(SCHEMA, {})
-    other = rect_for(1.0, 4.0)
-    cache.insert((rect_for(0.0, 3.0),), "q", {}, VectorClock({"dc1": 1}))
-    cache.insert((other,), "other", {}, VectorClock({"dc1": 9}))
-    cache.insert((rect_for(0.0, 4.0),), "q", {}, VectorClock({"dc1": 2}))
-    piece = rect_for(1.0, 2.0)
-
-    def answered_by():
-        return cache.probe((piece,), "q", VectorClock(), binner)[1]
-
-    assert answered_by() == VectorClock({"dc1": 1})
-    assert answered_by() == VectorClock({"dc1": 2})  # the hit renewed dc1:1
-    # a fourth entry evicts the least recently used one, of either residual
-    cache.insert((piece,), "q", {}, VectorClock({"dc1": 3}))
-    assert len(cache.entries) == 3
-    assert cache.probe((other,), "other", VectorClock(), binner) is None
-    assert answered_by() == VectorClock({"dc1": 1})
+    for piece in (rect_for(2.0, 4.0), rect_for(1.0, 2.0)):
+        assert cache.probe((piece,), "q", VectorClock()) is None
+    assert cache.probe((narrow,), "q", VectorClock()) is not None
 
 
 def one_leaf_with(*rows, **kw):
@@ -234,17 +194,10 @@ def one_leaf_with(*rows, **kw):
     return sim, store, net, net.nodes["qpu/dc1/h0"]
 
 
-def clear_upper_caches(net):
-    # so a repeated query reaches the leaf instead of hitting above it
-    for node in net.nodes.values():
-        if node.kind != "hist" and node.cache is not None:
-            node.cache.clear()
-
-
 def test_cache_entry_stays_frozen_after_later_writes():
     sim, store, net, leaf = one_leaf_with(("a", 1.0))
     ask(net, "gpa < 2.0 FRESHNESS snapshot", "dc1")
-    (entry,) = leaf.cache.entries.values()
+    (entry,) = net.nodes["qpu/dc1"].cache.entries.values()
     content, clock = dict(entry.content), entry.clock
     store.delete("dc1", "a")
     store.put("dc1", "b", {"gpa": 1.5, "dept": "cs"})
@@ -255,8 +208,9 @@ def test_cache_entry_stays_frozen_after_later_writes():
     assert {kv[0] for kv in entry.content.values()} == {"a"}
 
 
-def test_leaf_cache_hit_claims_the_entry_clock():
+def test_cache_hit_claims_the_entry_clock():
     sim, store, net, leaf = one_leaf_with(("a", 1.0))
+    fresh = net.nodes["qpu/dc1"]
     got = []
     sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
     rect = rect_for(0.0, 2.0)
@@ -265,7 +219,7 @@ def test_leaf_cache_hit_claims_the_entry_clock():
         probe = Probe(qid=qid, rects=(rect,), residual=rect.render(),
                       origin_dc="dc1", reply_to="probe/sink",
                       target=VectorClock({"dc1": 1}))
-        sim.send("probe/sink", leaf.actor, "query.value", probe)
+        sim.send("probe/sink", fresh.actor, "query.dc", probe)
         sim.run_until_quiescent()
 
     send("t1")
@@ -274,82 +228,84 @@ def test_leaf_cache_hit_claims_the_entry_clock():
     send("t2")
     miss, hit = got
     assert (miss.cache_hits, hit.cache_hits) == (0, 1)
-    # the index has moved on to dc1:2, but the hit serves dc1:1 content
+    assert fresh.cache.hits == 1
+    # the leaf has moved on to dc1:2, but the hit serves dc1:1 content
     assert leaf.index.clock == VectorClock({"dc1": 2})
     assert miss.clock == hit.clock == VectorClock({"dc1": 1})
     assert {kv[0] for kv in hit.hits.values()} == {"a"}
 
 
-def test_cache_check_flags_a_corrupted_leaf_entry():
-    sim, store, net, leaf = one_leaf_with(("a", 1.0), ("b", 1.5), verify=True)
-    text = "gpa < 2.0 FRESHNESS any"
-    ask(net, text, "dc1")
-    (entry,) = leaf.cache.entries.values()
-    store.put("dc1", "c", {"gpa": 0.5, "dept": "cs"})
+def checked_root_hit(corrupt):
+    """dc1 overwrites k out of the query's range while partitioned from
+    dc2, after a dc2 query left k in the root cache (at dc3). A repeat from
+    dc2 hits that entry; `corrupt` may tamper with the entry first."""
+    sim, store, net = quiesced(root_dc="dc3")
+    check = HitCheck(store)
+    net.check_hit = check
+    store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
     sim.run_until_quiescent()
-    clear_upper_caches(net)
-    # a hit frozen at dc1:2 is checked against the index at dc1:2, not now
-    assert ask(net, text, "dc1").stats["cache_hits"] == 1
-    assert net.verify_errors == []
-    c_tag = next(t for t, kv in leaf.index.tag_info.items() if kv[0] == "c")
-    b_tag = next(t for t, kv in entry.content.items() if kv[0] == "b")
-    corruptions = [
-        lambda content: content.pop(b_tag),
-        # what pushing the later write would have done: right for the
-        # current index, wrong for the entry clock the hit claims
-        lambda content: content.update({c_tag: leaf.index.tag_info[c_tag]}),
-    ]
-    for corrupt in corruptions:
-        saved = dict(entry.content)
-        corrupt(entry.content)
-        clear_upper_caches(net)
-        ask(net, text, "dc1")
-        assert len(net.verify_errors) == 1
-        assert net.verify_errors.pop().startswith("qpu/dc1/h0: cache hit diverges")
-        entry.content = saved
-
-
-def test_cache_check_accepts_hits_on_a_merge_of_uneven_leaves():
-    # delta-mode siblings take peer deltas at their own pace, so a merged
-    # leaf holds postings past its floor clock; its hits must still check
-    sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="delta", jitter=15,
-                            seed=31, verify=True)
-    fill(store, random.Random(31), 60)
-    sim.run_until_quiescent()
-    a, b = net.force_split("qpu/dc2/h0")
-    net.force_split("qpu/dc1/h0")
-    for i in range(30):
-        sim.at(sim.now + i, lambda i=i: store.put(
-            "dc1", f"n{i}", {"gpa": i / 8, "dept": "cs"}))
-    sim.run_until(sim.now + 20)
-    assert net.nodes[a].index.clock != net.nodes[b].index.clock
-    merged = net.nodes[net.merge_siblings(a, b)]
-    for _ in range(2):
-        clear_upper_caches(net)
-        ask(net, "gpa < 3.0 FRESHNESS any", "dc2")
-    assert merged.cache.hits == 1
-    assert net.verify_errors == []
-
-
-def test_scrub_empties_leaf_caches_so_later_hits_check_clean():
-    # a concurrent conflict leaves the losing version visible until a scrub
-    # culls it without advancing any clock, so an entry cached before the
-    # scrub no longer matches the leaf's index at its clock
-    sim, store, net = quiesced(dcs=("dc1", "dc2"), verify=True)
+    text = "gpa > 2.0 FRESHNESS any"
+    assert ask(net, text, "dc2").keys == {"k"}
+    sim.partition("dc1", "dc2", sim.now, sim.now + 500)
+    sim.run_until(sim.now)
     store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
-    store.put("dc2", "k", {"gpa": 1.5, "dept": "cs"})
+    sim.run_until(sim.now + 30)  # dc1 and dc3 have ingested the overwrite
+    (entry,) = net.root.cache.entries.values()
+    corrupt(entry)
+    res = ask(net, text, "dc2")
+    assert res.stats["cache_hits"] == 1 and check.checked == 1
+    return res, check
+
+
+def test_cache_check_passes_a_clean_root_hit():
+    res, check = checked_root_hit(lambda entry: None)
+    assert res.keys == {"k"}  # dc2 still holds the old version
+    assert check.lines() == ["PASS cache: 1 hits checked"]
+
+
+def test_cache_check_flags_an_overwrite_pushed_into_a_root_entry():
+    # the defect of pushing later index deltas into frozen entries: the
+    # overwrite's remove drops k from the entry, whose clock stays put, and
+    # dc2 has no entry past that clock from which to recover k
+    def push_remove(entry):
+        entry.content = {t: kv for t, kv in entry.content.items()
+                         if kv[0] != "k"}
+
+    res, check = checked_root_hit(push_remove)
+    assert res.keys == set()
+    (line,) = check.lines()
+    assert line.startswith("FAIL cache: qpu/root: hit at {dc1:1}")
+    assert line.endswith("misses ['k']")
+
+
+def test_repeated_query_hits_dispatch_caches_across_split_and_merge():
+    # a structural change below a node leaves the pieces it receives, and
+    # so its exact cache keys, unchanged
+    sim, store, net = quiesced(dcs=("dc1",), history=CUT, n=80, seed=22,
+                               rngseed=22)
+    text = "gpa > 0.5 AND gpa < 3.5 FRESHNESS any"
+    want = scan(store.replicas["dc1"], parse(text, SCHEMA))
+    stages = ["qpu/root", "qpu/dc1", "qpu/dc1/h0", "qpu/dc1/h1"]
+
+    def hit_at(stage):
+        for above in stages[:stages.index(stage)]:
+            net.nodes[above].cache.clear()
+        before = net.nodes[stage].cache.hits
+        res = ask(net, text, "dc1")
+        assert res.keys == want
+        return net.nodes[stage].cache.hits - before
+
+    ask(net, text, "dc1")
+    a, b = net.force_split("qpu/dc1/h1")
     sim.run_until_quiescent()
-    text = "gpa < 2.0 FRESHNESS any"
-    leaf = net.nodes["qpu/dc2/h0"]
-    ask(net, text, "dc2")
-    assert leaf.index.visible_count() == 2 and len(leaf.cache.entries) == 1
-    assert net.scrub_all() == 2  # the loser, culled at each DC's leaf
-    assert not leaf.cache.entries
-    for _ in range(2):
-        clear_upper_caches(net)
-        ask(net, text, "dc2")
-    assert leaf.cache.hits == 1
-    assert net.verify_errors == []
+    assert net.nodes["qpu/dc1/h1"].kind == "value"
+    assert hit_at("qpu/dc1") == 1
+    assert hit_at("qpu/dc1/h0") == 1
+    assert hit_at("qpu/dc1/h1") == 0  # a fresh cache, filled by this miss
+    net.merge_siblings(a, b)
+    sim.run_until_quiescent()
+    for stage in stages[1:]:
+        assert hit_at(stage) == 1
 
 
 def test_root_cache_keeps_a_key_the_querying_dc_still_holds():
@@ -373,13 +329,15 @@ def test_root_cache_keeps_a_key_the_querying_dc_still_holds():
 
 def test_cache_lru_eviction():
     cache = ResultCache(capacity=2)
-    for i, (lo, hi) in enumerate([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]):
-        r = rect_for(lo, hi)
+    rs = [rect_for(lo, hi) for lo, hi in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]]
+    for i, r in enumerate(rs[:2]):
         cache.insert((r,), r.render(), {}, VectorClock({"dc1": i + 1}))
+    assert cache.probe((rs[0],), rs[0].render(), VectorClock()) is not None
+    # the hit renewed rs[0], so the third entry evicts rs[1]
+    cache.insert((rs[2],), rs[2].render(), {}, VectorClock({"dc1": 3}))
     assert len(cache.entries) == 2
-    r0 = rect_for(0.0, 1.0)
-    binner = Binner(SCHEMA, {})
-    assert cache.probe((r0,), r0.render(), VectorClock(), binner) is None
+    assert cache.probe((rs[1],), rs[1].render(), VectorClock()) is None
+    assert cache.probe((rs[0],), rs[0].render(), VectorClock()) is not None
 
 
 def test_repeated_query_hits_caches_with_identical_keys():
@@ -456,17 +414,24 @@ def test_merged_clock_is_the_floor_of_the_parts():
 
 
 def test_merge_requires_adjacent_siblings():
-    from qpusim import MergeRefused, SplitPolicy
+    from qpusim import MergeRefused
 
-    sim, store, net = quiesced(dcs=("dc1",), n=60, seed=20, rngseed=20,
-                               split=SplitPolicy(mode="replace"))
+    sim, store, net = quiesced(dcs=("dc1",), n=60, seed=20, rngseed=20)
     a, b = net.force_split("qpu/dc1/h0")
-    aa, ab = net.force_split(a)
-    # replace-mode splits leave all three leaves under the freshness node,
-    # so the outer pair is same-parent but not seam-adjacent
-    with pytest.raises(MergeRefused, match="union"):
-        net.merge_siblings(aa, b)
-    net.merge_siblings(aa, ab)
+    leaf_b = net.nodes[b]
+    whole_b = leaf_b.region
+    iv = whole_b.ivs["gpa"]
+    # split halves always meet at their seam, so open a gap there by hand,
+    # then make them differ on a second axis as well
+    gap = whole_b.narrowed("gpa", Interval(iv.lo + 0.1, iv.hi, False,
+                                           iv.hi_open))
+    skew = gap.narrowed("dept", Interval("a", "m", False, False))
+    for region in (gap, skew):
+        leaf_b.region = region
+        with pytest.raises(MergeRefused, match="union"):
+            net.merge_siblings(a, b)
+    leaf_b.region = whole_b
+    net.merge_siblings(a, b)
 
 
 def test_merge_rejects_leaves_under_different_parents():
@@ -474,7 +439,7 @@ def test_merge_rejects_leaves_under_different_parents():
 
     sim, store, net = quiesced(dcs=("dc1",), n=60, seed=20, rngseed=20)
     a, b = net.force_split("qpu/dc1/h0")
-    aa, ab = net.force_split(a)  # internal mode: a morphs into their parent
+    aa, ab = net.force_split(a)  # a morphs into their parent
     with pytest.raises(MergeRefused, match="not siblings"):
         net.merge_siblings(aa, b)
 

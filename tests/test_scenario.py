@@ -163,3 +163,23 @@ def test_write_outputs_files(tmp_path):
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["queries"] == 1
     assert manifest["scenario"]["name"] == "t"
+
+
+def test_each_distinct_query_text_is_parsed_once():
+    texts = ["x > 0.0 FRESHNESS strong", "x < 4.0", "x > 0.0 FRESHNESS strong",
+             "x > 0.0", "x > -0.0"]
+    sc = parse_scenario(minimal(workload=[
+        {"t": t, "op": "query", "dc": "dc1", "text": text}
+        for t, text in enumerate(texts)]))
+    first, second, third, fourth, fifth = (sc.queries[i] for i in range(5))
+    assert first is third and first is not second
+    # one expression object per expression, whatever the FRESHNESS clause,
+    # but -0.0 is not the 0.0 it compares equal to
+    assert fourth is not first and fourth.expr is first.expr
+    assert fifth.expr == first.expr and fifth.expr is not first.expr
+
+
+def test_query_text_that_is_not_a_string_is_rejected():
+    raw = minimal(workload=[{"t": 1, "op": "query", "dc": "dc1", "text": 5}])
+    with pytest.raises(ScenarioError, match="query text must be a string"):
+        parse_scenario(raw)
