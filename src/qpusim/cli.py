@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a run finished but verification failed,
-2 when inputs did not validate.
+2 when inputs did not validate or a run hit its limits.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .scenario import (
     run_scenario,
     write_outputs,
 )
+from .simcore import LivelockError
 from .workload import WorkloadSpec, gen_workload
 
 
@@ -106,6 +107,10 @@ def main(argv=None) -> int:
         return 2
     except QueryError as exc:
         print(f"query error: {exc}", file=sys.stderr)
+        return 2
+    except LivelockError as exc:
+        print(f"run error: reached limits.{exc.limit} at tick {exc.now} "
+              f"with {exc.pending} events pending", file=sys.stderr)
         return 2
 
 

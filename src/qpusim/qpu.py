@@ -3,9 +3,17 @@
 One tree serves all datacenters: a dispatch root at the home DC fans out to a
 freshness node per DC, and each freshness node owns a value-partitioned
 subtree of history leaves plus one live leaf. History leaves keep converging
-inverted indexes fed from their colocated replica (and, in delta mode, from
-peer leaves abroad); live leaves scan the tail of the local log so results can
+inverted indexes; live leaves scan the tail of the local log so results can
 reach targets the history side has not indexed yet.
+
+Ingest note: a history leaf indexes each origin in its scope through one
+gapless cursor, the origin's component of the index clock. Every source
+offers entries to it: the colocated log, in every mode; the same-region
+peer abroad, in delta mode, whose deltas can arrive before the log has the
+entry; and query catch-up. The entry at clock+1 applies, later ones wait
+in a buffer, and older ones are duplicates. Since the log offers
+everything the replica applies, a leaf's clock never falls behind its
+replica's heads, and no mode switch or rewire leaves a gap to replay.
 
 Caching note: the dispatch stages (dc, freshness and value nodes) keep
 result caches whose entries are frozen at insertion: the content is the join
@@ -270,7 +278,8 @@ class Qpu:
         self.subscribed_to: set[str] = set()
         self.peers: dict[str, str] = {}  # dc -> same-region leaf abroad
         self.switch_log: list[tuple] = []
-        self._delta_buf: dict[str, dict[int, tuple]] = {}
+        # origin -> seq -> (delta, raw attrs) offered ahead of the clock
+        self.ahead: dict[str, dict[int, tuple]] = {}
         # gossip
         self._gossip_armed = False
         self._gossip_sent: VectorClock | None = None
@@ -525,41 +534,39 @@ class Qpu:
         return self.index.clock
 
     def apply_entry(self, entry: LogEntry):
-        self._apply_entry(entry)
+        # a duplicate is dropped before it is binned
+        if entry.seq > self.index.clock.get(entry.origin_dc):
+            self._offer(self.index.delta_for(entry, self.region), entry.attrs)
 
     # -- ingest ---------------------------------------------------------------------
 
     def _on_feed(self, entry: LogEntry):
         # synchronous callback from the colocated replica's apply
-        if self.kind != "hist" or not self._log_fed(entry.origin_dc):
-            return
-        if entry.seq <= self.index.clock.get(entry.origin_dc):
-            return  # already in via peer delta or catch-up
-        self._apply_entry(entry)
-
-    def _apply_entry(self, entry: LogEntry):
-        delta = self.index.delta_for(entry, self.region)
-        self.index.apply_delta(delta)
-        self._post_apply(delta, entry.attrs, entry.origin_dc)
+        if entry.origin_dc in self.scope:
+            self.apply_entry(entry)
 
     def on_peer_delta(self, payload):
-        if self.kind != "hist":
-            return
-        delta, raw_attrs = payload
-        if delta.seq <= self.index.clock.get(delta.origin):
-            return
-        buf = self._delta_buf.setdefault(delta.origin, {})
-        buf[delta.seq] = payload
-        self._drain_deltas(delta.origin)
+        if self.kind == "hist":  # a split or merge may have overtaken it
+            self._offer(*payload)
 
-    def _drain_deltas(self, origin: str):
-        buf = self._delta_buf.get(origin)
-        if not buf:
+    def _offer(self, delta: IndexDelta, raw_attrs):
+        """Offer the delta to its origin's cursor (see the ingest note):
+        at clock+1 it applies, and so do the buffered ones that follow."""
+        origin, seq = delta.origin, delta.seq
+        expected = self.index.clock.get(origin) + 1
+        if seq != expected:
+            if seq > expected:
+                self.ahead.setdefault(origin, {})[seq] = (delta, raw_attrs)
             return
-        while self.index.clock.get(origin) + 1 in buf:
-            delta, raw_attrs = buf.pop(self.index.clock.get(origin) + 1)
+        buf = self.ahead.get(origin, {})
+        while True:
             self.index.apply_delta(delta)
             self._post_apply(delta, raw_attrs, origin)
+            buf.pop(seq, None)  # the same seq, offered by another source
+            seq += 1
+            if seq not in buf:
+                return
+            delta, raw_attrs = buf.pop(seq)
 
     def _post_apply(self, delta: IndexDelta, raw_attrs, origin: str):
         # selectivity tracks writes, not deletes; a delta adds a point only
@@ -598,33 +605,7 @@ class Qpu:
         self.repl_mode = to
         # a fresh window must fill before the next flip can happen
         self.window.clear()
-        if to == LOG:
-            self.net._unsubscribe_peers(self)
-            self._replay_local_gap()
-        else:
-            self.net._subscribe_peers(self)
-
-    def _log_fed(self, origin: str) -> bool:
-        """Whether this leaf ingests `origin` from its colocated log. In delta
-        mode a foreign origin comes from the same-region peer in that DC;
-        an origin with no such peer still comes from the log."""
-        if origin not in self.scope:
-            return False
-        return self.repl_mode != DELTA or origin not in self.peers
-
-    def _replay_local_gap(self):
-        """Apply what the colocated log holds past the index clock for every
-        log-fed origin, and drop buffered peer deltas that are now covered.
-        The origins are fixed up front: an apply may flip the mode midway."""
-        origins = {o for o in self.scope if self._log_fed(o)}
-        for entry in self.replica.entries_after(self.index.clock):
-            if entry.origin_dc in origins:
-                if entry.seq == self.index.clock.get(entry.origin_dc) + 1:
-                    self._apply_entry(entry)
-        for origin in list(self._delta_buf):
-            buf = self._delta_buf[origin]
-            for seq in [s for s in buf if s <= self.index.clock.get(origin)]:
-                del buf[seq]
+        self.net._wire_peers(self)
 
     # -- gossip ---------------------------------------------------------------------
 
@@ -908,27 +889,22 @@ class QpuNetwork:
             groups.setdefault(leaf.region.key(), {})[leaf.dc] = leaf.actor
         for leaf in self.hist_leaves():
             group = groups[leaf.region.key()]
-            leaf.peers = {dc: a for dc, a in sorted(group.items()) if dc != leaf.dc}
-            if leaf.repl_mode == DELTA:
-                self._subscribe_peers(leaf)
-                # an origin whose peer went away is log-fed from now on; the
-                # next entry must follow the index clock, so close the gap
-                leaf._replay_local_gap()
-            else:
-                self._unsubscribe_peers(leaf)
+            # a peer feeds the leaf only origins in its scope: a
+            # non-replicated leaf indexes its own DC's writes alone
+            leaf.peers = {dc: a for dc, a in sorted(group.items())
+                          if dc != leaf.dc and dc in leaf.scope}
+            self._wire_peers(leaf)
 
-    def _subscribe_peers(self, leaf: Qpu):
-        want = set(leaf.peers.values())
+    def _wire_peers(self, leaf: Qpu):
+        """Subscribe a delta-mode history leaf to its peers, and any other
+        node to none."""
+        want = (set(leaf.peers.values())
+                if leaf.kind == "hist" and leaf.repl_mode == DELTA else set())
         for actor in sorted(leaf.subscribed_to - want):
             self.nodes[actor].subscribers.discard(leaf.actor)
         for actor in sorted(want - leaf.subscribed_to):
             self.nodes[actor].subscribers.add(leaf.actor)
         leaf.subscribed_to = want
-
-    def _unsubscribe_peers(self, leaf: Qpu):
-        for actor in sorted(leaf.subscribed_to):
-            self.nodes[actor].subscribers.discard(leaf.actor)
-        leaf.subscribed_to = set()
 
     # -- split / merge ------------------------------------------------------------
 
@@ -953,9 +929,9 @@ class QpuNetwork:
             child = kids[0] if region_a.contains_point(attrs) else kids[1]
             child.index.post(tag, key, attrs)
         self.store.replicas[leaf.dc].unsubscribe(leaf._on_feed)
-        self._unsubscribe_peers(leaf)
         # the leaf morphs in place into the value node over its halves
         leaf.kind = "value"
+        self._wire_peers(leaf)
         leaf.index = None
         leaf.cache = ResultCache(self.cfg.cache_capacity)
         leaf.children = [ChildRef(k.actor, "hist", k.region, k.dc, k.scope)
@@ -1024,8 +1000,8 @@ class QpuNetwork:
         self.store.replicas[a.dc].subscribe(merged._on_feed)
         for old in (a, b):
             self.store.replicas[old.dc].unsubscribe(old._on_feed)
-            self._unsubscribe_peers(old)
             old.kind = "retired"
+            self._wire_peers(old)
             old.index = None
             parent.child_clocks.pop(old.actor, None)
             parent.child_sizes.pop(old.actor, None)
@@ -1101,25 +1077,11 @@ class QpuNetwork:
 
     # -- convergence maintenance ------------------------------------------------------
 
-    def sync_leaves(self) -> int:
-        """Close any delta-mode gaps from the colocated logs. Cheap because
-        every leaf tracks a contiguous prefix per origin."""
-        applied = 0
-        for leaf in self.hist_leaves():
-            for entry in leaf.replica.entries_after(leaf.index.clock):
-                if entry.origin_dc in leaf.scope:
-                    if entry.seq == leaf.index.clock.get(entry.origin_dc) + 1:
-                        leaf._apply_entry(entry)
-                        applied += 1
-        return applied
-
     def scrub_all(self) -> int:
-        """One scrub pass: sync leaves up to their local logs, then drop every
-        posting whose tag lost to the current winner. A cull changes a leaf's
-        index without advancing its clock. Cache entries above the leaves
-        keep the culled postings; the coordinator's candidate check drops
-        them."""
-        self.sync_leaves()
+        """One scrub pass: drop every posting whose tag lost to the current
+        winner. A cull changes a leaf's index without advancing its clock.
+        Cache entries above the leaves keep the culled postings; the
+        coordinator's candidate check drops them."""
         total = 0
         for leaf in self.hist_leaves():
             pairs = leaf.index.stale_postings(leaf.replica)

@@ -362,6 +362,8 @@ def run_scenario(sc: Scenario, trace: bool = False,
         elif op == "scrub":
             sim.at(t, net.scrub_all)
     sim.run_until_quiescent(max_ticks=sc.max_ticks, max_events=sc.max_events)
+    if oracle:
+        verify_lines.append(_verify_ingest(net))
     scrubbed = 0
     if sc.scrub_at_end:
         scrubbed = net.scrub_all()
@@ -378,6 +380,20 @@ def _forced(fn, args, errors: list[str]):
         fn(*args)
     except (SplitRefused, MergeRefused, ValueError) as exc:
         errors.append(str(exc))
+
+
+def _verify_ingest(net) -> str:
+    """Whether every history leaf has indexed all its replica holds of the
+    origins in its scope, with nothing left buffered ahead of its clock."""
+    behind = buffered = 0
+    for leaf in net.hist_leaves():
+        lag = leaf.index.clock.lag_behind(leaf.replica.heads.restrict(leaf.scope))
+        behind += sum(n for n in lag.values() if n > 0)
+        buffered += sum(map(len, leaf.ahead.values()))
+    if behind or buffered:
+        return (f"FAIL ingest: leaves {behind} entries behind their replica "
+                f"heads, {buffered} deltas buffered")
+    return "PASS ingest: every leaf at its replica heads"
 
 
 def _verify_end_state(sc: Scenario, store, net, scrubbed: int) -> list[str]:

@@ -15,10 +15,15 @@ from typing import Any, Callable
 
 
 class LivelockError(Exception):
-    def __init__(self, pending: int, now: int):
+    """A run reached a bound before quiescence; `limit` names the bound,
+    max_ticks or max_events."""
+
+    def __init__(self, pending: int, now: int, limit: str):
         self.pending = pending
         self.now = now
-        super().__init__(f"no quiescence by tick {now}, {pending} events pending")
+        self.limit = limit
+        super().__init__(f"no quiescence by tick {now} ({limit}), "
+                         f"{pending} events pending")
 
 
 @dataclass
@@ -167,8 +172,10 @@ class Simulation:
         their release event fires, so quiescence implies full delivery."""
         events = 0
         while self._heap:
-            if self._heap[0][0] > max_ticks or events >= max_events:
-                raise LivelockError(len(self._heap), self.now)
+            if self._heap[0][0] > max_ticks:
+                raise LivelockError(len(self._heap), self.now, "max_ticks")
+            if events >= max_events:
+                raise LivelockError(len(self._heap), self.now, "max_events")
             self.step()
             events += 1
         return self.now

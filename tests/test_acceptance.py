@@ -353,15 +353,15 @@ def test_11_determinism():
 # on purpose regenerates them and says why.
 OUTPUT_DIGESTS = {
     "students.json":
-        "f2ae5a6f40ad3a4cba70909c2e52cf99fc3c5cc570b66eb65ce4e9b4748e17bb",
+        "e49533d6d7ef15ffd99b994331f6842f074fc223baad3611551b4990a853b177",
     "convergence.json":
-        "fdab74ede85e37114fbbbb53d98115a97a32a9e39b2c184a8bdca7dc6a28fefb",
+        "d231a7ac4675ce102d9273ff7e12c0a10bb0c5d10f7fdfd9549ee49ac427e360",
     "churn.json":
-        "910b7fbc89b264b31cc28264bd7e1bae39b079ed0a4b657d97418f3a3a615b6f",
+        "17b72172537b3d318b91222d378a25793f3de73cbd0e28373883cf449d49359f",
     "hysteresis.json":
-        "86e3babb7ab2e43ffa06d013c0fca025347f5ee69a3ea88ad78503c30edd2e2b",
+        "084c240d05262dfd2bfdfa1e38041a20bb08be73f8af36e78d62bf4c7b0f9050",
     "maintenance.json":
-        "8e9f50e6d26e21fd014d51dfaae7d5a4624835275eccabb80f908f45205875c1",
+        "1e0286aac2958b815856a9fb46badc282278932c4f1d2177934f1110a297d8ac",
 }
 
 

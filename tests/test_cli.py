@@ -237,3 +237,20 @@ def test_section_of_the_wrong_type_exits_2(tmp_path, capsys, fields, field):
     err = capsys.readouterr().err
     assert "scenario error" in err and field in err
     assert "(line " in err
+
+
+@pytest.mark.parametrize("limit", ["max_events", "max_ticks"])
+@pytest.mark.parametrize("cmd", [["verify"], ["run"], ["query"]],
+                         ids=lambda c: c[0])
+def test_run_that_hits_its_limits_exits_2(tmp_path, capsys, cmd, limit):
+    path = students_with(tmp_path, limits={limit: 5})
+    args = cmd + [path]
+    if cmd == ["run"]:
+        args += ["--out-dir", str(tmp_path / "out")]
+    if cmd == ["query"]:
+        args += ["GPA > 2.0"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"limits.{limit}" in err
+    assert "at tick " in err and "events pending" in err
+    assert "Traceback" not in err

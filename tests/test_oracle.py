@@ -147,7 +147,6 @@ def test_rebuild_matches_converged_scrubbed_leaves():
     keys = fill(store, rng, 100)
     sim.at(600, lambda: store.delete("dc3", keys[5]))
     sim.run_until_quiescent()
-    net.sync_leaves()
     net.scrub_all()
     want = rebuild_index(store.replicas["dc1"], net.binner).canonical()
     for leaf in net.hist_leaves():

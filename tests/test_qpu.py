@@ -14,6 +14,7 @@ from qpusim import (
     SplitRefused,
     StalenessLevel,
     VectorClock,
+    catch_up,
     parse,
     rebuild_index,
     scan,
@@ -78,7 +79,6 @@ def test_leaves_match_region_rebuilds_after_churn():
     sim.at(900, lambda: store.delete("dc2", keys[0]))
     sim.at(901, lambda: store.delete("dc3", keys[1]))
     sim.run_until_quiescent()
-    net.sync_leaves()
     net.scrub_all()
     for leaf in net.hist_leaves():
         want = rebuild_index(store.replicas[leaf.dc], net.binner,
@@ -406,8 +406,10 @@ def test_merged_clock_is_the_floor_of_the_parts():
     floor = net.nodes[a].index.clock.floor(net.nodes[b].index.clock)
     merged = net.merge_siblings(a, b)
     assert net.nodes[merged].index.clock == floor
-    # catch-up closes the under-claimed gap and the leaf matches a rebuild
-    net.sync_leaves()
+    # catch-up, as a strong query would run it, closes the under-claimed
+    # gap and the leaf matches a rebuild
+    leaf = net.nodes[merged]
+    catch_up(leaf, leaf.replica, leaf.replica.heads)
     net.scrub_all()
     want = rebuild_index(store.replicas["dc1"], net.binner)
     assert net.nodes[merged].index.canonical() == want.canonical()
@@ -517,7 +519,6 @@ def test_delta_mode_converges_via_peer_feeds():
     rng = random.Random(21)
     fill(store, rng, 90)
     sim.run_until_quiescent()
-    net.sync_leaves()
     net.scrub_all()
     want = rebuild_index(store.replicas["dc1"], net.binner).canonical()
     for leaf in net.hist_leaves():
@@ -544,6 +545,37 @@ def test_delta_leaf_without_a_peer_takes_foreign_origins_from_its_log():
     for actor in ("qpu/dc1/h0.a", "qpu/dc1/h0.b"):
         assert net.nodes[actor].peers == {}
         assert net.nodes[actor].index.clock == store.replicas["dc1"].heads
+
+
+def test_switch_to_delta_with_writes_in_flight_leaves_no_gap():
+    # the peer sends only the deltas it applies after the subscription, so
+    # the five writes in flight at the switch must come in through the log
+    sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="adaptive")
+    rng = random.Random(3)
+    leaf = net.nodes["qpu/dc1/h0"]
+    fill(store, rng, 10, dcs=["dc2"], prefix="a")
+    sim.run_until_quiescent()
+    fill(store, rng, 5, dcs=["dc2"], prefix="b")
+    leaf._switch("delta", 0.0)
+    fill(store, rng, 5, dcs=["dc2"], prefix="c")
+    sim.run_until_quiescent()
+    assert leaf.repl_mode == "delta" and leaf.subscribed_to == {"qpu/dc2/h0"}
+    assert leaf.index.clock.get("dc2") == 20
+    assert not any(leaf.ahead.values())
+
+
+def test_non_replicated_delta_leaves_take_no_peers():
+    # each leaf owns its own DC's origin, so a leaf abroad has nothing to
+    # feed it; a peer would post writes of an origin outside its scope
+    sim, store, net = build(replicated=False, repl_mode="delta", seed=4,
+                            jitter=3)
+    fill(store, random.Random(4), 60)
+    sim.run_until_quiescent()
+    net.scrub_all()
+    for leaf in net.hist_leaves():
+        assert leaf.peers == {} and leaf.subscribed_to == set()
+        want = rebuild_index(leaf.replica, net.binner, origins=leaf.scope)
+        assert leaf.index.canonical() == want.canonical(), leaf.actor
 
 
 # -- query plans --------------------------------------------------------------------

@@ -183,3 +183,66 @@ def test_query_text_that_is_not_a_string_is_rejected():
     raw = minimal(workload=[{"t": 1, "op": "query", "dc": "dc1", "text": 5}])
     with pytest.raises(ScenarioError, match="query text must be a string"):
         parse_scenario(raw)
+
+
+def write_heavy(mode: str, seed: int) -> dict:
+    """A generated write-heavy run over three DCs with duplicated, jittered
+    replication. The written prices move from the low half of the space to
+    the high half, so adaptive leaves switch modes. Every DC splits its low
+    leaf a quarter of the way in, and dc2 merges the halves back at three
+    quarters, which leaves the other DCs' halves without a peer."""
+    raw = {
+        "name": f"write-heavy-{mode}",
+        "seed": seed,
+        "dcs": ["dc1", "dc2", "dc3"],
+        "schema": {"price": {"kind": "float", "lo": 0.0, "hi": 1000.0},
+                   "stock": {"kind": "int", "lo": 0, "hi": 500}},
+        "binning": {"price": 16, "stock": 10},
+        "net": {"intra_dc_delay": 1, "inter_dc_delay": 6, "jitter": 20,
+                "dup_prob": 0.2},
+        "tree": {"root_dc": "dc2", "repl_mode": mode,
+                 "selectivity": {"window": 60, "theta_low": 0.05,
+                                 "theta_high": 0.15},
+                 "history": {"attr": "price", "at": 500.0,
+                             "lo": "leaf", "hi": "leaf"}},
+        "verify": {"oracle": True},
+        "generate": {"phases": [
+            {"objects": 300, "actions": 300, "query_frac": 0.03,
+             "delete_frac": 0.05, "gap": 1,
+             "value_ranges": {"price": [0.0, 499.0]}},
+            {"objects": 300, "actions": 300, "query_frac": 0.03,
+             "delete_frac": 0.05, "gap": 1,
+             "value_ranges": {"price": [501.0, 1000.0]}},
+        ]},
+    }
+    acts = parse_scenario(raw).workload
+    end = acts[-1]["t"]
+    forced = [{"t": end // 4, "op": "force-split", "qpu": f"qpu/{dc}/h1"}
+              for dc in raw["dcs"]]
+    forced.append({"t": end * 3 // 4, "op": "force-merge",
+                   "a": "qpu/dc2/h1.a", "b": "qpu/dc2/h1.b"})
+    raw.pop("generate")
+    raw["workload"] = sorted(acts + forced, key=lambda a: a["t"])
+    return raw
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["log", "delta", "adaptive"])
+def test_every_replication_mode_ingests_without_a_gap(mode, seed):
+    report = run_scenario(parse_scenario(write_heavy(mode, seed)))
+    assert report.runtime_errors == []
+    assert "PASS ingest: every leaf at its replica heads" in report.verify_lines
+    assert report.verify_ok, [ln for ln in report.verify_lines
+                              if ln.startswith("FAIL")]
+
+
+def test_adaptive_leaves_switch_at_most_once_per_tick():
+    switches = 0
+    for seed in (1, 2, 3):
+        report = run_scenario(parse_scenario(write_heavy("adaptive", seed)))
+        for leaf in report.net.nodes.values():
+            ticks = [s[0] for s in leaf.switch_log]
+            switches += len(ticks)
+            assert len(ticks) == len(set(ticks)), (seed, leaf.actor,
+                                                   leaf.switch_log)
+    assert switches > 0
