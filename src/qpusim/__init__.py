@@ -51,9 +51,7 @@ from .staleness import (
     StalenessLevel,
     UnsatisfiableStaleness,
     VectorClock,
-    catch_up,
     resolve_target,
-    stable_snapshot,
 )
 from .workload import (KeySampler, WorkloadSpec, gen_phases, gen_workload,
                        random_query_text)

@@ -2,18 +2,19 @@
 
 One tree serves all datacenters: a dispatch root at the home DC fans out to a
 freshness node per DC, and each freshness node owns a value-partitioned
-subtree of history leaves plus one live leaf. History leaves keep converging
-inverted indexes; live leaves scan the tail of the local log so results can
-reach targets the history side has not indexed yet.
+subtree of history leaves. History leaves keep converging inverted indexes
+and answer every query from them.
 
 Ingest note: a history leaf indexes each origin in its scope through one
-gapless cursor, the origin's component of the index clock. Every source
-offers entries to it: the colocated log, in every mode; the same-region
+gapless cursor, the origin's component of the index clock. Two sources
+offer entries to it: the colocated log, in every mode, and the same-region
 peer abroad, in delta mode, whose deltas can arrive before the log has the
-entry; and query catch-up. The entry at clock+1 applies, later ones wait
-in a buffer, and older ones are duplicates. Since the log offers
-everything the replica applies, a leaf's clock never falls behind its
-replica's heads, and no mode switch or rewire leaves a gap to replay.
+entry. The entry at clock+1 applies, later ones wait in a buffer, and older
+ones are duplicates. Since the log offers everything the replica applies,
+synchronously as the replica applies it, a leaf's clock never falls behind
+its replica's heads, and no mode switch or rewire leaves a gap to replay.
+So a leaf already covers any target its replica can: the paper's live leaf,
+which scans the log tail past the indexed prefix, would find nothing there.
 
 Caching note: the dispatch stages (dc, freshness and value nodes) keep
 result caches whose entries are frozen at insertion: the content is the join
@@ -22,7 +23,7 @@ serves only targets at or below that clock and claims that clock as its
 coverage. Any freshness beyond a response's claimed coverage is recovered by
 the coordinator, which rescans its origin log past the claim and
 candidate-checks every key, so later writes never need to reach the caches.
-Leaves keep no cache: a history leaf answers from its index after catch-up.
+Leaves keep no cache: a history leaf answers from its index as it stands.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .staleness import (
     SnapshotReport,
     UnsatisfiableStaleness,
     VectorClock,
-    catch_up,
     floor_all,
     resolve_target,
 )
@@ -150,7 +150,6 @@ class Probe:
     level: object = None  # StalenessLevel, set on the root probe only
     origin_heads: VectorClock | None = None  # ditto
     target: VectorClock | None = None  # resolved at the root
-    boundary: VectorClock | None = None  # set on live probes
 
 
 @dataclass
@@ -238,7 +237,6 @@ class ResultCache:
 class _Join:
     probe: Probe
     order: list  # child actors in dispatch order
-    roles: dict  # child actor -> hist | live | value | dc
     expected: set = field(default_factory=set)
     hits: dict = field(default_factory=dict)
     clocks: dict = field(default_factory=dict)
@@ -249,8 +247,8 @@ class _Join:
 
 
 class Qpu:
-    """One tree node: a dispatch stage (dc, freshness, value) or a leaf
-    (hist, live). Split leaves morph into value nodes in place, so parents
+    """One tree node: a dispatch stage (dc, freshness, value) or a history
+    leaf (hist). Split leaves morph into value nodes in place, so parents
     never have to re-learn addresses."""
 
     def __init__(self, net: "QpuNetwork", actor, kind, dc, region, scope, parent=None):
@@ -324,9 +322,6 @@ class Qpu:
         if self.kind == "hist":
             self._serve_hist(probe)
             return
-        if self.kind == "live":
-            self._serve_live(probe)
-            return
         got = self.cache.probe(probe.rects, probe.residual, probe.target)
         if got is not None:
             hits, cclock = got
@@ -339,16 +334,14 @@ class Qpu:
 
     def _dispatch(self, probe: Probe):
         if self.kind == "dc":
-            plan, roles = self._plan_dc(probe)
-        elif self.kind == "freshness":
-            plan, roles = self._plan_freshness(probe)
+            plan = self._plan_dc(probe)
         else:
-            plan, roles = self._plan_value(probe)
-        if plan is None:
-            self._respond(probe, {}, None, (self._line("forward", None),), 0,
-                          error=roles)  # roles carries the message here
-            return
-        join = _Join(probe, [c.actor for c, _ in plan], roles)
+            plan, error = self._plan_value(probe)
+            if error is not None:
+                self._respond(probe, {}, None, (self._line("forward", None),),
+                              0, error=error)
+                return
+        join = _Join(probe, [c.actor for c, _ in plan])
         join.expected = set(join.order)
         join.visited.add(self.actor)
         self.joins[probe.qid] = join
@@ -360,62 +353,29 @@ class Qpu:
             self.sim.send(self.actor, ref.actor, stage[self.kind], child_probe,
                           note=probe.qid)
 
-    def _plan_dc(self, probe: Probe):
-        plan = []
-        roles = {}
+    def _plan_dc(self, probe: Probe) -> list:
         if self.net.cfg.replicated:
             ref = next((c for c in self.children if c.dc == probe.origin_dc), None)
-            chosen = [ref] if ref is not None else list(self.children)
-            for c in chosen:
-                plan.append((c, replace(probe, reply_to=self.actor)))
-                roles[c.actor] = "replica"
-        else:
-            # origins are partitioned across DCs: fan out with scoped targets
-            for c in self.children:
-                scoped = probe.target.restrict(c.scope)
-                plan.append((c, replace(probe, reply_to=self.actor, target=scoped)))
-                roles[c.actor] = "scoped"
-        return plan, roles
-
-    def _plan_freshness(self, probe: Probe):
-        hist = [c for c in self.children if c.kind != "live"]
-        live = next((c for c in self.children if c.kind == "live"), None)
-        boundary = self._hist_boundary(hist)
-        assignments, uncovered = greedy_cover(
-            list(probe.rects), [(c.actor, c.region) for c in hist], self.net.schema)
-        if uncovered:
-            return None, f"history subtree does not cover {uncovered[0].render()}"
-        by_actor = {c.actor: c for c in hist}
-        plan = []
-        roles = {}
-        for actor, pieces in assignments:
-            c = by_actor[actor]
-            plan.append((c, replace(probe, rects=tuple(pieces), reply_to=self.actor)))
-            roles[actor] = "hist"
-        if live is not None and not boundary.dominates(probe.target):
-            plan.append((live, replace(probe, reply_to=self.actor, boundary=boundary)))
-            roles[live.actor] = "live"
-        return plan, roles
+            chosen = [ref] if ref is not None else self.children
+            return [(c, replace(probe, reply_to=self.actor)) for c in chosen]
+        # origins are partitioned across DCs: fan out with scoped targets
+        return [(c, replace(probe, reply_to=self.actor,
+                            target=probe.target.restrict(c.scope)))
+                for c in self.children]
 
     def _plan_value(self, probe: Probe):
+        """Cover the probe's pieces with the children's regions: the plan of
+        a freshness node over its history subtree and of a value node over
+        its halves. Returns (plan, error message or None)."""
         assignments, uncovered = greedy_cover(
             list(probe.rects), [(c.actor, c.region) for c in self.children],
             self.net.schema)
         if uncovered:
-            return None, f"value children do not cover {uncovered[0].render()}"
+            return None, f"children do not cover {uncovered[0].render()}"
         by_actor = {c.actor: c for c in self.children}
-        plan = []
-        roles = {}
-        for actor, pieces in assignments:
-            plan.append((by_actor[actor],
-                         replace(probe, rects=tuple(pieces), reply_to=self.actor)))
-            roles[actor] = "value"
-        return plan, roles
-
-    def _hist_boundary(self, hist_refs) -> VectorClock:
-        out = floor_all(self.child_clocks.get(c.actor, VectorClock())
-                        for c in hist_refs)
-        return out if out is not None else VectorClock()
+        return [(by_actor[actor],
+                 replace(probe, rects=tuple(pieces), reply_to=self.actor))
+                for actor, pieces in assignments], None
 
     # -- responses ------------------------------------------------------------------
 
@@ -449,21 +409,13 @@ class Qpu:
                       visited=join.visited)
 
     def _joined_clock(self, join: _Join) -> VectorClock:
-        """Coverage of the union result. Complementary-range children (history
-        plus live, disjoint origin scopes) combine by max; children answering
-        the same question independently combine by min."""
+        """Coverage of the union result. Children with disjoint origin scopes
+        combine by max; children answering the same question independently
+        combine by min."""
         if self.kind == "dc" and not self.net.cfg.replicated:
             out = VectorClock()
             for a in join.order:
                 out = out.merge(join.clocks[a])
-            return out
-        if self.kind == "freshness":
-            out = floor_all(join.clocks[a] for a in join.order
-                            if join.roles[a] != "live")
-            out = out if out is not None else VectorClock()
-            for a in join.order:
-                if join.roles[a] == "live":
-                    out = out.merge(join.clocks[a])
             return out
         out = floor_all(join.clocks[a] for a in join.order)
         return out if out is not None else join.probe.target.copy()
@@ -501,15 +453,17 @@ class Qpu:
     # -- leaf serving ------------------------------------------------------------
 
     def _serve_hist(self, probe: Probe):
-        try:
-            catch_up(self, self.replica, probe.target)
-        except UnsatisfiableStaleness as exc:
+        # the ingest cursor keeps the index at its replica's heads, so an
+        # index short of the target means the replica is short of it too
+        clock = self.index.clock
+        if not clock.dominates(probe.target):
+            lagging = [d for d, s in probe.target.entries.items()
+                       if clock.get(d) < s]
             self._respond(probe, {}, None, (self._line("leaf-serve", None),), 0,
-                          error=str(exc))
+                          error=str(UnsatisfiableStaleness(lagging)))
             return
         hits = self._lookup(probe.rects)
-        self._respond(probe, hits, self.index.clock,
-                      (self._line("leaf-serve", self.index.clock),), 0)
+        self._respond(probe, hits, clock, (self._line("leaf-serve", clock),), 0)
 
     def _lookup(self, rects) -> dict:
         hits: dict = {}
@@ -517,33 +471,14 @@ class Qpu:
             hits.update(self.index.lookup(rect))
         return hits
 
-    def _serve_live(self, probe: Probe):
-        boundary = probe.boundary or VectorClock()
-        hits: dict = {}
-        for entry in self.replica.entries_after(boundary, upto=probe.target):
-            if entry.origin_dc not in self.scope or entry.attrs is None:
-                continue
-            if rect_match(probe.rects, entry.attrs):
-                hits[entry.stamp] = (entry.key, entry.attrs)
-        claim = boundary.merge(probe.target.floor(self.replica.heads))
-        self._respond(probe, hits, claim, (self._line("leaf-serve", claim),), 0)
-
-    # catch_up view protocol
-    @property
-    def clock(self) -> VectorClock:
-        return self.index.clock
-
-    def apply_entry(self, entry: LogEntry):
-        # a duplicate is dropped before it is binned
-        if entry.seq > self.index.clock.get(entry.origin_dc):
-            self._offer(self.index.delta_for(entry, self.region), entry.attrs)
-
     # -- ingest ---------------------------------------------------------------------
 
     def _on_feed(self, entry: LogEntry):
-        # synchronous callback from the colocated replica's apply
-        if entry.origin_dc in self.scope:
-            self.apply_entry(entry)
+        # synchronous callback from the colocated replica's apply; a
+        # duplicate is dropped before it is binned
+        origin = entry.origin_dc
+        if origin in self.scope and entry.seq > self.index.clock.get(origin):
+            self._offer(self.index.delta_for(entry, self.region), entry.attrs)
 
     def on_peer_delta(self, payload):
         if self.kind == "hist":  # a split or merge may have overtaken it
@@ -636,10 +571,9 @@ class Qpu:
 
     def _stable(self) -> VectorClock:
         """Clock every covered subtree has durably indexed: the floor over the
-        last gossiped child clocks. Live children derive their coverage from
-        the history boundary, so they stay out of the floor."""
+        last gossiped child clocks."""
         out = floor_all(self.child_clocks.get(c.actor, VectorClock())
-                        for c in self.children if c.kind != "live")
+                        for c in self.children)
         return out if out is not None else VectorClock()
 
 
@@ -789,11 +723,8 @@ class QpuNetwork:
                                    parent=self.root.actor)
             self.root.children.append(
                 ChildRef(fresh.actor, "freshness", whole, dc, scope))
-            hist_ref = self._build_history(cfg.history_tree, whole, dc, scope,
-                                           fresh.actor, initial)
-            live = self._new_node(f"qpu/{dc}/live", "live", dc, whole, scope,
-                                  parent=fresh.actor)
-            fresh.children = [hist_ref, ChildRef(live.actor, "live", whole, dc, scope)]
+            fresh.children = [self._build_history(cfg.history_tree, whole, dc,
+                                                  scope, fresh.actor, initial)]
         for dc in store.dcs:
             self.coordinators[dc] = Coordinator(self, dc)
         self._rewire_peers()
@@ -819,9 +750,7 @@ class QpuNetwork:
             self.store.replicas[dc].subscribe(leaf._on_feed)
             return ChildRef(actor, "hist", region, dc, scope)
         attr, at = spec["attr"], spec["at"]
-        iv = region.ivs[attr]
-        lo_part = region.narrowed(attr, Interval(iv.lo, at, iv.lo_open, True))
-        hi_part = region.narrowed(attr, Interval(at, iv.hi, False, iv.hi_open))
+        lo_part, hi_part = region.cut(attr, at)
         if lo_part is None or hi_part is None:
             raise ValueError(f"history tree cut {attr}@{at!r} leaves an empty side")
         node = self._new_node(actor, "value", dc, region, scope, parent)
@@ -912,10 +841,7 @@ class QpuNetwork:
         leaf = self.nodes.get(actor)
         if leaf is None or leaf.kind != "hist":
             raise ValueError(f"{actor} is not a history leaf")
-        attr, at = self._split_point(leaf)
-        iv = leaf.region.ivs[attr]
-        region_a = leaf.region.narrowed(attr, Interval(iv.lo, at, iv.lo_open, True))
-        region_b = leaf.region.narrowed(attr, Interval(at, iv.hi, False, iv.hi_open))
+        region_a, region_b = self._split_point(leaf)
         kids = []
         for suffix, region in (("a", region_a), ("b", region_b)):
             child = self._new_node(f"{actor}.{suffix}", "hist", leaf.dc, region,
@@ -943,10 +869,10 @@ class QpuNetwork:
         self._rewire_peers()
         return kids[0].actor, kids[1].actor
 
-    def _split_point(self, leaf: Qpu) -> tuple[str, object]:
-        """Median of the widest normalized axis; an axis where the median
-        cannot cut off two non-empty sides is degenerate and the next widest
-        is tried instead."""
+    def _split_point(self, leaf: Qpu) -> tuple[Region, Region]:
+        """The two sides of a cut at the median of the widest normalized
+        axis; an axis where the median cannot cut off two non-empty sides is
+        degenerate and the next widest is tried instead."""
         axes = sorted(
             (a for a in leaf.region.ivs if self.schema[a].kind != "text"),
             key=lambda a: (-self.schema[a].norm_length(leaf.region.ivs[a]), a))
@@ -954,13 +880,9 @@ class QpuNetwork:
             vals = sorted({attrs[attr] for _, attrs in leaf.index.tag_info.values()})
             if len(vals) < 2:
                 continue
-            at = vals[len(vals) // 2]
-            iv = leaf.region.ivs[attr]
-            lo_side = Interval(iv.lo, at, iv.lo_open, True)
-            hi_side = Interval(at, iv.hi, False, iv.hi_open)
-            if lo_side.is_empty() or hi_side.is_empty():
-                continue
-            return attr, at
+            lo, hi = leaf.region.cut(attr, vals[len(vals) // 2])
+            if lo is not None and hi is not None:
+                return lo, hi
         raise SplitRefused(f"{leaf.actor}: no axis offers a non-degenerate median")
 
     def merge_siblings(self, a_actor: str, b_actor: str, *,

@@ -231,6 +231,13 @@ class Region:
         out[attr] = cut
         return Region(out)
 
+    def cut(self, attr: str, at) -> "tuple[Region | None, Region | None]":
+        """The two sides of a cut of `attr` at `at`, which goes to the high
+        side; an empty side is None."""
+        iv = self.ivs[attr]
+        return (self.narrowed(attr, Interval(iv.lo, at, iv.lo_open, True)),
+                self.narrowed(attr, Interval(at, iv.hi, False, iv.hi_open)))
+
     def intersect(self, o: "Region") -> "Region | None":
         """self ∩ o, None when empty, self itself when o cuts nothing off."""
         out = None

@@ -26,7 +26,7 @@ from .qpu import (
     SplitRefused,
     TreeConfig,
 )
-from .regions import AttributeSchema, Interval, Region
+from .regions import AttributeSchema, Region
 from .router import Query, QueryError, QueryResult, parse
 from .simcore import NetConfig, Simulation
 from .staleness import Level
@@ -206,9 +206,7 @@ def _validate_history(spec, region, schema, fail, where="tree.history"):
     attr, at = spec["attr"], spec["at"]
     if attr not in schema:
         fail(f"{where} cuts unknown attribute {attr!r}", '"history"')
-    iv = region.ivs[attr]
-    lo_part = region.narrowed(attr, Interval(iv.lo, at, iv.lo_open, True))
-    hi_part = region.narrowed(attr, Interval(at, iv.hi, False, iv.hi_open))
+    lo_part, hi_part = region.cut(attr, at)
     if lo_part is None or hi_part is None:
         fail(f"{where} cut {attr}@{at!r} leaves an empty side", '"history"')
     _validate_history(spec["lo"], lo_part, schema, fail, f"{where}.lo")

@@ -5,7 +5,7 @@ entries per origin. A query's staleness level resolves against a snapshot
 report into a target clock that every contributing index view must cover.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -137,25 +137,12 @@ def floor_all(clocks) -> VectorClock | None:
     return out
 
 
-def stable_snapshot(clocks: list[VectorClock]) -> VectorClock:
-    """The floor of a non-empty clock list (see floor_all)."""
-    out = floor_all(clocks)
-    if out is None:
-        raise ValueError("stable_snapshot of empty clock list")
-    return out
-
-
 @dataclass
 class SnapshotReport:
-    """Stable subtree clock, origin replica heads, and the per-DC lag."""
+    """Stable subtree clock and origin replica heads."""
 
     stable: VectorClock
     heads: VectorClock
-    lag: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.lag:
-            self.lag = self.stable.lag_behind(self.heads)
 
 
 def resolve_target(level: StalenessLevel, report: SnapshotReport) -> VectorClock:
@@ -172,35 +159,10 @@ def resolve_target(level: StalenessLevel, report: SnapshotReport) -> VectorClock
 
 
 class UnsatisfiableStaleness(Exception):
-    """Raised when a target clock exceeds what the local replica has received."""
+    """A target clock ahead of what the local replica has received, and so
+    ahead of the history leaves that index it; its text is the error a leaf
+    answers such a probe with."""
 
     def __init__(self, lagging_dcs: list[str]):
         self.lagging_dcs = sorted(lagging_dcs)
         super().__init__(f"target ahead of local replica for {self.lagging_dcs}")
-
-
-def catch_up(view, replica, target: VectorClock) -> int:
-    """Synchronously apply, from the local replica log, every entry <= target
-    that `view` has not seen. `view` needs .clock and .apply_entry(entry).
-
-    Returns the number of entries applied; raises UnsatisfiableStaleness when
-    the replica itself has not received the part of the target prefix that the
-    view still misses. A view already past the target (e.g. fed by peer
-    deltas ahead of local replication) needs nothing.
-    """
-    if view.clock.dominates(target):
-        return 0
-    lagging = [
-        d for d, s in target.entries.items()
-        if view.clock.get(d) < s and replica.heads.get(d) < s
-    ]
-    if lagging:
-        raise UnsatisfiableStaleness(lagging)
-    applied = 0
-    for entry in replica.entries_after(view.clock):
-        if entry.seq <= target.get(entry.origin_dc):
-            view.apply_entry(entry)
-            applied += 1
-    if not view.clock.dominates(target):
-        raise AssertionError("catch_up did not reach target")
-    return applied

@@ -103,8 +103,7 @@ def random_partition(rng, schema, depth=3):
         if span <= 1e-6:
             return [region]
         at = round(rng.uniform(iv.lo + 0.1 * span, iv.hi - 0.1 * span), 3)
-        lo = region.narrowed(attr, Interval(iv.lo, at, iv.lo_open, True))
-        hi = region.narrowed(attr, Interval(at, iv.hi, False, iv.hi_open))
+        lo, hi = region.cut(attr, at)
         if lo is None or hi is None:
             return [region]
         return cut(lo, d - 1) + cut(hi, d - 1)

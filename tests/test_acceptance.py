@@ -357,11 +357,11 @@ OUTPUT_DIGESTS = {
     "convergence.json":
         "d231a7ac4675ce102d9273ff7e12c0a10bb0c5d10f7fdfd9549ee49ac427e360",
     "churn.json":
-        "17b72172537b3d318b91222d378a25793f3de73cbd0e28373883cf449d49359f",
+        "435a245f3a63611da786bbe16265ab810e19883c72d4cd76102eaa0b4e48d8ca",
     "hysteresis.json":
-        "084c240d05262dfd2bfdfa1e38041a20bb08be73f8af36e78d62bf4c7b0f9050",
+        "d0c1a2fe8a20af6f2259f32a9aeac4db614d419cda95f56ca586990bad40340b",
     "maintenance.json":
-        "1e0286aac2958b815856a9fb46badc282278932c4f1d2177934f1110a297d8ac",
+        "8779d53508cb283bc2f09050139abc180e7cc828dc7e28ab9db73f9a17031472",
 }
 
 

@@ -14,7 +14,6 @@ from qpusim import (
     SplitRefused,
     StalenessLevel,
     VectorClock,
-    catch_up,
     parse,
     rebuild_index,
     scan,
@@ -105,31 +104,24 @@ def test_query_confined_to_one_leaf_routes_one_leaf():
     assert "qpu/dc1/h2" not in res.trace
 
 
-def test_live_leaf_serves_the_tail_after_a_boundary():
-    sim, store, net = quiesced()
-    rows = [("a", 1.0), ("b", 3.0), ("c", 3.5), ("d", 0.5)]
-    for key, gpa in rows:
-        store.put("dc1", key, {"gpa": gpa, "dept": "cs"})
-    sim.run_until_quiescent()
-    got = []
-    sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
-    rect = Region.whole(SCHEMA).narrowed("gpa", Interval(2.0, 4.0, True, False))
-    rep = store.replicas["dc1"]
-    probe = Probe(qid="t1", rects=(rect,), residual=rect.render(),
-                  origin_dc="dc1", reply_to="probe/sink",
-                  target=rep.heads, boundary=VectorClock({"dc1": 2}))
-    sim.send("probe/sink", "qpu/dc1/live", "query.freshness", probe)
-    sim.run_until_quiescent()
-    (resp,) = got
-    # entries 3..4 are past the boundary; only "c" matches the rectangle
-    assert {kv[0] for kv in resp.hits.values()} == {"c"}
-    assert resp.clock == rep.heads
+def test_leaf_behind_a_strong_target_answers_an_error():
+    # a leaf's ingest cursor keeps its index at the replica's heads; one
+    # forged below them cannot serve a strong target and must not claim it
+    sim, store, net = quiesced(n=30, seed=23, rngseed=23)
+    leaf = net.nodes["qpu/dc2/h0"]
+    heads = leaf.replica.heads
+    leaf.index.clock = heads.with_entry("dc1", heads.get("dc1") - 2)
+    res = ask(net, "gpa >= 0.0 FRESHNESS strong", "dc2")
+    assert res.error == "target ahead of local replica for ['dc1']"
+    assert res.keys == frozenset() and res.clock is None
+    assert res.stats["candidate_checked"] == 0
+    assert "qpu/dc2/h0 [hist]" in res.trace
 
 
 def test_stale_gossip_keeps_strong_queries_correct():
-    # when the freshness stage has lost track of history coverage it cannot
-    # prove the target is indexed, so the live leaf joins the plan and strong
-    # results still match a scan
+    # the freshness stage has lost track of history coverage, but the
+    # leaves it dispatches to are at their replica heads, so strong results
+    # still match a scan
     sim, store, net = quiesced()
     rng = random.Random(14)
     fill(store, rng, 50)
@@ -139,7 +131,6 @@ def test_stale_gossip_keeps_strong_queries_correct():
     assert fresh._stable() == VectorClock()
     res = ask(net, "gpa >= 2.0 FRESHNESS strong", "dc2")
     assert res.keys == scan(store.replicas["dc2"], parse("gpa >= 2.0", SCHEMA))
-    assert "live" in res.trace
 
 
 def test_gossip_raises_the_stable_floor():
@@ -406,13 +397,18 @@ def test_merged_clock_is_the_floor_of_the_parts():
     floor = net.nodes[a].index.clock.floor(net.nodes[b].index.clock)
     merged = net.merge_siblings(a, b)
     assert net.nodes[merged].index.clock == floor
-    # catch-up, as a strong query would run it, closes the under-claimed
-    # gap and the leaf matches a rebuild
+    # unforged, both parts sit at the replica heads, so the merged leaf
+    # starts there, keeps ingesting, and matches a rebuild
+    sim, store, net = quiesced(dcs=("dc1", "dc2"), n=40, seed=19, rngseed=19)
+    merged = net.merge_siblings(*net.force_split("qpu/dc1/h0"))
     leaf = net.nodes[merged]
-    catch_up(leaf, leaf.replica, leaf.replica.heads)
+    assert leaf.index.clock == leaf.replica.heads
+    fill(store, random.Random(24), 20, prefix="n")
+    sim.run_until_quiescent()
+    assert leaf.index.clock == leaf.replica.heads
     net.scrub_all()
     want = rebuild_index(store.replicas["dc1"], net.binner)
-    assert net.nodes[merged].index.canonical() == want.canonical()
+    assert leaf.index.canonical() == want.canonical()
 
 
 def test_merge_requires_adjacent_siblings():

@@ -123,6 +123,21 @@ def test_volume_of_half_cut_is_half():
     assert abs(half.volume(schema) - 0.5) < 1e-9
 
 
+def test_cut_puts_the_point_on_the_high_side():
+    whole = Region.whole(numeric_schema(2))
+    lo, hi = whole.cut("a0", 40.0)
+    assert lo.ivs["a0"] == iv(0.0, 40.0, False, True)
+    assert hi.ivs["a0"] == iv(40.0, 100.0)
+    assert lo.ivs["a1"] == hi.ivs["a1"] == whole.ivs["a1"]
+    # at the low end the low side is empty; at the high end the high side
+    # keeps the one point
+    assert whole.cut("a0", 0.0) == (None, whole)
+    lo, hi = whole.cut("a0", 100.0)
+    assert lo.ivs["a0"] == iv(0.0, 100.0, False, True)
+    assert hi.ivs["a0"] == iv(100.0, 100.0)
+    assert lo.cut("a0", 100.0) == (lo, None)
+
+
 def test_subtract_all_detects_gaps():
     schema = numeric_schema(1)
     whole = Region.whole(schema)

@@ -185,12 +185,13 @@ def test_query_text_that_is_not_a_string_is_rejected():
         parse_scenario(raw)
 
 
-def write_heavy(mode: str, seed: int) -> dict:
+def write_heavy(mode: str, seed: int, replicated: bool = True) -> dict:
     """A generated write-heavy run over three DCs with duplicated, jittered
     replication. The written prices move from the low half of the space to
     the high half, so adaptive leaves switch modes. Every DC splits its low
     leaf a quarter of the way in, and dc2 merges the halves back at three
-    quarters, which leaves the other DCs' halves without a peer."""
+    quarters, which leaves the other DCs' halves without a peer. On a
+    non-replicated tree each DC's leaves index only that DC's writes."""
     raw = {
         "name": f"write-heavy-{mode}",
         "seed": seed,
@@ -200,7 +201,7 @@ def write_heavy(mode: str, seed: int) -> dict:
         "binning": {"price": 16, "stock": 10},
         "net": {"intra_dc_delay": 1, "inter_dc_delay": 6, "jitter": 20,
                 "dup_prob": 0.2},
-        "tree": {"root_dc": "dc2", "repl_mode": mode,
+        "tree": {"root_dc": "dc2", "repl_mode": mode, "replicated": replicated,
                  "selectivity": {"window": 60, "theta_low": 0.05,
                                  "theta_high": 0.15},
                  "history": {"attr": "price", "at": 500.0,
@@ -226,10 +227,14 @@ def write_heavy(mode: str, seed: int) -> dict:
     return raw
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["log", "delta", "adaptive"])
-def test_every_replication_mode_ingests_without_a_gap(mode, seed):
-    report = run_scenario(parse_scenario(write_heavy(mode, seed)))
+@pytest.mark.parametrize("mode, seed, replicated", [
+    pytest.param(mode, seed, replicated,
+                 id=f"{mode}-{seed}" + ("" if replicated else "-unreplicated"))
+    for replicated in (True, False)
+    for mode in ("log", "delta", "adaptive")
+    for seed in (1, 2, 3)])
+def test_every_replication_mode_ingests_without_a_gap(mode, seed, replicated):
+    report = run_scenario(parse_scenario(write_heavy(mode, seed, replicated)))
     assert report.runtime_errors == []
     assert "PASS ingest: every leaf at its replica heads" in report.verify_lines
     assert report.verify_ok, [ln for ln in report.verify_lines

@@ -6,14 +6,10 @@ from qpusim import (
     Level,
     SnapshotReport,
     StalenessLevel,
-    UnsatisfiableStaleness,
     VectorClock,
-    catch_up,
     resolve_target,
-    stable_snapshot,
 )
-
-from conftest import build, fill
+from qpusim.staleness import floor_all
 
 
 def vc(**kw):
@@ -62,7 +58,7 @@ def test_stable_snapshot_never_exceeds_any_input():
     rng = random.Random(2)
     for _ in range(300):
         clocks = [random_clock(rng) for _ in range(rng.randint(1, 5))]
-        snap = stable_snapshot(clocks)
+        snap = floor_all(clocks)
         for c in clocks:
             for dc, n in snap.entries.items():
                 assert n <= c.get(dc)
@@ -117,59 +113,6 @@ def test_resolve_bounded_clamps_at_zero():
 def test_resolve_snapshot_uses_stable_clock():
     rep = SnapshotReport(vc(a=4, b=1), vc(a=9, b=4))
     assert resolve_target(StalenessLevel.snapshot(), rep) == vc(a=4, b=1)
-
-
-def test_report_computes_lag():
-    rep = SnapshotReport(vc(a=4), vc(a=9, b=4))
-    assert rep.lag == {"a": 5, "b": 4}
-
-
-# -- catch_up -----------------------------------------------------------------------
-
-
-class _View:
-    def __init__(self):
-        self.clock = VectorClock()
-        self.seen = []
-
-    def apply_entry(self, entry):
-        self.seen.append(entry)
-        self.clock = self.clock.with_entry(entry.origin_dc, entry.seq)
-
-
-def quiet_store(n=8):
-    sim, store, net = build(dcs=("dc1", "dc2"), inter=2)
-    fill(store, random.Random(3), n)
-    sim.run_until_quiescent()
-    return store.replicas["dc1"]
-
-
-def test_catch_up_noop_when_already_dominated():
-    replica = quiet_store()
-    view = _View()
-    view.clock = replica.heads
-    assert catch_up(view, replica, replica.heads) == 0
-    assert view.seen == []
-
-
-def test_catch_up_applies_exactly_the_log_slice():
-    replica = quiet_store()
-    heads = replica.heads
-    target = VectorClock({d: max(n - 1, 0) for d, n in heads.entries.items()})
-    view = _View()
-    applied = catch_up(view, replica, target)
-    assert applied == sum(target.entries.values())
-    assert view.clock.dominates(target)
-    for entry in view.seen:
-        assert entry.seq <= target.get(entry.origin_dc)
-
-
-def test_catch_up_beyond_local_heads_is_unsatisfiable():
-    replica = quiet_store()
-    beyond = replica.heads.with_entry("dc2", replica.heads.get("dc2") + 5)
-    with pytest.raises(UnsatisfiableStaleness) as exc:
-        catch_up(_View(), replica, beyond)
-    assert exc.value.lagging_dcs == ["dc2"]
 
 
 def test_level_enum_values_are_the_wire_names():
