@@ -47,7 +47,6 @@ from .scenario import (
 from .simcore import Envelope, LivelockError, NetConfig, Simulation
 from .staleness import (
     Level,
-    SnapshotReport,
     StalenessLevel,
     UnsatisfiableStaleness,
     VectorClock,

@@ -77,14 +77,6 @@ class Binner:
                 else:
                     terms.append(Term(attr, Interval(lo, lo + width, False, True)))
             self._axes.append((attr, sch.lo, width, mode - 1, tuple(terms)))
-        self._axis = {axis[0]: axis for axis in self._axes}
-
-    def bin_of(self, attr: str, value) -> Interval:
-        _, lo, width, last, terms = self._axis[attr]
-        if terms is None:
-            return Interval(value, value, False, False)
-        i = int((value - lo) / width)
-        return terms[i if i < last else last].bin
 
     def terms_for(self, attrs: dict) -> tuple[Term, ...]:
         """One term per schema attribute, in name order; `attrs` holds

@@ -131,9 +131,6 @@ class DcReplica:
         cur = self.objects.get(key)
         return None if cur is None else cur.attrs
 
-    def version(self, key: str) -> ObjectVersion | None:
-        return self.objects.get(key)
-
     def entries_after(self, clock: VectorClock, upto: VectorClock | None = None):
         """Applied entries past `clock`, per origin in seq order, origins in
         name order. `upto` caps the range per origin."""

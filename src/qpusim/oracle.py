@@ -1,6 +1,6 @@
 """Reference answers computed directly from replica state.
 
-Everything here is independent of the tree, the caches, and the index
+Everything here is independent of the tree, the cache, and the index
 structures: full scans with exact bounds, log folds to a clock,
 from-scratch index rebuilds, and a check of result-cache hits against the
 logs. Tests and the verify tooling compare the fast paths against these.
@@ -76,7 +76,7 @@ def rebuild_index(replica: DcReplica, binner: Binner,
 
 
 class HitCheck:
-    """Checks result-cache hits at any tree node against the origin logs.
+    """Checks the root's result-cache hits against the origin logs.
 
     A hit for a probe from DC `o` with rectangles R serves content H and
     claims clock C. The coordinator at `o` rescans its replica's log past C

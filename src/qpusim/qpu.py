@@ -16,14 +16,15 @@ its replica's heads, and no mode switch or rewire leaves a gap to replay.
 So a leaf already covers any target its replica can: the paper's live leaf,
 which scans the log tail past the indexed prefix, would find nothing there.
 
-Caching note: the dispatch stages (dc, freshness and value nodes) keep
-result caches whose entries are frozen at insertion: the content is the join
-result at the entry's coverage clock, and neither changes afterwards. A hit
-serves only targets at or below that clock and claims that clock as its
-coverage. Any freshness beyond a response's claimed coverage is recovered by
-the coordinator, which rescans its origin log past the claim and
-candidate-checks every key, so later writes never need to reach the caches.
-Leaves keep no cache: a history leaf answers from its index as it stands.
+Caching note: the root keeps the one result cache, whose entries are
+frozen at insertion: the content is the join result at the entry's coverage
+clock, and neither changes afterwards. A hit serves only targets at or below
+that clock and claims that clock as its coverage. Any freshness beyond a
+response's claimed coverage is recovered by the coordinator, which rescans
+its origin log past the claim and candidate-checks every key, so later
+writes never need to reach the cache. No other node caches: a repeat is
+answered where its whole plan is known, so the stages below the root forward
+every probe, and a history leaf answers from its index as it stands.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .router import (
 )
 from .simcore import Envelope, Simulation
 from .staleness import (
-    SnapshotReport,
     UnsatisfiableStaleness,
     VectorClock,
     floor_all,
@@ -187,14 +187,8 @@ class ResultCache:
 
     A probe hits when an entry has its exact key and the entry clock
     dominates the target. Entries are never updated after insertion (see
-    the module note).
-
-    An exact key is enough because a node's pieces of a query depend only
-    on the query and on the regions of its parent's children, and those
-    children never change while the node lives: a split morphs the leaf
-    into a value node that keeps its region, and a merge retires both
-    leaves. So every repeat of a query reaches a node with the same
-    rectangles, and no entry would ever answer a probe for a sub-piece.
+    the module note). An exact key is enough because at the root the
+    rectangles are the query's whole plan.
     """
 
     def __init__(self, capacity: int = 256):
@@ -241,7 +235,6 @@ class _Join:
     hits: dict = field(default_factory=dict)
     clocks: dict = field(default_factory=dict)
     visited: set = field(default_factory=set)
-    cache_hits: int = 0
     traces: dict = field(default_factory=dict)
     error: str | None = None
 
@@ -264,8 +257,7 @@ class Qpu:
         self.children: list[ChildRef] = []
         self.child_clocks: dict[str, VectorClock] = {}
         self.child_sizes: dict[str, int] = {}
-        self.cache = (ResultCache(net.cfg.cache_capacity)
-                      if kind in ("dc", "freshness", "value") else None)
+        self.cache = ResultCache(net.cfg.cache_capacity) if kind == "dc" else None
         self.joins: dict[str, _Join] = {}
         self._seen_qids: set[str] = set()
         # history-leaf state; unused elsewhere
@@ -303,10 +295,6 @@ class Qpu:
             self.on_gossip(env.src, env.payload)
         elif k == "index.delta":
             self.on_peer_delta(env.payload)
-        elif k == "index.sub":
-            self.subscribers.add(env.payload)
-        elif k == "index.unsub":
-            self.subscribers.discard(env.payload)
         else:
             raise ValueError(f"{self.actor}: unexpected message kind {k}")
 
@@ -317,18 +305,19 @@ class Qpu:
             return
         self._seen_qids.add(probe.qid)
         if probe.target is None:  # root entry: pin the freshness contract
-            report = SnapshotReport(self._stable(), probe.origin_heads)
-            probe = replace(probe, target=resolve_target(probe.level, report))
+            probe = replace(probe, target=resolve_target(
+                probe.level, self._stable(), probe.origin_heads))
+            got = self.cache.probe(probe.rects, probe.residual, probe.target)
+            if got is not None:
+                hits, cclock = got
+                if self.net.check_hit is not None:
+                    self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
+                                       hits, cclock)
+                self._respond(probe, hits, cclock,
+                              (self._line("cache-hit", cclock),), cache_hits=1)
+                return
         if self.kind == "hist":
             self._serve_hist(probe)
-            return
-        got = self.cache.probe(probe.rects, probe.residual, probe.target)
-        if got is not None:
-            hits, cclock = got
-            if self.net.check_hit is not None:
-                self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
-                                   hits, cclock)
-            self._respond(probe, hits, cclock, (self._line("cache-hit", cclock),), 1)
             return
         self._dispatch(probe)
 
@@ -339,7 +328,7 @@ class Qpu:
             plan, error = self._plan_value(probe)
             if error is not None:
                 self._respond(probe, {}, None, (self._line("forward", None),),
-                              0, error=error)
+                              error=error)
                 return
         join = _Join(probe, [c.actor for c, _ in plan])
         join.expected = set(join.order)
@@ -385,7 +374,6 @@ class Qpu:
             return
         join.expected.discard(src)
         join.visited |= resp.visited
-        join.cache_hits += resp.cache_hits
         join.traces[src] = resp.trace
         join.hits.update(resp.hits)
         join.clocks[src] = resp.clock
@@ -399,14 +387,14 @@ class Qpu:
         probe = join.probe
         if join.error:
             lines = self._assemble_trace(join, None)
-            self._respond(probe, {}, None, lines, join.cache_hits,
-                          visited=join.visited, error=join.error)
+            self._respond(probe, {}, None, lines, visited=join.visited,
+                          error=join.error)
             return
         coverage = self._joined_clock(join)
         lines = self._assemble_trace(join, coverage)
-        self.cache.insert(probe.rects, probe.residual, join.hits, coverage)
-        self._respond(probe, join.hits, coverage, lines, join.cache_hits,
-                      visited=join.visited)
+        if self.cache is not None:
+            self.cache.insert(probe.rects, probe.residual, join.hits, coverage)
+        self._respond(probe, join.hits, coverage, lines, visited=join.visited)
 
     def _joined_clock(self, join: _Join) -> VectorClock:
         """Coverage of the union result. Children with disjoint origin scopes
@@ -436,7 +424,7 @@ class Qpu:
             s += f" clock={clock!r}"
         return s
 
-    def _respond(self, probe: Probe, hits, clock, trace, cache_hits,
+    def _respond(self, probe: Probe, hits, clock, trace, cache_hits=0,
                  visited=None, error=None):
         resp = Resp(
             qid=probe.qid,
@@ -459,11 +447,11 @@ class Qpu:
         if not clock.dominates(probe.target):
             lagging = [d for d, s in probe.target.entries.items()
                        if clock.get(d) < s]
-            self._respond(probe, {}, None, (self._line("leaf-serve", None),), 0,
+            self._respond(probe, {}, None, (self._line("leaf-serve", None),),
                           error=str(UnsatisfiableStaleness(lagging)))
             return
         hits = self._lookup(probe.rects)
-        self._respond(probe, hits, clock, (self._line("leaf-serve", clock),), 0)
+        self._respond(probe, hits, clock, (self._line("leaf-serve", clock),))
 
     def _lookup(self, rects) -> dict:
         hits: dict = {}
@@ -599,8 +587,8 @@ class Coordinator:
     for the run (see QpuNetwork._plan_of). A memoized plan serves only an
     expression whose literals also have the same types and reprs:
     `lat < 1` and `lat < 1.0` (or `lat < 0.0` and `lat < -0.0`) compare
-    equal but render different residuals, and the residual is what caches
-    match on and traces print."""
+    equal but render different residuals, and the residual is what the cache
+    matches on and traces print."""
 
     def __init__(self, net: "QpuNetwork", dc: str):
         self.net = net
@@ -859,7 +847,6 @@ class QpuNetwork:
         leaf.kind = "value"
         self._wire_peers(leaf)
         leaf.index = None
-        leaf.cache = ResultCache(self.cfg.cache_capacity)
         leaf.children = [ChildRef(k.actor, "hist", k.region, k.dc, k.scope)
                          for k in kids]
         leaf.child_clocks = {k.actor: k.index.clock.copy() for k in kids}
@@ -1002,8 +989,8 @@ class QpuNetwork:
     def scrub_all(self) -> int:
         """One scrub pass: drop every posting whose tag lost to the current
         winner. A cull changes a leaf's index without advancing its clock.
-        Cache entries above the leaves keep the culled postings; the
-        coordinator's candidate check drops them."""
+        Root cache entries keep the culled postings; the coordinator's
+        candidate check drops them."""
         total = 0
         for leaf in self.hist_leaves():
             pairs = leaf.index.stale_postings(leaf.replica)

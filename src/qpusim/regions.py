@@ -118,10 +118,6 @@ class Interval(NamedTuple):
         lo, hi, lo_open, hi_open = self
         return _below(hi, lo) or ((lo_open or hi_open) and _beq(lo, hi))
 
-    def is_point(self) -> bool:
-        lo, hi, lo_open, hi_open = self
-        return _beq(lo, hi) and not lo_open and not hi_open
-
     def contains(self, v) -> bool:
         """True when v lies in the interval. A hi of None (text axes only)
         bounds nothing above, so the interval holds every v >= lo, or > lo

@@ -1,8 +1,9 @@
 """Vector clocks and the client-bounded staleness protocol.
 
 Clocks are keyed by origin datacenter and count contiguously applied log
-entries per origin. A query's staleness level resolves against a snapshot
-report into a target clock that every contributing index view must cover.
+entries per origin. A query's staleness level resolves against the stable
+subtree clock and the origin's heads into a target clock that every
+contributing index view must cover.
 """
 
 from dataclasses import dataclass
@@ -137,24 +138,18 @@ def floor_all(clocks) -> VectorClock | None:
     return out
 
 
-@dataclass
-class SnapshotReport:
-    """Stable subtree clock and origin replica heads."""
-
-    stable: VectorClock
-    heads: VectorClock
-
-
-def resolve_target(level: StalenessLevel, report: SnapshotReport) -> VectorClock:
-    """Turn a staleness level into the clock results must cover."""
+def resolve_target(level: StalenessLevel, stable: VectorClock,
+                   heads: VectorClock) -> VectorClock:
+    """Turn a staleness level into the clock results must cover, given the
+    stable subtree clock and the origin replica's heads."""
     if level.level is Level.STRONG:
-        return report.heads.copy()
+        return heads.copy()
     if level.level is Level.BOUNDED:
         return VectorClock(
-            {d: max(s - level.k, 0) for d, s in report.heads.entries.items()}
+            {d: max(s - level.k, 0) for d, s in heads.entries.items()}
         )
     if level.level is Level.SNAPSHOT:
-        return report.stable.copy()
+        return stable.copy()
     return VectorClock()
 
 

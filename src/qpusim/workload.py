@@ -38,12 +38,6 @@ class KeySampler:
         x = self.rng.random() * self._cdf[-1]
         return bisect.bisect_right(self._cdf, x)
 
-    def rank_mass(self, rank: int) -> float:
-        if self.dist == "uniform":
-            return 1.0 / self.n
-        prev = self._cdf[rank - 1] if rank else 0.0
-        return (self._cdf[rank] - prev) / self._cdf[-1]
-
 
 def text_pool(rng: random.Random, schema: AttributeSchema, count: int = 8,
               length: tuple[int, int] = (3, 8)) -> list[str]:

@@ -86,9 +86,7 @@ def ask(net, text, dc):
 
 
 def clear_caches(net):
-    for node in net.nodes.values():
-        if node.cache is not None:
-            node.cache.clear()
+    net.root.cache.clear()
 
 
 def random_partition(rng, schema, depth=3):

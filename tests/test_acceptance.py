@@ -357,7 +357,7 @@ OUTPUT_DIGESTS = {
     "convergence.json":
         "d231a7ac4675ce102d9273ff7e12c0a10bb0c5d10f7fdfd9549ee49ac427e360",
     "churn.json":
-        "435a245f3a63611da786bbe16265ab810e19883c72d4cd76102eaa0b4e48d8ca",
+        "015dee4ce3fe37b105d81fb3314645c0c0744f97f4071bd4e5047141b13fa48c",
     "hysteresis.json":
         "d0c1a2fe8a20af6f2259f32a9aeac4db614d419cda95f56ca586990bad40340b",
     "maintenance.json":

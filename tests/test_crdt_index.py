@@ -38,6 +38,11 @@ def visible(index):
     return {(tag, key) for tag, (key, _) in index.tag_info.items()}
 
 
+def bin_of(binner, attrs, attr):
+    """The bin that terms_for puts attrs[attr] in."""
+    return next(t.bin for t in binner.terms_for(attrs) if t.attr == attr)
+
+
 def keys_in(index, attr, lo, hi, lo_open=False, hi_open=False):
     """Keys of the tags a lookup over one attribute range returns."""
     rect = Region.whole(index.schema).narrowed(
@@ -262,7 +267,7 @@ def test_lookup_superset_of_true_matches_on_random_data():
         got = keys_in(idx, "gpa", lo, hi, lo_open, hi_open)
         truth = {k for k, a in rows.items() if probe.contains(a["gpa"])}
         binned = {k for k, a in rows.items()
-                  if idx.binner.bin_of("gpa", a["gpa"]).overlaps(probe)}
+                  if bin_of(idx.binner, a, "gpa").overlaps(probe)}
         assert truth <= got == binned
 
 
@@ -354,13 +359,14 @@ def test_binner_rejects_binned_text_and_bad_counts():
 def test_bin_of_puts_domain_max_in_last_bin():
     schema = student_schema()
     binner = Binner(schema, {"gpa": 8})
-    top = binner.bin_of("gpa", 4.0)
+    top = bin_of(binner, {"gpa": 4.0, "dept": "cs"}, "gpa")
     assert top.contains(4.0) and not top.hi_open
-    assert binner.bin_of("gpa", 0.0).lo == 0.0
+    assert bin_of(binner, {"gpa": 0.0, "dept": "cs"}, "gpa").lo == 0.0
 
 
 def ref_bin_of(schema, spec, attr, value):
-    """Binner.bin_of as computed per value, before bins were prebuilt."""
+    """The bin of one value, computed per value as binning did before the
+    bins were prebuilt."""
     mode = spec.get(attr, "none")
     if mode == "none":
         return Interval.point(value)
@@ -386,6 +392,7 @@ def test_bin_table_matches_per_value_binning():
              {"lat": 7, "gpa": 3, "odd": 1, "floors": 59},
              {"lat": 1, "floors": 13},
              {}]
+    base = {attr: sch.domain().lo for attr, sch in schema.items()}
     for spec in specs:
         binner = Binner(schema, spec)
         for attr, sch in schema.items():
@@ -404,7 +411,7 @@ def test_bin_table_matches_per_value_binning():
                         values += [edge, max(math.nextafter(edge, -math.inf), sch.lo),
                                    min(math.nextafter(edge, math.inf), sch.hi)]
             for v in values:
-                got = binner.bin_of(attr, v)
+                got = bin_of(binner, {**base, attr: v}, attr)
                 want = ref_bin_of(schema, spec, attr, v)
                 assert type(got) is Interval
                 assert got == want and got.key() == want.key(), (attr, v)

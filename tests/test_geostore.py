@@ -30,8 +30,8 @@ def test_concurrent_writes_pick_one_winner_everywhere():
     sim.at(3, lambda: store.put("dc1", "obj", {"gpa": 1.0, "dept": "aaa"}))
     sim.at(3, lambda: store.put("dc2", "obj", {"gpa": 1.0, "dept": "bbb"}))
     sim.run_until_quiescent()
-    v1 = store.replicas["dc1"].version("obj")
-    v2 = store.replicas["dc2"].version("obj")
+    v1 = store.replicas["dc1"].objects["obj"]
+    v2 = store.replicas["dc2"].objects["obj"]
     assert v1 == v2
     # equal timestamps fall back to the larger datacenter name
     assert v1.stamp.dc == "dc2" and v1.attrs["dept"] == "bbb"
@@ -68,7 +68,7 @@ def test_delete_leaves_a_tombstone_version():
     for dc in ("dc1", "dc2"):
         replica = store.replicas[dc]
         assert replica.get("k") is None
-        assert replica.version("k").attrs is None
+        assert replica.objects["k"].attrs is None
 
 
 def test_subscribe_on_empty_log_feeds_only_new_entries():

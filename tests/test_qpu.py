@@ -188,7 +188,7 @@ def one_leaf_with(*rows, **kw):
 def test_cache_entry_stays_frozen_after_later_writes():
     sim, store, net, leaf = one_leaf_with(("a", 1.0))
     ask(net, "gpa < 2.0 FRESHNESS snapshot", "dc1")
-    (entry,) = net.nodes["qpu/dc1"].cache.entries.values()
+    (entry,) = net.root.cache.entries.values()
     content, clock = dict(entry.content), entry.clock
     store.delete("dc1", "a")
     store.put("dc1", "b", {"gpa": 1.5, "dept": "cs"})
@@ -201,16 +201,17 @@ def test_cache_entry_stays_frozen_after_later_writes():
 
 def test_cache_hit_claims_the_entry_clock():
     sim, store, net, leaf = one_leaf_with(("a", 1.0))
-    fresh = net.nodes["qpu/dc1"]
     got = []
     sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
     rect = rect_for(0.0, 2.0)
 
     def send(qid):
+        # strong against heads of dc1:1 pins the target at dc1:1 both times
         probe = Probe(qid=qid, rects=(rect,), residual=rect.render(),
                       origin_dc="dc1", reply_to="probe/sink",
-                      target=VectorClock({"dc1": 1}))
-        sim.send("probe/sink", fresh.actor, "query.dc", probe)
+                      level=StalenessLevel.strong(),
+                      origin_heads=VectorClock({"dc1": 1}))
+        sim.send("probe/sink", net.root.actor, "query.route", probe)
         sim.run_until_quiescent()
 
     send("t1")
@@ -219,7 +220,7 @@ def test_cache_hit_claims_the_entry_clock():
     send("t2")
     miss, hit = got
     assert (miss.cache_hits, hit.cache_hits) == (0, 1)
-    assert fresh.cache.hits == 1
+    assert net.root.cache.hits == 1
     # the leaf has moved on to dc1:2, but the hit serves dc1:1 content
     assert leaf.index.clock == VectorClock({"dc1": 2})
     assert miss.clock == hit.clock == VectorClock({"dc1": 1})
@@ -269,34 +270,42 @@ def test_cache_check_flags_an_overwrite_pushed_into_a_root_entry():
     assert line.endswith("misses ['k']")
 
 
-def test_repeated_query_hits_dispatch_caches_across_split_and_merge():
-    # a structural change below a node leaves the pieces it receives, and
-    # so its exact cache keys, unchanged
+def test_repeated_query_hits_the_root_cache_across_split_and_merge():
+    # the root's key is the query's whole plan, which a structural change
+    # below the root leaves unchanged
     sim, store, net = quiesced(dcs=("dc1",), history=CUT, n=80, seed=22,
                                rngseed=22)
     text = "gpa > 0.5 AND gpa < 3.5 FRESHNESS any"
     want = scan(store.replicas["dc1"], parse(text, SCHEMA))
-    stages = ["qpu/root", "qpu/dc1", "qpu/dc1/h0", "qpu/dc1/h1"]
 
-    def hit_at(stage):
-        for above in stages[:stages.index(stage)]:
-            net.nodes[above].cache.clear()
-        before = net.nodes[stage].cache.hits
+    def cache_hits():
         res = ask(net, text, "dc1")
         assert res.keys == want
-        return net.nodes[stage].cache.hits - before
+        return res.stats["cache_hits"]
 
-    ask(net, text, "dc1")
+    assert cache_hits() == 0
     a, b = net.force_split("qpu/dc1/h1")
     sim.run_until_quiescent()
     assert net.nodes["qpu/dc1/h1"].kind == "value"
-    assert hit_at("qpu/dc1") == 1
-    assert hit_at("qpu/dc1/h0") == 1
-    assert hit_at("qpu/dc1/h1") == 0  # a fresh cache, filled by this miss
+    assert cache_hits() == 1
     net.merge_siblings(a, b)
     sim.run_until_quiescent()
-    for stage in stages[1:]:
-        assert hit_at(stage) == 1
+    assert cache_hits() == 1
+    clear_caches(net)
+    assert cache_hits() == 0
+    assert net.root.cache.hits == 2
+    # the split's value node got no cache: the root's is the only one
+    assert [n.actor for n in net.nodes.values() if n.cache is not None] == [
+        "qpu/root"]
+
+
+@pytest.mark.parametrize("kind", ["index.sub", "index.unsub"])
+def test_subscription_kinds_are_not_messages(kind):
+    # subscriptions are applied directly by QpuNetwork._wire_peers
+    sim, store, net = quiesced(dcs=("dc1", "dc2"))
+    sim.send("qpu/dc2/h0", "qpu/dc1/h0", kind, "qpu/dc2/h0")
+    with pytest.raises(ValueError, match="unexpected message kind " + kind):
+        sim.run_until_quiescent()
 
 
 def test_root_cache_keeps_a_key_the_querying_dc_still_holds():
@@ -331,13 +340,14 @@ def test_cache_lru_eviction():
     assert cache.probe((rs[0],), rs[0].render(), VectorClock()) is not None
 
 
-def test_repeated_query_hits_caches_with_identical_keys():
-    sim, store, net = quiesced(n=80, seed=16, rngseed=16)
+@pytest.mark.parametrize("replicated", [True, False])
+def test_repeated_query_hits_caches_with_identical_keys(replicated):
+    sim, store, net = quiesced(n=80, seed=16, rngseed=16, replicated=replicated)
     first = ask(net, 'dept = "cs" AND gpa > 1.0 FRESHNESS snapshot', "dc3")
     assert first.stats["cache_hits"] == 0
     second = ask(net, 'dept = "cs" AND gpa > 1.0 FRESHNESS snapshot', "dc3")
     assert second.keys == first.keys
-    assert second.stats["cache_hits"] >= 1
+    assert second.stats["cache_hits"] == 1
     assert "cache-hit" in second.trace
 
 

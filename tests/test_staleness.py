@@ -4,7 +4,6 @@ import pytest
 
 from qpusim import (
     Level,
-    SnapshotReport,
     StalenessLevel,
     VectorClock,
     resolve_target,
@@ -92,27 +91,26 @@ def test_bounded_requires_non_negative_k():
 
 
 def test_resolve_any_is_zero_clock():
-    rep = SnapshotReport(vc(a=1), vc(a=9, b=4))
-    assert resolve_target(StalenessLevel.any(), rep) == VectorClock()
+    assert resolve_target(StalenessLevel.any(), vc(a=1), vc(a=9, b=4)) == VectorClock()
 
 
 def test_resolve_strong_copies_heads():
     heads = vc(a=9, b=4)
-    rep = SnapshotReport(vc(a=1), heads)
-    target = resolve_target(StalenessLevel.strong(), rep)
+    target = resolve_target(StalenessLevel.strong(), vc(a=1), heads)
     assert target == heads and target is not heads
 
 
 def test_resolve_bounded_clamps_at_zero():
-    rep = SnapshotReport(vc(), vc(a=9, b=2))
-    assert resolve_target(StalenessLevel.bounded(3), rep) == vc(a=6)
-    assert resolve_target(StalenessLevel.bounded(0), rep) == vc(a=9, b=2)
-    assert resolve_target(StalenessLevel.bounded(50), rep) == VectorClock()
+    heads = vc(a=9, b=2)
+    assert resolve_target(StalenessLevel.bounded(3), vc(), heads) == vc(a=6)
+    assert resolve_target(StalenessLevel.bounded(0), vc(), heads) == vc(a=9, b=2)
+    assert resolve_target(StalenessLevel.bounded(50), vc(), heads) == VectorClock()
 
 
 def test_resolve_snapshot_uses_stable_clock():
-    rep = SnapshotReport(vc(a=4, b=1), vc(a=9, b=4))
-    assert resolve_target(StalenessLevel.snapshot(), rep) == vc(a=4, b=1)
+    stable = vc(a=4, b=1)
+    target = resolve_target(StalenessLevel.snapshot(), stable, vc(a=9, b=4))
+    assert target == stable
 
 
 def test_level_enum_values_are_the_wire_names():
