@@ -2,8 +2,8 @@
 
 Everything here is independent of the tree, the cache, and the index
 structures: full scans with exact bounds, log folds to a clock,
-from-scratch index rebuilds, and a check of result-cache hits against the
-logs. Tests and the verify tooling compare the fast paths against these.
+from-scratch index rebuilds, a check of each routed target against its
+staleness level, and a check of result-cache hits against the logs. Tests and the verify tooling compare the fast paths against these.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from .crdt_index import Binner, CrdtIndex
 from .geostore import DcReplica, GeoStore, Stamp
 from .regions import Region
 from .router import Query, eval_expr, rect_match
-from .staleness import VectorClock
+from .staleness import Level, StalenessLevel, VectorClock
 
 
 def scan(replica: DcReplica, q: Query) -> set[str]:
@@ -50,6 +50,37 @@ def _live_winners(entries) -> dict[str, dict]:
 def replay_matches(replica: DcReplica, target: VectorClock, q: Query) -> set[str]:
     state = replay_to(replica, target)
     return {k for k, attrs in state.items() if eval_expr(q.expr, attrs)}
+
+
+def target_fault(level: StalenessLevel, target: VectorClock,
+                 heads: VectorClock, store: GeoStore,
+                 replicated: bool) -> str | None:
+    """What is wrong with a routed query's target, or None. `heads` are the
+    origin replica's heads at submit. A `strong` target is those heads, a
+    `bounded:k` one those heads less k, an `any` one empty. A `snapshot`
+    component must be at most the heads of every replica whose scope holds
+    its origin, as they stand now: every replica on a replicated tree, the
+    origin's own on a non-replicated one."""
+    if level.level is Level.SNAPSHOT:
+        for dc, seq in sorted(target.entries.items()):
+            holders = store.replicas.values() if replicated else (
+                store.replicas[dc],)
+            for r in holders:
+                if r.heads.get(dc) < seq:
+                    return (f"snapshot target {target!r} is past {r.name}'s "
+                            f"heads {r.heads!r}")
+        return None
+    if level.level is Level.STRONG:
+        want = heads
+    elif level.level is Level.BOUNDED:
+        want = VectorClock({dc: seq - level.k
+                            for dc, seq in heads.entries.items()})
+    else:
+        want = VectorClock()
+    if target != want:
+        return (f"{level.render()} target {target!r} is not {want!r} "
+                f"from heads {heads!r} at submit")
+    return None
 
 
 def rebuild_index(replica: DcReplica, binner: Binner,

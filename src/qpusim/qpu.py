@@ -25,12 +25,21 @@ its origin log past the claim and candidate-checks every key, so later
 writes never need to reach the cache. No other node caches: a repeat is
 answered where its whole plan is known, so the stages below the root forward
 every probe, and a history leaf answers from its index as it stands.
+
+Gossip note: the root's snapshot clock is the one reader of coverage
+gossip, and the gossip takes one hop. Since every leaf's clock is at or
+above its replica's heads (see the ingest note), a freshness node can speak
+for its whole subtree: it reports its replica's heads, restricted to its
+scope, to the root. The first new entry in scope arms a report timer of
+`gossip_every` ticks. Leaves and value nodes send no gossip.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .crdt_index import Binner, CrdtIndex, IndexDelta
 from .geostore import GeoStore, LogEntry
@@ -53,6 +62,12 @@ from .staleness import (
 
 LOG = "log"
 DELTA = "delta"
+
+# the columns of metrics.csv, one row per completed query
+METRICS_COLUMNS = (
+    "tick", "query_id", "staleness", "qpus_visited", "cache_hits",
+    "candidate_checked", "false_positives_removed", "result_size", "lag_per_dc",
+)
 
 
 class SplitRefused(Exception):
@@ -151,12 +166,21 @@ class Probe:
     origin_heads: VectorClock | None = None  # ditto
     target: VectorClock | None = None  # resolved at the root
 
+    def child(self, reply_to: str, rects: tuple, target: VectorClock) -> "Probe":
+        """The probe a dispatch stage sends one child: built directly, since
+        a dataclasses.replace per hop costs more than the hop's own work."""
+        return Probe(self.qid, rects, self.residual, self.origin_dc, reply_to,
+                     target=target)
+
 
 @dataclass
 class Resp:
     qid: str
     hits: dict  # tag -> (key, attrs at write time)
     clock: VectorClock | None  # claimed coverage, None on error
+    # the join of the clocks the leaves served at, None on error: a leaf
+    # may have culled a key another leaf had not yet posted anywhere below it
+    ceiling: VectorClock | None
     visited: frozenset
     cache_hits: int
     trace: tuple
@@ -180,6 +204,7 @@ class ChildRef:
 class CacheEntry:
     content: dict  # tag -> (key, attrs)
     clock: VectorClock  # coverage at insertion; never advanced
+    ceiling: VectorClock  # the response's ceiling at insertion
 
 
 class ResultCache:
@@ -203,7 +228,7 @@ class ResultCache:
     def _key(rects, residual: str) -> tuple:
         return (tuple(r.key() for r in rects), residual)
 
-    def probe(self, rects, residual: str, target: VectorClock):
+    def probe(self, rects, residual: str, target: VectorClock) -> CacheEntry | None:
         k = self._key(rects, residual)
         e = self.entries.get(k)
         if e is None or not e.clock.dominates(target):
@@ -211,12 +236,16 @@ class ResultCache:
             return None
         self.entries[k] = self.entries.pop(k)
         self.hits += 1
-        return e.content, e.clock
+        return e
 
-    def insert(self, rects, residual: str, content: dict, clock: VectorClock):
+    def insert(self, rects, residual: str, content: dict, clock: VectorClock,
+               ceiling: VectorClock | None = None):
+        """Keep `content` at coverage `clock`; the ceiling defaults to the
+        clock, as for content read at one clock."""
         k = self._key(rects, residual)
         self.entries.pop(k, None)
-        self.entries[k] = CacheEntry(dict(content), clock)
+        self.entries[k] = CacheEntry(dict(content), clock,
+                                     clock if ceiling is None else ceiling)
         if len(self.entries) > self.capacity:
             del self.entries[next(iter(self.entries))]
 
@@ -234,6 +263,7 @@ class _Join:
     expected: set = field(default_factory=set)
     hits: dict = field(default_factory=dict)
     clocks: dict = field(default_factory=dict)
+    ceiling: VectorClock = field(default_factory=VectorClock)
     visited: set = field(default_factory=set)
     traces: dict = field(default_factory=dict)
     error: str | None = None
@@ -255,8 +285,8 @@ class Qpu:
         self.scope = scope
         self.parent = parent
         self.children: list[ChildRef] = []
+        # the root's: freshness actor -> the replica heads it last reported
         self.child_clocks: dict[str, VectorClock] = {}
-        self.child_sizes: dict[str, int] = {}
         self.cache = ResultCache(net.cfg.cache_capacity) if kind == "dc" else None
         self.joins: dict[str, _Join] = {}
         self._seen_qids: set[str] = set()
@@ -270,9 +300,7 @@ class Qpu:
         self.switch_log: list[tuple] = []
         # origin -> seq -> (delta, raw attrs) offered ahead of the clock
         self.ahead: dict[str, dict[int, tuple]] = {}
-        # gossip
-        self._gossip_armed = False
-        self._gossip_sent: VectorClock | None = None
+        self._gossip_armed = False  # a freshness node's report timer
 
     def __repr__(self):
         return f"<Qpu {self.actor} {self.kind}>"
@@ -305,16 +333,15 @@ class Qpu:
             return
         self._seen_qids.add(probe.qid)
         if probe.target is None:  # root entry: pin the freshness contract
-            probe = replace(probe, target=resolve_target(
+            probe = probe.child(probe.reply_to, probe.rects, resolve_target(
                 probe.level, self._stable(), probe.origin_heads))
-            got = self.cache.probe(probe.rects, probe.residual, probe.target)
-            if got is not None:
-                hits, cclock = got
+            e = self.cache.probe(probe.rects, probe.residual, probe.target)
+            if e is not None:
                 if self.net.check_hit is not None:
                     self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
-                                       hits, cclock)
-                self._respond(probe, hits, cclock,
-                              (self._line("cache-hit", cclock),), cache_hits=1)
+                                       e.content, e.clock)
+                self._respond(probe, e.content, e.clock, e.ceiling,
+                              (self._line("cache-hit", e.clock),), cache_hits=1)
                 return
         if self.kind == "hist":
             self._serve_hist(probe)
@@ -327,8 +354,8 @@ class Qpu:
         else:
             plan, error = self._plan_value(probe)
             if error is not None:
-                self._respond(probe, {}, None, (self._line("forward", None),),
-                              error=error)
+                self._respond(probe, {}, None, None,
+                              (self._line("forward", None),), error=error)
                 return
         join = _Join(probe, [c.actor for c, _ in plan])
         join.expected = set(join.order)
@@ -346,10 +373,11 @@ class Qpu:
         if self.net.cfg.replicated:
             ref = next((c for c in self.children if c.dc == probe.origin_dc), None)
             chosen = [ref] if ref is not None else self.children
-            return [(c, replace(probe, reply_to=self.actor)) for c in chosen]
+            return [(c, probe.child(self.actor, probe.rects, probe.target))
+                    for c in chosen]
         # origins are partitioned across DCs: fan out with scoped targets
-        return [(c, replace(probe, reply_to=self.actor,
-                            target=probe.target.restrict(c.scope)))
+        return [(c, probe.child(self.actor, probe.rects,
+                                probe.target.restrict(c.scope)))
                 for c in self.children]
 
     def _plan_value(self, probe: Probe):
@@ -363,7 +391,7 @@ class Qpu:
             return None, f"children do not cover {uncovered[0].render()}"
         by_actor = {c.actor: c for c in self.children}
         return [(by_actor[actor],
-                 replace(probe, rects=tuple(pieces), reply_to=self.actor))
+                 probe.child(self.actor, tuple(pieces), probe.target))
                 for actor, pieces in assignments], None
 
     # -- responses ------------------------------------------------------------------
@@ -379,6 +407,8 @@ class Qpu:
         join.clocks[src] = resp.clock
         if resp.error and join.error is None:
             join.error = resp.error
+        elif resp.ceiling is not None:
+            join.ceiling = join.ceiling.merge(resp.ceiling)
         if join.error or not join.expected:
             del self.joins[resp.qid]
             self._finalize(join)
@@ -387,26 +417,32 @@ class Qpu:
         probe = join.probe
         if join.error:
             lines = self._assemble_trace(join, None)
-            self._respond(probe, {}, None, lines, visited=join.visited,
+            self._respond(probe, {}, None, None, lines, visited=join.visited,
                           error=join.error)
             return
         coverage = self._joined_clock(join)
         lines = self._assemble_trace(join, coverage)
         if self.cache is not None:
-            self.cache.insert(probe.rects, probe.residual, join.hits, coverage)
-        self._respond(probe, join.hits, coverage, lines, visited=join.visited)
+            self.cache.insert(probe.rects, probe.residual, join.hits, coverage,
+                              join.ceiling)
+        self._respond(probe, join.hits, coverage, join.ceiling, lines,
+                      visited=join.visited)
 
     def _joined_clock(self, join: _Join) -> VectorClock:
-        """Coverage of the union result. Children with disjoint origin scopes
-        combine by max; children answering the same question independently
-        combine by min."""
+        """Coverage of the union result."""
+        out = self._combine([join.clocks[a] for a in join.order])
+        return out if out is not None else join.probe.target.copy()
+
+    def _combine(self, clocks: list) -> VectorClock | None:
+        """Children with disjoint origin scopes (the root's, on a
+        non-replicated tree) combine by max; children answering the same
+        question independently combine by min. None for no clocks."""
         if self.kind == "dc" and not self.net.cfg.replicated:
             out = VectorClock()
-            for a in join.order:
-                out = out.merge(join.clocks[a])
+            for c in clocks:
+                out = out.merge(c)
             return out
-        out = floor_all(join.clocks[a] for a in join.order)
-        return out if out is not None else join.probe.target.copy()
+        return floor_all(clocks)
 
     def _assemble_trace(self, join: _Join, coverage) -> tuple:
         lines = [self._line("forward", coverage, target=join.probe.target)]
@@ -424,12 +460,13 @@ class Qpu:
             s += f" clock={clock!r}"
         return s
 
-    def _respond(self, probe: Probe, hits, clock, trace, cache_hits=0,
+    def _respond(self, probe: Probe, hits, clock, ceiling, trace, cache_hits=0,
                  visited=None, error=None):
         resp = Resp(
             qid=probe.qid,
             hits=hits,
             clock=clock,
+            ceiling=ceiling,
             visited=frozenset(visited or {self.actor}),
             cache_hits=cache_hits,
             trace=trace,
@@ -447,11 +484,13 @@ class Qpu:
         if not clock.dominates(probe.target):
             lagging = [d for d, s in probe.target.entries.items()
                        if clock.get(d) < s]
-            self._respond(probe, {}, None, (self._line("leaf-serve", None),),
+            self._respond(probe, {}, None, None,
+                          (self._line("leaf-serve", None),),
                           error=str(UnsatisfiableStaleness(lagging)))
             return
         hits = self._lookup(probe.rects)
-        self._respond(probe, hits, clock, (self._line("leaf-serve", clock),))
+        self._respond(probe, hits, clock, clock,
+                      (self._line("leaf-serve", clock),))
 
     def _lookup(self, rects) -> dict:
         hits: dict = {}
@@ -501,7 +540,6 @@ class Qpu:
             for peer in sorted(self.subscribers):
                 self.sim.send(self.actor, peer, "index.delta", (delta, raw_attrs),
                               note=f"{delta.origin}:{delta.seq}")
-        self._mark_dirty()
         self._maybe_switch()
         pol = self.net.cfg.split
         if pol.auto:
@@ -530,38 +568,29 @@ class Qpu:
         self.window.clear()
         self.net._wire_peers(self)
 
-    # -- gossip ---------------------------------------------------------------------
+    # -- gossip (see the module note) -------------------------------------------------
 
-    def _mark_dirty(self):
-        if self._gossip_armed or self.parent is None:
-            return
-        self._gossip_armed = True
-        self.sim.after(self.net.cfg.gossip_every, self._flush_gossip)
+    def _on_replica(self, entry: LogEntry):
+        # a freshness node's feed: the first new entry in scope arms a report
+        if not self._gossip_armed and entry.origin_dc in self.scope:
+            self._gossip_armed = True
+            self.sim.after(self.net.cfg.gossip_every, self._report_heads)
 
-    def _flush_gossip(self):
+    def _report_heads(self):
+        # the timer was armed by an entry in scope, so the heads moved
         self._gossip_armed = False
-        if self.kind == "retired" or self.parent is None:
-            return
-        clock = self.index.clock.copy() if self.kind == "hist" else self._stable()
-        if self._gossip_sent is not None and clock == self._gossip_sent:
-            return
-        self._gossip_sent = clock
-        size = self.index.visible_count() if self.kind == "hist" else sum(
-            self.child_sizes.values())
-        self.sim.send(self.actor, self.parent, "clock.gossip", (clock, size))
+        self.sim.send(self.actor, self.parent, "clock.gossip",
+                      self.replica.heads.restrict(self.scope))
 
-    def on_gossip(self, src: str, payload):
-        clock, size = payload
+    def on_gossip(self, src: str, clock: VectorClock):
         cur = self.child_clocks.get(src, VectorClock())
         self.child_clocks[src] = cur.merge(clock)  # duplicates cannot regress
-        self.child_sizes[src] = size
-        self._mark_dirty()
 
     def _stable(self) -> VectorClock:
-        """Clock every covered subtree has durably indexed: the floor over the
-        last gossiped child clocks."""
-        out = floor_all(self.child_clocks.get(c.actor, VectorClock())
-                        for c in self.children)
+        """The root's snapshot clock: what the freshness nodes last reported
+        their replicas hold, combined as their answers are."""
+        out = self._combine([self.child_clocks.get(c.actor, VectorClock())
+                             for c in self.children])
         return out if out is not None else VectorClock()
 
 
@@ -582,6 +611,13 @@ class Coordinator:
     the log past the claimed coverage picks up anything newer, and a candidate
     check against current state drops every false positive.
 
+    The rescan is complete only once the replica holds the response's
+    ceiling. Leaves serve one after another, so a key can move between two
+    of them mid-query: the later leaf has culled it, the earlier had not yet
+    posted it, and only the write that moved it, which lies at or below the
+    later leaf's clock, brings it back. A response whose ceiling the replica
+    does not cover yet is parked, and re-checked as the replica applies.
+
     A plan (the query's rectangles and residual text) depends only on the
     expression and the schema, so the network memoizes it per expression
     for the run (see QpuNetwork._plan_of). A memoized plan serves only an
@@ -595,7 +631,9 @@ class Coordinator:
         self.dc = dc
         self.actor = f"coord/{dc}"
         self.pending: dict[str, _Pending] = {}
+        self.parked: list[tuple[str, _Pending, Resp]] = []  # in arrival order
         net.sim.add_actor(self.actor, dc, self.handle)
+        self.replica.subscribe(self._on_feed)
 
     def submit(self, q: Query, cb):
         net = self.net
@@ -608,7 +646,7 @@ class Coordinator:
             net.sim.after(0, lambda: self._complete(
                 qid,
                 info,
-                Resp(qid, {}, heads, frozenset(), 0,
+                Resp(qid, {}, heads, heads, frozenset(), 0,
                      (f"{self.actor} [coord] empty plan",), target=None)))
             return qid
         self.pending[qid] = _Pending(q, cb, rects, net.sim.now)
@@ -628,7 +666,22 @@ class Coordinator:
         info = self.pending.pop(resp.qid, None)
         if info is None:  # duplicated delivery
             return
+        if resp.error is None and not self.replica.heads.dominates(resp.ceiling):
+            self.parked.append((resp.qid, info, resp))
+            return
         self._complete(resp.qid, info, resp)
+
+    def _on_feed(self, entry: LogEntry):
+        # synchronous callback from the replica's apply; it must not change
+        # the replica's subscriptions, so it stays subscribed for the run
+        if not self.parked:
+            return
+        heads = self.replica.heads
+        ready = [p for p in self.parked if heads.dominates(p[2].ceiling)]
+        if ready:
+            self.parked = [p for p in self.parked if p not in ready]
+            for qid, info, resp in ready:
+                self._complete(qid, info, resp)
 
     def _complete(self, qid: str, info: _Pending, resp: Resp):
         net = self.net
@@ -688,7 +741,10 @@ class QpuNetwork:
         self.schema = store.schema
         self.nodes: dict[str, Qpu] = {}
         self.coordinators: dict[str, Coordinator] = {}
-        self.metrics: list[dict] = []
+        # the metrics.csv rows, each written once as the query completes
+        self.metrics = io.StringIO()
+        self._metrics_writer = csv.writer(self.metrics, lineterminator="\n")
+        self._lag_dcs = sorted(store.dcs)
         # called as (actor, origin dc, rects, hits, clock) on every cache
         # hit when set; run_scenario sets it to the oracle's hit check
         self.check_hit = None
@@ -711,6 +767,7 @@ class QpuNetwork:
                                    parent=self.root.actor)
             self.root.children.append(
                 ChildRef(fresh.actor, "freshness", whole, dc, scope))
+            store.replicas[dc].subscribe(fresh._on_replica)
             fresh.children = [self._build_history(cfg.history_tree, whole, dc,
                                                   scope, fresh.actor, initial)]
         for dc in store.dcs:
@@ -776,20 +833,18 @@ class QpuNetwork:
         return f"q{self._qn}"
 
     def _record_metrics(self, result: QueryResult):
-        glob = self.store.max_heads()
-        local = self.store.replicas[result.origin_dc].log
-        self.metrics.append({
-            "tick": result.response_tick,
-            "query_id": result.query_id,
-            "staleness": result.staleness,
-            "qpus_visited": result.stats["qpus_visited"],
-            "cache_hits": result.stats["cache_hits"],
-            "candidate_checked": result.stats["candidate_checked"],
-            "false_positives_removed": result.stats["false_positives_removed"],
-            "result_size": result.stats["result_size"],
-            "lag_per_dc": {d: glob.get(d) - len(local.get(d, ()))
-                           for d in self.store.dcs},
-        })
+        # an origin's own log is the longest copy of it, so the lag behind
+        # it is the lag behind every replica
+        replicas = self.store.replicas
+        local = replicas[result.origin_dc].log
+        lag = "|".join(f"{d}:{len(replicas[d].log[d]) - len(local.get(d, ()))}"
+                       for d in self._lag_dcs)
+        stats = result.stats
+        self._metrics_writer.writerow((
+            result.response_tick, result.query_id, result.staleness,
+            stats["qpus_visited"], stats["cache_hits"],
+            stats["candidate_checked"], stats["false_positives_removed"],
+            stats["result_size"], lag))
 
     # -- registries ---------------------------------------------------------------
 
@@ -849,10 +904,6 @@ class QpuNetwork:
         leaf.index = None
         leaf.children = [ChildRef(k.actor, "hist", k.region, k.dc, k.scope)
                          for k in kids]
-        leaf.child_clocks = {k.actor: k.index.clock.copy() for k in kids}
-        leaf.child_sizes = {k.actor: k.index.visible_count() for k in kids}
-        for k in kids:
-            k._mark_dirty()
         self._rewire_peers()
         return kids[0].actor, kids[1].actor
 
@@ -912,14 +963,9 @@ class QpuNetwork:
             old.kind = "retired"
             self._wire_peers(old)
             old.index = None
-            parent.child_clocks.pop(old.actor, None)
-            parent.child_sizes.pop(old.actor, None)
         i = next(j for j, c in enumerate(parent.children) if c.actor == a.actor)
         parent.children = [c for c in parent.children if c.actor != b.actor]
         parent.children[i] = ChildRef(actor, "hist", region, merged.dc, merged.scope)
-        parent.child_clocks[actor] = merged.index.clock.copy()
-        parent.child_sizes[actor] = merged.index.visible_count()
-        merged._mark_dirty()
         self._rewire_peers()
         return actor
 

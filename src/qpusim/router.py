@@ -19,7 +19,7 @@ of ANDed OR-groups.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .regions import AttributeSchema, Interval, Region
 from .staleness import Level, StalenessLevel
@@ -61,7 +61,7 @@ class Query:
     text: str = ""
 
     def at(self, dc: str) -> "Query":
-        return replace(self, origin_dc=dc)
+        return Query(self.expr, self.staleness, dc, self.text)
 
 
 @dataclass

@@ -9,16 +9,15 @@ deterministic for a given file, so reports can be compared byte for byte.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .crdt_index import Binner
 from .geostore import GeoStore
-from .oracle import HitCheck, rebuild_index, replay_matches, scan
+from .oracle import HitCheck, rebuild_index, scan, target_fault
 from .qpu import (
+    METRICS_COLUMNS,
     MergeRefused,
     QpuNetwork,
     SelectivityConfig,
@@ -29,7 +28,6 @@ from .qpu import (
 from .regions import AttributeSchema, Region
 from .router import Query, QueryError, QueryResult, parse
 from .simcore import NetConfig, Simulation
-from .staleness import Level
 from .workload import WorkloadSpec, gen_phases
 
 
@@ -317,6 +315,8 @@ def run_scenario(sc: Scenario, trace: bool = False,
     runtime_errors: list[str] = []
 
     def on_result(query: Query):
+        heads = store.replicas[query.origin_dc].heads if oracle else None
+
         def cb(res: QueryResult):
             results.append(res)
             if not oracle:
@@ -332,12 +332,12 @@ def run_scenario(sc: Scenario, trace: bool = False,
                     f"FAIL query {res.query_id}: keys diverge from full scan "
                     f"(extra {sorted(res.keys - want)}, "
                     f"missing {sorted(want - res.keys)})")
-            if res.target is not None and query.staleness.level is Level.BOUNDED:
-                need = replay_matches(replica, res.target, query) & want
-                if not need <= res.keys:
-                    verify_lines.append(
-                        f"FAIL query {res.query_id}: bounded-staleness misses "
-                        f"{sorted(need - res.keys)}")
+            if res.target is None:  # an empty plan resolves no target
+                return
+            fault = target_fault(query.staleness, res.target, heads, store,
+                                 sc.tree.replicated)
+            if fault is not None:
+                verify_lines.append(f"FAIL query {res.query_id}: {fault}")
         return cb
 
     for i, act in enumerate(sc.workload):
@@ -429,20 +429,8 @@ def _verify_end_state(sc: Scenario, store, net, scrubbed: int) -> list[str]:
 
 # -- outputs ------------------------------------------------------------------------
 
-METRICS_COLUMNS = [
-    "tick", "query_id", "staleness", "qpus_visited", "cache_hits",
-    "candidate_checked", "false_positives_removed", "result_size", "lag_per_dc",
-]
-
-
 def metrics_csv(net: QpuNetwork) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(METRICS_COLUMNS)
-    for row in net.metrics:
-        lag = "|".join(f"{d}:{row['lag_per_dc'][d]}" for d in sorted(row["lag_per_dc"]))
-        w.writerow([row[c] for c in METRICS_COLUMNS[:-1]] + [lag])
-    return buf.getvalue()
+    return ",".join(METRICS_COLUMNS) + "\n" + net.metrics.getvalue()
 
 
 def traces_text(results: list[QueryResult]) -> str:

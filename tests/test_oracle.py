@@ -6,6 +6,7 @@ from qpusim import (
     Binner,
     Interval,
     Region,
+    StalenessLevel as SL,
     VectorClock,
     parse,
     rebuild_index,
@@ -13,6 +14,7 @@ from qpusim import (
     replay_to,
     scan,
 )
+from qpusim.oracle import target_fault
 
 from conftest import ask, build, fill, random_student, student_schema
 
@@ -182,3 +184,32 @@ def test_rebuild_origin_restriction():
     only1 = rebuild_index(rep, binner, origins={"dc1"})
     assert {only1.tag_info[t][0] for t in only1.tag_info} == {"a"}
     assert only1.clock == VectorClock({"dc1": 1})
+
+
+def test_target_fault_checks_each_level_on_its_own():
+    sim, store, net = build(dcs=("dc1", "dc2"))
+    for i in range(3):
+        store.put("dc1", f"a{i}", random_student(random.Random(i)))
+    store.put("dc2", "b", random_student(random.Random(9)))
+    heads = store.replicas["dc1"].heads  # dc2's write has not arrived
+    assert heads == VectorClock({"dc1": 3})
+
+    def fault(level, target, replicated=True):
+        return target_fault(level, VectorClock(target), heads, store,
+                            replicated)
+
+    assert fault(SL.strong(), {"dc1": 3}) is None
+    assert "strong target {dc1:2}" in fault(SL.strong(), {"dc1": 2})
+    assert fault(SL.bounded(2), {"dc1": 1}) is None
+    assert fault(SL.bounded(5), {}) is None
+    assert fault(SL.bounded(2), {"dc1": 3}) is not None
+    assert fault(SL.any(), {}) is None
+    assert fault(SL.any(), {"dc1": 1}) is not None
+    # a snapshot component may not pass any replica that indexes its origin
+    assert fault(SL.snapshot(), {}) is None
+    assert fault(SL.snapshot(), {"dc2": 1}) is not None  # dc1 lacks it
+    # on a non-replicated tree only the origin's own replica indexes it
+    assert fault(SL.snapshot(), {"dc1": 3, "dc2": 1}, replicated=False) is None
+    sim.run_until_quiescent()
+    assert fault(SL.snapshot(), {"dc1": 3, "dc2": 1}) is None
+    assert fault(SL.snapshot(), {"dc1": 4}) is not None

@@ -119,24 +119,49 @@ def test_leaf_behind_a_strong_target_answers_an_error():
 
 
 def test_stale_gossip_keeps_strong_queries_correct():
-    # the freshness stage has lost track of history coverage, but the
-    # leaves it dispatches to are at their replica heads, so strong results
-    # still match a scan
+    # the root has lost track of the replicas' heads, but the leaves below
+    # are at their replica heads, so strong results still match a scan
     sim, store, net = quiesced()
     rng = random.Random(14)
     fill(store, rng, 50)
     sim.run_until_quiescent()
-    fresh = net.nodes["qpu/dc2"]
-    fresh.child_clocks.clear()
-    assert fresh._stable() == VectorClock()
+    net.root.child_clocks.clear()
+    assert net.root._stable() == VectorClock()
     res = ask(net, "gpa >= 2.0 FRESHNESS strong", "dc2")
     assert res.keys == scan(store.replicas["dc2"], parse("gpa >= 2.0", SCHEMA))
 
 
 def test_gossip_raises_the_stable_floor():
     sim, store, net = quiesced(gossip_every=5, n=30, seed=15, rngseed=15)
-    fresh = net.nodes["qpu/dc1"]
-    assert fresh._stable() == store.replicas["dc1"].heads
+    assert net.root._stable() == store.replicas["dc1"].heads
+    assert set(net.root.child_clocks) == {"qpu/dc1", "qpu/dc2", "qpu/dc3"}
+
+
+def test_only_freshness_nodes_gossip_and_only_to_the_root():
+    sim, store, net = quiesced(history=CUT, jitter=4, dup=0.2, trace=True)
+    fill(store, random.Random(16), 60)
+    sim.run_until_quiescent()
+    net.force_split("qpu/dc2/h1")
+    fill(store, random.Random(17), 30)
+    sim.run_until_quiescent()
+    gossip = {(src, dst) for _, src, dst, kind, _ in sim.trace_rows
+              if kind == "clock.gossip"}
+    assert gossip == {(f"qpu/{dc}", "qpu/root") for dc in store.dcs}
+    # each report is the reporter's replica heads, and they have settled
+    for dc in store.dcs:
+        assert net.root.child_clocks[f"qpu/{dc}"] == store.replicas[dc].heads
+
+
+def test_non_replicated_snapshot_merges_each_dcs_own_heads():
+    # on a non-replicated tree each freshness node reports only its own
+    # origin, so a floor of the reports is empty and would hand every
+    # snapshot query the `any` contract
+    sim, store, net = quiesced(replicated=False, n=30, seed=18, rngseed=18)
+    own = {dc: store.replicas[dc].heads.get(dc) for dc in store.dcs}
+    assert net.root._stable() == VectorClock(own)
+    res = ask(net, "gpa >= 0.0 FRESHNESS snapshot", "dc1")
+    assert res.target == VectorClock(own)
+    assert res.keys == scan(store.replicas["dc1"], parse("gpa >= 0.0", SCHEMA))
 
 
 # -- result cache -------------------------------------------------------------------
@@ -151,9 +176,11 @@ def test_cache_miss_then_hit_then_staleness_miss():
     r = rect_for(1.0, 2.0)
     assert cache.probe((r,), r.render(), VectorClock()) is None
     content = {("t", 1): ("k", {"gpa": 1.5, "dept": "cs"})}
-    cache.insert((r,), r.render(), content, VectorClock({"dc1": 4}))
+    cache.insert((r,), r.render(), content, VectorClock({"dc1": 4}),
+                 VectorClock({"dc1": 6}))
     got = cache.probe((r,), r.render(), VectorClock({"dc1": 3}))
-    assert got == (content, VectorClock({"dc1": 4}))
+    assert (got.content, got.clock, got.ceiling) == (
+        content, VectorClock({"dc1": 4}), VectorClock({"dc1": 6}))
     # a target past the entry's coverage cannot be served from it
     assert cache.probe((r,), r.render(), VectorClock({"dc1": 5})) is None
     assert (cache.hits, cache.misses) == (1, 2)

@@ -241,6 +241,23 @@ def test_every_replication_mode_ingests_without_a_gap(mode, seed, replicated):
                               if ln.startswith("FAIL")]
 
 
+# Seeds where a key moved between the two low-price leaves while a query
+# was in flight: one leaf had culled it and the other had not yet posted it.
+# Completing before the coordinator's replica held the write that moved the
+# key lost it from the answer. Delta seeds 5, 12 and 20 lost a key while
+# every tree node gossiped; delta seeds 3 and 11 lose one with gossip from
+# the freshness nodes alone, since fewer messages draw different jitter.
+@pytest.mark.parametrize("mode, seed, replicated", [
+    ("delta", 3, True), ("delta", 5, True), ("delta", 11, True),
+    ("delta", 12, True), ("delta", 20, True),
+    ("log", 7, False), ("delta", 7, False), ("adaptive", 7, False)])
+def test_a_key_moving_between_leaves_mid_query_is_not_lost(mode, seed,
+                                                           replicated):
+    report = run_scenario(parse_scenario(write_heavy(mode, seed, replicated)))
+    assert report.verify_ok, [ln for ln in report.verify_lines
+                              if ln.startswith("FAIL")]
+
+
 def test_adaptive_leaves_switch_at_most_once_per_tick():
     switches = 0
     for seed in (1, 2, 3):
