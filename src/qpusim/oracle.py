@@ -3,7 +3,8 @@
 Everything here is independent of the tree, the cache, and the index
 structures: full scans with exact bounds, log folds to a clock,
 from-scratch index rebuilds, a check of each routed target against its
-staleness level, and a check of result-cache hits against the logs. Tests and the verify tooling compare the fast paths against these.
+staleness level, and a check of result-cache hits against the logs. Tests
+and the verify tooling compare the fast paths against these.
 """
 
 from __future__ import annotations

@@ -36,8 +36,6 @@ scope, to the root. The first new entry in scope arms a report timer of
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -167,8 +165,8 @@ class Probe:
     target: VectorClock | None = None  # resolved at the root
 
     def child(self, reply_to: str, rects: tuple, target: VectorClock) -> "Probe":
-        """The probe a dispatch stage sends one child: built directly, since
-        a dataclasses.replace per hop costs more than the hop's own work."""
+        """The probe a dispatch stage sends one child, built directly rather
+        than with dataclasses.replace, which the read path calls per hop."""
         return Probe(self.qid, rects, self.residual, self.origin_dc, reply_to,
                      target=target)
 
@@ -178,8 +176,8 @@ class Resp:
     qid: str
     hits: dict  # tag -> (key, attrs at write time)
     clock: VectorClock | None  # claimed coverage, None on error
-    # the join of the clocks the leaves served at, None on error: a leaf
-    # may have culled a key another leaf had not yet posted anywhere below it
+    # the join of the clocks the leaves served at, None on error; the
+    # coordinator waits for its replica to hold it (see Coordinator)
     ceiling: VectorClock | None
     visited: frozenset
     cache_hits: int
@@ -405,10 +403,10 @@ class Qpu:
         join.traces[src] = resp.trace
         join.hits.update(resp.hits)
         join.clocks[src] = resp.clock
-        if resp.error and join.error is None:
-            join.error = resp.error
-        elif resp.ceiling is not None:
+        if resp.error is None:
             join.ceiling = join.ceiling.merge(resp.ceiling)
+        elif join.error is None:
+            join.error = resp.error
         if join.error or not join.expected:
             del self.joins[resp.qid]
             self._finalize(join)
@@ -568,7 +566,7 @@ class Qpu:
         self.window.clear()
         self.net._wire_peers(self)
 
-    # -- gossip (see the module note) -------------------------------------------------
+    # -- gossip (see the module note) ---------------------------------------------
 
     def _on_replica(self, entry: LogEntry):
         # a freshness node's feed: the first new entry in scope arms a report
@@ -677,11 +675,12 @@ class Coordinator:
         if not self.parked:
             return
         heads = self.replica.heads
-        ready = [p for p in self.parked if heads.dominates(p[2].ceiling)]
-        if ready:
-            self.parked = [p for p in self.parked if p not in ready]
-            for qid, info, resp in ready:
+        parked, self.parked = self.parked, []
+        for qid, info, resp in parked:
+            if heads.dominates(resp.ceiling):
                 self._complete(qid, info, resp)
+            else:
+                self.parked.append((qid, info, resp))
 
     def _complete(self, qid: str, info: _Pending, resp: Resp):
         net = self.net
@@ -741,10 +740,13 @@ class QpuNetwork:
         self.schema = store.schema
         self.nodes: dict[str, Qpu] = {}
         self.coordinators: dict[str, Coordinator] = {}
-        # the metrics.csv rows, each written once as the query completes
-        self.metrics = io.StringIO()
-        self._metrics_writer = csv.writer(self.metrics, lineterminator="\n")
+        # the metrics.csv rows, each rendered once, as its line, when its
+        # query completes
+        self.metrics: list[str] = []
         self._lag_dcs = sorted(store.dcs)
+        # only DC names can bring a delimiter, quote or line break into a
+        # row; the lag field is then quoted as the csv module would
+        self._quote_lag = any(c in d for d in store.dcs for c in ',"\r\n')
         # called as (actor, origin dc, rects, hits, clock) on every cache
         # hit when set; run_scenario sets it to the oracle's hit check
         self.check_hit = None
@@ -839,12 +841,14 @@ class QpuNetwork:
         local = replicas[result.origin_dc].log
         lag = "|".join(f"{d}:{len(replicas[d].log[d]) - len(local.get(d, ()))}"
                        for d in self._lag_dcs)
+        if self._quote_lag:
+            lag = '"' + lag.replace('"', '""') + '"'
         stats = result.stats
-        self._metrics_writer.writerow((
-            result.response_tick, result.query_id, result.staleness,
-            stats["qpus_visited"], stats["cache_hits"],
-            stats["candidate_checked"], stats["false_positives_removed"],
-            stats["result_size"], lag))
+        self.metrics.append(
+            f"{result.response_tick},{result.query_id},{result.staleness},"
+            f"{stats['qpus_visited']},{stats['cache_hits']},"
+            f"{stats['candidate_checked']},{stats['false_positives_removed']},"
+            f"{stats['result_size']},{lag}\n")
 
     # -- registries ---------------------------------------------------------------
 

@@ -395,7 +395,10 @@ def _verify_ingest(net) -> str:
 
 
 def _verify_end_state(sc: Scenario, store, net, scrubbed: int) -> list[str]:
-    lines = [f"PASS run: quiesced at tick {net.sim.now}, scrubbed {scrubbed}"]
+    if net.inflight:  # a response lost, or parked for good by its coordinator
+        lines = [f"FAIL run: {net.inflight} queries never completed"]
+    else:
+        lines = [f"PASS run: quiesced at tick {net.sim.now}, scrubbed {scrubbed}"]
     if not sc.scrub_at_end:
         return lines
     binner = net.binner
@@ -430,7 +433,7 @@ def _verify_end_state(sc: Scenario, store, net, scrubbed: int) -> list[str]:
 # -- outputs ------------------------------------------------------------------------
 
 def metrics_csv(net: QpuNetwork) -> str:
-    return ",".join(METRICS_COLUMNS) + "\n" + net.metrics.getvalue()
+    return ",".join(METRICS_COLUMNS) + "\n" + "".join(net.metrics)
 
 
 def traces_text(results: list[QueryResult]) -> str:

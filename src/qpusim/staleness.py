@@ -2,8 +2,9 @@
 
 Clocks are keyed by origin datacenter and count contiguously applied log
 entries per origin. A query's staleness level resolves against the stable
-subtree clock and the origin's heads into a target clock that every
-contributing index view must cover.
+clock (the replica heads the freshness nodes last reported to the root) and
+the origin's heads into a target clock that every contributing index view
+must cover.
 """
 
 from dataclasses import dataclass
@@ -141,7 +142,7 @@ def floor_all(clocks) -> VectorClock | None:
 def resolve_target(level: StalenessLevel, stable: VectorClock,
                    heads: VectorClock) -> VectorClock:
     """Turn a staleness level into the clock results must cover, given the
-    stable subtree clock and the origin replica's heads."""
+    stable clock and the origin replica's heads."""
     if level.level is Level.STRONG:
         return heads.copy()
     if level.level is Level.BOUNDED:

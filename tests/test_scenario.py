@@ -154,6 +154,15 @@ def test_oracle_flags_a_wrong_result(monkeypatch):
                for ln in report.verify_lines)
 
 
+def test_oracle_flags_a_query_that_never_completes(monkeypatch):
+    from qpusim.qpu import Coordinator
+
+    monkeypatch.setattr(Coordinator, "handle", lambda self, env: None)
+    report = run_scenario(parse_scenario(minimal(verify={"oracle": True})))
+    assert report.results == []
+    assert "FAIL run: 1 queries never completed" in report.verify_lines
+
+
 def test_write_outputs_files(tmp_path):
     report = run_scenario(parse_scenario(minimal()))
     paths = write_outputs(report, tmp_path)
@@ -163,6 +172,26 @@ def test_write_outputs_files(tmp_path):
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["queries"] == 1
     assert manifest["scenario"]["name"] == "t"
+
+
+def test_metrics_rows_quote_dc_names_as_the_csv_module_does():
+    import csv
+    import io
+
+    from qpusim import metrics_csv
+
+    dcs = ["a,b", 'c"d']
+    report = run_scenario(parse_scenario(minimal(dcs=dcs, workload=[
+        {"t": 1, "op": "put", "dc": dcs[0], "key": "k", "attrs": {"x": 3.0}},
+        {"t": 2, "op": "query", "dc": dcs[1], "text": "x > 1.0"},
+        {"t": 3, "op": "query", "dc": dcs[0], "text": "x > 1.0"}])))
+    got = metrics_csv(report.net)
+    rows = list(csv.reader(io.StringIO(got)))
+    assert len(rows) == 3
+    assert all(r[-1].startswith("a,b:") and '|c"d:' in r[-1] for r in rows[1:])
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(rows)
+    assert got == want.getvalue()
 
 
 def test_each_distinct_query_text_is_parsed_once():
