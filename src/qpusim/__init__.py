@@ -13,7 +13,6 @@ from .qpu import (
     Resp,
     ResultCache,
     SelectivityConfig,
-    SplitPolicy,
     SplitRefused,
     TreeConfig,
 )

@@ -186,13 +186,3 @@ class GeoStore:
         entry = self.replicas[dc].delete(key, self.sim.now)
         self._fan_out(dc, entry)
         return entry
-
-    def max_heads(self) -> VectorClock:
-        """Per origin, the longest log any replica has applied."""
-        out: dict[str, int] = {}
-        for r in self.replicas.values():
-            for d, es in r.log.items():
-                n = len(es)
-                if n > out.get(d, 0):
-                    out[d] = n
-        return VectorClock._of(out)

@@ -76,18 +76,9 @@ class MergeRefused(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SplitPolicy:
-    """Structural thresholds; the merge bar must sit well under the split bar
-    or a merged leaf could immediately re-split."""
-
-    t_split: int = 1000
-    t_merge: int = 100
-    auto: bool = False
-
-    def __post_init__(self):
-        if self.t_merge < 1 or self.t_merge >= self.t_split / 2:
-            raise ValueError("need 1 <= t_merge < t_split / 2")
+def _require_positive_int(name: str, value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +91,7 @@ class SelectivityConfig:
     theta_high: float = 0.15
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be positive")
+        _require_positive_int("window", self.window)
         if not 0.0 < self.theta_low < self.theta_high < 1.0:
             raise ValueError("need 0 < theta_low < theta_high < 1")
 
@@ -142,15 +132,17 @@ class TreeConfig:
     repl_mode: str = LOG  # log | delta | adaptive
     gossip_every: int = 10
     cache_capacity: int = 256
-    split: SplitPolicy = field(default_factory=SplitPolicy)
     selectivity: SelectivityConfig = field(default_factory=SelectivityConfig)
     history_tree: object = "leaf"
 
     def __post_init__(self):
         if self.repl_mode not in (LOG, DELTA, "adaptive"):
             raise ValueError(f"unknown replication mode {self.repl_mode!r}")
-        if self.gossip_every < 1:
-            raise ValueError("gossip_every must be positive")
+        if not isinstance(self.replicated, bool):
+            raise ValueError(f"replicated must be true or false, "
+                             f"got {self.replicated!r}")
+        _require_positive_int("gossip_every", self.gossip_every)
+        _require_positive_int("cache_capacity", self.cache_capacity)
 
 
 @dataclass
@@ -189,7 +181,6 @@ class Resp:
 @dataclass(frozen=True)
 class ChildRef:
     actor: str
-    kind: str
     region: Region
     dc: str
     scope: frozenset
@@ -215,8 +206,6 @@ class ResultCache:
     """
 
     def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.entries: dict[tuple, CacheEntry] = {}  # oldest use first
         self.hits = 0
@@ -539,13 +528,6 @@ class Qpu:
                 self.sim.send(self.actor, peer, "index.delta", (delta, raw_attrs),
                               note=f"{delta.origin}:{delta.seq}")
         self._maybe_switch()
-        pol = self.net.cfg.split
-        if pol.auto:
-            n = self.index.visible_count()
-            if n > pol.t_split:
-                self.net._request_maintenance("split", self.actor)
-            elif n < pol.t_merge:
-                self.net._request_maintenance("merge", self.actor)
 
     # -- replication mode ----------------------------------------------------------
 
@@ -637,7 +619,6 @@ class Coordinator:
         net = self.net
         qid = net._next_qid()
         rects, residual = net._plan_of(q)
-        net.inflight += 1
         if not rects:  # contradictory bounds: a valid, empty plan
             heads = self.replica.heads
             info = _Pending(q, cb, rects, net.sim.now)
@@ -707,7 +688,6 @@ class Coordinator:
                 trace="\n".join(resp.trace), error=None,
                 response_tick=net.sim.now, staleness=q.staleness.render(),
                 origin_dc=self.dc)
-        net.inflight -= 1
         net._record_metrics(result)
         info.cb(result)
 
@@ -750,12 +730,8 @@ class QpuNetwork:
         # called as (actor, origin dc, rects, hits, clock) on every cache
         # hit when set; run_scenario sets it to the oracle's hit check
         self.check_hit = None
-        self.inflight = 0
         self._qn = 0
         self._ids: dict[str, int] = {}
-        self._maint: list[tuple] = []
-        self._maint_set: set = set()
-        self._maint_armed = False
         # expr -> (expr planned, rects, residual), oldest first; see Coordinator
         self._plans: dict[object, tuple] = {}
 
@@ -768,7 +744,7 @@ class QpuNetwork:
             fresh = self._new_node(f"qpu/{dc}", "freshness", dc, whole, scope,
                                    parent=self.root.actor)
             self.root.children.append(
-                ChildRef(fresh.actor, "freshness", whole, dc, scope))
+                ChildRef(fresh.actor, whole, dc, scope))
             store.replicas[dc].subscribe(fresh._on_replica)
             fresh.children = [self._build_history(cfg.history_tree, whole, dc,
                                                   scope, fresh.actor, initial)]
@@ -795,7 +771,7 @@ class QpuNetwork:
             leaf = self._new_node(actor, "hist", dc, region, scope, parent)
             leaf.repl_mode = mode
             self.store.replicas[dc].subscribe(leaf._on_feed)
-            return ChildRef(actor, "hist", region, dc, scope)
+            return ChildRef(actor, region, dc, scope)
         attr, at = spec["attr"], spec["at"]
         lo_part, hi_part = region.cut(attr, at)
         if lo_part is None or hi_part is None:
@@ -805,7 +781,7 @@ class QpuNetwork:
             self._build_history(spec["lo"], lo_part, dc, scope, actor, mode),
             self._build_history(spec["hi"], hi_part, dc, scope, actor, mode),
         ]
-        return ChildRef(actor, "value", region, dc, scope)
+        return ChildRef(actor, region, dc, scope)
 
     # -- query API -----------------------------------------------------------------
 
@@ -906,7 +882,7 @@ class QpuNetwork:
         leaf.kind = "value"
         self._wire_peers(leaf)
         leaf.index = None
-        leaf.children = [ChildRef(k.actor, "hist", k.region, k.dc, k.scope)
+        leaf.children = [ChildRef(k.actor, k.region, k.dc, k.scope)
                          for k in kids]
         self._rewire_peers()
         return kids[0].actor, kids[1].actor
@@ -927,8 +903,7 @@ class QpuNetwork:
                 return lo, hi
         raise SplitRefused(f"{leaf.actor}: no axis offers a non-degenerate median")
 
-    def merge_siblings(self, a_actor: str, b_actor: str, *,
-                       respect_thresholds: bool = False) -> str:
+    def merge_siblings(self, a_actor: str, b_actor: str) -> str:
         a = self.nodes.get(a_actor)
         b = self.nodes.get(b_actor)
         if a is None or b is None or a.kind != "hist" or b.kind != "hist":
@@ -940,13 +915,6 @@ class QpuNetwork:
             raise MergeRefused("regions do not union to a rectangle")
         if a.region.ivs[axis].lo > b.region.ivs[axis].lo:
             a, b = b, a
-        combined = a.index.visible_count() + b.index.visible_count()
-        pol = self.cfg.split
-        if respect_thresholds:
-            if combined >= pol.t_split / 2:
-                raise MergeRefused(f"combined size {combined} too close to t_split")
-            if min(a.index.visible_count(), b.index.visible_count()) >= pol.t_merge:
-                raise MergeRefused("neither leaf is under t_merge")
         attr_iv_a, attr_iv_b = a.region.ivs[axis], b.region.ivs[axis]
         union_iv = Interval(attr_iv_a.lo, attr_iv_b.hi,
                             attr_iv_a.lo_open, attr_iv_b.hi_open)
@@ -969,7 +937,7 @@ class QpuNetwork:
             old.index = None
         i = next(j for j, c in enumerate(parent.children) if c.actor == a.actor)
         parent.children = [c for c in parent.children if c.actor != b.actor]
-        parent.children[i] = ChildRef(actor, "hist", region, merged.dc, merged.scope)
+        parent.children[i] = ChildRef(actor, region, merged.dc, merged.scope)
         self._rewire_peers()
         return actor
 
@@ -983,56 +951,6 @@ class QpuNetwork:
         if lo.hi != hi.lo or (lo.hi_open and hi.lo_open):
             return None  # a gap at the seam; a shared closed endpoint is fine
         return axis
-
-    # -- background maintenance -----------------------------------------------------
-
-    def _request_maintenance(self, op: str, actor: str):
-        key = (op, actor)
-        if key in self._maint_set:
-            return
-        self._maint_set.add(key)
-        self._maint.append(key)
-        if not self._maint_armed:
-            self._maint_armed = True
-            self.sim.after(1, self._run_maintenance)
-
-    def _run_maintenance(self):
-        self._maint_armed = False
-        if self.inflight:  # structure must not change under a live query
-            self._maint_armed = True
-            self.sim.after(5, self._run_maintenance)
-            return
-        queue, self._maint = self._maint, []
-        self._maint_set.clear()
-        pol = self.cfg.split
-        for op, actor in queue:
-            leaf = self.nodes.get(actor)
-            if leaf is None or leaf.kind != "hist":
-                continue
-            if op == "split" and leaf.index.visible_count() > pol.t_split:
-                try:
-                    self.force_split(actor)
-                except SplitRefused:
-                    pass
-            elif op == "merge" and leaf.index.visible_count() < pol.t_merge:
-                sib = self._merge_candidate(leaf)
-                if sib is not None:
-                    try:
-                        self.merge_siblings(actor, sib, respect_thresholds=True)
-                    except MergeRefused:
-                        pass
-
-    def _merge_candidate(self, leaf: Qpu) -> str | None:
-        if leaf.parent is None:
-            return None
-        parent = self.nodes[leaf.parent]
-        for c in parent.children:
-            if c.actor == leaf.actor or c.kind != "hist":
-                continue
-            sib = self.nodes[c.actor]
-            if sib.kind == "hist" and self._union_axis(leaf.region, sib.region):
-                return c.actor
-        return None
 
     # -- convergence maintenance ------------------------------------------------------
 

@@ -21,7 +21,6 @@ from .qpu import (
     MergeRefused,
     QpuNetwork,
     SelectivityConfig,
-    SplitPolicy,
     SplitRefused,
     TreeConfig,
 )
@@ -140,10 +139,8 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         tree_raw["root_dc"] = dcs[0]
     history = tree_raw.pop("history", "leaf")
     try:
-        split = SplitPolicy(**tree_raw.pop("split", {}))
         sel = SelectivityConfig(**tree_raw.pop("selectivity", {}))
-        tree = TreeConfig(split=split, selectivity=sel, history_tree=history,
-                          **tree_raw)
+        tree = TreeConfig(selectivity=sel, history_tree=history, **tree_raw)
     except (TypeError, ValueError) as exc:
         fail(f"tree: {exc}", '"tree"')
     if tree.root_dc not in dcs:
@@ -172,6 +169,12 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         value = bounds[name] = limits.get(name, bounds[name])
         if not _is_int(value) or value < 1:
             fail(f"limits.{name} must be a positive integer", f'"{name}"')
+    oracle = verify.get("oracle", False)
+    scrub_at_end = raw.get("scrub_at_end", True)
+    for name, value in (("verify.oracle", oracle), ("scrub_at_end", scrub_at_end)):
+        if not isinstance(value, bool):
+            fail(f"{name} must be true or false, got {value!r}",
+                 f'"{name.rsplit(".", 1)[-1]}"')
     return Scenario(
         name=raw.get("name", path or "scenario"),
         seed=seed,
@@ -182,8 +185,8 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         tree=tree,
         workload=workload,
         queries=queries,
-        oracle=bool(verify.get("oracle", False)),
-        scrub_at_end=bool(raw.get("scrub_at_end", True)),
+        oracle=oracle,
+        scrub_at_end=scrub_at_end,
         max_ticks=bounds["max_ticks"],
         max_events=bounds["max_events"],
         raw=raw,
@@ -202,8 +205,10 @@ def _validate_history(spec, region, schema, fail, where="tree.history"):
         fail(f"{where} must be \"leaf\" or a cut with exactly attr, at, lo "
              f"and hi, got {got}", '"history"')
     attr, at = spec["attr"], spec["at"]
-    if attr not in schema:
+    if not isinstance(attr, str) or attr not in schema:
         fail(f"{where} cuts unknown attribute {attr!r}", '"history"')
+    if not schema[attr].validate(at):
+        fail(f"{where} cut at {at!r} is not a value of {attr!r}", '"history"')
     lo_part, hi_part = region.cut(attr, at)
     if lo_part is None or hi_part is None:
         fail(f"{where} cut {attr}@{at!r} leaves an empty side", '"history"')
@@ -223,6 +228,7 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
     queries: dict[int, Query] = {}
     parsed: dict[str, Query] = {}  # query text -> its one parse
     exprs: dict[str, object] = {}  # expression repr -> one shared object
+    windows: dict[tuple, list] = {}  # DC pair -> its partitions' (t, until, i)
     for i, act in enumerate(workload):
         def bad(msg):
             fail(f"workload action {i}: {msg}", '"op"', i)
@@ -230,25 +236,27 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
         if not isinstance(act, dict) or "op" not in act:
             fail(f"workload action {i} needs an op", '"workload"')
         op = act["op"]
-        if op not in _OPS:
+        if not isinstance(op, str) or op not in _OPS:
             bad(f"unknown op {op!r}")
         t = act.get("t")
         if not isinstance(t, int) or t < 0:
             bad("t must be a non-negative integer tick")
         if op in ("put", "delete", "query") and act.get("dc") not in dcs:
             bad(f"dc {act.get('dc')!r} is not declared")
+        if op in ("put", "delete") and not isinstance(act.get("key"), str):
+            bad(f"{op} needs a string key")
         if op == "put":
             attrs = act.get("attrs")
-            if not isinstance(attrs, dict) or set(attrs) != set(schema):
+            if not isinstance(attrs, dict):
+                bad(f"attrs must be an object, got {attrs!r}")
+            if set(attrs) != set(schema):
                 bad(f"attrs must give every schema attribute exactly once, "
-                    f"got {sorted(attrs or {})}")
+                    f"got {sorted(attrs)}")
             for a, v in attrs.items():
                 if isinstance(v, float) and schema[a].kind == "int":
                     bad(f"attribute {a!r} takes int values")
                 if not schema[a].validate(v):
                     bad(f"value {v!r} is outside the domain of {a!r}")
-        if op == "delete" and not isinstance(act.get("key"), str):
-            bad("delete needs a key")
         if op == "query":
             text = act.get("text", "")
             if not isinstance(text, str):
@@ -272,8 +280,19 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
         if op == "partition":
             if act.get("a") not in dcs or act.get("b") not in dcs:
                 bad("partition needs two declared DCs")
+            if act["a"] == act["b"]:
+                bad("partition needs two different DCs")
             if not isinstance(act.get("until"), int) or act["until"] <= t:
                 bad("partition needs until > t")
+            pair = tuple(sorted((act["a"], act["b"])))
+            windows.setdefault(pair, []).append((t, act["until"], i))
+    for pair, spans in windows.items():
+        # windows may touch, [50, 60) then [60, 70), but not overlap
+        spans.sort()
+        for (_, until, _), (t, _, i) in zip(spans, spans[1:]):
+            if t < until:
+                fail(f"workload action {i}: partition overlaps another "
+                     f"window on {pair[0]}-{pair[1]}", '"op"', i)
     return queries
 
 
@@ -395,8 +414,12 @@ def _verify_ingest(net) -> str:
 
 
 def _verify_end_state(sc: Scenario, store, net, scrubbed: int) -> list[str]:
-    if net.inflight:  # a response lost, or parked for good by its coordinator
-        lines = [f"FAIL run: {net.inflight} queries never completed"]
+    # at quiescence an empty-plan query has completed; one still pending
+    # lost its response, and one still parked waits for good
+    stuck = sum(len(c.pending) + len(c.parked)
+                for c in net.coordinators.values())
+    if stuck:
+        lines = [f"FAIL run: {stuck} queries never completed"]
     else:
         lines = [f"PASS run: quiesced at tick {net.sim.now}, scrubbed {scrubbed}"]
     if not sc.scrub_at_end:

@@ -134,13 +134,20 @@ class Simulation:
         self.at(start, lambda: self._open_partition(pair, end))
 
     def _open_partition(self, pair, end: int):
-        if pair in self._partitions:
+        old = self._partitions.get(pair)
+        if old is not None and old.end <= self.now:
+            # a window ending where this one starts, whose close event has
+            # not fired yet this tick
+            self._close_partition(pair, old)
+        elif old is not None:
             raise ValueError(f"overlapping partition windows for {pair}")
-        self._partitions[pair] = _Partition(end)
-        self.at(end, lambda: self._close_partition(pair))
+        part = self._partitions[pair] = _Partition(end)
+        self.at(end, lambda: self._close_partition(pair, part))
 
-    def _close_partition(self, pair):
-        part = self._partitions.pop(pair)
+    def _close_partition(self, pair, part: _Partition):
+        if self._partitions.get(pair) is not part:
+            return  # closed early, when a touching window opened
+        del self._partitions[pair]
         for env in part.held:
             self._dispatch(env, cross=True)
 

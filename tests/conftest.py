@@ -16,7 +16,6 @@ from qpusim import (
     Region,
     SelectivityConfig,
     Simulation,
-    SplitPolicy,
     TreeConfig,
     parse,
     route,
@@ -50,7 +49,7 @@ def numeric_schema(n=3):
 def build(dcs=("dc1", "dc2", "dc3"), schema=None, binning=None, history="leaf",
           replicated=True, repl_mode="log", seed=0, intra=1, inter=5,
           jitter=0, dup=0.0, gossip_every=10, cache_capacity=256,
-          split=None, selectivity=None, root_dc=None,
+          selectivity=None, root_dc=None,
           trace=False):
     schema = schema or student_schema()
     sim = Simulation(NetConfig(intra, inter, jitter, dup), seed=seed, trace=trace)
@@ -59,7 +58,7 @@ def build(dcs=("dc1", "dc2", "dc3"), schema=None, binning=None, history="leaf",
     cfg = TreeConfig(
         root_dc or dcs[0], replicated=replicated, repl_mode=repl_mode,
         gossip_every=gossip_every, cache_capacity=cache_capacity,
-        split=split or SplitPolicy(), selectivity=selectivity or SelectivityConfig(),
+        selectivity=selectivity or SelectivityConfig(),
         history_tree=history)
     net = QpuNetwork(sim, store, binner, cfg)
     return sim, store, net

@@ -254,3 +254,80 @@ def test_run_that_hits_its_limits_exits_2(tmp_path, capsys, cmd, limit):
     assert f"limits.{limit}" in err
     assert "at tick " in err and "events pending" in err
     assert "Traceback" not in err
+
+
+def _in_tree(**fields):
+    return lambda doc: doc["tree"].update(fields)
+
+
+def _cut(attr, at):
+    return _in_tree(history={"attr": attr, "at": at, "lo": "leaf", "hi": "leaf"})
+
+
+def _actions(*actions):
+    def edit(doc):
+        doc["workload"] = list(actions)
+    return edit
+
+
+def _put(**fields):
+    return {"t": 1, "op": "put", "dc": "dc1", **fields}
+
+
+def _cut_off(t, until, a="dc1", b="dc2"):
+    return {"t": t, "op": "partition", "a": a, "b": b, "until": until}
+
+
+_GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
+
+
+# each input: the edit to students.json, a text the message must hold,
+# and a text the line it names must hold
+@pytest.mark.parametrize("edit, message, on_line", [
+    (_actions(_put(attrs=_GOOD_ATTRS)),
+     "workload action 0: put needs a string key", '"op": "put"'),
+    (_actions(_put(key="z", attrs=5)),
+     "workload action 0: attrs must be an object, got 5", '"op": "put"'),
+    (_actions(_put(key="z", attrs=[1, "a"])),
+     "workload action 0: attrs must be an object", '"op": "put"'),
+    (_actions(_cut_off(5, 9, b="dc1")),
+     "workload action 0: partition needs two different DCs",
+     '"op": "partition"'),
+    (_actions(_cut_off(5, 20), _put(key="z", attrs=_GOOD_ATTRS),
+              _cut_off(10, 30, "dc2", "dc1")),
+     "workload action 2: partition overlaps another window on dc1-dc2",
+     '"op": "partition"'),
+    (_in_tree(cache_capacity=0), "tree: cache_capacity must be a positive",
+     '"tree"'),
+    (_in_tree(selectivity={"window": 2.5}),
+     "tree: window must be a positive integer, got 2.5", '"tree"'),
+    (_in_tree(replicated="no"), "tree: replicated must be true or false",
+     '"tree"'),
+    (_cut(["GPA"], 2.0), "tree.history cuts unknown attribute ['GPA']",
+     '"history"'),
+    (_cut("GPA", "x"), "tree.history cut at 'x' is not a value of 'GPA'",
+     '"history"'),
+    (_in_tree(split={"auto": False}),
+     "tree: ", '"tree"'),
+    (lambda doc: doc["verify"].update(oracle="no"),
+     "verify.oracle must be true or false, got 'no'", '"oracle"'),
+    (lambda doc: doc.update(scrub_at_end="no"),
+     "scrub_at_end must be true or false, got 'no'", '"scrub_at_end"'),
+    (_actions({"t": 1, "op": ["put"]}),
+     "workload action 0: unknown op ['put']", '"op": ['),
+], ids=["put-without-key", "put-attrs-number", "put-attrs-list",
+        "partition-from-itself", "partition-overlap", "cache-capacity-0", "window-float",
+        "replicated-string", "cut-attr-list", "cut-at-wrong-type",
+        "tree-split", "oracle-string", "scrub-at-end-string", "op-list"])
+def test_malformed_input_exits_2_with_a_located_message(
+        tmp_path, capsys, edit, message, on_line):
+    doc = json.loads(Path(STUDENTS).read_text())
+    edit(doc)
+    path = tmp_path / "students.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    line = int(err.rsplit("(line ", 1)[1].split(")")[0])
+    assert on_line in path.read_text().splitlines()[line - 1]

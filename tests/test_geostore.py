@@ -148,7 +148,7 @@ def test_three_dc_random_churn_converges_to_lww_fold():
     for dc in store.dcs:
         replica = store.replicas[dc]
         assert replica.objects == folded
-    assert store.replicas["dc1"].heads == store.max_heads()
+        assert replica.heads == store.replicas["dc1"].heads
 
 
 def test_entries_after_respects_upto_bound():
@@ -162,8 +162,8 @@ def test_entries_after_respects_upto_bound():
         ("dc1", 1), ("dc1", 2), ("dc1", 3), ("dc2", 1), ("dc2", 2)}
 
 
-def test_heads_and_max_heads_match_a_fold_of_merge():
-    """Compared with the old definitions at every step of a lossy,
+def test_heads_match_the_log_lengths():
+    """Compared with the old definition at every step of a lossy,
     reordering run, while replicas still disagree."""
     sim, store, net = build(jitter=12, dup=0.25, seed=7)
     rng = random.Random(8)
@@ -173,15 +173,9 @@ def test_heads_and_max_heads_match_a_fold_of_merge():
                a=random_student(rng): store.put(dc, k, a))
     checked = 0
     while sim.step():
-        old_heads = [VectorClock({d: len(es) for d, es in r.log.items()})
-                     for r in store.replicas.values()]
-        fold = VectorClock()
-        for r, old in zip(store.replicas.values(), old_heads):
+        for r in store.replicas.values():
+            old = VectorClock({d: len(es) for d, es in r.log.items()})
             assert r.heads.entries == old.entries
             assert repr(r.heads) == repr(old)
-            fold = fold.merge(old)
-        assert store.max_heads().entries == fold.entries
-        assert repr(store.max_heads()) == repr(fold)
-        assert all(s > 0 for s in store.max_heads().entries.values())
         checked += 1
     assert checked > 300

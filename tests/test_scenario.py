@@ -163,6 +163,22 @@ def test_oracle_flags_a_query_that_never_completes(monkeypatch):
     assert "FAIL run: 1 queries never completed" in report.verify_lines
 
 
+def test_oracle_flags_a_query_parked_for_good(monkeypatch):
+    from qpusim.qpu import Coordinator
+
+    def park(self, env):
+        resp = env.payload
+        info = self.pending.pop(resp.qid, None)
+        if info is not None:
+            self.parked.append((resp.qid, info, resp))
+
+    monkeypatch.setattr(Coordinator, "handle", park)
+    monkeypatch.setattr(Coordinator, "_on_feed", lambda self, entry: None)
+    report = run_scenario(parse_scenario(minimal(verify={"oracle": True})))
+    assert report.results == []
+    assert "FAIL run: 1 queries never completed" in report.verify_lines
+
+
 def test_write_outputs_files(tmp_path):
     report = run_scenario(parse_scenario(minimal()))
     paths = write_outputs(report, tmp_path)
@@ -297,3 +313,17 @@ def test_adaptive_leaves_switch_at_most_once_per_tick():
             assert len(ticks) == len(set(ticks)), (seed, leaf.actor,
                                                    leaf.switch_log)
     assert switches > 0
+
+
+def test_touching_partition_windows_run_and_verify():
+    workload = minimal()["workload"] + [
+        {"t": 2, "op": "partition", "a": "dc1", "b": "dc2", "until": 6},
+        {"t": 6, "op": "partition", "a": "dc2", "b": "dc1", "until": 12},
+        {"t": 8, "op": "put", "dc": "dc2", "key": "b", "attrs": {"x": 4.0}},
+        {"t": 9, "op": "query", "dc": "dc1",
+         "text": "x > 1.0 FRESHNESS any"},
+    ]
+    report = run_scenario(parse_scenario(minimal(workload=workload)),
+                          oracle=True)
+    assert report.verify_ok, report.verify_lines
+    assert report.sim.now >= 12

@@ -181,6 +181,22 @@ def test_overlapping_partition_windows_rejected():
         sim.run_until_quiescent()
 
 
+def test_touching_partition_windows_each_hold_their_own_sends():
+    sim = Simulation(NetConfig(1, 2, 0, 0.0))
+    got = collector(sim, "b", dc="dc2")
+    sim.add_actor("a", "dc1", lambda e: None)
+    sim.partition("dc1", "dc2", 50, 60)
+    sim.partition("dc1", "dc2", 60, 70)
+    sim.at(55, lambda: sim.send("a", "b", "m", "first"))
+    sim.at(65, lambda: sim.send("a", "b", "m", "second"))
+    sim.run_until_quiescent()
+    by_payload = {e.payload: e.deliver_at for e in got}
+    # the first window's backlog goes out when it ends, and its close
+    # event, firing after the second window opened, ends nothing
+    assert 60 <= by_payload["first"] < 70
+    assert by_payload["second"] >= 70
+
+
 def test_seeded_churn_quiesces_at_identical_tick():
     def run():
         sim, store, net = build(jitter=8, dup=0.15, seed=31)
