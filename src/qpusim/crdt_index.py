@@ -230,12 +230,14 @@ class CrdtIndex:
     # -- maintenance ------------------------------------------------------------------
 
     def stale_postings(self, replica: DcReplica) -> list[tuple[str, Stamp]]:
-        """Visible postings whose tag is not the current winning version of
-        its key in `replica`, as sorted (key, tag) pairs."""
+        """Visible postings whose tag lost to the current version of its key
+        in `replica`, as sorted (key, tag) pairs. A tag newer than that
+        version, or of a key the replica lacks, is not stale: a delta-mode
+        leaf posts a peer's write before its replica applies it."""
         stale = []
         for tag, (key, _) in self.tag_info.items():
             cur = replica.objects.get(key)
-            if cur is None or cur.attrs is None or cur.stamp != tag:
+            if cur is not None and cur.stamp > tag:
                 stale.append((key, tag))
         stale.sort()
         return stale

@@ -9,12 +9,16 @@ Ingest note: a history leaf indexes each origin in its scope through one
 gapless cursor, the origin's component of the index clock. Two sources
 offer entries to it: the colocated log, in every mode, and the same-region
 peer abroad, in delta mode, whose deltas can arrive before the log has the
-entry. The entry at clock+1 applies, later ones wait in a buffer, and older
-ones are duplicates. Since the log offers everything the replica applies,
-synchronously as the replica applies it, a leaf's clock never falls behind
-its replica's heads, and no mode switch or rewire leaves a gap to replay.
-So a leaf already covers any target its replica can: the paper's live leaf,
-which scans the log tail past the indexed prefix, would find nothing there.
+entry. A peer sends only deltas that change the receiver's postings: it
+drops the remove of a tag it never posted, and sends nothing for a write
+that is left with no add and no remove. The entry at clock+1 applies,
+later ones wait in a buffer until the log fills the seqs a peer skipped,
+and older ones are duplicates. Since the log offers everything the
+replica applies, synchronously as the replica applies it, a leaf's clock
+never falls behind its replica's heads, and no mode switch or rewire
+leaves a gap to replay. So a leaf already covers any target its replica
+can: the paper's live leaf, which scans the log tail past the indexed
+prefix, would find nothing there.
 
 Caching note: the root keeps the one result cache, whose entries are
 frozen at insertion: the content is the join result at the entry's coverage
@@ -508,25 +512,42 @@ class Qpu:
                 self.ahead.setdefault(origin, {})[seq] = (delta, raw_attrs)
             return
         buf = self.ahead.get(origin, {})
+        local = origin == self.dc
         while True:
+            # trimmed before the apply, which culls the superseded tag
+            out = self._for_peers(delta) if local and self.subscribers else None
             self.index.apply_delta(delta)
-            self._post_apply(delta, raw_attrs, origin)
+            self._post_apply(delta, raw_attrs, out)
             buf.pop(seq, None)  # the same seq, offered by another source
             seq += 1
             if seq not in buf:
                 return
             delta, raw_attrs = buf.pop(seq)
 
-    def _post_apply(self, delta: IndexDelta, raw_attrs, origin: str):
+    def _for_peers(self, delta: IndexDelta) -> IndexDelta | None:
+        """The part of a local-origin delta that can change a same-region
+        peer's postings, or None when no part can. A remove is kept only
+        when its tag is posted here. This leaf indexed the superseded
+        version before its replica accepted the write, so a tag missing
+        here lay outside the region, or was removed by an entry that reaches
+        the peer too. The peer's log still offers the whole entry, and
+        fills the seq of a delta not sent."""
+        tag_info = self.index.tag_info
+        removes = tuple([r for r in delta.removes if r[1] in tag_info])
+        if not (delta.adds or removes):
+            return None
+        return delta if removes == delta.removes else delta._replace(removes=removes)
+
+    def _post_apply(self, delta: IndexDelta, raw_attrs, out: IndexDelta | None):
         # selectivity tracks writes, not deletes; a delta adds a point only
         # when it lies in the region, as decided by delta_for on this leaf or
         # on the same-region peer that sent it
         if raw_attrs is not None:
             self.window.append(0 if delta.point is None else 1)
-        if origin == self.dc and self.subscribers:
+        if out is not None:
             for peer in sorted(self.subscribers):
-                self.sim.send(self.actor, peer, "index.delta", (delta, raw_attrs),
-                              note=f"{delta.origin}:{delta.seq}")
+                self.sim.send(self.actor, peer, "index.delta", (out, raw_attrs),
+                              note=f"{out.origin}:{out.seq}")
         self._maybe_switch()
 
     # -- replication mode ----------------------------------------------------------

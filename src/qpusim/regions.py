@@ -44,7 +44,12 @@ class AttributeSchema:
 
     def __post_init__(self):
         if self.kind in ("int", "float"):
-            if self.lo is None or self.hi is None or not self.lo < self.hi:
+            for bound in (self.lo, self.hi):
+                if (not isinstance(bound, (int, float))
+                        or isinstance(bound, bool)):
+                    raise ValueError(f"{self.name}: numeric bounds lo and hi "
+                                     f"must be numbers, got {bound!r}")
+            if not self.lo < self.hi:
                 raise ValueError(f"{self.name}: numeric domain needs lo < hi")
         elif self.kind == "text":
             if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):

@@ -239,7 +239,7 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
         if not isinstance(op, str) or op not in _OPS:
             bad(f"unknown op {op!r}")
         t = act.get("t")
-        if not isinstance(t, int) or t < 0:
+        if not _is_int(t) or t < 0:
             bad("t must be a non-negative integer tick")
         if op in ("put", "delete", "query") and act.get("dc") not in dcs:
             bad(f"dc {act.get('dc')!r} is not declared")
@@ -282,7 +282,7 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
                 bad("partition needs two declared DCs")
             if act["a"] == act["b"]:
                 bad("partition needs two different DCs")
-            if not isinstance(act.get("until"), int) or act["until"] <= t:
+            if not _is_int(act.get("until")) or act["until"] <= t:
                 bad("partition needs until > t")
             pair = tuple(sorted((act["a"], act["b"])))
             windows.setdefault(pair, []).append((t, act["until"], i))

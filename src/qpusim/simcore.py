@@ -45,10 +45,15 @@ class NetConfig:
     dup_prob: float = 0.0
 
     def __post_init__(self):
-        if self.intra_dc_delay < 0 or self.inter_dc_delay < 0:
-            raise ValueError("delays must be >= 0 ticks")
-        if self.jitter < 0 or not 0.0 <= self.dup_prob <= 1.0:
-            raise ValueError("bad jitter or duplication probability")
+        for name in ("intra_dc_delay", "inter_dc_delay", "jitter"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be a whole number of ticks >= 0, "
+                                 f"got {value!r}")
+        p = self.dup_prob
+        if (not isinstance(p, (int, float)) or isinstance(p, bool)
+                or not 0.0 <= p <= 1.0):
+            raise ValueError(f"dup_prob must be a number in [0, 1], got {p!r}")
 
 
 @dataclass

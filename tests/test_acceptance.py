@@ -359,7 +359,7 @@ OUTPUT_DIGESTS = {
     "churn.json":
         "2b04c8610392ae8bed9120a0f94118c5986b0bb2115a8ce67db40429cb0ce8bf",
     "hysteresis.json":
-        "a56a2d1fe20aae650b9d5a6d1aff0d2371a96394e79d3e84dc6bf8f69f0d7e11",
+        "e779ca4aea484519f47069fcc8866a9c91a4ccdffe51a3f3ced571e48c5211cf",
     "maintenance.json":
         "8779d53508cb283bc2f09050139abc180e7cc828dc7e28ab9db73f9a17031472",
 }

@@ -260,6 +260,14 @@ def _in_tree(**fields):
     return lambda doc: doc["tree"].update(fields)
 
 
+def _in_net(**fields):
+    return lambda doc: doc["net"].update(fields)
+
+
+def _in_schema(attr, **spec):
+    return lambda doc: doc["schema"].update({attr: spec})
+
+
 def _cut(attr, at):
     return _in_tree(history={"attr": attr, "at": at, "lo": "leaf", "hi": "leaf"})
 
@@ -315,10 +323,31 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      "scrub_at_end must be true or false, got 'no'", '"scrub_at_end"'),
     (_actions({"t": 1, "op": ["put"]}),
      "workload action 0: unknown op ['put']", '"op": ['),
+    (_in_net(jitter=2.5),
+     "net: jitter must be a whole number of ticks >= 0, got 2.5", '"net"'),
+    (_in_net(inter_dc_delay=2.5),
+     "net: inter_dc_delay must be a whole number of ticks >= 0, got 2.5",
+     '"net"'),
+    (_in_net(jitter=True),
+     "net: jitter must be a whole number of ticks >= 0, got True", '"net"'),
+    (_in_net(dup_prob=True),
+     "net: dup_prob must be a number in [0, 1], got True", '"net"'),
+    (_in_schema("X", kind="float", lo="a", hi=3),
+     "schema attribute 'X': X: numeric bounds lo and hi must be numbers, "
+     "got 'a'", '"X"'),
+    (_in_schema("X", kind="int", lo=0, hi=True),
+     "schema attribute 'X': X: numeric bounds lo and hi must be numbers, "
+     "got True", '"X"'),
+    (_actions(_put(t=True, key="z", attrs=_GOOD_ATTRS)),
+     "workload action 0: t must be a non-negative integer tick", '"op": "put"'),
+    (_actions(_cut_off(0, True)),
+     "workload action 0: partition needs until > t", '"op": "partition"'),
 ], ids=["put-without-key", "put-attrs-number", "put-attrs-list",
         "partition-from-itself", "partition-overlap", "cache-capacity-0", "window-float",
         "replicated-string", "cut-attr-list", "cut-at-wrong-type",
-        "tree-split", "oracle-string", "scrub-at-end-string", "op-list"])
+        "tree-split", "oracle-string", "scrub-at-end-string", "op-list",
+        "jitter-float", "inter-dc-delay-float", "jitter-bool", "dup-prob-bool",
+        "schema-lo-string", "schema-hi-bool", "t-bool", "until-bool"])
 def test_malformed_input_exits_2_with_a_located_message(
         tmp_path, capsys, edit, message, on_line):
     doc = json.loads(Path(STUDENTS).read_text())

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from conftest import (
 )
 
 SCHEMA = student_schema()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CUT = {"attr": "gpa", "at": 2.0, "lo": "leaf", "hi": "leaf"}
 
 
@@ -611,6 +613,106 @@ def test_non_replicated_delta_leaves_take_no_peers():
         assert leaf.index.canonical() == want.canonical(), leaf.actor
 
 
+def delta_pair(**kw):
+    # two DCs in delta mode, each split at gpa 2.0, so qpu/dc1/h2 and
+    # qpu/dc2/h2 are the same-region peers over [2.0, 4.0]
+    return build(dcs=("dc1", "dc2"), repl_mode="delta", history=CUT, **kw)
+
+
+def peer_deltas(sim, src):
+    return [note for _, s, _, kind, note in sim.trace_rows
+            if kind == "index.delta" and s == src]
+
+
+def test_origin_sends_no_delta_for_writes_its_peers_never_posted():
+    # both versions of k lie below the cut: the high leaf neither adds k nor
+    # ever posted the version the overwrite removes
+    sim, store, net = delta_pair(trace=True)
+    store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    store.put("dc1", "k", {"gpa": 1.5, "dept": "cs"})
+    sim.run_until_quiescent()
+    assert peer_deltas(sim, "qpu/dc1/h2") == []
+    assert peer_deltas(sim, "qpu/dc1/h1") == ["dc1:1", "dc1:2"]
+    peer = net.nodes["qpu/dc2/h2"]
+    assert peer.index.clock == VectorClock({"dc1": 2})  # filled by its log
+    assert not any(peer.ahead.values())
+
+
+def test_write_leaving_the_region_sends_a_remove_only_delta():
+    # without jitter a peer delta overtakes the replicate of the same write,
+    # so the remove-only delta is what culls k at the peer
+    sim, store, net = delta_pair()
+    store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    first = store.replicas["dc1"].objects["k"].stamp
+    peer = net.nodes["qpu/dc2/h2"]
+    assert [kv[0] for kv in peer.index.tag_info.values()] == ["k"]
+    got = []
+
+    def on_peer_delta(payload):
+        delta, _ = payload
+        peer._offer(*payload)
+        got.append((delta.adds, delta.removes,
+                    store.replicas["dc2"].objects["k"].stamp))
+
+    peer.on_peer_delta = on_peer_delta
+    store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    assert got == [((), (("k", first),), first)]
+    assert peer.index.tag_info == {}
+    assert peer.index.clock == VectorClock({"dc1": 2})
+
+
+def test_peer_buffers_deltas_past_a_skipped_seq_until_its_log_fills_it(
+        monkeypatch):
+    # dc1 alternates writes below and above the cut; the high leaf sends no
+    # delta for the ones below, so a jittered delta can reach the peer before
+    # the log has the skipped seq, and has to wait for it
+    from qpusim import Qpu, parse_scenario, run_scenario
+
+    waits = []  # (leaf, "origin:seq" it waits for) per buffered offer
+    offer = Qpu._offer
+
+    def watching_offer(self, delta, raw_attrs):
+        expected = self.index.clock.get(delta.origin) + 1
+        if delta.seq > expected:
+            waits.append((self.actor, f"{delta.origin}:{expected}"))
+        offer(self, delta, raw_attrs)
+
+    monkeypatch.setattr(Qpu, "_offer", watching_offer)
+    doc = json.loads((SCENARIOS / "students.json").read_text())
+    doc["tree"]["repl_mode"] = "delta"
+    doc["workload"] = [
+        {"t": t, "op": "put", "dc": "dc1", "key": f"s{t % 7}",
+         "attrs": {"GPA": 1.0 if t % 2 else 3.0, "Major": "Art"}}
+        for t in range(1, 60)]
+    report = run_scenario(parse_scenario(doc), trace=True)
+    sent = {(dst, note) for _, _, dst, kind, note in report.sim.trace_rows
+            if kind == "index.delta"}
+    assert any(w not in sent for w in waits)  # only the log can fill it
+    assert "PASS ingest: every leaf at its replica heads" in report.verify_lines
+    assert report.verify_ok
+    for leaf in report.net.hist_leaves():
+        assert not any(leaf.ahead.values()), leaf.actor
+
+
+def test_mid_run_scrub_keeps_a_posting_its_replica_has_not_applied():
+    # without jitter dc2's peer delta reaches qpu/dc1/h0 before dc1's
+    # replica has the write; a scrub then must not cull the posting, which
+    # the log can never bring back, since the leaf's clock already covers it
+    sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="delta")
+    store.put("dc2", "k", {"gpa": 3.0, "dept": "cs"})
+    leaf = net.nodes["qpu/dc1/h0"]
+    while not leaf.index.tag_info:
+        assert sim.step()
+    assert "k" not in store.replicas["dc1"].objects
+    assert net.scrub_all() == 0
+    sim.run_until_quiescent()
+    want = rebuild_index(store.replicas["dc1"], net.binner)
+    assert leaf.index.canonical() == want.canonical()
+
+
 # -- query plans --------------------------------------------------------------------
 
 
@@ -678,8 +780,7 @@ def test_each_run_starts_with_an_empty_plan_memo(monkeypatch):
     from qpusim import load_scenario, run_scenario
 
     calls = count_plans(monkeypatch)
-    sc = load_scenario(Path(__file__).resolve().parent.parent
-                       / "scenarios" / "students.json")
+    sc = load_scenario(SCENARIOS / "students.json")
     distinct = {repr(q.expr) for q in sc.queries.values()}
     assert len(distinct) < len(sc.queries)  # some expression repeats
     for _ in range(2):
