@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .router import QueryError, parse, route
@@ -63,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p = sub.add_parser("gen-workload",
                            help="synthesize a workload into a scenario file")
     gen_p.add_argument("--base", required=True,
-                       help="scenario file supplying schema, DCs and tree")
+                       help="scenario file supplying schema, DCs, tree, and the "
+                            "splits, merges, partitions and scrubs to keep")
     gen_p.add_argument("--out", required=True, help="scenario file to write")
     gen_p.add_argument("--objects", type=_in_range(int, 1), default=200)
     gen_p.add_argument("--actions", type=_in_range(int, 0), default=1000)
@@ -165,7 +167,12 @@ def _cmd_gen(args) -> int:
         objects=args.objects, actions=args.actions, key_dist=args.key_dist,
         theta=args.theta, query_frac=args.query_frac,
         delete_frac=args.delete_frac, gap=args.gap)
-    actions = gen_workload(base.schema, base.dcs, spec, args.seed)
+    # the base's splits, merges, partitions and scrubs keep their ticks
+    # among the generated actions
+    kept = [a for a in base.workload
+            if a["op"] not in ("put", "delete", "query")]
+    actions = sorted(kept + gen_workload(base.schema, base.dcs, spec, args.seed),
+                     key=itemgetter("t"))
     doc = dict(base.raw)
     doc.pop("generate", None)
     doc["workload"] = actions
@@ -175,7 +182,8 @@ def _cmd_gen(args) -> int:
     puts = sum(1 for a in actions if a["op"] == "put")
     queries = sum(1 for a in actions if a["op"] == "query")
     print(f"{args.out}: {len(actions)} actions "
-          f"({puts} puts, {queries} queries), seed {args.seed}")
+          f"({puts} puts, {queries} queries, {len(kept)} kept from the base), "
+          f"seed {args.seed}")
     return 0
 
 

@@ -2,9 +2,15 @@
 
 Postings form an add-wins observed-remove set. Every write carries a unique
 tag (its stamp), adds postings for the new value's bins, and removes only the
-tag the writer observed itself replacing. Removal is recorded in a tombstone
-set so add and remove commute: states that applied the same entries in any
-interleaving, or merged each other, hold identical visible postings.
+tag the writer observed itself replacing. A tag (ts, dc, seq) is the add of
+entry seq of origin dc, so the index clock says which adds have been seen:
+a tag the clock covers and `tag_info` lacks reads as removed, as in the
+optimized OR-set of Bieniusa et al. (arXiv 1210.3368), and no tombstone is
+kept for it. Only a remove that arrives before its add is held, in
+`removed`, until the add's entry applies and the hold suppresses it. So add
+and remove commute: states that applied the same entries in any
+interleaving hold identical visible postings, and at quiescence an index
+holds no remove at all.
 
 The index never stores which exact value a posting had, only its bins, so a
 range query touching part of a bin returns candidates that may not match.
@@ -108,12 +114,19 @@ _term_of = itemgetter(0)  # the Term of an IndexDelta add
 
 
 class CrdtIndex:
-    def __init__(self, schema: dict[str, AttributeSchema], binner: Binner):
+    """One leaf's postings (see the module note). `origins` are the DCs
+    whose entries the index applies, None for every DC: a remove of a tag
+    from any other origin is never held, since its add never arrives."""
+
+    def __init__(self, schema: dict[str, AttributeSchema], binner: Binner,
+                 origins=None):
         self.schema = schema
         self.binner = binner
+        self.origins = origins
         self.terms: dict[str, dict[Interval, set[Stamp]]] = {a: {} for a in schema}
         self.tag_info: dict[Stamp, tuple[str, dict]] = {}  # visible tags only
-        self.removed: set[Stamp] = set()
+        # (dc, seq) of each tag removed before its add applied
+        self.removed: set[tuple[str, int]] = set()
         self.clock = VectorClock()
 
     # -- ingestion -------------------------------------------------------------
@@ -138,22 +151,34 @@ class CrdtIndex:
 
     def apply_delta(self, delta: IndexDelta) -> bool:
         """Apply one delta; True when it advanced the state, False for a
-        duplicate already covered by the clock. Gaps are protocol errors."""
-        expected = self.clock.get(delta.origin) + 1
-        if delta.seq < expected:
+        duplicate already covered by the clock. Gaps are protocol errors.
+        The clock advances in place: a reader that keeps it copies it."""
+        origin, seq = delta.origin, delta.seq
+        clock = self.clock.entries
+        expected = clock.get(origin, 0) + 1
+        if seq < expected:
             return False
-        if delta.seq > expected:
+        if seq > expected:
             raise ValueError(
-                f"delta gap for {delta.origin}: got seq {delta.seq}, "
-                f"expected {expected}")
-        adds = delta.adds
-        if adds:
-            tag = adds[0][1]
-            if tag not in self.removed:
-                self.post(tag, adds[0][2], delta.point, map(_term_of, adds))
+                f"delta gap for {origin}: got seq {seq}, expected {expected}")
+        removed = self.removed
+        if removed and (origin, seq) in removed:
+            # a remove held for this entry's tag suppresses its add, even
+            # one outside the region, and is then done
+            removed.remove((origin, seq))
+        elif delta.adds:
+            adds = delta.adds
+            self.post(adds[0][1], adds[0][2], delta.point, map(_term_of, adds))
+        origins = self.origins
         for _, rtag in delta.removes:
             self._cull(rtag)
-        self.clock = self.clock.with_entry(delta.origin, delta.seq)
+            # an add the clock covers has applied, so nothing is held for it;
+            # a tag a merged leaf posted above its clock is held too, since
+            # its cursor offers that add again
+            _, dc, rseq = rtag
+            if clock.get(dc, 0) < rseq and (origins is None or dc in origins):
+                removed.add((dc, rseq))
+        clock[origin] = seq
         return True
 
     def post(self, tag: Stamp, key: str, point: dict, terms=None):
@@ -173,7 +198,6 @@ class CrdtIndex:
                 tags.add(tag)
 
     def _cull(self, tag: Stamp):
-        self.removed.add(tag)
         info = self.tag_info.pop(tag, None)
         if info is None:
             return
@@ -189,15 +213,25 @@ class CrdtIndex:
     # -- merge -------------------------------------------------------------------
 
     def merge(self, other: "CrdtIndex"):
+        """Union `other` into this index: postings and held removes are
+        unioned, a tag either side holds a remove for is culled, and the
+        clocks join. A remove that one side applied to a tag the other
+        still posts leaves no trace to merge, so the joined clock is sound
+        only when neither side has applied such a remove. A caller that
+        cannot know this, such as QpuNetwork.merge_siblings, sets the floor
+        of the two clocks afterwards: the floor covers none of the held
+        removes, and the cursor is offered again every entry above it,
+        removes included."""
         for attr, bins in other.terms.items():
             mine = self.terms[attr]
             for bin_iv, tags in bins.items():
                 mine.setdefault(bin_iv, set()).update(tags)
         self.tag_info.update(other.tag_info)
-        culls = (self.removed | other.removed) & set(self.tag_info)
-        self.removed |= other.removed
-        for tag in culls:
-            self._cull(tag)
+        held = self.removed
+        held |= other.removed
+        if held:
+            for tag in [t for t in self.tag_info if t[1:] in held]:
+                self._cull(tag)
         self.clock = self.clock.merge(other.clock)
 
     # -- reads ---------------------------------------------------------------------

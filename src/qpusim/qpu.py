@@ -263,7 +263,8 @@ class _Join:
 class Qpu:
     """One tree node: a dispatch stage (dc, freshness, value) or a history
     leaf (hist). Split leaves morph into value nodes in place, so parents
-    never have to re-learn addresses."""
+    never have to re-learn addresses; merged leaves morph into value nodes
+    over the leaf that replaces them."""
 
     def __init__(self, net: "QpuNetwork", actor, kind, dc, region, scope, parent=None):
         self.net = net
@@ -282,7 +283,8 @@ class Qpu:
         self.joins: dict[str, _Join] = {}
         self._seen_qids: set[str] = set()
         # history-leaf state; unused elsewhere
-        self.index = CrdtIndex(net.schema, net.binner) if kind == "hist" else None
+        self.index = (CrdtIndex(net.schema, net.binner, scope)
+                      if kind == "hist" else None)
         self.repl_mode = LOG
         self.window = SelectivityWindow(net.cfg.selectivity.window)
         self.subscribers: set[str] = set()  # peers fed my local-origin deltas
@@ -303,8 +305,6 @@ class Qpu:
     # -- message entry point ----------------------------------------------------
 
     def handle(self, env: Envelope):
-        if self.kind == "retired":
-            return
         k = env.kind
         if k in ("query.route", "query.dc", "query.freshness", "query.value"):
             self.on_probe(env.payload)
@@ -479,6 +479,9 @@ class Qpu:
                           (self._line("leaf-serve", None),),
                           error=str(UnsatisfiableStaleness(lagging)))
             return
+        # ingest advances the index clock in place; the response, and the
+        # cache entries and oracle memos built from it, keep this copy
+        clock = clock.copy()
         hits = self._lookup(probe.rects)
         self._respond(probe, hits, clock, clock,
                       (self._line("leaf-serve", clock),))
@@ -511,13 +514,15 @@ class Qpu:
             if seq > expected:
                 self.ahead.setdefault(origin, {})[seq] = (delta, raw_attrs)
             return
-        buf = self.ahead.get(origin, {})
+        buf = self.ahead.get(origin)
         local = origin == self.dc
         while True:
             # trimmed before the apply, which culls the superseded tag
             out = self._for_peers(delta) if local and self.subscribers else None
             self.index.apply_delta(delta)
             self._post_apply(delta, raw_attrs, out)
+            if not buf:
+                return
             buf.pop(seq, None)  # the same seq, offered by another source
             seq += 1
             if seq not in buf:
@@ -947,18 +952,24 @@ class QpuNetwork:
         merged.repl_mode = a.repl_mode if a.repl_mode == b.repl_mode else LOG
         merged.index.merge(a.index)
         merged.index.merge(b.index)
-        # the cohort clock must under-claim: components the two leaves do not
-        # agree on are only safe at the lower of the two
+        # the merged clock must under-claim: components the two leaves do
+        # not agree on are only safe at the lower of the two, and the log
+        # then offers again every entry one side lacks, such as the remove
+        # of a tag the other posted
         merged.index.clock = a.index.clock.floor(b.index.clock)
         self.store.replicas[a.dc].subscribe(merged._on_feed)
+        ref = ChildRef(actor, region, merged.dc, merged.scope)
         for old in (a, b):
             self.store.replicas[old.dc].unsubscribe(old._on_feed)
-            old.kind = "retired"
+            # each old leaf morphs into a value node over the merged one, so
+            # a probe already on its way to it is still answered
+            old.kind = "value"
             self._wire_peers(old)
             old.index = None
+            old.children = [ref]
         i = next(j for j, c in enumerate(parent.children) if c.actor == a.actor)
         parent.children = [c for c in parent.children if c.actor != b.actor]
-        parent.children[i] = ChildRef(actor, region, merged.dc, merged.scope)
+        parent.children[i] = ref
         self._rewire_peers()
         return actor
 

@@ -87,14 +87,6 @@ class VectorClock:
                 return False
         return True
 
-    def with_entry(self, dc: str, seq: int) -> "VectorClock":
-        out = dict(self.entries)
-        if seq > 0:
-            out[dc] = seq
-        else:
-            out.pop(dc, None)
-        return VectorClock._of(out)
-
     def restrict(self, dcs) -> "VectorClock":
         return VectorClock._of(
             {d: s for d, s in self.entries.items() if d in dcs})

@@ -7,6 +7,7 @@ from qpusim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 STUDENTS = str(ROOT / "scenarios" / "students.json")
+MAINTENANCE = str(ROOT / "scenarios" / "maintenance.json")
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -90,6 +91,25 @@ def test_gen_workload_is_deterministic(tmp_path, capsys):
     assert "generate" not in doc
     # the generated file is itself runnable
     assert main(["run", str(a), "--out-dir", str(tmp_path / "run")]) == 0
+
+
+def test_gen_workload_keeps_the_base_splits_merges_partitions_and_scrubs(
+        tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["gen-workload", "--base", MAINTENANCE, "--actions", "200",
+                 "--objects", "20", "--seed", "3", "--out", str(out)]) == 0
+    base = json.loads(Path(MAINTENANCE).read_text())["workload"]
+    want = [a for a in base
+            if a["op"] in ("force-split", "force-merge", "partition", "scrub")]
+    assert want
+    workload = json.loads(out.read_text())["workload"]
+    assert [a for a in workload
+            if a["op"] not in ("put", "delete", "query")] == want
+    assert len(workload) == 200 + len(want)
+    ticks = [a["t"] for a in workload]
+    assert ticks == sorted(ticks)
+    assert f"{len(want)} kept from the base" in capsys.readouterr().out
+    assert main(["verify", str(out)]) == 0
 
 
 def test_seed_override_redraws_generated_workload(tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_put_adds_postings_under_each_attribute_term():
     assert idx.clock == VectorClock({"dc1": 1})
 
 
-def test_overwrite_tombstones_old_tag_and_adds_new():
+def test_overwrite_removes_old_tag_under_the_clock_and_adds_new():
     idx = mk_index()
     e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "aa"})
     e2 = entry("dc1", 2, 2, "o", {"gpa": 1.0, "dept": "cc"}, prev=e1.stamp)
@@ -70,7 +70,14 @@ def test_overwrite_tombstones_old_tag_and_adds_new():
     ingest(idx, e2)
     assert keys_in(idx, "dept", "aa", "aa") == set()
     assert keys_in(idx, "dept", "cc", "cc") == {"o"}
-    assert e1.stamp in idx.removed
+    # the clock covers e1's add and no posting has its tag: that is what
+    # removed means, so no tombstone is kept, and a redelivered add is a
+    # duplicate the clock turns away
+    assert idx.clock.get("dc1") >= e1.stamp.seq
+    assert visible(idx) == {(e2.stamp, "o")}
+    assert idx.removed == set()
+    assert not idx.apply_delta(idx.delta_for(e1))
+    assert visible(idx) == {(e2.stamp, "o")}
 
 
 def test_losing_overwrite_keeps_the_observed_winner_visible():
@@ -144,6 +151,61 @@ def test_remove_arriving_before_add_suppresses_it():
     assert keys_in(direct, "gpa", 0.0, 4.0) == {"o"}
     assert keys_in(direct, "gpa", 1.5, 2.5) == {"o"}
     assert keys_in(direct, "gpa", 0.5, 1.5) == set()
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_remove_ahead_of_its_add_is_held_until_the_add_applies(inside):
+    # dc1 overwrote dc2's write before this index applied it; the add, in
+    # the region or outside it, is suppressed and the hold is then dropped
+    schema = student_schema()
+    region = Region.whole(schema).narrowed("gpa", Interval(0.0, 2.0))
+    idx = mk_index(schema=schema)
+    f1 = entry("dc2", 1, 1, "o", {"gpa": 1.0 if inside else 3.0, "dept": "x"})
+    e1 = entry("dc1", 1, 2, "o", {"gpa": 1.5, "dept": "y"}, prev=f1.stamp)
+    idx.apply_delta(idx.delta_for(e1, region))
+    assert idx.removed == {("dc2", 1)}
+    delta = idx.delta_for(f1, region)
+    assert bool(delta.adds) == inside
+    idx.apply_delta(delta)
+    assert idx.removed == set()
+    assert visible(idx) == {(e1.stamp, "o")}
+    assert idx.clock == VectorClock({"dc1": 1, "dc2": 1})
+
+
+def test_remove_of_a_tag_from_outside_the_origins_is_not_held():
+    # an index that applies dc1's entries alone never sees dc2's add, so a
+    # remove of a dc2 tag would be held for good
+    schema = student_schema()
+    idx = CrdtIndex(schema, Binner(schema, {}), origins=frozenset({"dc1"}))
+    f1 = entry("dc2", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
+    e1 = entry("dc1", 1, 2, "o", {"gpa": 1.5, "dept": "y"}, prev=f1.stamp)
+    ingest(idx, e1)
+    assert idx.removed == set()
+    assert visible(idx) == {(e1.stamp, "o")}
+
+
+@pytest.mark.parametrize("add_first", [True, False])
+def test_merge_culls_a_posting_the_other_side_holds_a_remove_for(add_first):
+    # one sibling applied dc1's overwrite before dc2's write, the other
+    # only dc2's write; merged as QpuNetwork.merge_siblings does, at the
+    # floor clock, the cursor is offered both entries again
+    f1 = entry("dc2", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
+    e1 = entry("dc1", 1, 2, "o", {"gpa": 3.0, "dept": "y"}, prev=f1.stamp)
+    holder, poster = mk_index(), mk_index()
+    ingest(holder, e1)
+    ingest(poster, f1)
+    assert holder.removed == {("dc2", 1)} and f1.stamp in poster.tag_info
+    merged = mk_index()
+    merged.merge(holder)
+    merged.merge(poster)
+    merged.clock = holder.clock.floor(poster.clock)
+    assert visible(merged) == {(e1.stamp, "o")}
+    assert merged.removed == {("dc2", 1)}
+    for e in ((f1, e1) if add_first else (e1, f1)):
+        ingest(merged, e)
+        assert visible(merged) == {(e1.stamp, "o")}
+    assert merged.removed == set()
+    assert merged.clock == VectorClock({"dc1": 1, "dc2": 1})
 
 
 # -- merge algebra --------------------------------------------------------------------
@@ -333,19 +395,22 @@ def test_churn_then_scrub_equals_rebuild_oracle():
         assert leaf.index.canonical() == want.canonical()
 
 
-def test_canonical_ignores_tombstone_history():
-    # two states with the same visible postings and clock serialize the
-    # same even when one carries extra tombstones
-    a, b = mk_index(), mk_index()
-    e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
-    e2 = entry("dc1", 2, 2, "o", {"gpa": 2.0, "dept": "x"}, prev=e1.stamp)
-    ingest(a, e1)
-    ingest(a, e2)
-    b.clock = VectorClock({"dc1": 1})
-    b.apply_delta(b.delta_for(e2))
-    b.removed.add(Stamp(9, "dc9", 1))  # tombstone for a tag b never held
-    assert a.removed != b.removed
-    assert a.canonical() == b.canonical()
+def test_canonical_ignores_held_removes():
+    # a state holding a remove ahead of its add serializes as its clock and
+    # postings alone, the same as a state built with those and nothing held
+    e1 = entry("dc1", 1, 1, "a", {"gpa": 1.0, "dept": "x"})
+    f1 = entry("dc2", 1, 2, "o", {"gpa": 2.0, "dept": "x"})
+    e2 = entry("dc1", 2, 3, "o", {"gpa": 3.0, "dept": "y"}, prev=f1.stamp)
+    held = mk_index()
+    ingest(held, e1)
+    ingest(held, e2)
+    assert held.removed == {("dc2", 1)}
+    built = mk_index()
+    for tag, (key, point) in held.tag_info.items():
+        built.post(tag, key, point)
+    built.clock = held.clock.copy()
+    assert built.removed == set()
+    assert held.canonical() == built.canonical()
 
 
 def test_binner_rejects_binned_text_and_bad_counts():

@@ -112,7 +112,7 @@ def test_leaf_behind_a_strong_target_answers_an_error():
     sim, store, net = quiesced(n=30, seed=23, rngseed=23)
     leaf = net.nodes["qpu/dc2/h0"]
     heads = leaf.replica.heads
-    leaf.index.clock = heads.with_entry("dc1", heads.get("dc1") - 2)
+    leaf.index.clock = VectorClock({**heads.entries, "dc1": heads.get("dc1") - 2})
     res = ask(net, "gpa >= 0.0 FRESHNESS strong", "dc2")
     assert res.error == "target ahead of local replica for ['dc1']"
     assert res.keys == frozenset() and res.clock is None
@@ -254,6 +254,24 @@ def test_cache_hit_claims_the_entry_clock():
     assert leaf.index.clock == VectorClock({"dc1": 2})
     assert miss.clock == hit.clock == VectorClock({"dc1": 1})
     assert {kv[0] for kv in hit.hits.values()} == {"a"}
+
+
+def test_a_served_clock_is_not_moved_by_later_ingest():
+    # ingest advances the index clock in place; a response keeps the clock
+    # the leaf served at
+    sim, store, net, leaf = one_leaf_with(("a", 1.0))
+    got = []
+    sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
+    rect = rect_for(0.0, 2.0)
+    probe = Probe(qid="t1", rects=(rect,), residual=rect.render(),
+                  origin_dc="dc1", reply_to="probe/sink", target=VectorClock())
+    sim.send("probe/sink", leaf.actor, "query.value", probe)
+    sim.run_until_quiescent()
+    store.put("dc1", "b", {"gpa": 1.5, "dept": "cs"})
+    sim.run_until_quiescent()
+    (resp,) = got
+    assert leaf.index.clock == VectorClock({"dc1": 2})
+    assert resp.clock == resp.ceiling == VectorClock({"dc1": 1})
 
 
 def checked_root_hit(corrupt):
@@ -406,6 +424,45 @@ def test_split_refused_on_degenerate_data():
         net.force_split("qpu/dc1/h0")
 
 
+def test_split_carries_the_removes_held_ahead_of_their_adds():
+    # dc3 is cut off from dc2 while dc1 overwrites dc2's write of k, so
+    # dc3's leaf applies the overwrite first and holds its remove; both
+    # halves of a split keep it until dc2's write arrives, then drop it
+    sim, store, net = quiesced(n=20, seed=5, rngseed=5)
+    start = sim.now
+    sim.partition("dc2", "dc3", start, start + 200)
+    sim.run_until(start)
+    first = store.put("dc2", "k", {"gpa": 1.0, "dept": "cs"})
+    sim.run_until(start + 50)
+    store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
+    sim.run_until(start + 100)
+    held = {(first.stamp.dc, first.stamp.seq)}
+    assert net.nodes["qpu/dc3/h0"].index.removed == held
+    halves = [net.nodes[a] for a in net.force_split("qpu/dc3/h0")]
+    assert [h.index.removed for h in halves] == [held, held]
+    sim.run_until_quiescent()
+    for half in halves:
+        assert half.index.removed == set()
+        assert first.stamp not in half.index.tag_info
+    assert sum(key == "k" for h in halves
+               for key, _ in h.index.tag_info.values()) == 1
+
+
+def test_non_replicated_leaf_holds_no_remove_of_a_foreign_tag():
+    # dc1 overwrites dc2's k; dc1's leaf indexes dc1's origin alone, so it
+    # never posts dc2's tag and must not wait for it
+    sim, store, net = build(dcs=("dc1", "dc2"), replicated=False)
+    store.put("dc2", "k", {"gpa": 1.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    leaf = net.nodes["qpu/dc1/h0"]
+    assert leaf.index.clock == VectorClock({"dc1": 1})
+    assert [key for key, _ in leaf.index.tag_info.values()] == ["k"]
+    for leaf in net.hist_leaves():
+        assert leaf.index.removed == set(), leaf.actor
+
+
 def test_split_then_merge_preserves_query_results():
     sim, store, net = quiesced(n=150, seed=18, rngseed=18, jitter=3)
     queries = [
@@ -448,6 +505,26 @@ def test_merged_clock_is_the_floor_of_the_parts():
     net.scrub_all()
     want = rebuild_index(store.replicas["dc1"], net.binner)
     assert leaf.index.canonical() == want.canonical()
+
+
+def test_a_probe_on_its_way_to_a_merged_leaf_is_answered():
+    # the old leaf forwards to the merged one rather than dropping the probe,
+    # which would leave its parent's join waiting for good
+    sim, store, net = quiesced(dcs=("dc1",), n=40, seed=7, rngseed=7)
+    a, b = net.force_split("qpu/dc1/h0")
+    got = []
+    sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
+    rect = net.nodes[a].region
+    probe = Probe(qid="t1", rects=(rect,), residual=rect.render(),
+                  origin_dc="dc1", reply_to="probe/sink", target=VectorClock())
+    sim.send("probe/sink", a, "query.value", probe)
+    merged = net.nodes[net.merge_siblings(a, b)]
+    sim.run_until_quiescent()
+    (resp,) = got
+    assert resp.error is None and resp.clock == merged.index.clock
+    want = {tag for tag, (_, attrs) in merged.index.tag_info.items()
+            if rect.contains_point(attrs)}
+    assert want and set(resp.hits) == want
 
 
 def test_merge_requires_adjacent_siblings():
