@@ -6,19 +6,19 @@ subtree of history leaves. History leaves keep converging inverted indexes
 and answer every query from them.
 
 Ingest note: a history leaf indexes each origin in its scope through one
-gapless cursor, the origin's component of the index clock. Two sources
-offer entries to it: the colocated log, in every mode, and the same-region
-peer abroad, in delta mode, whose deltas can arrive before the log has the
+gapless cursor, the origin's component of the index clock, with one rule:
+the entry at clock+1 applies, and any other is dropped. Two sources offer
+entries to it: the colocated log, in every mode, and the same-region peer
+abroad, in delta mode, whose deltas can arrive before the log has the
 entry. A peer sends only deltas that change the receiver's postings: it
 drops the remove of a tag it never posted, and sends nothing for a write
-that is left with no add and no remove. The entry at clock+1 applies,
-later ones wait in a buffer until the log fills the seqs a peer skipped,
-and older ones are duplicates. Since the log offers everything the
-replica applies, synchronously as the replica applies it, a leaf's clock
-never falls behind its replica's heads, and no mode switch or rewire
-leaves a gap to replay. So a leaf already covers any target its replica
-can: the paper's live leaf, which scans the log tail past the indexed
-prefix, would find nothing there.
+that is left with no add and no remove. A delta past a seq the peer
+skipped is dropped too: the log offers everything the replica applies, in
+seq order and synchronously as the replica applies it, so it offers that
+entry again. A leaf's clock therefore never falls behind its replica's
+heads, and no mode switch or rewire leaves a gap to replay. So a leaf
+already covers any target its replica can: the paper's live leaf, which
+scans the log tail past the indexed prefix, would find nothing there.
 
 Caching note: the root keeps the one result cache, whose entries are
 frozen at insertion: the content is the join result at the entry's coverage
@@ -285,14 +285,11 @@ class Qpu:
         # history-leaf state; unused elsewhere
         self.index = (CrdtIndex(net.schema, net.binner, scope)
                       if kind == "hist" else None)
-        self.repl_mode = LOG
+        self.repl_mode = DELTA if net.cfg.repl_mode == DELTA else LOG
         self.window = SelectivityWindow(net.cfg.selectivity.window)
-        self.subscribers: set[str] = set()  # peers fed my local-origin deltas
-        self.subscribed_to: set[str] = set()
-        self.peers: dict[str, str] = {}  # dc -> same-region leaf abroad
+        # peers fed my local-origin deltas; see QpuNetwork._rewire_peers
+        self.subscribers: set[str] = set()
         self.switch_log: list[tuple] = []
-        # origin -> seq -> (delta, raw attrs) offered ahead of the clock
-        self.ahead: dict[str, dict[int, tuple]] = {}
         self._gossip_armed = False  # a freshness node's report timer
 
     def __repr__(self):
@@ -506,28 +503,16 @@ class Qpu:
             self._offer(*payload)
 
     def _offer(self, delta: IndexDelta, raw_attrs):
-        """Offer the delta to its origin's cursor (see the ingest note):
-        at clock+1 it applies, and so do the buffered ones that follow."""
-        origin, seq = delta.origin, delta.seq
-        expected = self.index.clock.get(origin) + 1
-        if seq != expected:
-            if seq > expected:
-                self.ahead.setdefault(origin, {})[seq] = (delta, raw_attrs)
+        """Offer the delta to its origin's cursor (see the ingest note): it
+        applies when it is the origin's next entry, at clock+1, and is
+        dropped otherwise. The log offers again any entry dropped here."""
+        if delta.seq != self.index.clock.get(delta.origin) + 1:
             return
-        buf = self.ahead.get(origin)
-        local = origin == self.dc
-        while True:
-            # trimmed before the apply, which culls the superseded tag
-            out = self._for_peers(delta) if local and self.subscribers else None
-            self.index.apply_delta(delta)
-            self._post_apply(delta, raw_attrs, out)
-            if not buf:
-                return
-            buf.pop(seq, None)  # the same seq, offered by another source
-            seq += 1
-            if seq not in buf:
-                return
-            delta, raw_attrs = buf.pop(seq)
+        # trimmed before the apply, which culls the superseded tag
+        out = (self._for_peers(delta)
+               if self.subscribers and delta.origin == self.dc else None)
+        self.index.apply_delta(delta)
+        self._post_apply(delta, raw_attrs, out)
 
     def _for_peers(self, delta: IndexDelta) -> IndexDelta | None:
         """The part of a local-origin delta that can change a same-region
@@ -572,7 +557,7 @@ class Qpu:
         self.repl_mode = to
         # a fresh window must fill before the next flip can happen
         self.window.clear()
-        self.net._wire_peers(self)
+        self.net._rewire_peers()
 
     # -- gossip (see the module note) ---------------------------------------------
 
@@ -764,7 +749,6 @@ class QpuNetwork:
         whole = Region.whole(self.schema)
         self.root = self._new_node("qpu/root", "dc", cfg.root_dc, whole,
                                    frozenset(store.dcs))
-        initial = DELTA if cfg.repl_mode == DELTA else LOG
         for dc in store.dcs:
             scope = frozenset(store.dcs) if cfg.replicated else frozenset([dc])
             fresh = self._new_node(f"qpu/{dc}", "freshness", dc, whole, scope,
@@ -773,7 +757,7 @@ class QpuNetwork:
                 ChildRef(fresh.actor, whole, dc, scope))
             store.replicas[dc].subscribe(fresh._on_replica)
             fresh.children = [self._build_history(cfg.history_tree, whole, dc,
-                                                  scope, fresh.actor, initial)]
+                                                  scope, fresh.actor)]
         for dc in store.dcs:
             self.coordinators[dc] = Coordinator(self, dc)
         self._rewire_peers()
@@ -791,11 +775,10 @@ class QpuNetwork:
         self._ids[dc] = n + 1
         return f"qpu/{dc}/h{n}"
 
-    def _build_history(self, spec, region, dc, scope, parent, mode) -> ChildRef:
+    def _build_history(self, spec, region, dc, scope, parent) -> ChildRef:
         actor = self._next_leaf_actor(dc)
         if spec == "leaf" or spec is None:
             leaf = self._new_node(actor, "hist", dc, region, scope, parent)
-            leaf.repl_mode = mode
             self.store.replicas[dc].subscribe(leaf._on_feed)
             return ChildRef(actor, region, dc, scope)
         attr, at = spec["attr"], spec["at"]
@@ -804,8 +787,8 @@ class QpuNetwork:
             raise ValueError(f"history tree cut {attr}@{at!r} leaves an empty side")
         node = self._new_node(actor, "value", dc, region, scope, parent)
         node.children = [
-            self._build_history(spec["lo"], lo_part, dc, scope, actor, mode),
-            self._build_history(spec["hi"], hi_part, dc, scope, actor, mode),
+            self._build_history(spec["lo"], lo_part, dc, scope, actor),
+            self._build_history(spec["hi"], hi_part, dc, scope, actor),
         ]
         return ChildRef(actor, region, dc, scope)
 
@@ -860,29 +843,21 @@ class QpuNetwork:
     # -- peer wiring -------------------------------------------------------------
 
     def _rewire_peers(self):
-        """Subscription management is control-plane: applied directly, while
-        the deltas themselves stay network messages."""
-        groups: dict[tuple, dict[str, str]] = {}
+        """Rebuild every node's subscribers from the tree as it stands, after
+        each change of shape or mode. A history leaf feeds its local-origin
+        deltas to each same-region leaf abroad that is in delta mode and
+        whose scope holds the sender's DC: a non-replicated leaf indexes its
+        own DC's writes alone. Other nodes feed none. Subscriptions are
+        control-plane: set directly, while the deltas themselves stay
+        network messages."""
+        groups: dict[tuple, list[Qpu]] = {}
         for leaf in self.hist_leaves():
-            groups.setdefault(leaf.region.key(), {})[leaf.dc] = leaf.actor
-        for leaf in self.hist_leaves():
-            group = groups[leaf.region.key()]
-            # a peer feeds the leaf only origins in its scope: a
-            # non-replicated leaf indexes its own DC's writes alone
-            leaf.peers = {dc: a for dc, a in sorted(group.items())
-                          if dc != leaf.dc and dc in leaf.scope}
-            self._wire_peers(leaf)
-
-    def _wire_peers(self, leaf: Qpu):
-        """Subscribe a delta-mode history leaf to its peers, and any other
-        node to none."""
-        want = (set(leaf.peers.values())
-                if leaf.kind == "hist" and leaf.repl_mode == DELTA else set())
-        for actor in sorted(leaf.subscribed_to - want):
-            self.nodes[actor].subscribers.discard(leaf.actor)
-        for actor in sorted(want - leaf.subscribed_to):
-            self.nodes[actor].subscribers.add(leaf.actor)
-        leaf.subscribed_to = want
+            groups.setdefault(leaf.region.key(), []).append(leaf)
+        for node in self.nodes.values():
+            group = groups[node.region.key()] if node.kind == "hist" else ()
+            node.subscribers = {p.actor for p in group
+                                if p.dc != node.dc and p.repl_mode == DELTA
+                                and node.dc in p.scope}
 
     # -- split / merge ------------------------------------------------------------
 
@@ -906,7 +881,6 @@ class QpuNetwork:
         self.store.replicas[leaf.dc].unsubscribe(leaf._on_feed)
         # the leaf morphs in place into the value node over its halves
         leaf.kind = "value"
-        self._wire_peers(leaf)
         leaf.index = None
         leaf.children = [ChildRef(k.actor, k.region, k.dc, k.scope)
                          for k in kids]
@@ -964,7 +938,6 @@ class QpuNetwork:
             # each old leaf morphs into a value node over the merged one, so
             # a probe already on its way to it is still answered
             old.kind = "value"
-            self._wire_peers(old)
             old.index = None
             old.children = [ref]
         i = next(j for j, c in enumerate(parent.children) if c.actor == a.actor)

@@ -135,18 +135,21 @@ def test_apply_delta_is_idempotent_on_redelivery():
     assert idx.canonical() == before
 
 
-def test_remove_arriving_before_add_suppresses_it():
-    # tombstone-first delivery: the re-ordered add must not resurrect
+def test_merge_into_an_empty_index_keeps_only_the_overwrite_winner():
+    # an index that applied a write and then its overwrite, merged into an
+    # empty one, carries over the winner alone: the overwritten version must
+    # not come back. Out-of-order delivery is
+    # test_remove_ahead_of_its_add_is_held_until_the_add_applies
     src = mk_index()
     e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
     e2 = entry("dc1", 2, 2, "o", {"gpa": 2.0, "dept": "x"}, prev=e1.stamp)
     d1, d2 = src.delta_for(e1), src.delta_for(e2)
 
-    late = mk_index()
-    late.apply_delta(d1)
-    late.apply_delta(d2)
+    applied = mk_index()
+    applied.apply_delta(d1)
+    applied.apply_delta(d2)
     direct = mk_index()
-    direct.merge(late)
+    direct.merge(applied)
     assert e1.stamp not in direct.tag_info
     assert keys_in(direct, "gpa", 0.0, 4.0) == {"o"}
     assert keys_in(direct, "gpa", 1.5, 2.5) == {"o"}

@@ -348,7 +348,8 @@ def test_repeated_query_hits_the_root_cache_across_split_and_merge():
 
 @pytest.mark.parametrize("kind", ["index.sub", "index.unsub"])
 def test_subscription_kinds_are_not_messages(kind):
-    # subscriptions are applied directly by QpuNetwork._wire_peers
+    # subscriptions are derived state, set directly by
+    # QpuNetwork._rewire_peers
     sim, store, net = quiesced(dcs=("dc1", "dc2"))
     sim.send("qpu/dc2/h0", "qpu/dc1/h0", kind, "qpu/dc2/h0")
     with pytest.raises(ValueError, match="unexpected message kind " + kind):
@@ -637,6 +638,11 @@ def test_delta_mode_converges_via_peer_feeds():
         assert leaf.index.canonical() == want, leaf.actor
 
 
+def feeders(net, actor):
+    """The nodes that send `actor` their local-origin deltas."""
+    return sorted(n.actor for n in net.nodes.values() if actor in n.subscribers)
+
+
 def test_delta_leaf_without_a_peer_takes_foreign_origins_from_its_log():
     # merging at dc2 only leaves the merged leaf with no same-region peer at
     # dc1, so dc1 writes must reach it through dc2's log
@@ -652,10 +658,11 @@ def test_delta_leaf_without_a_peer_takes_foreign_origins_from_its_log():
     fill(store, rng, 20, dcs=["dc1"], prefix="n")
     sim.run_until_quiescent()
     leaf = net.nodes[merged]
-    assert leaf.peers == {}
+    assert feeders(net, merged) == [] and leaf.subscribers == set()
     assert leaf.index.clock == store.replicas["dc2"].heads
     for actor in ("qpu/dc1/h0.a", "qpu/dc1/h0.b"):
-        assert net.nodes[actor].peers == {}
+        assert feeders(net, actor) == []
+        assert net.nodes[actor].subscribers == set()
         assert net.nodes[actor].index.clock == store.replicas["dc1"].heads
 
 
@@ -671,9 +678,10 @@ def test_switch_to_delta_with_writes_in_flight_leaves_no_gap():
     leaf._switch("delta", 0.0)
     fill(store, rng, 5, dcs=["dc2"], prefix="c")
     sim.run_until_quiescent()
-    assert leaf.repl_mode == "delta" and leaf.subscribed_to == {"qpu/dc2/h0"}
+    assert leaf.repl_mode == "delta" and feeders(net, leaf.actor) == [
+        "qpu/dc2/h0"]
     assert leaf.index.clock.get("dc2") == 20
-    assert not any(leaf.ahead.values())
+    assert leaf.index.clock == store.replicas["dc1"].heads
 
 
 def test_non_replicated_delta_leaves_take_no_peers():
@@ -685,7 +693,7 @@ def test_non_replicated_delta_leaves_take_no_peers():
     sim.run_until_quiescent()
     net.scrub_all()
     for leaf in net.hist_leaves():
-        assert leaf.peers == {} and leaf.subscribed_to == set()
+        assert leaf.subscribers == set() and feeders(net, leaf.actor) == []
         want = rebuild_index(leaf.replica, net.binner, origins=leaf.scope)
         assert leaf.index.canonical() == want.canonical(), leaf.actor
 
@@ -713,7 +721,6 @@ def test_origin_sends_no_delta_for_writes_its_peers_never_posted():
     assert peer_deltas(sim, "qpu/dc1/h1") == ["dc1:1", "dc1:2"]
     peer = net.nodes["qpu/dc2/h2"]
     assert peer.index.clock == VectorClock({"dc1": 2})  # filled by its log
-    assert not any(peer.ahead.values())
 
 
 def test_write_leaving_the_region_sends_a_remove_only_delta():
@@ -741,23 +748,34 @@ def test_write_leaving_the_region_sends_a_remove_only_delta():
     assert peer.index.clock == VectorClock({"dc1": 2})
 
 
-def test_peer_buffers_deltas_past_a_skipped_seq_until_its_log_fills_it(
+def test_peer_delta_past_a_skipped_seq_is_dropped_and_the_log_applies_both(
         monkeypatch):
     # dc1 alternates writes below and above the cut; the high leaf sends no
     # delta for the ones below, so a jittered delta can reach the peer before
-    # the log has the skipped seq, and has to wait for it
+    # the log has the skipped seq. The peer drops it, and its log then
+    # applies the skipped seq and the dropped one, in order
     from qpusim import Qpu, parse_scenario, run_scenario
 
-    waits = []  # (leaf, "origin:seq" it waits for) per buffered offer
-    offer = Qpu._offer
+    dropped = []  # (leaf, origin, skipped seq, dropped seq)
+    by_log = set()  # (leaf, origin, seq) applied from the log feed
+    on_peer_delta, on_feed = Qpu.on_peer_delta, Qpu._on_feed
 
-    def watching_offer(self, delta, raw_attrs):
-        expected = self.index.clock.get(delta.origin) + 1
-        if delta.seq > expected:
-            waits.append((self.actor, f"{delta.origin}:{expected}"))
-        offer(self, delta, raw_attrs)
+    def watching_peer_delta(self, payload):
+        delta = payload[0]
+        clock = self.index.clock.get(delta.origin) if self.index else None
+        on_peer_delta(self, payload)
+        if clock is not None and delta.seq > clock + 1:
+            assert self.index.clock.get(delta.origin) == clock  # dropped
+            dropped.append((self.actor, delta.origin, clock + 1, delta.seq))
 
-    monkeypatch.setattr(Qpu, "_offer", watching_offer)
+    def watching_feed(self, entry):
+        clock = self.index.clock.get(entry.origin_dc)
+        on_feed(self, entry)
+        if self.index.clock.get(entry.origin_dc) > clock:
+            by_log.add((self.actor, entry.origin_dc, entry.seq))
+
+    monkeypatch.setattr(Qpu, "on_peer_delta", watching_peer_delta)
+    monkeypatch.setattr(Qpu, "_on_feed", watching_feed)
     doc = json.loads((SCENARIOS / "students.json").read_text())
     doc["tree"]["repl_mode"] = "delta"
     doc["workload"] = [
@@ -767,11 +785,53 @@ def test_peer_buffers_deltas_past_a_skipped_seq_until_its_log_fills_it(
     report = run_scenario(parse_scenario(doc), trace=True)
     sent = {(dst, note) for _, _, dst, kind, note in report.sim.trace_rows
             if kind == "index.delta"}
-    assert any(w not in sent for w in waits)  # only the log can fill it
+    # only the log can fill a seq that no peer sent
+    unsent = [(leaf, origin, skipped, seq)
+              for leaf, origin, skipped, seq in dropped
+              if (leaf, f"{origin}:{skipped}") not in sent]
+    assert unsent
+    for leaf, origin, skipped, seq in unsent:
+        assert (leaf, origin, skipped) in by_log
+        assert (leaf, origin, seq) in by_log
     assert "PASS ingest: every leaf at its replica heads" in report.verify_lines
     assert report.verify_ok
-    for leaf in report.net.hist_leaves():
-        assert not any(leaf.ahead.values()), leaf.actor
+
+
+def test_subscriptions_follow_mode_and_shape_both_ways():
+    sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="adaptive",
+                            trace=True, seed=8)
+    rng = random.Random(8)
+    leaf = net.nodes["qpu/dc1/h0"]
+
+    def links_from(start):
+        return {(s, d) for _, s, d, kind, _ in sim.trace_rows[start:]
+                if kind == "index.delta"}
+
+    def write(prefix, dcs=("dc1", "dc2")):
+        start = len(sim.trace_rows)
+        fill(store, rng, 40, dcs=list(dcs), prefix=prefix)
+        sim.run_until_quiescent()
+        return links_from(start)
+
+    assert write("a", ["dc2"]) == set()  # log mode: no peer feeds
+    leaf._switch("delta", 0.0)
+    assert write("b", ["dc2"]) == {("qpu/dc2/h0", "qpu/dc1/h0")}
+    leaf._switch("log", 1.0)
+    assert write("c", ["dc2"]) == set()
+
+    # both leaves in delta mode, then split alike at both DCs
+    for dc in ("dc1", "dc2"):
+        net.nodes[f"qpu/{dc}/h0"]._switch("delta", 0.0)
+    assert write("d") == {("qpu/dc1/h0", "qpu/dc2/h0"),
+                          ("qpu/dc2/h0", "qpu/dc1/h0")}
+    for dc in ("dc1", "dc2"):
+        net.force_split(f"qpu/{dc}/h0")
+    for half in ("a", "b"):
+        assert (net.nodes[f"qpu/dc1/h0.{half}"].region.key()
+                == net.nodes[f"qpu/dc2/h0.{half}"].region.key())
+    assert write("e") == {
+        (f"qpu/{src}/h0.{half}", f"qpu/{dst}/h0.{half}")
+        for half in ("a", "b") for src, dst in (("dc1", "dc2"), ("dc2", "dc1"))}
 
 
 def test_mid_run_scrub_keeps_a_posting_its_replica_has_not_applied():
