@@ -7,6 +7,7 @@ from .oracle import rebuild_index, replay_matches, replay_to, scan
 from .qpu import (
     Coordinator,
     MergeRefused,
+    Plan,
     Probe,
     Qpu,
     QpuNetwork,
@@ -26,6 +27,7 @@ from .router import (
     QueryError,
     QueryResult,
     candidate_check,
+    compile_expr,
     eval_expr,
     parse,
     render,

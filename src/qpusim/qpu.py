@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .crdt_index import Binner, CrdtIndex, IndexDelta
 from .geostore import GeoStore, LogEntry
@@ -50,6 +51,8 @@ from .router import (
     Query,
     QueryResult,
     candidate_check,
+    compile_expr,
+    eval_expr,
     rect_match,
     same_literals,
     to_rectangles,
@@ -149,11 +152,31 @@ class TreeConfig:
         _require_positive_int("cache_capacity", self.cache_capacity)
 
 
+class Plan:
+    """One query expression's plan for the run (see QpuNetwork._plan_of):
+    its rectangles, their residual text, and the root cache key built from
+    them once. From the plan's second use on, `covers` memoizes each
+    dispatch node's cover of its pieces (actor -> (rects, cover), see
+    Qpu._plan_value) and `pred` holds the expression compiled into a
+    predicate. A first-use plan keeps both None: most expressions of a
+    write-heavy run are used once, and would only pay for them."""
+
+    __slots__ = ("expr", "rects", "residual", "key", "covers", "pred")
+
+    def __init__(self, expr, rects: tuple, residual: str):
+        self.expr = expr
+        self.rects = rects
+        self.residual = residual
+        self.key = (tuple(r.key() for r in rects), residual)
+        self.covers: dict | None = None
+        self.pred = None
+
+
 @dataclass
 class Probe:
     qid: str
     rects: tuple  # Region pieces to answer, all inside the receiver's region
-    residual: str  # exact-bounds text, the cache key alongside the rectangles
+    plan: Plan  # the query's, carried to every hop
     origin_dc: str
     reply_to: str
     level: object = None  # StalenessLevel, set on the root probe only
@@ -163,7 +186,7 @@ class Probe:
     def child(self, reply_to: str, rects: tuple, target: VectorClock) -> "Probe":
         """The probe a dispatch stage sends one child, built directly rather
         than with dataclasses.replace, which the read path calls per hop."""
-        return Probe(self.qid, rects, self.residual, self.origin_dc, reply_to,
+        return Probe(self.qid, rects, self.plan, self.origin_dc, reply_to,
                      target=target)
 
 
@@ -201,7 +224,8 @@ class CacheEntry:
 
 
 class ResultCache:
-    """LRU of frozen joined results keyed exactly by (rectangles, residual).
+    """LRU of frozen joined results keyed exactly by a plan's key, its
+    (rectangle keys, residual).
 
     A probe hits when an entry has its exact key and the entry clock
     dominates the target. Entries are never updated after insertion (see
@@ -215,12 +239,7 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _key(rects, residual: str) -> tuple:
-        return (tuple(r.key() for r in rects), residual)
-
-    def probe(self, rects, residual: str, target: VectorClock) -> CacheEntry | None:
-        k = self._key(rects, residual)
+    def probe(self, k: tuple, target: VectorClock) -> CacheEntry | None:
         e = self.entries.get(k)
         if e is None or not e.clock.dominates(target):
             self.misses += 1
@@ -229,11 +248,10 @@ class ResultCache:
         self.hits += 1
         return e
 
-    def insert(self, rects, residual: str, content: dict, clock: VectorClock,
+    def insert(self, k: tuple, content: dict, clock: VectorClock,
                ceiling: VectorClock | None = None):
         """Keep `content` at coverage `clock`; the ceiling defaults to the
         clock, as for content read at one clock."""
-        k = self._key(rects, residual)
         self.entries.pop(k, None)
         self.entries[k] = CacheEntry(dict(content), clock,
                                      clock if ceiling is None else ceiling)
@@ -323,7 +341,7 @@ class Qpu:
         if probe.target is None:  # root entry: pin the freshness contract
             probe = probe.child(probe.reply_to, probe.rects, resolve_target(
                 probe.level, self._stable(), probe.origin_heads))
-            e = self.cache.probe(probe.rects, probe.residual, probe.target)
+            e = self.cache.probe(probe.plan.key, probe.target)
             if e is not None:
                 if self.net.check_hit is not None:
                     self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
@@ -371,15 +389,34 @@ class Qpu:
     def _plan_value(self, probe: Probe):
         """Cover the probe's pieces with the children's regions: the plan of
         a freshness node over its history subtree and of a value node over
-        its halves. Returns (plan, error message or None)."""
+        its halves. Returns (plan, error message or None). A reused query
+        plan memoizes the cover per node; an entry serves only the very
+        rects it was computed for, which a memoized cover upstream hands
+        down again on each repeat."""
+        covers = probe.plan.covers
+        memo = covers.get(self.actor) if covers is not None else None
+        if memo is not None and memo[0] is probe.rects:
+            cover = memo[1]
+        else:
+            cover = self._cover(probe.rects)
+            if covers is not None:
+                covers[self.actor] = (probe.rects, cover)
+        refs, error = cover
+        if error is not None:
+            return None, error
+        return [(ref, probe.child(self.actor, pieces, probe.target))
+                for ref, pieces in refs], None
+
+    def _cover(self, rects: tuple) -> tuple[list, str | None]:
+        """(child ref, pieces) per assigned child, and the error message
+        when the children leave part of the rects uncovered."""
         assignments, uncovered = greedy_cover(
-            list(probe.rects), [(c.actor, c.region) for c in self.children],
+            list(rects), [(c.actor, c.region) for c in self.children],
             self.net.schema)
         if uncovered:
-            return None, f"children do not cover {uncovered[0].render()}"
+            return [], f"children do not cover {uncovered[0].render()}"
         by_actor = {c.actor: c for c in self.children}
-        return [(by_actor[actor],
-                 probe.child(self.actor, tuple(pieces), probe.target))
+        return [(by_actor[actor], tuple(pieces))
                 for actor, pieces in assignments], None
 
     # -- responses ------------------------------------------------------------------
@@ -411,8 +448,7 @@ class Qpu:
         coverage = self._joined_clock(join)
         lines = self._assemble_trace(join, coverage)
         if self.cache is not None:
-            self.cache.insert(probe.rects, probe.residual, join.hits, coverage,
-                              join.ceiling)
+            self.cache.insert(probe.plan.key, join.hits, coverage, join.ceiling)
         self._respond(probe, join.hits, coverage, join.ceiling, lines,
                       visited=join.visited)
 
@@ -592,7 +628,7 @@ class Qpu:
 class _Pending:
     query: Query
     cb: object
-    rects: tuple
+    plan: Plan
     submitted: int
 
 
@@ -609,13 +645,18 @@ class Coordinator:
     later leaf's clock, brings it back. A response whose ceiling the replica
     does not cover yet is parked, and re-checked as the replica applies.
 
-    A plan (the query's rectangles and residual text) depends only on the
-    expression and the schema, so the network memoizes it per expression
-    for the run (see QpuNetwork._plan_of). A memoized plan serves only an
-    expression whose literals also have the same types and reprs:
-    `lat < 1` and `lat < 1.0` (or `lat < 0.0` and `lat < -0.0`) compare
-    equal but render different residuals, and the residual is what the cache
-    matches on and traces print."""
+    A plan depends only on the expression and the schema, so the network
+    keeps one `Plan` record per expression for the run (see
+    QpuNetwork._plan_of). It holds the query's rectangles, their residual
+    text and the root cache key, all built once, and the probe carries it to
+    every hop. A memoized plan serves only an expression whose literals also
+    have the same types and reprs: `lat < 1` and `lat < 1.0` (or `lat < 0.0`
+    and `lat < -0.0`) compare equal but render different residuals, and the
+    residual is what the cache matches on and traces print. On its second
+    use a plan starts to memoize each dispatch node's cover, and compiles
+    its expression into the predicate the candidate check applies; a
+    first-use plan has neither, so the check interprets the expression with
+    eval_expr, as the oracle always does."""
 
     def __init__(self, net: "QpuNetwork", dc: str):
         self.net = net
@@ -629,19 +670,20 @@ class Coordinator:
     def submit(self, q: Query, cb):
         net = self.net
         qid = net._next_qid()
-        rects, residual = net._plan_of(q)
-        if not rects:  # contradictory bounds: a valid, empty plan
+        plan = net._plan_of(q)
+        if not plan.rects:  # contradictory bounds: a valid, empty plan
             heads = self.replica.heads
-            info = _Pending(q, cb, rects, net.sim.now)
+            info = _Pending(q, cb, plan, net.sim.now)
             net.sim.after(0, lambda: self._complete(
                 qid,
                 info,
                 Resp(qid, {}, heads, heads, frozenset(), 0,
                      (f"{self.actor} [coord] empty plan",), target=None)))
             return qid
-        self.pending[qid] = _Pending(q, cb, rects, net.sim.now)
-        probe = Probe(qid, rects, residual, origin_dc=self.dc, reply_to=self.actor,
-                      level=q.staleness, origin_heads=self.replica.heads)
+        self.pending[qid] = _Pending(q, cb, plan, net.sim.now)
+        probe = Probe(qid, plan.rects, plan, origin_dc=self.dc,
+                      reply_to=self.actor, level=q.staleness,
+                      origin_heads=self.replica.heads)
         net.sim.send(self.actor, net.root.actor, "query.route", probe, note=qid)
         return qid
 
@@ -685,12 +727,16 @@ class Coordinator:
                 response_tick=net.sim.now, staleness=q.staleness.render(),
                 origin_dc=self.dc)
         else:
+            plan = info.plan
             raw = dict(resp.hits)
             for entry in self.replica.entries_after(resp.clock):
-                if entry.attrs is not None and rect_match(info.rects, entry.attrs):
+                if entry.attrs is not None and rect_match(plan.rects, entry.attrs):
                     raw[entry.stamp] = (entry.key, entry.attrs)
             keys_raw = {kv[0] for kv in raw.values()}
-            kept, removed = candidate_check(keys_raw, q, net.store, self.dc)
+            pred = plan.pred
+            if pred is None:  # a first-use plan
+                pred = partial(eval_expr, plan.expr)
+            kept, removed = candidate_check(keys_raw, pred, net.store, self.dc)
             achieved = resp.clock.merge(self.replica.heads)
             result = QueryResult(
                 query_id=qid, keys=frozenset(kept), clock=achieved,
@@ -743,8 +789,8 @@ class QpuNetwork:
         self.check_hit = None
         self._qn = 0
         self._ids: dict[str, int] = {}
-        # expr -> (expr planned, rects, residual), oldest first; see Coordinator
-        self._plans: dict[object, tuple] = {}
+        # expr -> its Plan, oldest first; see Coordinator
+        self._plans: dict[object, Plan] = {}
 
         whole = Region.whole(self.schema)
         self.root = self._new_node("qpu/root", "dc", cfg.root_dc, whole,
@@ -799,21 +845,29 @@ class QpuNetwork:
             raise ValueError(f"no coordinator for origin DC {q.origin_dc!r}")
         return self.coordinators[q.origin_dc].submit(q, cb)
 
-    def _plan_of(self, q: Query) -> tuple[tuple, str]:
-        """The query's rectangles and their residual text, planned once per
-        distinct expression in this run. At most cfg.cache_capacity plans
+    def _plan_of(self, q: Query) -> Plan:
+        """The query's Plan, planned once per distinct expression in this
+        run; a hit is the plan's second or later use, which gives it its
+        cover memo and compiled predicate. At most cfg.cache_capacity plans
         are kept; the oldest goes first."""
         expr = q.expr
         plan = self._plans.get(expr)
-        if plan is not None and (plan[0] is expr or same_literals(plan[0], expr)):
-            return plan[1], plan[2]
+        if plan is not None and (plan.expr is expr or same_literals(plan.expr, expr)):
+            if plan.pred is None:
+                plan.covers = {}
+                plan.pred = compile_expr(plan.expr)
+            return plan
+        if plan is None and len(self._plans) >= self.cfg.cache_capacity:
+            plan = self._plans.pop(next(iter(self._plans)))
+        if plan is not None:
+            # a dropped plan may still ride a probe in flight, out of
+            # _forget_covers' reach, so it stops memoizing
+            plan.covers = None
         pairs = to_rectangles(q, self.schema)
         rects = tuple(r for r, _ in pairs)
-        residual = " OR ".join(res for _, res in pairs)
-        if plan is None and len(self._plans) >= self.cfg.cache_capacity:
-            del self._plans[next(iter(self._plans))]
-        self._plans[expr] = (expr, rects, residual)
-        return rects, residual
+        plan = Plan(expr, rects, " OR ".join(res for _, res in pairs))
+        self._plans[expr] = plan
+        return plan
 
     def _next_qid(self) -> str:
         self._qn += 1
@@ -861,6 +915,16 @@ class QpuNetwork:
 
     # -- split / merge ------------------------------------------------------------
 
+    def _forget_covers(self):
+        """Empty every plan's cover memo after a change of shape. It is
+        emptied in place, so a probe in flight, which carries its plan,
+        recomputes its covers too. A stale cover would be worse than slow:
+        after a merge it sends a query to both merged-away leaves, and the
+        merged leaf drops the second forwarded probe as a duplicate."""
+        for plan in self._plans.values():
+            if plan.covers:
+                plan.covers.clear()
+
     def force_split(self, actor: str) -> tuple[str, str]:
         leaf = self.nodes.get(actor)
         if leaf is None or leaf.kind != "hist":
@@ -884,6 +948,7 @@ class QpuNetwork:
         leaf.index = None
         leaf.children = [ChildRef(k.actor, k.region, k.dc, k.scope)
                          for k in kids]
+        self._forget_covers()
         self._rewire_peers()
         return kids[0].actor, kids[1].actor
 
@@ -943,6 +1008,7 @@ class QpuNetwork:
         i = next(j for j, c in enumerate(parent.children) if c.actor == a.actor)
         parent.children = [c for c in parent.children if c.actor != b.actor]
         parent.children[i] = ref
+        self._forget_covers()
         self._rewire_peers()
         return actor
 

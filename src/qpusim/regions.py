@@ -52,8 +52,11 @@ class AttributeSchema:
             if not self.lo < self.hi:
                 raise ValueError(f"{self.name}: numeric domain needs lo < hi")
         elif self.kind == "text":
-            if not self.alphabet or len(set(self.alphabet)) != len(self.alphabet):
-                raise ValueError(f"{self.name}: text domain needs a duplicate-free alphabet")
+            if (not isinstance(self.alphabet, str) or not self.alphabet
+                    or len(set(self.alphabet)) != len(self.alphabet)):
+                raise ValueError(f"{self.name}: text domain needs a non-empty, "
+                                 f"duplicate-free string alphabet, "
+                                 f"got {self.alphabet!r}")
         else:
             raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
         dom = (Interval("", None, False, False) if self.kind == "text"
@@ -326,25 +329,30 @@ def greedy_cover(
     uncovered remainder); a non-empty remainder means the children do not
     cover the rectangles. The cuts computed to pick a child are the ones
     subtracted, and a rectangle the child holds whole is dropped outright.
+    Volumes are summed only when two or more children cut anything.
     """
     remaining = list(rects)
     assignments: list[tuple[str, list[Region]]] = []
     chosen: set[str] = set()
     while remaining:
-        best = None
+        candidates = []
         for cid, creg in children:
             if cid in chosen:
                 continue
             cuts = [r.intersect(creg) for r in remaining]
             pieces = [c for c in cuts if c is not None]
-            if not pieces:
-                continue
-            vol = sum(p.volume(schema) for p in pieces)
-            if best is None or vol > best[0]:
-                best = (vol, cid, creg, pieces, cuts)
-        if best is None:
+            if pieces:
+                candidates.append((cid, creg, pieces, cuts))
+        if not candidates:
             break
-        _, cid, creg, pieces, cuts = best
+        best = candidates[0]
+        if len(candidates) > 1:
+            best_vol = sum(p.volume(schema) for p in best[2])
+            for cand in candidates[1:]:
+                vol = sum(p.volume(schema) for p in cand[2])
+                if vol > best_vol:
+                    best, best_vol = cand, vol
+        cid, creg, pieces, cuts = best
         assignments.append((cid, pieces))
         chosen.add(cid)
         rest = []

@@ -338,6 +338,40 @@ def eval_expr(node, attrs: dict) -> bool:
     return False
 
 
+def compile_expr(node):
+    """The expression as one predicate function of attrs: nested closures
+    that apply the operators of eval_expr, and short-circuit in its
+    left-to-right order, without its per-node type dispatch. The oracle
+    keeps eval_expr, so the two are checked against each other."""
+    t = type(node)
+    if t is Pred:
+        attr, w, op = node.attr, node.value, node.op
+        if op == "=":
+            return lambda attrs: attrs[attr] == w
+        if op == "<":
+            return lambda attrs: attrs[attr] < w
+        if op == "<=":
+            return lambda attrs: attrs[attr] <= w
+        if op == ">":
+            return lambda attrs: attrs[attr] > w
+        return lambda attrs: attrs[attr] >= w
+    parts = tuple(compile_expr(p) for p in node.parts)
+    if t is And:
+        def conj(attrs):
+            for p in parts:
+                if not p(attrs):
+                    return False
+            return True
+        return conj
+
+    def disj(attrs):
+        for p in parts:
+            if p(attrs):
+                return True
+        return False
+    return disj
+
+
 # -- rectangles ------------------------------------------------------------------------
 
 
@@ -415,14 +449,14 @@ def route(q: Query, network):
     return done[0]
 
 
-def candidate_check(keys, q: Query, store, dc: str):
-    """Re-evaluate keys against the current origin-replica state with exact
-    bounds; deleted or absent objects fail. Returns (kept, removed_count)."""
+def candidate_check(keys, pred, store, dc: str):
+    """Re-evaluate keys against the current origin-replica state with the
+    query's predicate, a function of attrs (see compile_expr); deleted or
+    absent objects fail. Returns (kept, removed_count)."""
     get = store.replicas[dc].get
-    expr = q.expr
     kept = set()
     for key in keys:
         attrs = get(key)
-        if attrs is not None and eval_expr(expr, attrs):
+        if attrs is not None and pred(attrs):
             kept.add(key)
     return kept, len(keys) - len(kept)

@@ -104,8 +104,8 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
             fail(f"missing required field {req!r}")
     dcs = raw["dcs"]
     if (not isinstance(dcs, list) or not dcs
-            or len(set(dcs)) != len(dcs)
-            or not all(isinstance(d, str) for d in dcs)):
+            or not all(isinstance(d, str) for d in dcs)
+            or len(set(dcs)) != len(dcs)):
         fail("dcs must be a list of unique datacenter names", '"dcs"')
     seed = raw.get("seed", 0)
     if not _is_int(seed):

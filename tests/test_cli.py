@@ -362,12 +362,23 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      "workload action 0: t must be a non-negative integer tick", '"op": "put"'),
     (_actions(_cut_off(0, True)),
      "workload action 0: partition needs until > t", '"op": "partition"'),
+    (lambda doc: doc.update(dcs=["dc1", {"name": "dc2"}]),
+     "dcs must be a list of unique datacenter names", '"dcs"'),
+    (lambda doc: doc.update(dcs=["dc1", ["dc2"]]),
+     "dcs must be a list of unique datacenter names", '"dcs"'),
+    (_in_schema("X", kind="text", alphabet=5),
+     "schema attribute 'X': X: text domain needs a non-empty, duplicate-free "
+     "string alphabet, got 5", '"X"'),
+    (_in_schema("X", kind="text", alphabet=True),
+     "schema attribute 'X': X: text domain needs a non-empty, duplicate-free "
+     "string alphabet, got True", '"X"'),
 ], ids=["put-without-key", "put-attrs-number", "put-attrs-list",
         "partition-from-itself", "partition-overlap", "cache-capacity-0", "window-float",
         "replicated-string", "cut-attr-list", "cut-at-wrong-type",
         "tree-split", "oracle-string", "scrub-at-end-string", "op-list",
         "jitter-float", "inter-dc-delay-float", "jitter-bool", "dup-prob-bool",
-        "schema-lo-string", "schema-hi-bool", "t-bool", "until-bool"])
+        "schema-lo-string", "schema-hi-bool", "t-bool", "until-bool",
+        "dcs-entry-object", "dcs-entry-list", "alphabet-int", "alphabet-bool"])
 def test_malformed_input_exits_2_with_a_located_message(
         tmp_path, capsys, edit, message, on_line):
     doc = json.loads(Path(STUDENTS).read_text())

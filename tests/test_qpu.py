@@ -6,6 +6,7 @@ import pytest
 
 from qpusim import (
     Interval,
+    Plan,
     Pred,
     Probe,
     Query,
@@ -173,26 +174,31 @@ def rect_for(lo, hi):
     return Region.whole(SCHEMA).narrowed("gpa", Interval(lo, hi, False, False))
 
 
+def key(rects, residual):
+    """The root cache key of a plan of these rectangles and residual."""
+    return Plan(None, rects, residual).key
+
+
 def test_cache_miss_then_hit_then_staleness_miss():
     cache = ResultCache()
     r = rect_for(1.0, 2.0)
-    assert cache.probe((r,), r.render(), VectorClock()) is None
+    assert cache.probe(key((r,), r.render()), VectorClock()) is None
     content = {("t", 1): ("k", {"gpa": 1.5, "dept": "cs"})}
-    cache.insert((r,), r.render(), content, VectorClock({"dc1": 4}),
+    cache.insert(key((r,), r.render()), content, VectorClock({"dc1": 4}),
                  VectorClock({"dc1": 6}))
-    got = cache.probe((r,), r.render(), VectorClock({"dc1": 3}))
+    got = cache.probe(key((r,), r.render()), VectorClock({"dc1": 3}))
     assert (got.content, got.clock, got.ceiling) == (
         content, VectorClock({"dc1": 4}), VectorClock({"dc1": 6}))
     # a target past the entry's coverage cannot be served from it
-    assert cache.probe((r,), r.render(), VectorClock({"dc1": 5})) is None
+    assert cache.probe(key((r,), r.render()), VectorClock({"dc1": 5})) is None
     assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_cache_requires_matching_residual():
     cache = ResultCache()
     r = rect_for(1.0, 2.0)
-    cache.insert((r,), r.render(), {}, VectorClock({"dc1": 1}))
-    assert cache.probe((r,), "something else", VectorClock()) is None
+    cache.insert(key((r,), r.render()), {}, VectorClock({"dc1": 1}))
+    assert cache.probe(key((r,), "something else"), VectorClock()) is None
 
 
 def test_cache_rejects_pieces_outside_its_rectangles():
@@ -200,10 +206,10 @@ def test_cache_rejects_pieces_outside_its_rectangles():
     # rectangle nor one wholly inside it is served from that entry
     cache = ResultCache()
     narrow = rect_for(0.0, 3.0)
-    cache.insert((narrow,), "q", {}, VectorClock({"dc1": 9}))
+    cache.insert(key((narrow,), "q"), {}, VectorClock({"dc1": 9}))
     for piece in (rect_for(2.0, 4.0), rect_for(1.0, 2.0)):
-        assert cache.probe((piece,), "q", VectorClock()) is None
-    assert cache.probe((narrow,), "q", VectorClock()) is not None
+        assert cache.probe(key((piece,), "q"), VectorClock()) is None
+    assert cache.probe(key((narrow,), "q"), VectorClock()) is not None
 
 
 def one_leaf_with(*rows, **kw):
@@ -236,7 +242,8 @@ def test_cache_hit_claims_the_entry_clock():
 
     def send(qid):
         # strong against heads of dc1:1 pins the target at dc1:1 both times
-        probe = Probe(qid=qid, rects=(rect,), residual=rect.render(),
+        probe = Probe(qid=qid, rects=(rect,),
+                      plan=Plan(None, (rect,), rect.render()),
                       origin_dc="dc1", reply_to="probe/sink",
                       level=StalenessLevel.strong(),
                       origin_heads=VectorClock({"dc1": 1}))
@@ -263,7 +270,8 @@ def test_a_served_clock_is_not_moved_by_later_ingest():
     got = []
     sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
     rect = rect_for(0.0, 2.0)
-    probe = Probe(qid="t1", rects=(rect,), residual=rect.render(),
+    probe = Probe(qid="t1", rects=(rect,),
+                  plan=Plan(None, (rect,), rect.render()),
                   origin_dc="dc1", reply_to="probe/sink", target=VectorClock())
     sim.send("probe/sink", leaf.actor, "query.value", probe)
     sim.run_until_quiescent()
@@ -379,13 +387,13 @@ def test_cache_lru_eviction():
     cache = ResultCache(capacity=2)
     rs = [rect_for(lo, hi) for lo, hi in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]]
     for i, r in enumerate(rs[:2]):
-        cache.insert((r,), r.render(), {}, VectorClock({"dc1": i + 1}))
-    assert cache.probe((rs[0],), rs[0].render(), VectorClock()) is not None
+        cache.insert(key((r,), r.render()), {}, VectorClock({"dc1": i + 1}))
+    assert cache.probe(key((rs[0],), rs[0].render()), VectorClock()) is not None
     # the hit renewed rs[0], so the third entry evicts rs[1]
-    cache.insert((rs[2],), rs[2].render(), {}, VectorClock({"dc1": 3}))
+    cache.insert(key((rs[2],), rs[2].render()), {}, VectorClock({"dc1": 3}))
     assert len(cache.entries) == 2
-    assert cache.probe((rs[1],), rs[1].render(), VectorClock()) is None
-    assert cache.probe((rs[0],), rs[0].render(), VectorClock()) is not None
+    assert cache.probe(key((rs[1],), rs[1].render()), VectorClock()) is None
+    assert cache.probe(key((rs[0],), rs[0].render()), VectorClock()) is not None
 
 
 @pytest.mark.parametrize("replicated", [True, False])
@@ -516,7 +524,8 @@ def test_a_probe_on_its_way_to_a_merged_leaf_is_answered():
     got = []
     sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
     rect = net.nodes[a].region
-    probe = Probe(qid="t1", rects=(rect,), residual=rect.render(),
+    probe = Probe(qid="t1", rects=(rect,),
+                  plan=Plan(None, (rect,), rect.render()),
                   origin_dc="dc1", reply_to="probe/sink", target=VectorClock())
     sim.send("probe/sink", a, "query.value", probe)
     merged = net.nodes[net.merge_siblings(a, b)]
@@ -891,11 +900,11 @@ def test_equal_expressions_with_unlike_literals_get_their_own_plans(
         qb = Query(Pred("gpa", "<=", b), StalenessLevel.any(), "dc1")
         assert qa.expr == qb.expr
         plans = [net._plan_of(q) for q in (qa, qb, qa)]
-        for q, (rects, residual) in zip((qa, qb, qa), plans):
+        for q, plan in zip((qa, qb, qa), plans):
             pairs = to_rectangles(q, SCHEMA)
-            assert rects == tuple(r for r, _ in pairs)
-            assert residual == " OR ".join(res for _, res in pairs)
-        assert plans[0][1] != plans[1][1]
+            assert plan.rects == tuple(r for r, _ in pairs)
+            assert plan.residual == " OR ".join(res for _, res in pairs)
+        assert plans[0].residual != plans[1].residual
     assert len(calls) == 6  # each switch between the two replans
     assert len(net._plans) == 2
 
@@ -907,10 +916,14 @@ def test_plan_memo_keeps_at_most_cache_capacity_oldest_out(monkeypatch):
     for q in qs:
         net._plan_of(q)
     assert list(net._plans) == [qs[1].expr, qs[2].expr]
-    net._plan_of(qs[2])
-    assert len(calls) == 3
+    reused = net._plan_of(qs[2])
+    assert len(calls) == 3 and reused.covers == {}
     net._plan_of(qs[0])  # evicted, so planned again
     assert len(calls) == 4 and list(net._plans) == [qs[2].expr, qs[0].expr]
+    # a plan evicted in flight is out of reach of the reshapes' clearing,
+    # so it stops memoizing covers
+    net._plan_of(qs[1])
+    assert reused.covers is None and reused.pred is not None
 
 
 def test_each_run_starts_with_an_empty_plan_memo(monkeypatch):
@@ -925,3 +938,58 @@ def test_each_run_starts_with_an_empty_plan_memo(monkeypatch):
         report = run_scenario(sc)
         assert len(calls) == len(distinct)
         assert len(report.net._plans) == len(distinct)
+
+
+def count_covers(monkeypatch):
+    """Count greedy_cover calls made by the dispatch nodes."""
+    import qpusim.qpu as qpu_mod
+
+    calls = []
+    orig = qpu_mod.greedy_cover
+
+    def counted(rects, children, schema):
+        calls.append(len(children))
+        return orig(rects, children, schema)
+
+    monkeypatch.setattr(qpu_mod, "greedy_cover", counted)
+    return calls
+
+
+def test_a_plan_memoizes_covers_from_its_second_use(monkeypatch):
+    calls = count_covers(monkeypatch)
+    text = 'gpa < 1.5 OR dept = "cs"'
+    reshapes = (lambda net: net.force_split("qpu/dc1/h1"),
+                lambda net: net.merge_siblings("qpu/dc1/h1.a", "qpu/dc1/h1.b"))
+
+    def use(net):
+        clear_caches(net)  # so that every use goes down the tree
+        calls.clear()
+        res = ask(net, text, "dc1")
+        assert res.error is None
+        (plan,) = net._plans.values()
+        return res, plan
+
+    def answer(res):
+        return res.keys, res.stats["qpus_visited"], res.trace
+
+    sim, store, net = quiesced(n=40, seed=5, rngseed=5, history=CUT)
+    res, plan = use(net)
+    assert calls and plan.covers is None and plan.pred is None
+    first = (answer(res), len(calls))
+    res, plan = use(net)
+    assert plan.covers and plan.pred is not None
+    assert (answer(res), len(calls)) == first
+    res, plan = use(net)
+    assert calls == [] and answer(res) == first[0]
+    for n, reshape in enumerate(reshapes, 1):
+        reshape(net)
+        assert plan.covers == {}
+        res, plan = use(net)
+        assert calls and plan.covers
+        # a network built in this shape, whose plan has never been used
+        _, _, fresh = quiesced(n=40, seed=5, rngseed=5, history=CUT)
+        for r in reshapes[:n]:
+            r(fresh)
+        want = ask(fresh, text, "dc1")
+        assert answer(res) == answer(want)
+        assert res.keys == scan(store.replicas["dc1"], parse(text, SCHEMA))

@@ -206,6 +206,40 @@ def test_greedy_cover_prefers_larger_intersection():
     assert assignments[0][0] == "big"
 
 
+def test_greedy_cover_with_one_candidate_sums_no_volume(monkeypatch):
+    # a freshness node's one child: the only child that cuts anything is
+    # chosen without weighing it
+    schema = numeric_schema(1)
+    whole = Region.whole(schema)
+    lo = whole.narrowed("a0", iv(0.0, 50.0, False, True))
+    hi = whole.narrowed("a0", iv(50.0, 100.0))
+    rect = whole.narrowed("a0", iv(10.0, 20.0))
+
+    def no_volume(self, schema):
+        raise AssertionError("volume summed for a lone candidate")
+
+    monkeypatch.setattr(Region, "volume", no_volume)
+    for children in ([("only", whole)], [("lo", lo), ("hi", hi)]):
+        assignments, uncovered = greedy_cover([rect], children, schema)
+        assert uncovered == []
+        assert [(cid, [p.key() for p in pieces])
+                for cid, pieces in assignments] == [
+            (children[0][0], [rect.key()])]
+
+
+def test_greedy_cover_tie_goes_to_the_earlier_child():
+    schema = numeric_schema(1)
+    whole = Region.whole(schema)
+    left = whole.narrowed("a0", iv(0.0, 50.0, False, True))
+    right = whole.narrowed("a0", iv(50.0, 100.0))
+    rect = whole.narrowed("a0", iv(40.0, 60.0))
+    for first, second in ((("l", left), ("r", right)),
+                          (("r", right), ("l", left))):
+        assignments, uncovered = greedy_cover([rect], [first, second], schema)
+        assert uncovered == []
+        assert [cid for cid, _ in assignments] == [first[0], second[0]]
+
+
 # -- the tuple kernel against the dataclass-era reference ---------------------------
 
 

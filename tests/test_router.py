@@ -9,13 +9,14 @@ from qpusim import (
     Pred,
     QueryError,
     candidate_check,
+    compile_expr,
     eval_expr,
     parse,
     render,
     route,
     to_rectangles,
 )
-from qpusim.workload import random_query_text
+from qpusim.workload import random_point, random_query_text
 
 from conftest import ask, build, fill, student_schema, wide_schema
 
@@ -260,7 +261,8 @@ def test_candidate_check_keeps_genuine_matches():
     sim.at(2, lambda: store.put("dc1", "b", {"gpa": 1.0, "dept": "cs"}))
     sim.run_until_quiescent()
     q = parse('dept = "cs"', SCHEMA).at("dc1")
-    kept, removed = candidate_check({"a", "b"}, q, store, "dc1")
+    kept, removed = candidate_check({"a", "b"}, compile_expr(q.expr), store,
+                                    "dc1")
     assert kept == {"a", "b"} and removed == 0
 
 
@@ -271,7 +273,8 @@ def test_candidate_check_drops_stale_deleted_and_mismatched():
     sim.at(3, lambda: store.delete("dc1", "gone"))
     sim.run_until_quiescent()
     q = parse('gpa > 2.0', SCHEMA).at("dc1")
-    kept, removed = candidate_check({"a", "gone", "never"}, q, store, "dc1")
+    kept, removed = candidate_check({"a", "gone", "never"},
+                                    compile_expr(q.expr), store, "dc1")
     assert kept == {"a"} and removed == 2
 
 
@@ -359,3 +362,47 @@ def test_eval_expr_matches_the_reference_on_random_expressions():
             assert type(got) is bool
             assert got == old_eval_expr(e, point), (e, point)
     assert single > 0
+
+
+def literals(node):
+    if type(node) is Pred:
+        yield node.attr, node.value
+    else:
+        for p in node.parts:
+            yield from literals(p)
+
+
+def near(value):
+    """The value and neighbours on either side of it."""
+    if isinstance(value, str):
+        return [value, value[:-1], value + "a"]
+    return [value, value - 1, value + 1, value - 0.01, value + 0.01]
+
+
+def test_compiled_predicate_matches_eval_expr():
+    # acceptance check 9's 1,000 generated queries, each with literals that
+    # compare equal but differ in type or sign; each is evaluated on random
+    # points and on points that sit on and beside its literals
+    rng = random.Random(909)
+    schemas = [
+        (student_schema(), {"dept": ["math", "physics", "cs", "bio", "art"]}),
+        (wide_schema(), {"vendor": ["acme", "zenith", "orbit"]}),
+    ]
+    points_rng = random.Random(910)
+    for i in range(1000):
+        schema, pools = schemas[i % 2]
+        q = parse(random_query_text(rng, schema, pools), schema)
+        numeric = sorted(a for a in schema if schema[a].kind != "text")
+        unlike = Or(tuple(Pred(a, "=", v) for a in numeric
+                          for v in (1, 1.0, 0.0, -0.0)))
+        base = [random_point(points_rng, schema, pools) for _ in range(6)]
+        grid = list(base)
+        for attr, value in literals(q.expr):
+            grid += [{**p, attr: v} for p in base[:2] for v in near(value)]
+        grid += [{**base[0], a: v} for a in numeric for v in (1, 1.0, 0.0, -0.0)]
+        for e in (q.expr, unlike, And((unlike, q.expr)), Or((q.expr, unlike))):
+            pred = compile_expr(e)
+            for point in grid:
+                got = pred(point)
+                assert type(got) is bool
+                assert got == eval_expr(e, point), (render(q), point)
