@@ -37,6 +37,10 @@ class Term(NamedTuple):
     bin: Interval
 
 
+# every bin's term is built up front, so the count is bounded
+MAX_BINS = 65_536
+
+
 class Binner:
     """Deterministic value -> bin mapping shared by every index replica.
 
@@ -60,8 +64,10 @@ class Binner:
             if mode == "none":
                 self.spec[attr] = "none"
                 continue
-            if not isinstance(mode, int) or mode < 1:
-                raise ValueError(f"{attr}: bin count must be 'none' or int >= 1")
+            if (not isinstance(mode, int) or isinstance(mode, bool)
+                    or not 1 <= mode <= MAX_BINS):
+                raise ValueError(f"{attr}: bin count must be 'none' or an "
+                                 f"integer in [1, {MAX_BINS}], got {mode!r}")
             if sch.kind == "text":
                 raise ValueError(f"{attr}: text attributes take 'none' binning")
             self.spec[attr] = mode

@@ -182,6 +182,9 @@ class Probe:
     level: object = None  # StalenessLevel, set on the root probe only
     origin_heads: VectorClock | None = None  # ditto
     target: VectorClock | None = None  # resolved at the root
+    # set on first delivery. Each Probe is sent once, and a duplicated
+    # envelope carries the same object, so a set flag marks a network copy
+    delivered: bool = False
 
     def child(self, reply_to: str, rects: tuple, target: VectorClock) -> "Probe":
         """The probe a dispatch stage sends one child, built directly rather
@@ -194,15 +197,14 @@ class Probe:
 class Resp:
     qid: str
     hits: dict  # tag -> (key, attrs at write time)
-    clock: VectorClock | None  # claimed coverage, None on error
-    # the join of the clocks the leaves served at, None on error; the
-    # coordinator waits for its replica to hold it (see Coordinator)
-    ceiling: VectorClock | None
+    clock: VectorClock  # claimed coverage
+    # the join of the clocks the leaves served at; the coordinator waits
+    # for its replica to hold it (see Coordinator)
+    ceiling: VectorClock
     visited: frozenset
     cache_hits: int
     trace: tuple
     target: VectorClock | None = None  # echoed by the root
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,6 @@ class _Join:
     ceiling: VectorClock = field(default_factory=VectorClock)
     visited: set = field(default_factory=set)
     traces: dict = field(default_factory=dict)
-    error: str | None = None
 
 
 class Qpu:
@@ -299,7 +300,6 @@ class Qpu:
         self.child_clocks: dict[str, VectorClock] = {}
         self.cache = ResultCache(net.cfg.cache_capacity) if kind == "dc" else None
         self.joins: dict[str, _Join] = {}
-        self._seen_qids: set[str] = set()
         # history-leaf state; unused elsewhere
         self.index = (CrdtIndex(net.schema, net.binner, scope)
                       if kind == "hist" else None)
@@ -335,9 +335,9 @@ class Qpu:
     # -- probe handling ------------------------------------------------------------
 
     def on_probe(self, probe: Probe):
-        if probe.qid in self._seen_qids:  # duplicated cross-DC delivery
+        if probe.delivered:  # duplicated cross-DC delivery
             return
-        self._seen_qids.add(probe.qid)
+        probe.delivered = True
         if probe.target is None:  # root entry: pin the freshness contract
             probe = probe.child(probe.reply_to, probe.rects, resolve_target(
                 probe.level, self._stable(), probe.origin_heads))
@@ -355,21 +355,11 @@ class Qpu:
         self._dispatch(probe)
 
     def _dispatch(self, probe: Probe):
-        if self.kind == "dc":
-            plan = self._plan_dc(probe)
-        else:
-            plan, error = self._plan_value(probe)
-            if error is not None:
-                self._respond(probe, {}, None, None,
-                              (self._line("forward", None),), error=error)
-                return
+        plan = self._plan_dc(probe) if self.kind == "dc" else self._plan_value(probe)
         join = _Join(probe, [c.actor for c, _ in plan])
         join.expected = set(join.order)
         join.visited.add(self.actor)
         self.joins[probe.qid] = join
-        if not plan:
-            self._finalize(join)
-            return
         stage = {"dc": "query.dc", "freshness": "query.freshness", "value": "query.value"}
         for ref, child_probe in plan:
             self.sim.send(self.actor, ref.actor, stage[self.kind], child_probe,
@@ -386,13 +376,12 @@ class Qpu:
                                 probe.target.restrict(c.scope)))
                 for c in self.children]
 
-    def _plan_value(self, probe: Probe):
+    def _plan_value(self, probe: Probe) -> list:
         """Cover the probe's pieces with the children's regions: the plan of
         a freshness node over its history subtree and of a value node over
-        its halves. Returns (plan, error message or None). A reused query
-        plan memoizes the cover per node; an entry serves only the very
-        rects it was computed for, which a memoized cover upstream hands
-        down again on each repeat."""
+        its halves. A reused query plan memoizes the cover per node; an
+        entry serves only the very rects it was computed for, which a
+        memoized cover upstream hands down again on each repeat."""
         covers = probe.plan.covers
         memo = covers.get(self.actor) if covers is not None else None
         if memo is not None and memo[0] is probe.rects:
@@ -401,23 +390,22 @@ class Qpu:
             cover = self._cover(probe.rects)
             if covers is not None:
                 covers[self.actor] = (probe.rects, cover)
-        refs, error = cover
-        if error is not None:
-            return None, error
         return [(ref, probe.child(self.actor, pieces, probe.target))
-                for ref, pieces in refs], None
+                for ref, pieces in cover]
 
-    def _cover(self, rects: tuple) -> tuple[list, str | None]:
-        """(child ref, pieces) per assigned child, and the error message
-        when the children leave part of the rects uncovered."""
+    def _cover(self, rects: tuple) -> list:
+        """(child ref, pieces) per assigned child. A node's children tile
+        its region (build cuts, force_split, merge_siblings) and a probe's
+        pieces lie inside the receiver's region, so a gap is a broken tree."""
         assignments, uncovered = greedy_cover(
             list(rects), [(c.actor, c.region) for c in self.children],
             self.net.schema)
         if uncovered:
-            return [], f"children do not cover {uncovered[0].render()}"
+            raise ValueError(f"{self.actor}: children do not cover "
+                             f"{uncovered[0].render()}")
         by_actor = {c.actor: c for c in self.children}
         return [(by_actor[actor], tuple(pieces))
-                for actor, pieces in assignments], None
+                for actor, pieces in assignments]
 
     # -- responses ------------------------------------------------------------------
 
@@ -430,21 +418,13 @@ class Qpu:
         join.traces[src] = resp.trace
         join.hits.update(resp.hits)
         join.clocks[src] = resp.clock
-        if resp.error is None:
-            join.ceiling = join.ceiling.merge(resp.ceiling)
-        elif join.error is None:
-            join.error = resp.error
-        if join.error or not join.expected:
+        join.ceiling = join.ceiling.merge(resp.ceiling)
+        if not join.expected:
             del self.joins[resp.qid]
             self._finalize(join)
 
     def _finalize(self, join: _Join):
         probe = join.probe
-        if join.error:
-            lines = self._assemble_trace(join, None)
-            self._respond(probe, {}, None, None, lines, visited=join.visited,
-                          error=join.error)
-            return
         coverage = self._joined_clock(join)
         lines = self._assemble_trace(join, coverage)
         if self.cache is not None:
@@ -453,14 +433,14 @@ class Qpu:
                       visited=join.visited)
 
     def _joined_clock(self, join: _Join) -> VectorClock:
-        """Coverage of the union result."""
-        out = self._combine([join.clocks[a] for a in join.order])
-        return out if out is not None else join.probe.target.copy()
+        """Coverage of the union result; a join always has a child, since a
+        probe's pieces are never empty."""
+        return self._combine([join.clocks[a] for a in join.order])
 
-    def _combine(self, clocks: list) -> VectorClock | None:
+    def _combine(self, clocks: list) -> VectorClock:
         """Children with disjoint origin scopes (the root's, on a
         non-replicated tree) combine by max; children answering the same
-        question independently combine by min. None for no clocks."""
+        question independently combine by min. Every caller has a clock."""
         if self.kind == "dc" and not self.net.cfg.replicated:
             out = VectorClock()
             for c in clocks:
@@ -480,12 +460,10 @@ class Qpu:
              f" decision={decision}")
         if target is not None and self.actor == self.net.root.actor:
             s += f" target={target!r}"
-        if clock is not None:
-            s += f" clock={clock!r}"
-        return s
+        return s + f" clock={clock!r}"
 
     def _respond(self, probe: Probe, hits, clock, ceiling, trace, cache_hits=0,
-                 visited=None, error=None):
+                 visited=None):
         resp = Resp(
             qid=probe.qid,
             hits=hits,
@@ -495,23 +473,20 @@ class Qpu:
             cache_hits=cache_hits,
             trace=trace,
             target=probe.target if self.actor == self.net.root.actor else None,
-            error=error,
         )
         self.sim.send(self.actor, probe.reply_to, "query.resp", resp, note=probe.qid)
 
     # -- leaf serving ------------------------------------------------------------
 
     def _serve_hist(self, probe: Probe):
-        # the ingest cursor keeps the index at its replica's heads, so an
-        # index short of the target means the replica is short of it too
+        # the index is at its replica's heads (see the ingest note), and no
+        # target is past them: strong and bounded targets come from the
+        # origin's heads, served at the origin DC or restricted to the leaf's
+        # own origin, and snapshot ones from the heads each DC reported
         clock = self.index.clock
         if not clock.dominates(probe.target):
-            lagging = [d for d, s in probe.target.entries.items()
-                       if clock.get(d) < s]
-            self._respond(probe, {}, None, None,
-                          (self._line("leaf-serve", None),),
-                          error=str(UnsatisfiableStaleness(lagging)))
-            return
+            raise UnsatisfiableStaleness(
+                [d for d, s in probe.target.entries.items() if clock.get(d) < s])
         # ingest advances the index clock in place; the response, and the
         # cache entries and oracle memos built from it, keep this copy
         clock = clock.copy()
@@ -615,10 +590,10 @@ class Qpu:
 
     def _stable(self) -> VectorClock:
         """The root's snapshot clock: what the freshness nodes last reported
-        their replicas hold, combined as their answers are."""
-        out = self._combine([self.child_clocks.get(c.actor, VectorClock())
-                             for c in self.children])
-        return out if out is not None else VectorClock()
+        their replicas hold, combined as their answers are. The root has a
+        freshness child per DC, and a store has at least one DC."""
+        return self._combine([self.child_clocks.get(c.actor, VectorClock())
+                              for c in self.children])
 
 
 # -- coordinators -------------------------------------------------------------------
@@ -698,7 +673,7 @@ class Coordinator:
         info = self.pending.pop(resp.qid, None)
         if info is None:  # duplicated delivery
             return
-        if resp.error is None and not self.replica.heads.dominates(resp.ceiling):
+        if not self.replica.heads.dominates(resp.ceiling):
             self.parked.append((resp.qid, info, resp))
             return
         self._complete(resp.qid, info, resp)
@@ -718,33 +693,25 @@ class Coordinator:
 
     def _complete(self, qid: str, info: _Pending, resp: Resp):
         net = self.net
-        q = info.query
-        if resp.error is not None:
-            result = QueryResult(
-                query_id=qid, keys=frozenset(), clock=None, target=resp.target,
-                stats=self._stats(resp, info, 0, 0, 0),
-                trace="\n".join(resp.trace), error=resp.error,
-                response_tick=net.sim.now, staleness=q.staleness.render(),
-                origin_dc=self.dc)
-        else:
-            plan = info.plan
-            raw = dict(resp.hits)
-            for entry in self.replica.entries_after(resp.clock):
-                if entry.attrs is not None and rect_match(plan.rects, entry.attrs):
-                    raw[entry.stamp] = (entry.key, entry.attrs)
-            keys_raw = {kv[0] for kv in raw.values()}
-            pred = plan.pred
-            if pred is None:  # a first-use plan
-                pred = partial(eval_expr, plan.expr)
-            kept, removed = candidate_check(keys_raw, pred, net.store, self.dc)
-            achieved = resp.clock.merge(self.replica.heads)
-            result = QueryResult(
-                query_id=qid, keys=frozenset(kept), clock=achieved,
-                target=resp.target,
-                stats=self._stats(resp, info, len(keys_raw), removed, len(kept)),
-                trace="\n".join(resp.trace), error=None,
-                response_tick=net.sim.now, staleness=q.staleness.render(),
-                origin_dc=self.dc)
+        plan = info.plan
+        raw = dict(resp.hits)
+        for entry in self.replica.entries_after(resp.clock):
+            if entry.attrs is not None and rect_match(plan.rects, entry.attrs):
+                raw[entry.stamp] = (entry.key, entry.attrs)
+        keys_raw = {kv[0] for kv in raw.values()}
+        pred = plan.pred
+        if pred is None:  # a first-use plan
+            pred = partial(eval_expr, plan.expr)
+        kept, removed = candidate_check(keys_raw, pred, net.store, self.dc)
+        result = QueryResult(
+            query_id=qid, keys=frozenset(kept),
+            clock=resp.clock.merge(self.replica.heads), target=resp.target,
+            stats=self._stats(resp, info, len(keys_raw), removed, len(kept)),
+            trace="\n".join(resp.trace), error=None,
+            response_tick=net.sim.now, staleness=info.query.staleness.render(),
+            origin_dc=self.dc,
+            # the coordinator answers an empty plan itself, at its heads
+            claimed=None if resp.target is None else resp.clock)
         net._record_metrics(result)
         info.cb(result)
 

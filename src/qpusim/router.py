@@ -67,18 +67,23 @@ class Query:
 @dataclass
 class QueryResult:
     """What a coordinator hands back: exact keys, the coverage actually
-    achieved, and the per-query counters."""
+    achieved, the tree's claim, and the per-query counters."""
 
     query_id: str
     keys: frozenset
-    clock: object  # achieved coverage clock, None on error
-    target: object  # resolved target clock, None on error paths
+    clock: object  # achieved coverage: the claim joined with the origin heads
+    target: object  # the target resolved at the root; None for an empty plan
     stats: dict
     trace: str
+    # always None: the tree answers every probe or stops the run. Kept
+    # because traces.txt prints it as error=- and the bench reads it
     error: str | None
     response_tick: int
     staleness: str
     origin_dc: str
+    # the root response's clock, before the coordinator joins in the origin
+    # heads; None for an empty plan, which is never routed
+    claimed: object = None
 
 
 # -- lexer ----------------------------------------------------------------------

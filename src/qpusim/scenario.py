@@ -85,6 +85,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_FIELDS = {"name", "seed", "dcs", "schema", "binning", "net", "tree",
+           "workload", "generate", "verify", "limits", "scrub_at_end"}
+_LIMITS = {"max_ticks": 1_000_000, "max_events": 5_000_000}
+
+
 def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     def fail(msg: str, needle: str | None = None, occurrence: int = 0):
         line = _line_of(text, needle, occurrence) if needle and text else 0
@@ -99,6 +104,9 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
 
     if not isinstance(raw, dict):
         fail("scenario document must be a JSON object")
+    for name in raw:
+        if name not in _FIELDS:
+            fail(f"unknown top-level field {name!r}", f'"{name}"')
     for req in ("dcs", "schema"):
         if req not in raw:
             fail(f"missing required field {req!r}")
@@ -147,6 +155,16 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         fail(f"tree.root_dc {tree.root_dc!r} is not a declared DC", '"root_dc"')
     _validate_history(history, Region.whole(schema), schema, fail)
 
+    limits = section("limits")
+    for name in limits:
+        if name not in _LIMITS:
+            fail(f"limits: unknown field {name!r}", f'"{name}"')
+    bounds = {}
+    for name, default in _LIMITS.items():
+        value = bounds[name] = limits.get(name, default)
+        if not _is_int(value) or value < 1:
+            fail(f"limits.{name} must be a positive integer", f'"{name}"')
+
     workload = raw.get("workload", [])
     if "generate" in raw:
         if workload:
@@ -159,16 +177,20 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
                      for p in phases]
         except (TypeError, ValueError, AttributeError) as exc:
             fail(f"generate: {exc}", '"generate"')
+        # each action is at least one event, and a zipf key table holds one
+        # weight per object, so both are bounded before anything is drawn
+        actions = sum(s.actions for s in specs)
+        objects = max((s.objects for s in specs), default=0)
+        if max(actions, objects) > bounds["max_events"]:
+            fail(f"generate: {actions} actions and {objects} objects may not "
+                 f"exceed limits.max_events ({bounds['max_events']})",
+                 '"generate"')
         workload = gen_phases(schema, dcs, specs, seed)
     queries = _validate_workload(workload, dcs, schema, fail)
 
+    # unknown verify fields are let through: documents still pass the
+    # retired verify.caches switch
     verify = section("verify")
-    limits = section("limits")
-    bounds = {"max_ticks": 1_000_000, "max_events": 5_000_000}
-    for name in bounds:
-        value = bounds[name] = limits.get(name, bounds[name])
-        if not _is_int(value) or value < 1:
-            fail(f"limits.{name} must be a positive integer", f'"{name}"')
     oracle = verify.get("oracle", False)
     scrub_at_end = raw.get("scrub_at_end", True)
     for name, value in (("verify.oracle", oracle), ("scrub_at_end", scrub_at_end)):
@@ -340,10 +362,6 @@ def run_scenario(sc: Scenario, trace: bool = False,
             results.append(res)
             if not oracle:
                 return
-            if res.error is not None:
-                verify_lines.append(
-                    f"FAIL query {res.query_id}: routed with error {res.error}")
-                return
             replica = store.replicas[query.origin_dc]
             want = scan(replica, query)
             if res.keys != want:
@@ -357,6 +375,9 @@ def run_scenario(sc: Scenario, trace: bool = False,
                                  sc.tree.replicated)
             if fault is not None:
                 verify_lines.append(f"FAIL query {res.query_id}: {fault}")
+            if not res.claimed.dominates(res.target):
+                verify_lines.append(f"FAIL query {res.query_id}: claimed "
+                                    f"{res.claimed!r} below target {res.target!r}")
         return cb
 
     for i, act in enumerate(sc.workload):

@@ -148,8 +148,8 @@ def resolve_target(level: StalenessLevel, stable: VectorClock,
 
 class UnsatisfiableStaleness(Exception):
     """A target clock ahead of what the local replica has received, and so
-    ahead of the history leaves that index it; its text is the error a leaf
-    answers such a probe with."""
+    ahead of the history leaves that index it. No target is, so a leaf that
+    meets one raises this and stops the run (see Qpu._serve_hist)."""
 
     def __init__(self, lagging_dcs: list[str]):
         self.lagging_dcs = sorted(lagging_dcs)

@@ -116,6 +116,10 @@ class WorkloadSpec:
     value_ranges: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("objects", "actions", "gap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.objects < 1 or self.actions < 0 or self.gap < 1:
             raise ValueError("objects, actions and gap must be positive")
         if not 0 <= self.query_frac <= 1 or not 0 <= self.delete_frac <= 1:

@@ -217,6 +217,17 @@ def test_gen_workload_out_of_range_flag_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--actions", "--objects"])
+def test_gen_workload_past_the_base_event_limit_exits_2(tmp_path, capsys,
+                                                        flag):
+    out = tmp_path / "w.json"
+    assert main(["gen-workload", "--base", STUDENTS, "--out", str(out),
+                 flag, str(2**40)]) == 2
+    assert (f"usage error: {flag} 1099511627776 exceeds the base's "
+            f"limits.max_events (5000000)") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_workload_fractions_over_one_exit_2(tmp_path, capsys):
     out = tmp_path / "w.json"
     assert main(["gen-workload", "--base", STUDENTS, "--out", str(out),
@@ -290,6 +301,14 @@ def _in_schema(attr, **spec):
 
 def _cut(attr, at):
     return _in_tree(history={"attr": attr, "at": at, "lo": "leaf", "hi": "leaf"})
+
+
+def _generated(*phases, **limits):
+    def edit(doc):
+        del doc["workload"]
+        doc["generate"] = {"phases": list(phases)}
+        doc["limits"] = limits
+    return edit
 
 
 def _actions(*actions):
@@ -372,13 +391,37 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
     (_in_schema("X", kind="text", alphabet=True),
      "schema attribute 'X': X: text domain needs a non-empty, duplicate-free "
      "string alphabet, got True", '"X"'),
+    (lambda doc: doc["binning"].update(GPA=2**40),
+     "binning: GPA: bin count must be 'none' or an integer in [1, 65536], "
+     "got 1099511627776", '"binning"'),
+    (lambda doc: doc["binning"].update(GPA=True),
+     "binning: GPA: bin count must be 'none' or an integer in [1, 65536], "
+     "got True", '"binning"'),
+    (_generated({"actions": 2**40}),
+     "generate: 1099511627776 actions and 200 objects may not exceed "
+     "limits.max_events (5000000)", '"generate"'),
+    (_generated({"objects": 2**40}),
+     "generate: 1000 actions and 1099511627776 objects may not exceed "
+     "limits.max_events (5000000)", '"generate"'),
+    (_generated({"actions": 60}, {"actions": 60}, max_events=100),
+     "generate: 120 actions and 200 objects may not exceed "
+     "limits.max_events (100)", '"generate"'),
+    (_generated({"actions": 2.5}),
+     "generate: actions must be an integer, got 2.5", '"generate"'),
+    (lambda doc: doc.update(scrub_at_endd=False),
+     "unknown top-level field 'scrub_at_endd'", '"scrub_at_endd"'),
+    (lambda doc: doc.update(limits={"max_tick": 10}),
+     "limits: unknown field 'max_tick'", '"max_tick"'),
 ], ids=["put-without-key", "put-attrs-number", "put-attrs-list",
         "partition-from-itself", "partition-overlap", "cache-capacity-0", "window-float",
         "replicated-string", "cut-attr-list", "cut-at-wrong-type",
         "tree-split", "oracle-string", "scrub-at-end-string", "op-list",
         "jitter-float", "inter-dc-delay-float", "jitter-bool", "dup-prob-bool",
         "schema-lo-string", "schema-hi-bool", "t-bool", "until-bool",
-        "dcs-entry-object", "dcs-entry-list", "alphabet-int", "alphabet-bool"])
+        "dcs-entry-object", "dcs-entry-list", "alphabet-int", "alphabet-bool",
+        "bins-2**40", "bins-bool", "generate-actions-2**40",
+        "generate-objects-2**40", "generate-phase-actions-summed",
+        "generate-actions-float", "top-level-unknown", "limits-unknown"])
 def test_malformed_input_exits_2_with_a_located_message(
         tmp_path, capsys, edit, message, on_line):
     doc = json.loads(Path(STUDENTS).read_text())

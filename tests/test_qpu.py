@@ -15,6 +15,7 @@ from qpusim import (
     SelectivityConfig,
     SplitRefused,
     StalenessLevel,
+    UnsatisfiableStaleness,
     VectorClock,
     parse,
     rebuild_index,
@@ -107,18 +108,25 @@ def test_query_confined_to_one_leaf_routes_one_leaf():
     assert "qpu/dc1/h2" not in res.trace
 
 
-def test_leaf_behind_a_strong_target_answers_an_error():
+def test_leaf_behind_a_strong_target_stops_the_run():
     # a leaf's ingest cursor keeps its index at the replica's heads; one
     # forged below them cannot serve a strong target and must not claim it
     sim, store, net = quiesced(n=30, seed=23, rngseed=23)
     leaf = net.nodes["qpu/dc2/h0"]
     heads = leaf.replica.heads
     leaf.index.clock = VectorClock({**heads.entries, "dc1": heads.get("dc1") - 2})
-    res = ask(net, "gpa >= 0.0 FRESHNESS strong", "dc2")
-    assert res.error == "target ahead of local replica for ['dc1']"
-    assert res.keys == frozenset() and res.clock is None
-    assert res.stats["candidate_checked"] == 0
-    assert "qpu/dc2/h0 [hist]" in res.trace
+    with pytest.raises(UnsatisfiableStaleness) as info:
+        ask(net, "gpa >= 0.0 FRESHNESS strong", "dc2")
+    assert info.value.lagging_dcs == ["dc1"]
+
+
+def test_a_gap_between_a_value_nodes_children_stops_the_run():
+    # children always tile their node's region; one forged away leaves a gap
+    sim, store, net = quiesced(history=CUT, n=30, seed=23, rngseed=23)
+    node = net.nodes["qpu/dc1/h0"]
+    node.children = node.children[:1]
+    with pytest.raises(ValueError, match="qpu/dc1/h0: children do not cover"):
+        ask(net, "gpa >= 0.0 FRESHNESS strong", "dc1")
 
 
 def test_stale_gossip_keeps_strong_queries_correct():
@@ -531,10 +539,42 @@ def test_a_probe_on_its_way_to_a_merged_leaf_is_answered():
     merged = net.nodes[net.merge_siblings(a, b)]
     sim.run_until_quiescent()
     (resp,) = got
-    assert resp.error is None and resp.clock == merged.index.clock
+    assert resp.clock == merged.index.clock
     want = {tag for tag, (_, attrs) in merged.index.tag_info.items()
             if rect.contains_point(attrs)}
     assert want and set(resp.hits) == want
+
+
+def test_a_merge_under_a_dispatched_join_completes_the_query():
+    # both halves' probes are in flight when the halves merge; each old half
+    # forwards its own probe to the merged leaf, which answers both
+    sim, store, net = quiesced(dcs=("dc1",), n=40, seed=7, rngseed=7)
+    a, b = net.force_split("qpu/dc1/h0")
+    q = parse("gpa >= 0.0", SCHEMA).at("dc1")
+    done = []
+    qid = net.submit(q, done.append)
+    while qid not in net.nodes["qpu/dc1/h0"].joins:
+        assert sim.step()
+    net.merge_siblings(a, b)
+    sim.run_until_quiescent()
+    (res,) = done
+    assert res.keys == scan(store.replicas["dc1"], q)
+    assert not net.coordinators["dc1"].pending
+
+
+def test_a_duplicated_probe_is_answered_once():
+    sim, store, net = quiesced(dcs=("dc1",), n=10, seed=7, rngseed=7)
+    got = []
+    sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
+    leaf = net.nodes["qpu/dc1/h0"]
+    probe = Probe(qid="t1", rects=(leaf.region,),
+                  plan=Plan(None, (leaf.region,), leaf.region.render()),
+                  origin_dc="dc1", reply_to="probe/sink", target=VectorClock())
+    for _ in range(2):
+        sim.send("probe/sink", leaf.actor, "query.value", probe)
+    sim.run_until_quiescent()
+    (resp,) = got
+    assert resp.clock == leaf.index.clock
 
 
 def test_merge_requires_adjacent_siblings():

@@ -5,6 +5,7 @@ import pytest
 
 from qpusim import (
     ScenarioError,
+    VectorClock,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -152,6 +153,20 @@ def test_oracle_flags_a_wrong_result(monkeypatch):
     assert not report.verify_ok
     assert any(ln.startswith("FAIL query") and "missing ['a']" in ln
                for ln in report.verify_lines)
+
+
+def test_oracle_flags_a_claim_below_the_target(monkeypatch):
+    # the root claims nothing; the rescan still finds the key, so only the
+    # claim check can see it
+    from qpusim.qpu import Qpu
+
+    monkeypatch.setattr(Qpu, "_joined_clock", lambda self, join: VectorClock())
+    raw = minimal(verify={"oracle": True})
+    raw["workload"][1]["dc"] = "dc1"
+    report = run_scenario(parse_scenario(raw))
+    assert [r.keys for r in report.results] == [frozenset({"a"})]
+    assert [ln for ln in report.verify_lines if ln.startswith("FAIL")] == [
+        "FAIL query q1: claimed {} below target {dc1:1}"]
 
 
 def test_oracle_flags_a_query_that_never_completes(monkeypatch):
