@@ -120,15 +120,11 @@ _term_of = itemgetter(0)  # the Term of an IndexDelta add
 
 
 class CrdtIndex:
-    """One leaf's postings (see the module note). `origins` are the DCs
-    whose entries the index applies, None for every DC: a remove of a tag
-    from any other origin is never held, since its add never arrives."""
+    """One leaf's postings (see the module note)."""
 
-    def __init__(self, schema: dict[str, AttributeSchema], binner: Binner,
-                 origins=None):
+    def __init__(self, schema: dict[str, AttributeSchema], binner: Binner):
         self.schema = schema
         self.binner = binner
-        self.origins = origins
         self.terms: dict[str, dict[Interval, set[Stamp]]] = {a: {} for a in schema}
         self.tag_info: dict[Stamp, tuple[str, dict]] = {}  # visible tags only
         # (dc, seq) of each tag removed before its add applied
@@ -175,14 +171,13 @@ class CrdtIndex:
         elif delta.adds:
             adds = delta.adds
             self.post(adds[0][1], adds[0][2], delta.point, map(_term_of, adds))
-        origins = self.origins
         for _, rtag in delta.removes:
             self._cull(rtag)
             # an add the clock covers has applied, so nothing is held for it;
             # a tag a merged leaf posted above its clock is held too, since
             # its cursor offers that add again
             _, dc, rseq = rtag
-            if clock.get(dc, 0) < rseq and (origins is None or dc in origins):
+            if clock.get(dc, 0) < rseq:
                 removed.add((dc, rseq))
         clock[origin] = seq
         return True

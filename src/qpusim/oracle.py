@@ -5,6 +5,10 @@ structures: full scans with exact bounds, log folds to a clock,
 from-scratch index rebuilds, a check of each routed target against its
 staleness level, and a check of result-cache hits against the logs. Tests
 and the verify tooling compare the fast paths against these.
+
+`replay_to` and `replay_matches` have no caller on the run path: they are
+the reference state at a clock that the bounded-staleness acceptance check
+(check 4 in tests/test_acceptance.py) compares answers against.
 """
 
 from __future__ import annotations
@@ -54,19 +58,14 @@ def replay_matches(replica: DcReplica, target: VectorClock, q: Query) -> set[str
 
 
 def target_fault(level: StalenessLevel, target: VectorClock,
-                 heads: VectorClock, store: GeoStore,
-                 replicated: bool) -> str | None:
+                 heads: VectorClock, store: GeoStore) -> str | None:
     """What is wrong with a routed query's target, or None. `heads` are the
     origin replica's heads at submit. A `strong` target is those heads, a
     `bounded:k` one those heads less k, an `any` one empty. A `snapshot`
-    component must be at most the heads of every replica whose scope holds
-    its origin, as they stand now: every replica on a replicated tree, the
-    origin's own on a non-replicated one."""
+    component must be at most every replica's heads as they stand now."""
     if level.level is Level.SNAPSHOT:
         for dc, seq in sorted(target.entries.items()):
-            holders = store.replicas.values() if replicated else (
-                store.replicas[dc],)
-            for r in holders:
+            for r in store.replicas.values():
                 if r.heads.get(dc) < seq:
                     return (f"snapshot target {target!r} is past {r.name}'s "
                             f"heads {r.heads!r}")
@@ -85,13 +84,11 @@ def target_fault(level: StalenessLevel, target: VectorClock,
 
 
 def rebuild_index(replica: DcReplica, binner: Binner,
-                  region: Region | None = None,
-                  origins=None) -> CrdtIndex:
+                  region: Region | None = None) -> CrdtIndex:
     """The index a fresh leaf would converge to from current replica state:
     one posting set per (attribute, bin) over the live winners, clock at the
     replica's heads. Scrubbed converged leaves must serialize byte-identically
-    to this. `origins` restricts to winners written at those DCs, which is
-    what a leaf that never ingests foreign origins ends up holding."""
+    to this."""
     idx = CrdtIndex(replica.schema, binner)
     for key in replica.objects:
         ver = replica.objects[key]
@@ -99,11 +96,8 @@ def rebuild_index(replica: DcReplica, binner: Binner,
             continue
         if region is not None and not region.contains_point(ver.attrs):
             continue
-        if origins is not None and ver.stamp.dc not in origins:
-            continue
         idx.post(ver.stamp, key, ver.attrs)
-    heads = replica.heads
-    idx.clock = heads if origins is None else heads.restrict(origins)
+    idx.clock = replica.heads
     return idx
 
 

@@ -5,7 +5,7 @@ freshness node per DC, and each freshness node owns a value-partitioned
 subtree of history leaves. History leaves keep converging inverted indexes
 and answer every query from them.
 
-Ingest note: a history leaf indexes each origin in its scope through one
+Ingest note: a history leaf indexes every origin, each through one
 gapless cursor, the origin's component of the index clock, with one rule:
 the entry at clock+1 applies, and any other is dropped. Two sources offer
 entries to it: the colocated log, in every mode, and the same-region peer
@@ -33,9 +33,9 @@ every probe, and a history leaf answers from its index as it stands.
 Gossip note: the root's snapshot clock is the one reader of coverage
 gossip, and the gossip takes one hop. Since every leaf's clock is at or
 above its replica's heads (see the ingest note), a freshness node can speak
-for its whole subtree: it reports its replica's heads, restricted to its
-scope, to the root. The first new entry in scope arms a report timer of
-`gossip_every` ticks. Leaves and value nodes send no gossip.
+for its whole subtree: it reports its replica's heads to the root. The
+first new entry its replica applies arms a report timer of `gossip_every`
+ticks. Leaves and value nodes send no gossip.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ class SelectivityWindow:
 @dataclass
 class TreeConfig:
     root_dc: str
-    replicated: bool = True
     repl_mode: str = LOG  # log | delta | adaptive
     gossip_every: int = 10
     cache_capacity: int = 256
@@ -145,9 +144,6 @@ class TreeConfig:
     def __post_init__(self):
         if self.repl_mode not in (LOG, DELTA, "adaptive"):
             raise ValueError(f"unknown replication mode {self.repl_mode!r}")
-        if not isinstance(self.replicated, bool):
-            raise ValueError(f"replicated must be true or false, "
-                             f"got {self.replicated!r}")
         _require_positive_int("gossip_every", self.gossip_every)
         _require_positive_int("cache_capacity", self.cache_capacity)
 
@@ -182,15 +178,17 @@ class Probe:
     level: object = None  # StalenessLevel, set on the root probe only
     origin_heads: VectorClock | None = None  # ditto
     target: VectorClock | None = None  # resolved at the root
+    join: _Join | None = None  # the sender's, echoed by the response
     # set on first delivery. Each Probe is sent once, and a duplicated
     # envelope carries the same object, so a set flag marks a network copy
     delivered: bool = False
 
-    def child(self, reply_to: str, rects: tuple, target: VectorClock) -> "Probe":
+    def child(self, reply_to: str, rects: tuple, target: VectorClock,
+              join: _Join | None = None) -> "Probe":
         """The probe a dispatch stage sends one child, built directly rather
         than with dataclasses.replace, which the read path calls per hop."""
         return Probe(self.qid, rects, self.plan, self.origin_dc, reply_to,
-                     target=target)
+                     target=target, join=join)
 
 
 @dataclass
@@ -205,6 +203,7 @@ class Resp:
     cache_hits: int
     trace: tuple
     target: VectorClock | None = None  # echoed by the root
+    join: _Join | None = None  # the probe's, so the receiver needs no table
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,6 @@ class ChildRef:
     actor: str
     region: Region
     dc: str
-    scope: frozenset
 
 
 # -- result cache ----------------------------------------------------------------
@@ -285,7 +283,7 @@ class Qpu:
     never have to re-learn addresses; merged leaves morph into value nodes
     over the leaf that replaces them."""
 
-    def __init__(self, net: "QpuNetwork", actor, kind, dc, region, scope, parent=None):
+    def __init__(self, net: "QpuNetwork", actor, kind, dc, region, parent=None):
         self.net = net
         self.sim = net.sim
         self.actor = actor
@@ -293,16 +291,13 @@ class Qpu:
         self.dc = dc
         self.region = region  # fixed for the node's life
         self._region_text = region.render()
-        self.scope = scope
         self.parent = parent
         self.children: list[ChildRef] = []
         # the root's: freshness actor -> the replica heads it last reported
         self.child_clocks: dict[str, VectorClock] = {}
         self.cache = ResultCache(net.cfg.cache_capacity) if kind == "dc" else None
-        self.joins: dict[str, _Join] = {}
         # history-leaf state; unused elsewhere
-        self.index = (CrdtIndex(net.schema, net.binner, scope)
-                      if kind == "hist" else None)
+        self.index = CrdtIndex(net.schema, net.binner) if kind == "hist" else None
         self.repl_mode = DELTA if net.cfg.repl_mode == DELTA else LOG
         self.window = SelectivityWindow(net.cfg.selectivity.window)
         # peers fed my local-origin deltas; see QpuNetwork._rewire_peers
@@ -355,26 +350,26 @@ class Qpu:
         self._dispatch(probe)
 
     def _dispatch(self, probe: Probe):
+        """Send each planned child its pieces. Each child probe carries this
+        dispatch's join, so two probes of one query, which a reshape can send
+        one node, never share or overwrite a join."""
         plan = self._plan_dc(probe) if self.kind == "dc" else self._plan_value(probe)
         join = _Join(probe, [c.actor for c, _ in plan])
         join.expected = set(join.order)
         join.visited.add(self.actor)
-        self.joins[probe.qid] = join
         stage = {"dc": "query.dc", "freshness": "query.freshness", "value": "query.value"}
-        for ref, child_probe in plan:
-            self.sim.send(self.actor, ref.actor, stage[self.kind], child_probe,
+        for ref, rects in plan:
+            self.sim.send(self.actor, ref.actor, stage[self.kind],
+                          probe.child(self.actor, rects, probe.target, join),
                           note=probe.qid)
 
     def _plan_dc(self, probe: Probe) -> list:
-        if self.net.cfg.replicated:
-            ref = next((c for c in self.children if c.dc == probe.origin_dc), None)
-            chosen = [ref] if ref is not None else self.children
-            return [(c, probe.child(self.actor, probe.rects, probe.target))
-                    for c in chosen]
-        # origins are partitioned across DCs: fan out with scoped targets
-        return [(c, probe.child(self.actor, probe.rects,
-                                probe.target.restrict(c.scope)))
-                for c in self.children]
+        """The root forwards the whole plan to the origin DC's freshness
+        node: every replica indexes every origin, and the origin's replica
+        holds the origin heads the target came from. A coordinator exists
+        only for a store DC, and each has a freshness child."""
+        ref = next(c for c in self.children if c.dc == probe.origin_dc)
+        return [(ref, probe.rects)]
 
     def _plan_value(self, probe: Probe) -> list:
         """Cover the probe's pieces with the children's regions: the plan of
@@ -390,8 +385,7 @@ class Qpu:
             cover = self._cover(probe.rects)
             if covers is not None:
                 covers[self.actor] = (probe.rects, cover)
-        return [(ref, probe.child(self.actor, pieces, probe.target))
-                for ref, pieces in cover]
+        return cover
 
     def _cover(self, rects: tuple) -> list:
         """(child ref, pieces) per assigned child. A node's children tile
@@ -410,8 +404,8 @@ class Qpu:
     # -- responses ------------------------------------------------------------------
 
     def on_resp(self, src: str, resp: Resp):
-        join = self.joins.get(resp.qid)
-        if join is None or src not in join.expected:
+        join = resp.join
+        if src not in join.expected:  # a duplicated delivery
             return
         join.expected.discard(src)
         join.visited |= resp.visited
@@ -420,7 +414,6 @@ class Qpu:
         join.clocks[src] = resp.clock
         join.ceiling = join.ceiling.merge(resp.ceiling)
         if not join.expected:
-            del self.joins[resp.qid]
             self._finalize(join)
 
     def _finalize(self, join: _Join):
@@ -433,20 +426,10 @@ class Qpu:
                       visited=join.visited)
 
     def _joined_clock(self, join: _Join) -> VectorClock:
-        """Coverage of the union result; a join always has a child, since a
-        probe's pieces are never empty."""
-        return self._combine([join.clocks[a] for a in join.order])
-
-    def _combine(self, clocks: list) -> VectorClock:
-        """Children with disjoint origin scopes (the root's, on a
-        non-replicated tree) combine by max; children answering the same
-        question independently combine by min. Every caller has a clock."""
-        if self.kind == "dc" and not self.net.cfg.replicated:
-            out = VectorClock()
-            for c in clocks:
-                out = out.merge(c)
-            return out
-        return floor_all(clocks)
+        """Coverage of the union result: children answer over the same
+        origins independently, so it is their floor. A join always has a
+        child, since a probe's pieces are never empty."""
+        return floor_all([join.clocks[a] for a in join.order])
 
     def _assemble_trace(self, join: _Join, coverage) -> tuple:
         lines = [self._line("forward", coverage, target=join.probe.target)]
@@ -473,6 +456,7 @@ class Qpu:
             cache_hits=cache_hits,
             trace=trace,
             target=probe.target if self.actor == self.net.root.actor else None,
+            join=probe.join,
         )
         self.sim.send(self.actor, probe.reply_to, "query.resp", resp, note=probe.qid)
 
@@ -481,8 +465,8 @@ class Qpu:
     def _serve_hist(self, probe: Probe):
         # the index is at its replica's heads (see the ingest note), and no
         # target is past them: strong and bounded targets come from the
-        # origin's heads, served at the origin DC or restricted to the leaf's
-        # own origin, and snapshot ones from the heads each DC reported
+        # origin's heads and are served at the origin DC, and snapshot ones
+        # from the heads each DC reported
         clock = self.index.clock
         if not clock.dominates(probe.target):
             raise UnsatisfiableStaleness(
@@ -505,8 +489,7 @@ class Qpu:
     def _on_feed(self, entry: LogEntry):
         # synchronous callback from the colocated replica's apply; a
         # duplicate is dropped before it is binned
-        origin = entry.origin_dc
-        if origin in self.scope and entry.seq > self.index.clock.get(origin):
+        if entry.seq > self.index.clock.get(entry.origin_dc):
             self._offer(self.index.delta_for(entry, self.region), entry.attrs)
 
     def on_peer_delta(self, payload):
@@ -573,16 +556,15 @@ class Qpu:
     # -- gossip (see the module note) ---------------------------------------------
 
     def _on_replica(self, entry: LogEntry):
-        # a freshness node's feed: the first new entry in scope arms a report
-        if not self._gossip_armed and entry.origin_dc in self.scope:
+        # a freshness node's feed: the first new entry arms a report
+        if not self._gossip_armed:
             self._gossip_armed = True
             self.sim.after(self.net.cfg.gossip_every, self._report_heads)
 
     def _report_heads(self):
-        # the timer was armed by an entry in scope, so the heads moved
+        # the timer was armed by a new entry, so the heads moved
         self._gossip_armed = False
-        self.sim.send(self.actor, self.parent, "clock.gossip",
-                      self.replica.heads.restrict(self.scope))
+        self.sim.send(self.actor, self.parent, "clock.gossip", self.replica.heads)
 
     def on_gossip(self, src: str, clock: VectorClock):
         cur = self.child_clocks.get(src, VectorClock())
@@ -590,10 +572,10 @@ class Qpu:
 
     def _stable(self) -> VectorClock:
         """The root's snapshot clock: what the freshness nodes last reported
-        their replicas hold, combined as their answers are. The root has a
+        their replicas hold, floored as their answers are. The root has a
         freshness child per DC, and a store has at least one DC."""
-        return self._combine([self.child_clocks.get(c.actor, VectorClock())
-                              for c in self.children])
+        return floor_all([self.child_clocks.get(c.actor, VectorClock())
+                          for c in self.children])
 
 
 # -- coordinators -------------------------------------------------------------------
@@ -760,25 +742,22 @@ class QpuNetwork:
         self._plans: dict[object, Plan] = {}
 
         whole = Region.whole(self.schema)
-        self.root = self._new_node("qpu/root", "dc", cfg.root_dc, whole,
-                                   frozenset(store.dcs))
+        self.root = self._new_node("qpu/root", "dc", cfg.root_dc, whole)
         for dc in store.dcs:
-            scope = frozenset(store.dcs) if cfg.replicated else frozenset([dc])
-            fresh = self._new_node(f"qpu/{dc}", "freshness", dc, whole, scope,
+            fresh = self._new_node(f"qpu/{dc}", "freshness", dc, whole,
                                    parent=self.root.actor)
-            self.root.children.append(
-                ChildRef(fresh.actor, whole, dc, scope))
+            self.root.children.append(ChildRef(fresh.actor, whole, dc))
             store.replicas[dc].subscribe(fresh._on_replica)
             fresh.children = [self._build_history(cfg.history_tree, whole, dc,
-                                                  scope, fresh.actor)]
+                                                  fresh.actor)]
         for dc in store.dcs:
             self.coordinators[dc] = Coordinator(self, dc)
         self._rewire_peers()
 
     # -- construction ------------------------------------------------------------
 
-    def _new_node(self, actor, kind, dc, region, scope, parent=None) -> Qpu:
-        q = Qpu(self, actor, kind, dc, region, scope, parent)
+    def _new_node(self, actor, kind, dc, region, parent=None) -> Qpu:
+        q = Qpu(self, actor, kind, dc, region, parent)
         self.sim.add_actor(actor, dc, q.handle)
         self.nodes[actor] = q
         return q
@@ -788,22 +767,22 @@ class QpuNetwork:
         self._ids[dc] = n + 1
         return f"qpu/{dc}/h{n}"
 
-    def _build_history(self, spec, region, dc, scope, parent) -> ChildRef:
+    def _build_history(self, spec, region, dc, parent) -> ChildRef:
         actor = self._next_leaf_actor(dc)
-        if spec == "leaf" or spec is None:
-            leaf = self._new_node(actor, "hist", dc, region, scope, parent)
+        if spec == "leaf":
+            leaf = self._new_node(actor, "hist", dc, region, parent)
             self.store.replicas[dc].subscribe(leaf._on_feed)
-            return ChildRef(actor, region, dc, scope)
+            return ChildRef(actor, region, dc)
         attr, at = spec["attr"], spec["at"]
         lo_part, hi_part = region.cut(attr, at)
         if lo_part is None or hi_part is None:
             raise ValueError(f"history tree cut {attr}@{at!r} leaves an empty side")
-        node = self._new_node(actor, "value", dc, region, scope, parent)
+        node = self._new_node(actor, "value", dc, region, parent)
         node.children = [
-            self._build_history(spec["lo"], lo_part, dc, scope, actor),
-            self._build_history(spec["hi"], hi_part, dc, scope, actor),
+            self._build_history(spec["lo"], lo_part, dc, actor),
+            self._build_history(spec["hi"], hi_part, dc, actor),
         ]
-        return ChildRef(actor, region, dc, scope)
+        return ChildRef(actor, region, dc)
 
     # -- query API -----------------------------------------------------------------
 
@@ -866,9 +845,8 @@ class QpuNetwork:
     def _rewire_peers(self):
         """Rebuild every node's subscribers from the tree as it stands, after
         each change of shape or mode. A history leaf feeds its local-origin
-        deltas to each same-region leaf abroad that is in delta mode and
-        whose scope holds the sender's DC: a non-replicated leaf indexes its
-        own DC's writes alone. Other nodes feed none. Subscriptions are
+        deltas to each same-region leaf abroad that is in delta mode. Other
+        nodes feed none. Subscriptions are
         control-plane: set directly, while the deltas themselves stay
         network messages."""
         groups: dict[tuple, list[Qpu]] = {}
@@ -877,17 +855,16 @@ class QpuNetwork:
         for node in self.nodes.values():
             group = groups[node.region.key()] if node.kind == "hist" else ()
             node.subscribers = {p.actor for p in group
-                                if p.dc != node.dc and p.repl_mode == DELTA
-                                and node.dc in p.scope}
+                                if p.dc != node.dc and p.repl_mode == DELTA}
 
     # -- split / merge ------------------------------------------------------------
 
     def _forget_covers(self):
         """Empty every plan's cover memo after a change of shape. It is
         emptied in place, so a probe in flight, which carries its plan,
-        recomputes its covers too. A stale cover would be worse than slow:
-        after a merge it sends a query to both merged-away leaves, and the
-        merged leaf drops the second forwarded probe as a duplicate."""
+        recomputes its covers too. A stale cover routes a probe through the
+        nodes a reshape retired: after a merge, both merged-away leaves
+        forward it, and the merged leaf answers it twice."""
         for plan in self._plans.values():
             if plan.covers:
                 plan.covers.clear()
@@ -900,7 +877,7 @@ class QpuNetwork:
         kids = []
         for suffix, region in (("a", region_a), ("b", region_b)):
             child = self._new_node(f"{actor}.{suffix}", "hist", leaf.dc, region,
-                                   leaf.scope, parent=actor)
+                                   parent=actor)
             child.repl_mode = leaf.repl_mode
             child.index.clock = leaf.index.clock.copy()
             child.index.removed = set(leaf.index.removed)
@@ -913,8 +890,7 @@ class QpuNetwork:
         # the leaf morphs in place into the value node over its halves
         leaf.kind = "value"
         leaf.index = None
-        leaf.children = [ChildRef(k.actor, k.region, k.dc, k.scope)
-                         for k in kids]
+        leaf.children = [ChildRef(k.actor, k.region, k.dc) for k in kids]
         self._forget_covers()
         self._rewire_peers()
         return kids[0].actor, kids[1].actor
@@ -954,7 +930,7 @@ class QpuNetwork:
         region = Region({**a.region.ivs, axis: union_iv})
         parent = self.nodes[a.parent]
         actor = self._next_leaf_actor(a.dc)
-        merged = self._new_node(actor, "hist", a.dc, region, a.scope, parent.actor)
+        merged = self._new_node(actor, "hist", a.dc, region, parent.actor)
         merged.repl_mode = a.repl_mode if a.repl_mode == b.repl_mode else LOG
         merged.index.merge(a.index)
         merged.index.merge(b.index)
@@ -964,7 +940,7 @@ class QpuNetwork:
         # of a tag the other posted
         merged.index.clock = a.index.clock.floor(b.index.clock)
         self.store.replicas[a.dc].subscribe(merged._on_feed)
-        ref = ChildRef(actor, region, merged.dc, merged.scope)
+        ref = ChildRef(actor, region, merged.dc)
         for old in (a, b):
             self.store.replicas[old.dc].unsubscribe(old._on_feed)
             # each old leaf morphs into a value node over the merged one, so

@@ -49,7 +49,6 @@ class Scenario:
     workload: list[dict]
     queries: dict[int, Query]  # workload index -> parsed query action
     oracle: bool = False
-    scrub_at_end: bool = True
     max_ticks: int = 1_000_000
     max_events: int = 5_000_000
     raw: dict = field(default_factory=dict)
@@ -86,7 +85,7 @@ def _is_int(value) -> bool:
 
 
 _FIELDS = {"name", "seed", "dcs", "schema", "binning", "net", "tree",
-           "workload", "generate", "verify", "limits", "scrub_at_end"}
+           "workload", "generate", "verify", "limits"}
 _LIMITS = {"max_ticks": 1_000_000, "max_events": 5_000_000}
 
 
@@ -146,6 +145,11 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     if "root_dc" not in tree_raw:
         tree_raw["root_dc"] = dcs[0]
     history = tree_raw.pop("history", "leaf")
+    # every replica indexes every origin; the key stays accepted as true
+    replicated = tree_raw.pop("replicated", True)
+    if replicated is not True:
+        fail(f"tree.replicated must be true, got {replicated!r}",
+             '"replicated"')
     try:
         sel = SelectivityConfig(**tree_raw.pop("selectivity", {}))
         tree = TreeConfig(selectivity=sel, history_tree=history, **tree_raw)
@@ -192,11 +196,8 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     # retired verify.caches switch
     verify = section("verify")
     oracle = verify.get("oracle", False)
-    scrub_at_end = raw.get("scrub_at_end", True)
-    for name, value in (("verify.oracle", oracle), ("scrub_at_end", scrub_at_end)):
-        if not isinstance(value, bool):
-            fail(f"{name} must be true or false, got {value!r}",
-                 f'"{name.rsplit(".", 1)[-1]}"')
+    if not isinstance(oracle, bool):
+        fail(f"verify.oracle must be true or false, got {oracle!r}", '"oracle"')
     return Scenario(
         name=raw.get("name", path or "scenario"),
         seed=seed,
@@ -208,7 +209,6 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         workload=workload,
         queries=queries,
         oracle=oracle,
-        scrub_at_end=scrub_at_end,
         max_ticks=bounds["max_ticks"],
         max_events=bounds["max_events"],
         raw=raw,
@@ -217,10 +217,10 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
 
 
 def _validate_history(spec, region, schema, fail, where="tree.history"):
-    """A history node is "leaf" (or null) or a cut {attr, at, lo, hi} whose
-    two sides are history nodes again, so the leaves always tile the value
-    space. Anything else is rejected with its path in the tree."""
-    if spec == "leaf" or spec is None:
+    """A history node is "leaf" or a cut {attr, at, lo, hi} whose two sides
+    are history nodes again, so the leaves always tile the value space.
+    Anything else is rejected with its path in the tree."""
+    if spec == "leaf":
         return
     if not isinstance(spec, dict) or set(spec) != {"attr", "at", "lo", "hi"}:
         got = sorted(spec) if isinstance(spec, dict) else repr(spec)
@@ -371,8 +371,7 @@ def run_scenario(sc: Scenario, trace: bool = False,
                     f"missing {sorted(want - res.keys)})")
             if res.target is None:  # an empty plan resolves no target
                 return
-            fault = target_fault(query.staleness, res.target, heads, store,
-                                 sc.tree.replicated)
+            fault = target_fault(query.staleness, res.target, heads, store)
             if fault is not None:
                 verify_lines.append(f"FAIL query {res.query_id}: {fault}")
             if not res.claimed.dominates(res.target):
@@ -402,12 +401,10 @@ def run_scenario(sc: Scenario, trace: bool = False,
     sim.run_until_quiescent(max_ticks=sc.max_ticks, max_events=sc.max_events)
     if oracle:
         verify_lines.append(_verify_ingest(net))
-    scrubbed = 0
-    if sc.scrub_at_end:
-        scrubbed = net.scrub_all()
-        sim.run_until_quiescent(max_ticks=sc.max_ticks, max_events=sc.max_events)
+    scrubbed = net.scrub_all()
+    sim.run_until_quiescent(max_ticks=sc.max_ticks, max_events=sc.max_events)
     if oracle:
-        verify_lines.extend(_verify_end_state(sc, store, net, scrubbed))
+        verify_lines.extend(_verify_end_state(net, scrubbed))
         verify_lines.extend(net.check_hit.lines())
     return RunReport(sc, sim, store, net, results, verify_lines,
                      runtime_errors, scrubbed)
@@ -421,12 +418,12 @@ def _forced(fn, args, errors: list[str]):
 
 
 def _verify_ingest(net) -> str:
-    """Whether every history leaf has indexed all its replica holds of the
-    origins in its scope, and holds no remove for an add that never came.
-    A leaf keeps no entry past its clock, so that is all it can owe."""
+    """Whether every history leaf has indexed all its replica holds, and
+    holds no remove for an add that never came. A leaf keeps no entry past
+    its clock, so that is all it can owe."""
     behind = held = 0
     for leaf in net.hist_leaves():
-        lag = leaf.index.clock.lag_behind(leaf.replica.heads.restrict(leaf.scope))
+        lag = leaf.index.clock.lag_behind(leaf.replica.heads)
         behind += sum(n for n in lag.values() if n > 0)
         held += len(leaf.index.removed)
     if behind or held:
@@ -435,7 +432,7 @@ def _verify_ingest(net) -> str:
     return "PASS ingest: every leaf at its replica heads"
 
 
-def _verify_end_state(sc: Scenario, store, net, scrubbed: int) -> list[str]:
+def _verify_end_state(net, scrubbed: int) -> list[str]:
     # at quiescence an empty-plan query has completed; one still pending
     # lost its response, and one still parked waits for good
     stuck = sum(len(c.pending) + len(c.parked)
@@ -444,15 +441,10 @@ def _verify_end_state(sc: Scenario, store, net, scrubbed: int) -> list[str]:
         lines = [f"FAIL run: {stuck} queries never completed"]
     else:
         lines = [f"PASS run: quiesced at tick {net.sim.now}, scrubbed {scrubbed}"]
-    if not sc.scrub_at_end:
-        return lines
-    binner = net.binner
     by_region: dict[tuple, dict[str, bytes]] = {}
     bad = 0
     for leaf in net.hist_leaves():
-        origins = None if sc.tree.replicated else leaf.scope
-        want = rebuild_index(leaf.replica, binner, leaf.region,
-                             origins=origins).canonical()
+        want = rebuild_index(leaf.replica, net.binner, leaf.region).canonical()
         got = leaf.index.canonical()
         if want != got:
             bad += 1
@@ -462,16 +454,14 @@ def _verify_end_state(sc: Scenario, store, net, scrubbed: int) -> list[str]:
     if not bad:
         lines.append(f"PASS index: {len(net.hist_leaves())} leaves equal "
                      f"their replica rebuilds")
-    if sc.tree.replicated:
-        mismatched = [
-            key for key, per_dc in by_region.items()
-            if len(set(per_dc.values())) > 1]
-        if mismatched:
-            lines.append(f"FAIL convergence: {len(mismatched)} regions differ "
-                         f"across DCs")
-        else:
-            lines.append("PASS convergence: replicated leaves byte-identical "
-                         "across DCs")
+    mismatched = [key for key, per_dc in by_region.items()
+                  if len(set(per_dc.values())) > 1]
+    if mismatched:
+        lines.append(f"FAIL convergence: {len(mismatched)} regions differ "
+                     f"across DCs")
+    else:
+        lines.append("PASS convergence: replicated leaves byte-identical "
+                     "across DCs")
     return lines
 
 

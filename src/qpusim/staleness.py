@@ -87,10 +87,6 @@ class VectorClock:
                 return False
         return True
 
-    def restrict(self, dcs) -> "VectorClock":
-        return VectorClock._of(
-            {d: s for d, s in self.entries.items() if d in dcs})
-
     def floor(self, other: "VectorClock") -> "VectorClock":
         """Pointwise minimum (absent components count as 0). A component
         missing from either side floors to 0, so only this clock's

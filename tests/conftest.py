@@ -47,7 +47,7 @@ def numeric_schema(n=3):
 
 
 def build(dcs=("dc1", "dc2", "dc3"), schema=None, binning=None, history="leaf",
-          replicated=True, repl_mode="log", seed=0, intra=1, inter=5,
+          repl_mode="log", seed=0, intra=1, inter=5,
           jitter=0, dup=0.0, gossip_every=10, cache_capacity=256,
           selectivity=None, root_dc=None,
           trace=False):
@@ -56,7 +56,7 @@ def build(dcs=("dc1", "dc2", "dc3"), schema=None, binning=None, history="leaf",
     store = GeoStore(sim, list(dcs), schema)
     binner = Binner(schema, binning or {})
     cfg = TreeConfig(
-        root_dc or dcs[0], replicated=replicated, repl_mode=repl_mode,
+        root_dc or dcs[0], repl_mode=repl_mode,
         gossip_every=gossip_every, cache_capacity=cache_capacity,
         selectivity=selectivity or SelectivityConfig(),
         history_tree=history)

@@ -348,8 +348,13 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      '"tree"'),
     (_in_tree(selectivity={"window": 2.5}),
      "tree: window must be a positive integer, got 2.5", '"tree"'),
-    (_in_tree(replicated="no"), "tree: replicated must be true or false",
-     '"tree"'),
+    (_in_tree(replicated="no"), "tree.replicated must be true, got 'no'",
+     '"replicated"'),
+    (_in_tree(replicated=False), "tree.replicated must be true, got False",
+     '"replicated"'),
+    (_in_tree(history=None),
+     'tree.history must be "leaf" or a cut with exactly attr, at, lo and hi, '
+     "got None", '"history"'),
     (_cut(["GPA"], 2.0), "tree.history cuts unknown attribute ['GPA']",
      '"history"'),
     (_cut("GPA", "x"), "tree.history cut at 'x' is not a value of 'GPA'",
@@ -359,7 +364,7 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
     (lambda doc: doc["verify"].update(oracle="no"),
      "verify.oracle must be true or false, got 'no'", '"oracle"'),
     (lambda doc: doc.update(scrub_at_end="no"),
-     "scrub_at_end must be true or false, got 'no'", '"scrub_at_end"'),
+     "unknown top-level field 'scrub_at_end'", '"scrub_at_end"'),
     (_actions({"t": 1, "op": ["put"]}),
      "workload action 0: unknown op ['put']", '"op": ['),
     (_in_net(jitter=2.5),
@@ -414,7 +419,8 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      "limits: unknown field 'max_tick'", '"max_tick"'),
 ], ids=["put-without-key", "put-attrs-number", "put-attrs-list",
         "partition-from-itself", "partition-overlap", "cache-capacity-0", "window-float",
-        "replicated-string", "cut-attr-list", "cut-at-wrong-type",
+        "replicated-string", "replicated-false", "history-null",
+        "cut-attr-list", "cut-at-wrong-type",
         "tree-split", "oracle-string", "scrub-at-end-string", "op-list",
         "jitter-float", "inter-dc-delay-float", "jitter-bool", "dup-prob-bool",
         "schema-lo-string", "schema-hi-bool", "t-bool", "until-bool",

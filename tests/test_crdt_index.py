@@ -175,18 +175,6 @@ def test_remove_ahead_of_its_add_is_held_until_the_add_applies(inside):
     assert idx.clock == VectorClock({"dc1": 1, "dc2": 1})
 
 
-def test_remove_of_a_tag_from_outside_the_origins_is_not_held():
-    # an index that applies dc1's entries alone never sees dc2's add, so a
-    # remove of a dc2 tag would be held for good
-    schema = student_schema()
-    idx = CrdtIndex(schema, Binner(schema, {}), origins=frozenset({"dc1"}))
-    f1 = entry("dc2", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
-    e1 = entry("dc1", 1, 2, "o", {"gpa": 1.5, "dept": "y"}, prev=f1.stamp)
-    ingest(idx, e1)
-    assert idx.removed == set()
-    assert visible(idx) == {(e1.stamp, "o")}
-
-
 @pytest.mark.parametrize("add_first", [True, False])
 def test_merge_culls_a_posting_the_other_side_holds_a_remove_for(add_first):
     # one sibling applied dc1's overwrite before dc2's write, the other

@@ -174,18 +174,6 @@ def test_rebuild_region_restriction_is_a_subset():
     assert all(rep.get(part.tag_info[t][0]) is not None for t in part_tags)
 
 
-def test_rebuild_origin_restriction():
-    sim, store, net = build()
-    sim.at(1, lambda: store.put("dc1", "a", {"gpa": 1.0, "dept": "cs"}))
-    sim.at(2, lambda: store.put("dc2", "b", {"gpa": 2.0, "dept": "cs"}))
-    sim.run_until_quiescent()
-    binner = Binner(SCHEMA, {})
-    rep = store.replicas["dc1"]
-    only1 = rebuild_index(rep, binner, origins={"dc1"})
-    assert {only1.tag_info[t][0] for t in only1.tag_info} == {"a"}
-    assert only1.clock == VectorClock({"dc1": 1})
-
-
 def test_target_fault_checks_each_level_on_its_own():
     sim, store, net = build(dcs=("dc1", "dc2"))
     for i in range(3):
@@ -194,9 +182,8 @@ def test_target_fault_checks_each_level_on_its_own():
     heads = store.replicas["dc1"].heads  # dc2's write has not arrived
     assert heads == VectorClock({"dc1": 3})
 
-    def fault(level, target, replicated=True):
-        return target_fault(level, VectorClock(target), heads, store,
-                            replicated)
+    def fault(level, target):
+        return target_fault(level, VectorClock(target), heads, store)
 
     assert fault(SL.strong(), {"dc1": 3}) is None
     assert "strong target {dc1:2}" in fault(SL.strong(), {"dc1": 2})
@@ -205,11 +192,10 @@ def test_target_fault_checks_each_level_on_its_own():
     assert fault(SL.bounded(2), {"dc1": 3}) is not None
     assert fault(SL.any(), {}) is None
     assert fault(SL.any(), {"dc1": 1}) is not None
-    # a snapshot component may not pass any replica that indexes its origin
+    # a snapshot component may not pass any replica's heads
     assert fault(SL.snapshot(), {}) is None
     assert fault(SL.snapshot(), {"dc2": 1}) is not None  # dc1 lacks it
-    # on a non-replicated tree only the origin's own replica indexes it
-    assert fault(SL.snapshot(), {"dc1": 3, "dc2": 1}, replicated=False) is None
+    assert fault(SL.snapshot(), {"dc1": 3, "dc2": 1}) is not None
     sim.run_until_quiescent()
     assert fault(SL.snapshot(), {"dc1": 3, "dc2": 1}) is None
     assert fault(SL.snapshot(), {"dc1": 4}) is not None

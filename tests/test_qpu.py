@@ -23,6 +23,7 @@ from qpusim import (
     to_rectangles,
 )
 from qpusim.oracle import HitCheck
+from qpusim.simcore import Envelope
 
 from conftest import (
     ask,
@@ -161,18 +162,6 @@ def test_only_freshness_nodes_gossip_and_only_to_the_root():
     # each report is the reporter's replica heads, and they have settled
     for dc in store.dcs:
         assert net.root.child_clocks[f"qpu/{dc}"] == store.replicas[dc].heads
-
-
-def test_non_replicated_snapshot_merges_each_dcs_own_heads():
-    # on a non-replicated tree each freshness node reports only its own
-    # origin, so a floor of the reports is empty and would hand every
-    # snapshot query the `any` contract
-    sim, store, net = quiesced(replicated=False, n=30, seed=18, rngseed=18)
-    own = {dc: store.replicas[dc].heads.get(dc) for dc in store.dcs}
-    assert net.root._stable() == VectorClock(own)
-    res = ask(net, "gpa >= 0.0 FRESHNESS snapshot", "dc1")
-    assert res.target == VectorClock(own)
-    assert res.keys == scan(store.replicas["dc1"], parse("gpa >= 0.0", SCHEMA))
 
 
 # -- result cache -------------------------------------------------------------------
@@ -404,9 +393,8 @@ def test_cache_lru_eviction():
     assert cache.probe(key((rs[0],), rs[0].render()), VectorClock()) is not None
 
 
-@pytest.mark.parametrize("replicated", [True, False])
-def test_repeated_query_hits_caches_with_identical_keys(replicated):
-    sim, store, net = quiesced(n=80, seed=16, rngseed=16, replicated=replicated)
+def test_repeated_query_hits_caches_with_identical_keys():
+    sim, store, net = quiesced(n=80, seed=16, rngseed=16)
     first = ask(net, 'dept = "cs" AND gpa > 1.0 FRESHNESS snapshot', "dc3")
     assert first.stats["cache_hits"] == 0
     second = ask(net, 'dept = "cs" AND gpa > 1.0 FRESHNESS snapshot', "dc3")
@@ -463,21 +451,6 @@ def test_split_carries_the_removes_held_ahead_of_their_adds():
         assert first.stamp not in half.index.tag_info
     assert sum(key == "k" for h in halves
                for key, _ in h.index.tag_info.values()) == 1
-
-
-def test_non_replicated_leaf_holds_no_remove_of_a_foreign_tag():
-    # dc1 overwrites dc2's k; dc1's leaf indexes dc1's origin alone, so it
-    # never posts dc2's tag and must not wait for it
-    sim, store, net = build(dcs=("dc1", "dc2"), replicated=False)
-    store.put("dc2", "k", {"gpa": 1.0, "dept": "cs"})
-    sim.run_until_quiescent()
-    store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
-    sim.run_until_quiescent()
-    leaf = net.nodes["qpu/dc1/h0"]
-    assert leaf.index.clock == VectorClock({"dc1": 1})
-    assert [key for key, _ in leaf.index.tag_info.values()] == ["k"]
-    for leaf in net.hist_leaves():
-        assert leaf.index.removed == set(), leaf.actor
 
 
 def test_split_then_merge_preserves_query_results():
@@ -545,6 +518,13 @@ def test_a_probe_on_its_way_to_a_merged_leaf_is_answered():
     assert want and set(resp.hits) == want
 
 
+def probes_in_flight(sim, src):
+    """The probes `src` has sent to a child that are not yet delivered."""
+    return [item for _, _, item in sim._heap
+            if isinstance(item, Envelope) and item.kind == "query.value"
+            and item.src == src]
+
+
 def test_a_merge_under_a_dispatched_join_completes_the_query():
     # both halves' probes are in flight when the halves merge; each old half
     # forwards its own probe to the merged leaf, which answers both
@@ -552,10 +532,31 @@ def test_a_merge_under_a_dispatched_join_completes_the_query():
     a, b = net.force_split("qpu/dc1/h0")
     q = parse("gpa >= 0.0", SCHEMA).at("dc1")
     done = []
-    qid = net.submit(q, done.append)
-    while qid not in net.nodes["qpu/dc1/h0"].joins:
+    net.submit(q, done.append)
+    while not probes_in_flight(sim, "qpu/dc1/h0"):
         assert sim.step()
     net.merge_siblings(a, b)
+    sim.run_until_quiescent()
+    (res,) = done
+    assert res.keys == scan(store.replicas["dc1"], q)
+    assert not net.coordinators["dc1"].pending
+
+
+def test_a_node_sent_two_probes_of_one_query_joins_each_on_its_own():
+    # after the merge both old halves forward their probe to the merged
+    # leaf; split before they arrive, it dispatches both probes of the
+    # query, and each response must reach the join of its own probe
+    sim, store, net = quiesced(dcs=("dc1",), n=40, seed=7, rngseed=7)
+    a, b = net.force_split("qpu/dc1/h0")
+    q = parse("gpa >= 0.0", SCHEMA).at("dc1")
+    done = []
+    net.submit(q, done.append)
+    while not probes_in_flight(sim, "qpu/dc1/h0"):
+        assert sim.step()
+    merged = net.merge_siblings(a, b)
+    while not (probes_in_flight(sim, a) and probes_in_flight(sim, b)):
+        assert sim.step()
+    net.force_split(merged)
     sim.run_until_quiescent()
     (res,) = done
     assert res.keys == scan(store.replicas["dc1"], q)
@@ -731,20 +732,6 @@ def test_switch_to_delta_with_writes_in_flight_leaves_no_gap():
         "qpu/dc2/h0"]
     assert leaf.index.clock.get("dc2") == 20
     assert leaf.index.clock == store.replicas["dc1"].heads
-
-
-def test_non_replicated_delta_leaves_take_no_peers():
-    # each leaf owns its own DC's origin, so a leaf abroad has nothing to
-    # feed it; a peer would post writes of an origin outside its scope
-    sim, store, net = build(replicated=False, repl_mode="delta", seed=4,
-                            jitter=3)
-    fill(store, random.Random(4), 60)
-    sim.run_until_quiescent()
-    net.scrub_all()
-    for leaf in net.hist_leaves():
-        assert leaf.subscribers == set() and feeders(net, leaf.actor) == []
-        want = rebuild_index(leaf.replica, net.binner, origins=leaf.scope)
-        assert leaf.index.canonical() == want.canonical(), leaf.actor
 
 
 def delta_pair(**kw):

@@ -245,13 +245,12 @@ def test_query_text_that_is_not_a_string_is_rejected():
         parse_scenario(raw)
 
 
-def write_heavy(mode: str, seed: int, replicated: bool = True) -> dict:
+def write_heavy(mode: str, seed: int) -> dict:
     """A generated write-heavy run over three DCs with duplicated, jittered
     replication. The written prices move from the low half of the space to
     the high half, so adaptive leaves switch modes. Every DC splits its low
     leaf a quarter of the way in, and dc2 merges the halves back at three
-    quarters, which leaves the other DCs' halves without a peer. On a
-    non-replicated tree each DC's leaves index only that DC's writes."""
+    quarters, which leaves the other DCs' halves without a peer."""
     raw = {
         "name": f"write-heavy-{mode}",
         "seed": seed,
@@ -261,7 +260,7 @@ def write_heavy(mode: str, seed: int, replicated: bool = True) -> dict:
         "binning": {"price": 16, "stock": 10},
         "net": {"intra_dc_delay": 1, "inter_dc_delay": 6, "jitter": 20,
                 "dup_prob": 0.2},
-        "tree": {"root_dc": "dc2", "repl_mode": mode, "replicated": replicated,
+        "tree": {"root_dc": "dc2", "repl_mode": mode,
                  "selectivity": {"window": 60, "theta_low": 0.05,
                                  "theta_high": 0.15},
                  "history": {"attr": "price", "at": 500.0,
@@ -287,14 +286,10 @@ def write_heavy(mode: str, seed: int, replicated: bool = True) -> dict:
     return raw
 
 
-@pytest.mark.parametrize("mode, seed, replicated", [
-    pytest.param(mode, seed, replicated,
-                 id=f"{mode}-{seed}" + ("" if replicated else "-unreplicated"))
-    for replicated in (True, False)
-    for mode in ("log", "delta", "adaptive")
-    for seed in (1, 2, 3)])
-def test_every_replication_mode_ingests_without_a_gap(mode, seed, replicated):
-    report = run_scenario(parse_scenario(write_heavy(mode, seed, replicated)))
+@pytest.mark.parametrize("mode, seed", [
+    (mode, seed) for mode in ("log", "delta", "adaptive") for seed in (1, 2, 3)])
+def test_every_replication_mode_ingests_without_a_gap(mode, seed):
+    report = run_scenario(parse_scenario(write_heavy(mode, seed)))
     assert report.runtime_errors == []
     assert "PASS ingest: every leaf at its replica heads" in report.verify_lines
     assert report.verify_ok, [ln for ln in report.verify_lines
@@ -307,13 +302,10 @@ def test_every_replication_mode_ingests_without_a_gap(mode, seed, replicated):
 # key lost it from the answer. Delta seeds 5, 12 and 20 lost a key while
 # every tree node gossiped; delta seeds 3 and 11 lose one with gossip from
 # the freshness nodes alone, since fewer messages draw different jitter.
-@pytest.mark.parametrize("mode, seed, replicated", [
-    ("delta", 3, True), ("delta", 5, True), ("delta", 11, True),
-    ("delta", 12, True), ("delta", 20, True),
-    ("log", 7, False), ("delta", 7, False), ("adaptive", 7, False)])
-def test_a_key_moving_between_leaves_mid_query_is_not_lost(mode, seed,
-                                                           replicated):
-    report = run_scenario(parse_scenario(write_heavy(mode, seed, replicated)))
+@pytest.mark.parametrize("mode, seed", [
+    ("delta", 3), ("delta", 5), ("delta", 11), ("delta", 12), ("delta", 20)])
+def test_a_key_moving_between_leaves_mid_query_is_not_lost(mode, seed):
+    report = run_scenario(parse_scenario(write_heavy(mode, seed)))
     assert report.verify_ok, [ln for ln in report.verify_lines
                               if ln.startswith("FAIL")]
 
