@@ -12,6 +12,14 @@ and remove commute: states that applied the same entries in any
 interleaving hold identical visible postings, and at quiescence an index
 holds no remove at all.
 
+An index applies log entries themselves. An entry's effect is a pure
+function of the entry and of whether its point lies in the leaf's region,
+which the caller decides once: the add is posted when it does, and the
+superseded tag is culled either way. A same-region leaf abroad, sent the
+same entry, reaches the same effect, so no separate delta is built, as the
+delta-state CRDTs of Almeida et al. (JPDC 2018) derive deltas from
+operations. Culling a tag that is not posted does nothing.
+
 The index never stores which exact value a posting had, only its bins, so a
 range query touching part of a bin returns candidates that may not match.
 Callers resolve those against source data; the scrub pass does the same in
@@ -24,7 +32,6 @@ every time it comes up.
 """
 
 import json
-from operator import itemgetter
 from typing import NamedTuple
 
 from .geostore import DcReplica, LogEntry, Stamp
@@ -104,21 +111,6 @@ class Binner:
         return tuple(out)
 
 
-class IndexDelta(NamedTuple):
-    """Index effect of one log entry; a pure function of the entry, so any
-    replica can regenerate it from its log. A tuple, because ingest builds
-    one per applied entry."""
-
-    origin: str
-    seq: int
-    adds: tuple  # ((Term, tag, key), ...)
-    removes: tuple  # ((key, tag), ...)
-    point: dict | None  # attrs behind the added tag; None when nothing is added
-
-
-_term_of = itemgetter(0)  # the Term of an IndexDelta add
-
-
 class CrdtIndex:
     """One leaf's postings (see the module note)."""
 
@@ -133,29 +125,13 @@ class CrdtIndex:
 
     # -- ingestion -------------------------------------------------------------
 
-    def delta_for(self, entry: LogEntry, region: Region | None = None) -> IndexDelta:
-        """The entry's index delta. With a `region`, an added point outside it
-        adds nothing, as on a leaf that owns only that region; removes stay,
-        since the superseded version may have lived inside."""
-        adds = ()
-        point = entry.attrs
-        if point is not None and (region is None or region.contains_point(point)):
-            stamp, key = entry.stamp, entry.key
-            adds = tuple([(t, stamp, key) for t in self.binner.terms_for(point)])
-        else:
-            point = None
-        removes = ()
-        # a write only retracts the version it actually superseded; when it
-        # lost the tie-break to what it observed, that version stays visible
-        if entry.prev_tag is not None and entry.stamp > entry.prev_tag:
-            removes = ((entry.key, entry.prev_tag),)
-        return IndexDelta(entry.origin_dc, entry.seq, adds, removes, point)
-
-    def apply_delta(self, delta: IndexDelta) -> bool:
-        """Apply one delta; True when it advanced the state, False for a
+    def apply_delta(self, entry: LogEntry, inside: bool) -> bool:
+        """Apply one log entry: post its add when `inside`, that is when its
+        point lies in the caller's region, cull the tag it superseded, and
+        advance the clock. True when it advanced the state, False for a
         duplicate already covered by the clock. Gaps are protocol errors.
         The clock advances in place: a reader that keeps it copies it."""
-        origin, seq = delta.origin, delta.seq
+        origin, seq = entry.origin_dc, entry.seq
         clock = self.clock.entries
         expected = clock.get(origin, 0) + 1
         if seq < expected:
@@ -168,29 +144,29 @@ class CrdtIndex:
             # a remove held for this entry's tag suppresses its add, even
             # one outside the region, and is then done
             removed.remove((origin, seq))
-        elif delta.adds:
-            adds = delta.adds
-            self.post(adds[0][1], adds[0][2], delta.point, map(_term_of, adds))
-        for _, rtag in delta.removes:
-            self._cull(rtag)
+        elif inside:
+            self.post(entry.stamp, entry.key, entry.attrs)
+        prev = entry.prev_tag
+        # a write only retracts the version it actually superseded; when it
+        # lost the tie-break to what it observed, that version stays visible
+        if prev is not None and entry.stamp > prev:
+            self._cull(prev)
             # an add the clock covers has applied, so nothing is held for it;
             # a tag a merged leaf posted above its clock is held too, since
             # its cursor offers that add again
-            _, dc, rseq = rtag
+            _, dc, rseq = prev
             if clock.get(dc, 0) < rseq:
                 removed.add((dc, rseq))
         clock[origin] = seq
         return True
 
-    def post(self, tag: Stamp, key: str, point: dict, terms=None):
+    def post(self, tag: Stamp, key: str, point: dict):
         """Make `tag` visible as `key` at `point`, with one posting per term
-        (by default the point's own terms). The one place that writes the
-        attribute -> bin -> tags layout; `_cull` is its inverse."""
+        of the point. The one place that writes the attribute -> bin -> tags
+        layout; `_cull` is its inverse."""
         self.tag_info[tag] = (key, point)
-        if terms is None:
-            terms = self.binner.terms_for(point)
         all_terms = self.terms
-        for attr, bin_iv in terms:
+        for attr, bin_iv in self.binner.terms_for(point):
             bins = all_terms[attr]
             tags = bins.get(bin_iv)
             if tags is None:
@@ -213,27 +189,28 @@ class CrdtIndex:
 
     # -- merge -------------------------------------------------------------------
 
-    def merge(self, other: "CrdtIndex"):
-        """Union `other` into this index: postings and held removes are
-        unioned, a tag either side holds a remove for is culled, and the
-        clocks join. A remove that one side applied to a tag the other
-        still posts leaves no trace to merge, so the joined clock is sound
-        only when neither side has applied such a remove. A caller that
-        cannot know this, such as QpuNetwork.merge_siblings, sets the floor
-        of the two clocks afterwards: the floor covers none of the held
-        removes, and the cursor is offered again every entry above it,
-        removes included."""
-        for attr, bins in other.terms.items():
-            mine = self.terms[attr]
-            for bin_iv, tags in bins.items():
-                mine.setdefault(bin_iv, set()).update(tags)
-        self.tag_info.update(other.tag_info)
-        held = self.removed
-        held |= other.removed
+    @classmethod
+    def merged(cls, a: "CrdtIndex", b: "CrdtIndex") -> "CrdtIndex":
+        """The index of the leaf that replaces siblings `a` and `b`: their
+        postings and held removes unioned, less every tag either side holds
+        a remove for, at the floor of their clocks. A remove that one side
+        applied to a tag the other still posts leaves no trace to union, so
+        the clock must under-claim: the floor covers none of the held
+        removes, and the cursor is offered again every entry above it, such
+        a remove included."""
+        out = cls(a.schema, a.binner)
+        for side in (a, b):
+            for attr, bins in side.terms.items():
+                mine = out.terms[attr]
+                for bin_iv, tags in bins.items():
+                    mine.setdefault(bin_iv, set()).update(tags)
+            out.tag_info.update(side.tag_info)
+        held = out.removed = a.removed | b.removed
         if held:
-            for tag in [t for t in self.tag_info if t[1:] in held]:
-                self._cull(tag)
-        self.clock = self.clock.merge(other.clock)
+            for tag in [t for t in out.tag_info if t[1:] in held]:
+                out._cull(tag)
+        out.clock = a.clock.floor(b.clock)
+        return out
 
     # -- reads ---------------------------------------------------------------------
 

@@ -8,17 +8,19 @@ and answer every query from them.
 Ingest note: a history leaf indexes every origin, each through one
 gapless cursor, the origin's component of the index clock, with one rule:
 the entry at clock+1 applies, and any other is dropped. Two sources offer
-entries to it: the colocated log, in every mode, and the same-region peer
-abroad, in delta mode, whose deltas can arrive before the log has the
-entry. A peer sends only deltas that change the receiver's postings: it
-drops the remove of a tag it never posted, and sends nothing for a write
-that is left with no add and no remove. A delta past a seq the peer
-skipped is dropped too: the log offers everything the replica applies, in
-seq order and synchronously as the replica applies it, so it offers that
-entry again. A leaf's clock therefore never falls behind its replica's
-heads, and no mode switch or rewire leaves a gap to replay. So a leaf
-already covers any target its replica can: the paper's live leaf, which
-scans the log tail past the indexed prefix, would find nothing there.
+log entries to it: the colocated log, in every mode, and the same-region
+peer abroad, in delta mode, which sends its own DC's entry before this
+leaf's replica has it. The leaf decides once whether the entry's point lies
+in its region, and its index applies the entry with that answer; a peer
+has the same region, so it reaches the same answer. A peer sends only the
+entries that change the receiver's postings: an add in the region, or the
+remove of a tag it posts itself, and nothing else. An entry past a seq the
+peer skipped is dropped too: the log offers everything the replica
+applies, in seq order and synchronously as the replica applies it, so it
+offers that entry again. A leaf's clock therefore never falls behind its
+replica's heads, and no mode switch or rewire leaves a gap to replay. So a
+leaf already covers any target its replica can: the paper's live leaf,
+which scans the log tail past the indexed prefix, would find nothing there.
 
 Caching note: the root keeps the one result cache, whose entries are
 frozen at insertion: the content is the join result at the entry's coverage
@@ -44,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
-from .crdt_index import Binner, CrdtIndex, IndexDelta
+from .crdt_index import Binner, CrdtIndex
 from .geostore import GeoStore, LogEntry
 from .regions import Interval, Region, greedy_cover
 from .router import (
@@ -299,8 +301,9 @@ class Qpu:
         # history-leaf state; unused elsewhere
         self.index = CrdtIndex(net.schema, net.binner) if kind == "hist" else None
         self.repl_mode = DELTA if net.cfg.repl_mode == DELTA else LOG
+        self.adaptive = net.cfg.repl_mode == "adaptive"
         self.window = SelectivityWindow(net.cfg.selectivity.window)
-        # peers fed my local-origin deltas; see QpuNetwork._rewire_peers
+        # peers fed my local-origin entries; see QpuNetwork._rewire_peers
         self.subscribers: set[str] = set()
         self.switch_log: list[tuple] = []
         self._gossip_armed = False  # a freshness node's report timer
@@ -487,63 +490,51 @@ class Qpu:
     # -- ingest ---------------------------------------------------------------------
 
     def _on_feed(self, entry: LogEntry):
-        # synchronous callback from the colocated replica's apply; a
-        # duplicate is dropped before it is binned
-        if entry.seq > self.index.clock.get(entry.origin_dc):
-            self._offer(self.index.delta_for(entry, self.region), entry.attrs)
+        # synchronous callback from the colocated replica's apply
+        self._offer(entry)
 
-    def on_peer_delta(self, payload):
+    def on_peer_delta(self, entry: LogEntry):
         if self.kind == "hist":  # a split or merge may have overtaken it
-            self._offer(*payload)
+            self._offer(entry)
 
-    def _offer(self, delta: IndexDelta, raw_attrs):
-        """Offer the delta to its origin's cursor (see the ingest note): it
+    def _offer(self, entry: LogEntry):
+        """Offer the entry to its origin's cursor (see the ingest note): it
         applies when it is the origin's next entry, at clock+1, and is
         dropped otherwise. The log offers again any entry dropped here."""
-        if delta.seq != self.index.clock.get(delta.origin) + 1:
+        index = self.index
+        origin = entry.origin_dc
+        if entry.seq != index.clock.get(origin) + 1:
             return
-        # trimmed before the apply, which culls the superseded tag
-        out = (self._for_peers(delta)
-               if self.subscribers and delta.origin == self.dc else None)
-        self.index.apply_delta(delta)
-        self._post_apply(delta, raw_attrs, out)
-
-    def _for_peers(self, delta: IndexDelta) -> IndexDelta | None:
-        """The part of a local-origin delta that can change a same-region
-        peer's postings, or None when no part can. A remove is kept only
-        when its tag is posted here. This leaf indexed the superseded
-        version before its replica accepted the write, so a tag missing
-        here lay outside the region, or was removed by an entry that reaches
-        the peer too. The peer's log still offers the whole entry, and
-        fills the seq of a delta not sent."""
-        tag_info = self.index.tag_info
-        removes = tuple([r for r in delta.removes if r[1] in tag_info])
-        if not (delta.adds or removes):
-            return None
-        return delta if removes == delta.removes else delta._replace(removes=removes)
-
-    def _post_apply(self, delta: IndexDelta, raw_attrs, out: IndexDelta | None):
-        # selectivity tracks writes, not deletes; a delta adds a point only
-        # when it lies in the region, as decided by delta_for on this leaf or
-        # on the same-region peer that sent it
-        if raw_attrs is not None:
-            self.window.append(0 if delta.point is None else 1)
-        if out is not None:
+        attrs = entry.attrs
+        inside = attrs is not None and self.region.contains_point(attrs)
+        # a same-region peer is sent a local write that changes its
+        # postings: an add, or the remove of a tag posted here, checked
+        # before the apply culls it. A tag missing here lay outside the
+        # region, or was removed by an entry that reaches the peer too
+        prev = entry.prev_tag
+        send = self.subscribers and origin == self.dc and (
+            inside or (prev in index.tag_info and entry.stamp > prev))
+        index.apply_delta(entry, inside)
+        if send:
             for peer in sorted(self.subscribers):
-                self.sim.send(self.actor, peer, "index.delta", (out, raw_attrs),
-                              note=f"{out.origin}:{out.seq}")
-        self._maybe_switch()
+                self.sim.send(self.actor, peer, "index.delta", entry,
+                              note=f"{origin}:{entry.seq}")
+        # selectivity tracks writes, not deletes, so only a write can flip
+        # the mode
+        if attrs is not None:
+            self.window.append(1 if inside else 0)
+            self._maybe_switch()
 
     # -- replication mode ----------------------------------------------------------
 
     def _maybe_switch(self):
-        cfg = self.net.cfg
-        if cfg.repl_mode != "adaptive" or not self.window.full():
+        if not self.adaptive or not self.window.full():
             return
+        sel = self.net.cfg.selectivity
         s = self.window.ratio()
-        if self.repl_mode == DELTA and s > cfg.selectivity.theta_high:
+        if self.repl_mode == DELTA and s > sel.theta_high:
             self._switch(LOG, s)
-        elif self.repl_mode == LOG and s < cfg.selectivity.theta_low:
+        elif self.repl_mode == LOG and s < sel.theta_low:
             self._switch(DELTA, s)
 
     def _switch(self, to: str, ratio: float):
@@ -845,10 +836,9 @@ class QpuNetwork:
     def _rewire_peers(self):
         """Rebuild every node's subscribers from the tree as it stands, after
         each change of shape or mode. A history leaf feeds its local-origin
-        deltas to each same-region leaf abroad that is in delta mode. Other
-        nodes feed none. Subscriptions are
-        control-plane: set directly, while the deltas themselves stay
-        network messages."""
+        log entries to each same-region leaf abroad that is in delta mode.
+        Other nodes feed none. Subscriptions are control-plane: set
+        directly, while the entries themselves travel as network messages."""
         groups: dict[tuple, list[Qpu]] = {}
         for leaf in self.hist_leaves():
             groups.setdefault(leaf.region.key(), []).append(leaf)
@@ -932,13 +922,9 @@ class QpuNetwork:
         actor = self._next_leaf_actor(a.dc)
         merged = self._new_node(actor, "hist", a.dc, region, parent.actor)
         merged.repl_mode = a.repl_mode if a.repl_mode == b.repl_mode else LOG
-        merged.index.merge(a.index)
-        merged.index.merge(b.index)
-        # the merged clock must under-claim: components the two leaves do
-        # not agree on are only safe at the lower of the two, and the log
-        # then offers again every entry one side lacks, such as the remove
-        # of a tag the other posted
-        merged.index.clock = a.index.clock.floor(b.index.clock)
+        # at the floor of the two clocks, so the log offers again every
+        # entry one side lacks, such as the remove of a tag the other posted
+        merged.index = CrdtIndex.merged(a.index, b.index)
         self.store.replicas[a.dc].subscribe(merged._on_feed)
         ref = ChildRef(actor, region, merged.dc)
         for old in (a, b):

@@ -30,8 +30,8 @@ def entry(origin, seq, ts, key, attrs, prev=None):
 
 
 def ingest(index, e):
-    """Apply one log entry's delta, as an index without a region does."""
-    index.apply_delta(index.delta_for(e))
+    """Apply one log entry, as a leaf over the whole domain does."""
+    return index.apply_delta(e, e.attrs is not None)
 
 
 def visible(index):
@@ -76,7 +76,7 @@ def test_overwrite_removes_old_tag_under_the_clock_and_adds_new():
     assert idx.clock.get("dc1") >= e1.stamp.seq
     assert visible(idx) == {(e2.stamp, "o")}
     assert idx.removed == set()
-    assert not idx.apply_delta(idx.delta_for(e1))
+    assert not ingest(idx, e1)
     assert visible(idx) == {(e2.stamp, "o")}
 
 
@@ -99,12 +99,13 @@ def test_concurrent_values_both_visible_after_cross_merge():
     eb = entry("dc2", 1, 3, "obj", {"gpa": 2.0, "dept": "bb"})
     ingest(a, ea)
     ingest(b, eb)
-    a.merge(b)
-    b.merge(a)
-    for idx in (a, b):
+    ab, ba = CrdtIndex.merged(a, b), CrdtIndex.merged(b, a)
+    for idx in (ab, ba):
         assert keys_in(idx, "dept", "aa", "aa") == {"obj"}
         assert keys_in(idx, "dept", "bb", "bb") == {"obj"}
-    assert a.canonical() == b.canonical()
+        # neither side has the other's entry, so the floor claims neither
+        assert idx.clock == VectorClock()
+    assert ab.canonical() == ba.canonical()
 
 
 def test_delete_entry_retracts_and_adds_nothing():
@@ -121,18 +122,50 @@ def test_delete_entry_retracts_and_adds_nothing():
 
 def test_apply_delta_rejects_sequence_gaps():
     idx = mk_index()
-    d2 = mk_index().delta_for(entry("dc1", 2, 2, "o", {"gpa": 1.0, "dept": "x"}))
+    e2 = entry("dc1", 2, 2, "o", {"gpa": 1.0, "dept": "x"})
     with pytest.raises(ValueError, match="gap"):
-        idx.apply_delta(d2)
+        idx.apply_delta(e2, True)
 
 
 def test_apply_delta_is_idempotent_on_redelivery():
     idx = mk_index()
-    d1 = idx.delta_for(entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"}))
-    assert idx.apply_delta(d1)
+    e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
+    assert idx.apply_delta(e1, True)
     before = idx.canonical()
-    assert not idx.apply_delta(d1)  # duplicate is a no-op
+    assert not idx.apply_delta(e1, True)  # duplicate is a no-op
     assert idx.canonical() == before
+
+
+def test_entry_outside_the_region_posts_nothing_and_culls_what_it_superseded():
+    idx = mk_index()
+    e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
+    e2 = entry("dc1", 2, 2, "o", {"gpa": 3.0, "dept": "x"}, prev=e1.stamp)
+    assert idx.apply_delta(e1, True)
+    assert visible(idx) == {(e1.stamp, "o")}
+    assert idx.apply_delta(e2, False)
+    assert visible(idx) == set() and idx.removed == set()
+    assert idx.clock == VectorClock({"dc1": 2})
+    # a later write outside the region, superseding a tag never posted here,
+    # advances the clock and changes nothing else
+    e3 = entry("dc1", 3, 3, "o", {"gpa": 3.5, "dept": "x"}, prev=e2.stamp)
+    assert idx.apply_delta(e3, False)
+    assert visible(idx) == set() and idx.removed == set()
+    assert idx.clock == VectorClock({"dc1": 3})
+
+
+def test_entry_outside_the_region_holds_a_remove_until_its_add_applies():
+    # dc1's write, outside this region, overwrote dc2's write, inside it,
+    # before this index applied dc2's: the remove is held, and it suppresses
+    # the add when that entry applies
+    idx = mk_index()
+    f1 = entry("dc2", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
+    e1 = entry("dc1", 1, 2, "o", {"gpa": 3.0, "dept": "y"}, prev=f1.stamp)
+    assert idx.apply_delta(e1, inside=False)
+    assert visible(idx) == set()
+    assert idx.removed == {("dc2", 1)}
+    assert idx.apply_delta(f1, inside=True)
+    assert visible(idx) == set() and idx.removed == set()
+    assert idx.clock == VectorClock({"dc1": 1, "dc2": 1})
 
 
 def test_merge_into_an_empty_index_keeps_only_the_overwrite_winner():
@@ -140,17 +173,15 @@ def test_merge_into_an_empty_index_keeps_only_the_overwrite_winner():
     # empty one, carries over the winner alone: the overwritten version must
     # not come back. Out-of-order delivery is
     # test_remove_ahead_of_its_add_is_held_until_the_add_applies
-    src = mk_index()
     e1 = entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"})
     e2 = entry("dc1", 2, 2, "o", {"gpa": 2.0, "dept": "x"}, prev=e1.stamp)
-    d1, d2 = src.delta_for(e1), src.delta_for(e2)
 
     applied = mk_index()
-    applied.apply_delta(d1)
-    applied.apply_delta(d2)
-    direct = mk_index()
-    direct.merge(applied)
+    ingest(applied, e1)
+    ingest(applied, e2)
+    direct = CrdtIndex.merged(mk_index(), applied)
     assert e1.stamp not in direct.tag_info
+    assert direct.clock == VectorClock()
     assert keys_in(direct, "gpa", 0.0, 4.0) == {"o"}
     assert keys_in(direct, "gpa", 1.5, 2.5) == {"o"}
     assert keys_in(direct, "gpa", 0.5, 1.5) == set()
@@ -165,11 +196,10 @@ def test_remove_ahead_of_its_add_is_held_until_the_add_applies(inside):
     idx = mk_index(schema=schema)
     f1 = entry("dc2", 1, 1, "o", {"gpa": 1.0 if inside else 3.0, "dept": "x"})
     e1 = entry("dc1", 1, 2, "o", {"gpa": 1.5, "dept": "y"}, prev=f1.stamp)
-    idx.apply_delta(idx.delta_for(e1, region))
+    idx.apply_delta(e1, region.contains_point(e1.attrs))
     assert idx.removed == {("dc2", 1)}
-    delta = idx.delta_for(f1, region)
-    assert bool(delta.adds) == inside
-    idx.apply_delta(delta)
+    assert region.contains_point(f1.attrs) == inside
+    idx.apply_delta(f1, inside)
     assert idx.removed == set()
     assert visible(idx) == {(e1.stamp, "o")}
     assert idx.clock == VectorClock({"dc1": 1, "dc2": 1})
@@ -186,10 +216,8 @@ def test_merge_culls_a_posting_the_other_side_holds_a_remove_for(add_first):
     ingest(holder, e1)
     ingest(poster, f1)
     assert holder.removed == {("dc2", 1)} and f1.stamp in poster.tag_info
-    merged = mk_index()
-    merged.merge(holder)
-    merged.merge(poster)
-    merged.clock = holder.clock.floor(poster.clock)
+    merged = CrdtIndex.merged(holder, poster)
+    assert merged.clock == VectorClock()
     assert visible(merged) == {(e1.stamp, "o")}
     assert merged.removed == {("dc2", 1)}
     for e in ((f1, e1) if add_first else (e1, f1)):
@@ -206,12 +234,14 @@ def test_merge_identity_and_idempotence():
     idx = mk_index()
     ingest(idx, entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"}))
     snap = idx.canonical()
-    idx.merge(mk_index())
-    assert idx.canonical() == snap
+    # an empty side adds no posting, and its clock floors the result's
+    empty = CrdtIndex.merged(idx, mk_index())
+    assert visible(empty) == visible(idx) and empty.clock == VectorClock()
     other = mk_index()
     ingest(other, entry("dc1", 1, 1, "o", {"gpa": 1.0, "dept": "x"}))
-    idx.merge(other)
-    assert idx.canonical() == snap
+    assert CrdtIndex.merged(idx, other).canonical() == snap
+    assert CrdtIndex.merged(idx, idx).canonical() == snap
+    assert idx.canonical() == snap  # the inputs are left as they were
 
 
 def test_random_interleavings_merge_to_identical_states():
@@ -250,22 +280,19 @@ def test_random_interleavings_merge_to_identical_states():
 
         # oracle: all added tags minus all retracted tags
         adds, removes = {}, set()
-        probe = mk_index(schema=schema)
         for entries in logs.values():
             for e in entries:
-                d = probe.delta_for(e)
-                for _, tag, key in d.adds:
-                    adds[tag] = key
-                for _, tag in d.removes:
-                    removes.add(tag)
+                if e.attrs is not None:
+                    adds[e.stamp] = e.key
+                if e.prev_tag is not None and e.stamp > e.prev_tag:
+                    removes.add(e.prev_tag)
         want = {(tag, key) for tag, key in adds.items() if tag not in removes}
         assert visible(replicas[0]) == want
 
-        # pairwise merge closure stays at the same state
+        # merging converged states leaves the state as it was
         a, b = replicas[0], replicas[1]
-        a.merge(b)
-        b.merge(a)
-        assert a.canonical() == b.canonical()
+        assert CrdtIndex.merged(a, b).canonical() == a.canonical()
+        assert CrdtIndex.merged(b, a).canonical() == a.canonical()
 
 
 # -- lookup ---------------------------------------------------------------------------

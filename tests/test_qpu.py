@@ -761,25 +761,28 @@ def test_origin_sends_no_delta_for_writes_its_peers_never_posted():
 
 def test_write_leaving_the_region_sends_a_remove_only_delta():
     # without jitter a peer delta overtakes the replicate of the same write,
-    # so the remove-only delta is what culls k at the peer
+    # so the origin's log entry, which adds nothing in the peer's region,
+    # is what culls k at the peer
     sim, store, net = delta_pair()
     store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
     sim.run_until_quiescent()
     first = store.replicas["dc1"].objects["k"].stamp
     peer = net.nodes["qpu/dc2/h2"]
-    assert [kv[0] for kv in peer.index.tag_info.values()] == ["k"]
+    assert list(peer.index.tag_info) == [first]
     got = []
 
-    def on_peer_delta(payload):
-        delta, _ = payload
-        peer._offer(*payload)
-        got.append((delta.adds, delta.removes,
+    def on_peer_delta(entry):
+        peer._offer(entry)
+        got.append((entry, dict(peer.index.tag_info),
                     store.replicas["dc2"].objects["k"].stamp))
 
     peer.on_peer_delta = on_peer_delta
     store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
     sim.run_until_quiescent()
-    assert got == [((), (("k", first),), first)]
+    [(sent, after, at_peer)] = got
+    assert sent is store.replicas["dc1"].log["dc1"][1]
+    assert sent.prev_tag == first and not peer.region.contains_point(sent.attrs)
+    assert after == {} and at_peer == first  # culled before the replicate
     assert peer.index.tag_info == {}
     assert peer.index.clock == VectorClock({"dc1": 2})
 
@@ -796,13 +799,13 @@ def test_peer_delta_past_a_skipped_seq_is_dropped_and_the_log_applies_both(
     by_log = set()  # (leaf, origin, seq) applied from the log feed
     on_peer_delta, on_feed = Qpu.on_peer_delta, Qpu._on_feed
 
-    def watching_peer_delta(self, payload):
-        delta = payload[0]
-        clock = self.index.clock.get(delta.origin) if self.index else None
-        on_peer_delta(self, payload)
-        if clock is not None and delta.seq > clock + 1:
-            assert self.index.clock.get(delta.origin) == clock  # dropped
-            dropped.append((self.actor, delta.origin, clock + 1, delta.seq))
+    def watching_peer_delta(self, entry):
+        origin = entry.origin_dc
+        clock = self.index.clock.get(origin) if self.index else None
+        on_peer_delta(self, entry)
+        if clock is not None and entry.seq > clock + 1:
+            assert self.index.clock.get(origin) == clock  # dropped
+            dropped.append((self.actor, origin, clock + 1, entry.seq))
 
     def watching_feed(self, entry):
         clock = self.index.clock.get(entry.origin_dc)
