@@ -54,10 +54,19 @@ class DcReplica:
         self.log: dict[str, list[LogEntry]] = {name: []}
         self._pending: dict[str, dict[int, LogEntry]] = {}
         self._subscribers: list[Callable[[LogEntry], None]] = []
+        self._heads: VectorClock | None = None  # see heads; cleared by _apply
 
     @property
     def heads(self) -> VectorClock:
-        return VectorClock._of({d: len(es) for d, es in self.log.items() if es})
+        """The applied heads, as one snapshot per replica state: every call
+        until the next apply returns the same clock object. It is shared by
+        everyone who asked, so no caller may mutate it; one that needs a
+        clock to advance takes a copy."""
+        heads = self._heads
+        if heads is None:
+            heads = self._heads = VectorClock._of(
+                {d: len(es) for d, es in self.log.items() if es})
+        return heads
 
     def subscribe(self, cb: Callable[[LogEntry], None]):
         self._subscribers.append(cb)
@@ -119,6 +128,7 @@ class DcReplica:
 
     def _apply(self, entry: LogEntry):
         self.log.setdefault(entry.origin_dc, []).append(entry)
+        self._heads = None
         cur = self.objects.get(entry.key)
         if cur is None or entry.stamp > cur.stamp:
             self.objects[entry.key] = ObjectVersion(entry.stamp, entry.attrs)

@@ -97,7 +97,8 @@ def rebuild_index(replica: DcReplica, binner: Binner,
         if region is not None and not region.contains_point(ver.attrs):
             continue
         idx.post(ver.stamp, key, ver.attrs)
-    idx.clock = replica.heads
+    # the index clock advances in place, and the heads are a shared snapshot
+    idx.clock = replica.heads.copy()
     return idx
 
 

@@ -157,9 +157,11 @@ class Plan:
     dispatch node's cover of its pieces (actor -> (rects, cover), see
     Qpu._plan_value) and `pred` holds the expression compiled into a
     predicate. A first-use plan keeps both None: most expressions of a
-    write-heavy run are used once, and would only pay for them."""
+    write-heavy run are used once, and would only pay for them. `answer` is
+    the key set of the plan's last result, which the next result reuses
+    when its keys are the same (see Coordinator._complete)."""
 
-    __slots__ = ("expr", "rects", "residual", "key", "covers", "pred")
+    __slots__ = ("expr", "rects", "residual", "key", "covers", "pred", "answer")
 
     def __init__(self, expr, rects: tuple, residual: str):
         self.expr = expr
@@ -168,6 +170,7 @@ class Plan:
         self.key = (tuple(r.key() for r in rects), residual)
         self.covers: dict | None = None
         self.pred = None
+        self.answer: frozenset | None = None
 
 
 @dataclass
@@ -223,6 +226,9 @@ class CacheEntry:
     content: dict  # tag -> (key, attrs)
     clock: VectorClock  # coverage at insertion; never advanced
     ceiling: VectorClock  # the response's ceiling at insertion
+    # the root's trace line for a hit, rendered on the first hit: it reads
+    # only the root's fixed actor, kind and region and the frozen clock
+    hit_line: str | None = None
 
 
 class ResultCache:
@@ -297,6 +303,7 @@ class Qpu:
         self.children: list[ChildRef] = []
         # the root's: freshness actor -> the replica heads it last reported
         self.child_clocks: dict[str, VectorClock] = {}
+        self._stable_clock: VectorClock | None = None  # see _stable
         self.cache = ResultCache(net.cfg.cache_capacity) if kind == "dc" else None
         # history-leaf state; unused elsewhere
         self.index = CrdtIndex(net.schema, net.binner) if kind == "hist" else None
@@ -344,8 +351,10 @@ class Qpu:
                 if self.net.check_hit is not None:
                     self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
                                        e.content, e.clock)
+                if e.hit_line is None:
+                    e.hit_line = self._line("cache-hit", e.clock)
                 self._respond(probe, e.content, e.clock, e.ceiling,
-                              (self._line("cache-hit", e.clock),), cache_hits=1)
+                              (e.hit_line,), cache_hits=1)
                 return
         if self.kind == "hist":
             self._serve_hist(probe)
@@ -560,13 +569,20 @@ class Qpu:
     def on_gossip(self, src: str, clock: VectorClock):
         cur = self.child_clocks.get(src, VectorClock())
         self.child_clocks[src] = cur.merge(clock)  # duplicates cannot regress
+        self._stable_clock = None
 
     def _stable(self) -> VectorClock:
         """The root's snapshot clock: what the freshness nodes last reported
         their replicas hold, floored as their answers are. The root has a
-        freshness child per DC, and a store has at least one DC."""
-        return floor_all([self.child_clocks.get(c.actor, VectorClock())
-                          for c in self.children])
+        freshness child per DC, and a store has at least one DC. It changes
+        only with a report, so it is floored on the first probe after one
+        and shared, unmutated, until the next."""
+        stable = self._stable_clock
+        if stable is None:
+            stable = self._stable_clock = floor_all(
+                [self.child_clocks.get(c.actor, VectorClock())
+                 for c in self.children])
+        return stable
 
 
 # -- coordinators -------------------------------------------------------------------
@@ -676,27 +692,24 @@ class Coordinator:
         if pred is None:  # a first-use plan
             pred = partial(eval_expr, plan.expr)
         kept, removed = candidate_check(keys_raw, pred, net.store, self.dc)
+        keys = plan.answer
+        if keys is None or keys != kept:
+            keys = plan.answer = frozenset(kept)
         result = QueryResult(
-            query_id=qid, keys=frozenset(kept),
-            clock=resp.clock.merge(self.replica.heads), target=resp.target,
-            stats=self._stats(resp, info, len(keys_raw), removed, len(kept)),
+            query_id=qid, keys=keys,
+            # the heads dominate the ceiling here, and every producer's
+            # ceiling dominates its claim, so they are the achieved coverage
+            clock=self.replica.heads, target=resp.target,
             trace="\n".join(resp.trace), error=None,
             response_tick=net.sim.now, staleness=info.query.staleness.render(),
             origin_dc=self.dc,
+            qpus_visited=len(resp.visited), cache_hits=resp.cache_hits,
+            candidate_checked=len(keys_raw), false_positives_removed=removed,
+            result_size=len(kept), ticks_elapsed=net.sim.now - info.submitted,
             # the coordinator answers an empty plan itself, at its heads
             claimed=None if resp.target is None else resp.clock)
         net._record_metrics(result)
         info.cb(result)
-
-    def _stats(self, resp: Resp, info: _Pending, checked, removed, size) -> dict:
-        return {
-            "qpus_visited": len(resp.visited),
-            "cache_hits": resp.cache_hits,
-            "candidate_checked": checked,
-            "false_positives_removed": removed,
-            "result_size": size,
-            "ticks_elapsed": self.net.sim.now - info.submitted,
-        }
 
 
 # -- the tree -----------------------------------------------------------------------
@@ -819,12 +832,11 @@ class QpuNetwork:
                        for d in self._lag_dcs)
         if self._quote_lag:
             lag = '"' + lag.replace('"', '""') + '"'
-        stats = result.stats
         self.metrics.append(
             f"{result.response_tick},{result.query_id},{result.staleness},"
-            f"{stats['qpus_visited']},{stats['cache_hits']},"
-            f"{stats['candidate_checked']},{stats['false_positives_removed']},"
-            f"{stats['result_size']},{lag}\n")
+            f"{result.qpus_visited},{result.cache_hits},"
+            f"{result.candidate_checked},{result.false_positives_removed},"
+            f"{result.result_size},{lag}\n")
 
     # -- registries ---------------------------------------------------------------
 

@@ -64,16 +64,20 @@ class Query:
         return Query(self.expr, self.staleness, dc, self.text)
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """What a coordinator hands back: exact keys, the coverage actually
-    achieved, the tree's claim, and the per-query counters."""
+    achieved, the tree's claim, and the per-query counters. `keys` may be
+    the frozenset of an earlier result of the same plan, and `clock` is the
+    origin replica's shared heads snapshot (see Coordinator._complete), so
+    neither may be mutated."""
 
     query_id: str
     keys: frozenset
-    clock: object  # achieved coverage: the claim joined with the origin heads
+    # achieved coverage: the origin replica's heads at completion, which
+    # dominate the claim
+    clock: object
     target: object  # the target resolved at the root; None for an empty plan
-    stats: dict
     trace: str
     # always None: the tree answers every probe or stops the run. Kept
     # because traces.txt prints it as error=- and the bench reads it
@@ -81,9 +85,27 @@ class QueryResult:
     response_tick: int
     staleness: str
     origin_dc: str
-    # the root response's clock, before the coordinator joins in the origin
-    # heads; None for an empty plan, which is never routed
+    # the per-query counters; `stats` has them as a dict
+    qpus_visited: int
+    cache_hits: int
+    candidate_checked: int
+    false_positives_removed: int
+    result_size: int
+    ticks_elapsed: int
+    # the root response's clock; None for an empty plan, which is never
+    # routed
     claimed: object = None
+
+    @property
+    def stats(self) -> dict:
+        return {
+            "qpus_visited": self.qpus_visited,
+            "cache_hits": self.cache_hits,
+            "candidate_checked": self.candidate_checked,
+            "false_positives_removed": self.false_positives_removed,
+            "result_size": self.result_size,
+            "ticks_elapsed": self.ticks_elapsed,
+        }
 
 
 # -- lexer ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import random
 
-from qpusim import LogEntry, ObjectVersion, Stamp, VectorClock
+from qpusim import DcReplica, LogEntry, ObjectVersion, Stamp, VectorClock
 
-from conftest import build, fill, random_student
+from conftest import build, fill, random_student, student_schema
 
 
 def test_first_write_gets_seq_one_and_origin_stamp():
@@ -160,6 +160,25 @@ def test_entries_after_respects_upto_bound():
     got = list(replica.entries_after(VectorClock(), upto=upto))
     assert {(e.origin_dc, e.seq) for e in got} == {
         ("dc1", 1), ("dc1", 2), ("dc1", 3), ("dc2", 1), ("dc2", 2)}
+
+
+def test_heads_is_one_snapshot_per_replica_state():
+    origin = DcReplica("dc1", student_schema())
+    replica = DcReplica("dc2", student_schema())
+    e1 = origin.put("a", {"gpa": 1.0, "dept": "cs"}, 1)
+    e2 = origin.put("b", {"gpa": 2.0, "dept": "cs"}, 2)
+    empty = replica.heads
+    assert replica.heads is empty
+    replica.put("c", {"gpa": 3.0, "dept": "cs"}, 3)  # a local apply
+    local = replica.heads
+    assert local is not empty and replica.heads is local
+    assert replica.apply_remote(e2) == 0  # buffered behind seq 1
+    assert replica.heads is local
+    assert replica.apply_remote(e1) == 2  # a remote apply, of both
+    assert replica.heads is not local
+    assert replica.heads == VectorClock({"dc1": 2, "dc2": 1})
+    # snapshots taken earlier keep the state they were taken at
+    assert empty == VectorClock() and local == VectorClock({"dc2": 1})
 
 
 def test_heads_match_the_log_lengths():

@@ -4,6 +4,7 @@ import pytest
 
 from qpusim import (
     Binner,
+    DcReplica,
     Interval,
     Region,
     StalenessLevel as SL,
@@ -140,6 +141,18 @@ def test_rebuild_empty_store_is_empty_index():
     idx = rebuild_index(store.replicas["dc1"], binner)
     assert idx.visible_count() == 0
     assert idx.clock == VectorClock()
+
+
+def test_rebuild_advances_its_own_clock_not_the_heads():
+    # the index clock advances in place; the heads snapshot must not
+    rep = DcReplica("dc1", SCHEMA)
+    rep.put("a", {"gpa": 1.0, "dept": "cs"}, 1)
+    heads = rep.heads
+    idx = rebuild_index(rep, Binner(SCHEMA, {"gpa": 4}))
+    assert idx.clock == heads and idx.clock is not heads
+    assert idx.apply_delta(rep.put("b", {"gpa": 2.0, "dept": "cs"}, 2), True)
+    assert idx.clock == rep.heads == VectorClock({"dc1": 2})
+    assert heads == VectorClock({"dc1": 1})
 
 
 def test_rebuild_matches_converged_scrubbed_leaves():

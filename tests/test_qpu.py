@@ -149,6 +149,27 @@ def test_gossip_raises_the_stable_floor():
     assert set(net.root.child_clocks) == {"qpu/dc1", "qpu/dc2", "qpu/dc3"}
 
 
+def test_root_floors_the_snapshot_clock_once_per_report():
+    # the stable clock changes only with a freshness report, so every root
+    # probe between two reports resolves against one clock object
+    sim, store, net = quiesced(gossip_every=5, n=30, seed=15, rngseed=15)
+    root = net.root
+    seen = []
+    stable = root._stable
+    root._stable = lambda: seen.append(stable()) or seen[-1]
+    ask(net, "gpa > 1.0 FRESHNESS snapshot", "dc2")
+    ask(net, "gpa < 2.0 FRESHNESS any", "dc3")
+    assert len(seen) == 2 and seen[0] is seen[1]
+    before = store.replicas["dc1"].heads
+    assert seen[0] == before
+    store.put("dc1", "new", {"gpa": 3.0, "dept": "cs"})
+    sim.run_until_quiescent()  # each freshness node reports the write
+    ask(net, "gpa > 1.0 FRESHNESS snapshot", "dc2")
+    assert seen[2] is not seen[0]
+    assert seen[2] == store.replicas["dc1"].heads != before
+    assert seen[0] == before
+
+
 def test_only_freshness_nodes_gossip_and_only_to_the_root():
     sim, store, net = quiesced(history=CUT, jitter=4, dup=0.2, trace=True)
     fill(store, random.Random(16), 60)
@@ -401,6 +422,51 @@ def test_repeated_query_hits_caches_with_identical_keys():
     assert second.keys == first.keys
     assert second.stats["cache_hits"] == 1
     assert "cache-hit" in second.trace
+
+
+@pytest.mark.parametrize("level", ["any", "strong", "snapshot"])
+def test_result_clock_is_the_origin_heads_at_completion(level):
+    # a repeat hits the root entry from before the later writes, so the
+    # claim lags the heads the result reports
+    sim, store, net = quiesced(n=40, seed=18, rngseed=18)
+    text = f"gpa > 1.0 FRESHNESS {level}"
+    ask(net, text, "dc2")
+    fill(store, random.Random(19), 12, dcs=["dc2"], prefix="m")
+    res = ask(net, text, "dc2")
+    heads = store.replicas["dc2"].heads
+    assert res.clock == heads and res.clock is heads
+    assert res.clock.dominates(res.claimed)
+    if level == "any":
+        assert res.cache_hits == 1 and res.claimed != res.clock
+
+
+def test_equal_answers_of_one_expression_share_one_key_set():
+    sim, store, net = quiesced(dcs=("dc1",), n=40, seed=20, rngseed=20)
+    text = "gpa > 2.0 FRESHNESS strong"
+    first, second = ask(net, text, "dc1"), ask(net, text, "dc1")
+    assert second.keys is first.keys
+    store.put("dc1", "new", {"gpa": 3.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    third = ask(net, text, "dc1")
+    assert third.keys is not first.keys and "new" in third.keys
+    assert third.keys == scan(store.replicas["dc1"], parse("gpa > 2.0", SCHEMA))
+    assert ask(net, text, "dc1").keys is third.keys
+    assert first.keys == second.keys == third.keys - {"new"}
+
+
+def test_a_cache_entry_renders_its_hit_line_once():
+    sim, store, net = quiesced(dcs=("dc1",), n=40, seed=21, rngseed=21)
+    text = "gpa < 2.5 FRESHNESS any"
+    ask(net, text, "dc1")
+    (entry,) = net.root.cache.entries.values()
+    assert entry.hit_line is None  # a miss renders no hit line
+    first = ask(net, text, "dc1")
+    line = entry.hit_line
+    second = ask(net, text, "dc1")
+    assert first.cache_hits == second.cache_hits == 1
+    assert entry.hit_line is line
+    assert line == net.root._line("cache-hit", entry.clock)
+    assert first.trace == second.trace == line
 
 
 # -- split and merge ----------------------------------------------------------------
