@@ -214,9 +214,9 @@ class CrdtIndex:
 
     # -- reads ---------------------------------------------------------------------
 
-    def lookup(self, rect: Region) -> dict[Stamp, tuple[str, dict]]:
-        """Visible tags whose bins all intersect the rectangle, as tag ->
-        (key, attrs at write time).
+    def lookup(self, rect: Region) -> set[str]:
+        """The keys of the visible tags whose bins all intersect the
+        rectangle: candidates, which the caller checks against source data.
 
         Bin granularity: a tag from a bin only partly inside the rectangle is
         still returned, which is where binning false positives come from.
@@ -231,10 +231,10 @@ class CrdtIndex:
                     acc |= tags
             cand = acc if cand is None else cand & acc
             if not cand:
-                return {}
+                return set()
         if cand is None:
-            cand = set(self.tag_info)
-        return {tag: self.tag_info[tag] for tag in cand}
+            return {key for key, _ in self.tag_info.values()}
+        return {self.tag_info[tag][0] for tag in cand}
 
     def visible_count(self) -> int:
         return len(self.tag_info)

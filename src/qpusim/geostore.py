@@ -141,15 +141,11 @@ class DcReplica:
         cur = self.objects.get(key)
         return None if cur is None else cur.attrs
 
-    def entries_after(self, clock: VectorClock, upto: VectorClock | None = None):
+    def entries_after(self, clock: VectorClock):
         """Applied entries past `clock`, per origin in seq order, origins in
-        name order. `upto` caps the range per origin."""
+        name order."""
         for origin in sorted(self.log):
-            hi = len(self.log[origin])
-            if upto is not None:
-                hi = min(hi, upto.get(origin))
-            for entry in self.log[origin][clock.get(origin):hi]:
-                yield entry
+            yield from self.log[origin][clock.get(origin):]
 
 
 class GeoStore:

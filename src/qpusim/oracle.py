@@ -38,17 +38,19 @@ def replay_to(replica: DcReplica, target: VectorClock) -> dict[str, dict]:
     for dc, seq in target.entries.items():
         if seq > replica.heads.get(dc):
             raise ValueError(f"target {target!r} is beyond local history for {dc}")
-    return _live_winners(replica.entries_after(VectorClock(), upto=target))
+    return _fold_logs(replica.log, target)
 
 
-def _live_winners(entries) -> dict[str, dict]:
-    """Last-writer-wins fold of log entries: key -> attrs of the version
-    with the highest stamp, leaving out keys whose winner is a delete."""
+def _fold_logs(logs: dict[str, list], clock: VectorClock) -> dict[str, dict]:
+    """Last-writer-wins fold of each origin's log prefix `logs[origin]`
+    up to the clock's seq for it: key -> attrs of the version with the
+    highest stamp, leaving out keys whose winner is a delete."""
     winners: dict[str, tuple[Stamp, dict | None]] = {}
-    for entry in entries:
-        cur = winners.get(entry.key)
-        if cur is None or entry.stamp > cur[0]:
-            winners[entry.key] = (entry.stamp, entry.attrs)
+    for origin, seq in sorted(clock.entries.items()):
+        for entry in logs[origin][:seq]:
+            cur = winners.get(entry.key)
+            if cur is None or entry.stamp > cur[0]:
+                winners[entry.key] = (entry.stamp, entry.attrs)
     return {k: attrs for k, (_, attrs) in winners.items() if attrs is not None}
 
 
@@ -105,11 +107,11 @@ def rebuild_index(replica: DcReplica, binner: Binner,
 class HitCheck:
     """Checks the root's result-cache hits against the origin logs.
 
-    A hit for a probe from DC `o` with rectangles R serves content H and
-    claims clock C. The coordinator at `o` rescans its replica's log past C
-    and candidate-checks every key, so the answer misses no key when every
-    key whose last-writer-wins version at C is a write lying in some
-    rectangle of R is a key of H or has an entry past C in o's log. The
+    A hit for a probe from DC `o` with rectangles R serves the candidate
+    keys H and claims clock C. The coordinator at `o` rescans its replica's
+    log past C and candidate-checks every key, so the answer misses no key
+    when every key whose last-writer-wins version at C is a write lying in
+    some rectangle of R is in H or has an entry past C in o's log. The
     versions at C are folded from each origin's own log. Call it as
     (actor, o, R, H, C) when the hit is served; `lines` reports the result.
     """
@@ -121,7 +123,7 @@ class HitCheck:
         self._states: dict[VectorClock, dict[str, dict]] = {}  # by C
         self._needed: dict[tuple, set[str]] = {}  # by (C, rectangle keys)
 
-    def __call__(self, actor: str, origin_dc: str, rects, hits: dict,
+    def __call__(self, actor: str, origin_dc: str, rects, keys,
                  clock: VectorClock):
         self.checked += 1
         memo = (clock, tuple(r.key() for r in rects))
@@ -130,7 +132,7 @@ class HitCheck:
             need = self._needed[memo] = {
                 k for k, attrs in self._state_at(clock).items()
                 if rect_match(rects, attrs)}
-        missing = need - {kv[0] for kv in hits.values()}
+        missing = need.difference(keys)
         if missing:
             replica = self.store.replicas[origin_dc]
             missing -= {e.key for e in replica.entries_after(clock)}
@@ -142,10 +144,8 @@ class HitCheck:
     def _state_at(self, clock: VectorClock) -> dict[str, dict]:
         state = self._states.get(clock)
         if state is None:
-            logs = self.store.replicas
-            state = self._states[clock] = _live_winners(
-                entry for origin, seq in sorted(clock.entries.items())
-                for entry in logs[origin].log[origin][:seq])
+            state = self._states[clock] = _fold_logs(
+                {o: r.log[o] for o, r in self.store.replicas.items()}, clock)
         return state
 
     def lines(self) -> list[str]:

@@ -23,9 +23,9 @@ leaf already covers any target its replica can: the paper's live leaf,
 which scans the log tail past the indexed prefix, would find nothing there.
 
 Caching note: the root keeps the one result cache, whose entries are
-frozen at insertion: the content is the join result at the entry's coverage
-clock, and neither changes afterwards. A hit serves only targets at or below
-that clock and claims that clock as its coverage. Any freshness beyond a
+frozen at insertion: the keys are the join's candidates at the entry's
+coverage clock, and neither changes afterwards. A hit serves only targets at
+or below that clock and claims that clock as its coverage. Any freshness beyond a
 response's claimed coverage is recovered by the coordinator, which rescans
 its origin log past the claim and candidate-checks every key, so later
 writes never need to reach the cache. No other node caches: a repeat is
@@ -199,7 +199,7 @@ class Probe:
 @dataclass
 class Resp:
     qid: str
-    hits: dict  # tag -> (key, attrs at write time)
+    keys: tuple  # distinct candidate keys, checked by the coordinator
     clock: VectorClock  # claimed coverage
     # the join of the clocks the leaves served at; the coordinator waits
     # for its replica to hold it (see Coordinator)
@@ -223,7 +223,7 @@ class ChildRef:
 
 @dataclass
 class CacheEntry:
-    content: dict  # tag -> (key, attrs)
+    keys: tuple  # the joined response's candidate keys, shared with it
     clock: VectorClock  # coverage at insertion; never advanced
     ceiling: VectorClock  # the response's ceiling at insertion
     # the root's trace line for a hit, rendered on the first hit: it reads
@@ -256,12 +256,12 @@ class ResultCache:
         self.hits += 1
         return e
 
-    def insert(self, k: tuple, content: dict, clock: VectorClock,
+    def insert(self, k: tuple, keys: tuple, clock: VectorClock,
                ceiling: VectorClock | None = None):
-        """Keep `content` at coverage `clock`; the ceiling defaults to the
-        clock, as for content read at one clock."""
+        """Keep `keys` at coverage `clock`; the ceiling defaults to the
+        clock, as for keys read at one clock."""
         self.entries.pop(k, None)
-        self.entries[k] = CacheEntry(dict(content), clock,
+        self.entries[k] = CacheEntry(keys, clock,
                                      clock if ceiling is None else ceiling)
         if len(self.entries) > self.capacity:
             del self.entries[next(iter(self.entries))]
@@ -275,14 +275,13 @@ class ResultCache:
 
 @dataclass
 class _Join:
+    """A dispatch's wait: each child actor, in dispatch order, to its
+    response (None until it arrives), and the actors still `expected`, which
+    also drops a duplicate after `_finalize` releases the responses."""
+
     probe: Probe
-    order: list  # child actors in dispatch order
-    expected: set = field(default_factory=set)
-    hits: dict = field(default_factory=dict)
-    clocks: dict = field(default_factory=dict)
-    ceiling: VectorClock = field(default_factory=VectorClock)
-    visited: set = field(default_factory=set)
-    traces: dict = field(default_factory=dict)
+    resps: dict
+    expected: set
 
 
 class Qpu:
@@ -307,6 +306,7 @@ class Qpu:
         self.cache = ResultCache(net.cfg.cache_capacity) if kind == "dc" else None
         # history-leaf state; unused elsewhere
         self.index = CrdtIndex(net.schema, net.binner) if kind == "hist" else None
+        self._served_clock: VectorClock | None = None  # see _serve_hist
         self.repl_mode = DELTA if net.cfg.repl_mode == DELTA else LOG
         self.adaptive = net.cfg.repl_mode == "adaptive"
         self.window = SelectivityWindow(net.cfg.selectivity.window)
@@ -350,10 +350,10 @@ class Qpu:
             if e is not None:
                 if self.net.check_hit is not None:
                     self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
-                                       e.content, e.clock)
+                                       e.keys, e.clock)
                 if e.hit_line is None:
                     e.hit_line = self._line("cache-hit", e.clock)
-                self._respond(probe, e.content, e.clock, e.ceiling,
+                self._respond(probe, e.keys, e.clock, e.ceiling,
                               (e.hit_line,), cache_hits=1)
                 return
         if self.kind == "hist":
@@ -366,9 +366,8 @@ class Qpu:
         dispatch's join, so two probes of one query, which a reshape can send
         one node, never share or overwrite a join."""
         plan = self._plan_dc(probe) if self.kind == "dc" else self._plan_value(probe)
-        join = _Join(probe, [c.actor for c, _ in plan])
-        join.expected = set(join.order)
-        join.visited.add(self.actor)
+        resps = dict.fromkeys(c.actor for c, _ in plan)
+        join = _Join(probe, resps, set(resps))
         stage = {"dc": "query.dc", "freshness": "query.freshness", "value": "query.value"}
         for ref, rects in plan:
             self.sim.send(self.actor, ref.actor, stage[self.kind],
@@ -420,35 +419,34 @@ class Qpu:
         if src not in join.expected:  # a duplicated delivery
             return
         join.expected.discard(src)
-        join.visited |= resp.visited
-        join.traces[src] = resp.trace
-        join.hits.update(resp.hits)
-        join.clocks[src] = resp.clock
-        join.ceiling = join.ceiling.merge(resp.ceiling)
+        join.resps[src] = resp
         if not join.expected:
             self._finalize(join)
 
     def _finalize(self, join: _Join):
-        probe = join.probe
-        coverage = self._joined_clock(join)
-        lines = self._assemble_trace(join, coverage)
-        if self.cache is not None:
-            self.cache.insert(probe.plan.key, join.hits, coverage, join.ceiling)
-        self._respond(probe, join.hits, coverage, join.ceiling, lines,
-                      visited=join.visited)
-
-    def _joined_clock(self, join: _Join) -> VectorClock:
-        """Coverage of the union result: children answer over the same
-        origins independently, so it is their floor. A join always has a
-        child, since a probe's pieces are never empty."""
-        return floor_all([join.clocks[a] for a in join.order])
-
-    def _assemble_trace(self, join: _Join, coverage) -> tuple:
+        """Fold the children's responses, in dispatch order, into one, and
+        release them: each points back at the join, a cycle otherwise. A
+        probe's pieces are never empty, so a join always has a child."""
+        resps = list(join.resps.values())
+        join.resps.clear()
+        keys, ceiling = resps[0].keys, resps[0].ceiling  # one child's, shared
+        if len(resps) > 1:
+            keys = tuple({k for r in resps for k in r.keys})
+        for r in resps[1:]:
+            ceiling = ceiling.merge(r.ceiling)
+        coverage = self._joined_clock(resps)
+        visited = {self.actor}.union(*(r.visited for r in resps))
         lines = [self._line("forward", coverage, target=join.probe.target)]
-        for a in join.order:
-            for ln in join.traces.get(a, ()):
-                lines.append("  " + ln)
-        return tuple(lines)
+        lines += ["  " + ln for r in resps for ln in r.trace]
+        if self.cache is not None:
+            self.cache.insert(join.probe.plan.key, keys, coverage, ceiling)
+        self._respond(join.probe, keys, coverage, ceiling, tuple(lines),
+                      visited=visited)
+
+    def _joined_clock(self, resps: list) -> VectorClock:
+        """Coverage of the union result: children answer over the same
+        origins independently, so it is their floor."""
+        return floor_all([r.clock for r in resps])
 
     def _line(self, decision: str, clock, target=None) -> str:
         s = (f"{self.actor} [{self.kind}] region=({self._region_text})"
@@ -457,11 +455,11 @@ class Qpu:
             s += f" target={target!r}"
         return s + f" clock={clock!r}"
 
-    def _respond(self, probe: Probe, hits, clock, ceiling, trace, cache_hits=0,
+    def _respond(self, probe: Probe, keys, clock, ceiling, trace, cache_hits=0,
                  visited=None):
         resp = Resp(
             qid=probe.qid,
-            hits=hits,
+            keys=keys,
             clock=clock,
             ceiling=ceiling,
             visited=frozenset(visited or {self.actor}),
@@ -483,18 +481,19 @@ class Qpu:
         if not clock.dominates(probe.target):
             raise UnsatisfiableStaleness(
                 [d for d, s in probe.target.entries.items() if clock.get(d) < s])
-        # ingest advances the index clock in place; the response, and the
-        # cache entries and oracle memos built from it, keep this copy
-        clock = clock.copy()
-        hits = self._lookup(probe.rects)
-        self._respond(probe, hits, clock, clock,
-                      (self._line("leaf-serve", clock),))
+        # ingest advances the index clock in place; responses share one
+        # copy per index state
+        served = self._served_clock
+        if served != clock:
+            served = self._served_clock = clock.copy()
+        self._respond(probe, self._lookup(probe.rects), served, served,
+                      (self._line("leaf-serve", served),))
 
-    def _lookup(self, rects) -> dict:
-        hits: dict = {}
+    def _lookup(self, rects) -> tuple:
+        keys = set()
         for rect in rects:
-            hits.update(self.index.lookup(rect))
-        return hits
+            keys |= self.index.lookup(rect)
+        return tuple(keys)
 
     # -- ingest ---------------------------------------------------------------------
 
@@ -641,7 +640,7 @@ class Coordinator:
             net.sim.after(0, lambda: self._complete(
                 qid,
                 info,
-                Resp(qid, {}, heads, heads, frozenset(), 0,
+                Resp(qid, (), heads, heads, frozenset(), 0,
                      (f"{self.actor} [coord] empty plan",), target=None)))
             return qid
         self.pending[qid] = _Pending(q, cb, plan, net.sim.now)
@@ -683,11 +682,10 @@ class Coordinator:
     def _complete(self, qid: str, info: _Pending, resp: Resp):
         net = self.net
         plan = info.plan
-        raw = dict(resp.hits)
+        keys_raw = set(resp.keys)
         for entry in self.replica.entries_after(resp.clock):
             if entry.attrs is not None and rect_match(plan.rects, entry.attrs):
-                raw[entry.stamp] = (entry.key, entry.attrs)
-        keys_raw = {kv[0] for kv in raw.values()}
+                keys_raw.add(entry.key)
         pred = plan.pred
         if pred is None:  # a first-use plan
             pred = partial(eval_expr, plan.expr)
@@ -737,7 +735,7 @@ class QpuNetwork:
         # only DC names can bring a delimiter, quote or line break into a
         # row; the lag field is then quoted as the csv module would
         self._quote_lag = any(c in d for d in store.dcs for c in ',"\r\n')
-        # called as (actor, origin dc, rects, hits, clock) on every cache
+        # called as (actor, origin dc, rects, keys, clock) on every cache
         # hit when set; run_scenario sets it to the oracle's hit check
         self.check_hit = None
         self._qn = 0

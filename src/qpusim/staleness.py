@@ -130,15 +130,16 @@ def floor_all(clocks) -> VectorClock | None:
 def resolve_target(level: StalenessLevel, stable: VectorClock,
                    heads: VectorClock) -> VectorClock:
     """Turn a staleness level into the clock results must cover, given the
-    stable clock and the origin replica's heads."""
+    stable clock and the origin replica's heads. No reader mutates a target,
+    so `strong` and `snapshot` ones are those shared snapshots themselves."""
     if level.level is Level.STRONG:
-        return heads.copy()
+        return heads
     if level.level is Level.BOUNDED:
         return VectorClock(
             {d: max(s - level.k, 0) for d, s in heads.entries.items()}
         )
     if level.level is Level.SNAPSHOT:
-        return stable.copy()
+        return stable
     return VectorClock()
 
 

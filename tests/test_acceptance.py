@@ -210,7 +210,7 @@ def test_06_concurrent_conflict_lifecycle():
     def postings(leaf, value):
         rect = net.nodes["qpu/root"].region.narrowed(
             "dept", Interval.point(value))
-        return {kv[0] for kv in leaf.index.lookup(rect).values()}
+        return leaf.index.lookup(rect)
 
     both_visible = all(
         postings(leaf, "aaa") == {"obj"} and postings(leaf, "bbb") == {"obj"}

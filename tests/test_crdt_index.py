@@ -47,7 +47,7 @@ def keys_in(index, attr, lo, hi, lo_open=False, hi_open=False):
     """Keys of the tags a lookup over one attribute range returns."""
     rect = Region.whole(index.schema).narrowed(
         attr, Interval(lo, hi, lo_open, hi_open))
-    return {key for key, _ in index.lookup(rect).values()}
+    return index.lookup(rect)
 
 
 # -- single-entry effects ------------------------------------------------------------
@@ -359,8 +359,7 @@ def test_rect_lookup_intersects_across_attributes():
     ingest(idx, entry("dc1", 3, 3, "c", {"gpa": 0.5, "dept": "cs"}))
     rect = Region.whole(schema).narrowed("gpa", Interval(3.0, 4.0)) \
                                .narrowed("dept", Interval.point("cs"))
-    hits = idx.lookup(rect)
-    assert {kv[0] for kv in hits.values()} == {"a"}
+    assert idx.lookup(rect) == {"a"}
 
 
 # -- scrub ----------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 from qpusim import DcReplica, LogEntry, ObjectVersion, Stamp, VectorClock
 
-from conftest import build, fill, random_student, student_schema
+from conftest import build, random_student, student_schema
 
 
 def test_first_write_gets_seq_one_and_origin_stamp():
@@ -149,17 +149,6 @@ def test_three_dc_random_churn_converges_to_lww_fold():
         replica = store.replicas[dc]
         assert replica.objects == folded
         assert replica.heads == store.replicas["dc1"].heads
-
-
-def test_entries_after_respects_upto_bound():
-    sim, store, net = build(dcs=("dc1", "dc2"))
-    fill(store, random.Random(5), 20, dcs=["dc1", "dc2"])
-    sim.run_until_quiescent()
-    replica = store.replicas["dc1"]
-    upto = VectorClock({"dc1": 3, "dc2": 2})
-    got = list(replica.entries_after(VectorClock(), upto=upto))
-    assert {(e.origin_dc, e.seq) for e in got} == {
-        ("dc1", 1), ("dc1", 2), ("dc1", 3), ("dc2", 1), ("dc2", 2)}
 
 
 def test_heads_is_one_snapshot_per_replica_state():

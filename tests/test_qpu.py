@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from pathlib import Path
@@ -23,6 +24,7 @@ from qpusim import (
     to_rectangles,
 )
 from qpusim.oracle import HitCheck
+from qpusim.qpu import Resp, _Join
 from qpusim.simcore import Envelope
 
 from conftest import (
@@ -201,12 +203,13 @@ def test_cache_miss_then_hit_then_staleness_miss():
     cache = ResultCache()
     r = rect_for(1.0, 2.0)
     assert cache.probe(key((r,), r.render()), VectorClock()) is None
-    content = {("t", 1): ("k", {"gpa": 1.5, "dept": "cs"})}
-    cache.insert(key((r,), r.render()), content, VectorClock({"dc1": 4}),
+    keys = ("k",)
+    cache.insert(key((r,), r.render()), keys, VectorClock({"dc1": 4}),
                  VectorClock({"dc1": 6}))
     got = cache.probe(key((r,), r.render()), VectorClock({"dc1": 3}))
-    assert (got.content, got.clock, got.ceiling) == (
-        content, VectorClock({"dc1": 4}), VectorClock({"dc1": 6}))
+    assert (got.keys, got.clock, got.ceiling) == (
+        keys, VectorClock({"dc1": 4}), VectorClock({"dc1": 6}))
+    assert got.keys is keys  # stored as given
     # a target past the entry's coverage cannot be served from it
     assert cache.probe(key((r,), r.render()), VectorClock({"dc1": 5})) is None
     assert (cache.hits, cache.misses) == (1, 2)
@@ -215,7 +218,7 @@ def test_cache_miss_then_hit_then_staleness_miss():
 def test_cache_requires_matching_residual():
     cache = ResultCache()
     r = rect_for(1.0, 2.0)
-    cache.insert(key((r,), r.render()), {}, VectorClock({"dc1": 1}))
+    cache.insert(key((r,), r.render()), (), VectorClock({"dc1": 1}))
     assert cache.probe(key((r,), "something else"), VectorClock()) is None
 
 
@@ -224,7 +227,7 @@ def test_cache_rejects_pieces_outside_its_rectangles():
     # rectangle nor one wholly inside it is served from that entry
     cache = ResultCache()
     narrow = rect_for(0.0, 3.0)
-    cache.insert(key((narrow,), "q"), {}, VectorClock({"dc1": 9}))
+    cache.insert(key((narrow,), "q"), (), VectorClock({"dc1": 9}))
     for piece in (rect_for(2.0, 4.0), rect_for(1.0, 2.0)):
         assert cache.probe(key((piece,), "q"), VectorClock()) is None
     assert cache.probe(key((narrow,), "q"), VectorClock()) is not None
@@ -242,14 +245,14 @@ def test_cache_entry_stays_frozen_after_later_writes():
     sim, store, net, leaf = one_leaf_with(("a", 1.0))
     ask(net, "gpa < 2.0 FRESHNESS snapshot", "dc1")
     (entry,) = net.root.cache.entries.values()
-    content, clock = dict(entry.content), entry.clock
+    keys, clock = entry.keys, entry.clock
     store.delete("dc1", "a")
     store.put("dc1", "b", {"gpa": 1.5, "dept": "cs"})
     sim.run_until_quiescent()
     assert leaf.index.clock == VectorClock({"dc1": 3})
     assert entry.clock == clock == VectorClock({"dc1": 1})
-    assert entry.content == content
-    assert {kv[0] for kv in entry.content.values()} == {"a"}
+    assert entry.keys == keys
+    assert set(entry.keys) == {"a"}
 
 
 def test_cache_hit_claims_the_entry_clock():
@@ -278,7 +281,7 @@ def test_cache_hit_claims_the_entry_clock():
     # the leaf has moved on to dc1:2, but the hit serves dc1:1 content
     assert leaf.index.clock == VectorClock({"dc1": 2})
     assert miss.clock == hit.clock == VectorClock({"dc1": 1})
-    assert {kv[0] for kv in hit.hits.values()} == {"a"}
+    assert set(hit.keys) == {"a"}
 
 
 def test_a_served_clock_is_not_moved_by_later_ingest():
@@ -298,6 +301,52 @@ def test_a_served_clock_is_not_moved_by_later_ingest():
     (resp,) = got
     assert leaf.index.clock == VectorClock({"dc1": 2})
     assert resp.clock == resp.ceiling == VectorClock({"dc1": 1})
+
+
+def test_a_leaf_serves_one_clock_per_index_state():
+    # every response, cache entry and claim keeps the clock a leaf served
+    # at, so serves at one index state share one copy of it
+    sim, store, net, leaf = one_leaf_with(("a", 1.0))
+    got = []
+    sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
+    rect = rect_for(0.0, 2.0)
+
+    def serve(qid):
+        probe = Probe(qid=qid, rects=(rect,),
+                      plan=Plan(None, (rect,), rect.render()),
+                      origin_dc="dc1", reply_to="probe/sink",
+                      target=VectorClock())
+        sim.send("probe/sink", leaf.actor, "query.value", probe)
+        sim.run_until_quiescent()
+        return got[-1].clock
+
+    first, second = serve("t1"), serve("t2")
+    assert first is second
+    store.put("dc1", "b", {"gpa": 1.5, "dept": "cs"})
+    sim.run_until_quiescent()
+    third = serve("t3")
+    assert third is not first
+    assert first == VectorClock({"dc1": 1})
+    assert third == VectorClock({"dc1": 2})
+
+
+def test_a_finished_query_leaves_no_reference_cycle():
+    # each response points back at its join, so a join that kept its
+    # children's responses would leave them for the garbage collector
+    sim, store, net = quiesced(history=CUT, n=30, rngseed=3)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):  # a miss, then a root cache hit
+            ask(net, "gpa >= 1.0 FRESHNESS any", "dc2")
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, (_Join, Resp))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert net.root.cache.hits == 1
+    assert left == []
 
 
 def checked_root_hit(corrupt):
@@ -333,8 +382,7 @@ def test_cache_check_flags_an_overwrite_pushed_into_a_root_entry():
     # overwrite's remove drops k from the entry, whose clock stays put, and
     # dc2 has no entry past that clock from which to recover k
     def push_remove(entry):
-        entry.content = {t: kv for t, kv in entry.content.items()
-                         if kv[0] != "k"}
+        entry.keys = tuple(k for k in entry.keys if k != "k")
 
     res, check = checked_root_hit(push_remove)
     assert res.keys == set()
@@ -579,9 +627,9 @@ def test_a_probe_on_its_way_to_a_merged_leaf_is_answered():
     sim.run_until_quiescent()
     (resp,) = got
     assert resp.clock == merged.index.clock
-    want = {tag for tag, (_, attrs) in merged.index.tag_info.items()
+    want = {key for key, attrs in merged.index.tag_info.values()
             if rect.contains_point(attrs)}
-    assert want and set(resp.hits) == want
+    assert want and set(resp.keys) == want
 
 
 def probes_in_flight(sim, src):

@@ -94,10 +94,12 @@ def test_resolve_any_is_zero_clock():
     assert resolve_target(StalenessLevel.any(), vc(a=1), vc(a=9, b=4)) == VectorClock()
 
 
-def test_resolve_strong_copies_heads():
+def test_resolve_strong_is_the_heads_themselves():
+    # the heads are a shared snapshot that no reader mutates, so a target
+    # shares it rather than copying it
     heads = vc(a=9, b=4)
     target = resolve_target(StalenessLevel.strong(), vc(a=1), heads)
-    assert target == heads and target is not heads
+    assert target is heads
 
 
 def test_resolve_bounded_clamps_at_zero():
@@ -110,7 +112,7 @@ def test_resolve_bounded_clamps_at_zero():
 def test_resolve_snapshot_uses_stable_clock():
     stable = vc(a=4, b=1)
     target = resolve_target(StalenessLevel.snapshot(), stable, vc(a=9, b=4))
-    assert target == stable
+    assert target is stable
 
 
 def test_level_enum_values_are_the_wire_names():
