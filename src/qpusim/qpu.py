@@ -56,7 +56,6 @@ from .router import (
     compile_expr,
     eval_expr,
     rect_match,
-    same_literals,
     to_rectangles,
 )
 from .simcore import Envelope, Simulation
@@ -152,22 +151,21 @@ class TreeConfig:
 
 class Plan:
     """One query expression's plan for the run (see QpuNetwork._plan_of):
-    its rectangles, their residual text, and the root cache key built from
-    them once. From the plan's second use on, `covers` memoizes each
-    dispatch node's cover of its pieces (actor -> (rects, cover), see
-    Qpu._plan_value) and `pred` holds the expression compiled into a
-    predicate. A first-use plan keeps both None: most expressions of a
-    write-heavy run are used once, and would only pay for them. `answer` is
-    the key set of the plan's last result, which the next result reuses
-    when its keys are the same (see Coordinator._complete)."""
+    its rectangles, and their keys, which are its root cache key. From the
+    plan's second use on, `covers` memoizes each dispatch node's cover of
+    its pieces (actor -> (rects, cover), see Qpu._plan_value) and `pred`
+    holds the expression compiled into a predicate. A first-use plan keeps
+    both None: most expressions of a write-heavy run are used once, and
+    would only pay for them. `answer` is the key set of the plan's last
+    result, which the next result reuses when its keys are the same (see
+    Coordinator._complete)."""
 
-    __slots__ = ("expr", "rects", "residual", "key", "covers", "pred", "answer")
+    __slots__ = ("expr", "rects", "key", "covers", "pred", "answer")
 
-    def __init__(self, expr, rects: tuple, residual: str):
+    def __init__(self, expr, rects: tuple):
         self.expr = expr
         self.rects = rects
-        self.residual = residual
-        self.key = (tuple(r.key() for r in rects), residual)
+        self.key = tuple(r.key() for r in rects)
         self.covers: dict | None = None
         self.pred = None
         self.answer: frozenset | None = None
@@ -211,13 +209,6 @@ class Resp:
     join: _Join | None = None  # the probe's, so the receiver needs no table
 
 
-@dataclass(frozen=True)
-class ChildRef:
-    actor: str
-    region: Region
-    dc: str
-
-
 # -- result cache ----------------------------------------------------------------
 
 
@@ -233,7 +224,7 @@ class CacheEntry:
 
 class ResultCache:
     """LRU of frozen joined results keyed exactly by a plan's key, its
-    (rectangle keys, residual).
+    rectangles' keys.
 
     A probe hits when an entry has its exact key and the entry clock
     dominates the target. Entries are never updated after insertion (see
@@ -257,17 +248,11 @@ class ResultCache:
         return e
 
     def insert(self, k: tuple, keys: tuple, clock: VectorClock,
-               ceiling: VectorClock | None = None):
-        """Keep `keys` at coverage `clock`; the ceiling defaults to the
-        clock, as for keys read at one clock."""
+               ceiling: VectorClock):
         self.entries.pop(k, None)
-        self.entries[k] = CacheEntry(keys, clock,
-                                     clock if ceiling is None else ceiling)
+        self.entries[k] = CacheEntry(keys, clock, ceiling)
         if len(self.entries) > self.capacity:
             del self.entries[next(iter(self.entries))]
-
-    def clear(self):
-        self.entries.clear()
 
 
 # -- join bookkeeping --------------------------------------------------------------
@@ -299,7 +284,7 @@ class Qpu:
         self.region = region  # fixed for the node's life
         self._region_text = region.render()
         self.parent = parent
-        self.children: list[ChildRef] = []
+        self.children: list[Qpu] = []
         # the root's: freshness actor -> the replica heads it last reported
         self.child_clocks: dict[str, VectorClock] = {}
         self._stable_clock: VectorClock | None = None  # see _stable
@@ -369,8 +354,8 @@ class Qpu:
         resps = dict.fromkeys(c.actor for c, _ in plan)
         join = _Join(probe, resps, set(resps))
         stage = {"dc": "query.dc", "freshness": "query.freshness", "value": "query.value"}
-        for ref, rects in plan:
-            self.sim.send(self.actor, ref.actor, stage[self.kind],
+        for child, rects in plan:
+            self.sim.send(self.actor, child.actor, stage[self.kind],
                           probe.child(self.actor, rects, probe.target, join),
                           note=probe.qid)
 
@@ -379,8 +364,8 @@ class Qpu:
         node: every replica indexes every origin, and the origin's replica
         holds the origin heads the target came from. A coordinator exists
         only for a store DC, and each has a freshness child."""
-        ref = next(c for c in self.children if c.dc == probe.origin_dc)
-        return [(ref, probe.rects)]
+        child = next(c for c in self.children if c.dc == probe.origin_dc)
+        return [(child, probe.rects)]
 
     def _plan_value(self, probe: Probe) -> list:
         """Cover the probe's pieces with the children's regions: the plan of
@@ -399,18 +384,16 @@ class Qpu:
         return cover
 
     def _cover(self, rects: tuple) -> list:
-        """(child ref, pieces) per assigned child. A node's children tile
-        its region (build cuts, force_split, merge_siblings) and a probe's
-        pieces lie inside the receiver's region, so a gap is a broken tree."""
+        """(child, pieces) per assigned child. A node's children tile its
+        region (build cuts, force_split, merge_siblings) and a probe's pieces
+        lie inside the receiver's region, so a gap is a broken tree."""
         assignments, uncovered = greedy_cover(
-            list(rects), [(c.actor, c.region) for c in self.children],
+            list(rects), [(c, c.region) for c in self.children],
             self.net.schema)
         if uncovered:
             raise ValueError(f"{self.actor}: children do not cover "
                              f"{uncovered[0].render()}")
-        by_actor = {c.actor: c for c in self.children}
-        return [(by_actor[actor], tuple(pieces))
-                for actor, pieces in assignments]
+        return [(child, tuple(pieces)) for child, pieces in assignments]
 
     # -- responses ------------------------------------------------------------------
 
@@ -529,14 +512,14 @@ class Qpu:
                               note=f"{origin}:{entry.seq}")
         # selectivity tracks writes, not deletes, so only a write can flip
         # the mode
-        if attrs is not None:
+        if attrs is not None and self.adaptive:
             self.window.append(1 if inside else 0)
             self._maybe_switch()
 
     # -- replication mode ----------------------------------------------------------
 
     def _maybe_switch(self):
-        if not self.adaptive or not self.window.full():
+        if not self.window.full():
             return
         sel = self.net.cfg.selectivity
         s = self.window.ratio()
@@ -610,23 +593,21 @@ class Coordinator:
 
     A plan depends only on the expression and the schema, so the network
     keeps one `Plan` record per expression for the run (see
-    QpuNetwork._plan_of). It holds the query's rectangles, their residual
-    text and the root cache key, all built once, and the probe carries it to
-    every hop. A memoized plan serves only an expression whose literals also
-    have the same types and reprs: `lat < 1` and `lat < 1.0` (or `lat < 0.0`
-    and `lat < -0.0`) compare equal but render different residuals, and the
-    residual is what the cache matches on and traces print. On its second
-    use a plan starts to memoize each dispatch node's cover, and compiles
-    its expression into the predicate the candidate check applies; a
-    first-use plan has neither, so the check interprets the expression with
-    eval_expr, as the oracle always does."""
+    QpuNetwork._plan_of). It holds the query's rectangles and the root cache
+    key, both built once, and the probe carries it to every hop. Equal
+    expressions share one plan even where their literals differ in repr, as
+    `1` and `1.0` or `0.0` and `-0.0` do: they select the same objects and
+    plan equal rectangles. On its second use a plan starts to memoize each
+    dispatch node's cover, and compiles its expression into the predicate
+    the candidate check applies; a first-use plan has neither, so the check
+    interprets the expression with eval_expr, as the oracle always does."""
 
     def __init__(self, net: "QpuNetwork", dc: str):
         self.net = net
         self.dc = dc
         self.actor = f"coord/{dc}"
         self.pending: dict[str, _Pending] = {}
-        self.parked: list[tuple[str, _Pending, Resp]] = []  # in arrival order
+        self.parked: list[tuple[_Pending, Resp]] = []  # in arrival order
         net.sim.add_actor(self.actor, dc, self.handle)
         self.replica.subscribe(self._on_feed)
 
@@ -634,16 +615,14 @@ class Coordinator:
         net = self.net
         qid = net._next_qid()
         plan = net._plan_of(q)
+        info = _Pending(q, cb, plan, net.sim.now)
         if not plan.rects:  # contradictory bounds: a valid, empty plan
             heads = self.replica.heads
-            info = _Pending(q, cb, plan, net.sim.now)
-            net.sim.after(0, lambda: self._complete(
-                qid,
-                info,
-                Resp(qid, (), heads, heads, frozenset(), 0,
-                     (f"{self.actor} [coord] empty plan",), target=None)))
+            net.sim.after(0, lambda: self._complete(info, Resp(
+                qid, (), heads, heads, frozenset(), 0,
+                (f"{self.actor} [coord] empty plan",), target=None)))
             return qid
-        self.pending[qid] = _Pending(q, cb, plan, net.sim.now)
+        self.pending[qid] = info
         probe = Probe(qid, plan.rects, plan, origin_dc=self.dc,
                       reply_to=self.actor, level=q.staleness,
                       origin_heads=self.replica.heads)
@@ -662,9 +641,9 @@ class Coordinator:
         if info is None:  # duplicated delivery
             return
         if not self.replica.heads.dominates(resp.ceiling):
-            self.parked.append((resp.qid, info, resp))
+            self.parked.append((info, resp))
             return
-        self._complete(resp.qid, info, resp)
+        self._complete(info, resp)
 
     def _on_feed(self, entry: LogEntry):
         # synchronous callback from the replica's apply; it must not change
@@ -673,13 +652,13 @@ class Coordinator:
             return
         heads = self.replica.heads
         parked, self.parked = self.parked, []
-        for qid, info, resp in parked:
+        for info, resp in parked:
             if heads.dominates(resp.ceiling):
-                self._complete(qid, info, resp)
+                self._complete(info, resp)
             else:
-                self.parked.append((qid, info, resp))
+                self.parked.append((info, resp))
 
-    def _complete(self, qid: str, info: _Pending, resp: Resp):
+    def _complete(self, info: _Pending, resp: Resp):
         net = self.net
         plan = info.plan
         keys_raw = set(resp.keys)
@@ -694,7 +673,7 @@ class Coordinator:
         if keys is None or keys != kept:
             keys = plan.answer = frozenset(kept)
         result = QueryResult(
-            query_id=qid, keys=keys,
+            query_id=resp.qid, keys=keys,
             # the heads dominate the ceiling here, and every producer's
             # ceiling dominates its claim, so they are the achieved coverage
             clock=self.replica.heads, target=resp.target,
@@ -748,7 +727,7 @@ class QpuNetwork:
         for dc in store.dcs:
             fresh = self._new_node(f"qpu/{dc}", "freshness", dc, whole,
                                    parent=self.root.actor)
-            self.root.children.append(ChildRef(fresh.actor, whole, dc))
+            self.root.children.append(fresh)
             store.replicas[dc].subscribe(fresh._on_replica)
             fresh.children = [self._build_history(cfg.history_tree, whole, dc,
                                                   fresh.actor)]
@@ -769,12 +748,12 @@ class QpuNetwork:
         self._ids[dc] = n + 1
         return f"qpu/{dc}/h{n}"
 
-    def _build_history(self, spec, region, dc, parent) -> ChildRef:
+    def _build_history(self, spec, region, dc, parent) -> Qpu:
         actor = self._next_leaf_actor(dc)
         if spec == "leaf":
             leaf = self._new_node(actor, "hist", dc, region, parent)
             self.store.replicas[dc].subscribe(leaf._on_feed)
-            return ChildRef(actor, region, dc)
+            return leaf
         attr, at = spec["attr"], spec["at"]
         lo_part, hi_part = region.cut(attr, at)
         if lo_part is None or hi_part is None:
@@ -784,7 +763,7 @@ class QpuNetwork:
             self._build_history(spec["lo"], lo_part, dc, actor),
             self._build_history(spec["hi"], hi_part, dc, actor),
         ]
-        return ChildRef(actor, region, dc)
+        return node
 
     # -- query API -----------------------------------------------------------------
 
@@ -800,21 +779,17 @@ class QpuNetwork:
         are kept; the oldest goes first."""
         expr = q.expr
         plan = self._plans.get(expr)
-        if plan is not None and (plan.expr is expr or same_literals(plan.expr, expr)):
+        if plan is not None:
             if plan.pred is None:
                 plan.covers = {}
                 plan.pred = compile_expr(plan.expr)
             return plan
-        if plan is None and len(self._plans) >= self.cfg.cache_capacity:
-            plan = self._plans.pop(next(iter(self._plans)))
-        if plan is not None:
+        if len(self._plans) >= self.cfg.cache_capacity:
             # a dropped plan may still ride a probe in flight, out of
             # _forget_covers' reach, so it stops memoizing
-            plan.covers = None
-        pairs = to_rectangles(q, self.schema)
-        rects = tuple(r for r, _ in pairs)
-        plan = Plan(expr, rects, " OR ".join(res for _, res in pairs))
-        self._plans[expr] = plan
+            self._plans.pop(next(iter(self._plans))).covers = None
+        rects = tuple(to_rectangles(q, self.schema))
+        plan = self._plans[expr] = Plan(expr, rects)
         return plan
 
     def _next_qid(self) -> str:
@@ -890,7 +865,7 @@ class QpuNetwork:
         # the leaf morphs in place into the value node over its halves
         leaf.kind = "value"
         leaf.index = None
-        leaf.children = [ChildRef(k.actor, k.region, k.dc) for k in kids]
+        leaf.children = kids
         self._forget_covers()
         self._rewire_peers()
         return kids[0].actor, kids[1].actor
@@ -936,17 +911,16 @@ class QpuNetwork:
         # entry one side lacks, such as the remove of a tag the other posted
         merged.index = CrdtIndex.merged(a.index, b.index)
         self.store.replicas[a.dc].subscribe(merged._on_feed)
-        ref = ChildRef(actor, region, merged.dc)
         for old in (a, b):
             self.store.replicas[old.dc].unsubscribe(old._on_feed)
             # each old leaf morphs into a value node over the merged one, so
             # a probe already on its way to it is still answered
             old.kind = "value"
             old.index = None
-            old.children = [ref]
-        i = next(j for j, c in enumerate(parent.children) if c.actor == a.actor)
-        parent.children = [c for c in parent.children if c.actor != b.actor]
-        parent.children[i] = ref
+            old.children = [merged]
+        i = parent.children.index(a)
+        parent.children = [c for c in parent.children if c is not b]
+        parent.children[i] = merged
         self._forget_covers()
         self._rewire_peers()
         return actor

@@ -319,9 +319,9 @@ def subtract_all(targets: list[Region], cover: Region) -> list[Region]:
 
 def greedy_cover(
     rects: list[Region],
-    children: list[tuple[str, Region]],
+    children: list[tuple[object, Region]],
     schema: dict[str, AttributeSchema],
-) -> tuple[list[tuple[str, list[Region]]], list[Region]]:
+) -> tuple[list[tuple[object, list[Region]]], list[Region]]:
     """Assign pieces of the query rectangles to children: repeatedly pick the
     child with the largest total intersection volume against what is still
     uncovered (ties go to the earlier child in the given order), hand it the
@@ -332,8 +332,8 @@ def greedy_cover(
     Volumes are summed only when two or more children cut anything.
     """
     remaining = list(rects)
-    assignments: list[tuple[str, list[Region]]] = []
-    chosen: set[str] = set()
+    assignments: list[tuple[object, list[Region]]] = []
+    chosen: set = set()
     while remaining:
         candidates = []
         for cid, creg in children:

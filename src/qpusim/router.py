@@ -12,14 +12,14 @@ Grammar (AND binds tighter than OR, parentheses honored):
 
 The default level is "any". A parsed query normalizes to DNF; every conjunct
 becomes one axis-aligned rectangle whose intervals carry exact open/closed
-bounds, so the rectangle itself is the residual predicate the candidate check
-re-applies. The parser rejects a query whose DNF would have more than
-MAX_DNF_TERMS conjuncts, because the expansion is exponential in the number
-of ANDed OR-groups.
+bounds, so the rectangles hold exactly the points the expression selects, and
+a plan needs nothing else. The parser rejects a query whose DNF would have
+more than MAX_DNF_TERMS conjuncts, because the expansion is exponential in
+the number of ANDed OR-groups.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .regions import AttributeSchema, Interval, Region
 from .staleness import Level, StalenessLevel
@@ -58,10 +58,9 @@ class Query:
     expr: object
     staleness: StalenessLevel
     origin_dc: str | None = None
-    text: str = ""
 
     def at(self, dc: str) -> "Query":
-        return Query(self.expr, self.staleness, dc, self.text)
+        return Query(self.expr, self.staleness, dc)
 
 
 @dataclass(slots=True)
@@ -172,7 +171,6 @@ def _tokens(text: str):
 
 class _Parser:
     def __init__(self, text: str, schema: dict[str, AttributeSchema]):
-        self.text = text
         self.schema = schema
         self.toks = _tokens(text)
         self.pos = 0
@@ -204,7 +202,7 @@ class _Parser:
         kind, val, off = self.peek()
         if kind != "end":
             raise QueryError(f"trailing input {val!r}", off)
-        return Query(expr, level, text=self.text)
+        return Query(expr, level)
 
     def level(self) -> StalenessLevel:
         kind, val, off = self.take()
@@ -324,18 +322,6 @@ def render(q: Query) -> str:
     return f"{_render_expr(q.expr)} FRESHNESS {q.staleness.render()}"
 
 
-def same_literals(a, b) -> bool:
-    """For two equal expressions, whether their literals also have the same
-    repr, and so the same type. Equality is looser: 1 == 1.0 and
-    0.0 == -0.0, yet each prints, and so plans, a different residual."""
-    if type(a) is Pred:
-        return repr(a.value) == repr(b.value)
-    for x, y in zip(a.parts, b.parts):
-        if not same_literals(x, y):
-            return False
-    return True
-
-
 # -- evaluation ----------------------------------------------------------------------
 
 
@@ -449,14 +435,10 @@ def _expand(node, rects: list[Region], schema) -> list[Region]:
                     for x in _expand(p, [r], schema)])
 
 
-def to_rectangles(
-    q: Query, schema: dict[str, AttributeSchema]
-) -> list[tuple[Region, str]]:
-    """DNF expansion to (rectangle, residual) pairs. Unconstrained attributes
-    span their full axis; contradictory conjuncts drop out; the residual is
-    the canonical text of the exact bounds."""
-    rects = _expand(q.expr, [Region.whole(schema)], schema)
-    return [(rect, rect.render()) for rect in rects]
+def to_rectangles(q: Query, schema: dict[str, AttributeSchema]) -> list[Region]:
+    """DNF expansion to rectangles. Unconstrained attributes span their full
+    axis; contradictory conjuncts drop out."""
+    return _expand(q.expr, [Region.whole(schema)], schema)
 
 
 def rect_match(rects, attrs: dict) -> bool:

@@ -174,6 +174,9 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         if workload:
             fail("give either workload or generate, not both", '"generate"')
         gen = section("generate")
+        if "phases" in gen and len(gen) > 1:
+            fail(f"generate: give either phases or one phase's fields, not "
+                 f"both, got {sorted(gen)}", '"generate"')
         phases = gen["phases"] if "phases" in gen else [gen]
         try:
             specs = [WorkloadSpec(**{k: tuple(v) if k == "staleness_mix"
@@ -181,6 +184,16 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
                      for p in phases]
         except (TypeError, ValueError, AttributeError) as exc:
             fail(f"generate: {exc}", '"generate"')
+        for spec in specs:
+            for attr, (lo, hi) in spec.value_ranges.items():
+                sch = schema.get(attr)
+                if sch is None or sch.kind == "text":
+                    fail(f"generate: value_ranges names {attr!r}, which is "
+                         f"not a numeric attribute", '"generate"')
+                if not (sch.validate(lo) and sch.validate(hi) and lo <= hi):
+                    fail(f"generate: value_ranges {attr!r} must be {sch.kind} "
+                         f"bounds lo <= hi within [{sch.lo!r}, {sch.hi!r}], "
+                         f"got [{lo!r}, {hi!r}]", '"generate"')
         # each action is at least one event, and a zipf key table holds one
         # weight per object, so both are bounded before anything is drawn
         actions = sum(s.actions for s in specs)
@@ -249,7 +262,7 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
         fail("workload must be a list", '"workload"')
     queries: dict[int, Query] = {}
     parsed: dict[str, Query] = {}  # query text -> its one parse
-    exprs: dict[str, object] = {}  # expression repr -> one shared object
+    exprs: dict[object, object] = {}  # expression -> one shared object
     windows: dict[tuple, list] = {}  # DC pair -> its partitions' (t, until, i)
     for i, act in enumerate(workload):
         def bad(msg):
@@ -288,10 +301,9 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
                     q = parse(text, schema)
                 except QueryError as exc:
                     bad(f"query does not parse: {exc}")
-                # texts that differ only in FRESHNESS share one expression,
-                # so the run's plan memo finds it by identity; the repr
-                # tells 1 from 1.0 and 0.0 from -0.0, which plan differently
-                expr = exprs.setdefault(repr(q.expr), q.expr)
+                # equal expressions share one object, so the run's plan
+                # memo finds it by identity
+                expr = exprs.setdefault(q.expr, q.expr)
                 parsed[text] = replace(q, expr=expr)
             queries[i] = parsed[text]
         if op == "force-split" and not isinstance(act.get("qpu"), str):

@@ -9,9 +9,18 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 
 from .regions import AttributeSchema
+
+
+# a staleness level as a generated query's FRESHNESS clause spells it
+_LEVEL_TEXT = re.compile(r"(any|strong|snapshot|bounded:[0-9]+)\Z")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class KeySampler:
@@ -21,16 +30,20 @@ class KeySampler:
     def __init__(self, n: int, dist: str, theta: float, rng: random.Random):
         if n < 1:
             raise ValueError("need at least one key")
-        if dist not in ("uniform", "zipf"):
-            raise ValueError(f"unknown key distribution {dist!r}")
-        if dist == "zipf" and theta <= 0:
-            raise ValueError("zipf needs theta > 0")
+        self.check(dist, theta)
         self.n = n
         self.dist = dist
         self.rng = rng
         if dist == "zipf":
             self._cdf = list(
                 itertools.accumulate((r + 1) ** -theta for r in range(n)))
+
+    @staticmethod
+    def check(dist, theta):
+        if dist not in ("uniform", "zipf"):
+            raise ValueError(f"unknown key distribution {dist!r}")
+        if dist == "zipf" and not (_is_number(theta) and theta > 0):
+            raise ValueError(f"zipf needs a number theta > 0, got {theta!r}")
 
     def draw(self) -> int:
         if self.dist == "uniform":
@@ -122,10 +135,26 @@ class WorkloadSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.objects < 1 or self.actions < 0 or self.gap < 1:
             raise ValueError("objects, actions and gap must be positive")
-        if not 0 <= self.query_frac <= 1 or not 0 <= self.delete_frac <= 1:
-            raise ValueError("fractions must lie in [0, 1]")
+        if not all(_is_number(f) and 0 <= f <= 1
+                   for f in (self.query_frac, self.delete_frac)):
+            raise ValueError("fractions must be numbers in [0, 1]")
         if self.query_frac + self.delete_frac > 1:
             raise ValueError("query_frac + delete_frac must not exceed 1")
+        KeySampler.check(self.key_dist, self.theta)
+        mix = self.staleness_mix
+        if not (all(isinstance(p, (list, tuple)) and len(p) == 2
+                    and isinstance(p[0], str) and _LEVEL_TEXT.match(p[0])
+                    and _is_number(p[1]) and p[1] >= 0 for p in mix)
+                and 0 < sum(w for _, w in mix) < float("inf")):
+            raise ValueError(
+                f"staleness_mix must be [level, weight >= 0] pairs with a "
+                f"positive, finite total weight, got {list(mix)!r}")
+        ranges = self.value_ranges
+        if not (isinstance(ranges, dict) and all(
+                isinstance(r, (list, tuple)) and len(r) == 2
+                and all(_is_number(v) for v in r) for r in ranges.values())):
+            raise ValueError(f"value_ranges must map attributes to [lo, hi] "
+                             f"number pairs, got {ranges!r}")
 
 
 def gen_workload(schema: dict[str, AttributeSchema], dcs: list[str],

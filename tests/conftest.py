@@ -85,7 +85,7 @@ def ask(net, text, dc):
 
 
 def clear_caches(net):
-    net.root.cache.clear()
+    net.root.cache.entries.clear()
 
 
 def random_partition(rng, schema, depth=3):

@@ -414,6 +414,10 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      "limits.max_events (100)", '"generate"'),
     (_generated({"actions": 2.5}),
      "generate: actions must be an integer, got 2.5", '"generate"'),
+    (lambda doc: _generated({"actions": 5})(doc) or doc["generate"].update(
+        objects=5),
+     "generate: give either phases or one phase's fields, not both, got "
+     "['objects', 'phases']", '"generate"'),
     (lambda doc: doc.update(scrub_at_endd=False),
      "unknown top-level field 'scrub_at_endd'", '"scrub_at_endd"'),
     (lambda doc: doc.update(limits={"max_tick": 10}),
@@ -428,9 +432,16 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
         "dcs-entry-object", "dcs-entry-list", "alphabet-int", "alphabet-bool",
         "bins-2**40", "bins-bool", "generate-actions-2**40",
         "generate-objects-2**40", "generate-phase-actions-summed",
-        "generate-actions-float", "top-level-unknown", "limits-unknown"])
+        "generate-actions-float", "generate-phases-and-fields",
+        "top-level-unknown", "limits-unknown"])
 def test_malformed_input_exits_2_with_a_located_message(
         tmp_path, capsys, edit, message, on_line):
+    exits_2_with(tmp_path, capsys, edit, message, on_line)
+
+
+def exits_2_with(tmp_path, capsys, edit, message, on_line):
+    """`qpusim verify` on students.json after `edit` exits 2, and its
+    message holds `message` and names a line that holds `on_line`."""
     doc = json.loads(Path(STUDENTS).read_text())
     edit(doc)
     path = tmp_path / "students.json"
@@ -441,3 +452,71 @@ def test_malformed_input_exits_2_with_a_located_message(
     assert message in err
     line = int(err.rsplit("(line ", 1)[1].split(")")[0])
     assert on_line in path.read_text().splitlines()[line - 1]
+
+
+def _drawn(**fields):
+    """One generated phase of `fields`, over the students schema plus an
+    int attribute, so a range of each numeric kind can be tried."""
+    def edit(doc):
+        _generated(fields)(doc)
+        doc["schema"]["Year"] = {"kind": "int", "lo": 1, "hi": 5}
+    return edit
+
+
+# generate blocks that validate field by field but cannot be drawn
+@pytest.mark.parametrize("fields, message", [
+    ({"key_dist": "gauss"}, "unknown key distribution 'gauss'"),
+    ({"theta": 0}, "zipf needs a number theta > 0, got 0"),
+    ({"theta": -1.5}, "zipf needs a number theta > 0, got -1.5"),
+    ({"theta": "x"}, "zipf needs a number theta > 0, got 'x'"),
+    ({"staleness_mix": []}, "staleness_mix must be [level, weight >= 0] "
+                            "pairs with a positive, finite total weight, got []"),
+    ({"staleness_mix": "any"}, "staleness_mix must be"),
+    ({"staleness_mix": [["any", 1, 2]]}, "staleness_mix must be"),
+    ({"staleness_mix": [["any", 0], ["strong", 0]]}, "staleness_mix must be"),
+    ({"staleness_mix": [["any", -1], ["strong", 2]]}, "staleness_mix must be"),
+    ({"staleness_mix": [["any", "1"]]}, "staleness_mix must be"),
+    ({"staleness_mix": [["fresh", 1]]}, "staleness_mix must be"),
+    ({"staleness_mix": [["bounded:-1", 1]]}, "staleness_mix must be"),
+    ({"query_frac": "x"}, "fractions must be numbers in [0, 1]"),
+    ({"value_ranges": []},
+     "value_ranges must map attributes to [lo, hi] number pairs, got []"),
+    ({"value_ranges": {"GPA": 1.0}}, "value_ranges must map attributes"),
+    ({"value_ranges": {"GPA": [1.0]}}, "value_ranges must map attributes"),
+    ({"value_ranges": {"GPA": ["a", "b"]}}, "value_ranges must map attributes"),
+    ({"value_ranges": {"Year": [1.0, 3.0]}},
+     "value_ranges 'Year' must be int bounds lo <= hi within [1, 5], "
+     "got [1.0, 3.0]"),
+    ({"value_ranges": {"Year": [4, 2]}},
+     "value_ranges 'Year' must be int bounds lo <= hi within [1, 5], "
+     "got [4, 2]"),
+    ({"value_ranges": {"GPA": [1.0, 9.0]}},
+     "value_ranges 'GPA' must be float bounds lo <= hi within [0.0, 4.0]"),
+    ({"value_ranges": {"Nope": [1, 2]}},
+     "value_ranges names 'Nope', which is not a numeric attribute"),
+    ({"value_ranges": {"Major": [1, 2]}},
+     "value_ranges names 'Major', which is not a numeric attribute"),
+], ids=["key-dist-gauss", "theta-0", "theta-negative", "theta-string",
+        "mix-empty", "mix-string", "mix-triple", "mix-zero-total",
+        "mix-negative-weight", "mix-string-weight", "mix-unknown-level",
+        "mix-bounded-negative", "query-frac-string", "ranges-list",
+        "range-number", "range-single", "range-strings",
+        "range-int-float-bounds", "range-lo-above-hi", "range-outside-domain",
+        "range-unknown-attr", "range-text-attr"])
+def test_generate_blocks_that_cannot_be_drawn_exit_2(
+        tmp_path, capsys, fields, message):
+    exits_2_with(tmp_path, capsys, _drawn(**fields), f"generate: {message}",
+                 '"generate"')
+
+
+def test_every_checked_generate_field_still_draws(tmp_path, capsys):
+    # each check above, given a value it must accept
+    fields = {"key_dist": "uniform", "theta": "unused by uniform",
+              "staleness_mix": [["bounded:0", 0], ["snapshot", 2**40]],
+              "value_ranges": {"GPA": [1, 1], "Year": [2, 4]},
+              "objects": 20, "actions": 60}
+    doc = json.loads(Path(STUDENTS).read_text())
+    _drawn(**fields)(doc)
+    path = tmp_path / "students.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert main(["verify", str(path)]) == 0

@@ -60,10 +60,16 @@ def test_entry_outside_region_advances_clock_without_postings():
     hi = net.nodes["qpu/dc1/h2"]
     assert lo.index.visible_count() == 0
     assert hi.index.visible_count() == 1
-    # both track the write in their clocks and selectivity windows
+    # both track the write in their clocks
     assert lo.index.clock == hi.index.clock == VectorClock({"dc1": 1})
-    assert list(lo.window.bits) == [0]
-    assert list(hi.window.bits) == [1]
+
+
+def test_adaptive_leaves_track_each_writes_relevance():
+    sim, store, net = quiesced(history=CUT, repl_mode="adaptive")
+    store.put("dc1", "hi", {"gpa": 3.5, "dept": "cs"})
+    sim.run_until_quiescent()
+    assert list(net.nodes["qpu/dc1/h1"].window.bits) == [0]
+    assert list(net.nodes["qpu/dc1/h2"].window.bits) == [1]
 
 
 def test_delete_reaches_the_leaf_holding_the_posting():
@@ -194,32 +200,25 @@ def rect_for(lo, hi):
     return Region.whole(SCHEMA).narrowed("gpa", Interval(lo, hi, False, False))
 
 
-def key(rects, residual):
-    """The root cache key of a plan of these rectangles and residual."""
-    return Plan(None, rects, residual).key
+def key(rects):
+    """The root cache key of a plan of these rectangles."""
+    return Plan(None, rects).key
 
 
 def test_cache_miss_then_hit_then_staleness_miss():
     cache = ResultCache()
     r = rect_for(1.0, 2.0)
-    assert cache.probe(key((r,), r.render()), VectorClock()) is None
+    assert cache.probe(key((r,)), VectorClock()) is None
     keys = ("k",)
-    cache.insert(key((r,), r.render()), keys, VectorClock({"dc1": 4}),
+    cache.insert(key((r,)), keys, VectorClock({"dc1": 4}),
                  VectorClock({"dc1": 6}))
-    got = cache.probe(key((r,), r.render()), VectorClock({"dc1": 3}))
+    got = cache.probe(key((r,)), VectorClock({"dc1": 3}))
     assert (got.keys, got.clock, got.ceiling) == (
         keys, VectorClock({"dc1": 4}), VectorClock({"dc1": 6}))
     assert got.keys is keys  # stored as given
     # a target past the entry's coverage cannot be served from it
-    assert cache.probe(key((r,), r.render()), VectorClock({"dc1": 5})) is None
+    assert cache.probe(key((r,)), VectorClock({"dc1": 5})) is None
     assert (cache.hits, cache.misses) == (1, 2)
-
-
-def test_cache_requires_matching_residual():
-    cache = ResultCache()
-    r = rect_for(1.0, 2.0)
-    cache.insert(key((r,), r.render()), (), VectorClock({"dc1": 1}))
-    assert cache.probe(key((r,), "something else"), VectorClock()) is None
 
 
 def test_cache_rejects_pieces_outside_its_rectangles():
@@ -227,10 +226,11 @@ def test_cache_rejects_pieces_outside_its_rectangles():
     # rectangle nor one wholly inside it is served from that entry
     cache = ResultCache()
     narrow = rect_for(0.0, 3.0)
-    cache.insert(key((narrow,), "q"), (), VectorClock({"dc1": 9}))
+    clock = VectorClock({"dc1": 9})
+    cache.insert(key((narrow,)), (), clock, clock)
     for piece in (rect_for(2.0, 4.0), rect_for(1.0, 2.0)):
-        assert cache.probe(key((piece,), "q"), VectorClock()) is None
-    assert cache.probe(key((narrow,), "q"), VectorClock()) is not None
+        assert cache.probe(key((piece,)), VectorClock()) is None
+    assert cache.probe(key((narrow,)), VectorClock()) is not None
 
 
 def one_leaf_with(*rows, **kw):
@@ -264,7 +264,7 @@ def test_cache_hit_claims_the_entry_clock():
     def send(qid):
         # strong against heads of dc1:1 pins the target at dc1:1 both times
         probe = Probe(qid=qid, rects=(rect,),
-                      plan=Plan(None, (rect,), rect.render()),
+                      plan=Plan(None, (rect,)),
                       origin_dc="dc1", reply_to="probe/sink",
                       level=StalenessLevel.strong(),
                       origin_heads=VectorClock({"dc1": 1}))
@@ -292,7 +292,7 @@ def test_a_served_clock_is_not_moved_by_later_ingest():
     sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
     rect = rect_for(0.0, 2.0)
     probe = Probe(qid="t1", rects=(rect,),
-                  plan=Plan(None, (rect,), rect.render()),
+                  plan=Plan(None, (rect,)),
                   origin_dc="dc1", reply_to="probe/sink", target=VectorClock())
     sim.send("probe/sink", leaf.actor, "query.value", probe)
     sim.run_until_quiescent()
@@ -313,7 +313,7 @@ def test_a_leaf_serves_one_clock_per_index_state():
 
     def serve(qid):
         probe = Probe(qid=qid, rects=(rect,),
-                      plan=Plan(None, (rect,), rect.render()),
+                      plan=Plan(None, (rect,)),
                       origin_dc="dc1", reply_to="probe/sink",
                       target=VectorClock())
         sim.send("probe/sink", leaf.actor, "query.value", probe)
@@ -453,13 +453,15 @@ def test_cache_lru_eviction():
     cache = ResultCache(capacity=2)
     rs = [rect_for(lo, hi) for lo, hi in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]]
     for i, r in enumerate(rs[:2]):
-        cache.insert(key((r,), r.render()), {}, VectorClock({"dc1": i + 1}))
-    assert cache.probe(key((rs[0],), rs[0].render()), VectorClock()) is not None
+        clock = VectorClock({"dc1": i + 1})
+        cache.insert(key((r,)), (), clock, clock)
+    assert cache.probe(key((rs[0],)), VectorClock()) is not None
     # the hit renewed rs[0], so the third entry evicts rs[1]
-    cache.insert(key((rs[2],), rs[2].render()), {}, VectorClock({"dc1": 3}))
+    clock = VectorClock({"dc1": 3})
+    cache.insert(key((rs[2],)), (), clock, clock)
     assert len(cache.entries) == 2
-    assert cache.probe(key((rs[1],), rs[1].render()), VectorClock()) is None
-    assert cache.probe(key((rs[0],), rs[0].render()), VectorClock()) is not None
+    assert cache.probe(key((rs[1],)), VectorClock()) is None
+    assert cache.probe(key((rs[0],)), VectorClock()) is not None
 
 
 def test_repeated_query_hits_caches_with_identical_keys():
@@ -620,7 +622,7 @@ def test_a_probe_on_its_way_to_a_merged_leaf_is_answered():
     sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
     rect = net.nodes[a].region
     probe = Probe(qid="t1", rects=(rect,),
-                  plan=Plan(None, (rect,), rect.render()),
+                  plan=Plan(None, (rect,)),
                   origin_dc="dc1", reply_to="probe/sink", target=VectorClock())
     sim.send("probe/sink", a, "query.value", probe)
     merged = net.nodes[net.merge_siblings(a, b)]
@@ -683,7 +685,7 @@ def test_a_duplicated_probe_is_answered_once():
     sim.add_actor("probe/sink", "dc1", lambda env: got.append(env.payload))
     leaf = net.nodes["qpu/dc1/h0"]
     probe = Probe(qid="t1", rects=(leaf.region,),
-                  plan=Plan(None, (leaf.region,), leaf.region.render()),
+                  plan=Plan(None, (leaf.region,)),
                   origin_dc="dc1", reply_to="probe/sink", target=VectorClock())
     for _ in range(2):
         sim.send("probe/sink", leaf.actor, "query.value", probe)
@@ -783,12 +785,20 @@ def test_window_count_matches_its_bits_across_switches():
 
 
 def test_fixed_modes_never_switch():
-    sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="log",
-                            selectivity=SelectivityConfig(window=4))
-    leaf = net.nodes["qpu/dc1/h0"]
-    feed(leaf, [0, 0, 0, 0])
-    leaf._maybe_switch()
-    assert leaf.repl_mode == "log" and leaf.switch_log == []
+    # every write lies outside the low leaf, which an adaptive leaf with
+    # this window would answer by switching to delta mode; a fixed-mode
+    # leaf keeps no window at all
+    for mode in ("log", "delta"):
+        sim, store, net = build(dcs=("dc1", "dc2"), repl_mode=mode,
+                                history=CUT,
+                                selectivity=SelectivityConfig(window=4))
+        for i in range(8):
+            store.put("dc1", f"k{i}", {"gpa": 3.5, "dept": "cs"})
+        sim.run_until_quiescent()
+        leaf = net.nodes["qpu/dc1/h1"]
+        assert leaf.index.clock == VectorClock({"dc1": 8})
+        assert leaf.repl_mode == mode and leaf.switch_log == []
+        assert not leaf.window.bits
 
 
 def test_delta_mode_converges_via_peer_feeds():
@@ -1035,8 +1045,8 @@ def test_repeated_expression_reuses_its_plan(monkeypatch):
         assert res.keys == scan(store.replicas[dc], parse(text, SCHEMA))
 
 
-def test_equal_expressions_with_unlike_literals_get_their_own_plans(
-        monkeypatch):
+def test_equal_expressions_share_one_plan(monkeypatch):
+    # literals that differ only in repr select the same objects
     calls = count_plans(monkeypatch)
     sim, store, net = quiesced(n=10)
     for a, b in ((1, 1.0), (0.0, -0.0)):
@@ -1044,13 +1054,20 @@ def test_equal_expressions_with_unlike_literals_get_their_own_plans(
         qb = Query(Pred("gpa", "<=", b), StalenessLevel.any(), "dc1")
         assert qa.expr == qb.expr
         plans = [net._plan_of(q) for q in (qa, qb, qa)]
-        for q, plan in zip((qa, qb, qa), plans):
-            pairs = to_rectangles(q, SCHEMA)
-            assert plan.rects == tuple(r for r, _ in pairs)
-            assert plan.residual == " OR ".join(res for _, res in pairs)
-        assert plans[0].residual != plans[1].residual
-    assert len(calls) == 6  # each switch between the two replans
+        assert plans[0] is plans[1] is plans[2]
+        assert plans[0].rects == tuple(to_rectangles(qb, SCHEMA))
+    assert len(calls) == 2  # once per expression
     assert len(net._plans) == 2
+
+
+def test_a_query_with_a_negative_zero_literal_hits_the_root_cache():
+    sim, store, net = quiesced(n=30, seed=9, rngseed=9)
+    first = ask(net, "gpa <= 0.0", "dc1")
+    again = ask(net, "gpa <= -0.0", "dc1")
+    assert len(net._plans) == 1
+    assert (first.cache_hits, again.cache_hits) == (0, 1)
+    assert again.keys == first.keys == scan(store.replicas["dc1"],
+                                            parse("gpa <= 0.0", SCHEMA))
 
 
 def test_plan_memo_keeps_at_most_cache_capacity_oldest_out(monkeypatch):

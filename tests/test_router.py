@@ -34,9 +34,9 @@ def test_conjunction_with_parens_and_freshness():
     q = parse('(gpa > 2.0 AND gpa < 3.0) AND dept = "cs" FRESHNESS snapshot',
               SCHEMA)
     assert q.staleness.level is Level.SNAPSHOT
-    pairs = to_rectangles(q, SCHEMA)
-    assert len(pairs) == 1
-    rect = pairs[0][0]
+    rects = to_rectangles(q, SCHEMA)
+    assert len(rects) == 1
+    rect = rects[0]
     iv = rect.ivs["gpa"]
     assert (iv.lo, iv.hi, iv.lo_open, iv.hi_open) == (2.0, 3.0, True, True)
     dept = rect.ivs["dept"]
@@ -104,17 +104,17 @@ def test_round_trip_on_generated_queries():
 
 
 def test_universal_predicate_plans_the_root_region():
-    pairs = rects_of("gpa >= 0")
-    assert len(pairs) == 1
-    rect = pairs[0][0]
+    rects = rects_of("gpa >= 0")
+    assert len(rects) == 1
+    rect = rects[0]
     assert rect.ivs["gpa"].lo == 0.0 and rect.ivs["gpa"].hi == 4.0
     assert rect.ivs["dept"].lo == ""  # text axis left at full domain
 
 
 def test_disjunction_of_points_gives_degenerate_rectangles():
-    pairs = rects_of("gpa = 1 OR gpa = 2")
-    assert len(pairs) == 2
-    for rect, _ in pairs:
+    rects = rects_of("gpa = 1 OR gpa = 2")
+    assert len(rects) == 2
+    for rect in rects:
         iv = rect.ivs["gpa"]
         assert iv.lo == iv.hi and not iv.lo_open and not iv.hi_open
 
@@ -122,14 +122,8 @@ def test_disjunction_of_points_gives_degenerate_rectangles():
 def test_contradictory_conjunct_is_dropped():
     assert rects_of("gpa > 3 AND gpa < 2") == []
     # a contradiction in one branch leaves the other branch's plan
-    pairs = rects_of("(gpa > 3 AND gpa < 2) OR gpa = 1")
-    assert len(pairs) == 1
-
-
-def test_residual_is_the_rectangle_itself():
-    pairs = rects_of('gpa > 2.0 AND dept = "cs"')
-    rect, residual = pairs[0]
-    assert residual == rect.render()
+    rects = rects_of("(gpa > 3 AND gpa < 2) OR gpa = 1")
+    assert len(rects) == 1
 
 
 def test_rectangle_union_equals_boolean_evaluation_on_grid():
@@ -140,16 +134,16 @@ def test_rectangle_union_equals_boolean_evaluation_on_grid():
     for _ in range(250):
         text = random_query_text(rng, SCHEMA, pools, staleness="")
         q = parse(text, SCHEMA)
-        pairs = to_rectangles(q, SCHEMA)
+        rects = to_rectangles(q, SCHEMA)
         for point in grid:
             want = eval_expr(q.expr, point)
-            got = any(rect.contains_point(point) for rect, _ in pairs)
+            got = any(rect.contains_point(point) for rect in rects)
             assert got == want, (text, point)
 
 
 def test_duplicate_rectangles_are_planned_once():
-    pairs = rects_of("gpa > 1 OR gpa > 1")
-    assert len(pairs) == 1
+    rects = rects_of("gpa > 1 OR gpa > 1")
+    assert len(rects) == 1
 
 
 # -- end-to-end routing and checking ----------------------------------------------------
@@ -184,12 +178,14 @@ def ref_to_rectangles(q, schema):
                 break
         if rect is not None and rect.key() not in seen:
             seen.add(rect.key())
-            out.append((rect, rect.render()))
+            out.append(rect)
     return out
 
 
-def plan_of(pairs):
-    return [(r.key(), list(r.ivs), res) for r, res in pairs]
+def plan_of(rects):
+    """Each rectangle's key, axis order and text: the text tells a bound of
+    1 from one of 1.0, which the key does not."""
+    return [(r.key(), list(r.ivs), r.render()) for r in rects]
 
 
 def or_clauses(n, rng):
@@ -215,8 +211,8 @@ def test_dnf_past_the_bound_is_rejected_fast():
 def test_in_bound_expansion_matches_the_full_product():
     rng = random.Random(4)
     q = parse(or_clauses(10, rng), SCHEMA)
-    pairs = to_rectangles(q, SCHEMA)
-    assert plan_of(pairs) == plan_of(ref_to_rectangles(q, SCHEMA))
+    assert plan_of(to_rectangles(q, SCHEMA)) == plan_of(
+        ref_to_rectangles(q, SCHEMA))
     mixed = parse(" AND ".join(
         f'(gpa > {i / 4} OR dept < "{chr(98 + i)}" OR dept = "cs")'
         for i in range(6)), SCHEMA)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from qpusim import (
     ScenarioError,
     VectorClock,
+    WorkloadSpec,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -185,7 +187,7 @@ def test_oracle_flags_a_query_parked_for_good(monkeypatch):
         resp = env.payload
         info = self.pending.pop(resp.qid, None)
         if info is not None:
-            self.parked.append((resp.qid, info, resp))
+            self.parked.append((info, resp))
 
     monkeypatch.setattr(Coordinator, "handle", park)
     monkeypatch.setattr(Coordinator, "_on_feed", lambda self, entry: None)
@@ -234,9 +236,50 @@ def test_each_distinct_query_text_is_parsed_once():
     first, second, third, fourth, fifth = (sc.queries[i] for i in range(5))
     assert first is third and first is not second
     # one expression object per expression, whatever the FRESHNESS clause,
-    # but -0.0 is not the 0.0 it compares equal to
+    # and -0.0 is the 0.0 it compares equal to
     assert fourth is not first and fourth.expr is first.expr
-    assert fifth.expr == first.expr and fifth.expr is not first.expr
+    assert fifth.expr is first.expr
+
+
+# the values each generate field is set to in turn
+MUTANTS = (True, None, 0, -1, 2**40, 1.5, "x", [], {})
+
+
+def generate_paths(node, path=()):
+    """The path to every value inside a generate phase, nested ones too."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield path + (k,)
+        yield from generate_paths(v, path + (k,))
+
+
+@pytest.mark.parametrize("name", ["churn.json", "convergence.json",
+                                  "hysteresis.json"])
+def test_a_mutated_generate_field_parses_or_is_rejected(name):
+    # every WorkloadSpec field of each phase, given or not, and every value
+    # nested in one, set to each mutant in turn: the scenario either parses
+    # or is rejected with a ScenarioError, never another exception
+    doc = json.loads((SCENARIOS / name).read_text())
+    phased = "phases" in doc["generate"]
+    phases = doc["generate"]["phases"] if phased else [doc["generate"]]
+    rejected = 0
+    for i, phase in enumerate(phases):
+        paths = ({(f.name,) for f in dataclasses.fields(WorkloadSpec)}
+                 | set(generate_paths(phase)))
+        for path in sorted(paths, key=repr):
+            for value in MUTANTS:
+                mutant = json.loads(json.dumps(doc))
+                gen = mutant["generate"]
+                node = gen["phases"][i] if phased else gen
+                for k in path[:-1]:
+                    node = node[k]
+                node[path[-1]] = value
+                try:
+                    parse_scenario(mutant)
+                except ScenarioError:
+                    rejected += 1
+    assert rejected
 
 
 def test_query_text_that_is_not_a_string_is_rejected():
