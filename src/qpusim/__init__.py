@@ -17,8 +17,7 @@ from .qpu import (
     SplitRefused,
     TreeConfig,
 )
-from .regions import (AttributeSchema, Interval, Region, greedy_cover,
-                      subtract_all, text_embed)
+from .regions import AttributeSchema, Interval, Region, greedy_cover, text_embed
 from .router import (
     And,
     Or,

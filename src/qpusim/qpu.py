@@ -48,7 +48,7 @@ from functools import partial
 
 from .crdt_index import Binner, CrdtIndex
 from .geostore import GeoStore, LogEntry
-from .regions import Interval, Region, greedy_cover
+from .regions import Region, greedy_cover
 from .router import (
     Query,
     QueryResult,
@@ -384,16 +384,14 @@ class Qpu:
         return cover
 
     def _cover(self, rects: tuple) -> list:
-        """(child, pieces) per assigned child. A node's children tile its
-        region (build cuts, force_split, merge_siblings) and a probe's pieces
-        lie inside the receiver's region, so a gap is a broken tree."""
-        assignments, uncovered = greedy_cover(
-            list(rects), [(c, c.region) for c in self.children],
-            self.net.schema)
-        if uncovered:
-            raise ValueError(f"{self.actor}: children do not cover "
-                             f"{uncovered[0].render()}")
-        return [(child, tuple(pieces)) for child, pieces in assignments]
+        """(child, pieces) per assigned child. A dispatch node's children
+        are one cut of its region, a single child over all of it or the two
+        sides of one axis cut, low side first: _build_history, force_split
+        and merge_siblings each keep that shape. So they tile the region
+        without overlap, and a probe's pieces, which lie inside the region,
+        are wholly covered by their intersections with the children."""
+        return [(child, tuple(pieces)) for child, pieces in greedy_cover(
+            rects, [(c, c.region) for c in self.children], self.net.schema)]
 
     # -- responses ------------------------------------------------------------------
 
@@ -887,25 +885,23 @@ class QpuNetwork:
         raise SplitRefused(f"{leaf.actor}: no axis offers a non-degenerate median")
 
     def merge_siblings(self, a_actor: str, b_actor: str) -> str:
+        """Replace two sibling history leaves with one leaf over their
+        parent's region. Two history leaves under one parent are the two
+        sides of its cut, so the merged leaf is the parent's one child, and
+        the order the leaves are named in does not matter."""
         a = self.nodes.get(a_actor)
         b = self.nodes.get(b_actor)
         if a is None or b is None or a.kind != "hist" or b.kind != "hist":
             raise ValueError("merge needs two history leaves")
+        if a is b:
+            raise MergeRefused(f"{a_actor} cannot merge with itself")
         if a.parent != b.parent or a.parent is None:
             raise MergeRefused("leaves are not siblings")
-        axis = self._union_axis(a.region, b.region)
-        if axis is None:
-            raise MergeRefused("regions do not union to a rectangle")
-        if a.region.ivs[axis].lo > b.region.ivs[axis].lo:
-            a, b = b, a
-        attr_iv_a, attr_iv_b = a.region.ivs[axis], b.region.ivs[axis]
-        union_iv = Interval(attr_iv_a.lo, attr_iv_b.hi,
-                            attr_iv_a.lo_open, attr_iv_b.hi_open)
-        # narrowed() intersects, which would keep a's side; widen explicitly
-        region = Region({**a.region.ivs, axis: union_iv})
         parent = self.nodes[a.parent]
+        a, b = parent.children  # low side first
         actor = self._next_leaf_actor(a.dc)
-        merged = self._new_node(actor, "hist", a.dc, region, parent.actor)
+        merged = self._new_node(actor, "hist", a.dc, parent.region,
+                                parent.actor)
         merged.repl_mode = a.repl_mode if a.repl_mode == b.repl_mode else LOG
         # at the floor of the two clocks, so the log offers again every
         # entry one side lacks, such as the remove of a tag the other posted
@@ -918,23 +914,10 @@ class QpuNetwork:
             old.kind = "value"
             old.index = None
             old.children = [merged]
-        i = parent.children.index(a)
-        parent.children = [c for c in parent.children if c is not b]
-        parent.children[i] = merged
+        parent.children = [merged]
         self._forget_covers()
         self._rewire_peers()
         return actor
-
-    @staticmethod
-    def _union_axis(ra: Region, rb: Region) -> str | None:
-        diff = [a for a in ra.ivs if ra.ivs[a].key() != rb.ivs[a].key()]
-        if len(diff) != 1:
-            return None
-        axis = diff[0]
-        lo, hi = sorted((ra.ivs[axis], rb.ivs[axis]), key=lambda iv: (iv.lo, iv.lo_open))
-        if lo.hi != hi.lo or (lo.hi_open and hi.lo_open):
-            return None  # a gap at the seam; a shared closed endpoint is fine
-        return axis
 
     # -- convergence maintenance ------------------------------------------------------
 

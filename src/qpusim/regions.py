@@ -11,6 +11,11 @@ time of a frozen dataclass; methods unpack the tuple once, because reading a
 named field of a tuple is the slower part. Cuts that change nothing return
 the operand itself, so callers can test `cut is r` instead of comparing
 bounds.
+
+Query decomposition needs no rectangle subtraction. A tree node's children
+are one cut of its region: a single child over the whole region, or the two
+sides of one axis cut. So a probe's pieces, which lie inside the node, are
+covered exactly by their intersections with the children (greedy_cover).
 """
 
 from dataclasses import dataclass
@@ -180,27 +185,6 @@ class Interval(NamedTuple):
             return False
         return True
 
-    def subtract(self, o: "Interval", cut: "Interval | None" = None) -> "list[Interval]":
-        """Disjoint pieces of self outside o. `cut` is self ∩ o when the
-        caller already has it."""
-        if cut is None:
-            cut = self.intersect(o)
-            if cut is None:
-                return [self]
-        if cut is self:
-            return []
-        lo, hi, lo_open, hi_open = self
-        clo, chi, clo_open, chi_open = cut
-        out = []
-        left = Interval(lo, clo, lo_open, not clo_open)
-        if not left.is_empty():
-            out.append(left)
-        if chi is not None:
-            right = Interval(chi, hi, not chi_open, hi_open)
-            if not right.is_empty():
-                out.append(right)
-        return out
-
     def key(self) -> tuple:
         return tuple(self)
 
@@ -269,24 +253,6 @@ class Region:
                 return False
         return True
 
-    def subtract(self, o: "Region", cut: "Region | None" = None) -> "list[Region]":
-        """Disjoint rectangles covering self minus o, by axis sweep. `cut` is
-        self ∩ o when the caller already has it."""
-        if cut is None:
-            cut = self.intersect(o)
-            if cut is None:
-                return [self]
-        pieces = []
-        rem = dict(self.ivs)
-        for a in sorted(self.ivs):
-            iv, civ = rem[a], cut.ivs[a]
-            for part in iv.subtract(o.ivs[a], civ):
-                out = dict(rem)
-                out[a] = part
-                pieces.append(Region(out))
-            rem[a] = civ
-        return pieces  # rem is the cut, inside o, dropped
-
     def volume(self, schema: dict[str, AttributeSchema]) -> float:
         v = 1.0
         for a, iv in self.ivs.items():
@@ -310,56 +276,29 @@ class Region:
         return f"Region({self.render()})"
 
 
-def subtract_all(targets: list[Region], cover: Region) -> list[Region]:
-    out = []
-    for t in targets:
-        out.extend(t.subtract(cover))
-    return out
 
 
 def greedy_cover(
     rects: list[Region],
     children: list[tuple[object, Region]],
     schema: dict[str, AttributeSchema],
-) -> tuple[list[tuple[object, list[Region]]], list[Region]]:
-    """Assign pieces of the query rectangles to children: repeatedly pick the
-    child with the largest total intersection volume against what is still
-    uncovered (ties go to the earlier child in the given order), hand it the
-    intersection pieces, and subtract its region. Returns (assignments,
-    uncovered remainder); a non-empty remainder means the children do not
-    cover the rectangles. The cuts computed to pick a child are the ones
-    subtracted, and a rectangle the child holds whole is dropped outright.
-    Volumes are summed only when two or more children cut anything.
+) -> list[tuple[object, list[Region]]]:
+    """Assign pieces of the query rectangles to children whose regions tile,
+    without overlap, a region that holds the rectangles. A child's pieces
+    are the rectangles' non-empty intersections with its region, and a child
+    with none is left out. Children come largest total piece volume first,
+    a tie going to the earlier child in the given order; volumes are summed
+    only when two or more children have pieces. A lone child takes the
+    rectangles as they are.
     """
-    remaining = list(rects)
-    assignments: list[tuple[object, list[Region]]] = []
-    chosen: set = set()
-    while remaining:
-        candidates = []
-        for cid, creg in children:
-            if cid in chosen:
-                continue
-            cuts = [r.intersect(creg) for r in remaining]
-            pieces = [c for c in cuts if c is not None]
-            if pieces:
-                candidates.append((cid, creg, pieces, cuts))
-        if not candidates:
-            break
-        best = candidates[0]
-        if len(candidates) > 1:
-            best_vol = sum(p.volume(schema) for p in best[2])
-            for cand in candidates[1:]:
-                vol = sum(p.volume(schema) for p in cand[2])
-                if vol > best_vol:
-                    best, best_vol = cand, vol
-        cid, creg, pieces, cuts = best
-        assignments.append((cid, pieces))
-        chosen.add(cid)
-        rest = []
-        for r, cut in zip(remaining, cuts):
-            if cut is None:
-                rest.append(r)
-            elif cut is not r:
-                rest.extend(r.subtract(creg, cut))
-        remaining = rest
-    return assignments, remaining
+    if len(children) == 1:
+        return [(children[0][0], list(rects))] if rects else []
+    assignments = []
+    for cid, creg in children:
+        pieces = [c for c in (r.intersect(creg) for r in rects) if c is not None]
+        if pieces:
+            assignments.append((cid, pieces))
+    if len(assignments) > 1:
+        # sort is stable, so a tie keeps the given order
+        assignments.sort(key=lambda a: -sum(p.volume(schema) for p in a[1]))
+    return assignments

@@ -178,11 +178,15 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
             fail(f"generate: give either phases or one phase's fields, not "
                  f"both, got {sorted(gen)}", '"generate"')
         phases = gen["phases"] if "phases" in gen else [gen]
+        if (not isinstance(phases, list)
+                or not all(isinstance(p, dict) for p in phases)):
+            fail(f"generate.phases must be a list of objects, got {phases!r}",
+                 '"generate"')
         try:
             specs = [WorkloadSpec(**{k: tuple(v) if k == "staleness_mix"
                                      else v for k, v in p.items()})
                      for p in phases]
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError) as exc:
             fail(f"generate: {exc}", '"generate"')
         for spec in specs:
             for attr, (lo, hi) in spec.value_ranges.items():

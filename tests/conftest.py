@@ -122,3 +122,49 @@ def random_rect(rng, schema):
                           rng.random() < 0.5 and a < b)
         ivs[attr] = iv
     return Region(ivs)
+
+
+# -- reference rectangle subtraction -------------------------------------------
+#
+# The package covers a probe by intersection alone, since a node's children
+# are one cut of its region. Tests that check a cover leaves nothing out
+# subtract with these.
+
+
+def ref_interval_subtract(x, y):
+    """Disjoint pieces of interval x outside y."""
+    cut = x.intersect(y)
+    if cut is None:
+        return [x]
+    out = []
+    left = Interval(x.lo, cut.lo, x.lo_open, not cut.lo_open)
+    if not left.is_empty():
+        out.append(left)
+    if cut.hi is not None:
+        right = Interval(cut.hi, x.hi, not cut.hi_open, x.hi_open)
+        if not right.is_empty():
+            out.append(right)
+    return out
+
+
+def ref_region_subtract(r, o):
+    """Disjoint rectangles covering region r minus o, by axis sweep."""
+    if r.intersect(o) is None:
+        return [r]
+    pieces = []
+    rem = r
+    for a in sorted(r.ivs):
+        for part in ref_interval_subtract(rem.ivs[a], o.ivs[a]):
+            pieces.append(Region({**rem.ivs, a: part}))
+        rem = rem.narrowed(a, o.ivs[a])
+        if rem is None:
+            return pieces
+    return pieces
+
+
+def ref_uncovered(rects, covers):
+    """What of `rects` no region of `covers` holds, as disjoint pieces."""
+    rest = list(rects)
+    for c in covers:
+        rest = [p for r in rest for p in ref_region_subtract(r, c)]
+    return rest

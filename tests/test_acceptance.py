@@ -37,6 +37,7 @@ from conftest import (
     fill,
     random_partition,
     random_rect,
+    ref_uncovered,
     student_schema,
     wide_schema,
 )
@@ -308,7 +309,7 @@ def test_09_parser_round_trip():
 
 
 def test_10_decomposition_coverage():
-    from qpusim import greedy_cover, subtract_all
+    from qpusim import greedy_cover
 
     rng = random.Random(1010)
     schema = wide_schema()
@@ -317,9 +318,8 @@ def test_10_decomposition_coverage():
         leaves = random_partition(rng, schema)
         rect = random_rect(rng, schema)
         children = [(f"c{i}", r) for i, r in enumerate(leaves)]
-        assignments, uncovered = greedy_cover([rect], children, schema)
+        assignments = greedy_cover([rect], children, schema)
         regions = dict(children)
-        rest = [rect]
         escaped = False
         for cid, pieces in assignments:
             for piece in pieces:
@@ -327,8 +327,8 @@ def test_10_decomposition_coverage():
                     escaped = True
                 if not piece.wholly_inside(rect):
                     escaped = True
-                rest = subtract_all(rest, piece)
-        if uncovered or rest or escaped:
+        rest = ref_uncovered([rect], [p for _, ps in assignments for p in ps])
+        if rest or escaped:
             bad += 1
     verdict(10, "decomposition-coverage", bad == 0,
             f"1000 partition/rectangle pairs, {bad} cover violations")

@@ -312,6 +312,13 @@ def _generated(*phases, **limits):
     return edit
 
 
+def _phases(value):
+    def edit(doc):
+        _generated()(doc)
+        doc["generate"]["phases"] = value
+    return edit
+
+
 def _actions(*actions):
     def edit(doc):
         doc["workload"] = list(actions)
@@ -418,6 +425,14 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
         objects=5),
      "generate: give either phases or one phase's fields, not both, got "
      "['objects', 'phases']", '"generate"'),
+    (_phases({}),
+     "generate.phases must be a list of objects, got {}", '"generate"'),
+    (_phases("x"),
+     "generate.phases must be a list of objects, got 'x'", '"generate"'),
+    (_phases([1]),
+     "generate.phases must be a list of objects, got [1]", '"generate"'),
+    (_phases({"a": 1}),
+     "generate.phases must be a list of objects, got {'a': 1}", '"generate"'),
     (lambda doc: doc.update(scrub_at_endd=False),
      "unknown top-level field 'scrub_at_endd'", '"scrub_at_endd"'),
     (lambda doc: doc.update(limits={"max_tick": 10}),
@@ -433,10 +448,21 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
         "bins-2**40", "bins-bool", "generate-actions-2**40",
         "generate-objects-2**40", "generate-phase-actions-summed",
         "generate-actions-float", "generate-phases-and-fields",
+        "generate-phases-empty-object", "generate-phases-string",
+        "generate-phases-number-list", "generate-phases-object",
         "top-level-unknown", "limits-unknown"])
 def test_malformed_input_exits_2_with_a_located_message(
         tmp_path, capsys, edit, message, on_line):
     exits_2_with(tmp_path, capsys, edit, message, on_line)
+
+
+def test_empty_phases_are_an_empty_workload(tmp_path, capsys):
+    doc = json.loads(Path(STUDENTS).read_text())
+    _phases([])(doc)
+    path = tmp_path / "students.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert main(["verify", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def exits_2_with(tmp_path, capsys, edit, message, on_line):

@@ -33,6 +33,7 @@ from conftest import (
     clear_caches,
     fill,
     random_student,
+    ref_uncovered,
     student_schema,
 )
 
@@ -129,13 +130,65 @@ def test_leaf_behind_a_strong_target_stops_the_run():
     assert info.value.lagging_dcs == ["dc1"]
 
 
-def test_a_gap_between_a_value_nodes_children_stops_the_run():
-    # children always tile their node's region; one forged away leaves a gap
-    sim, store, net = quiesced(history=CUT, n=30, seed=23, rngseed=23)
-    node = net.nodes["qpu/dc1/h0"]
-    node.children = node.children[:1]
-    with pytest.raises(ValueError, match="qpu/dc1/h0: children do not cover"):
-        ask(net, "gpa >= 0.0 FRESHNESS strong", "dc1")
+def assert_children_are_one_cut(net):
+    """Every dispatch node under the root has one child over its region, or
+    two that tile it without overlap; a leaf split or merged away has one
+    child, whose region holds its own."""
+    reached = set()
+    todo = [net.root]
+    while todo:
+        node = todo.pop()
+        reached.add(node.actor)
+        kids = node.children
+        todo.extend(kids)
+        if node.kind in ("dc", "hist"):
+            continue
+        if len(kids) == 1:
+            assert kids[0].region == node.region, node
+            continue
+        lo, hi = kids
+        assert lo.region.wholly_inside(node.region), node
+        assert hi.region.wholly_inside(node.region), node
+        assert lo.region.intersect(hi.region) is None, node
+        assert ref_uncovered([node.region], [lo.region, hi.region]) == [], node
+    assert {n.actor for n in net.hist_leaves()} <= reached
+    for actor, node in net.nodes.items():
+        if actor not in reached:
+            (kid,) = node.children
+            assert node.region.wholly_inside(kid.region), node
+
+
+def test_splits_and_merges_keep_each_nodes_children_one_cut_of_its_region():
+    # the cover intersects a probe with the children and subtracts nothing,
+    # which is whole only while every reshape keeps this shape
+    history = {"attr": "dept", "at": "d", "lo": "leaf",
+               "hi": {"attr": "gpa", "at": 2.0, "lo": "leaf", "hi": "leaf"}}
+    rng = random.Random(31)
+    reshapes = 0
+    for seed in range(4):
+        sim, store, net = quiesced(dcs=("dc1", "dc2"), n=80, seed=seed,
+                                   rngseed=seed, history=history)
+        assert_children_are_one_cut(net)
+        for _ in range(12):
+            leaves = net.hist_leaves()
+            pairs = [(a.actor, b.actor) for a in leaves for b in leaves
+                     if a.actor < b.actor and a.parent == b.parent]
+            try:
+                if pairs and rng.random() < 0.4:
+                    net.merge_siblings(*rng.choice(pairs))
+                else:
+                    net.force_split(rng.choice(leaves).actor)
+            except SplitRefused:
+                continue
+            reshapes += 1
+            assert_children_are_one_cut(net)
+            fill(store, rng, 10, prefix=f"s{seed}-")
+            sim.run_until_quiescent()
+        text = 'gpa >= 1.0 OR dept < "m" FRESHNESS strong'
+        for dc in store.dcs:
+            assert ask(net, text, dc).keys == scan(store.replicas[dc],
+                                                   parse(text, SCHEMA))
+    assert reshapes > 30
 
 
 def test_stale_gossip_keeps_strong_queries_correct():
@@ -694,25 +747,33 @@ def test_a_duplicated_probe_is_answered_once():
     assert resp.clock == leaf.index.clock
 
 
-def test_merge_requires_adjacent_siblings():
+def test_merge_builds_the_same_leaf_whichever_sibling_comes_first():
+    history = {"attr": "dept", "at": "d", "lo": "leaf", "hi": "leaf"}
+    built = []
+    for swap in (False, True):
+        sim, store, net = quiesced(dcs=("dc1", "dc2"), n=60, seed=20,
+                                   rngseed=20, history=history)
+        lo, hi = net.force_split("qpu/dc1/h2")
+        parent = net.nodes["qpu/dc1/h2"]
+        merged = net.nodes[net.merge_siblings(*((hi, lo) if swap else (lo, hi)))]
+        assert parent.children == [merged]
+        assert merged.region is parent.region
+        built.append((merged.actor, merged.region.key(), merged.repl_mode,
+                      merged.index.clock, merged.index.canonical()))
+    assert built[0] == built[1]
+
+
+def test_a_leaf_merged_with_itself_is_refused():
     from qpusim import MergeRefused
 
     sim, store, net = quiesced(dcs=("dc1",), n=60, seed=20, rngseed=20)
+    # a lone leaf, then one side of a cut
+    with pytest.raises(MergeRefused, match="cannot merge with itself"):
+        net.merge_siblings("qpu/dc1/h0", "qpu/dc1/h0")
     a, b = net.force_split("qpu/dc1/h0")
-    leaf_b = net.nodes[b]
-    whole_b = leaf_b.region
-    iv = whole_b.ivs["gpa"]
-    # split halves always meet at their seam, so open a gap there by hand,
-    # then make them differ on a second axis as well
-    gap = whole_b.narrowed("gpa", Interval(iv.lo + 0.1, iv.hi, False,
-                                           iv.hi_open))
-    skew = gap.narrowed("dept", Interval("a", "m", False, False))
-    for region in (gap, skew):
-        leaf_b.region = region
-        with pytest.raises(MergeRefused, match="union"):
-            net.merge_siblings(a, b)
-    leaf_b.region = whole_b
-    net.merge_siblings(a, b)
+    with pytest.raises(MergeRefused, match="cannot merge with itself"):
+        net.merge_siblings(a, a)
+    assert net.nodes["qpu/dc1/h0"].children == [net.nodes[a], net.nodes[b]]
 
 
 def test_merge_rejects_leaves_under_different_parents():

@@ -7,11 +7,19 @@ from qpusim import (
     Interval,
     Region,
     greedy_cover,
-    subtract_all,
     text_embed,
 )
 
-from conftest import LOWER, numeric_schema, random_partition, random_rect, wide_schema
+from conftest import (
+    LOWER,
+    numeric_schema,
+    random_partition,
+    random_rect,
+    ref_interval_subtract,
+    ref_region_subtract,
+    ref_uncovered,
+    wide_schema,
+)
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
@@ -76,6 +84,7 @@ def test_wholly_inside_matches_quantified_membership():
 
 
 def test_subtract_covers_exact_complement():
+    # the reference subtraction that checks a cover leaves nothing out
     rng = random.Random(7)
     pts = [x / 4 for x in range(-2, 46)]
     for _ in range(400):
@@ -83,7 +92,7 @@ def test_subtract_covers_exact_complement():
         c, d = sorted((rng.randint(0, 10), rng.randint(0, 10)))
         x = iv(a, b, rng.random() < 0.4, rng.random() < 0.4)
         y = iv(c, d, rng.random() < 0.4, rng.random() < 0.4)
-        rest = x.subtract(y)
+        rest = ref_interval_subtract(x, y)
         for p in pts:
             want = x.contains(p) and not y.contains(p)
             got = any(r.contains(p) for r in rest)
@@ -107,7 +116,7 @@ def test_region_subtract_tiles_without_overlap():
     for _ in range(200):
         x = random_rect(rng, schema)
         y = random_rect(rng, schema)
-        pieces = x.subtract(y)
+        pieces = ref_region_subtract(x, y)
         for _ in range(40):
             p = {a: rng.uniform(0.0, 100.0) for a in schema}
             want = x.contains_point(p) and not y.contains_point(p)
@@ -138,26 +147,12 @@ def test_cut_puts_the_point_on_the_high_side():
     assert lo.cut("a0", 100.0) == (lo, None)
 
 
-def test_subtract_all_detects_gaps():
-    schema = numeric_schema(1)
-    whole = Region.whole(schema)
-    lo = whole.narrowed("a0", iv(0.0, 40.0, False, True))
-    hi = whole.narrowed("a0", iv(60.0, 100.0))
-    mid = whole.narrowed("a0", iv(40.0, 60.0, False, True))
-    gap = subtract_all(subtract_all([whole], lo), hi)
-    assert [g.key() for g in gap] == [mid.key()]
-    assert subtract_all(gap, mid) == []
-
-
 def test_random_partitions_tile_the_space():
     schema = numeric_schema(2)
     rng = random.Random(9)
     for _ in range(60):
         leaves = random_partition(rng, schema)
-        rest = [Region.whole(schema)]
-        for leaf in leaves:
-            rest = subtract_all(rest, leaf)
-        assert rest == []
+        assert ref_uncovered([Region.whole(schema)], leaves) == []
         for _ in range(30):
             p = {a: rng.uniform(0.0, 100.0) for a in schema}
             assert sum(l.contains_point(p) for l in leaves) == 1
@@ -170,8 +165,7 @@ def test_greedy_cover_assigns_inside_children_and_covers():
         leaves = random_partition(rng, schema)
         children = [(f"c{i}", reg) for i, reg in enumerate(leaves)]
         rect = random_rect(rng, schema)
-        assignments, uncovered = greedy_cover([rect], children, schema)
-        assert uncovered == []
+        assignments = greedy_cover([rect], children, schema)
         regions = dict(children)
         seen = []
         for cid, pieces in assignments:
@@ -179,19 +173,7 @@ def test_greedy_cover_assigns_inside_children_and_covers():
                 assert piece.wholly_inside(regions[cid]), (cid, piece)
                 assert piece.wholly_inside(rect)
                 seen.append(piece)
-        rest = [rect]
-        for piece in seen:
-            rest = subtract_all(rest, piece)
-        assert rest == []
-
-
-def test_greedy_cover_reports_uncovered_remainder():
-    schema = numeric_schema(1)
-    whole = Region.whole(schema)
-    child = ("only", whole.narrowed("a0", iv(0.0, 30.0, False, True)))
-    assignments, uncovered = greedy_cover([whole], [child], schema)
-    assert assignments and uncovered
-    assert all(u.ivs["a0"].lo >= 30.0 for u in uncovered)
+        assert ref_uncovered([rect], seen) == []
 
 
 def test_greedy_cover_prefers_larger_intersection():
@@ -200,10 +182,8 @@ def test_greedy_cover_prefers_larger_intersection():
     big = whole.narrowed("a0", iv(0.0, 90.0, False, True))
     small = whole.narrowed("a0", iv(90.0, 100.0))
     rect = whole
-    assignments, uncovered = greedy_cover(
-        [rect], [("small", small), ("big", big)], schema)
-    assert uncovered == []
-    assert assignments[0][0] == "big"
+    assignments = greedy_cover([rect], [("small", small), ("big", big)], schema)
+    assert [cid for cid, _ in assignments] == ["big", "small"]
 
 
 def test_greedy_cover_with_one_candidate_sums_no_volume(monkeypatch):
@@ -220,8 +200,7 @@ def test_greedy_cover_with_one_candidate_sums_no_volume(monkeypatch):
 
     monkeypatch.setattr(Region, "volume", no_volume)
     for children in ([("only", whole)], [("lo", lo), ("hi", hi)]):
-        assignments, uncovered = greedy_cover([rect], children, schema)
-        assert uncovered == []
+        assignments = greedy_cover([rect], children, schema)
         assert [(cid, [p.key() for p in pieces])
                 for cid, pieces in assignments] == [
             (children[0][0], [rect.key()])]
@@ -235,46 +214,17 @@ def test_greedy_cover_tie_goes_to_the_earlier_child():
     rect = whole.narrowed("a0", iv(40.0, 60.0))
     for first, second in ((("l", left), ("r", right)),
                           (("r", right), ("l", left))):
-        assignments, uncovered = greedy_cover([rect], [first, second], schema)
-        assert uncovered == []
+        assignments = greedy_cover([rect], [first, second], schema)
         assert [cid for cid, _ in assignments] == [first[0], second[0]]
 
 
-# -- the tuple kernel against the dataclass-era reference ---------------------------
-
-
-def ref_interval_subtract(x, y):
-    cut = x.intersect(y)
-    if cut is None:
-        return [x]
-    out = []
-    left = Interval(x.lo, cut.lo, x.lo_open, not cut.lo_open)
-    if not left.is_empty():
-        out.append(left)
-    if cut.hi is not None:
-        right = Interval(cut.hi, x.hi, not cut.hi_open, x.hi_open)
-        if not right.is_empty():
-            out.append(right)
-    return out
-
-
-def ref_region_subtract(r, o):
-    if r.intersect(o) is None:
-        return [r]
-    pieces = []
-    rem = r
-    for a in sorted(r.ivs):
-        for part in ref_interval_subtract(rem.ivs[a], o.ivs[a]):
-            pieces.append(Region({**rem.ivs, a: part}))
-        rem = rem.narrowed(a, o.ivs[a])
-        if rem is None:
-            return pieces
-    return pieces
+# -- the cover against the set-cover reference ------------------------------------
 
 
 def ref_greedy_cover(rects, children, schema):
-    """greedy_cover as it was before it reused its cuts: every round
-    subtracts the chosen child from each remaining rectangle afresh."""
+    """greedy_cover as it was while a node's children could overlap or leave
+    gaps: set-cover rounds, each subtracting the chosen child from every
+    remaining rectangle. Returns (assignments, uncovered remainder)."""
     remaining = list(rects)
     assignments = []
     chosen = set()
@@ -339,28 +289,43 @@ def mixed_rect(rng, schema):
     return rect
 
 
-def plan_keys(plan):
-    assignments, remainder = plan
-    return ([(cid, [(p.key(), list(p.ivs)) for p in pieces])
-             for cid, pieces in assignments],
-            [(r.key(), list(r.ivs)) for r in remainder])
+def tree_shape(rng, schema):
+    """A node's region and its children as the tree builds them: one child
+    over the region, or the two sides of one Region.cut, low side first.
+    Returns (region, children, kind of the cut axis or None)."""
+    while True:
+        node = rng.choice(mixed_partition(rng, schema))
+        if rng.random() < 0.2:
+            return node, [("c0", node)], None
+        attr = rng.choice(sorted(node.ivs))
+        lo, hi = node.cut(attr, _cut_point(rng, schema, attr, node.ivs[attr]))
+        if lo is not None and hi is not None:
+            return node, [("c0", lo), ("c1", hi)], schema[attr].kind
+
+
+def plan_keys(assignments):
+    return [(cid, [(p.key(), list(p.ivs)) for p in pieces])
+            for cid, pieces in assignments]
 
 
 def test_greedy_cover_matches_the_subtract_reference():
+    # on the tree's shapes, intersecting is the whole set cover
     schema = wide_schema()
     rng = random.Random(12)
-    uncovered = 0
-    for _ in range(300):
-        leaves = mixed_partition(rng, schema)
-        children = [(f"c{i}", reg) for i, reg in enumerate(leaves)]
-        if len(children) > 1 and rng.random() < 0.3:
-            children.pop(rng.randrange(len(children)))  # leave a hole
-        rects = [mixed_rect(rng, schema) for _ in range(rng.randint(1, 3))]
-        got = greedy_cover(rects, children, schema)
-        want = ref_greedy_cover(rects, children, schema)
-        assert plan_keys(got) == plan_keys(want)
-        uncovered += bool(want[1])
-    assert uncovered > 10  # the holes were exercised
+    shapes = {None: 0, "text": 0, "int": 0, "float": 0}
+    for _ in range(600):
+        node, children, kind = tree_shape(rng, schema)
+        rects = [c for c in (mixed_rect(rng, schema).intersect(node)
+                             for _ in range(rng.randint(1, 3)))
+                 if c is not None]
+        if not rects:
+            continue
+        assignments, uncovered = ref_greedy_cover(rects, children, schema)
+        assert uncovered == []
+        assert plan_keys(greedy_cover(rects, children, schema)) == plan_keys(
+            assignments)
+        shapes[kind] += len(assignments) == len(children)
+    assert min(shapes.values()) > 50, shapes  # each shape, every child used
 
 
 def test_overlaps_agrees_with_intersect():

@@ -6,11 +6,13 @@
 Each line names a run and gives the SHA-256 of everything it outputs: the
 metrics CSV, traces.txt, the verify lines and runtime errors, each result's
 sorted keys, clock, claim, target, stats and error, and the messages
-delivered, the final tick and the scrub count. The 51 runs are:
+delivered, the final tick and the scrub count. The 54 runs are:
 
 - bench churn, readheavy and ingest at scale 1, seeds 1-3, in the
   workload's own replication mode and in delta mode, oracle off and on
 - each bundled scenario in log, delta and adaptive mode, oracle on
+- students.json with its history cut on the text attribute Major first
+  (TEXT_CUT), in log, delta and adaptive mode, oracle on
 
 Outputs that must not change give equal lines under `diff`, between two
 checkouts or between two PYTHONHASHSEED values. The tool reads bench's
@@ -25,6 +27,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+
+# a history that cuts a text axis, which no bundled scenario and no split does
+TEXT_CUT = {"attr": "Major", "at": "Math",
+            "lo": {"attr": "GPA", "at": 2.0, "lo": "leaf", "hi": "leaf"},
+            "hi": "leaf"}
 
 
 def digest(report) -> str:
@@ -68,6 +76,10 @@ def runs(root: Path):
             doc = json.loads(path.read_text())
             doc.setdefault("tree", {})["repl_mode"] = mode
             yield f"{path.name} {mode} oracle on", doc, True
+    for mode in ("log", "delta", "adaptive"):
+        doc = json.loads((root / "scenarios" / "students.json").read_text())
+        doc["tree"].update(history=TEXT_CUT, repl_mode=mode)
+        yield f"students.json Major cut {mode} oracle on", doc, True
 
 
 def main(argv=None) -> int:
