@@ -2,7 +2,7 @@
 tree over a weakly consistent, multi-datacenter object store."""
 
 from .crdt_index import Binner, CrdtIndex, Term
-from .geostore import DcReplica, GeoStore, LogEntry, ObjectVersion, SchemaError, Stamp
+from .geostore import DcReplica, GeoStore, LogEntry, SchemaError, Stamp
 from .oracle import rebuild_index, replay_matches, replay_to, scan
 from .qpu import (
     Coordinator,

@@ -26,9 +26,13 @@ Callers resolve those against source data; the scrub pass does the same in
 bulk for postings whose object has moved on.
 
 Every write is binned on ingest and binned again when its posting is culled,
-so a binner builds the terms of its equi-width bins once, up front: binning a
-value is then one division and a table read, and a bin is the same object
-every time it comes up.
+so a binner builds the terms of its equi-width bins once, up front, and a bin
+is the same object every time it comes up. The bin edges are computed once
+and shared: a bin's upper edge is the next bin's lower edge, and the last
+edge is the domain's top, so the bins tile the domain with no float gap
+between neighbours. A value is placed by one division, which rounding can
+leave a bin off near an edge, and then a check of the edges, which steps to
+the neighbour that holds the value.
 """
 
 import json
@@ -56,9 +60,11 @@ class Binner:
     bin is closed above so the domain maximum belongs to it. Text attributes
     only support "none".
 
-    The terms of a binned attribute are built once, here, from the same
-    float expressions a per-value computation would use, because ingest bins
-    every write and every cull bins it again. Values must lie in their
+    The terms of a binned attribute are built once, here, because ingest
+    bins every write and every cull bins it again. Bin i is
+    [edge i, edge i+1), with edge i = lo + i * width for i below the count
+    and the last edge hi; a count whose edges do not strictly increase is
+    rejected, since some bin would hold nothing. Values must lie in their
     attribute's domain, which the store checks on every write.
     """
 
@@ -78,36 +84,44 @@ class Binner:
             if sch.kind == "text":
                 raise ValueError(f"{attr}: text attributes take 'none' binning")
             self.spec[attr] = mode
-        # per attribute, in name order: (attr, lo, width, last bin, terms),
-        # with terms None for point bins
+        # per attribute, in name order: (attr, lo, width, last bin, terms,
+        # edges), with terms None for point bins
         self._axes = []
         for attr in sorted(schema):
             mode = self.spec[attr]
             if mode == "none":
-                self._axes.append((attr, None, None, None, None))
+                self._axes.append((attr, None, None, None, None, None))
                 continue
             sch = schema[attr]
             width = (sch.hi - sch.lo) / mode
-            terms = []
-            for i in range(mode):
-                lo = sch.lo + i * width
-                if i == mode - 1:
-                    terms.append(Term(attr, Interval(lo, sch.hi, False, False)))
-                else:
-                    terms.append(Term(attr, Interval(lo, lo + width, False, True)))
-            self._axes.append((attr, sch.lo, width, mode - 1, tuple(terms)))
+            edges = tuple(sch.lo + i * width for i in range(mode)) + (sch.hi,)
+            if not all(a < b for a, b in zip(edges, edges[1:])):
+                raise ValueError(f"{attr}: {mode} bins over [{sch.lo!r}, "
+                                 f"{sch.hi!r}] have edges that do not "
+                                 f"strictly increase")
+            terms = tuple(
+                Term(attr, Interval(edges[i], edges[i + 1], False, i < mode - 1))
+                for i in range(mode))
+            self._axes.append((attr, sch.lo, width, mode - 1, terms, edges))
 
     def terms_for(self, attrs: dict) -> tuple[Term, ...]:
         """One term per schema attribute, in name order; `attrs` holds
         exactly the schema's attributes, as the store checks."""
         out = []
-        for attr, lo, width, last, terms in self._axes:
+        for attr, lo, width, last, terms, edges in self._axes:
             v = attrs[attr]
             if terms is None:
                 out.append(Term(attr, Interval(v, v, False, False)))
             else:
                 i = int((v - lo) / width)
-                out.append(terms[i if i < last else last])
+                if i > last:
+                    i = last
+                # the division may land a bin off near an edge
+                if v < edges[i]:
+                    i -= 1
+                elif i < last and v >= edges[i + 1]:
+                    i += 1
+                out.append(terms[i])
         return tuple(out)
 
 

@@ -11,6 +11,10 @@ lexicographically. The tick ordering is what last-writer-wins means here;
 the datacenter name breaks same-tick ties between origins and the seq makes
 same-tick writes at one origin ordered too, so the winner of any conflict is
 the same at every replica.
+
+A replica's current version of a key is its winning log entry itself: the
+entry already holds the stamp and the attributes (None for a delete), so no
+separate version record is built per applied write.
 """
 
 from dataclasses import dataclass
@@ -31,12 +35,6 @@ class Stamp(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ObjectVersion:
-    stamp: Stamp
-    attrs: dict | None  # None marks a tombstone
-
-
-@dataclass(frozen=True)
 class LogEntry:
     origin_dc: str
     seq: int
@@ -50,7 +48,9 @@ class DcReplica:
     def __init__(self, name: str, schema: dict[str, AttributeSchema]):
         self.name = name
         self.schema = schema
-        self.objects: dict[str, ObjectVersion] = {}
+        self._names = set(schema)
+        # each key's winning entry: its current version (see the module note)
+        self.objects: dict[str, LogEntry] = {}
         self.log: dict[str, list[LogEntry]] = {name: []}
         self._pending: dict[str, dict[int, LogEntry]] = {}
         self._subscribers: list[Callable[[LogEntry], None]] = []
@@ -77,7 +77,7 @@ class DcReplica:
     # -- local writes --------------------------------------------------------
 
     def _validate(self, attrs: dict):
-        if set(attrs) != set(self.schema):
+        if attrs.keys() != self._names:
             raise SchemaError(
                 f"attribute set {sorted(attrs)} does not match schema "
                 f"{sorted(self.schema)}")
@@ -131,7 +131,7 @@ class DcReplica:
         self._heads = None
         cur = self.objects.get(entry.key)
         if cur is None or entry.stamp > cur.stamp:
-            self.objects[entry.key] = ObjectVersion(entry.stamp, entry.attrs)
+            self.objects[entry.key] = entry
         for cb in self._subscribers:
             cb(entry)
 

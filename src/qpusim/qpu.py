@@ -12,12 +12,14 @@ log entries to it: the colocated log, in every mode, and the same-region
 peer abroad, in delta mode, which sends its own DC's entry before this
 leaf's replica has it. The leaf decides once whether the entry's point lies
 in its region, and its index applies the entry with that answer; a peer
-has the same region, so it reaches the same answer. A peer sends only the
-entries that change the receiver's postings: an add in the region, or the
-remove of a tag it posts itself, and nothing else. An entry past a seq the
-peer skipped is dropped too: the log offers everything the replica
-applies, in seq order and synchronously as the replica applies it, so it
-offers that entry again. A leaf's clock therefore never falls behind its
+has the same region, so it reaches the same answer. The test reads only
+the axes the region cuts, kept when the node is built: the store keeps
+every value in its attribute's domain, so an uncut axis holds every point.
+A peer sends only the entries that change the receiver's postings: an add
+in the region, or the remove of a tag it posts itself, and nothing else.
+An entry past a seq the peer skipped is dropped too: the log offers
+everything the replica applies, in seq order and synchronously as the
+replica applies it, so it offers that entry again. A leaf's clock therefore never falls behind its
 replica's heads, and no mode switch or rewire leaves a gap to replay. So a
 leaf already covers any target its replica can: the paper's live leaf,
 which scans the log tail past the indexed prefix, would find nothing there.
@@ -42,8 +44,10 @@ ticks. Leaves and value nodes send no gossip.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 
 from .crdt_index import Binner, CrdtIndex
@@ -92,7 +96,13 @@ def _require_positive_int(name: str, value):
 @dataclass(frozen=True)
 class SelectivityConfig:
     """Sliding relevance window with two thresholds so mode choice has
-    hysteresis: a leaf flips only after the ratio crosses the far bar."""
+    hysteresis: a leaf flips only after the ratio crosses the far bar.
+
+    Over a full window the ratio is ones / window, so the bars are kept as
+    counts of ones, built once: `ones < lo_n` exactly when the ratio, as the
+    float division rounds it, is below theta_low, and `ones >= hi_n` exactly
+    when it is above theta_high. The exact rational bound is the start, and
+    a step corrects for the division's rounding."""
 
     window: int = 1000
     theta_low: float = 0.05
@@ -102,32 +112,35 @@ class SelectivityConfig:
         _require_positive_int("window", self.window)
         if not 0.0 < self.theta_low < self.theta_high < 1.0:
             raise ValueError("need 0 < theta_low < theta_high < 1")
+        size = self.window
+        # lo_n / size >= theta_low; a count below may round up to it
+        lo_n = math.ceil(Fraction(self.theta_low) * size)
+        while lo_n and (lo_n - 1) / size >= self.theta_low:
+            lo_n -= 1
+        # hi_n / size > theta_high; a count may round down onto it
+        hi_n = math.floor(Fraction(self.theta_high) * size) + 1
+        while not hi_n / size > self.theta_high:
+            hi_n += 1
+        object.__setattr__(self, "lo_n", lo_n)
+        object.__setattr__(self, "hi_n", hi_n)
 
 
 class SelectivityWindow:
     """The relevance bits (1 = the write lay in the leaf's region) of a
-    leaf's last `size` ingested writes, with a running count of the ones, so
-    the ratio costs nothing per write."""
+    leaf's last `size` ingested writes, with a running count of the ones and
+    the config's bars on that count, so a write's test costs no division."""
 
-    __slots__ = ("bits", "ones")
+    __slots__ = ("bits", "ones", "lo_n", "hi_n")
 
-    def __init__(self, size: int):
-        self.bits: deque = deque(maxlen=size)
+    def __init__(self, cfg: SelectivityConfig):
+        self.bits: deque = deque(maxlen=cfg.window)
         self.ones = 0
-
-    def append(self, bit: int):
-        bits = self.bits
-        if len(bits) == bits.maxlen:
-            self.ones -= bits[0]
-        bits.append(bit)
-        self.ones += bit
+        self.lo_n = cfg.lo_n
+        self.hi_n = cfg.hi_n
 
     def clear(self):
         self.bits.clear()
         self.ones = 0
-
-    def full(self) -> bool:
-        return len(self.bits) == self.bits.maxlen
 
     def ratio(self) -> float:
         return self.ones / len(self.bits)
@@ -282,6 +295,12 @@ class Qpu:
         self.kind = kind
         self.dc = dc
         self.region = region  # fixed for the node's life
+        # the (attr, interval) pairs where the region is narrower than the
+        # domain: the store keeps every value in its domain, so a point lies
+        # in the region when it lies in these
+        self.cut_axes = tuple(
+            (a, iv) for a, iv in region.ivs.items()
+            if iv != net.schema[a].domain())
         self._region_text = region.render()
         self.parent = parent
         self.children: list[Qpu] = []
@@ -294,7 +313,7 @@ class Qpu:
         self._served_clock: VectorClock | None = None  # see _serve_hist
         self.repl_mode = DELTA if net.cfg.repl_mode == DELTA else LOG
         self.adaptive = net.cfg.repl_mode == "adaptive"
-        self.window = SelectivityWindow(net.cfg.selectivity.window)
+        self.window = SelectivityWindow(net.cfg.selectivity)
         # peers fed my local-origin entries; see QpuNetwork._rewire_peers
         self.subscribers: set[str] = set()
         self.switch_log: list[tuple] = []
@@ -478,24 +497,28 @@ class Qpu:
 
     # -- ingest ---------------------------------------------------------------------
 
-    def _on_feed(self, entry: LogEntry):
-        # synchronous callback from the colocated replica's apply
-        self._offer(entry)
-
     def on_peer_delta(self, entry: LogEntry):
         if self.kind == "hist":  # a split or merge may have overtaken it
-            self._offer(entry)
+            self._on_feed(entry)
 
-    def _offer(self, entry: LogEntry):
+    def _on_feed(self, entry: LogEntry):
         """Offer the entry to its origin's cursor (see the ingest note): it
         applies when it is the origin's next entry, at clock+1, and is
-        dropped otherwise. The log offers again any entry dropped here."""
+        dropped otherwise. The log offers again any entry dropped here. The
+        colocated replica calls this synchronously as it applies an entry,
+        and on_peer_delta as a peer's entry arrives."""
         index = self.index
         origin = entry.origin_dc
-        if entry.seq != index.clock.get(origin) + 1:
+        if entry.seq != index.clock.entries.get(origin, 0) + 1:
             return
         attrs = entry.attrs
-        inside = attrs is not None and self.region.contains_point(attrs)
+        # only the cut axes can put a point outside the region
+        inside = attrs is not None
+        if inside:
+            for a, iv in self.cut_axes:
+                if not iv.contains(attrs[a]):
+                    inside = False
+                    break
         # a same-region peer is sent a local write that changes its
         # postings: an add, or the remove of a tag posted here, checked
         # before the apply culls it. A tag missing here lay outside the
@@ -511,20 +534,27 @@ class Qpu:
         # selectivity tracks writes, not deletes, so only a write can flip
         # the mode
         if attrs is not None and self.adaptive:
-            self.window.append(1 if inside else 0)
-            self._maybe_switch()
+            self._maybe_switch(inside)
 
     # -- replication mode ----------------------------------------------------------
 
-    def _maybe_switch(self):
-        if not self.window.full():
+    def _maybe_switch(self, bit: int):
+        """Record one write's relevance bit, and flip the mode once the
+        window is full and its count of ones crosses the far bar: below
+        lo_n in log mode, at or above hi_n in delta mode."""
+        window = self.window
+        bits = window.bits
+        if len(bits) == bits.maxlen:
+            window.ones -= bits[0]
+        bits.append(bit)
+        ones = window.ones = window.ones + bit
+        if len(bits) < bits.maxlen:
             return
-        sel = self.net.cfg.selectivity
-        s = self.window.ratio()
-        if self.repl_mode == DELTA and s > sel.theta_high:
-            self._switch(LOG, s)
-        elif self.repl_mode == LOG and s < sel.theta_low:
-            self._switch(DELTA, s)
+        if self.repl_mode == LOG:
+            if ones < window.lo_n:
+                self._switch(DELTA, window.ratio())
+        elif ones >= window.hi_n:
+            self._switch(LOG, window.ratio())
 
     def _switch(self, to: str, ratio: float):
         self.switch_log.append((self.sim.now, self.repl_mode, to, round(ratio, 4)))

@@ -26,7 +26,7 @@ class LivelockError(Exception):
                          f"{pending} events pending")
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     src: str
     dst: str

@@ -410,6 +410,13 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
     (lambda doc: doc["binning"].update(GPA=True),
      "binning: GPA: bin count must be 'none' or an integer in [1, 65536], "
      "got True", '"binning"'),
+    (lambda doc: doc["schema"]["GPA"].update(lo=-1e308, hi=1e308),
+     "binning: GPA: 8 bins over [-1e+308, 1e+308] have edges that do not "
+     "strictly increase", '"binning"'),
+    (lambda doc: doc["schema"]["GPA"].update(lo=1e15, hi=1e15 + 1)
+     or doc["binning"].update(GPA=65_536),
+     "binning: GPA: 65536 bins over [1000000000000000.0, 1000000000000001.0] "
+     "have edges that do not strictly increase", '"binning"'),
     (_generated({"actions": 2**40}),
      "generate: 1099511627776 actions and 200 objects may not exceed "
      "limits.max_events (5000000)", '"generate"'),
@@ -445,7 +452,8 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
         "jitter-float", "inter-dc-delay-float", "jitter-bool", "dup-prob-bool",
         "schema-lo-string", "schema-hi-bool", "t-bool", "until-bool",
         "dcs-entry-object", "dcs-entry-list", "alphabet-int", "alphabet-bool",
-        "bins-2**40", "bins-bool", "generate-actions-2**40",
+        "bins-2**40", "bins-bool", "bins-overflowing-width",
+        "bins-narrower-than-an-ulp", "generate-actions-2**40",
         "generate-objects-2**40", "generate-phase-actions-summed",
         "generate-actions-float", "generate-phases-and-fields",
         "generate-phases-empty-object", "generate-phases-string",

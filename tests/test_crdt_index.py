@@ -14,10 +14,12 @@ from qpusim import (
     Stamp,
     Term,
     VectorClock,
+    parse,
     rebuild_index,
+    scan,
 )
 
-from conftest import build, random_student, student_schema
+from conftest import ask, build, random_student, student_schema
 
 
 def mk_index(binning=None, schema=None):
@@ -447,18 +449,18 @@ def test_bin_of_puts_domain_max_in_last_bin():
 
 
 def ref_bin_of(schema, spec, attr, value):
-    """The bin of one value, computed per value as binning did before the
-    bins were prebuilt."""
+    """The bin of one value, found per value by walking the edges, with no
+    division: bin i is [edge i, edge i+1), the last closed above, where
+    edge i is lo + i * width below the count and the last edge is hi. So
+    the bins tile the domain, and each value lies in its bin."""
     mode = spec.get(attr, "none")
     if mode == "none":
         return Interval.point(value)
     sch = schema[attr]
     width = (sch.hi - sch.lo) / mode
-    i = min(int((value - sch.lo) / width), mode - 1)
-    lo = sch.lo + i * width
-    if i == mode - 1:
-        return Interval(lo, sch.hi, False, False)
-    return Interval(lo, lo + width, False, True)
+    edges = [sch.lo + i * width for i in range(mode)] + [sch.hi]
+    i = next((i for i in range(mode - 1) if value < edges[i + 1]), mode - 1)
+    return Interval(edges[i], edges[i + 1], False, i < mode - 1)
 
 
 def test_bin_table_matches_per_value_binning():
@@ -495,7 +497,7 @@ def test_bin_table_matches_per_value_binning():
             for v in values:
                 got = bin_of(binner, {**base, attr: v}, attr)
                 want = ref_bin_of(schema, spec, attr, v)
-                assert type(got) is Interval
+                assert type(got) is Interval and got.contains(v), (attr, v)
                 assert got == want and got.key() == want.key(), (attr, v)
                 assert hash(got) == hash(want)
         for _ in range(200):
@@ -506,3 +508,59 @@ def test_bin_table_matches_per_value_binning():
                          for a, v in sorted(point.items()))
             got = binner.terms_for(point)
             assert got == want and hash(got) == hash(want)
+
+
+def test_every_value_lies_in_its_bin_and_neighbouring_bins_share_edges():
+    # float rounding can put lo + i * width + width above lo + (i+1) * width
+    # (over [0, 4] in 10 bins, 2.0 + 0.4 is 2.4 but 6 * 0.4 is
+    # 2.4000000000000004), so bins built per index left gaps; each edge and
+    # the values one ulp either side of it must land in a bin that holds them
+    bounds = [(0.0, 4.0), (0.0, 1.0), (-90.0, 90.0), (-0.3, 0.7), (1.0, 60.0),
+              (0.1, 0.7), (-1e-3, 3e-3), (1e6, 1e6 + 7.7), (-5.5, -0.25),
+              (3.3, 1e9)]
+    counts = [1, 2, 3, 6, 7, 10, 13, 100, 999, 4096]
+    for lo, hi in bounds:
+        schema = {"x": AttributeSchema("x", "float", lo, hi)}
+        for count in counts:
+            binner = Binner(schema, {"x": count})
+            bins = [bin_of(binner, {"x": v}, "x") for v in
+                    [lo] + [min(lo + i * ((hi - lo) / count), hi)
+                            for i in range(1, count)]]
+            assert [b.lo for b in bins] == sorted({b.lo for b in bins})
+            assert bins[0].lo == lo and bins[-1].hi == hi
+            assert not bins[-1].hi_open
+            for a, b in zip(bins, bins[1:]):
+                assert a.hi == b.lo and a.hi_open and not b.lo_open
+            for b in bins:
+                for v in (b.lo, math.nextafter(b.lo, -math.inf),
+                          math.nextafter(b.lo, math.inf), b.hi,
+                          math.nextafter(b.hi, -math.inf),
+                          math.nextafter(b.hi, math.inf)):
+                    if lo <= v <= hi:
+                        got = bin_of(binner, {"x": v}, "x")
+                        assert got.contains(v), (lo, hi, count, v, got)
+
+
+def test_binner_rejects_a_count_whose_edges_do_not_increase():
+    # at 1e15 a float steps by 0.125, so a 1/65536 width adds nothing
+    schema = {"x": AttributeSchema("x", "float", 1e15, 1e15 + 1)}
+    with pytest.raises(ValueError, match="do not strictly increase"):
+        Binner(schema, {"x": 65_536})
+    assert Binner(schema, {"x": 8}).terms_for({"x": 1e15 + 1})[0].bin.hi == 1e15 + 1
+
+
+def test_a_value_on_a_rounded_bin_edge_is_found_by_queries():
+    # 2.4 is edge 6 of gpa over [0, 4] in 10 bins, one ulp below the
+    # 2.4000000000000004 that 6 * 0.4 rounds to
+    for repl_mode in ("log", "delta"):
+        sim, store, net = build(binning={"gpa": 10}, repl_mode=repl_mode)
+        store.put("dc1", "s1", {"gpa": 2.4, "dept": "cs"})
+        store.put("dc2", "s2", {"gpa": 2.5, "dept": "cs"})
+        sim.run_until_quiescent()
+        for text, want in (("gpa = 2.4", ["s1"]),
+                           ("gpa >= 2.4 FRESHNESS strong", ["s1", "s2"]),
+                           ("gpa <= 2.4", ["s1"])):
+            q = parse(text, net.schema)
+            assert sorted(scan(store.replicas["dc1"], q)) == want
+            for dc in store.dcs:
+                assert sorted(ask(net, text, dc).keys) == want, (text, dc)

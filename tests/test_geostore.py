@@ -1,6 +1,6 @@
 import random
 
-from qpusim import DcReplica, LogEntry, ObjectVersion, Stamp, VectorClock
+from qpusim import DcReplica, LogEntry, Stamp, VectorClock
 
 from conftest import build, random_student, student_schema
 
@@ -38,8 +38,8 @@ def test_concurrent_writes_pick_one_winner_everywhere():
 
 
 def test_tie_break_is_argument_order_independent():
-    a = ObjectVersion(Stamp(5, "dc1", 2), {"v": 1})
-    b = ObjectVersion(Stamp(5, "dc2", 1), {"v": 2})
+    a = LogEntry("dc1", 2, Stamp(5, "dc1", 2), "k", {"v": 1}, None)
+    b = LogEntry("dc2", 1, Stamp(5, "dc2", 1), "k", {"v": 2}, None)
     assert max(a, b, key=lambda v: v.stamp) == max(b, a, key=lambda v: v.stamp)
     assert max(a, b, key=lambda v: v.stamp) is b
 
@@ -138,16 +138,17 @@ def test_three_dc_random_churn_converges_to_lww_fold():
     sim.run_until_quiescent()
 
     # oracle: fold every log entry in arbitrary order via max-stamp
-    folded: dict[str, ObjectVersion] = {}
+    folded: dict[str, tuple] = {}
     for entries in store.replicas["dc1"].log.values():
         for e in entries:
             cur = folded.get(e.key)
-            if cur is None or e.stamp > cur.stamp:
-                folded[e.key] = ObjectVersion(e.stamp, e.attrs)
+            if cur is None or e.stamp > cur[0]:
+                folded[e.key] = (e.stamp, e.attrs)
 
     for dc in store.dcs:
         replica = store.replicas[dc]
-        assert replica.objects == folded
+        assert {k: (v.stamp, v.attrs)
+                for k, v in replica.objects.items()} == folded
         assert replica.heads == store.replicas["dc1"].heads
 
 

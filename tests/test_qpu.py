@@ -1,5 +1,7 @@
 import gc
+import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from conftest import (
     random_student,
     ref_uncovered,
     student_schema,
+    wide_schema,
 )
 
 SCHEMA = student_schema()
@@ -97,6 +100,103 @@ def test_leaves_match_region_rebuilds_after_churn():
         want = rebuild_index(store.replicas[leaf.dc], net.binner,
                              region=leaf.region)
         assert leaf.index.canonical() == want.canonical(), leaf.actor
+
+
+def near(sch, bound):
+    """`bound` and the values just under and just over it that the domain
+    of `sch` holds."""
+    if sch.kind == "text":
+        under = bound[:-1]
+        smaller = [c for c in sch.alphabet if bound and c < bound[-1]]
+        if smaller:
+            under += max(smaller) + max(sch.alphabet) * 3
+        vals = [bound, under, bound + min(sch.alphabet)]
+    elif sch.kind == "int":
+        vals = [bound, bound - 1, bound + 1]
+    else:
+        vals = [bound, math.nextafter(bound, -math.inf),
+                math.nextafter(bound, math.inf)]
+    return [v for v in vals if sch.validate(v)]
+
+
+def check_cut_axes(store, net, prefix):
+    """Every node's cut-axis test agrees with Region.contains_point on the
+    points on, just under and just over every bound of every node's region,
+    and every live leaf posts exactly the points its region holds."""
+    schema = net.schema
+    bounds = {a: set() for a in schema}
+    for node in net.nodes.values():
+        for a, iv in node.region.ivs.items():
+            bounds[a].update(b for b in (iv.lo, iv.hi) if b is not None)
+    axes = sorted(schema)
+    values = [sorted({v for b in bounds[a] for v in near(schema[a], b)})
+              for a in axes]
+    points = [dict(zip(axes, combo)) for combo in itertools.product(*values)]
+    cuts_seen = set()
+    for node in net.nodes.values():
+        cuts_seen.update(a for a, _ in node.cut_axes)
+        for p in points:
+            by_cuts = all(iv.contains(p[a]) for a, iv in node.cut_axes)
+            assert by_cuts == node.region.contains_point(p), (node.actor, p)
+    keys = [f"{prefix}{i}" for i in range(len(points))]
+    for i, (key, p) in enumerate(zip(keys, points)):
+        store.put(store.dcs[i % len(store.dcs)], key, p)
+    net.sim.run_until_quiescent()
+    for leaf in net.hist_leaves():
+        posted = {k for k, _ in leaf.index.tag_info.values()}
+        want = {k for k, p in zip(keys, points)
+                if leaf.region.contains_point(p)}
+        assert posted & set(keys) == want, leaf.actor
+    return cuts_seen
+
+
+def reshape(net):
+    """Split every leaf that has a median to cut at, then merge the first
+    split's halves back, so the tree holds nodes that force_split and
+    merge_siblings built."""
+    halves = []
+    for leaf in net.hist_leaves():
+        try:
+            halves.append(net.force_split(leaf.actor))
+        except SplitRefused:
+            pass
+    assert halves
+    net.merge_siblings(*halves[0])
+
+
+def test_the_cut_axis_test_matches_contains_point_on_students_major_cut():
+    from qpusim import parse_scenario, run_scenario
+
+    doc = json.loads((SCENARIOS / "students.json").read_text())
+    doc["tree"]["history"] = {
+        "attr": "Major", "at": "Math",
+        "lo": {"attr": "GPA", "at": 2.0, "lo": "leaf", "hi": "leaf"},
+        "hi": "leaf"}
+    report = run_scenario(parse_scenario(doc), oracle=False)
+    reshape(report.net)
+    assert check_cut_axes(report.store, report.net, "p") == {"GPA", "Major"}
+
+
+@pytest.mark.parametrize("repl_mode", ["log", "delta", "adaptive"])
+def test_the_cut_axis_test_matches_contains_point_on_int_float_and_text_cuts(
+        repl_mode):
+    history = {"attr": "stock", "at": 250,
+               "lo": {"attr": "vendor", "at": "m", "lo": "leaf", "hi": "leaf"},
+               "hi": {"attr": "price", "at": 99.5, "lo": "leaf", "hi": "leaf"}}
+    sim, store, net = build(dcs=("dc1", "dc2"), schema=wide_schema(),
+                            history=history, repl_mode=repl_mode, seed=5,
+                            jitter=3)
+    rng = random.Random(5)
+    for i in range(80):
+        store.put(store.dcs[i % 2], f"w{i}", {
+            "price": round(rng.uniform(0, 1000), 2),
+            "stock": rng.randint(0, 500),
+            "rating": round(rng.uniform(0, 5), 1),
+            "vendor": rng.choice(["acme", "zeta", "mono", "bolt"])})
+    sim.run_until_quiescent()
+    reshape(net)
+    assert check_cut_axes(store, net, "p") == {"price", "stock", "vendor",
+                                               "rating"}
 
 
 # -- routed serving ----------------------------------------------------------------
@@ -797,7 +897,7 @@ def adaptive_net(**kw):
 
 def feed(leaf, bits):
     for bit in bits:
-        leaf.window.append(bit)
+        leaf._maybe_switch(bit)
 
 
 def test_adaptive_leaf_switches_down_then_up():
@@ -805,12 +905,10 @@ def test_adaptive_leaf_switches_down_then_up():
     leaf = net.nodes["qpu/dc1/h0"]
     assert leaf.repl_mode == "log"
     feed(leaf, [0] * 8)
-    leaf._maybe_switch()
     assert leaf.repl_mode == "delta"
     assert len(leaf.window.bits) == 0  # hysteresis: a full fresh window is needed
     assert leaf.switch_log[-1][1:3] == ("log", "delta")
     feed(leaf, [1] * 8)
-    leaf._maybe_switch()
     assert leaf.repl_mode == "log"
     assert [s[1:3] for s in leaf.switch_log] == [("log", "delta"),
                                                  ("delta", "log")]
@@ -820,7 +918,6 @@ def test_adaptive_deadband_holds_the_mode():
     sim, store, net = adaptive_net()
     leaf = net.nodes["qpu/dc1/h0"]
     feed(leaf, [1, 0, 0, 1, 0, 0, 1, 0])  # ratio 0.375, inside band
-    leaf._maybe_switch()
     assert leaf.repl_mode == "log" and leaf.switch_log == []
 
 
@@ -828,7 +925,6 @@ def test_adaptive_waits_for_a_full_window():
     sim, store, net = adaptive_net()
     leaf = net.nodes["qpu/dc1/h0"]
     feed(leaf, [0] * 7)
-    leaf._maybe_switch()
     assert leaf.repl_mode == "log"
 
 
@@ -839,8 +935,7 @@ def test_window_count_matches_its_bits_across_switches():
     for phase in range(8):
         share = 0.9 if phase % 2 else 0.05
         for _ in range(40):
-            leaf.window.append(1 if rng.random() < share else 0)
-            leaf._maybe_switch()
+            leaf._maybe_switch(1 if rng.random() < share else 0)
             assert leaf.window.ones == sum(leaf.window.bits)
     assert len(leaf.switch_log) >= 4
 
@@ -860,6 +955,31 @@ def test_fixed_modes_never_switch():
         assert leaf.index.clock == VectorClock({"dc1": 8})
         assert leaf.repl_mode == mode and leaf.switch_log == []
         assert not leaf.window.bits
+
+
+@pytest.mark.parametrize("size, low, high", [
+    (1, 0.05, 0.15), (2, 0.25, 0.5), (3, 1 / 3, 2 / 3), (8, 0.2, 0.6),
+    (10, 0.1, 0.3), (49, 0.01, 0.99), (100, 0.07, 0.29), (200, 0.05, 0.15),
+    (1000, 0.05, 0.15), (1000, 0.001, 0.999), (4096, 0.1, 0.7)])
+def test_window_bars_match_the_ratio_tests(size, low, high):
+    # 0.15 * 200 and 0.1 * 10 land on whole counts, where the float ratio
+    # at that count equals the bar; the bars must follow the float test
+    cfg = SelectivityConfig(window=size, theta_low=low, theta_high=high)
+    for ones in range(size + 1):
+        assert (ones < cfg.lo_n) == (ones / size < low), ones
+        assert (ones >= cfg.hi_n) == (ones / size > high), ones
+
+
+def test_a_billion_write_window_builds_at_once():
+    size = 10**9
+    cfg = SelectivityConfig(window=size)
+    for ones in range(cfg.lo_n - 3, cfg.lo_n + 3):
+        assert (ones < cfg.lo_n) == (ones / size < cfg.theta_low)
+    for ones in range(cfg.hi_n - 3, cfg.hi_n + 3):
+        assert (ones >= cfg.hi_n) == (ones / size > cfg.theta_high)
+    sim, store, net = build(dcs=("dc1",), repl_mode="adaptive",
+                            selectivity=cfg)
+    assert net.nodes["qpu/dc1/h0"].window.bits.maxlen == size
 
 
 def test_delta_mode_converges_via_peer_feeds():
@@ -957,7 +1077,7 @@ def test_write_leaving_the_region_sends_a_remove_only_delta():
     got = []
 
     def on_peer_delta(entry):
-        peer._offer(entry)
+        peer._on_feed(entry)
         got.append((entry, dict(peer.index.tag_info),
                     store.replicas["dc2"].objects["k"].stamp))
 
