@@ -1,7 +1,7 @@
 """Deterministic simulator and library for a geo-distributed secondary-index
 tree over a weakly consistent, multi-datacenter object store."""
 
-from .crdt_index import Binner, CrdtIndex, Term
+from .crdt_index import Binner, CrdtIndex
 from .geostore import DcReplica, GeoStore, LogEntry, SchemaError, Stamp
 from .oracle import rebuild_index, replay_matches, replay_to, scan
 from .qpu import (

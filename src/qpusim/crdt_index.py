@@ -26,29 +26,28 @@ Callers resolve those against source data; the scrub pass does the same in
 bulk for postings whose object has moved on.
 
 Every write is binned on ingest and binned again when its posting is culled,
-so a binner builds the terms of its equi-width bins once, up front, and a bin
-is the same object every time it comes up. The bin edges are computed once
-and shared: a bin's upper edge is the next bin's lower edge, and the last
-edge is the domain's top, so the bins tile the domain with no float gap
-between neighbours. A value is placed by one division, which rounding can
-leave a bin off near an edge, and then a check of the edges, which steps to
-the neighbour that holds the value.
+so postings are keyed by what binning yields with no object built: the bin
+number, an int, for a binned attribute, and the value itself for an unbinned
+one. A binner computes the edges of its equi-width bins once and shares
+them: a bin's upper edge is the next bin's lower edge, and the last edge is
+the domain's top, so the bins tile the domain with no float gap between
+neighbours. A value is placed by one division, which rounding can leave a
+bin off near an edge, and then a check of the edges, which steps to the
+neighbour that holds the value. A lookup maps a range to the bin numbers it
+overlaps by bisecting the edges, and an equality on an unbinned attribute is
+one dict get. A bin's interval is built from the edges only when the index
+serializes.
 """
 
 import json
-from typing import NamedTuple
+from bisect import bisect_left, bisect_right
 
 from .geostore import DcReplica, LogEntry, Stamp
 from .regions import AttributeSchema, Interval, Region
 from .staleness import VectorClock
 
 
-class Term(NamedTuple):
-    attr: str
-    bin: Interval
-
-
-# every bin's term is built up front, so the count is bounded
+# every binned attribute's edges are built up front, so the count is bounded
 MAX_BINS = 65_536
 
 
@@ -56,11 +55,11 @@ class Binner:
     """Deterministic value -> bin mapping shared by every index replica.
 
     Per attribute either "none" (each distinct value is its own closed
-    point bin) or an equi-width bin count over the numeric domain; the last
-    bin is closed above so the domain maximum belongs to it. Text attributes
-    only support "none".
+    point bin, keyed by the value) or an equi-width bin count over the
+    numeric domain (bin i keyed by i); the last bin is closed above so the
+    domain maximum belongs to it. Text attributes only support "none".
 
-    The terms of a binned attribute are built once, here, because ingest
+    The edges of a binned attribute are computed once, here, because ingest
     bins every write and every cull bins it again. Bin i is
     [edge i, edge i+1), with edge i = lo + i * width for i below the count
     and the last edge hi; a count whose edges do not strictly increase is
@@ -70,12 +69,11 @@ class Binner:
 
     def __init__(self, schema: dict[str, AttributeSchema], spec: dict | None = None):
         self.schema = schema
-        self.spec: dict[str, int | str] = {}
+        counts: dict[str, int] = {}
         spec = spec or {}
         for attr, sch in schema.items():
             mode = spec.get(attr, "none")
             if mode == "none":
-                self.spec[attr] = "none"
                 continue
             if (not isinstance(mode, int) or isinstance(mode, bool)
                     or not 1 <= mode <= MAX_BINS):
@@ -83,14 +81,17 @@ class Binner:
                                  f"integer in [1, {MAX_BINS}], got {mode!r}")
             if sch.kind == "text":
                 raise ValueError(f"{attr}: text attributes take 'none' binning")
-            self.spec[attr] = mode
-        # per attribute, in name order: (attr, lo, width, last bin, terms,
-        # edges), with terms None for point bins
+            counts[attr] = mode
+        self.attrs = tuple(sorted(schema))
+        # per attribute, None for point bins, else its count + 1 edges
+        self.edges: dict[str, tuple | None] = {}
+        # per attribute, in name order: (attr, lo, width, last bin, edges)
         self._axes = []
-        for attr in sorted(schema):
-            mode = self.spec[attr]
-            if mode == "none":
-                self._axes.append((attr, None, None, None, None, None))
+        for attr in self.attrs:
+            mode = counts.get(attr)
+            if mode is None:
+                self.edges[attr] = None
+                self._axes.append((attr, None, None, None, None))
                 continue
             sch = schema[attr]
             width = (sch.hi - sch.lo) / mode
@@ -99,19 +100,17 @@ class Binner:
                 raise ValueError(f"{attr}: {mode} bins over [{sch.lo!r}, "
                                  f"{sch.hi!r}] have edges that do not "
                                  f"strictly increase")
-            terms = tuple(
-                Term(attr, Interval(edges[i], edges[i + 1], False, i < mode - 1))
-                for i in range(mode))
-            self._axes.append((attr, sch.lo, width, mode - 1, terms, edges))
+            self.edges[attr] = edges
+            self._axes.append((attr, sch.lo, width, mode - 1, edges))
 
-    def terms_for(self, attrs: dict) -> tuple[Term, ...]:
-        """One term per schema attribute, in name order; `attrs` holds
-        exactly the schema's attributes, as the store checks."""
+    def keys_for(self, attrs: dict) -> list:
+        """The bin key of each schema attribute's value, in name order;
+        `attrs` holds exactly the schema's attributes, as the store checks."""
         out = []
-        for attr, lo, width, last, terms, edges in self._axes:
+        for attr, lo, width, last, edges in self._axes:
             v = attrs[attr]
-            if terms is None:
-                out.append(Term(attr, Interval(v, v, False, False)))
+            if edges is None:
+                out.append(v)
             else:
                 i = int((v - lo) / width)
                 if i > last:
@@ -121,8 +120,38 @@ class Binner:
                     i -= 1
                 elif i < last and v >= edges[i + 1]:
                     i += 1
-                out.append(terms[i])
-        return tuple(out)
+                out.append(i)
+        return out
+
+    def span(self, attr: str, iv: Interval) -> range | None:
+        """The numbers of the bins of binned `attr` that overlap `iv`,
+        exactly as `Interval.overlaps` selects them, or None when that is
+        every bin."""
+        edges = self.edges[attr]
+        lo, hi, lo_open, hi_open = iv
+        if hi < lo or (hi == lo and (lo_open or hi_open)):
+            return range(0)
+        last = len(edges) - 2
+        # bins below `first` end at or below lo: each is open above but the
+        # last, which ends at the domain's top and is closed
+        first = bisect_right(edges, lo, 1, last + 1) - 1
+        if first == last and (edges[-1] < lo or (edges[-1] == lo and lo_open)):
+            return range(0)
+        # bins from `stop` on start, closed, above hi, or at hi when open
+        stop = (bisect_left if hi_open else bisect_right)(edges, hi, 0, last + 1)
+        return None if first == 0 and stop > last else range(first, stop)
+
+    def interval(self, attr: str, key) -> Interval:
+        """The interval of the bin `key` of `attr`. A float attribute's
+        point bin is rendered as a float, since the store takes 2 and 2.0
+        alike and a posting keeps whichever came first; adding 0.0 also
+        renders -0.0 as 0.0."""
+        edges = self.edges[attr]
+        if edges is None:
+            if self.schema[attr].kind == "float":
+                key = float(key) + 0.0
+            return Interval(key, key, False, False)
+        return Interval(edges[key], edges[key + 1], False, key < len(edges) - 2)
 
 
 class CrdtIndex:
@@ -131,7 +160,10 @@ class CrdtIndex:
     def __init__(self, schema: dict[str, AttributeSchema], binner: Binner):
         self.schema = schema
         self.binner = binner
-        self.terms: dict[str, dict[Interval, set[Stamp]]] = {a: {} for a in schema}
+        # attribute -> bin key -> tags; bin keys as Binner.keys_for gives them
+        self.postings: dict[str, dict] = {a: {} for a in binner.attrs}
+        # the same maps in name order, as keys_for lists the keys
+        self._by_axis = tuple(self.postings.values())
         self.tag_info: dict[Stamp, tuple[str, dict]] = {}  # visible tags only
         # (dc, seq) of each tag removed before its add applied
         self.removed: set[tuple[str, int]] = set()
@@ -175,16 +207,14 @@ class CrdtIndex:
         return True
 
     def post(self, tag: Stamp, key: str, point: dict):
-        """Make `tag` visible as `key` at `point`, with one posting per term
-        of the point. The one place that writes the attribute -> bin -> tags
-        layout; `_cull` is its inverse."""
+        """Make `tag` visible as `key` at `point`, with one posting per
+        attribute of the point. The one place that writes the attribute ->
+        bin -> tags layout; `_cull` is its inverse."""
         self.tag_info[tag] = (key, point)
-        all_terms = self.terms
-        for attr, bin_iv in self.binner.terms_for(point):
-            bins = all_terms[attr]
-            tags = bins.get(bin_iv)
+        for bins, k in zip(self._by_axis, self.binner.keys_for(point)):
+            tags = bins.get(k)
             if tags is None:
-                bins[bin_iv] = {tag}
+                bins[k] = {tag}
             else:
                 tags.add(tag)
 
@@ -192,14 +222,12 @@ class CrdtIndex:
         info = self.tag_info.pop(tag, None)
         if info is None:
             return
-        terms = self.terms
-        for attr, bin_iv in self.binner.terms_for(info[1]):
-            bins = terms[attr]
-            tags = bins.get(bin_iv)
+        for bins, k in zip(self._by_axis, self.binner.keys_for(info[1])):
+            tags = bins.get(k)
             if tags is not None:
                 tags.discard(tag)
                 if not tags:
-                    del bins[bin_iv]
+                    del bins[k]
 
     # -- merge -------------------------------------------------------------------
 
@@ -214,10 +242,9 @@ class CrdtIndex:
         a remove included."""
         out = cls(a.schema, a.binner)
         for side in (a, b):
-            for attr, bins in side.terms.items():
-                mine = out.terms[attr]
-                for bin_iv, tags in bins.items():
-                    mine.setdefault(bin_iv, set()).update(tags)
+            for mine, bins in zip(out._by_axis, side._by_axis):
+                for k, tags in bins.items():
+                    mine.setdefault(k, set()).update(tags)
             out.tag_info.update(side.tag_info)
         held = out.removed = a.removed | b.removed
         if held:
@@ -235,14 +262,36 @@ class CrdtIndex:
         Bin granularity: a tag from a bin only partly inside the rectangle is
         still returned, which is where binning false positives come from.
         """
+        binner = self.binner
         cand: set[Stamp] | None = None
         for attr, iv in rect.ivs.items():
-            if self.schema[attr].domain().wholly_inside(iv):
+            bins = self.postings[attr]
+            if binner.edges[attr] is not None:
+                span = binner.span(attr, iv)
+                if span is None:
+                    continue  # every bin: the axis selects every tag
+                acc = set()
+                if len(span) < len(bins):
+                    for i in span:
+                        tags = bins.get(i)
+                        if tags is not None:
+                            acc |= tags
+                else:
+                    for i, tags in bins.items():
+                        if i in span:
+                            acc |= tags
+            elif self.schema[attr].domain().wholly_inside(iv):
                 continue  # unconstrained axis selects every tag
-            acc = set()
-            for bin_iv, tags in self.terms[attr].items():
-                if bin_iv.overlaps(iv):
-                    acc |= tags
+            elif iv.lo == iv.hi and not (iv.lo_open or iv.hi_open):
+                acc = bins.get(iv.lo)
+                if acc is None:
+                    return set()
+                # the posted set itself: it is only read, as `&` builds anew
+            else:
+                acc = set()
+                for v, tags in bins.items():
+                    if iv.contains(v):
+                        acc |= tags
             cand = acc if cand is None else cand & acc
             if not cand:
                 return set()
@@ -282,13 +331,14 @@ class CrdtIndex:
         """Stable byte form of the visible state: clock plus sorted postings.
         Two converged replicas serialize identically."""
         terms = []
-        for attr in sorted(self.terms):
-            for bin_iv in sorted(self.terms[attr], key=lambda iv: (iv.lo, iv.lo_open)):
-                tags = self.terms[attr][bin_iv]
+        interval = self.binner.interval
+        for attr, bins in self.postings.items():
+            for k in sorted(bins):
+                tags = bins[k]
                 if not tags:
                     continue
                 postings = sorted(
                     [t.ts, t.dc, t.seq, self.tag_info[t][0]] for t in tags)
-                terms.append([attr, list(bin_iv.key()), postings])
+                terms.append([attr, list(interval(attr, k)), postings])
         doc = {"clock": dict(sorted(self.clock.entries.items())), "terms": terms}
         return json.dumps(doc, separators=(",", ":"), ensure_ascii=True).encode()

@@ -124,6 +124,26 @@ def random_rect(rng, schema):
     return Region(ivs)
 
 
+def ref_lookup(index, rect):
+    """CrdtIndex.lookup as a scan: every bin of each constrained attribute
+    is tested with Interval.overlaps, where the index picks bins by number
+    or by value."""
+    cand = None
+    for attr, iv in rect.ivs.items():
+        if index.schema[attr].domain().wholly_inside(iv):
+            continue
+        acc = set()
+        for k, tags in index.postings[attr].items():
+            if index.binner.interval(attr, k).overlaps(iv):
+                acc |= tags
+        cand = acc if cand is None else cand & acc
+        if not cand:
+            return set()
+    if cand is None:
+        return {key for key, _ in index.tag_info.values()}
+    return {index.tag_info[tag][0] for tag in cand}
+
+
 # -- reference rectangle subtraction -------------------------------------------
 #
 # The package covers a probe by intersection alone, since a node's children

@@ -12,14 +12,13 @@ from qpusim import (
     LogEntry,
     Region,
     Stamp,
-    Term,
     VectorClock,
     parse,
     rebuild_index,
     scan,
 )
 
-from conftest import ask, build, random_student, student_schema
+from conftest import ask, build, random_student, ref_lookup, student_schema
 
 
 def mk_index(binning=None, schema=None):
@@ -41,8 +40,8 @@ def visible(index):
 
 
 def bin_of(binner, attrs, attr):
-    """The bin that terms_for puts attrs[attr] in."""
-    return next(t.bin for t in binner.terms_for(attrs) if t.attr == attr)
+    """The bin that keys_for puts attrs[attr] in, as an interval."""
+    return binner.interval(attr, binner.keys_for(attrs)[binner.attrs.index(attr)])
 
 
 def keys_in(index, attr, lo, hi, lo_open=False, hi_open=False):
@@ -364,6 +363,153 @@ def test_rect_lookup_intersects_across_attributes():
     assert idx.lookup(rect) == {"a"}
 
 
+def near_edges(edges, lo, hi):
+    """Each edge and the floats one ulp either side of it, the domain ends,
+    and the integers next to each edge, all clipped to [lo - 1, hi + 1]."""
+    out = {lo - 1, lo, hi, hi + 1}
+    for e in edges:
+        out.update((e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf),
+                    math.floor(e), math.ceil(e)))
+    return sorted(v for v in out if lo - 1 <= v <= hi + 1)
+
+
+def test_span_selects_exactly_the_bins_overlaps_selects():
+    # every combination of open and closed ends, with bounds on edges, one
+    # ulp off them, at and past the domain ends, and closed points
+    rng = random.Random(41)
+    domains = [("float", 0.0, 4.0), ("float", -90.0, 90.0),
+               ("float", -0.3, 0.7), ("float", 1e6, 1e6 + 7.7),
+               ("int", 0, 100), ("int", 1, 60), ("int", -5, 5)]
+    for kind, lo, hi in domains:
+        schema = {"x": AttributeSchema("x", kind, lo, hi)}
+        for count in (1, 2, 3, 7, 10, 13):
+            binner = Binner(schema, {"x": count})
+            bins = [binner.interval("x", i) for i in range(count)]
+            values = near_edges(binner.edges["x"], lo, hi)
+            values += [rng.uniform(lo, hi) for _ in range(5)]
+            probes = [Interval(v, v) for v in values]
+            for _ in range(150):
+                a, b = sorted((rng.choice(values), rng.choice(values)))
+                probes += [Interval(a, b, lo_open, hi_open)
+                           for lo_open in (False, True)
+                           for hi_open in (False, True)]
+            probes.append(Interval(hi, lo))
+            for iv in probes:
+                span = binner.span("x", iv)
+                want = [i for i, b in enumerate(bins) if b.overlaps(iv)]
+                if span is None:  # every bin
+                    span = range(count)
+                assert list(span) == want, (kind, lo, hi, count, iv)
+
+
+def test_lookup_matches_the_reference_scan():
+    # binned float and int attributes, unbinned float, int and text ones,
+    # each probed by point and by range, alone and together
+    rng = random.Random(42)
+    schema = {
+        "f": AttributeSchema("f", "float", -1.0, 3.0),
+        "n": AttributeSchema("n", "int", 0, 50),
+        "u": AttributeSchema("u", "float", 0.0, 10.0),
+        "m": AttributeSchema("m", "int", 0, 20),
+        "t": AttributeSchema("t", "text", alphabet="abc"),
+    }
+    texts = ["", "a", "ab", "abc", "b", "ba", "c", "cab"]
+    floats = [0, 0.0, -0.0, 2, 2.0, 2.5, 7.25, 10, 10.0]
+    for round_no in range(12):
+        spec = {"f": rng.choice([1, 3, 8, 16]), "n": rng.choice([1, 5, 7, 50])}
+        idx = CrdtIndex(schema, Binner(schema, spec))
+        edges = {a: near_edges(idx.binner.edges[a], schema[a].lo, schema[a].hi)
+                 for a in spec}
+        last: dict[str, Stamp] = {}
+        for seq in range(1, 121):
+            key = f"k{rng.randrange(40)}"
+            attrs = None if rng.random() < 0.1 else {
+                "f": rng.choice([rng.uniform(-1.0, 3.0),
+                                 min(max(rng.choice(edges["f"]), -1.0), 3.0)]),
+                "n": rng.randint(0, 50), "u": rng.choice(floats),
+                "m": rng.randint(0, 20), "t": rng.choice(texts)}
+            e = entry("dc1", seq, seq, key, attrs, prev=last.get(key))
+            last[key] = e.stamp
+            ingest(idx, e)
+        pools = {"f": edges["f"] + [0.3, 1.7], "n": edges["n"] + [17, 23.5],
+                 "u": floats + [1.5, 11], "m": [-1, 0, 3, 7.5, 12, 20, 21],
+                 "t": texts + ["abcc", "d"]}
+        for _ in range(300):
+            ivs = {}
+            for attr in rng.sample(sorted(schema), rng.choice([1, 1, 2, 3])):
+                a, b = rng.choice(pools[attr]), rng.choice(pools[attr])
+                if rng.random() < 0.3:
+                    ivs[attr] = Interval(a, a)
+                    continue
+                a, b = sorted((a, b))
+                if attr == "t" and rng.random() < 0.3:
+                    b = None
+                ivs[attr] = Interval(a, b, rng.random() < 0.5,
+                                     b is not None and rng.random() < 0.5)
+            rect = Region({**Region.whole(schema).ivs, **ivs})
+            assert idx.lookup(rect) == ref_lookup(idx, rect), (round_no, ivs)
+
+
+def test_canonical_bytes_match_the_interval_keyed_layout():
+    # bytes of the layout that keyed postings by interval: a binned float
+    # (the domain top in the closed last bin), a binned int, an unbinned
+    # float and an unbinned text attribute, before and after a merge that
+    # culls a tag one side holds a remove for
+    schema = {
+        "f": AttributeSchema("f", "float", 0.0, 4.0),
+        "n": AttributeSchema("n", "int", 0, 100),
+        "u": AttributeSchema("u", "float", 0.0, 10.0),
+        "t": AttributeSchema("t", "text", alphabet="abc"),
+    }
+    a = mk_index({"f": 8, "n": 10}, schema)
+    b = CrdtIndex(schema, a.binner)
+    a1 = entry("dc1", 1, 1, "k1", {"f": 4.0, "n": 100, "u": 2.5, "t": "ab"})
+    a2 = entry("dc1", 2, 3, "k2", {"f": 0.5, "n": 0, "u": 3.0, "t": ""})
+    a3 = entry("dc1", 3, 5, "k1", {"f": 1.75, "n": 37, "u": 7.25, "t": "c"},
+               prev=a1.stamp)
+    b1 = entry("dc2", 1, 2, "k3", {"f": 2.0, "n": 50, "u": 2.5, "t": "ab"})
+    b2 = entry("dc2", 2, 4, "k4", {"f": 3.999, "n": 99, "u": 10.0, "t": "cab"})
+    b3 = entry("dc2", 3, 6, "k2", None, prev=a2.stamp)
+    for e in (a1, a2, a3):
+        ingest(a, e)
+    for e in (b1, b2, b3):
+        ingest(b, e)
+    assert a.canonical() == (
+        b'{"clock":{"dc1":3},"terms":['
+        b'["f",[0.5,1.0,false,true],[[3,"dc1",2,"k2"]]],'
+        b'["f",[1.5,2.0,false,true],[[5,"dc1",3,"k1"]]],'
+        b'["n",[0.0,10.0,false,true],[[3,"dc1",2,"k2"]]],'
+        b'["n",[30.0,40.0,false,true],[[5,"dc1",3,"k1"]]],'
+        b'["t",["","",false,false],[[3,"dc1",2,"k2"]]],'
+        b'["t",["c","c",false,false],[[5,"dc1",3,"k1"]]],'
+        b'["u",[3.0,3.0,false,false],[[3,"dc1",2,"k2"]]],'
+        b'["u",[7.25,7.25,false,false],[[5,"dc1",3,"k1"]]]]}')
+    assert b.canonical() == (
+        b'{"clock":{"dc2":3},"terms":['
+        b'["f",[2.0,2.5,false,true],[[2,"dc2",1,"k3"]]],'
+        b'["f",[3.5,4.0,false,false],[[4,"dc2",2,"k4"]]],'
+        b'["n",[50.0,60.0,false,true],[[2,"dc2",1,"k3"]]],'
+        b'["n",[90.0,100,false,false],[[4,"dc2",2,"k4"]]],'
+        b'["t",["ab","ab",false,false],[[2,"dc2",1,"k3"]]],'
+        b'["t",["cab","cab",false,false],[[4,"dc2",2,"k4"]]],'
+        b'["u",[2.5,2.5,false,false],[[2,"dc2",1,"k3"]]],'
+        b'["u",[10.0,10.0,false,false],[[4,"dc2",2,"k4"]]]]}')
+    assert CrdtIndex.merged(a, b).canonical() == (
+        b'{"clock":{},"terms":['
+        b'["f",[1.5,2.0,false,true],[[5,"dc1",3,"k1"]]],'
+        b'["f",[2.0,2.5,false,true],[[2,"dc2",1,"k3"]]],'
+        b'["f",[3.5,4.0,false,false],[[4,"dc2",2,"k4"]]],'
+        b'["n",[30.0,40.0,false,true],[[5,"dc1",3,"k1"]]],'
+        b'["n",[50.0,60.0,false,true],[[2,"dc2",1,"k3"]]],'
+        b'["n",[90.0,100,false,false],[[4,"dc2",2,"k4"]]],'
+        b'["t",["ab","ab",false,false],[[2,"dc2",1,"k3"]]],'
+        b'["t",["c","c",false,false],[[5,"dc1",3,"k1"]]],'
+        b'["t",["cab","cab",false,false],[[4,"dc2",2,"k4"]]],'
+        b'["u",[2.5,2.5,false,false],[[2,"dc2",1,"k3"]]],'
+        b'["u",[7.25,7.25,false,false],[[5,"dc1",3,"k1"]]],'
+        b'["u",[10.0,10.0,false,false],[[4,"dc2",2,"k4"]]]]}')
+
+
 # -- scrub ----------------------------------------------------------------------------
 
 
@@ -448,19 +594,32 @@ def test_bin_of_puts_domain_max_in_last_bin():
     assert bin_of(binner, {"gpa": 0.0, "dept": "cs"}, "gpa").lo == 0.0
 
 
-def ref_bin_of(schema, spec, attr, value):
-    """The bin of one value, found per value by walking the edges, with no
-    division: bin i is [edge i, edge i+1), the last closed above, where
-    edge i is lo + i * width below the count and the last edge is hi. So
-    the bins tile the domain, and each value lies in its bin."""
-    mode = spec.get(attr, "none")
-    if mode == "none":
-        return Interval.point(value)
+def ref_edges(schema, spec, attr):
+    mode = spec[attr]
     sch = schema[attr]
     width = (sch.hi - sch.lo) / mode
-    edges = [sch.lo + i * width for i in range(mode)] + [sch.hi]
-    i = next((i for i in range(mode - 1) if value < edges[i + 1]), mode - 1)
-    return Interval(edges[i], edges[i + 1], False, i < mode - 1)
+    return [sch.lo + i * width for i in range(mode)] + [sch.hi]
+
+
+def ref_bin_key(schema, spec, attr, value):
+    """The bin number of one value, found per value by walking the edges,
+    with no division, or the value itself when the attribute is unbinned."""
+    mode = spec.get(attr, "none")
+    if mode == "none":
+        return value
+    edges = ref_edges(schema, spec, attr)
+    return next((i for i in range(mode - 1) if value < edges[i + 1]), mode - 1)
+
+
+def ref_bin_of(schema, spec, attr, value):
+    """The bin of one value: bin i is [edge i, edge i+1), the last closed
+    above, where edge i is lo + i * width below the count and the last edge
+    is hi. So the bins tile the domain, and each value lies in its bin."""
+    i = ref_bin_key(schema, spec, attr, value)
+    if spec.get(attr, "none") == "none":
+        return Interval.point(value)
+    edges = ref_edges(schema, spec, attr)
+    return Interval(edges[i], edges[i + 1], False, i < spec[attr] - 1)
 
 
 def test_bin_table_matches_per_value_binning():
@@ -504,10 +663,15 @@ def test_bin_table_matches_per_value_binning():
             point = {"lat": rng.uniform(-90.0, 90.0), "gpa": rng.uniform(0.0, 4.0),
                      "odd": rng.uniform(-0.3, 0.7), "floors": rng.randint(1, 60),
                      "tag": rng.choice(["", "a", "bca"])}
-            want = tuple(Term(a, ref_bin_of(schema, spec, a, v))
+            want = tuple(ref_bin_of(schema, spec, a, v)
                          for a, v in sorted(point.items()))
-            got = binner.terms_for(point)
+            keys = binner.keys_for(point)
+            got = tuple(binner.interval(a, k) for a, k in zip(binner.attrs, keys))
             assert got == want and hash(got) == hash(want)
+            # a binned attribute is keyed by its bin number, a point-binned
+            # one by the value itself
+            assert keys == [ref_bin_key(schema, spec, a, v)
+                            for a, v in sorted(point.items())]
 
 
 def test_every_value_lies_in_its_bin_and_neighbouring_bins_share_edges():
@@ -546,7 +710,7 @@ def test_binner_rejects_a_count_whose_edges_do_not_increase():
     schema = {"x": AttributeSchema("x", "float", 1e15, 1e15 + 1)}
     with pytest.raises(ValueError, match="do not strictly increase"):
         Binner(schema, {"x": 65_536})
-    assert Binner(schema, {"x": 8}).terms_for({"x": 1e15 + 1})[0].bin.hi == 1e15 + 1
+    assert bin_of(Binner(schema, {"x": 8}), {"x": 1e15 + 1}, "x").hi == 1e15 + 1
 
 
 def test_a_value_on_a_rounded_bin_edge_is_found_by_queries():

@@ -179,9 +179,9 @@ def test_rebuild_region_restriction_is_a_subset():
     half = Region.whole(SCHEMA).narrowed("gpa", Interval(0.0, 2.0, False, True))
     part = rebuild_index(rep, binner, region=half)
     assert part.visible_count() <= full.visible_count()
-    full_tags = {s for posting in full.terms.values()
+    full_tags = {s for posting in full.postings.values()
                  for tags in posting.values() for s in tags}
-    part_tags = {s for posting in part.terms.values()
+    part_tags = {s for posting in part.postings.values()
                  for tags in posting.values() for s in tags}
     assert part_tags <= full_tags
     assert all(rep.get(part.tag_info[t][0]) is not None for t in part_tags)

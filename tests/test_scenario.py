@@ -365,6 +365,26 @@ def test_adaptive_leaves_switch_at_most_once_per_tick():
     assert switches > 0
 
 
+@pytest.mark.parametrize("mode", ["log", "delta", "adaptive"])
+@pytest.mark.parametrize("first, then", [(2.0, 2), (-0.0, 0.0), (0.0, -0.0)])
+def test_an_unbinned_float_written_two_ways_verifies(mode, first, then):
+    # the store takes 2 and 2.0 alike (and -0.0 and 0.0), and a point bin
+    # keeps whichever of them was posted first: a leaf that posted k2 first
+    # and its rebuild, which posts k1 first, must serialize alike
+    raw = minimal(binning={"x": "none"}, tree={"repl_mode": mode},
+                  verify={"oracle": True}, workload=[
+        {"t": 2, "op": "put", "dc": "dc1", "key": "k1", "attrs": {"x": 5.0}},
+        {"t": 4, "op": "put", "dc": "dc1", "key": "k2", "attrs": {"x": first}},
+        {"t": 6, "op": "put", "dc": "dc1", "key": "k1", "attrs": {"x": then}},
+        {"t": 40, "op": "query", "dc": "dc1", "text": f"x = {then}"},
+    ])
+    report = run_scenario(parse_scenario(raw))
+    assert all(ln.startswith("PASS") for ln in report.verify_lines), \
+        report.verify_lines
+    assert any(ln.startswith("PASS index") for ln in report.verify_lines)
+    assert sorted(report.results[0].keys) == ["k1", "k2"]
+
+
 def test_touching_partition_windows_run_and_verify():
     workload = minimal()["workload"] + [
         {"t": 2, "op": "partition", "a": "dc1", "b": "dc2", "until": 6},

@@ -6,13 +6,15 @@
 Each line names a run and gives the SHA-256 of everything it outputs: the
 metrics CSV, traces.txt, the verify lines and runtime errors, each result's
 sorted keys, clock, claim, target, stats and error, and the messages
-delivered, the final tick and the scrub count. The 54 runs are:
+delivered, the final tick and the scrub count. The 57 runs are:
 
 - bench churn, readheavy and ingest at scale 1, seeds 1-3, in the
   workload's own replication mode and in delta mode, oracle off and on
 - each bundled scenario in log, delta and adaptive mode, oracle on
 - students.json with its history cut on the text attribute Major first
   (TEXT_CUT), in log, delta and adaptive mode, oracle on
+- students.json with GPA unbinned, the only run whose numeric postings
+  are keyed by value, in log, delta and adaptive mode, oracle on
 
 Outputs that must not change give equal lines under `diff`, between two
 checkouts or between two PYTHONHASHSEED values. The tool reads bench's
@@ -80,6 +82,11 @@ def runs(root: Path):
         doc = json.loads((root / "scenarios" / "students.json").read_text())
         doc["tree"].update(history=TEXT_CUT, repl_mode=mode)
         yield f"students.json Major cut {mode} oracle on", doc, True
+    for mode in ("log", "delta", "adaptive"):
+        doc = json.loads((root / "scenarios" / "students.json").read_text())
+        doc["binning"] = {"GPA": "none"}
+        doc["tree"]["repl_mode"] = mode
+        yield f"students.json GPA unbinned {mode} oracle on", doc, True
 
 
 def main(argv=None) -> int:
