@@ -3,7 +3,7 @@ tree over a weakly consistent, multi-datacenter object store."""
 
 from .crdt_index import Binner, CrdtIndex
 from .geostore import DcReplica, GeoStore, LogEntry, SchemaError, Stamp
-from .oracle import rebuild_index, replay_matches, replay_to, scan
+from .oracle import rebuild_index, scan
 from .qpu import (
     Coordinator,
     MergeRefused,

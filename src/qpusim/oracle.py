@@ -1,23 +1,39 @@
 """Reference answers computed directly from replica state.
 
 Everything here is independent of the tree, the cache, and the index
-structures: full scans with exact bounds, log folds to a clock,
-from-scratch index rebuilds, a check of each routed target against its
-staleness level, and a check of result-cache hits against the logs. Tests
-and the verify tooling compare the fast paths against these.
+structures: it reads only each replica's log and its winners
+(`DcReplica.log` and `DcReplica.objects`). It gives full scans with exact
+bounds, views kept up to date from the log, from-scratch index rebuilds, a
+check of each routed target against its staleness level, and a check of
+result-cache hits against the logs. Tests and the verify tooling compare
+the fast paths against these.
 
-`replay_to` and `replay_matches` have no caller on the run path: they are
-the reference state at a clock that the bounded-staleness acceptance check
-(check 4 in tests/test_acceptance.py) compares answers against.
+Both per-query checks pay for the writes since their last use, not for the
+whole live state, as in incremental view maintenance (Gupta and Mumick,
+IEEE Data Eng. Bull. 1995):
+- `ScanViews` answers an expression's first use at a replica with a full
+  `scan`, and from its second use keeps its match set, caught up from the
+  log entries past a cursor. A fixed sample of view answers is checked
+  against a full scan as well.
+- `HitCheck` keeps, from a rectangle key's second hit, the last-writer-wins
+  state folded to the last clock it checked, and folds a later clock
+  forward from it.
+
+Each table is capped at `CAP` entries, the least recently used dropped
+first, so what the oracle holds is bounded by the live data and the cap,
+not by the run's history.
 """
 
 from __future__ import annotations
 
 from .crdt_index import Binner, CrdtIndex
-from .geostore import DcReplica, GeoStore, Stamp
+from .geostore import DcReplica, GeoStore, LogEntry
 from .regions import Region
-from .router import Query, eval_expr, rect_match
+from .router import Query, eval_expr, rect_match, render
 from .staleness import Level, StalenessLevel, VectorClock
+
+# entries per table: first uses, views and hit-check frontiers, each
+CAP = 256
 
 
 def scan(replica: DcReplica, q: Query) -> set[str]:
@@ -31,32 +47,101 @@ def scan(replica: DcReplica, q: Query) -> set[str]:
     return out
 
 
-def replay_to(replica: DcReplica, target: VectorClock) -> dict[str, dict]:
-    """Fold the local log up to `target` and return key -> attrs as of that
-    clock. The fold is last-writer-wins on stamps, the same rule the store
-    applies, so it reproduces the state any replica would hold at `target`."""
-    for dc, seq in target.entries.items():
-        if seq > replica.heads.get(dc):
-            raise ValueError(f"target {target!r} is beyond local history for {dc}")
-    return _fold_logs(replica.log, target)
+def _touch(table: dict, key, value):
+    """Store `value` as `key`'s most recent use; past CAP, drop the least
+    recently used entry."""
+    table[key] = value
+    if len(table) > CAP:
+        del table[next(iter(table))]
 
 
-def _fold_logs(logs: dict[str, list], clock: VectorClock) -> dict[str, dict]:
-    """Last-writer-wins fold of each origin's log prefix `logs[origin]`
-    up to the clock's seq for it: key -> attrs of the version with the
-    highest stamp, leaving out keys whose winner is a delete."""
-    winners: dict[str, tuple[Stamp, dict | None]] = {}
-    for origin, seq in sorted(clock.entries.items()):
-        for entry in logs[origin][:seq]:
-            cur = winners.get(entry.key)
-            if cur is None or entry.stamp > cur[0]:
-                winners[entry.key] = (entry.stamp, entry.attrs)
-    return {k: attrs for k, (_, attrs) in winners.items() if attrs is not None}
+class _View:
+    __slots__ = ("expr", "keys", "at")
+
+    def __init__(self, expr, keys: set[str], at: VectorClock):
+        self.expr = expr  # held, so its id names no other expression
+        self.keys = keys  # what the expression selects at `at`
+        self.at = at  # the replica's heads, a cursor into each origin log
 
 
-def replay_matches(replica: DcReplica, target: VectorClock, q: Query) -> set[str]:
-    state = replay_to(replica, target)
-    return {k for k, attrs in state.items() if eval_expr(q.expr, attrs)}
+class ScanViews:
+    """Each query's reference answer: the keys whose current winner at the
+    origin replica is a write the expression selects. Call it as
+    (replica, query). The set it returns may be a view's own: the caller
+    reads it before the next call and does not mutate it.
+
+    An expression's first use at a replica is a full scan. Its second use
+    scans again and keeps the result as a view, with the replica's heads as
+    a cursor into each origin's log. A later use catches the view up from
+    the entries past the cursor and re-tests each key they touch against
+    its current winner, `replica.objects[key]`, not against the entry: an
+    entry that lost last-writer-wins changes nothing. The view catches up
+    when read, not from the replica's apply feed, because a coordinator
+    completes parked queries inside that feed, before any later subscriber
+    has seen the entry.
+
+    Every `SAMPLE`-th view answer is checked against a full scan too; a
+    difference is reported by `lines` as a FAIL oracle line, and the view
+    takes the scan's answer. `full_scan` is the scan that first uses and
+    samples run."""
+
+    SAMPLE = 64
+
+    def __init__(self, full_scan=scan):
+        self.full_scan = full_scan
+        # keyed by (replica, id of the expression): hashing an expression
+        # walks its tree, and a scenario parses each distinct one once
+        self._first: dict[tuple, object] = {}  # -> expression, oldest use first
+        self._views: dict[tuple, _View] = {}  # ditto
+        self.served = 0  # answers given by a view
+        self.failures: list[str] = []
+
+    def __call__(self, replica: DcReplica, q: Query) -> set[str]:
+        expr = q.expr
+        tag = (replica.name, id(expr))
+        view = self._views.pop(tag, None)
+        if view is None:
+            keys = self.full_scan(replica, q)
+            if self._first.pop(tag, None) is None:
+                _touch(self._first, tag, expr)
+            else:
+                _touch(self._views, tag, _View(expr, keys, replica.heads))
+            return keys
+        self._catch_up(view, replica, expr)
+        _touch(self._views, tag, view)
+        self.served += 1
+        if self.served % self.SAMPLE == 0:
+            keys = self.full_scan(replica, q)
+            if keys != view.keys:
+                self.failures.append(
+                    f"{replica.name} view of {render(q)} differs from a full "
+                    f"scan (extra {sorted(view.keys - keys)}, missing "
+                    f"{sorted(keys - view.keys)})")
+                view.keys = keys
+        return view.keys
+
+    @staticmethod
+    def _catch_up(view: _View, replica: DcReplica, expr):
+        heads = replica.heads  # one snapshot per replica state
+        if view.at is heads:
+            return
+        at, objects, keys = view.at, replica.objects, view.keys
+        for origin, entries in replica.log.items():
+            for entry in entries[at.get(origin):]:
+                key = entry.key
+                # a key whose winner changed past the cursor has its winner
+                # among these entries; an entry that lost changes nothing
+                if objects[key] is not entry:
+                    continue
+                attrs = entry.attrs
+                if attrs is not None and eval_expr(expr, attrs):
+                    keys.add(key)
+                else:
+                    keys.discard(key)
+        view.at = heads
+
+    def lines(self) -> list[str]:
+        return [f"FAIL oracle: {msg}" for msg in self.failures]
 
 
 def target_fault(level: StalenessLevel, target: VectorClock,
@@ -104,6 +189,31 @@ def rebuild_index(replica: DcReplica, binner: Binner,
     return idx
 
 
+class _Frontier:
+    __slots__ = ("clock", "state", "need", "memo")
+
+    def __init__(self):
+        self.clock = VectorClock()  # what `state` and `need` are folded to
+        self.state: dict[str, LogEntry] = {}  # key -> winning entry at clock
+        self.need: set[str] = set()  # keys whose winner lies in the rects
+        self.memo = None  # (hit clock, hit keys, need at that clock - keys)
+
+
+def _fold(state: dict[str, LogEntry], logs: dict[str, list[LogEntry]],
+          since: VectorClock, clock: VectorClock) -> set[str]:
+    """Fold each origin's log entries past `since` up to `clock` into
+    `state`, key -> winning entry by last-writer-wins on stamps, the rule
+    the store applies. Returns the keys whose winner changed."""
+    touched = set()
+    for origin, seq in clock.entries.items():
+        for entry in logs[origin][since.get(origin):seq]:
+            cur = state.get(entry.key)
+            if cur is None or entry.stamp > cur.stamp:
+                state[entry.key] = entry
+                touched.add(entry.key)
+    return touched
+
+
 class HitCheck:
     """Checks the root's result-cache hits against the origin logs.
 
@@ -113,40 +223,66 @@ class HitCheck:
     when every key whose last-writer-wins version at C is a write lying in
     some rectangle of R is in H or has an entry past C in o's log. The
     versions at C are folded from each origin's own log. Call it as
-    (actor, o, R, H, C) when the hit is served; `lines` reports the result.
+    (actor, o, R, key of R, H, C) when the hit is served; `lines` reports
+    the result.
+
+    A rectangle key's first hit folds from scratch and keeps nothing, as
+    most rectangle keys of a write-heavy run are hit once. From its second
+    hit on, the key keeps one frontier: the versions folded to the last
+    clock it checked, and the keys among them that need to be in a hit. A
+    clock that dominates the frontier folds forward only the entries in
+    between, and re-tests only the keys they touch; any other clock folds
+    from scratch. The frontier also memoizes the last hit's residue, need
+    less H, which is almost always empty, so a repeat hit on the same
+    entry settles at once.
     """
 
     def __init__(self, store: GeoStore):
         self.store = store
         self.checked = 0
         self.failures: list[str] = []
-        self._states: dict[VectorClock, dict[str, dict]] = {}  # by C
-        self._needed: dict[tuple, set[str]] = {}  # by (C, rectangle keys)
+        # by rectangle key, oldest use first
+        self._first: dict[tuple, bool] = {}  # keys hit once
+        self._fronts: dict[tuple, _Frontier] = {}
 
-    def __call__(self, actor: str, origin_dc: str, rects, keys,
-                 clock: VectorClock):
+    def __call__(self, actor: str, origin_dc: str, rects, rects_key: tuple,
+                 keys, clock: VectorClock):
         self.checked += 1
-        memo = (clock, tuple(r.key() for r in rects))
-        need = self._needed.get(memo)
-        if need is None:
-            need = self._needed[memo] = {
-                k for k, attrs in self._state_at(clock).items()
-                if rect_match(rects, attrs)}
-        missing = need.difference(keys)
+        front = self._fronts.pop(rects_key, None)
+        if front is None and self._first.pop(rects_key, None) is None:
+            _touch(self._first, rects_key, True)
+            missing = self._advance(None, rects, clock).need.difference(keys)
+        else:
+            memo = None if front is None else front.memo
+            if memo is None or memo[0] is not clock or memo[1] is not keys:
+                front = self._advance(front, rects, clock)
+                memo = front.memo = (clock, keys, front.need.difference(keys))
+            _touch(self._fronts, rects_key, front)
+            missing = memo[2]
         if missing:
             replica = self.store.replicas[origin_dc]
-            missing -= {e.key for e in replica.entries_after(clock)}
+            missing = missing - {e.key for e in replica.entries_after(clock)}
         if missing:
             self.failures.append(
                 f"{actor}: hit at {clock!r} for a probe from {origin_dc} "
                 f"misses {sorted(missing)}")
 
-    def _state_at(self, clock: VectorClock) -> dict[str, dict]:
-        state = self._states.get(clock)
-        if state is None:
-            state = self._states[clock] = _fold_logs(
-                {o: r.log[o] for o, r in self.store.replicas.items()}, clock)
-        return state
+    def _advance(self, front: _Frontier | None, rects,
+                 clock: VectorClock) -> _Frontier:
+        """`front` folded to `clock`: forward when the clock dominates it,
+        else a new frontier folded from scratch."""
+        if front is None or not clock.dominates(front.clock):
+            front = _Frontier()
+        state, need = front.state, front.need
+        logs = {o: r.log[o] for o, r in self.store.replicas.items()}
+        for key in _fold(state, logs, front.clock, clock):
+            attrs = state[key].attrs
+            if attrs is not None and rect_match(rects, attrs):
+                need.add(key)
+            else:
+                need.discard(key)
+        front.clock = clock
+        return front
 
     def lines(self) -> list[str]:
         if self.failures:

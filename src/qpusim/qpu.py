@@ -354,7 +354,7 @@ class Qpu:
             if e is not None:
                 if self.net.check_hit is not None:
                     self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
-                                       e.keys, e.clock)
+                                       probe.plan.key, e.keys, e.clock)
                 if e.hit_line is None:
                     e.hit_line = self._line("cache-hit", e.clock)
                 self._respond(probe, e.keys, e.clock, e.ceiling,
@@ -742,8 +742,9 @@ class QpuNetwork:
         # only DC names can bring a delimiter, quote or line break into a
         # row; the lag field is then quoted as the csv module would
         self._quote_lag = any(c in d for d in store.dcs for c in ',"\r\n')
-        # called as (actor, origin dc, rects, keys, clock) on every cache
-        # hit when set; run_scenario sets it to the oracle's hit check
+        # called as (actor, origin dc, rects, their key, keys, clock) on
+        # every cache hit when set; run_scenario sets it to the oracle's
+        # hit check
         self.check_hit = None
         self._qn = 0
         self._ids: dict[str, int] = {}

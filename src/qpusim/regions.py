@@ -127,10 +127,6 @@ class Interval(NamedTuple):
     def point(cls, v) -> "Interval":
         return cls(v, v, False, False)
 
-    def is_empty(self) -> bool:
-        lo, hi, lo_open, hi_open = self
-        return _below(hi, lo) or ((lo_open or hi_open) and _beq(lo, hi))
-
     def contains(self, v) -> bool:
         """True when v lies in the interval. A hi of None (text axes only)
         bounds nothing above, so the interval holds every v >= lo, or > lo

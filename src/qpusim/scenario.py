@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .crdt_index import Binner
 from .geostore import GeoStore
-from .oracle import HitCheck, rebuild_index, scan, target_fault
+from .oracle import HitCheck, ScanViews, rebuild_index, scan, target_fault
 from .qpu import (
     METRICS_COLUMNS,
     MergeRefused,
@@ -367,6 +367,7 @@ def run_scenario(sc: Scenario, trace: bool = False,
     sim, store, net = build_scenario(sc, trace=trace)
     if oracle:
         net.check_hit = HitCheck(store)
+        views = ScanViews(scan)  # full scans go through this module's scan
     results: list[QueryResult] = []
     verify_lines: list[str] = []
     runtime_errors: list[str] = []
@@ -379,7 +380,7 @@ def run_scenario(sc: Scenario, trace: bool = False,
             if not oracle:
                 return
             replica = store.replicas[query.origin_dc]
-            want = scan(replica, query)
+            want = views(replica, query)
             if res.keys != want:
                 verify_lines.append(
                     f"FAIL query {res.query_id}: keys diverge from full scan "
@@ -421,6 +422,7 @@ def run_scenario(sc: Scenario, trace: bool = False,
     sim.run_until_quiescent(max_ticks=sc.max_ticks, max_events=sc.max_events)
     if oracle:
         verify_lines.extend(_verify_end_state(net, scrubbed))
+        verify_lines.extend(views.lines())
         verify_lines.extend(net.check_hit.lines())
     return RunReport(sc, sim, store, net, results, verify_lines,
                      runtime_errors, scrubbed)

@@ -173,11 +173,6 @@ class Simulation:
             item()
         return True
 
-    def run_until(self, tick: int):
-        while self._heap and self._heap[0][0] <= tick:
-            self.step()
-        self.now = max(self.now, tick)
-
     def run_until_quiescent(self, max_ticks: int = 1_000_000,
                             max_events: int = 5_000_000) -> int:
         """Drain the queue; open partition windows keep it non-empty until

@@ -17,6 +17,7 @@ from qpusim import (
     SelectivityConfig,
     Simulation,
     TreeConfig,
+    eval_expr,
     parse,
     route,
 )
@@ -144,11 +145,62 @@ def ref_lookup(index, rect):
     return {index.tag_info[tag][0] for tag in cand}
 
 
+def run_until(sim, tick):
+    """Step every event due by `tick`, then move the clock to it."""
+    while sim._heap and sim._heap[0][0] <= tick:
+        sim.step()
+    sim.now = max(sim.now, tick)
+
+
+# -- reference state at a clock ------------------------------------------------
+#
+# No run path reads a replica's state as of an earlier clock. The
+# bounded-staleness acceptance check and the oracle tests compare against
+# these folds of the logs.
+
+
+def fold_logs(logs, clock):
+    """Key -> winning log entry, by last-writer-wins on stamps, over each
+    origin's log prefix `logs[origin]` up to the clock's seq for it."""
+    winners = {}
+    for origin, seq in clock.entries.items():
+        for entry in logs[origin][:seq]:
+            cur = winners.get(entry.key)
+            if cur is None or entry.stamp > cur.stamp:
+                winners[entry.key] = entry
+    return winners
+
+
+def replay_to(replica, target):
+    """Key -> attrs as of `target`, folded from the replica's own log; keys
+    whose winner is a delete are left out."""
+    for dc, seq in target.entries.items():
+        if seq > replica.heads.get(dc):
+            raise ValueError(f"target {target!r} is beyond local history for {dc}")
+    return {k: e.attrs for k, e in fold_logs(replica.log, target).items()
+            if e.attrs is not None}
+
+
+def replay_matches(replica, target, q):
+    return {k for k, attrs in replay_to(replica, target).items()
+            if eval_expr(q.expr, attrs)}
+
+
 # -- reference rectangle subtraction -------------------------------------------
 #
 # The package covers a probe by intersection alone, since a node's children
 # are one cut of its region. Tests that check a cover leaves nothing out
 # subtract with these.
+
+
+def interval_is_empty(iv):
+    """Whether interval iv holds no value; a hi of None bounds nothing."""
+    lo, hi, lo_open, hi_open = iv
+    if hi is None:
+        return lo is None and (lo_open or hi_open)
+    if lo is None:
+        return True
+    return hi < lo or ((lo_open or hi_open) and lo == hi)
 
 
 def ref_interval_subtract(x, y):
@@ -158,11 +210,11 @@ def ref_interval_subtract(x, y):
         return [x]
     out = []
     left = Interval(x.lo, cut.lo, x.lo_open, not cut.lo_open)
-    if not left.is_empty():
+    if not interval_is_empty(left):
         out.append(left)
     if cut.hi is not None:
         right = Interval(cut.hi, x.hi, not cut.hi_open, x.hi_open)
-        if not right.is_empty():
+        if not interval_is_empty(right):
             out.append(right)
     return out
 

@@ -21,7 +21,6 @@ from qpusim import (
     metrics_csv,
     parse,
     rebuild_index,
-    replay_matches,
     route,
     run_scenario,
     scan,
@@ -38,6 +37,7 @@ from conftest import (
     random_partition,
     random_rect,
     ref_uncovered,
+    replay_matches,
     student_schema,
     wide_schema,
 )

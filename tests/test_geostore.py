@@ -2,7 +2,7 @@ import random
 
 from qpusim import DcReplica, LogEntry, Stamp, VectorClock
 
-from conftest import build, random_student, student_schema
+from conftest import build, random_student, run_until, student_schema
 
 
 def test_first_write_gets_seq_one_and_origin_stamp():
@@ -53,7 +53,7 @@ def test_get_before_propagation_sees_stale_value():
     sim, store, net = build(dcs=("dc1", "dc2"), inter=50)
     sim.at(1, lambda: store.put("dc2", "k", {"gpa": 0.5, "dept": "old"}))
     sim.at(2, lambda: store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"}))
-    sim.run_until(10)
+    run_until(sim, 10)
     # dc2 has not yet received dc1's later write
     assert store.replicas["dc2"].get("k")["dept"] == "old"
     sim.run_until_quiescent()

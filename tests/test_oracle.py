@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -11,13 +12,25 @@ from qpusim import (
     VectorClock,
     parse,
     rebuild_index,
-    replay_matches,
-    replay_to,
     scan,
 )
-from qpusim.oracle import target_fault
+from qpusim import oracle, qpu
+from qpusim.oracle import HitCheck, ScanViews, target_fault
+from qpusim.qpu import Coordinator
+from qpusim.router import rect_match
+from qpusim.scenario import parse_scenario, run_scenario
 
-from conftest import ask, build, fill, random_student, student_schema
+from conftest import (
+    LOWER,
+    ask,
+    build,
+    fill,
+    fold_logs,
+    random_student,
+    replay_matches,
+    replay_to,
+    student_schema,
+)
 
 SCHEMA = student_schema()
 
@@ -212,3 +225,206 @@ def test_target_fault_checks_each_level_on_its_own():
     sim.run_until_quiescent()
     assert fault(SL.snapshot(), {"dc1": 3, "dc2": 1}) is None
     assert fault(SL.snapshot(), {"dc1": 4}) is not None
+
+
+# -- the oracle's views and forward folds -------------------------------------
+
+TEMPLATES = ("gpa >= 2.0", 'gpa < 1.5 OR dept = "cs"',
+             'dept = "math" AND gpa > 0.5', "gpa > 3.0 AND gpa <= 3.5")
+LEVELS = ("any", "strong", "bounded:3", "snapshot")
+
+
+def mixed_doc(seed, mode):
+    """Four query templates asked again and again from three DCs among
+    writes and deletes, with a partition, a split and a merge. dc2's write
+    of `late` during the partition reaches dc1 after dc1's own later write
+    of it, and loses there."""
+    rng = random.Random(seed)
+    acts = []
+    for t in range(2, 400):
+        dc = rng.choice(("dc1", "dc2", "dc3"))
+        r = rng.random()
+        if r < 0.5:
+            text = f"{rng.choice(TEMPLATES)} FRESHNESS {rng.choice(LEVELS)}"
+            acts.append({"t": t, "op": "query", "dc": dc, "text": text})
+        elif r < 0.58:
+            acts.append({"t": t, "op": "delete", "dc": dc,
+                         "key": f"k{rng.randrange(30)}"})
+        else:
+            acts.append({"t": t, "op": "put", "dc": dc,
+                         "key": f"k{rng.randrange(30)}",
+                         "attrs": random_student(rng)})
+    acts += [
+        {"t": 100, "op": "partition", "a": "dc1", "b": "dc2", "until": 180},
+        {"t": 120, "op": "put", "dc": "dc2", "key": "late",
+         "attrs": {"gpa": 3.2, "dept": "cs"}},
+        {"t": 125, "op": "put", "dc": "dc1", "key": "late",
+         "attrs": {"gpa": 1.0, "dept": "art"}},
+        {"t": 150, "op": "force-split", "qpu": "qpu/dc3/h0"},
+        {"t": 300, "op": "force-merge", "a": "qpu/dc3/h0.a",
+         "b": "qpu/dc3/h0.b"},
+    ]
+    acts.sort(key=lambda a: a["t"])
+    return {
+        "name": f"mixed-{seed}-{mode}", "seed": seed,
+        "dcs": ["dc1", "dc2", "dc3"],
+        "schema": {"gpa": {"kind": "float", "lo": 0.0, "hi": 4.0},
+                   "dept": {"kind": "text", "alphabet": LOWER}},
+        "binning": {"gpa": 8},
+        "net": {"intra_dc_delay": 1, "inter_dc_delay": 5, "jitter": 4,
+                "dup_prob": 0.1},
+        "tree": {"root_dc": "dc1", "repl_mode": mode, "gossip_every": 5},
+        "verify": {"oracle": True},
+        "workload": acts,
+    }
+
+
+MIXED = [(seed, mode) for seed in (1, 2, 3)
+         for mode in ("log", "delta", "adaptive")]
+
+
+def run_mixed(seed, mode):
+    report = run_scenario(parse_scenario(mixed_doc(seed, mode)))
+    assert not report.runtime_errors
+    return report
+
+
+def test_every_view_answer_equals_a_full_scan(monkeypatch):
+    # with every view answer sampled, a view that differs from a full scan
+    # at any query prints FAIL oracle
+    monkeypatch.setattr(ScanViews, "SAMPLE", 1)
+    seen = {"served": 0, "in_feed": 0, "late_lost": 0}
+    feeding = []
+    call, on_feed = ScanViews.__call__, Coordinator._on_feed
+
+    def counted_call(self, replica, q):
+        before = self.served
+        keys = call(self, replica, q)
+        if self.served > before:
+            seen["served"] += 1
+            seen["in_feed"] += bool(feeding)
+        return keys
+
+    def counted_feed(self, entry):
+        if entry.key == "late" and self.replica.objects["late"] is not entry:
+            seen["late_lost"] += 1
+        feeding.append(entry)
+        try:
+            on_feed(self, entry)
+        finally:
+            feeding.pop()
+
+    monkeypatch.setattr(ScanViews, "__call__", counted_call)
+    monkeypatch.setattr(Coordinator, "_on_feed", counted_feed)
+    for seed, mode in MIXED:
+        report = run_mixed(seed, mode)
+        assert report.verify_ok, (seed, mode, [
+            ln for ln in report.verify_lines if ln.startswith("FAIL")])
+    # the views answered most queries, some of them inside a replica's
+    # apply callback, where a coordinator completes a parked query; dc2's
+    # losing write arrived late at dc1 in every run
+    assert seen["served"] > 1000
+    assert seen["in_feed"] > 0
+    assert seen["late_lost"] == len(MIXED)
+
+
+def test_every_forward_fold_equals_a_fold_from_scratch(monkeypatch):
+    forward = 0
+    advance = HitCheck._advance
+
+    def checked_advance(self, front, rects, clock):
+        nonlocal forward
+        forward += front is not None and clock.dominates(front.clock)
+        front = advance(self, front, rects, clock)
+        logs = {o: r.log[o] for o, r in self.store.replicas.items()}
+        want = {k for k, e in fold_logs(logs, clock).items()
+                if e.attrs is not None and rect_match(rects, e.attrs)}
+        assert front.clock == clock and front.need == want
+        return front
+
+    monkeypatch.setattr(HitCheck, "_advance", checked_advance)
+    hits = 0
+    for seed, mode in MIXED:
+        report = run_mixed(seed, mode)
+        assert report.verify_ok
+        hits += report.net.root.cache.hits
+    assert forward > 50 and hits > forward
+
+
+def test_a_dropped_key_on_a_repeated_plan_fails_the_query(monkeypatch):
+    # a planted defect: from a plan's second use on, the candidate check
+    # (handed a compiled predicate) loses the smallest key it keeps
+    check = qpu.candidate_check
+
+    def lossy(keys, pred, store, dc):
+        kept, removed = check(keys, pred, store, dc)
+        if pred is not None and not isinstance(pred, partial) and kept:
+            kept = kept - {min(kept)}
+        return kept, removed
+
+    monkeypatch.setattr(qpu, "candidate_check", lossy)
+    served = 0
+    call = ScanViews.__call__
+
+    def counted_call(self, replica, q):
+        nonlocal served
+        keys = call(self, replica, q)
+        served = self.served
+        return keys
+
+    monkeypatch.setattr(ScanViews, "__call__", counted_call)
+    report = run_scenario(parse_scenario(mixed_doc(1, "log")))
+    failed = [ln for ln in report.verify_lines if ln.startswith("FAIL query")]
+    assert served > 100 and len(failed) > 100
+    assert all("missing ['" in ln for ln in failed)
+
+
+def test_a_corrupted_view_fails_the_sampled_full_scan(monkeypatch):
+    catch_up = ScanViews._catch_up
+
+    def corrupt(view, replica, expr):
+        catch_up(view, replica, expr)
+        view.keys.add("planted")
+
+    monkeypatch.setattr(ScanViews, "_catch_up", staticmethod(corrupt))
+    report = run_scenario(parse_scenario(mixed_doc(2, "delta")))
+    bad = [ln for ln in report.verify_lines if ln.startswith("FAIL oracle")]
+    assert bad and all("extra ['planted']" in ln for ln in bad)
+
+
+def test_views_stay_bounded_and_match_a_full_scan():
+    # 1,000 distinct expressions at one replica, each used three times
+    # among writes and deletes (a first use, the use that makes its view,
+    # and one that catches the view up), then 1,000 more used once
+    rep = DcReplica("dc1", SCHEMA)
+    rng = random.Random(11)
+    views = ScanViews()
+    tick = 0
+
+    def write():
+        nonlocal tick
+        tick += 1
+        key = f"k{rng.randrange(60)}"
+        if rng.random() < 0.1:
+            rep.delete(key, tick)
+        else:
+            rep.put(key, random_student(rng), tick)
+
+    def ask_and_write(q):
+        assert views(rep, q) == scan(rep, q)
+        write()
+
+    repeated = [parse(f"gpa > {i / 250:.3f}", SCHEMA) for i in range(1000)]
+    for q in repeated:
+        for _ in range(3):
+            ask_and_write(q)
+    assert views.served == 1000
+    assert len(views._views) == oracle.CAP
+    for i in range(1000):
+        ask_and_write(parse(f"gpa < {i / 250:.3f}", SCHEMA))
+    assert len(views._first) == oracle.CAP
+    # the oldest views were dropped; their expressions start over
+    for q in repeated[:10]:
+        ask_and_write(q)
+    assert views.served == 1000
+    assert not views.lines()

@@ -36,6 +36,7 @@ from conftest import (
     fill,
     random_student,
     ref_uncovered,
+    run_until,
     student_schema,
     wide_schema,
 )
@@ -514,9 +515,9 @@ def checked_root_hit(corrupt):
     text = "gpa > 2.0 FRESHNESS any"
     assert ask(net, text, "dc2").keys == {"k"}
     sim.partition("dc1", "dc2", sim.now, sim.now + 500)
-    sim.run_until(sim.now)
+    run_until(sim, sim.now)
     store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
-    sim.run_until(sim.now + 30)  # dc1 and dc3 have ingested the overwrite
+    run_until(sim, sim.now + 30)  # dc1 and dc3 have ingested the overwrite
     (entry,) = net.root.cache.entries.values()
     corrupt(entry)
     res = ask(net, text, "dc2")
@@ -542,6 +543,41 @@ def test_cache_check_flags_an_overwrite_pushed_into_a_root_entry():
     (line,) = check.lines()
     assert line.startswith("FAIL cache: qpu/root: hit at {dc1:1}")
     assert line.endswith("misses ['k']")
+
+
+def test_cache_check_folds_forward_to_a_key_written_between_two_hits(
+        monkeypatch):
+    # from their second hit, the check keeps the query's rectangles folded
+    # to the hit clock; a later entry that lacks a key written in between
+    # is checked by folding forward from there, which must still find the
+    # key missing
+    sim, store, net = quiesced(n=20, seed=3, rngseed=3, root_dc="dc3")
+    check = HitCheck(store)
+    net.check_hit = check
+    text = "gpa > 2.0 FRESHNESS any"
+    for _ in range(3):  # a miss, then two hits
+        ask(net, text, "dc2")
+    assert check.checked == 2
+    (key,) = net.root.cache.entries
+    front = check._fronts[key]
+    first = front.clock
+    store.put("dc1", "new", {"gpa": 3.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    insert = ResultCache.insert
+
+    def lossy(self, k, keys, clock, ceiling):
+        insert(self, k, tuple(x for x in keys if x != "new"), clock, ceiling)
+
+    monkeypatch.setattr(ResultCache, "insert", lossy)
+    assert "new" in ask(net, "gpa > 2.0 FRESHNESS strong", "dc2").keys
+    res = ask(net, text, "dc2")
+    assert res.stats["cache_hits"] == 1 and check.checked == 3
+    assert "new" not in res.keys
+    assert check._fronts[key] is front
+    assert front.clock != first and front.clock.dominates(first)
+    (line,) = check.lines()
+    assert line.startswith("FAIL cache: qpu/root: hit at ")
+    assert line.endswith("misses ['new']")
 
 
 def test_repeated_query_hits_the_root_cache_across_split_and_merge():
@@ -593,9 +629,9 @@ def test_root_cache_keeps_a_key_the_querying_dc_still_holds():
     text = "gpa > 2.0 FRESHNESS any"
     assert ask(net, text, "dc2").keys == {"k"}
     sim.partition("dc1", "dc2", sim.now, sim.now + 500)
-    sim.run_until(sim.now)
+    run_until(sim, sim.now)
     store.delete("dc1", "k")
-    sim.run_until(sim.now + 30)  # dc1 and dc3 have ingested the delete
+    run_until(sim, sim.now + 30)  # dc1 and dc3 have ingested the delete
     res = ask(net, text, "dc2")
     assert res.stats["cache_hits"] >= 1
     assert res.keys == scan(store.replicas["dc2"], parse("gpa > 2.0", SCHEMA))
@@ -705,11 +741,11 @@ def test_split_carries_the_removes_held_ahead_of_their_adds():
     sim, store, net = quiesced(n=20, seed=5, rngseed=5)
     start = sim.now
     sim.partition("dc2", "dc3", start, start + 200)
-    sim.run_until(start)
+    run_until(sim, start)
     first = store.put("dc2", "k", {"gpa": 1.0, "dept": "cs"})
-    sim.run_until(start + 50)
+    run_until(sim, start + 50)
     store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
-    sim.run_until(start + 100)
+    run_until(sim, start + 100)
     held = {(first.stamp.dc, first.stamp.seq)}
     assert net.nodes["qpu/dc3/h0"].index.removed == held
     halves = [net.nodes[a] for a in net.force_split("qpu/dc3/h0")]
