@@ -15,13 +15,17 @@ IEEE Data Eng. Bull. 1995):
   `scan`, and from its second use keeps its match set, caught up from the
   log entries past a cursor. A fixed sample of view answers is checked
   against a full scan as well.
-- `HitCheck` keeps, from a rectangle key's second hit, the last-writer-wins
-  state folded to the last clock it checked, and folds a later clock
-  forward from it.
+- `HitCheck` keeps, for each rectangle key a hit has used, the
+  last-writer-wins state folded to the last clock it checked, and folds a
+  later clock forward from it.
 
 Each table is capped at `CAP` entries, the least recently used dropped
-first, so what the oracle holds is bounded by the live data and the cap,
-not by the run's history.
+first, so what the oracle holds does not grow with the run's history. A
+hit-check frontier maps every live key to its winning entry (the entries
+themselves are the log's), so that table holds at most `CAP` folded states
+of the live keys. `CAP` is the root result cache's default capacity: at
+that capacity the check keeps a frontier for no more rectangle keys than
+the cache can hold.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from .regions import Region
 from .router import Query, eval_expr, rect_match, render
 from .staleness import Level, StalenessLevel, VectorClock
 
-# entries per table: first uses, views and hit-check frontiers, each
+# entries per table: first uses, views and hit-check frontiers, each; the
+# root result cache's default capacity
 CAP = 256
 
 
@@ -226,15 +231,13 @@ class HitCheck:
     (actor, o, R, key of R, H, C) when the hit is served; `lines` reports
     the result.
 
-    A rectangle key's first hit folds from scratch and keeps nothing, as
-    most rectangle keys of a write-heavy run are hit once. From its second
-    hit on, the key keeps one frontier: the versions folded to the last
-    clock it checked, and the keys among them that need to be in a hit. A
-    clock that dominates the frontier folds forward only the entries in
-    between, and re-tests only the keys they touch; any other clock folds
-    from scratch. The frontier also memoizes the last hit's residue, need
-    less H, which is almost always empty, so a repeat hit on the same
-    entry settles at once.
+    Each rectangle key keeps one frontier from its first hit: the versions
+    folded to the last clock it checked, and the keys among them that need
+    to be in a hit. A clock that dominates the frontier folds forward only
+    the entries in between, and re-tests only the keys they touch; any
+    other clock folds from scratch. The frontier also memoizes the last
+    hit's residue, need less H, which is almost always empty, so a repeat
+    hit on the same entry settles at once.
     """
 
     def __init__(self, store: GeoStore):
@@ -242,23 +245,18 @@ class HitCheck:
         self.checked = 0
         self.failures: list[str] = []
         # by rectangle key, oldest use first
-        self._first: dict[tuple, bool] = {}  # keys hit once
         self._fronts: dict[tuple, _Frontier] = {}
 
     def __call__(self, actor: str, origin_dc: str, rects, rects_key: tuple,
                  keys, clock: VectorClock):
         self.checked += 1
         front = self._fronts.pop(rects_key, None)
-        if front is None and self._first.pop(rects_key, None) is None:
-            _touch(self._first, rects_key, True)
-            missing = self._advance(None, rects, clock).need.difference(keys)
-        else:
-            memo = None if front is None else front.memo
-            if memo is None or memo[0] is not clock or memo[1] is not keys:
-                front = self._advance(front, rects, clock)
-                memo = front.memo = (clock, keys, front.need.difference(keys))
-            _touch(self._fronts, rects_key, front)
-            missing = memo[2]
+        memo = None if front is None else front.memo
+        if memo is None or memo[0] is not clock or memo[1] is not keys:
+            front = self._advance(front, rects, clock)
+            memo = front.memo = (clock, keys, front.need.difference(keys))
+        _touch(self._fronts, rects_key, front)
+        missing = memo[2]
         if missing:
             replica = self.store.replicas[origin_dc]
             missing = missing - {e.key for e in replica.entries_after(clock)}

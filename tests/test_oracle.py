@@ -428,3 +428,41 @@ def test_views_stay_bounded_and_match_a_full_scan():
         ask_and_write(q)
     assert views.served == 1000
     assert not views.lines()
+
+
+def test_hit_check_frontiers_stay_bounded():
+    # 1,000 distinct rectangle keys at one DC, each hit twice among writes
+    # and deletes, each hit holding exactly the keys its rectangles need:
+    # the check keeps at most CAP frontiers and finds nothing missing
+    sim, store, net = build(dcs=("dc1",))
+    rep = store.replicas["dc1"]
+    rng = random.Random(12)
+    check = HitCheck(store)
+    whole = Region.whole(SCHEMA)
+
+    def hit(rects, drop=None):
+        for _ in range(3):
+            key = f"k{rng.randrange(60)}"
+            if rng.random() < 0.1:
+                store.delete("dc1", key)
+            else:
+                store.put("dc1", key, random_student(rng))
+        need = {k for k, e in rep.objects.items()
+                if e.attrs is not None and rect_match(rects, e.attrs)}
+        check("t", "dc1", rects, rects[0].key(), need - {drop}, rep.heads)
+        return need
+
+    plans = [[whole.narrowed("gpa", Interval(i / 250, 4.0, False, False))]
+             for i in range(1000)]
+    for rects in plans:
+        hit(rects)
+        hit(rects)
+    assert len(check._fronts) == oracle.CAP
+    assert check.lines() == ["PASS cache: 2000 hits checked"]
+    # the oldest frontier was dropped; its key starts over from scratch and
+    # still finds a planted missing key
+    need = hit(plans[0])
+    assert need
+    hit(plans[0], drop=min(need))
+    (line,) = check.lines()
+    assert line.endswith(f"misses {[min(need)]}")

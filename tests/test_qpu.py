@@ -547,7 +547,7 @@ def test_cache_check_flags_an_overwrite_pushed_into_a_root_entry():
 
 def test_cache_check_folds_forward_to_a_key_written_between_two_hits(
         monkeypatch):
-    # from their second hit, the check keeps the query's rectangles folded
+    # from their first hit, the check keeps the query's rectangles folded
     # to the hit clock; a later entry that lacks a key written in between
     # is checked by folding forward from there, which must still find the
     # key missing
