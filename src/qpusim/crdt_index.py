@@ -327,9 +327,19 @@ class CrdtIndex:
 
     # -- serialization -------------------------------------------------------------------
 
+    def state(self) -> tuple:
+        """The visible state that `canonical` serializes, as a value to
+        compare with ==: the clock, the postings and each visible tag's
+        key. Two states of indexes over one binner are equal exactly when
+        their `canonical` bytes are. The clock and postings are the index's
+        own, not copies, so compare the state before the index changes."""
+        return (self.clock, self.postings,
+                {tag: key for tag, (key, _) in self.tag_info.items()})
+
     def canonical(self) -> bytes:
         """Stable byte form of the visible state: clock plus sorted postings.
-        Two converged replicas serialize identically."""
+        Two converged replicas serialize identically. The reference for
+        `state`, which the end-of-run check compares instead."""
         terms = []
         interval = self.binner.interval
         for attr, bins in self.postings.items():

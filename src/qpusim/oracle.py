@@ -6,7 +6,9 @@ structures: it reads only each replica's log and its winners
 bounds, views kept up to date from the log, from-scratch index rebuilds, a
 check of each routed target against its staleness level, and a check of
 result-cache hits against the logs. Tests and the verify tooling compare
-the fast paths against these.
+the fast paths against these. The end-of-run check compares each leaf with
+its rebuild as `CrdtIndex.state()` values, not serialized bytes, and builds
+one rebuild per region for the replicas whose heads and winners agree.
 
 Both per-query checks pay for the writes since their last use, not for the
 whole live state, as in incremental view maintenance (Gupta and Mumick,
@@ -154,11 +156,14 @@ def target_fault(level: StalenessLevel, target: VectorClock,
     """What is wrong with a routed query's target, or None. `heads` are the
     origin replica's heads at submit. A `strong` target is those heads, a
     `bounded:k` one those heads less k, an `any` one empty. A `snapshot`
-    component must be at most every replica's heads as they stand now."""
+    component must be at most every replica's heads as they stand now. The
+    check reads each origin's applied count, the length of its log, and
+    builds a replica's heads only for the message, since a replica builds
+    its heads anew after every apply."""
     if level.level is Level.SNAPSHOT:
         for dc, seq in sorted(target.entries.items()):
             for r in store.replicas.values():
-                if r.heads.get(dc) < seq:
+                if len(r.log.get(dc, ())) < seq:
                     return (f"snapshot target {target!r} is past {r.name}'s "
                             f"heads {r.heads!r}")
         return None
@@ -179,8 +184,10 @@ def rebuild_index(replica: DcReplica, binner: Binner,
                   region: Region | None = None) -> CrdtIndex:
     """The index a fresh leaf would converge to from current replica state:
     one posting set per (attribute, bin) over the live winners, clock at the
-    replica's heads. Scrubbed converged leaves must serialize byte-identically
-    to this."""
+    replica's heads. A scrubbed converged leaf must hold the same
+    `CrdtIndex.state()`, and so serialize byte-identically to this. It reads
+    only the replica's `objects` and `heads`, so replicas equal in both
+    rebuild to equal states."""
     idx = CrdtIndex(replica.schema, binner)
     for key in replica.objects:
         ver = replica.objects[key]

@@ -517,6 +517,92 @@ def test_canonical_bytes_match_the_interval_keyed_layout():
         b'["u",[10.0,10.0,false,false],[[4,"dc2",2,"k4"]]]]}')
 
 
+def test_state_equality_agrees_with_canonical_bytes():
+    # the end-of-run check compares state() with == in place of canonical()
+    # bytes, so over every pair of indexes drawn the two must agree: a binned
+    # float and int, an unbinned text, and an unbinned float written as 2 or
+    # 2.0 and -0.0 or 0.0, which the store takes alike
+    schema = {
+        "f": AttributeSchema("f", "float", 0.0, 4.0),
+        "n": AttributeSchema("n", "int", 0, 100),
+        "u": AttributeSchema("u", "float", 0.0, 10.0),
+        "t": AttributeSchema("t", "text", alphabet="ab"),
+    }
+    binner = Binner(schema, {"f": 4, "n": 5})
+    spellings = ((2, 2.0), (-0.0, 0.0), (7.5, 7.5))
+    rng = random.Random(27)
+
+    def draw_logs():
+        """Per origin, (stamp, key, values or None for a delete, prev)."""
+        logs = {}
+        for dc in ("dc1", "dc2"):
+            prev, rows = {}, []
+            for seq in range(1, rng.randint(4, 9)):
+                key = f"k{rng.randrange(4)}"
+                values = None if rng.random() < 0.2 else (
+                    rng.choice((0.5, 1.0, 3.99, 4.0)), rng.randrange(101),
+                    rng.choice(spellings), rng.choice(("", "a", "ab", "b")))
+                stamp = Stamp(rng.randint(1, 9), dc, seq)
+                rows.append((stamp, key, values, prev.get(key)))
+                prev[key] = stamp
+            logs[dc] = rows
+        return logs
+
+    def spelled(logs, pick):
+        """The log entries, each u written as `pick` of its two spellings."""
+        return {dc: [LogEntry(dc, stamp.seq, stamp, key, None if v is None
+                              else {"f": v[0], "n": v[1], "u": pick(v[2]),
+                                    "t": v[3]}, prev)
+                     for stamp, key, v, prev in rows]
+                for dc, rows in logs.items()}
+
+    def applied(logs, counts, seed):
+        """An index that applied the first counts[dc] entries of each
+        origin, interleaved at random."""
+        idx = CrdtIndex(schema, binner)
+        order = random.Random(seed)
+        cursors = dict.fromkeys(logs, 0)
+        while live := [dc for dc in sorted(logs) if cursors[dc] < counts[dc]]:
+            dc = order.choice(live)
+            ingest(idx, logs[dc][cursors[dc]])
+            cursors[dc] += 1
+        return idx
+
+    indexes, spelled_apart = [], 0
+    for round_no in range(30):
+        logs = draw_logs()
+        full = {dc: len(rows) for dc, rows in logs.items()}
+        a = applied(spelled(logs, lambda s: s[0]), full, round_no)
+        b = applied(spelled(logs, lambda s: s[1]), full, round_no + 100)
+        assert a.state() == b.state()
+        if sorted(map(repr, a.postings["u"])) != sorted(map(repr, b.postings["u"])):
+            spelled_apart += 1
+        prefix = {dc: rng.randint(0, n) for dc, n in full.items()}
+        c = applied(spelled(logs, rng.choice), prefix, round_no + 200)
+        culled = CrdtIndex.merged(a, a)
+        if culled.tag_info:
+            culled._cull(rng.choice(sorted(culled.tag_info)))
+        renamed = CrdtIndex.merged(b, b)
+        if renamed.tag_info:
+            tag = rng.choice(sorted(renamed.tag_info))
+            renamed.post(tag, rng.choice(("k0", "k9")), renamed.tag_info[tag][1])
+        ahead = CrdtIndex.merged(a, a)
+        ahead.clock = VectorClock({**a.clock.entries, "dc3": 1})
+        indexes += [a, b, c, CrdtIndex.merged(a, c), CrdtIndex.merged(c, b),
+                    culled, renamed, ahead]
+    assert spelled_apart > 0
+    indexes.append(CrdtIndex(schema, binner))
+    states = [idx.state() for idx in indexes]
+    blobs = [idx.canonical() for idx in indexes]
+    equal = 0
+    for i, j in itertools.combinations(range(len(indexes)), 2):
+        same = states[i] == states[j]
+        assert same == (blobs[i] == blobs[j]), (i, j)
+        equal += same
+    # both outcomes are drawn many times over: each round's a and b at least
+    assert 30 <= equal < len(indexes) ** 2 // 4
+
+
 # -- scrub ----------------------------------------------------------------------------
 
 

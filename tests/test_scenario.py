@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from qpusim import (
+    LogEntry,
     ScenarioError,
+    Stamp,
     VectorClock,
     WorkloadSpec,
     load_scenario,
@@ -13,6 +15,7 @@ from qpusim import (
     run_scenario,
     write_outputs,
 )
+from qpusim.scenario import _verify_end_state
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -194,6 +197,85 @@ def test_oracle_flags_a_query_parked_for_good(monkeypatch):
     report = run_scenario(parse_scenario(minimal(verify={"oracle": True})))
     assert report.results == []
     assert "FAIL run: 1 queries never completed" in report.verify_lines
+
+
+# -- planted defects in the end-of-run index lines ------------------------------
+
+# students.json: three DCs, each with a leaf below GPA 2 (h1) and one above (h2)
+INDEX_FAIL = "FAIL index {}: diverges from a rebuild of its replica"
+CONVERGED = "PASS convergence: replicated leaves byte-identical across DCs"
+
+
+def quiesced_students():
+    """The oracle-on run of students.json, and the first of its end-of-run
+    lines, which no plant below changes."""
+    report = run_scenario(load_scenario(SCENARIOS / "students.json"),
+                          oracle=True)
+    lines = _verify_end_state(report.net, report.scrubbed)
+    assert lines == [ln for ln in report.verify_lines
+                     if ln.startswith(("PASS run", "PASS index",
+                                       "PASS convergence"))]
+    assert lines[1:] == ["PASS index: 6 leaves equal their replica rebuilds",
+                         CONVERGED]
+    return report, lines[0]
+
+
+def cull_a_tag(index):
+    index._cull(min(index.tag_info))
+
+
+def advance_the_clock(index):
+    index.clock.entries["dc1"] += 1
+
+
+def map_a_tag_to_another_key(index):
+    tag, other = min(index.tag_info), max(index.tag_info)
+    index.tag_info[tag] = (index.tag_info[other][0], index.tag_info[tag][1])
+
+
+@pytest.mark.parametrize("plant", [cull_a_tag, advance_the_clock,
+                                   map_a_tag_to_another_key])
+def test_end_state_flags_a_leaf_that_left_its_rebuild(plant):
+    # dc2's h2 is checked against the rebuild made for dc1's h2, which the
+    # replicas' equal heads and winners let it share
+    report, run_line = quiesced_students()
+    plant(report.net.nodes["qpu/dc2/h2"].index)
+    assert _verify_end_state(report.net, report.scrubbed) == [
+        run_line, INDEX_FAIL.format("qpu/dc2/h2"),
+        "FAIL convergence: 1 regions differ across DCs"]
+
+
+def test_end_state_rebuilds_from_a_replica_that_lost_a_winner():
+    # dc3 is the last DC of each region, so a rebuild shared without
+    # comparing the winners would hide this; only the leaf whose region
+    # holds the dropped key differs from its own replica's rebuild
+    report, run_line = quiesced_students()
+    objects = report.store.replicas["dc3"].objects
+    leaf = report.net.nodes["qpu/dc3/h2"]
+    key = min(k for k, ver in objects.items() if ver.attrs is not None
+              and leaf.region.contains_point(ver.attrs))
+    del objects[key]
+    assert _verify_end_state(report.net, report.scrubbed) == [
+        run_line, INDEX_FAIL.format("qpu/dc3/h2"), CONVERGED]
+
+
+def test_end_state_rebuilds_from_a_replica_with_other_heads():
+    # dc3 applies one more dc1 entry, a delete that wins nothing, and its
+    # leaves ingest it: their replica's winners are dc1's, its heads are
+    # not, so each leaf equals only its own replica's rebuild
+    report, _ = quiesced_students()
+    rep = report.store.replicas["dc3"]
+    seq = len(rep.log["dc1"]) + 1
+    winners = dict(rep.objects)
+    rep.apply_remote(LogEntry("dc1", seq, Stamp(-1, "dc1", seq),
+                              min(rep.objects), None, None))
+    report.sim.run_until_quiescent()
+    assert rep.objects == winners
+    assert rep.heads != report.store.replicas["dc1"].heads
+    # the run line gives the later tick the leaves quiesced at
+    assert _verify_end_state(report.net, report.scrubbed)[1:] == [
+        "PASS index: 6 leaves equal their replica rebuilds",
+        "FAIL convergence: 2 regions differ across DCs"]
 
 
 def test_write_outputs_files(tmp_path):

@@ -19,6 +19,11 @@ delivered, the final tick and the scrub count. The 57 runs are:
 Outputs that must not change give equal lines under `diff`, between two
 checkouts or between two PYTHONHASHSEED values. The tool reads bench's
 ACTIONS and WORKLOADS and writes nothing.
+
+When a run's verify lines hold a FAIL line, an oracle check that failed,
+the tool still prints every digest line, then names each such run on stderr
+and exits 1. Runtime errors, such as a refused structural op, are outputs,
+not failures.
 """
 
 from __future__ import annotations
@@ -101,10 +106,15 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from qpusim.scenario import parse_scenario, run_scenario
 
+    failed = []
     for label, doc, oracle in runs(root):
         report = run_scenario(parse_scenario(doc), oracle=oracle)
         print(f"{label}: {digest(report)}", flush=True)
-    return 0
+        if any(line.startswith("FAIL") for line in report.verify_lines):
+            failed.append(label)
+    for label in failed:
+        print(f"oracle FAIL in {label}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
