@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a run finished but verification failed,
-2 when inputs did not validate or a run hit its limits.
+2 when inputs did not validate, an output could not be written, or a run
+hit its limits.
 """
 
 from __future__ import annotations
@@ -9,19 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import itemgetter
+from contextlib import contextmanager
 from pathlib import Path
 
 from .router import QueryError, parse, route
 from .scenario import (
     ScenarioError,
+    generated_document,
     load_scenario,
     parse_scenario,
     run_scenario,
     write_outputs,
 )
 from .simcore import LivelockError
-from .workload import WorkloadSpec, gen_workload
+from .workload import WorkloadSpec
 
 
 def _in_range(kind, lo, hi=None, lo_open=False):
@@ -116,6 +118,17 @@ def main(argv=None) -> int:
         return 2
 
 
+@contextmanager
+def _writing(path: str):
+    """An OSError in the block becomes a ScenarioError naming the path it
+    could not write, so the command exits 2, as for a file it cannot read."""
+    try:
+        yield
+    except OSError as exc:
+        raise ScenarioError(
+            f"cannot write {exc.filename or path}: {exc.strerror}") from None
+
+
 def _load_with_seed(path: str, seed: int | None):
     sc = load_scenario(path)
     if seed is not None and seed != sc.seed:
@@ -130,7 +143,8 @@ def _cmd_run(args) -> int:
     sc = _load_with_seed(args.scenario, args.seed)
     report = run_scenario(sc, trace=args.trace, oracle=args.oracle or sc.oracle)
     out_dir = args.out_dir or f"{Path(args.scenario).stem}.out"
-    paths = write_outputs(report, out_dir)
+    with _writing(out_dir):
+        paths = write_outputs(report, out_dir)
     print(f"{sc.name}: {len(report.results)} queries, "
           f"{report.sim.delivered} messages, finished at tick {report.sim.now}")
     for name in ("metrics", "traces", "verify", "messages"):
@@ -149,7 +163,8 @@ def _cmd_verify(args) -> int:
     sc = _load_with_seed(args.scenario, args.seed)
     report = run_scenario(sc, oracle=True)
     if args.out_dir:
-        write_outputs(report, args.out_dir)
+        with _writing(args.out_dir):
+            write_outputs(report, args.out_dir)
     for line in report.verify_lines:
         print(line)
     if not report.verify_ok:
@@ -172,22 +187,17 @@ def _cmd_gen(args) -> int:
         objects=args.objects, actions=args.actions, key_dist=args.key_dist,
         theta=args.theta, query_frac=args.query_frac,
         delete_frac=args.delete_frac, gap=args.gap)
-    # the base's splits, merges, partitions and scrubs keep their ticks
-    # among the generated actions
-    kept = [a for a in base.workload
-            if a["op"] not in ("put", "delete", "query")]
-    actions = sorted(kept + gen_workload(base.schema, base.dcs, spec, args.seed),
-                     key=itemgetter("t"))
-    doc = dict(base.raw)
-    doc.pop("generate", None)
-    doc["workload"] = actions
-    doc["seed"] = args.seed
+    doc = generated_document(base, spec, args.seed)
     parse_scenario(doc, "", args.out)  # reject anything the run would reject
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _writing(args.out):
+        Path(args.out).write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    actions = doc["workload"]
     puts = sum(1 for a in actions if a["op"] == "put")
     queries = sum(1 for a in actions if a["op"] == "query")
     print(f"{args.out}: {len(actions)} actions "
-          f"({puts} puts, {queries} queries, {len(kept)} kept from the base), "
+          f"({puts} puts, {queries} queries, "
+          f"{len(actions) - args.actions} kept from the base), "
           f"seed {args.seed}")
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 
 from .crdt_index import Binner
@@ -27,7 +28,7 @@ from .qpu import (
 from .regions import AttributeSchema, Region
 from .router import Query, QueryError, QueryResult, parse
 from .simcore import NetConfig, Simulation
-from .workload import WorkloadSpec, gen_phases
+from .workload import WorkloadSpec, gen_phases, gen_workload
 
 
 class ScenarioError(Exception):
@@ -332,6 +333,21 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
                 fail(f"workload action {i}: partition overlaps another "
                      f"window on {pair[0]}-{pair[1]}", '"op"', i)
     return queries
+
+
+def generated_document(base: Scenario, spec: WorkloadSpec, seed: int) -> dict:
+    """`base`'s document with a workload drawn from `spec` and `seed` in
+    place of its own. The base's splits, merges, partitions and scrubs keep
+    their ticks among the generated actions."""
+    kept = [a for a in base.workload
+            if a["op"] not in ("put", "delete", "query")]
+    doc = dict(base.raw)
+    doc.pop("generate", None)
+    doc["workload"] = sorted(
+        kept + gen_workload(base.schema, base.dcs, spec, seed),
+        key=itemgetter("t"))
+    doc["seed"] = seed
+    return doc
 
 
 # -- running ------------------------------------------------------------------------

@@ -237,6 +237,23 @@ def test_gen_workload_fractions_over_one_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("args, out, strerror", [
+    (["gen-workload", "--base", STUDENTS, "--out"], "missing/x.json",
+     "No such file or directory"),
+    (["run", STUDENTS, "--out-dir"], "file", "File exists"),
+    (["verify", STUDENTS, "--out-dir"], "file/sub", "Not a directory"),
+], ids=["gen-workload", "run", "verify"])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, args,
+                                                       out, strerror):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / out
+    assert main(args + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"scenario error: cannot write {path}: "
+                            f"{strerror}\n")
+    assert captured.out == ""
+
 @pytest.mark.parametrize("manifest", ['{"delivered": 3}', "[1, 2]", '"x"'])
 def test_manifest_without_a_scenario_object_exits_2(tmp_path, capsys,
                                                     manifest):
