@@ -15,6 +15,15 @@ the same at every replica.
 A replica's current version of a key is its winning log entry itself: the
 entry already holds the stamp and the attributes (None for a delete), so no
 separate version record is built per applied write.
+
+What a replica keeps is its winners, plus each origin's log above that
+origin's base seq. `GeoStore.truncate` drops the entries at or below a
+frontier that no reader can still need (see QpuNetwork._frontier), so the
+log follows the live data, not the length of the run, as in Bayou's write
+log truncation (Petersen et al., SOSP 1997). Seqs still count from the
+start: `heads`, a local commit's seq and `apply_remote` add the base to the
+log's length, and `entries_after` raises on a clock below the base rather
+than answer from a history it no longer holds.
 """
 
 from dataclasses import dataclass
@@ -22,6 +31,11 @@ from typing import Callable, NamedTuple
 
 from .regions import AttributeSchema
 from .staleness import VectorClock
+
+
+# entries a replica's log may hold past twice what its last cut kept
+# before the next cut is due (see DcReplica.cut_due)
+CUT_FLOOR = 256
 
 
 class SchemaError(Exception):
@@ -34,7 +48,7 @@ class Stamp(NamedTuple):
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     origin_dc: str
     seq: int
@@ -51,7 +65,11 @@ class DcReplica:
         self._names = set(schema)
         # each key's winning entry: its current version (see the module note)
         self.objects: dict[str, LogEntry] = {}
+        # origin -> its applied entries past its base seq, in seq order
         self.log: dict[str, list[LogEntry]] = {name: []}
+        # origin -> the seq of its last entry cut from the log; same keys
+        self.base: dict[str, int] = {name: 0}
+        self._cut_due = CUT_FLOOR  # log length at which a cut is due
         self._pending: dict[str, dict[int, LogEntry]] = {}
         self._subscribers: list[Callable[[LogEntry], None]] = []
         self._heads: VectorClock | None = None  # see heads; cleared by _apply
@@ -64,8 +82,10 @@ class DcReplica:
         clock to advance takes a copy."""
         heads = self._heads
         if heads is None:
+            base = self.base
             heads = self._heads = VectorClock._of(
-                {d: len(es) for d, es in self.log.items() if es})
+                {d: n for d, es in self.log.items()
+                 if (n := base[d] + len(es))})
         return heads
 
     def subscribe(self, cb: Callable[[LogEntry], None]):
@@ -93,7 +113,7 @@ class DcReplica:
         return self._commit_local(key, None, tick)
 
     def _commit_local(self, key: str, attrs: dict | None, tick: int) -> LogEntry:
-        seq = len(self.log[self.name]) + 1
+        seq = self.base[self.name] + len(self.log[self.name]) + 1
         cur = self.objects.get(key)
         entry = LogEntry(
             origin_dc=self.name,
@@ -114,7 +134,11 @@ class DcReplica:
         origin = entry.origin_dc
         if origin == self.name:
             raise ValueError("replica received its own entry as remote")
-        applied_to = len(self.log.setdefault(origin, []))
+        log = self.log.get(origin)
+        if log is None:
+            log = self.log[origin] = []
+            self.base[origin] = 0
+        applied_to = self.base[origin] + len(log)
         if entry.seq <= applied_to:
             return 0
         buf = self._pending.setdefault(origin, {})
@@ -127,7 +151,7 @@ class DcReplica:
         return n
 
     def _apply(self, entry: LogEntry):
-        self.log.setdefault(entry.origin_dc, []).append(entry)
+        self.log[entry.origin_dc].append(entry)
         self._heads = None
         cur = self.objects.get(entry.key)
         if cur is None or entry.stamp > cur.stamp:
@@ -143,9 +167,42 @@ class DcReplica:
 
     def entries_after(self, clock: VectorClock):
         """Applied entries past `clock`, per origin in seq order, origins in
-        name order."""
+        name order. Raises ValueError where `clock` is below an origin's
+        base: the entries past it are no longer all held."""
         for origin in sorted(self.log):
-            yield from self.log[origin][clock.get(origin):]
+            start = clock.get(origin) - self.base[origin]
+            if start < 0:
+                raise ValueError(
+                    f"{self.name}: {clock!r} is below the {origin} log's base "
+                    f"seq {self.base[origin]}")
+            yield from self.log[origin][start:]
+
+    # -- truncation ----------------------------------------------------------
+
+    def cut_due(self) -> bool:
+        """Whether the log has grown to twice what the last cut kept, plus
+        CUT_FLOOR, so a cut's work stays O(1) per entry, amortized."""
+        return sum(map(len, self.log.values())) >= self._cut_due
+
+    def cut(self, frontier: VectorClock) -> list[LogEntry]:
+        """Drop each origin's entries at or below `frontier`, which the
+        replica must have applied; returns those of its own origin, in seq
+        order. Winners stay in `objects`."""
+        own: list[LogEntry] = []
+        for origin, seq in frontier.entries.items():
+            log = self.log.get(origin, [])
+            n = seq - self.base.get(origin, 0)
+            if n > len(log):
+                raise ValueError(f"{self.name}: cannot cut {origin} at {seq}, "
+                                 f"past its applied heads")
+            if n <= 0:
+                continue
+            if origin == self.name:
+                own = log[:n]
+            del log[:n]
+            self.base[origin] = seq  # base + length, the heads, is unchanged
+        self._cut_due = 2 * sum(map(len, self.log.values())) + CUT_FLOOR
+        return own
 
 
 class GeoStore:
@@ -159,6 +216,8 @@ class GeoStore:
         self.dcs = list(dcs)
         self.schema = schema
         self.replicas = {dc: DcReplica(dc, schema) for dc in dcs}
+        # called with each batch of entries cut from their origin's own log
+        self.on_cut: list[Callable[[list[LogEntry]], None]] = []
         for dc in dcs:
             sim.add_actor(self._actor(dc), dc, self._make_handler(dc))
 
@@ -182,6 +241,16 @@ class GeoStore:
                 self.sim.send(
                     self._actor(origin), self._actor(dc), "replicate", entry,
                     note=f"{entry.key}#{entry.origin_dc}:{entry.seq}")
+
+    def truncate(self, frontier: VectorClock):
+        """Cut every replica's log at `frontier`, which every replica must
+        have applied, and hand what each origin cut from its own log to the
+        `on_cut` listeners."""
+        for r in self.replicas.values():
+            own = r.cut(frontier)
+            if own:
+                for cb in self.on_cut:
+                    cb(own)
 
     def put(self, dc: str, key: str, attrs: dict) -> LogEntry:
         entry = self.replicas[dc].put(key, attrs, self.sim.now)

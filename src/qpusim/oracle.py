@@ -2,10 +2,11 @@
 
 Everything here is independent of the tree, the cache, and the index
 structures: it reads only each replica's log and its winners
-(`DcReplica.log` and `DcReplica.objects`). It gives full scans with exact
-bounds, views kept up to date from the log, from-scratch index rebuilds, a
-check of each routed target against its staleness level, and a check of
-result-cache hits against the logs. Tests and the verify tooling compare
+(`DcReplica.log` and `DcReplica.objects`), and the heads the root's
+freshness children report. It gives full scans with exact bounds, views
+kept up to date from the log, from-scratch index rebuilds, a check of each
+routed target against its staleness level, and a check of result-cache
+hits against the logs. Tests and the verify tooling compare
 the fast paths against these. The end-of-run check compares each leaf with
 its rebuild as `CrdtIndex.state()` values, not serialized bytes, and builds
 one rebuild per region for the replicas whose heads and winners agree.
@@ -20,6 +21,14 @@ IEEE Data Eng. Bull. 1995):
 - `HitCheck` keeps, for each rectangle key a hit has used, the
   last-writer-wins state folded to the last clock it checked, and folds a
   later clock forward from it.
+
+The store cuts its logs below a frontier no reader needs (see
+`GeoStore.truncate`), so both read a log past its base seq. A view whose
+cursor is below the base scans in full again. `HitCheck` keeps a
+last-writer-wins checkpoint of the entries cut from each origin's own log,
+as Cure keeps its state at the stable snapshot (Akkoorath et al., ICDCS
+2016), and a fold from scratch starts from it. It holds one winner per key
+ever written.
 
 Each table is capped at `CAP` entries, the least recently used dropped
 first, so what the oracle holds does not grow with the run's history. A
@@ -36,7 +45,7 @@ from .crdt_index import Binner, CrdtIndex
 from .geostore import DcReplica, GeoStore, LogEntry
 from .regions import Region
 from .router import Query, eval_expr, rect_match, render
-from .staleness import Level, StalenessLevel, VectorClock
+from .staleness import Level, StalenessLevel, VectorClock, floor_all
 
 # entries per table: first uses, views and hit-check frontiers, each; the
 # root result cache's default capacity
@@ -114,7 +123,14 @@ class ScanViews:
             else:
                 _touch(self._views, tag, _View(expr, keys, replica.heads))
             return keys
-        self._catch_up(view, replica, expr)
+        at = view.at.entries
+        if view.at is not replica.heads and any(
+                at.get(o, 0) < base for o, base in replica.base.items()):
+            # the log no longer holds every entry past the cursor
+            view.keys = self.full_scan(replica, q)
+            view.at = replica.heads
+        else:
+            self._catch_up(view, replica, expr)
         _touch(self._views, tag, view)
         self.served += 1
         if self.served % self.SAMPLE == 0:
@@ -129,12 +145,15 @@ class ScanViews:
 
     @staticmethod
     def _catch_up(view: _View, replica: DcReplica, expr):
+        """Bring the view to the replica's heads from the log entries past
+        its cursor, which must be at or above each log's base."""
         heads = replica.heads  # one snapshot per replica state
         if view.at is heads:
             return
         at, objects, keys = view.at, replica.objects, view.keys
+        base = replica.base
         for origin, entries in replica.log.items():
-            for entry in entries[at.get(origin):]:
+            for entry in entries[at.get(origin) - base[origin]:]:
                 key = entry.key
                 # a key whose winner changed past the cursor has its winner
                 # among these entries; an entry that lost changes nothing
@@ -151,21 +170,35 @@ class ScanViews:
         return [f"FAIL oracle: {msg}" for msg in self.failures]
 
 
+def reported_floor(root) -> VectorClock:
+    """The floor of the replica heads the root's freshness children have
+    reported, read from the reports themselves: what the root's snapshot
+    clock must be. A child that has not reported floors it to empty."""
+    get = root.child_clocks.get
+    reports = [get(c.actor) for c in root.children]
+    if any(r is None for r in reports):
+        return VectorClock()
+    return floor_all(reports)
+
+
 def target_fault(level: StalenessLevel, target: VectorClock,
-                 heads: VectorClock, store: GeoStore) -> str | None:
+                 heads: VectorClock, store: GeoStore,
+                 reported: VectorClock | None = None) -> str | None:
     """What is wrong with a routed query's target, or None. `heads` are the
     origin replica's heads at submit. A `strong` target is those heads, a
     `bounded:k` one those heads less k, an `any` one empty. A `snapshot`
-    component must be at most every replica's heads as they stand now. The
-    check reads each origin's applied count, the length of its log, and
-    builds a replica's heads only for the message, since a replica builds
-    its heads anew after every apply."""
+    target must dominate `reported`, the root's `reported_floor` at submit
+    (None for nothing reported): the reports only grow, and the target is
+    resolved later. Each of its components must be at most every replica's
+    heads as they stand now."""
     if level.level is Level.SNAPSHOT:
-        for dc, seq in sorted(target.entries.items()):
-            for r in store.replicas.values():
-                if len(r.log.get(dc, ())) < seq:
-                    return (f"snapshot target {target!r} is past {r.name}'s "
-                            f"heads {r.heads!r}")
+        if reported is not None and not target.dominates(reported):
+            return (f"snapshot target {target!r} is below the reported "
+                    f"heads {reported!r} at submit")
+        for r in store.replicas.values():
+            if not r.heads.dominates(target):
+                return (f"snapshot target {target!r} is past {r.name}'s "
+                        f"heads {r.heads!r}")
         return None
     if level.level is Level.STRONG:
         want = heads
@@ -211,14 +244,23 @@ class _Frontier:
         self.memo = None  # (hit clock, hit keys, need at that clock - keys)
 
 
-def _fold(state: dict[str, LogEntry], logs: dict[str, list[LogEntry]],
+def _fold(state: dict[str, LogEntry], replicas: dict[str, DcReplica],
           since: VectorClock, clock: VectorClock) -> set[str]:
-    """Fold each origin's log entries past `since` up to `clock` into
+    """Fold each origin's own log entries past `since` up to `clock` into
     `state`, key -> winning entry by last-writer-wins on stamps, the rule
-    the store applies. Returns the keys whose winner changed."""
+    the store applies. `since` must be at or above each log's base, and
+    `clock` at or above `since`. Returns the keys whose winner changed."""
+    if not clock.dominates(since):
+        raise ValueError(f"fold to {clock!r} from {since!r}, which is not "
+                         f"below it")
     touched = set()
     for origin, seq in clock.entries.items():
-        for entry in logs[origin][since.get(origin):seq]:
+        r = replicas[origin]
+        base = r.base[origin]
+        if since.get(origin) < base:
+            raise ValueError(f"fold from {since!r} below the {origin} log's "
+                             f"base seq {base}")
+        for entry in r.log[origin][since.get(origin) - base:seq - base]:
             cur = state.get(entry.key)
             if cur is None or entry.stamp > cur.stamp:
                 state[entry.key] = entry
@@ -242,9 +284,13 @@ class HitCheck:
     folded to the last clock it checked, and the keys among them that need
     to be in a hit. A clock that dominates the frontier folds forward only
     the entries in between, and re-tests only the keys they touch; any
-    other clock folds from scratch. The frontier also memoizes the last
-    hit's residue, need less H, which is almost always empty, so a repeat
-    hit on the same entry settles at once.
+    other clock, or a frontier below a log's base, folds from scratch. The
+    frontier also memoizes the last hit's residue, need less H, which is
+    almost always empty, so a repeat hit on the same entry settles at once.
+
+    A fold from scratch starts from the checkpoint: the winners of the
+    entries cut from each origin's own log, at the clock of those logs'
+    bases. No hit claims a clock below it (see QpuNetwork._frontier).
     """
 
     def __init__(self, store: GeoStore):
@@ -253,6 +299,16 @@ class HitCheck:
         self.failures: list[str] = []
         # by rectangle key, oldest use first
         self._fronts: dict[tuple, _Frontier] = {}
+        # key -> winning entry among those cut from their origin's own log
+        self._checkpoint: dict[str, LogEntry] = {}
+        store.on_cut.append(self._on_cut)
+
+    def _on_cut(self, entries: list[LogEntry]):
+        cp = self._checkpoint
+        for entry in entries:
+            cur = cp.get(entry.key)
+            if cur is None or entry.stamp > cur.stamp:
+                cp[entry.key] = entry
 
     def __call__(self, actor: str, origin_dc: str, rects, rects_key: tuple,
                  keys, clock: VectorClock):
@@ -274,13 +330,22 @@ class HitCheck:
 
     def _advance(self, front: _Frontier | None, rects,
                  clock: VectorClock) -> _Frontier:
-        """`front` folded to `clock`: forward when the clock dominates it,
-        else a new frontier folded from scratch."""
-        if front is None or not clock.dominates(front.clock):
+        """`front` folded to `clock`: forward when the clock dominates it
+        and it is at or above each log's base, else a new frontier folded
+        from the checkpoint."""
+        replicas = self.store.replicas
+        fresh = (front is None or not clock.dominates(front.clock)
+                 or any(front.clock.get(o) < r.base[o]
+                        for o, r in replicas.items()))
+        if fresh:
             front = _Frontier()
+            front.state = dict(self._checkpoint)
+            front.clock = VectorClock({o: r.base[o]
+                                       for o, r in replicas.items()})
         state, need = front.state, front.need
-        logs = {o: r.log[o] for o, r in self.store.replicas.items()}
-        for key in _fold(state, logs, front.clock, clock):
+        touched = _fold(state, replicas, front.clock, clock)
+        # from the checkpoint, every key's winner is new to `need`
+        for key in state if fresh else touched:
             attrs = state[key].attrs
             if attrs is not None and rect_match(rects, attrs):
                 need.add(key)

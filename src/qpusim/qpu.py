@@ -39,7 +39,9 @@ gossip, and the gossip takes one hop. Since every leaf's clock is at or
 above its replica's heads (see the ingest note), a freshness node can speak
 for its whole subtree: it reports its replica's heads to the root. The
 first new entry its replica applies arms a report timer of `gossip_every`
-ticks. Leaves and value nodes send no gossip.
+ticks. Leaves and value nodes send no gossip. A report is also when the
+root cuts the store's logs, once they are due, at the frontier no reader
+still needs (see QpuNetwork._frontier).
 """
 
 from __future__ import annotations
@@ -352,6 +354,13 @@ class Qpu:
                 probe.level, self._stable(), probe.origin_heads))
             e = self.cache.probe(probe.plan.key, probe.target)
             if e is not None:
+                # the entry may be evicted while the hit's response is in
+                # flight, so its claim holds the log frontier down until the
+                # query completes (see QpuNetwork._frontier)
+                info = self.net.coordinators[probe.origin_dc].pending.get(
+                    probe.qid)
+                if info is not None:
+                    info.hit = e.clock
                 if self.net.check_hit is not None:
                     self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
                                        probe.plan.key, e.keys, e.clock)
@@ -580,6 +589,10 @@ class Qpu:
         cur = self.child_clocks.get(src, VectorClock())
         self.child_clocks[src] = cur.merge(clock)  # duplicates cannot regress
         self._stable_clock = None
+        # every replica applies every entry, so the root's own log stands
+        # for all of them
+        if self.replica.cut_due():
+            self.net.store.truncate(self.net._frontier())
 
     def _stable(self) -> VectorClock:
         """The root's snapshot clock: what the freshness nodes last reported
@@ -604,6 +617,10 @@ class _Pending:
     cb: object
     plan: Plan
     submitted: int
+    # no claim the query can get is below the floor of these: a miss claims
+    # at least its origin heads at submit, and a hit claims its entry's clock
+    heads: VectorClock
+    hit: VectorClock | None = None
 
 
 class Coordinator:
@@ -643,17 +660,21 @@ class Coordinator:
         net = self.net
         qid = net._next_qid()
         plan = net._plan_of(q)
-        info = _Pending(q, cb, plan, net.sim.now)
+        heads = self.replica.heads
+        info = _Pending(q, cb, plan, net.sim.now, heads)
         if not plan.rects:  # contradictory bounds: a valid, empty plan
-            heads = self.replica.heads
-            net.sim.after(0, lambda: self._complete(info, Resp(
-                qid, (), heads, heads, frozenset(), 0,
-                (f"{self.actor} [coord] empty plan",), target=None)))
+            def answer():
+                # the heads now, which no log cut can have passed
+                now = self.replica.heads
+                self._complete(info, Resp(
+                    qid, (), now, now, frozenset(), 0,
+                    (f"{self.actor} [coord] empty plan",), target=None))
+            net.sim.after(0, answer)
             return qid
         self.pending[qid] = info
         probe = Probe(qid, plan.rects, plan, origin_dc=self.dc,
                       reply_to=self.actor, level=q.staleness,
-                      origin_heads=self.replica.heads)
+                      origin_heads=heads)
         net.sim.send(self.actor, net.root.actor, "query.route", probe, note=qid)
         return qid
 
@@ -826,12 +847,13 @@ class QpuNetwork:
         return f"q{self._qn}"
 
     def _record_metrics(self, result: QueryResult):
-        # an origin's own log is the longest copy of it, so the lag behind
-        # it is the lag behind every replica
+        # an origin's own heads lead every replica's for it, so the lag
+        # behind them is the lag behind every replica
         replicas = self.store.replicas
-        local = replicas[result.origin_dc].log
-        lag = "|".join(f"{d}:{len(replicas[d].log[d]) - len(local.get(d, ()))}"
-                       for d in self._lag_dcs)
+        local = replicas[result.origin_dc].heads.entries
+        lag = "|".join(
+            f"{d}:{replicas[d].heads.entries.get(d, 0) - local.get(d, 0)}"
+            for d in self._lag_dcs)
         if self._quote_lag:
             lag = '"' + lag.replace('"', '""') + '"'
         self.metrics.append(
@@ -839,6 +861,30 @@ class QpuNetwork:
             f"{result.qpus_visited},{result.cache_hits},"
             f"{result.candidate_checked},{result.false_positives_removed},"
             f"{result.result_size},{lag}\n")
+
+    # -- log truncation ---------------------------------------------------------
+
+    def _frontier(self) -> VectorClock:
+        """The clock at or below which no reader can still need a log entry,
+        so the store may cut its logs there (see the geostore note). It is
+        the floor of:
+        - the root's stable clock, which every replica has applied and every
+          later query's origin heads dominate
+        - each root cache entry's clock, the claim of a later hit on it
+        - each pending or parked query's origin heads at submit, since a miss
+          is served by origin-DC leaves, at or above their replica's heads
+        - the claim of each cache hit whose query is pending or parked: its
+          entry may be evicted before the response arrives
+        The coordinator rescans its log past a claim, and the oracle's
+        checks read the logs past a hit's claim, so none reads below it."""
+        root = self.root
+        clocks = [root._stable()]
+        clocks += [e.clock for e in root.cache.entries.values()]
+        for coord in self.coordinators.values():
+            infos = [*coord.pending.values(), *(i for i, _ in coord.parked)]
+            clocks += [info.heads for info in infos]
+            clocks += [info.hit for info in infos if info.hit is not None]
+        return floor_all(clocks)
 
     # -- registries ---------------------------------------------------------------
 

@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import pairwise
 from operator import itemgetter
 from pathlib import Path
 
 from .crdt_index import Binner
 from .geostore import GeoStore
-from .oracle import HitCheck, ScanViews, rebuild_index, scan, target_fault
+from .oracle import (
+    HitCheck,
+    ScanViews,
+    rebuild_index,
+    reported_floor,
+    scan,
+    target_fault,
+)
 from .qpu import (
     METRICS_COLUMNS,
     MergeRefused,
@@ -28,6 +36,7 @@ from .qpu import (
 from .regions import AttributeSchema, Region
 from .router import Query, QueryError, QueryResult, parse
 from .simcore import NetConfig, Simulation
+from .staleness import Level
 from .workload import WorkloadSpec, gen_phases, gen_workload
 
 
@@ -47,7 +56,7 @@ class Scenario:
     binning: dict
     net: NetConfig
     tree: TreeConfig
-    workload: list[dict]
+    workload: list[dict]  # in tick order; equal ticks in file order
     queries: dict[int, Query]  # workload index -> parsed query action
     oracle: bool = False
     max_ticks: int = 1_000_000
@@ -209,6 +218,13 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
                  '"generate"')
         workload = gen_phases(schema, dcs, specs, seed)
     queries = _validate_workload(workload, dcs, schema, fail)
+    if any(a["t"] > b["t"] for a, b in pairwise(workload)):
+        # a run feeds the actions in tick order; the sort is stable, so
+        # equal ticks keep file order, the order they have always run in
+        order = sorted(range(len(workload)), key=lambda i: workload[i]["t"])
+        at = {old: new for new, old in enumerate(order)}
+        workload = [workload[i] for i in order]
+        queries = {at[i]: q for i, q in queries.items()}
 
     # unknown verify fields are let through: documents still pass the
     # retired verify.caches switch
@@ -379,6 +395,13 @@ def build_scenario(sc: Scenario, trace: bool = False):
 
 def run_scenario(sc: Scenario, trace: bool = False,
                  oracle: bool | None = None) -> RunReport:
+    """Run the scenario to quiescence, scrub, and run again to quiescence.
+
+    The actions enter the simulation through a cursor (`Simulation.feed`):
+    the heap holds the next action's event, not one closure per action, so
+    what the run holds does not grow with the workload's length. Each
+    action keeps the heap seq its index gives it, so events pop in the
+    order they would if every action had been scheduled up front."""
     oracle = sc.oracle if oracle is None else oracle
     sim, store, net = build_scenario(sc, trace=trace)
     if oracle:
@@ -390,6 +413,9 @@ def run_scenario(sc: Scenario, trace: bool = False,
 
     def on_result(query: Query):
         heads = store.replicas[query.origin_dc].heads if oracle else None
+        # what a snapshot target must dominate: the root's reports only grow
+        reported = (reported_floor(net.root) if oracle
+                    and query.staleness.level is Level.SNAPSHOT else None)
 
         def cb(res: QueryResult):
             results.append(res)
@@ -404,7 +430,8 @@ def run_scenario(sc: Scenario, trace: bool = False,
                     f"missing {sorted(want - res.keys)})")
             if res.target is None:  # an empty plan resolves no target
                 return
-            fault = target_fault(query.staleness, res.target, heads, store)
+            fault = target_fault(query.staleness, res.target, heads, store,
+                                 reported)
             if fault is not None:
                 verify_lines.append(f"FAIL query {res.query_id}: {fault}")
             if not res.claimed.dominates(res.target):
@@ -412,25 +439,28 @@ def run_scenario(sc: Scenario, trace: bool = False,
                                     f"{res.claimed!r} below target {res.target!r}")
         return cb
 
-    for i, act in enumerate(sc.workload):
-        op, t = act["op"], act["t"]
+    workload, queries = sc.workload, sc.queries
+
+    def act(i: int):
+        a = workload[i]
+        op = a["op"]
         if op == "put":
-            sim.at(t, lambda a=act: store.put(a["dc"], a["key"], a["attrs"]))
+            store.put(a["dc"], a["key"], a["attrs"])
         elif op == "delete":
-            sim.at(t, lambda a=act: store.delete(a["dc"], a["key"]))
+            store.delete(a["dc"], a["key"])
         elif op == "query":
-            q = sc.queries[i].at(act["dc"])
-            sim.at(t, lambda q=q: net.submit(q, on_result(q)))
+            q = queries[i].at(a["dc"])
+            net.submit(q, on_result(q))
         elif op == "force-split":
-            sim.at(t, lambda a=act: _forced(
-                net.force_split, (a["qpu"],), runtime_errors))
+            _forced(net.force_split, (a["qpu"],), runtime_errors)
         elif op == "force-merge":
-            sim.at(t, lambda a=act: _forced(
-                net.merge_siblings, (a["a"], a["b"]), runtime_errors))
+            _forced(net.merge_siblings, (a["a"], a["b"]), runtime_errors)
         elif op == "partition":
-            sim.partition(act["a"], act["b"], t, act["until"])
+            sim.open_partition(a["a"], a["b"], a["until"])
         elif op == "scrub":
-            sim.at(t, net.scrub_all)
+            net.scrub_all()
+
+    sim.feed(len(workload), lambda i: workload[i]["t"], act)
     sim.run_until_quiescent(max_ticks=sc.max_ticks, max_events=sc.max_events)
     if oracle:
         verify_lines.append(_verify_ingest(net))

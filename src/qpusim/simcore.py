@@ -4,7 +4,8 @@ Time is an integer tick counter. Every message and timer lives in one heap
 ordered by (deliver_at, insertion seq), so two runs with the same seed and
 the same call sequence replay identically. Cross-datacenter sends get random
 jitter and may be duplicated; sends inside one datacenter take a fixed delay
-and therefore stay FIFO per sender.
+and therefore stay FIFO per sender. A run's scripted actions enter through
+`feed`, which keeps one of them on the heap at a time.
 """
 
 import csv
@@ -97,6 +98,34 @@ class Simulation:
     def after(self, delay: int, fn: Callable[[], None]):
         self._push(self.now + delay, fn)
 
+    def feed(self, n: int, tick_of: Callable[[int], int],
+             run: Callable[[int], None]):
+        """Call `run(i)` at tick `tick_of(i)` for each i below `n`; the ticks
+        must not decrease with i. Events pop exactly as if `run(i)` had been
+        scheduled with `at` now, for each i in order: i keeps the insertion
+        seq that call would have taken, and the counter moves past all of
+        them. The heap holds only the next i's event, so it does not grow
+        with `n`."""
+        if not n:
+            return
+        base = self._seq
+        heap = self._heap
+        i = 0
+
+        def next_item():
+            nonlocal i
+            cur = i
+            i += 1
+            if i < n:
+                tick = tick_of(i)
+                if tick < self.now:
+                    raise ValueError("feed ticks must not decrease")
+                heapq.heappush(heap, (tick, base + i, next_item))
+            run(cur)
+
+        self._push(tick_of(0), next_item)  # at seq base
+        self._seq = base + n
+
     def send(self, src: str, dst: str, kind: str, payload, note: str = ""):
         if dst not in self._actors:
             raise ValueError(f"unknown actor {dst!r}")
@@ -131,12 +160,21 @@ class Simulation:
     def partition(self, dc_a: str, dc_b: str, start: int, end: int):
         """Hold every message sent between the pair during [start, end); the
         backlog is released, with fresh network delays, at end."""
+        pair = self._window(dc_a, dc_b, start, end)
+        self.at(start, lambda: self._open_partition(pair, end))
+
+    def open_partition(self, dc_a: str, dc_b: str, end: int):
+        """`partition` from now to `end`, opened by this call, not by an
+        event."""
+        self._open_partition(self._window(dc_a, dc_b, self.now, end), end)
+
+    def _window(self, dc_a: str, dc_b: str, start: int, end: int):
         if not start < end:
             raise ValueError("partition window needs start < end")
         pair = self._pair(dc_a, dc_b)
         if pair is None:
             raise ValueError("cannot partition a datacenter from itself")
-        self.at(start, lambda: self._open_partition(pair, end))
+        return pair
 
     def _open_partition(self, pair, end: int):
         old = self._partitions.get(pair)

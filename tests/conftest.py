@@ -156,7 +156,26 @@ def run_until(sim, tick):
 #
 # No run path reads a replica's state as of an earlier clock. The
 # bounded-staleness acceptance check and the oracle tests compare against
-# these folds of the logs.
+# these folds of the logs. A network cuts its replicas' logs below a
+# frontier as it runs, so a test that folds from seq 1 records the whole
+# history with `record_logs` before the first write.
+
+
+def record_logs(store):
+    """Origin -> every entry of its log from now on, in seq order: each
+    replica's own entries, as it applies them. Nothing cuts these lists."""
+    logs = {}
+    for dc, replica in store.replicas.items():
+        own = logs[dc] = []
+        replica.subscribe(
+            lambda e, dc=dc, own=own: e.origin_dc == dc and own.append(e))
+    return logs
+
+
+def logged(replica, origin, seq):
+    """The entry `seq` of `origin` in the replica's log, which holds the
+    entries past the origin's base seq."""
+    return replica.log[origin][seq - 1 - replica.base[origin]]
 
 
 def fold_logs(logs, clock):
@@ -171,18 +190,24 @@ def fold_logs(logs, clock):
     return winners
 
 
-def replay_to(replica, target):
-    """Key -> attrs as of `target`, folded from the replica's own log; keys
+def replay_to(replica, target, logs=None):
+    """Key -> attrs as of `target`, folded from `logs`, a `record_logs`
+    history, or else from the replica's own log, which must be uncut; keys
     whose winner is a delete are left out."""
     for dc, seq in target.entries.items():
         if seq > replica.heads.get(dc):
             raise ValueError(f"target {target!r} is beyond local history for {dc}")
-    return {k: e.attrs for k, e in fold_logs(replica.log, target).items()
+    if logs is None:
+        if any(replica.base.values()):
+            raise ValueError(
+                f"{replica.name}'s log is cut; record the history")
+        logs = replica.log
+    return {k: e.attrs for k, e in fold_logs(logs, target).items()
             if e.attrs is not None}
 
 
-def replay_matches(replica, target, q):
-    return {k for k, attrs in replay_to(replica, target).items()
+def replay_matches(replica, target, q, logs=None):
+    return {k for k, attrs in replay_to(replica, target, logs).items()
             if eval_expr(q.expr, attrs)}
 
 

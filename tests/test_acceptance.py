@@ -36,6 +36,7 @@ from conftest import (
     fill,
     random_partition,
     random_rect,
+    record_logs,
     ref_uncovered,
     replay_matches,
     student_schema,
@@ -135,6 +136,7 @@ def test_03_no_false_positives_under_churn():
 
 def test_04_bounded_staleness_soundness():
     sim, store, net = build(binning={"gpa": 8}, jitter=6, dup=0.1, seed=404)
+    logs = record_logs(store)  # the network cuts the replicas' logs
     rng = random.Random(404)
     violations = []
     done = []
@@ -152,7 +154,7 @@ def test_04_bounded_staleness_soundness():
                     violations.append(f"{res.query_id}: missing target")
                 return
             rep = store.replicas[q.origin_dc]
-            need = replay_matches(rep, res.target, q) & scan(rep, q)
+            need = replay_matches(rep, res.target, q, logs) & scan(rep, q)
             if not need <= res.keys:
                 violations.append(
                     f"{res.query_id} misses {sorted(need - res.keys)}")

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -117,8 +118,8 @@ def test_a_refusal_fails_only_a_late_ops_case(tool, monkeypatch, capsys):
 def test_the_table_holds_every_case_once(tool):
     cases = list(tool.runs(ROOT))
     labels = [case[0] for case in cases]
-    assert len(labels) == len(set(labels)) == 105
-    assert sum(1 for case in cases if case[2]) == 87
+    assert len(labels) == len(set(labels)) == 126
+    assert sum(1 for case in cases if case[2]) == 108
     # the cases that predate the generated, late-ops and GPA-in-10-bins
     # ones keep their labels, first and in order, so their digest lines
     # diff against an older checkout's
@@ -132,7 +133,36 @@ def test_the_table_holds_every_case_once(tool):
     older += [f"students.json {variant} {mode} oracle on"
               for variant in ("Major cut", "GPA unbinned") for mode in MODES]
     assert labels[:57] == older
-    # only late-ops cases forbid a refused structural op
+    # only late-ops and seeded-sweep cases forbid a refused structural op;
+    # the sweep comes last, so the 105 earlier lines diff as they did
+    sweep = [f"bench {name} seed {seed} default oracle on"
+             for name in ("churn", "readheavy", "ingest")
+             for seed in range(4, 9)]
+    sweep += [f"bench {name} x4 seed {seed} default oracle on"
+              for name in ("churn", "readheavy", "ingest") for seed in (1, 2)]
+    assert labels[105:] == sweep
     assert [case[0] for case in cases if not case[3]] == [
         f"gen-workload maintenance.json seed {seed} late ops {mode} oracle on"
-        for seed in (1, 2, 3) for mode in MODES]
+        for seed in (1, 2, 3) for mode in MODES] + sweep
+    # a scale-4 case runs four times its workload's actions
+    x4 = cases[labels.index("bench ingest x4 seed 1 default oracle on")]
+    one = cases[labels.index("bench ingest seed 1 default oracle on")]
+    assert len(x4[1]["workload"]) == 4 * len(one[1]["workload"])
+
+
+def test_an_out_of_order_action_list_digests_as_its_sorted_copy(tool):
+    # a run feeds its actions in tick order, and equal ticks in file order,
+    # so shuffling a workload changes nothing but the order of equal ticks
+    (case,) = table_cases(
+        tool, "gen-workload maintenance.json seed 1 late ops log oracle on")
+    shuffled = list(case[1]["workload"])
+    random.Random(3).shuffle(shuffled)
+    ordered = sorted(shuffled, key=lambda a: a["t"])
+    assert shuffled != ordered
+    assert {a["op"] for a in shuffled} == {
+        "put", "delete", "query", "force-split", "force-merge", "partition",
+        "scrub"}
+    reports = [scenario.run_scenario(scenario.parse_scenario(
+        {**case[1], "workload": w}), oracle=True) for w in (shuffled, ordered)]
+    assert reports[0].verify_ok and not reports[0].runtime_errors
+    assert tool.digest(reports[0]) == tool.digest(reports[1])

@@ -1,15 +1,24 @@
 import random
 
-from qpusim import DcReplica, LogEntry, Stamp, VectorClock
+import pytest
 
-from conftest import build, random_student, run_until, student_schema
+from qpusim import DcReplica, LogEntry, Stamp, VectorClock, geostore
+
+from conftest import (
+    build,
+    logged,
+    random_student,
+    record_logs,
+    run_until,
+    student_schema,
+)
 
 
 def test_first_write_gets_seq_one_and_origin_stamp():
     sim, store, net = build(dcs=("dc1", "dc2"))
     sim.at(4, lambda: store.put("dc1", "k1", {"gpa": 3.5, "dept": "cs"}))
     sim.run_until_quiescent()
-    entry = store.replicas["dc1"].log["dc1"][0]
+    entry = logged(store.replicas["dc1"], "dc1", 1)
     assert (entry.origin_dc, entry.seq) == ("dc1", 1)
     assert entry.stamp == Stamp(4, "dc1", 1)
     assert entry.prev_tag is None
@@ -22,7 +31,8 @@ def test_second_local_put_wins_by_higher_timestamp():
     sim.run_until_quiescent()
     assert store.replicas["dc1"].get("k")["gpa"] == 2.0
     # the second entry records which version it superseded
-    assert store.replicas["dc1"].log["dc1"][1].prev_tag == Stamp(1, "dc1", 1)
+    second = logged(store.replicas["dc1"], "dc1", 2)
+    assert second.prev_tag == Stamp(1, "dc1", 1)
 
 
 def test_concurrent_writes_pick_one_winner_everywhere():
@@ -125,6 +135,7 @@ def test_reordered_entries_apply_in_origin_sequence():
 
 def test_three_dc_random_churn_converges_to_lww_fold():
     sim, store, net = build(jitter=12, dup=0.25, seed=13)
+    logs = record_logs(store)  # the network cuts the replicas' logs
     rng = random.Random(4)
     for i in range(1000):
         dc = store.dcs[rng.randrange(3)]
@@ -139,7 +150,7 @@ def test_three_dc_random_churn_converges_to_lww_fold():
 
     # oracle: fold every log entry in arbitrary order via max-stamp
     folded: dict[str, tuple] = {}
-    for entries in store.replicas["dc1"].log.values():
+    for entries in logs.values():
         for e in entries:
             cur = folded.get(e.key)
             if cur is None or e.stamp > cur[0]:
@@ -183,8 +194,58 @@ def test_heads_match_the_log_lengths():
     checked = 0
     while sim.step():
         for r in store.replicas.values():
-            old = VectorClock({d: len(es) for d, es in r.log.items()})
+            old = VectorClock({d: r.base[d] + len(es)
+                               for d, es in r.log.items()})
             assert r.heads.entries == old.entries
             assert repr(r.heads) == repr(old)
         checked += 1
     assert checked > 300
+
+
+# -- log truncation -----------------------------------------------------------
+
+
+def test_a_long_write_only_run_keeps_its_logs_within_the_doubling_bound():
+    # 3,000 writes, one a tick: on a gossip report the root cuts every
+    # replica's log below the stable clock once its own DC's log has grown
+    # to twice what the last cut kept, plus CUT_FLOOR
+    sim, store, net = build(seed=21, jitter=4)
+    rng = random.Random(21)
+    for i in range(3000):
+        sim.at(i + 1, lambda dc=store.dcs[i % 3], k=f"k{rng.randrange(300)}",
+               a=random_student(rng): store.put(dc, k, a))
+    held = dict.fromkeys(store.dcs, 0)
+    kept = dict.fromkeys(store.dcs, 0)  # what each replica's last cut kept
+    cuts = 0
+    while sim.step():
+        for r in store.replicas.values():
+            now = sum(map(len, r.log.values()))
+            if now < held[r.name]:
+                kept[r.name] = now
+                cuts += 1
+            held[r.name] = now
+            # a write a tick, and a report reaches the root at most 20
+            # ticks after the cut is due
+            assert now <= 2 * kept[r.name] + geostore.CUT_FLOOR + 20
+            assert all(r.base[d] + len(es) == r.heads.get(d)
+                       for d, es in r.log.items())
+    assert cuts > 20
+    for r in store.replicas.values():
+        assert r.heads == VectorClock({dc: 1000 for dc in store.dcs})
+        assert all(r.base[d] > 0 for d in store.dcs)
+        assert sum(map(len, r.log.values())) < 2 * geostore.CUT_FLOOR
+
+
+def test_entries_after_below_the_base_raises():
+    sim, store, net = build(dcs=("dc1",))
+    for i in range(5):
+        store.put("dc1", f"k{i}", {"gpa": 1.0, "dept": "cs"})
+    store.truncate(VectorClock({"dc1": 3}))
+    rep = store.replicas["dc1"]
+    assert rep.base == {"dc1": 3} and rep.heads == VectorClock({"dc1": 5})
+    after = rep.entries_after(VectorClock({"dc1": 3}))
+    assert [e.seq for e in after] == [4, 5]
+    with pytest.raises(ValueError, match="below the dc1 log's base seq 3"):
+        list(rep.entries_after(VectorClock({"dc1": 2})))
+    with pytest.raises(ValueError, match="past its applied heads"):
+        store.truncate(VectorClock({"dc1": 6}))

@@ -27,6 +27,7 @@ from conftest import (
     fill,
     fold_logs,
     random_student,
+    record_logs,
     replay_matches,
     replay_to,
     student_schema,
@@ -84,6 +85,7 @@ def test_replay_single_origin_prefix_fold():
     # one writing DC: replaying to {dc1: k} must equal applying the first
     # k operations in order
     sim, store, net = build()
+    logs = record_logs(store)
     rng = random.Random(5)
     ops = []
     for i in range(50):
@@ -104,12 +106,13 @@ def test_replay_single_origin_prefix_fold():
                 folded.pop(key, None)
             else:
                 folded[key] = attrs
-        got = replay_to(store.replicas["dc2"], VectorClock({"dc1": k}))
+        got = replay_to(store.replicas["dc2"], VectorClock({"dc1": k}), logs)
         assert got == folded, k
 
 
 def test_replay_reproduces_state_seen_mid_run():
     sim, store, net = build(jitter=8, dup=0.3, seed=6)
+    logs = record_logs(store)
     rng = random.Random(6)
     for i in range(120):
         dc = store.dcs[i % 3]
@@ -124,7 +127,7 @@ def test_replay_reproduces_state_seen_mid_run():
             snapshot = {k: rep.get(k) for k in rep.objects
                         if rep.get(k) is not None}
     assert snapshot, "simulation drained before the capture tick"
-    assert replay_to(rep, target) == snapshot
+    assert replay_to(rep, target, logs) == snapshot
 
 
 def test_replay_beyond_local_history_raises():
@@ -331,17 +334,22 @@ def test_every_view_answer_equals_a_full_scan(monkeypatch):
 def test_every_forward_fold_equals_a_fold_from_scratch(monkeypatch):
     forward = 0
     advance = HitCheck._advance
+    init = HitCheck.__init__
+
+    def recording_init(self, store):
+        init(self, store)
+        self.history = record_logs(store)  # the network cuts the logs
 
     def checked_advance(self, front, rects, clock):
         nonlocal forward
         forward += front is not None and clock.dominates(front.clock)
         front = advance(self, front, rects, clock)
-        logs = {o: r.log[o] for o, r in self.store.replicas.items()}
-        want = {k for k, e in fold_logs(logs, clock).items()
+        want = {k for k, e in fold_logs(self.history, clock).items()
                 if e.attrs is not None and rect_match(rects, e.attrs)}
         assert front.clock == clock and front.need == want
         return front
 
+    monkeypatch.setattr(HitCheck, "__init__", recording_init)
     monkeypatch.setattr(HitCheck, "_advance", checked_advance)
     hits = 0
     for seed, mode in MIXED:
@@ -466,3 +474,86 @@ def test_hit_check_frontiers_stay_bounded():
     hit(plans[0], drop=min(need))
     (line,) = check.lines()
     assert line.endswith(f"misses {[min(need)]}")
+
+
+# -- after a log cut ----------------------------------------------------------
+
+
+def test_a_fold_from_the_checkpoint_still_finds_a_planted_missing_key():
+    # the logs are cut at the heads, between two hits on one rectangle key
+    # and before the first hit on another: both fold from the checkpoint
+    sim, store, net = build(dcs=("dc1", "dc2"))
+    rep = store.replicas["dc1"]
+    rng = random.Random(14)
+    check = HitCheck(store)
+    whole = Region.whole(SCHEMA)
+    old = [whole.narrowed("gpa", Interval(1.0, 4.0, False, False))]
+    new = [whole.narrowed("gpa", Interval(0.0, 3.0, False, False))]
+
+    def write(n):
+        for i in range(n):
+            store.put(("dc1", "dc2")[i % 2], f"k{rng.randrange(30)}",
+                      random_student(rng))
+        sim.run_until_quiescent()
+
+    def need(rects):
+        return {k for k, e in rep.objects.items()
+                if e.attrs is not None and rect_match(rects, e.attrs)}
+
+    write(80)
+    check("t", "dc1", old, old[0].key(), need(old), rep.heads)
+    write(20)
+    store.truncate(rep.heads)
+    write(6)
+    assert rep.base == {"dc1": 50, "dc2": 50}
+    # every key whose winner was cut has it in the checkpoint
+    assert all(check._checkpoint[k] is e for k, e in rep.objects.items()
+               if e.seq <= 50)
+    for rects in (old, new):
+        # a key whose winner was cut, so only the checkpoint holds it
+        cut = {k for k in need(rects) if rep.objects[k].seq <= 50}
+        check("t", "dc1", rects, rects[0].key(), need(rects) - {min(cut)},
+              rep.heads)
+        assert check.failures[-1].endswith(f"misses {[min(cut)]}")
+    assert len(check.failures) == 2
+
+
+def test_a_view_whose_cursor_is_below_the_log_base_scans_again():
+    rep = DcReplica("dc1", SCHEMA)
+    rng = random.Random(15)
+    scans = []
+
+    def counted_scan(replica, q):
+        scans.append(q)
+        return scan(replica, q)
+
+    views = ScanViews(counted_scan)
+    q = parse("gpa >= 2.0", SCHEMA)
+    tick = 0
+
+    def write(n):
+        nonlocal tick
+        for _ in range(n):
+            tick += 1
+            rep.put(f"k{rng.randrange(20)}", random_student(rng), tick)
+
+    write(20)
+    views(rep, q)
+    views(rep, q)  # the view, its cursor at 20
+    write(20)
+    rep.cut(rep.heads)
+    write(5)
+    assert views(rep, q) == scan(rep, q) and len(scans) == 3
+    write(5)
+    assert views(rep, q) == scan(rep, q) and len(scans) == 3  # caught up
+    assert views.served == 2 and not views.lines()
+
+
+def test_an_empty_stable_clock_fails_the_snapshot_queries(monkeypatch):
+    # a planted defect: the root resolves every snapshot target to {}
+    monkeypatch.setattr(qpu.Qpu, "_stable", lambda self: VectorClock())
+    report = run_scenario(parse_scenario(mixed_doc(1, "log")))
+    failed = [ln for ln in report.verify_lines if ln.startswith("FAIL")]
+    assert len(failed) > 20
+    assert all("snapshot target {} is below the reported heads" in ln
+               for ln in failed)

@@ -34,6 +34,7 @@ from conftest import (
     build,
     clear_caches,
     fill,
+    logged,
     random_student,
     ref_uncovered,
     run_until,
@@ -1121,7 +1122,7 @@ def test_write_leaving_the_region_sends_a_remove_only_delta():
     store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
     sim.run_until_quiescent()
     [(sent, after, at_peer)] = got
-    assert sent is store.replicas["dc1"].log["dc1"][1]
+    assert sent is logged(store.replicas["dc1"], "dc1", 2)
     assert sent.prev_tag == first and not peer.region.contains_point(sent.attrs)
     assert after == {} and at_peer == first  # culled before the replicate
     assert peer.index.tag_info == {}
@@ -1371,3 +1372,30 @@ def test_a_plan_memoizes_covers_from_its_second_use(monkeypatch):
         want = ask(fresh, text, "dc1")
         assert answer(res) == answer(want)
         assert res.keys == scan(store.replicas["dc1"], parse(text, SCHEMA))
+
+
+def test_a_held_hit_survives_its_entrys_eviction_and_a_log_cut():
+    # a dc2 query hits the root's entry (at dc1), and a dc1-dc2 partition
+    # holds the response while a dc1 query evicts the entry and the store
+    # cuts its logs at the network's frontier. The hit's claim holds the
+    # frontier down, so dc2's rescan past the claim still has its entries
+    sim, store, net = quiesced(n=60, seed=5, rngseed=5, cache_capacity=1)
+    text = "gpa > 2.0 FRESHNESS any"
+    ask(net, text, "dc2")  # a miss, which leaves the entry
+    (entry,) = net.root.cache.entries.values()
+    fill(store, random.Random(6), 60)
+    sim.run_until_quiescent()  # every DC has reported heads past the entry
+    done = []
+    net.submit(parse(text, SCHEMA).at("dc2"), done.append)
+    sim.partition("dc1", "dc2", sim.now + 1, sim.now + 300)
+    run_until(sim, sim.now + 6)  # the root sent the hit's response at +5
+    assert net.root.cache.hits == 1 and not done
+    ask(net, "gpa < 1.0", "dc1")
+    assert entry not in net.root.cache.entries.values()
+    store.truncate(net._frontier())
+    for r in store.replicas.values():
+        assert r.base == entry.clock.entries
+    sim.run_until_quiescent()
+    (res,) = done
+    assert res.stats["cache_hits"] == 1 and res.claimed == entry.clock
+    assert res.keys == scan(store.replicas["dc2"], parse(text, SCHEMA))

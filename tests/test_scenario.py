@@ -7,6 +7,7 @@ import pytest
 from qpusim import (
     LogEntry,
     ScenarioError,
+    Simulation,
     Stamp,
     VectorClock,
     WorkloadSpec,
@@ -265,7 +266,7 @@ def test_end_state_rebuilds_from_a_replica_with_other_heads():
     # not, so each leaf equals only its own replica's rebuild
     report, _ = quiesced_students()
     rep = report.store.replicas["dc3"]
-    seq = len(rep.log["dc1"]) + 1
+    seq = rep.base["dc1"] + len(rep.log["dc1"]) + 1
     winners = dict(rep.objects)
     rep.apply_remote(LogEntry("dc1", seq, Stamp(-1, "dc1", seq),
                               min(rep.objects), None, None))
@@ -479,3 +480,31 @@ def test_touching_partition_windows_run_and_verify():
                           oracle=True)
     assert report.verify_ok, report.verify_lines
     assert report.sim.now >= 12
+
+
+def test_a_long_workload_keeps_one_action_event_on_the_heap(monkeypatch):
+    # 10,000 actions, one a tick, with the oracle on: the run feeds them
+    # from a cursor, so the heap holds the next action and the messages
+    # and timers in flight, never the whole list
+    actions = []
+    for i in range(10_000):
+        dc = ("dc1", "dc2")[i % 2]
+        if i % 10 == 9:
+            actions.append({"t": i, "op": "query", "dc": dc,
+                            "text": f"x > {i % 7}.0 FRESHNESS strong"})
+        else:
+            actions.append({"t": i, "op": "put", "dc": dc, "key": f"k{i % 90}",
+                            "attrs": {"x": float(i % 11)}})
+    peak = 0
+    step = Simulation.step
+
+    def counted_step(sim):
+        nonlocal peak
+        peak = max(peak, sim.pending())
+        return step(sim)
+
+    monkeypatch.setattr(Simulation, "step", counted_step)
+    report = run_scenario(parse_scenario(minimal(workload=actions)),
+                          oracle=True)
+    assert report.verify_ok and len(report.results) == 1000
+    assert peak < 40

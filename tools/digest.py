@@ -8,7 +8,7 @@ Each line names a case and gives the SHA-256 of everything it outputs: the
 metrics CSV, traces.txt, the verify lines and runtime errors, each result's
 sorted keys, clock, claim, target, stats and error, and the messages
 delivered, the final tick and the scrub count. `runs` is the one list of
-cases that CI checks. Its 105 cases are:
+cases that CI checks. Its 126 cases are:
 
 - bench churn, readheavy and ingest at scale 1, seeds 1-3, in the
   workload's own replication mode and in delta mode, oracle off and on (36)
@@ -24,6 +24,11 @@ cases that CI checks. Its 105 cases are:
   adaptive mode (36)
 - each generated maintenance file with its structural ops moved late
   (`late_ops`) in log, delta and adaptive mode (9)
+- the seeded sweep, in each workload's own mode: bench churn, readheavy
+  and ingest at scale 1, seeds 4-8 (15), and at scale 4, seeds 1-2 (6).
+  Scale 4 runs four times the history, so the oracle's views, caps and
+  forward folds run long past their first uses, and the replica logs are
+  cut many times
 
 Every case but the bench's oracle-off runs has the oracle on. Outputs that
 must not change give equal lines under `diff`, between two checkouts or
@@ -34,8 +39,9 @@ After the last digest line, the tool names on stderr each case that broke
 the rule, and exits 1 if any did. The rule:
 - an oracle-on case prints a PASS line for each check in REQUIRED, and no
   FAIL line
-- a late-ops case refuses no structural op; elsewhere a refused op, such
-  as maintenance.json's split of qpu/beta/h0, is an output, not a failure
+- a late-ops or sweep case refuses no structural op; elsewhere a refused
+  op, such as maintenance.json's split of qpu/beta/h0, is an output, not a
+  failure
 """
 
 from __future__ import annotations
@@ -160,6 +166,13 @@ def runs(root: Path):
                 for mode in MODES:
                     yield (f"{label} late ops {mode} oracle on",
                            in_mode(late_ops(doc), mode), True, False)
+    for scale, seeds in ((1, range(4, 9)), (4, (1, 2))):
+        for name in ("churn", "readheavy", "ingest"):
+            for seed in seeds:
+                at = "" if scale == 1 else f"x{scale} "
+                yield (f"bench {name} {at}seed {seed} default oracle on",
+                       WORKLOADS[name](seed, ACTIONS[name] * scale), True,
+                       False)
 
 
 def broken(report, oracle: bool, may_refuse: bool) -> list[str]:
