@@ -18,25 +18,28 @@ which the caller decides once: the add is posted when it does, and the
 superseded tag is culled either way. A same-region leaf abroad, sent the
 same entry, reaches the same effect, so no separate delta is built, as the
 delta-state CRDTs of Almeida et al. (JPDC 2018) derive deltas from
-operations. Culling a tag that is not posted does nothing.
+operations. A posting is the entry itself: `tag_info` maps each visible tag
+to the entry that added it, which every replica and leaf shares. Culling a
+tag that is not posted does nothing.
 
-The index never stores which exact value a posting had, only its bins, so a
-range query touching part of a bin returns candidates that may not match.
-Callers resolve those against source data; the scrub pass does the same in
-bulk for postings whose object has moved on.
+A posting set is keyed by bin, not by value, so a range query touching part
+of a bin returns candidates that may not match. Callers resolve those
+against source data; the scrub pass does the same in bulk for postings whose
+object has moved on.
 
-Every write is binned on ingest and binned again when its posting is culled,
-so postings are keyed by what binning yields with no object built: the bin
-number, an int, for a binned attribute, and the value itself for an unbinned
-one. A binner computes the edges of its equi-width bins once and shares
-them: a bin's upper edge is the next bin's lower edge, and the last edge is
-the domain's top, so the bins tile the domain with no float gap between
-neighbours. A value is placed by one division, which rounding can leave a
-bin off near an edge, and then a check of the edges, which steps to the
-neighbour that holds the value. A lookup maps a range to the bin numbers it
-overlaps by bisecting the edges, and an equality on an unbinned attribute is
-one dict get. A bin's interval is built from the edges only when the index
-serializes.
+Every write is binned once, at commit: the store bins it with the run's one
+binner and the entry carries its bin keys, `LogEntry.bins`, which every leaf
+posts under and culls from. Postings are keyed by what binning yields with
+no object built: the bin number, an int, for a binned attribute, and the
+value itself for an unbinned one. A binner computes the edges of its
+equi-width bins once and shares them: a bin's upper edge is the next bin's
+lower edge, and the last edge is the domain's top, so the bins tile the
+domain with no float gap between neighbours. A value is placed by one
+division, which rounding can leave a bin off near an edge, and then a check
+of the edges, which steps to the neighbour that holds the value. A lookup
+maps a range to the bin numbers it overlaps by bisecting the edges, and an
+equality on an unbinned attribute is one dict get. A bin's interval is built
+from the edges only when the index serializes.
 """
 
 import json
@@ -59,8 +62,8 @@ class Binner:
     numeric domain (bin i keyed by i); the last bin is closed above so the
     domain maximum belongs to it. Text attributes only support "none".
 
-    The edges of a binned attribute are computed once, here, because ingest
-    bins every write and every cull bins it again. Bin i is
+    The edges of a binned attribute are computed once, here, because every
+    write is binned as it commits. Bin i is
     [edge i, edge i+1), with edge i = lo + i * width for i below the count
     and the last edge hi; a count whose edges do not strictly increase is
     rejected, since some bin would hold nothing. Values must lie in their
@@ -164,7 +167,7 @@ class CrdtIndex:
         self.postings: dict[str, dict] = {a: {} for a in binner.attrs}
         # the same maps in name order, as keys_for lists the keys
         self._by_axis = tuple(self.postings.values())
-        self.tag_info: dict[Stamp, tuple[str, dict]] = {}  # visible tags only
+        self.tag_info: dict[Stamp, LogEntry] = {}  # visible tags only
         # (dc, seq) of each tag removed before its add applied
         self.removed: set[tuple[str, int]] = set()
         self.clock = VectorClock()
@@ -191,7 +194,7 @@ class CrdtIndex:
             # one outside the region, and is then done
             removed.remove((origin, seq))
         elif inside:
-            self.post(entry.stamp, entry.key, entry.attrs)
+            self.post(entry)
         prev = entry.prev_tag
         # a write only retracts the version it actually superseded; when it
         # lost the tie-break to what it observed, that version stays visible
@@ -206,12 +209,13 @@ class CrdtIndex:
         clock[origin] = seq
         return True
 
-    def post(self, tag: Stamp, key: str, point: dict):
-        """Make `tag` visible as `key` at `point`, with one posting per
-        attribute of the point. The one place that writes the attribute ->
-        bin -> tags layout; `_cull` is its inverse."""
-        self.tag_info[tag] = (key, point)
-        for bins, k in zip(self._by_axis, self.binner.keys_for(point)):
+    def post(self, entry: LogEntry):
+        """Make the entry's tag visible as its key, with one posting per
+        attribute in the bin the entry carries. The one place that writes
+        the attribute -> bin -> tags layout; `_cull` is its inverse."""
+        tag = entry.stamp
+        self.tag_info[tag] = entry
+        for bins, k in zip(self._by_axis, entry.bins):
             tags = bins.get(k)
             if tags is None:
                 bins[k] = {tag}
@@ -219,10 +223,10 @@ class CrdtIndex:
                 tags.add(tag)
 
     def _cull(self, tag: Stamp):
-        info = self.tag_info.pop(tag, None)
-        if info is None:
+        entry = self.tag_info.pop(tag, None)
+        if entry is None:
             return
-        for bins, k in zip(self._by_axis, self.binner.keys_for(info[1])):
+        for bins, k in zip(self._by_axis, entry.bins):
             tags = bins.get(k)
             if tags is not None:
                 tags.discard(tag)
@@ -296,8 +300,8 @@ class CrdtIndex:
             if not cand:
                 return set()
         if cand is None:
-            return {key for key, _ in self.tag_info.values()}
-        return {self.tag_info[tag][0] for tag in cand}
+            return {e.key for e in self.tag_info.values()}
+        return {self.tag_info[tag].key for tag in cand}
 
     def visible_count(self) -> int:
         return len(self.tag_info)
@@ -310,10 +314,10 @@ class CrdtIndex:
         version, or of a key the replica lacks, is not stale: a delta-mode
         leaf posts a peer's write before its replica applies it."""
         stale = []
-        for tag, (key, _) in self.tag_info.items():
-            cur = replica.objects.get(key)
+        for tag, entry in self.tag_info.items():
+            cur = replica.objects.get(entry.key)
             if cur is not None and cur.stamp > tag:
-                stale.append((key, tag))
+                stale.append((entry.key, tag))
         stale.sort()
         return stale
 
@@ -334,7 +338,7 @@ class CrdtIndex:
         their `canonical` bytes are. The clock and postings are the index's
         own, not copies, so compare the state before the index changes."""
         return (self.clock, self.postings,
-                {tag: key for tag, (key, _) in self.tag_info.items()})
+                {tag: e.key for tag, e in self.tag_info.items()})
 
     def canonical(self) -> bytes:
         """Stable byte form of the visible state: clock plus sorted postings.
@@ -348,7 +352,7 @@ class CrdtIndex:
                 if not tags:
                     continue
                 postings = sorted(
-                    [t.ts, t.dc, t.seq, self.tag_info[t][0]] for t in tags)
+                    [t.ts, t.dc, t.seq, self.tag_info[t].key] for t in tags)
                 terms.append([attr, list(interval(attr, k)), postings])
         doc = {"clock": dict(sorted(self.clock.entries.items())), "terms": terms}
         return json.dumps(doc, separators=(",", ":"), ensure_ascii=True).encode()

@@ -16,6 +16,9 @@ A replica's current version of a key is its winning log entry itself: the
 entry already holds the stamp and the attributes (None for a delete), so no
 separate version record is built per applied write.
 
+A write is binned once, as it commits, by the store's one `Binner`: the entry
+carries its bin keys, and every replica and index leaf reads them from it.
+
 What a replica keeps is its winners, plus each origin's log above that
 origin's base seq. `GeoStore.truncate` drops the entries at or below a
 frontier that no reader can still need (see QpuNetwork._frontier), so the
@@ -29,7 +32,6 @@ than answer from a history it no longer holds.
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .regions import AttributeSchema
 from .staleness import VectorClock
 
 
@@ -56,12 +58,14 @@ class LogEntry:
     key: str
     attrs: dict | None  # None for deletes
     prev_tag: Stamp | None  # version the writer observed and replaced
+    bins: tuple | None  # Binner.keys_for(attrs) at commit; None for deletes
 
 
 class DcReplica:
-    def __init__(self, name: str, schema: dict[str, AttributeSchema]):
+    def __init__(self, name: str, binner):
         self.name = name
-        self.schema = schema
+        self.binner = binner
+        self.schema = schema = binner.schema
         self._names = set(schema)
         # each key's winning entry: its current version (see the module note)
         self.objects: dict[str, LogEntry] = {}
@@ -115,6 +119,7 @@ class DcReplica:
     def _commit_local(self, key: str, attrs: dict | None, tick: int) -> LogEntry:
         seq = self.base[self.name] + len(self.log[self.name]) + 1
         cur = self.objects.get(key)
+        bins = None if attrs is None else tuple(self.binner.keys_for(attrs))
         entry = LogEntry(
             origin_dc=self.name,
             seq=seq,
@@ -122,6 +127,7 @@ class DcReplica:
             key=key,
             attrs=attrs,
             prev_tag=cur.stamp if cur else None,
+            bins=bins,
         )
         self._apply(entry)
         return entry
@@ -207,15 +213,17 @@ class DcReplica:
 
 class GeoStore:
     """The replica set wired into a simulation: local commits fan entries out
-    to every peer datacenter as network messages."""
+    to every peer datacenter as network messages, binned by the run's one
+    binner, which every index leaf shares."""
 
-    def __init__(self, sim, dcs: list[str], schema: dict[str, AttributeSchema]):
+    def __init__(self, sim, dcs: list[str], binner):
         if len(set(dcs)) != len(dcs) or not dcs:
             raise ValueError("datacenter names must be non-empty and unique")
         self.sim = sim
         self.dcs = list(dcs)
-        self.schema = schema
-        self.replicas = {dc: DcReplica(dc, schema) for dc in dcs}
+        self.binner = binner
+        self.schema = binner.schema
+        self.replicas = {dc: DcReplica(dc, binner) for dc in dcs}
         # called with each batch of entries cut from their origin's own log
         self.on_cut: list[Callable[[list[LogEntry]], None]] = []
         for dc in dcs:

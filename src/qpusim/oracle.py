@@ -41,6 +41,8 @@ the cache can hold.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .crdt_index import Binner, CrdtIndex
 from .geostore import DcReplica, GeoStore, LogEntry
 from .regions import Region
@@ -220,15 +222,14 @@ def rebuild_index(replica: DcReplica, binner: Binner,
     replica's heads. A scrubbed converged leaf must hold the same
     `CrdtIndex.state()`, and so serialize byte-identically to this. It reads
     only the replica's `objects` and `heads`, so replicas equal in both
-    rebuild to equal states."""
+    rebuild to equal states. Each winner is binned from its attrs, not
+    taken with its entry's bins, so the leaves' binning is checked too."""
     idx = CrdtIndex(replica.schema, binner)
-    for key in replica.objects:
-        ver = replica.objects[key]
-        if ver.attrs is None:
+    for ver in replica.objects.values():
+        attrs = ver.attrs
+        if attrs is None or (region and not region.contains_point(attrs)):
             continue
-        if region is not None and not region.contains_point(ver.attrs):
-            continue
-        idx.post(ver.stamp, key, ver.attrs)
+        idx.post(replace(ver, bins=tuple(binner.keys_for(attrs))))
     # the index clock advances in place, and the heads are a shared snapshot
     idx.clock = replica.heads.copy()
     return idx

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .crdt_index import Binner, CrdtIndex
+from .crdt_index import CrdtIndex
 from .geostore import GeoStore, LogEntry
 from .regions import Region, greedy_cover
 from .router import (
@@ -745,13 +745,12 @@ class QpuNetwork:
     """Builds the tree over a store, owns the registries, and performs the
     structural operations (split, merge, mode rewires, scrub)."""
 
-    def __init__(self, sim: Simulation, store: GeoStore, binner: Binner,
-                 cfg: TreeConfig):
+    def __init__(self, sim: Simulation, store: GeoStore, cfg: TreeConfig):
         if cfg.root_dc not in store.dcs:
             raise ValueError(f"root DC {cfg.root_dc!r} is not in the store")
         self.sim = sim
         self.store = store
-        self.binner = binner
+        self.binner = store.binner  # the one the store bins each commit with
         self.cfg = cfg
         self.schema = store.schema
         self.nodes: dict[str, Qpu] = {}
@@ -933,9 +932,9 @@ class QpuNetwork:
             child.index.removed = set(leaf.index.removed)
             self.store.replicas[leaf.dc].subscribe(child._on_feed)
             kids.append(child)
-        for tag, (key, attrs) in leaf.index.tag_info.items():
-            child = kids[0] if region_a.contains_point(attrs) else kids[1]
-            child.index.post(tag, key, attrs)
+        for entry in leaf.index.tag_info.values():
+            child = kids[0] if region_a.contains_point(entry.attrs) else kids[1]
+            child.index.post(entry)
         self.store.replicas[leaf.dc].unsubscribe(leaf._on_feed)
         # the leaf morphs in place into the value node over its halves
         leaf.kind = "value"
@@ -953,7 +952,7 @@ class QpuNetwork:
             (a for a in leaf.region.ivs if self.schema[a].kind != "text"),
             key=lambda a: (-self.schema[a].norm_length(leaf.region.ivs[a]), a))
         for attr in axes:
-            vals = sorted({attrs[attr] for _, attrs in leaf.index.tag_info.values()})
+            vals = sorted({e.attrs[attr] for e in leaf.index.tag_info.values()})
             if len(vals) < 2:
                 continue
             lo, hi = leaf.region.cut(attr, vals[len(vals) // 2])

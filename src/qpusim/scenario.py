@@ -387,9 +387,8 @@ class RunReport:
 
 def build_scenario(sc: Scenario, trace: bool = False):
     sim = Simulation(sc.net, seed=sc.seed, trace=trace)
-    store = GeoStore(sim, sc.dcs, sc.schema)
-    binner = Binner(sc.schema, sc.binning)
-    net = QpuNetwork(sim, store, binner, sc.tree)
+    store = GeoStore(sim, sc.dcs, Binner(sc.schema, sc.binning))
+    net = QpuNetwork(sim, store, sc.tree)
     return sim, store, net
 
 

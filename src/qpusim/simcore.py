@@ -157,26 +157,14 @@ class Simulation:
 
     # -- partitions ----------------------------------------------------------
 
-    def partition(self, dc_a: str, dc_b: str, start: int, end: int):
-        """Hold every message sent between the pair during [start, end); the
-        backlog is released, with fresh network delays, at end."""
-        pair = self._window(dc_a, dc_b, start, end)
-        self.at(start, lambda: self._open_partition(pair, end))
-
     def open_partition(self, dc_a: str, dc_b: str, end: int):
-        """`partition` from now to `end`, opened by this call, not by an
-        event."""
-        self._open_partition(self._window(dc_a, dc_b, self.now, end), end)
-
-    def _window(self, dc_a: str, dc_b: str, start: int, end: int):
-        if not start < end:
+        """Hold every message sent between the pair from now until `end`;
+        the backlog is released, with fresh network delays, at `end`."""
+        if not self.now < end:
             raise ValueError("partition window needs start < end")
         pair = self._pair(dc_a, dc_b)
         if pair is None:
             raise ValueError("cannot partition a datacenter from itself")
-        return pair
-
-    def _open_partition(self, pair, end: int):
         old = self._partitions.get(pair)
         if old is not None and old.end <= self.now:
             # a window ending where this one starts, whose close event has

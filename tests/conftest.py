@@ -54,14 +54,13 @@ def build(dcs=("dc1", "dc2", "dc3"), schema=None, binning=None, history="leaf",
           trace=False):
     schema = schema or student_schema()
     sim = Simulation(NetConfig(intra, inter, jitter, dup), seed=seed, trace=trace)
-    store = GeoStore(sim, list(dcs), schema)
-    binner = Binner(schema, binning or {})
+    store = GeoStore(sim, list(dcs), Binner(schema, binning or {}))
     cfg = TreeConfig(
         root_dc or dcs[0], repl_mode=repl_mode,
         gossip_every=gossip_every, cache_capacity=cache_capacity,
         selectivity=selectivity or SelectivityConfig(),
         history_tree=history)
-    net = QpuNetwork(sim, store, binner, cfg)
+    net = QpuNetwork(sim, store, cfg)
     return sim, store, net
 
 
@@ -141,8 +140,8 @@ def ref_lookup(index, rect):
         if not cand:
             return set()
     if cand is None:
-        return {key for key, _ in index.tag_info.values()}
-    return {index.tag_info[tag][0] for tag in cand}
+        return {e.key for e in index.tag_info.values()}
+    return {index.tag_info[tag].key for tag in cand}
 
 
 def run_until(sim, tick):
@@ -150,6 +149,13 @@ def run_until(sim, tick):
     while sim._heap and sim._heap[0][0] <= tick:
         sim.step()
     sim.now = max(sim.now, tick)
+
+
+def partition(sim, dc_a, dc_b, start, end):
+    """Hold every message sent between the pair during [start, end): an
+    event at `start` opens the window, as a scenario's partition action
+    does when it comes due."""
+    sim.at(start, lambda: sim.open_partition(dc_a, dc_b, end))
 
 
 # -- reference state at a clock ------------------------------------------------

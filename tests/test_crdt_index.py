@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -33,8 +34,14 @@ def mk_index(binning=None, schema=None):
     return CrdtIndex(schema, Binner(schema, binning or {}))
 
 
-def entry(origin, seq, ts, key, attrs, prev=None):
-    return LogEntry(origin, seq, Stamp(ts, origin, seq), key, attrs, prev)
+# the binner of mk_index(): student_schema() with every attribute unbinned
+PLAIN = Binner(student_schema())
+
+
+def entry(origin, seq, ts, key, attrs, prev=None, binner=PLAIN):
+    """A log entry as a store over `binner` commits it, bins and all."""
+    bins = None if attrs is None else tuple(binner.keys_for(attrs))
+    return LogEntry(origin, seq, Stamp(ts, origin, seq), key, attrs, prev, bins)
 
 
 def ingest(index, e):
@@ -43,7 +50,7 @@ def ingest(index, e):
 
 
 def visible(index):
-    return {(tag, key) for tag, (key, _) in index.tag_info.items()}
+    return {(tag, e.key) for tag, e in index.tag_info.items()}
 
 
 def bin_of(binner, attrs, attr):
@@ -318,7 +325,7 @@ def test_full_domain_range_returns_everything_exactly():
     idx = mk_index(binning={"gpa": 8})
     for i in range(10):
         ingest(idx, entry("dc1", i + 1, i + 1, f"k{i}",
-                          {"gpa": i * 0.4, "dept": "cs"}))
+                          {"gpa": i * 0.4, "dept": "cs"}, binner=idx.binner))
     everything = {f"k{i}" for i in range(10)}
     assert keys_in(idx, "gpa", 0.0, 4.0) == everything
     # the same range short of the domain top scans every bin instead
@@ -327,9 +334,12 @@ def test_full_domain_range_returns_everything_exactly():
 
 def test_partial_bin_overlap_yields_candidates():
     idx = mk_index(binning={"gpa": 8})  # bins of width 0.5
-    ingest(idx, entry("dc1", 1, 1, "lo", {"gpa": 2.1, "dept": "cs"}))
-    ingest(idx, entry("dc1", 2, 2, "edge", {"gpa": 2.0, "dept": "cs"}))
-    ingest(idx, entry("dc1", 3, 3, "hi", {"gpa": 2.6, "dept": "cs"}))
+    ingest(idx, entry("dc1", 1, 1, "lo", {"gpa": 2.1, "dept": "cs"},
+                      binner=idx.binner))
+    ingest(idx, entry("dc1", 2, 2, "edge", {"gpa": 2.0, "dept": "cs"},
+                      binner=idx.binner))
+    ingest(idx, entry("dc1", 3, 3, "hi", {"gpa": 2.6, "dept": "cs"},
+                      binner=idx.binner))
     # bin [2.0,2.5) pokes out of (2.0,3.0), so "edge" comes back as a
     # candidate the exact check must drop
     assert keys_in(idx, "gpa", 2.0, 3.0, lo_open=True, hi_open=True) == {
@@ -344,7 +354,8 @@ def test_lookup_superset_of_true_matches_on_random_data():
     rows = {}
     for i in range(120):
         attrs = random_student(rng)
-        ingest(idx, entry("dc1", i + 1, i + 1, f"k{i}", attrs))
+        ingest(idx, entry("dc1", i + 1, i + 1, f"k{i}", attrs,
+                          binner=idx.binner))
         rows[f"k{i}"] = attrs
     for _ in range(200):
         lo, hi = sorted((round(rng.uniform(0, 4), 2), round(rng.uniform(0, 4), 2)))
@@ -362,9 +373,12 @@ def test_lookup_superset_of_true_matches_on_random_data():
 def test_rect_lookup_intersects_across_attributes():
     schema = student_schema()
     idx = mk_index(binning={"gpa": 4}, schema=schema)
-    ingest(idx, entry("dc1", 1, 1, "a", {"gpa": 3.5, "dept": "cs"}))
-    ingest(idx, entry("dc1", 2, 2, "b", {"gpa": 3.5, "dept": "bio"}))
-    ingest(idx, entry("dc1", 3, 3, "c", {"gpa": 0.5, "dept": "cs"}))
+    ingest(idx, entry("dc1", 1, 1, "a", {"gpa": 3.5, "dept": "cs"},
+                      binner=idx.binner))
+    ingest(idx, entry("dc1", 2, 2, "b", {"gpa": 3.5, "dept": "bio"},
+                      binner=idx.binner))
+    ingest(idx, entry("dc1", 3, 3, "c", {"gpa": 0.5, "dept": "cs"},
+                      binner=idx.binner))
     rect = Region.whole(schema).narrowed("gpa", Interval(3.0, 4.0)) \
                                .narrowed("dept", Interval.point("cs"))
     assert idx.lookup(rect) == {"a"}
@@ -435,7 +449,8 @@ def test_lookup_matches_the_reference_scan():
                                  min(max(rng.choice(edges["f"]), -1.0), 3.0)]),
                 "n": rng.randint(0, 50), "u": rng.choice(floats),
                 "m": rng.randint(0, 20), "t": rng.choice(texts)}
-            e = entry("dc1", seq, seq, key, attrs, prev=last.get(key))
+            e = entry("dc1", seq, seq, key, attrs, prev=last.get(key),
+                      binner=idx.binner)
             last[key] = e.stamp
             ingest(idx, e)
         pools = {"f": edges["f"] + [0.3, 1.7], "n": edges["n"] + [17, 23.5],
@@ -470,12 +485,17 @@ def test_canonical_bytes_match_the_interval_keyed_layout():
     }
     a = mk_index({"f": 8, "n": 10}, schema)
     b = CrdtIndex(schema, a.binner)
-    a1 = entry("dc1", 1, 1, "k1", {"f": 4.0, "n": 100, "u": 2.5, "t": "ab"})
-    a2 = entry("dc1", 2, 3, "k2", {"f": 0.5, "n": 0, "u": 3.0, "t": ""})
+    binner = a.binner
+    a1 = entry("dc1", 1, 1, "k1", {"f": 4.0, "n": 100, "u": 2.5, "t": "ab"},
+               binner=binner)
+    a2 = entry("dc1", 2, 3, "k2", {"f": 0.5, "n": 0, "u": 3.0, "t": ""},
+               binner=binner)
     a3 = entry("dc1", 3, 5, "k1", {"f": 1.75, "n": 37, "u": 7.25, "t": "c"},
-               prev=a1.stamp)
-    b1 = entry("dc2", 1, 2, "k3", {"f": 2.0, "n": 50, "u": 2.5, "t": "ab"})
-    b2 = entry("dc2", 2, 4, "k4", {"f": 3.999, "n": 99, "u": 10.0, "t": "cab"})
+               prev=a1.stamp, binner=binner)
+    b1 = entry("dc2", 1, 2, "k3", {"f": 2.0, "n": 50, "u": 2.5, "t": "ab"},
+               binner=binner)
+    b2 = entry("dc2", 2, 4, "k4", {"f": 3.999, "n": 99, "u": 10.0, "t": "cab"},
+               binner=binner)
     b3 = entry("dc2", 3, 6, "k2", None, prev=a2.stamp)
     for e in (a1, a2, a3):
         ingest(a, e)
@@ -550,9 +570,9 @@ def test_state_equality_agrees_with_canonical_bytes():
 
     def spelled(logs, pick):
         """The log entries, each u written as `pick` of its two spellings."""
-        return {dc: [LogEntry(dc, stamp.seq, stamp, key, None if v is None
-                              else {"f": v[0], "n": v[1], "u": pick(v[2]),
-                                    "t": v[3]}, prev)
+        return {dc: [entry(dc, stamp.seq, stamp.ts, key, None if v is None
+                           else {"f": v[0], "n": v[1], "u": pick(v[2]),
+                                 "t": v[3]}, prev, binner)
                      for stamp, key, v, prev in rows]
                 for dc, rows in logs.items()}
 
@@ -585,7 +605,8 @@ def test_state_equality_agrees_with_canonical_bytes():
         renamed = CrdtIndex.merged(b, b)
         if renamed.tag_info:
             tag = rng.choice(sorted(renamed.tag_info))
-            renamed.post(tag, rng.choice(("k0", "k9")), renamed.tag_info[tag][1])
+            renamed.post(replace(renamed.tag_info[tag],
+                                 key=rng.choice(("k0", "k9"))))
         ahead = CrdtIndex.merged(a, a)
         ahead.clock = VectorClock({**a.clock.entries, "dc3": 1})
         indexes += [a, b, c, CrdtIndex.merged(a, c), CrdtIndex.merged(c, b),
@@ -664,8 +685,8 @@ def test_canonical_ignores_held_removes():
     ingest(held, e2)
     assert held.removed == {("dc2", 1)}
     built = mk_index()
-    for tag, (key, point) in held.tag_info.items():
-        built.post(tag, key, point)
+    for e in held.tag_info.values():
+        built.post(e)
     built.clock = held.clock.copy()
     assert built.removed == set()
     assert held.canonical() == built.canonical()

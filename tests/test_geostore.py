@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from qpusim import DcReplica, LogEntry, Stamp, VectorClock, geostore
+from qpusim import Binner, DcReplica, LogEntry, Stamp, VectorClock, geostore
 
 from conftest import (
     build,
+    fill,
     logged,
     random_student,
     record_logs,
@@ -48,8 +49,8 @@ def test_concurrent_writes_pick_one_winner_everywhere():
 
 
 def test_tie_break_is_argument_order_independent():
-    a = LogEntry("dc1", 2, Stamp(5, "dc1", 2), "k", {"v": 1}, None)
-    b = LogEntry("dc2", 1, Stamp(5, "dc2", 1), "k", {"v": 2}, None)
+    a = LogEntry("dc1", 2, Stamp(5, "dc1", 2), "k", {"v": 1}, None, (1,))
+    b = LogEntry("dc2", 1, Stamp(5, "dc2", 1), "k", {"v": 2}, None, (2,))
     assert max(a, b, key=lambda v: v.stamp) == max(b, a, key=lambda v: v.stamp)
     assert max(a, b, key=lambda v: v.stamp) is b
 
@@ -79,6 +80,35 @@ def test_delete_leaves_a_tombstone_version():
         replica = store.replicas[dc]
         assert replica.get("k") is None
         assert replica.objects["k"].attrs is None
+
+
+def test_a_commit_bins_a_write_once_for_every_replica_and_leaf():
+    # replication hands each replica the entry its origin committed, so
+    # every replica's winner for a key, and every leaf's posting of it, is
+    # that one entry with its one bins tuple
+    sim, store, net = build(binning={"gpa": 8}, jitter=5, dup=0.2, seed=4)
+    keys = fill(store, random.Random(4), 60)
+    sim.run_until_quiescent()
+    binner = store.binner
+    assert net.binner is binner
+    posted = [e for leaf in net.hist_leaves()
+              for e in leaf.index.tag_info.values()]
+    for key in set(keys):
+        winners = [r.objects[key] for r in store.replicas.values()]
+        first = winners[0]
+        assert all(w is first for w in winners)
+        assert first.bins == tuple(binner.keys_for(first.attrs))
+        copies = [e for e in posted if e.stamp == first.stamp]
+        assert len(copies) == 3 and all(e is first for e in copies)
+
+
+def test_a_delete_carries_no_bins():
+    sim, store, net = build(dcs=("dc1", "dc2"), binning={"gpa": 4})
+    put = store.put("dc1", "k", {"gpa": 3.0, "dept": "cs"})
+    gone = store.delete("dc1", "k")
+    assert put.bins == ("cs", 3) and gone.bins is None
+    sim.run_until_quiescent()
+    assert all(r.objects["k"] is gone for r in store.replicas.values())
 
 
 def test_subscribe_on_empty_log_feeds_only_new_entries():
@@ -164,8 +194,8 @@ def test_three_dc_random_churn_converges_to_lww_fold():
 
 
 def test_heads_is_one_snapshot_per_replica_state():
-    origin = DcReplica("dc1", student_schema())
-    replica = DcReplica("dc2", student_schema())
+    origin = DcReplica("dc1", Binner(student_schema()))
+    replica = DcReplica("dc2", Binner(student_schema()))
     e1 = origin.put("a", {"gpa": 1.0, "dept": "cs"}, 1)
     e2 = origin.put("b", {"gpa": 2.0, "dept": "cs"}, 2)
     empty = replica.heads

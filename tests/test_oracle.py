@@ -161,10 +161,11 @@ def test_rebuild_empty_store_is_empty_index():
 
 def test_rebuild_advances_its_own_clock_not_the_heads():
     # the index clock advances in place; the heads snapshot must not
-    rep = DcReplica("dc1", SCHEMA)
+    binner = Binner(SCHEMA, {"gpa": 4})
+    rep = DcReplica("dc1", binner)
     rep.put("a", {"gpa": 1.0, "dept": "cs"}, 1)
     heads = rep.heads
-    idx = rebuild_index(rep, Binner(SCHEMA, {"gpa": 4}))
+    idx = rebuild_index(rep, binner)
     assert idx.clock == heads and idx.clock is not heads
     assert idx.apply_delta(rep.put("b", {"gpa": 2.0, "dept": "cs"}, 2), True)
     assert idx.clock == rep.heads == VectorClock({"dc1": 2})
@@ -200,7 +201,7 @@ def test_rebuild_region_restriction_is_a_subset():
     part_tags = {s for posting in part.postings.values()
                  for tags in posting.values() for s in tags}
     assert part_tags <= full_tags
-    assert all(rep.get(part.tag_info[t][0]) is not None for t in part_tags)
+    assert all(rep.get(part.tag_info[t].key) is not None for t in part_tags)
 
 
 def test_target_fault_checks_each_level_on_its_own():
@@ -404,7 +405,7 @@ def test_views_stay_bounded_and_match_a_full_scan():
     # 1,000 distinct expressions at one replica, each used three times
     # among writes and deletes (a first use, the use that makes its view,
     # and one that catches the view up), then 1,000 more used once
-    rep = DcReplica("dc1", SCHEMA)
+    rep = DcReplica("dc1", Binner(SCHEMA))
     rng = random.Random(11)
     views = ScanViews()
     tick = 0
@@ -519,7 +520,7 @@ def test_a_fold_from_the_checkpoint_still_finds_a_planted_missing_key():
 
 
 def test_a_view_whose_cursor_is_below_the_log_base_scans_again():
-    rep = DcReplica("dc1", SCHEMA)
+    rep = DcReplica("dc1", Binner(SCHEMA))
     rng = random.Random(15)
     scans = []
 

@@ -35,6 +35,7 @@ from conftest import (
     clear_caches,
     fill,
     logged,
+    partition,
     random_student,
     ref_uncovered,
     run_until,
@@ -145,7 +146,7 @@ def check_cut_axes(store, net, prefix):
         store.put(store.dcs[i % len(store.dcs)], key, p)
     net.sim.run_until_quiescent()
     for leaf in net.hist_leaves():
-        posted = {k for k, _ in leaf.index.tag_info.values()}
+        posted = {e.key for e in leaf.index.tag_info.values()}
         want = {k for k, p in zip(keys, points)
                 if leaf.region.contains_point(p)}
         assert posted & set(keys) == want, leaf.actor
@@ -515,7 +516,7 @@ def checked_root_hit(corrupt):
     sim.run_until_quiescent()
     text = "gpa > 2.0 FRESHNESS any"
     assert ask(net, text, "dc2").keys == {"k"}
-    sim.partition("dc1", "dc2", sim.now, sim.now + 500)
+    partition(sim, "dc1", "dc2", sim.now, sim.now + 500)
     run_until(sim, sim.now)
     store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
     run_until(sim, sim.now + 30)  # dc1 and dc3 have ingested the overwrite
@@ -629,7 +630,7 @@ def test_root_cache_keeps_a_key_the_querying_dc_still_holds():
     sim.run_until_quiescent()
     text = "gpa > 2.0 FRESHNESS any"
     assert ask(net, text, "dc2").keys == {"k"}
-    sim.partition("dc1", "dc2", sim.now, sim.now + 500)
+    partition(sim, "dc1", "dc2", sim.now, sim.now + 500)
     run_until(sim, sim.now)
     store.delete("dc1", "k")
     run_until(sim, sim.now + 30)  # dc1 and dc3 have ingested the delete
@@ -741,7 +742,7 @@ def test_split_carries_the_removes_held_ahead_of_their_adds():
     # halves of a split keep it until dc2's write arrives, then drop it
     sim, store, net = quiesced(n=20, seed=5, rngseed=5)
     start = sim.now
-    sim.partition("dc2", "dc3", start, start + 200)
+    partition(sim, "dc2", "dc3", start, start + 200)
     run_until(sim, start)
     first = store.put("dc2", "k", {"gpa": 1.0, "dept": "cs"})
     run_until(sim, start + 50)
@@ -755,8 +756,8 @@ def test_split_carries_the_removes_held_ahead_of_their_adds():
     for half in halves:
         assert half.index.removed == set()
         assert first.stamp not in half.index.tag_info
-    assert sum(key == "k" for h in halves
-               for key, _ in h.index.tag_info.values()) == 1
+    assert sum(e.key == "k" for h in halves
+               for e in h.index.tag_info.values()) == 1
 
 
 def test_split_then_merge_preserves_query_results():
@@ -803,6 +804,32 @@ def test_merged_clock_is_the_floor_of_the_parts():
     assert leaf.index.canonical() == want.canonical()
 
 
+def test_split_and_merged_leaves_equal_their_rebuilds():
+    # a split hands each half the entries the leaf posted, and a merge
+    # unions the halves' entries: their postings come from the bins each
+    # entry carries, while a rebuild bins each winner from its attrs
+    sim, store, net = quiesced(n=80, seed=21, rngseed=21, jitter=4, dup=0.2,
+                               history=CUT, binning={"gpa": 8})
+
+    def each_leaf_equals_its_rebuild():
+        net.scrub_all()
+        for leaf in net.hist_leaves():
+            want = rebuild_index(leaf.replica, net.binner, leaf.region)
+            assert leaf.index.state() == want.state(), leaf.actor
+
+    halves = {dc: net.force_split(f"qpu/{dc}/h1") for dc in store.dcs}
+    fill(store, random.Random(22), 40, prefix="s")
+    sim.run_until_quiescent()
+    assert len(net.hist_leaves()) == 9
+    each_leaf_equals_its_rebuild()
+    for a, b in halves.values():
+        net.merge_siblings(a, b)
+    fill(store, random.Random(23), 40, prefix="m")
+    sim.run_until_quiescent()
+    assert len(net.hist_leaves()) == 6
+    each_leaf_equals_its_rebuild()
+
+
 def test_a_probe_on_its_way_to_a_merged_leaf_is_answered():
     # the old leaf forwards to the merged one rather than dropping the probe,
     # which would leave its parent's join waiting for good
@@ -819,8 +846,8 @@ def test_a_probe_on_its_way_to_a_merged_leaf_is_answered():
     sim.run_until_quiescent()
     (resp,) = got
     assert resp.clock == merged.index.clock
-    want = {key for key, attrs in merged.index.tag_info.values()
-            if rect.contains_point(attrs)}
+    want = {e.key for e in merged.index.tag_info.values()
+            if rect.contains_point(e.attrs)}
     assert want and set(resp.keys) == want
 
 
@@ -1387,7 +1414,7 @@ def test_a_held_hit_survives_its_entrys_eviction_and_a_log_cut():
     sim.run_until_quiescent()  # every DC has reported heads past the entry
     done = []
     net.submit(parse(text, SCHEMA).at("dc2"), done.append)
-    sim.partition("dc1", "dc2", sim.now + 1, sim.now + 300)
+    partition(sim, "dc1", "dc2", sim.now + 1, sim.now + 300)
     run_until(sim, sim.now + 6)  # the root sent the hit's response at +5
     assert net.root.cache.hits == 1 and not done
     ask(net, "gpa < 1.0", "dc1")

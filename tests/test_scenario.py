@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qpusim import (
+    Binner,
     LogEntry,
     ScenarioError,
     Simulation,
@@ -16,6 +17,7 @@ from qpusim import (
     run_scenario,
     write_outputs,
 )
+from qpusim import geostore, scenario
 from qpusim.scenario import _verify_end_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,7 +233,8 @@ def advance_the_clock(index):
 
 def map_a_tag_to_another_key(index):
     tag, other = min(index.tag_info), max(index.tag_info)
-    index.tag_info[tag] = (index.tag_info[other][0], index.tag_info[tag][1])
+    wrong = index.tag_info[other].key
+    index.tag_info[tag] = dataclasses.replace(index.tag_info[tag], key=wrong)
 
 
 @pytest.mark.parametrize("plant", [cull_a_tag, advance_the_clock,
@@ -269,7 +272,7 @@ def test_end_state_rebuilds_from_a_replica_with_other_heads():
     seq = rep.base["dc1"] + len(rep.log["dc1"]) + 1
     winners = dict(rep.objects)
     rep.apply_remote(LogEntry("dc1", seq, Stamp(-1, "dc1", seq),
-                              min(rep.objects), None, None))
+                              min(rep.objects), None, None, None))
     report.sim.run_until_quiescent()
     assert rep.objects == winners
     assert rep.heads != report.store.replicas["dc1"].heads
@@ -420,6 +423,51 @@ def test_every_replication_mode_ingests_without_a_gap(mode, seed):
     assert "PASS ingest: every leaf at its replica heads" in report.verify_lines
     assert report.verify_ok, [ln for ln in report.verify_lines
                               if ln.startswith("FAIL")]
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_each_put_is_binned_once_and_each_rebuilt_winner_once(
+        monkeypatch, oracle):
+    # the commit bins a write and every leaf posts and culls it from those
+    # bins, across splits, merges, peer deltas and the scrub; the oracle
+    # bins again only the winners it rebuilds, from their attrs
+    calls, rebuilt = 0, 0
+    keys_for, rebuild = Binner.keys_for, scenario.rebuild_index
+
+    def counted_keys_for(self, attrs):
+        nonlocal calls
+        calls += 1
+        return keys_for(self, attrs)
+
+    def counted_rebuild(*args, **kw):
+        nonlocal rebuilt
+        idx = rebuild(*args, **kw)
+        rebuilt += idx.visible_count()
+        return idx
+
+    monkeypatch.setattr(Binner, "keys_for", counted_keys_for)
+    monkeypatch.setattr(scenario, "rebuild_index", counted_rebuild)
+    sc = parse_scenario(write_heavy("adaptive", 1))
+    report = run_scenario(sc, oracle=oracle)
+    assert report.runtime_errors == [] and report.verify_ok
+    puts = sum(a["op"] == "put" for a in sc.workload)
+    assert puts > 500 and (rebuilt > 0) == oracle
+    assert calls == puts + rebuilt
+
+
+def test_a_commit_binned_off_by_one_fails_the_index_check(monkeypatch):
+    # the end-of-run check bins each winner from its attrs, so a leaf that
+    # posted under the bins its commit gave is caught when those are wrong
+    real = geostore.LogEntry
+
+    def planted(*, bins, **fields):
+        if bins is not None:
+            bins = (bins[0] + 1,) + bins[1:]  # price, one bin up
+        return real(bins=bins, **fields)
+
+    monkeypatch.setattr(geostore, "LogEntry", planted)
+    report = run_scenario(parse_scenario(write_heavy("log", 1)), oracle=True)
+    assert any(ln.startswith("FAIL index") for ln in report.verify_lines)
 
 
 # Seeds where a key moved between the two low-price leaves while a query

@@ -4,7 +4,7 @@ import pytest
 
 from qpusim import Envelope, LivelockError, NetConfig, Simulation
 
-from conftest import build, fill
+from conftest import build, fill, partition
 
 
 def collector(sim, name, dc="dc1"):
@@ -149,7 +149,7 @@ def test_partition_holds_messages_until_window_closes():
     sim = Simulation(NetConfig(1, 2, 0, 0.0), trace=True)
     got = collector(sim, "b", dc="dc2")
     sim.add_actor("a", "dc1", lambda e: None)
-    sim.partition("dc1", "dc2", 5, 30)
+    partition(sim, "dc1", "dc2", 5, 30)
     sim.at(10, lambda: sim.send("a", "b", "m", "held"))
     sim.at(2, lambda: sim.send("a", "b", "m", "early"))
     sim.run_until_quiescent()
@@ -163,7 +163,7 @@ def test_partition_is_symmetric_and_keyed_by_pair():
     got_a = collector(sim, "a", dc="dc1")
     got_c = collector(sim, "c", dc="dc3")
     sim.add_actor("b", "dc2", lambda e: None)
-    sim.partition("dc2", "dc1", 0, 50)
+    partition(sim, "dc2", "dc1", 0, 50)
     sim.at(10, lambda: sim.send("b", "a", "m", "blocked"))
     sim.at(10, lambda: sim.send("b", "c", "m", "free"))
     sim.run_until_quiescent()
@@ -175,8 +175,8 @@ def test_overlapping_partition_windows_rejected():
     sim = Simulation()
     sim.add_actor("a", "dc1", lambda e: None)
     sim.add_actor("b", "dc2", lambda e: None)
-    sim.partition("dc1", "dc2", 0, 10)
-    sim.partition("dc1", "dc2", 5, 15)
+    partition(sim, "dc1", "dc2", 0, 10)
+    partition(sim, "dc1", "dc2", 5, 15)
     with pytest.raises(ValueError, match="overlapping"):
         sim.run_until_quiescent()
 
@@ -185,8 +185,8 @@ def test_touching_partition_windows_each_hold_their_own_sends():
     sim = Simulation(NetConfig(1, 2, 0, 0.0))
     got = collector(sim, "b", dc="dc2")
     sim.add_actor("a", "dc1", lambda e: None)
-    sim.partition("dc1", "dc2", 50, 60)
-    sim.partition("dc1", "dc2", 60, 70)
+    partition(sim, "dc1", "dc2", 50, 60)
+    partition(sim, "dc1", "dc2", 60, 70)
     sim.at(55, lambda: sim.send("a", "b", "m", "first"))
     sim.at(65, lambda: sim.send("a", "b", "m", "second"))
     sim.run_until_quiescent()
