@@ -2,7 +2,7 @@
 tree over a weakly consistent, multi-datacenter object store."""
 
 from .crdt_index import Binner, CrdtIndex
-from .geostore import DcReplica, GeoStore, LogEntry, SchemaError, Stamp
+from .geostore import DcReplica, GeoStore, LogEntry, Stamp
 from .oracle import rebuild_index, scan
 from .qpu import (
     Coordinator,

@@ -46,7 +46,7 @@ import json
 from bisect import bisect_left, bisect_right
 
 from .geostore import DcReplica, LogEntry, Stamp
-from .regions import AttributeSchema, Interval, Region
+from .regions import AttributeSchema, Interval, Region, is_int
 from .staleness import VectorClock
 
 
@@ -67,7 +67,7 @@ class Binner:
     [edge i, edge i+1), with edge i = lo + i * width for i below the count
     and the last edge hi; a count whose edges do not strictly increase is
     rejected, since some bin would hold nothing. Values must lie in their
-    attribute's domain, which the store checks on every write.
+    attribute's domain, which `parse_scenario` checks for every put.
     """
 
     def __init__(self, schema: dict[str, AttributeSchema], spec: dict | None = None):
@@ -78,8 +78,7 @@ class Binner:
             mode = spec.get(attr, "none")
             if mode == "none":
                 continue
-            if (not isinstance(mode, int) or isinstance(mode, bool)
-                    or not 1 <= mode <= MAX_BINS):
+            if not is_int(mode) or not 1 <= mode <= MAX_BINS:
                 raise ValueError(f"{attr}: bin count must be 'none' or an "
                                  f"integer in [1, {MAX_BINS}], got {mode!r}")
             if sch.kind == "text":
@@ -108,7 +107,7 @@ class Binner:
 
     def keys_for(self, attrs: dict) -> list:
         """The bin key of each schema attribute's value, in name order;
-        `attrs` holds exactly the schema's attributes, as the store checks."""
+        `attrs` must be a point of the schema, as `parse_scenario` checks."""
         out = []
         for attr, lo, width, last, edges in self._axes:
             v = attrs[attr]

@@ -19,6 +19,11 @@ separate version record is built per applied write.
 A write is binned once, as it commits, by the store's one `Binner`: the entry
 carries its bin keys, and every replica and index leaf reads them from it.
 
+The store checks no input. A put's attrs must be a point of the schema:
+exactly its attributes, each value in its domain. `parse_scenario` checks
+every put of a scenario once, as it loads, and the store trusts it, just as
+`apply_remote` trusts the entries a peer committed.
+
 What a replica keeps is its winners, plus each origin's log above that
 origin's base seq. `GeoStore.truncate` drops the entries at or below a
 frontier that no reader can still need (see QpuNetwork._frontier), so the
@@ -38,10 +43,6 @@ from .staleness import VectorClock
 # entries a replica's log may hold past twice what its last cut kept
 # before the next cut is due (see DcReplica.cut_due)
 CUT_FLOOR = 256
-
-
-class SchemaError(Exception):
-    pass
 
 
 class Stamp(NamedTuple):
@@ -65,8 +66,7 @@ class DcReplica:
     def __init__(self, name: str, binner):
         self.name = name
         self.binner = binner
-        self.schema = schema = binner.schema
-        self._names = set(schema)
+        self.schema = binner.schema
         # each key's winning entry: its current version (see the module note)
         self.objects: dict[str, LogEntry] = {}
         # origin -> its applied entries past its base seq, in seq order
@@ -100,17 +100,10 @@ class DcReplica:
 
     # -- local writes --------------------------------------------------------
 
-    def _validate(self, attrs: dict):
-        if attrs.keys() != self._names:
-            raise SchemaError(
-                f"attribute set {sorted(attrs)} does not match schema "
-                f"{sorted(self.schema)}")
-        for a, v in attrs.items():
-            if not self.schema[a].validate(v):
-                raise SchemaError(f"value {v!r} outside domain of {a}")
-
     def put(self, key: str, attrs: dict, tick: int) -> LogEntry:
-        self._validate(attrs)
+        """Commit `attrs` as the new version of `key`. `attrs` must be a
+        point of the schema (see the module note); the entry holds a copy,
+        so it does not change with the caller's dict."""
         return self._commit_local(key, dict(attrs), tick)
 
     def delete(self, key: str, tick: int) -> LogEntry:

@@ -54,7 +54,7 @@ from functools import partial
 
 from .crdt_index import CrdtIndex
 from .geostore import GeoStore, LogEntry
-from .regions import Region, greedy_cover
+from .regions import Region, greedy_cover, is_int
 from .router import (
     Query,
     QueryResult,
@@ -91,7 +91,7 @@ class MergeRefused(Exception):
 
 
 def _require_positive_int(name: str, value):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not is_int(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

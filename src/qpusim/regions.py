@@ -22,6 +22,16 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON's true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An int or a float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _below(a, b) -> bool:
     # a < b with None as +infinity
     if b is None:
@@ -50,8 +60,7 @@ class AttributeSchema:
     def __post_init__(self):
         if self.kind in ("int", "float"):
             for bound in (self.lo, self.hi):
-                if (not isinstance(bound, (int, float))
-                        or isinstance(bound, bool)):
+                if not is_number(bound):
                     raise ValueError(f"{self.name}: numeric bounds lo and hi "
                                      f"must be numbers, got {bound!r}")
             if not self.lo < self.hi:
@@ -73,17 +82,9 @@ class AttributeSchema:
 
     def validate(self, value) -> bool:
         if self.kind == "int":
-            return (
-                isinstance(value, int)
-                and not isinstance(value, bool)
-                and self.lo <= value <= self.hi
-            )
+            return is_int(value) and self.lo <= value <= self.hi
         if self.kind == "float":
-            return (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and self.lo <= value <= self.hi
-            )
+            return is_number(value) and self.lo <= value <= self.hi
         return isinstance(value, str) and all(c in self.alphabet for c in value)
 
     def embed(self, value) -> float:

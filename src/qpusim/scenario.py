@@ -3,8 +3,10 @@
 A scenario is one JSON document holding the schema, the network parameters,
 the tree layout, and a timed workload. Loading validates everything it can
 statically (unknown attributes, uncovered regions, malformed actions) and
-reports failures with the line in the file they came from; running is fully
-deterministic for a given file, so reports can be compared byte for byte.
+reports failures with the line in the file they came from. It is the one
+check: a run trusts a parsed `Scenario`, and the store commits its puts
+unchecked. Running is fully deterministic for a given file, so reports can
+be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .qpu import (
     SplitRefused,
     TreeConfig,
 )
-from .regions import AttributeSchema, Region
+from .regions import AttributeSchema, Region, is_int
 from .router import Query, QueryError, QueryResult, parse
 from .simcore import NetConfig, Simulation
 from .staleness import Level
@@ -53,7 +55,7 @@ class Scenario:
     seed: int
     dcs: list[str]
     schema: dict[str, AttributeSchema]
-    binning: dict
+    binner: Binner  # parse's one binner; every run of the scenario uses it
     net: NetConfig
     tree: TreeConfig
     workload: list[dict]  # in tick order; equal ticks in file order
@@ -90,10 +92,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(raw, text, str(path))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _FIELDS = {"name", "seed", "dcs", "schema", "binning", "net", "tree",
            "workload", "generate", "verify", "limits"}
 _LIMITS = {"max_ticks": 1_000_000, "max_events": 5_000_000}
@@ -125,7 +123,7 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
             or len(set(dcs)) != len(dcs)):
         fail("dcs must be a list of unique datacenter names", '"dcs"')
     seed = raw.get("seed", 0)
-    if not _is_int(seed):
+    if not is_int(seed):
         fail("seed must be an integer", '"seed"')
 
     schema: dict[str, AttributeSchema] = {}
@@ -176,7 +174,7 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     bounds = {}
     for name, default in _LIMITS.items():
         value = bounds[name] = limits.get(name, default)
-        if not _is_int(value) or value < 1:
+        if not is_int(value) or value < 1:
             fail(f"limits.{name} must be a positive integer", f'"{name}"')
 
     workload = raw.get("workload", [])
@@ -237,7 +235,7 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         seed=seed,
         dcs=list(dcs),
         schema=schema,
-        binning=binning,
+        binner=binner,
         net=net,
         tree=tree,
         workload=workload,
@@ -295,7 +293,7 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
         if not isinstance(op, str) or op not in _OPS:
             bad(f"unknown op {op!r}")
         t = act.get("t")
-        if not _is_int(t) or t < 0:
+        if not is_int(t) or t < 0:
             bad("t must be a non-negative integer tick")
         if op in ("put", "delete", "query") and act.get("dc") not in dcs:
             bad(f"dc {act.get('dc')!r} is not declared")
@@ -305,13 +303,14 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
             attrs = act.get("attrs")
             if not isinstance(attrs, dict):
                 bad(f"attrs must be an object, got {attrs!r}")
-            if set(attrs) != set(schema):
+            if attrs.keys() != schema.keys():
                 bad(f"attrs must give every schema attribute exactly once, "
                     f"got {sorted(attrs)}")
             for a, v in attrs.items():
-                if isinstance(v, float) and schema[a].kind == "int":
+                sch = schema[a]
+                if isinstance(v, float) and sch.kind == "int":
                     bad(f"attribute {a!r} takes int values")
-                if not schema[a].validate(v):
+                if not sch.validate(v):
                     bad(f"value {v!r} is outside the domain of {a!r}")
         if op == "query":
             text = act.get("text", "")
@@ -337,7 +336,7 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
                 bad("partition needs two declared DCs")
             if act["a"] == act["b"]:
                 bad("partition needs two different DCs")
-            if not _is_int(act.get("until")) or act["until"] <= t:
+            if not is_int(act.get("until")) or act["until"] <= t:
                 bad("partition needs until > t")
             pair = tuple(sorted((act["a"], act["b"])))
             windows.setdefault(pair, []).append((t, act["until"], i))
@@ -387,7 +386,7 @@ class RunReport:
 
 def build_scenario(sc: Scenario, trace: bool = False):
     sim = Simulation(sc.net, seed=sc.seed, trace=trace)
-    store = GeoStore(sim, sc.dcs, Binner(sc.schema, sc.binning))
+    store = GeoStore(sim, sc.dcs, sc.binner)
     net = QpuNetwork(sim, store, sc.tree)
     return sim, store, net
 

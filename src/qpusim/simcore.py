@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .regions import is_int, is_number
+
 
 class LivelockError(Exception):
     """A run reached a bound before quiescence; `limit` names the bound,
@@ -48,12 +50,11 @@ class NetConfig:
     def __post_init__(self):
         for name in ("intra_dc_delay", "inter_dc_delay", "jitter"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if not is_int(value) or value < 0:
                 raise ValueError(f"{name} must be a whole number of ticks >= 0, "
                                  f"got {value!r}")
         p = self.dup_prob
-        if (not isinstance(p, (int, float)) or isinstance(p, bool)
-                or not 0.0 <= p <= 1.0):
+        if not is_number(p) or not 0.0 <= p <= 1.0:
             raise ValueError(f"dup_prob must be a number in [0, 1], got {p!r}")
 
 

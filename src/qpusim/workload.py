@@ -12,15 +12,11 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .regions import AttributeSchema
+from .regions import AttributeSchema, is_int, is_number
 
 
 # a staleness level as a generated query's FRESHNESS clause spells it
 _LEVEL_TEXT = re.compile(r"(any|strong|snapshot|bounded:[0-9]+)\Z")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class KeySampler:
@@ -42,7 +38,7 @@ class KeySampler:
     def check(dist, theta):
         if dist not in ("uniform", "zipf"):
             raise ValueError(f"unknown key distribution {dist!r}")
-        if dist == "zipf" and not (_is_number(theta) and theta > 0):
+        if dist == "zipf" and not (is_number(theta) and theta > 0):
             raise ValueError(f"zipf needs a number theta > 0, got {theta!r}")
 
     def draw(self) -> int:
@@ -131,11 +127,11 @@ class WorkloadSpec:
     def __post_init__(self):
         for name in ("objects", "actions", "gap"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.objects < 1 or self.actions < 0 or self.gap < 1:
             raise ValueError("objects, actions and gap must be positive")
-        if not all(_is_number(f) and 0 <= f <= 1
+        if not all(is_number(f) and 0 <= f <= 1
                    for f in (self.query_frac, self.delete_frac)):
             raise ValueError("fractions must be numbers in [0, 1]")
         if self.query_frac + self.delete_frac > 1:
@@ -144,7 +140,7 @@ class WorkloadSpec:
         mix = self.staleness_mix
         if not (all(isinstance(p, (list, tuple)) and len(p) == 2
                     and isinstance(p[0], str) and _LEVEL_TEXT.match(p[0])
-                    and _is_number(p[1]) and p[1] >= 0 for p in mix)
+                    and is_number(p[1]) and p[1] >= 0 for p in mix)
                 and 0 < sum(w for _, w in mix) < float("inf")):
             raise ValueError(
                 f"staleness_mix must be [level, weight >= 0] pairs with a "
@@ -152,7 +148,7 @@ class WorkloadSpec:
         ranges = self.value_ranges
         if not (isinstance(ranges, dict) and all(
                 isinstance(r, (list, tuple)) and len(r) == 2
-                and all(_is_number(v) for v in r) for r in ranges.values())):
+                and all(is_number(v) for v in r) for r in ranges.values())):
             raise ValueError(f"value_ranges must map attributes to [lo, hi] "
                              f"number pairs, got {ranges!r}")
 

@@ -362,6 +362,20 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      "workload action 0: attrs must be an object, got 5", '"op": "put"'),
     (_actions(_put(key="z", attrs=[1, "a"])),
      "workload action 0: attrs must be an object", '"op": "put"'),
+    (_actions(_put(key="z", attrs={"GPA": 1.0})),
+     "workload action 0: attrs must give every schema attribute exactly "
+     "once, got ['GPA']", '"op": "put"'),
+    (lambda doc: _in_schema("Year", kind="int", lo=1, hi=5)(doc) or _actions(
+        _put(key="z", attrs={**_GOOD_ATTRS, "Year": 1}),
+        _put(key="y", attrs={**_GOOD_ATTRS, "Year": 2.0}))(doc),
+     "workload action 1: attribute 'Year' takes int values", '"op": "put"'),
+    (_actions(_put(key="z", attrs={**_GOOD_ATTRS, "GPA": True})),
+     "workload action 0: value True is outside the domain of 'GPA'",
+     '"op": "put"'),
+    (_actions(_put(key="z", attrs=_GOOD_ATTRS),
+              _put(key="y", attrs={**_GOOD_ATTRS, "GPA": 4.5})),
+     "workload action 1: value 4.5 is outside the domain of 'GPA'",
+     '"op": "put"'),
     (_actions(_cut_off(5, 9, b="dc1")),
      "workload action 0: partition needs two different DCs",
      '"op": "partition"'),
@@ -462,6 +476,8 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
     (lambda doc: doc.update(limits={"max_tick": 10}),
      "limits: unknown field 'max_tick'", '"max_tick"'),
 ], ids=["put-without-key", "put-attrs-number", "put-attrs-list",
+        "put-attr-missing", "put-float-for-int", "put-true-for-float",
+        "put-outside-domain",
         "partition-from-itself", "partition-overlap", "cache-capacity-0", "window-float",
         "replicated-string", "replicated-false", "history-null",
         "cut-attr-list", "cut-at-wrong-type",

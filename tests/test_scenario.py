@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qpusim import (
+    AttributeSchema,
     Binner,
     LogEntry,
     ScenarioError,
@@ -453,6 +454,48 @@ def test_each_put_is_binned_once_and_each_rebuilt_winner_once(
     puts = sum(a["op"] == "put" for a in sc.workload)
     assert puts > 500 and (rebuilt > 0) == oracle
     assert calls == puts + rebuilt
+
+
+def test_each_put_is_checked_once(monkeypatch):
+    # parse checks every put's values against the schema; the run, with
+    # the oracle on, trusts them and checks none again
+    calls = 0
+    validate = AttributeSchema.validate
+
+    def counted_validate(self, value):
+        nonlocal calls
+        calls += 1
+        return validate(self, value)
+
+    raw = write_heavy("adaptive", 1)
+    monkeypatch.setattr(AttributeSchema, "validate", counted_validate)
+    sc = parse_scenario(raw)
+    puts = sum(a["op"] == "put" for a in sc.workload)
+    assert puts > 500 and calls >= puts * len(sc.schema)
+    calls = 0
+    report = run_scenario(sc, oracle=True)
+    assert report.runtime_errors == [] and report.verify_ok
+    assert calls == 0
+
+
+def test_a_scenario_builds_one_binner(monkeypatch):
+    # parse builds the binner that checks the binning, and every run of
+    # the scenario bins with that one
+    built = 0
+    init = Binner.__init__
+
+    def counted_init(self, *args, **kw):
+        nonlocal built
+        built += 1
+        init(self, *args, **kw)
+
+    raw = write_heavy("adaptive", 1)
+    monkeypatch.setattr(Binner, "__init__", counted_init)
+    sc = parse_scenario(raw)
+    for _ in range(2):
+        report = run_scenario(sc, oracle=True)
+        assert report.verify_ok and report.store.binner is sc.binner
+    assert built == 1
 
 
 def test_a_commit_binned_off_by_one_fails_the_index_check(monkeypatch):
