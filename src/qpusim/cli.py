@@ -16,6 +16,7 @@ from pathlib import Path
 from .router import QueryError, parse, route
 from .scenario import (
     ScenarioError,
+    decode_json,
     generated_document,
     load_scenario,
     parse_scenario,
@@ -206,13 +207,11 @@ def _cmd_query(args) -> int:
     path = Path(args.source)
     if path.is_dir():
         try:
-            manifest = json.loads((path / "manifest.json").read_text())
+            text = (path / "manifest.json").read_text()
         except OSError as exc:
             raise ScenarioError(
                 f"{path} has no readable manifest.json: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"manifest.json is not valid JSON: {exc.msg}",
-                                exc.lineno) from None
+        manifest = decode_json(text, "manifest.json")
         if not isinstance(manifest, dict) or "scenario" not in manifest:
             raise ScenarioError(
                 f"{path / 'manifest.json'} is not a JSON object with a "

@@ -43,6 +43,7 @@ from the edges only when the index serializes.
 """
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 
 from .geostore import DcReplica, LogEntry, Stamp
@@ -96,7 +97,10 @@ class Binner:
                 self._axes.append((attr, None, None, None, None))
                 continue
             sch = schema[attr]
-            width = (sch.hi - sch.lo) / mode
+            try:
+                width = (sch.hi - sch.lo) / mode
+            except OverflowError:  # int bounds, with no float width
+                width = math.inf  # so no edge increases
             edges = tuple(sch.lo + i * width for i in range(mode)) + (sch.hi,)
             if not all(a < b for a, b in zip(edges, edges[1:])):
                 raise ValueError(f"{attr}: {mode} bins over [{sch.lo!r}, "

@@ -19,10 +19,10 @@ separate version record is built per applied write.
 A write is binned once, as it commits, by the store's one `Binner`: the entry
 carries its bin keys, and every replica and index leaf reads them from it.
 
-The store checks no input. A put's attrs must be a point of the schema:
-exactly its attributes, each value in its domain. `parse_scenario` checks
-every put of a scenario once, as it loads, and the store trusts it, just as
-`apply_remote` trusts the entries a peer committed.
+The store checks no input. Its DC names are unique, and a put's attrs must
+be a point of the schema: exactly its attributes, each value in its domain.
+`parse_scenario` checks every scenario once, as it loads, and the store
+trusts it, just as `apply_remote` trusts the entries a peer committed.
 
 What a replica keeps is its winners, plus each origin's log above that
 origin's base seq. `GeoStore.truncate` drops the entries at or below a
@@ -210,8 +210,6 @@ class GeoStore:
     binner, which every index leaf shares."""
 
     def __init__(self, sim, dcs: list[str], binner):
-        if len(set(dcs)) != len(dcs) or not dcs:
-            raise ValueError("datacenter names must be non-empty and unique")
         self.sim = sim
         self.dcs = list(dcs)
         self.binner = binner

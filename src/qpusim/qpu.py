@@ -46,10 +46,9 @@ still needs (see QpuNetwork._frontier).
 
 from __future__ import annotations
 
-import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .crdt_index import CrdtIndex
@@ -98,13 +97,9 @@ def _require_positive_int(name: str, value):
 @dataclass(frozen=True)
 class SelectivityConfig:
     """Sliding relevance window with two thresholds so mode choice has
-    hysteresis: a leaf flips only after the ratio crosses the far bar.
-
-    Over a full window the ratio is ones / window, so the bars are kept as
-    counts of ones, built once: `ones < lo_n` exactly when the ratio, as the
-    float division rounds it, is below theta_low, and `ones >= hi_n` exactly
-    when it is above theta_high. The exact rational bound is the start, and
-    a step corrects for the division's rounding."""
+    hysteresis: a leaf flips only after the ratio of a full window, ones /
+    window, crosses the far threshold. A window is at most sys.maxsize
+    writes, the most a deque holds."""
 
     window: int = 1000
     theta_low: float = 0.05
@@ -112,40 +107,29 @@ class SelectivityConfig:
 
     def __post_init__(self):
         _require_positive_int("window", self.window)
+        if self.window > sys.maxsize:
+            raise ValueError(f"window must be at most {sys.maxsize}, "
+                             f"got {self.window}")
         if not 0.0 < self.theta_low < self.theta_high < 1.0:
             raise ValueError("need 0 < theta_low < theta_high < 1")
-        size = self.window
-        # lo_n / size >= theta_low; a count below may round up to it
-        lo_n = math.ceil(Fraction(self.theta_low) * size)
-        while lo_n and (lo_n - 1) / size >= self.theta_low:
-            lo_n -= 1
-        # hi_n / size > theta_high; a count may round down onto it
-        hi_n = math.floor(Fraction(self.theta_high) * size) + 1
-        while not hi_n / size > self.theta_high:
-            hi_n += 1
-        object.__setattr__(self, "lo_n", lo_n)
-        object.__setattr__(self, "hi_n", hi_n)
 
 
 class SelectivityWindow:
     """The relevance bits (1 = the write lay in the leaf's region) of a
-    leaf's last `size` ingested writes, with a running count of the ones and
-    the config's bars on that count, so a write's test costs no division."""
+    leaf's last `window` ingested writes, with a running count of the ones
+    and the config's thresholds on their ratio."""
 
-    __slots__ = ("bits", "ones", "lo_n", "hi_n")
+    __slots__ = ("bits", "ones", "theta_low", "theta_high")
 
     def __init__(self, cfg: SelectivityConfig):
         self.bits: deque = deque(maxlen=cfg.window)
         self.ones = 0
-        self.lo_n = cfg.lo_n
-        self.hi_n = cfg.hi_n
+        self.theta_low = cfg.theta_low
+        self.theta_high = cfg.theta_high
 
     def clear(self):
         self.bits.clear()
         self.ones = 0
-
-    def ratio(self) -> float:
-        return self.ones / len(self.bits)
 
 
 @dataclass
@@ -549,21 +533,23 @@ class Qpu:
 
     def _maybe_switch(self, bit: int):
         """Record one write's relevance bit, and flip the mode once the
-        window is full and its count of ones crosses the far bar: below
-        lo_n in log mode, at or above hi_n in delta mode."""
+        window is full and its ratio crosses the far threshold: below
+        theta_low in log mode, above theta_high in delta mode."""
         window = self.window
         bits = window.bits
-        if len(bits) == bits.maxlen:
+        size = bits.maxlen
+        if len(bits) == size:
             window.ones -= bits[0]
         bits.append(bit)
         ones = window.ones = window.ones + bit
-        if len(bits) < bits.maxlen:
+        if len(bits) < size:
             return
+        ratio = ones / size
         if self.repl_mode == LOG:
-            if ones < window.lo_n:
-                self._switch(DELTA, window.ratio())
-        elif ones >= window.hi_n:
-            self._switch(LOG, window.ratio())
+            if ratio < window.theta_low:
+                self._switch(DELTA, ratio)
+        elif ratio > window.theta_high:
+            self._switch(LOG, ratio)
 
     def _switch(self, to: str, ratio: float):
         self.switch_log.append((self.sim.now, self.repl_mode, to, round(ratio, 4)))
@@ -743,11 +729,10 @@ class Coordinator:
 
 class QpuNetwork:
     """Builds the tree over a store, owns the registries, and performs the
-    structural operations (split, merge, mode rewires, scrub)."""
+    structural operations (split, merge, mode rewires, scrub). The config,
+    history cuts and query origins are as `parse_scenario` checks them."""
 
     def __init__(self, sim: Simulation, store: GeoStore, cfg: TreeConfig):
-        if cfg.root_dc not in store.dcs:
-            raise ValueError(f"root DC {cfg.root_dc!r} is not in the store")
         self.sim = sim
         self.store = store
         self.binner = store.binner  # the one the store bins each commit with
@@ -805,8 +790,6 @@ class QpuNetwork:
             return leaf
         attr, at = spec["attr"], spec["at"]
         lo_part, hi_part = region.cut(attr, at)
-        if lo_part is None or hi_part is None:
-            raise ValueError(f"history tree cut {attr}@{at!r} leaves an empty side")
         node = self._new_node(actor, "value", dc, region, parent)
         node.children = [
             self._build_history(spec["lo"], lo_part, dc, actor),
@@ -817,8 +800,6 @@ class QpuNetwork:
     # -- query API -----------------------------------------------------------------
 
     def submit(self, q: Query, cb) -> str:
-        if q.origin_dc not in self.coordinators:
-            raise ValueError(f"no coordinator for origin DC {q.origin_dc!r}")
         return self.coordinators[q.origin_dc].submit(q, cb)
 
     def _plan_of(self, q: Query) -> Plan:

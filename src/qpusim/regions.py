@@ -18,8 +18,11 @@ sides of one axis cut. So a probe's pieces, which lie inside the node, are
 covered exactly by their intersections with the children (greedy_cover).
 """
 
+import sys
 from dataclasses import dataclass
 from typing import Any, NamedTuple
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def is_int(value) -> bool:
@@ -63,6 +66,10 @@ class AttributeSchema:
                 if not is_number(bound):
                     raise ValueError(f"{self.name}: numeric bounds lo and hi "
                                      f"must be numbers, got {bound!r}")
+                # binning and volume arithmetic divide by the bounds as floats
+                if not -_FLOAT_MAX <= bound <= _FLOAT_MAX:
+                    raise ValueError(f"{self.name}: numeric bounds lo and hi "
+                                     f"must lie within the float range")
             if not self.lo < self.hi:
                 raise ValueError(f"{self.name}: numeric domain needs lo < hi")
         elif self.kind == "text":
@@ -265,9 +272,6 @@ class Region:
 
     def __eq__(self, other):
         return isinstance(other, Region) and self.ivs == other.ivs
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"Region({self.render()})"

@@ -15,7 +15,8 @@ becomes one axis-aligned rectangle whose intervals carry exact open/closed
 bounds, so the rectangles hold exactly the points the expression selects, and
 a plan needs nothing else. The parser rejects a query whose DNF would have
 more than MAX_DNF_TERMS conjuncts, because the expansion is exponential in
-the number of ANDed OR-groups.
+the number of ANDed OR-groups, and one whose parentheses nest deeper than
+MAX_NESTING, because parsing and planning recurse once per level.
 """
 
 import re
@@ -28,6 +29,9 @@ from .staleness import Level, StalenessLevel
 # Most DNF conjuncts a query may expand to: 2**10, ten ANDed two-way ORs.
 # Generated workloads reach at most 27.
 MAX_DNF_TERMS = 1024
+# Deepest parenthesis nesting a query may have, far below Python's recursion
+# limit. Generated workloads reach 2.
+MAX_NESTING = 64
 
 
 class QueryError(Exception):
@@ -174,6 +178,7 @@ class _Parser:
         self.schema = schema
         self.toks = _tokens(text)
         self.pos = 0
+        self.depth = 0  # parentheses open around the next token
 
     def peek(self):
         return self.toks[self.pos]
@@ -260,8 +265,13 @@ class _Parser:
         kind, val, off = self.peek()
         if kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise QueryError(
+                    f"parentheses nest deeper than {MAX_NESTING}", off)
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         return self.predicate(), 1
 
@@ -284,12 +294,12 @@ class _Parser:
                 raise QueryError(f"{attr} is text, got a number", voff)
             if sch.kind == "int" and not isinstance(value, int):
                 raise QueryError(f"{attr} is integer-valued, got {value!r}", voff)
-            if sch.kind == "float":
-                value = float(value)
         else:
             raise QueryError(f"expected a literal, found {value!r}", voff)
         if not sch.validate(value):
             raise QueryError(f"value {value!r} outside domain of {attr}", voff)
+        if sch.kind == "float":
+            value = float(value)  # an int in the domain is in float range
         return Pred(attr, op, value)
 
 

@@ -12,8 +12,9 @@ be compared byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
-from itertools import pairwise
+from itertools import islice, pairwise
 from operator import itemgetter
 from pathlib import Path
 
@@ -71,12 +72,11 @@ class Scenario:
 
 
 def _line_of(text: str, needle: str, occurrence: int = 0) -> int:
-    pos = -1
-    for _ in range(occurrence + 1):
-        pos = text.find(needle, pos + 1)
-        if pos < 0:
-            return 0
-    return text.count("\n", 0, pos) + 1
+    """The line of the `occurrence`-th `needle` that a colon follows, that
+    is, that names a field rather than gives a value; 0 when there is none."""
+    keys = re.finditer(re.escape(needle) + r"\s*:", text)
+    found = next(islice(keys, occurrence, None), None)
+    return text.count("\n", 0, found.start()) + 1 if found else 0
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -85,11 +85,21 @@ def load_scenario(path: str | Path) -> Scenario:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc.strerror}") from None
+    return parse_scenario(decode_json(text), text, str(path))
+
+
+def decode_json(text: str, what: str = "") -> object:
+    """The JSON value `text` holds, or a ScenarioError saying why it holds
+    none; `what` names the text's source in the message."""
+    err = f"{what} is not valid JSON" if what else "not valid JSON"
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"not valid JSON: {exc.msg}", exc.lineno) from None
-    return parse_scenario(raw, text, str(path))
+        raise ScenarioError(f"{err}: {exc.msg}", exc.lineno) from None
+    except ValueError as exc:  # an int of more digits than int() takes
+        raise ScenarioError(f"{err}: {str(exc).split(';')[0]}") from None
+    except RecursionError:
+        raise ScenarioError(f"{err}: nested too deeply") from None
 
 
 _FIELDS = {"name", "seed", "dcs", "schema", "binning", "net", "tree",
@@ -122,6 +132,9 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
             or not all(isinstance(d, str) for d in dcs)
             or len(set(dcs)) != len(dcs)):
         fail("dcs must be a list of unique datacenter names", '"dcs"')
+    if "root" in dcs or any("/" in d for d in dcs):
+        # actor names are built from DC names: qpu/root, qpu/<dc>/h<n>
+        fail('dcs may not name "root" or hold a "/"', '"dcs"')
     seed = raw.get("seed", 0)
     if not is_int(seed):
         fail("seed must be an integer", '"seed"')

@@ -118,10 +118,7 @@ class Simulation:
             cur = i
             i += 1
             if i < n:
-                tick = tick_of(i)
-                if tick < self.now:
-                    raise ValueError("feed ticks must not decrease")
-                heapq.heappush(heap, (tick, base + i, next_item))
+                heapq.heappush(heap, (tick_of(i), base + i, next_item))
             run(cur)
 
         self._push(tick_of(0), next_item)  # at seq base
@@ -160,19 +157,15 @@ class Simulation:
 
     def open_partition(self, dc_a: str, dc_b: str, end: int):
         """Hold every message sent between the pair from now until `end`;
-        the backlog is released, with fresh network delays, at `end`."""
-        if not self.now < end:
-            raise ValueError("partition window needs start < end")
+        the backlog is released, with fresh network delays, at `end`. The
+        DCs differ, `end` is past now, and the pair's windows do not
+        overlap, as `parse_scenario` checks of a partition action."""
         pair = self._pair(dc_a, dc_b)
-        if pair is None:
-            raise ValueError("cannot partition a datacenter from itself")
         old = self._partitions.get(pair)
-        if old is not None and old.end <= self.now:
+        if old is not None:
             # a window ending where this one starts, whose close event has
             # not fired yet this tick
             self._close_partition(pair, old)
-        elif old is not None:
-            raise ValueError(f"overlapping partition windows for {pair}")
         part = self._partitions[pair] = _Partition(end)
         self.at(end, lambda: self._close_partition(pair, part))
 

@@ -23,10 +23,6 @@ class StalenessLevel:
     level: Level
     k: int = 0
 
-    def __post_init__(self):
-        if self.level is Level.BOUNDED and self.k < 0:
-            raise ValueError("bounded staleness requires k >= 0")
-
     @classmethod
     def strong(cls):
         return cls(Level.STRONG)
@@ -107,9 +103,6 @@ class VectorClock:
 
     def __eq__(self, other):
         return isinstance(other, VectorClock) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.entries.items())))
 
     def __repr__(self):
         inner = ",".join(f"{d}:{s}" for d, s in sorted(self.entries.items()))

@@ -21,25 +21,16 @@ _LEVEL_TEXT = re.compile(r"(any|strong|snapshot|bounded:[0-9]+)\Z")
 
 class KeySampler:
     """Uniform or zipf(theta) over ranks 0..n-1. Zipf draws invert the
-    cumulative weights, so rank r carries mass r^-theta / H(n, theta)."""
+    cumulative weights, so rank r carries mass r^-theta / H(n, theta).
+    `n`, `dist` and `theta` are as `WorkloadSpec` checks them."""
 
     def __init__(self, n: int, dist: str, theta: float, rng: random.Random):
-        if n < 1:
-            raise ValueError("need at least one key")
-        self.check(dist, theta)
         self.n = n
         self.dist = dist
         self.rng = rng
         if dist == "zipf":
             self._cdf = list(
                 itertools.accumulate((r + 1) ** -theta for r in range(n)))
-
-    @staticmethod
-    def check(dist, theta):
-        if dist not in ("uniform", "zipf"):
-            raise ValueError(f"unknown key distribution {dist!r}")
-        if dist == "zipf" and not (is_number(theta) and theta > 0):
-            raise ValueError(f"zipf needs a number theta > 0, got {theta!r}")
 
     def draw(self) -> int:
         if self.dist == "uniform":
@@ -136,7 +127,12 @@ class WorkloadSpec:
             raise ValueError("fractions must be numbers in [0, 1]")
         if self.query_frac + self.delete_frac > 1:
             raise ValueError("query_frac + delete_frac must not exceed 1")
-        KeySampler.check(self.key_dist, self.theta)
+        if self.key_dist not in ("uniform", "zipf"):
+            raise ValueError(f"unknown key distribution {self.key_dist!r}")
+        if self.key_dist == "zipf" and not (
+                is_number(self.theta) and self.theta > 0):
+            raise ValueError(
+                f"zipf needs a number theta > 0, got {self.theta!r}")
         mix = self.staleness_mix
         if not (all(isinstance(p, (list, tuple)) and len(p) == 2
                     and isinstance(p[0], str) and _LEVEL_TEXT.match(p[0])

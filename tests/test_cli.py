@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,50 @@ def test_query_past_the_dnf_bound_exits_2(tmp_path, capsys):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "scenario error" in err and "DNF terms" in err and "at byte" in err
+
+
+# an int literal past the float range on a float attribute, and parentheses
+# nested past the bound, each once ended in a traceback
+DEEP_LITERAL = "GPA > 1" + "0" * 400
+DEEP_PARENS = "(" * 330 + "GPA > 1" + ")" * 330
+
+
+@pytest.mark.parametrize("text, message", [
+    (DEEP_LITERAL, "outside domain of GPA (at byte 6)"),
+    (DEEP_PARENS, "parentheses nest deeper than 64 (at byte 64)"),
+], ids=["literal-past-float-range", "nesting-330"])
+def test_query_text_that_once_crashed_exits_2(capsys, text, message):
+    assert main(["query", STUDENTS, text, "--dc", "dc1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("query error: ") and message in err
+    assert "Traceback" not in err
+
+
+# each document text, and what the message must hold: json.loads raises a
+# plain ValueError past int()'s digit limit and RecursionError on deep
+# nesting, and a structure check follows a good decode
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 1' + "0" * 5000 + "}", "not valid JSON: Exceeds the limit"),
+    ("[" * 100_000, "not valid JSON: nested too deeply"),
+    ("[1, 2]", "scenario document must be a JSON object"),
+], ids=["seed-5001-digits", "nesting-100000", "list"])
+def test_a_document_that_holds_no_scenario_exits_2(tmp_path, capsys, text,
+                                                   message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and message in err
+    assert "Traceback" not in err
+    # an output directory's manifest.json is decoded the same way
+    (tmp_path / "manifest.json").write_text(text)
+    assert main(["query", str(tmp_path), "GPA > 2.0"]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error: " in err and "Traceback" not in err
+    if message.startswith("not valid JSON"):
+        assert f"manifest.json is {message}" in err
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
@@ -429,6 +474,10 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      "dcs must be a list of unique datacenter names", '"dcs"'),
     (lambda doc: doc.update(dcs=["dc1", ["dc2"]]),
      "dcs must be a list of unique datacenter names", '"dcs"'),
+    (lambda doc: doc.update(dcs=["dc1", "dc2", "dc3", "dc1/h0"]),
+     'dcs may not name "root" or hold a "/"', '"dcs"'),
+    (lambda doc: doc.update(dcs=["dc1", "dc2", "dc3", "root"]),
+     'dcs may not name "root" or hold a "/"', '"dcs"'),
     (_in_schema("X", kind="text", alphabet=5),
      "schema attribute 'X': X: text domain needs a non-empty, duplicate-free "
      "string alphabet, got 5", '"X"'),
@@ -475,6 +524,53 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      "unknown top-level field 'scrub_at_endd'", '"scrub_at_endd"'),
     (lambda doc: doc.update(limits={"max_tick": 10}),
      "limits: unknown field 'max_tick'", '"max_tick"'),
+    # a needle counts only where it names a field: action 0's key "op"
+    # is not action 1's op
+    (_actions(_put(key="op", attrs=_GOOD_ATTRS), {"t": 2, "op": "nope"}),
+     "workload action 1: unknown op 'nope'", '"op": "nope"'),
+    (_actions({"t": 1, "op": "query", "dc": "dc1", "text": DEEP_LITERAL}),
+     "workload action 0: query does not parse: value 1" + "0" * 400
+     + " outside domain of GPA (at byte 6)", '"op": "query"'),
+    (_actions({"t": 1, "op": "query", "dc": "dc1", "text": DEEP_PARENS}),
+     "workload action 0: query does not parse: parentheses nest deeper "
+     "than 64 (at byte 64)", '"op": "query"'),
+    (_in_schema("X", kind="int", lo=0, hi=10**400),
+     "schema attribute 'X': X: numeric bounds lo and hi must lie within "
+     "the float range", '"X"'),
+    (lambda doc: _in_schema("X", kind="float", lo=-10**400, hi=10**400)(doc)
+     or _cut("X", 0.0)(doc),
+     "schema attribute 'X': X: numeric bounds lo and hi must lie within "
+     "the float range", '"X"'),
+    # in the float range, but wider than it: an int width overflows
+    (lambda doc: _in_schema("X", kind="int", lo=-10**308, hi=10**308)(doc)
+     or doc["binning"].update(X=1),
+     f"binning: X: 1 bins over [{-10**308}, {10**308}] have edges that do "
+     "not strictly increase", '"binning"'),
+    (_in_tree(selectivity={"window": 10**30}),
+     "tree: window must be at most 9223372036854775807, got 10" + "0" * 29,
+     '"tree"'),
+    # the rules below have no check past parse
+    (lambda doc: doc["binning"].update(Nope=4),
+     "binning names unknown attribute 'Nope'", '"Nope"'),
+    (_in_tree(root_dc="dc9"), "tree.root_dc 'dc9' is not a declared DC",
+     '"root_dc"'),
+    (lambda doc: doc.update(workload={"t": 1}), "workload must be a list",
+     '"workload"'),
+    (_actions(_put(key="z", attrs=_GOOD_ATTRS), {"t": 2}),
+     "workload action 1 needs an op", '"workload"'),
+    (_actions({"t": 1, "op": "force-split", "qpu": 3}),
+     "workload action 0: force-split needs a qpu actor name",
+     '"op": "force-split"'),
+    (_actions({"t": 1, "op": "force-merge", "a": "qpu/dc1/h1"}),
+     "workload action 0: force-merge needs actor names a and b",
+     '"op": "force-merge"'),
+    (_actions(_cut_off(5, 9, b="dc9")),
+     "workload action 0: partition needs two declared DCs",
+     '"op": "partition"'),
+    (_in_tree(repl_mode="fast"), "tree: unknown replication mode 'fast'",
+     '"tree"'),
+    (_in_tree(selectivity={"theta_low": 0.5, "theta_high": 0.2}),
+     "tree: need 0 < theta_low < theta_high < 1", '"tree"'),
 ], ids=["put-without-key", "put-attrs-number", "put-attrs-list",
         "put-attr-missing", "put-float-for-int", "put-true-for-float",
         "put-outside-domain",
@@ -484,14 +580,22 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
         "tree-split", "oracle-string", "scrub-at-end-string", "op-list",
         "jitter-float", "inter-dc-delay-float", "jitter-bool", "dup-prob-bool",
         "schema-lo-string", "schema-hi-bool", "t-bool", "until-bool",
-        "dcs-entry-object", "dcs-entry-list", "alphabet-int", "alphabet-bool",
+        "dcs-entry-object", "dcs-entry-list", "dcs-slash", "dcs-root",
+        "alphabet-int", "alphabet-bool",
         "bins-2**40", "bins-bool", "bins-overflowing-width",
         "bins-narrower-than-an-ulp", "generate-actions-2**40",
         "generate-objects-2**40", "generate-phase-actions-summed",
         "generate-actions-float", "generate-phases-and-fields",
         "generate-phases-empty-object", "generate-phases-string",
         "generate-phases-number-list", "generate-phases-object",
-        "top-level-unknown", "limits-unknown"])
+        "top-level-unknown", "limits-unknown", "op-after-a-key-named-op",
+        "query-literal-past-float-range", "query-nesting-330",
+        "int-bound-past-float-range", "float-bounds-past-float-range",
+        "int-bins-wider-than-floats",
+        "window-10**30", "binning-unknown-attr", "root-dc-undeclared",
+        "workload-object", "action-without-op", "force-split-without-qpu",
+        "force-merge-without-b", "partition-undeclared-dc",
+        "repl-mode-unknown", "thetas-reversed"])
 def test_malformed_input_exits_2_with_a_located_message(
         tmp_path, capsys, edit, message, on_line):
     exits_2_with(tmp_path, capsys, edit, message, on_line)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from qpusim import (
     route,
     to_rectangles,
 )
+from qpusim.router import MAX_NESTING
 from qpusim.workload import random_point, random_query_text
 
 from conftest import ask, build, fill, student_schema, wide_schema
@@ -74,6 +76,53 @@ def test_parse_errors_carry_byte_offsets():
         parse('dept = 3', SCHEMA)  # numeric literal on a text attribute
     with pytest.raises(QueryError):
         parse('gpa > "x"', SCHEMA)
+
+
+# each text: the message its QueryError must hold, and the byte it names
+@pytest.mark.parametrize("text, message, offset", [
+    ('dept = "cs', "unterminated string", 7),
+    ("gpa > 1.2.3", "bad number '1.2.3'", 6),
+    ("gpa > 1 & gpa < 2", "unexpected character '&'", 8),
+    ("gpa > 1 FRESHNESS fresh", "unknown staleness level 'fresh'", 18),
+    ("gpa > 1 AND OR > 2", "expected attribute name, found keyword OR", 12),
+    ("stock > 2.5", "stock is integer-valued, got 2.5", 8),
+    ("gpa > )", "expected a literal, found ')'", 6),
+    ("gpa >", "expected a literal, found ''", 5),
+    ("gpa > 5", "value 5 outside domain of gpa", 6),
+    ("gpa > 4.5", "value 4.5 outside domain of gpa", 6),
+    # an int literal past the float range is checked before float()
+    ("gpa > 1" + "0" * 400, "outside domain of gpa", 6),
+    ("stock < 1" + "0" * 400, "outside domain of stock", 8),
+], ids=["unterminated-string", "bad-number", "unexpected-character",
+        "unknown-level", "keyword-as-attribute", "float-for-int",
+        "literal-missing", "literal-at-end", "int-outside-domain",
+        "float-outside-domain", "int-past-float-range-on-float",
+        "int-past-float-range-on-int"])
+def test_each_query_error_names_its_byte(text, message, offset):
+    schema = {**SCHEMA, "stock": wide_schema()["stock"]}
+    with pytest.raises(QueryError, match=re.escape(message)) as exc:
+        parse(text, schema)
+    assert exc.value.offset == offset
+
+
+def test_nesting_past_the_bound_is_rejected_at_its_parenthesis():
+    deepest = "(" * MAX_NESTING + "gpa > 1" + ")" * MAX_NESTING
+    assert parse(deepest, SCHEMA).expr == parse("gpa > 1", SCHEMA).expr
+    for depth in (MAX_NESTING + 1, 330, 100_000):
+        text = "(" * depth + "gpa > 1" + ")" * depth
+        with pytest.raises(QueryError, match="nest deeper") as exc:
+            parse(text, SCHEMA)
+        assert exc.value.offset == MAX_NESTING
+    # alternating groups build a tree as deep as the text, which planning
+    # and printing walk at the bound
+    text = "gpa > 1"
+    for i in range(MAX_NESTING):
+        text = f"(gpa < 3 {'AND' if i % 2 else 'OR'} {text})"
+    q = parse(text, SCHEMA)
+    assert parse(render(q), SCHEMA).expr == q.expr
+    assert to_rectangles(q, SCHEMA)
+    with pytest.raises(QueryError, match="nest deeper"):
+        parse(f"(gpa < 3 OR {text})", SCHEMA)
 
 
 def test_round_trip_on_handwritten_forms():

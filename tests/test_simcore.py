@@ -171,16 +171,6 @@ def test_partition_is_symmetric_and_keyed_by_pair():
     assert got_c[0].deliver_at < 50
 
 
-def test_overlapping_partition_windows_rejected():
-    sim = Simulation()
-    sim.add_actor("a", "dc1", lambda e: None)
-    sim.add_actor("b", "dc2", lambda e: None)
-    partition(sim, "dc1", "dc2", 0, 10)
-    partition(sim, "dc1", "dc2", 5, 15)
-    with pytest.raises(ValueError, match="overlapping"):
-        sim.run_until_quiescent()
-
-
 def test_touching_partition_windows_each_hold_their_own_sends():
     sim = Simulation(NetConfig(1, 2, 0, 0.0))
     got = collector(sim, "b", dc="dc2")

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from qpusim import (
     Level,
     StalenessLevel,
@@ -83,11 +81,6 @@ def test_level_render_round_trip_forms():
     assert StalenessLevel.bounded(7).render() == "bounded:7"
     assert StalenessLevel.snapshot().render() == "snapshot"
     assert StalenessLevel.any().render() == "any"
-
-
-def test_bounded_requires_non_negative_k():
-    with pytest.raises(ValueError):
-        StalenessLevel.bounded(-1)
 
 
 def test_resolve_any_is_zero_clock():
