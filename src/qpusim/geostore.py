@@ -166,15 +166,17 @@ class DcReplica:
 
     def entries_after(self, clock: VectorClock):
         """Applied entries past `clock`, per origin in seq order, origins in
-        name order. Raises ValueError where `clock` is below an origin's
-        base: the entries past it are no longer all held."""
-        for origin in sorted(self.log):
-            start = clock.get(origin) - self.base[origin]
+        first-applied order. Raises ValueError where `clock` is below an
+        origin's base: the entries past it are no longer all held."""
+        get, base = clock.entries.get, self.base
+        for origin, log in self.log.items():
+            start = get(origin, 0) - base[origin]
             if start < 0:
                 raise ValueError(
                     f"{self.name}: {clock!r} is below the {origin} log's base "
-                    f"seq {self.base[origin]}")
-            yield from self.log[origin][start:]
+                    f"seq {base[origin]}")
+            if start < len(log):
+                yield from log[start:]
 
     # -- truncation ----------------------------------------------------------
 

@@ -60,7 +60,6 @@ from .router import (
     candidate_check,
     compile_expr,
     eval_expr,
-    rect_match,
     to_rectangles,
 )
 from .simcore import Envelope, Simulation
@@ -698,8 +697,12 @@ class Coordinator:
         plan = info.plan
         keys_raw = set(resp.keys)
         for entry in self.replica.entries_after(resp.clock):
-            if entry.attrs is not None and rect_match(plan.rects, entry.attrs):
-                keys_raw.add(entry.key)
+            attrs = entry.attrs
+            if attrs is not None:
+                for r in plan.rects:
+                    if r.contains_point(attrs):
+                        keys_raw.add(entry.key)
+                        break
         pred = plan.pred
         if pred is None:  # a first-use plan
             pred = partial(eval_expr, plan.expr)
@@ -743,7 +746,7 @@ class QpuNetwork:
         # the metrics.csv rows, each rendered once, as its line, when its
         # query completes
         self.metrics: list[str] = []
-        self._lag_dcs = sorted(store.dcs)
+        self._lag_replicas = [(d, store.replicas[d]) for d in sorted(store.dcs)]
         # only DC names can bring a delimiter, quote or line break into a
         # row; the lag field is then quoted as the csv module would
         self._quote_lag = any(c in d for d in store.dcs for c in ',"\r\n')
@@ -828,12 +831,11 @@ class QpuNetwork:
 
     def _record_metrics(self, result: QueryResult):
         # an origin's own heads lead every replica's for it, so the lag
-        # behind them is the lag behind every replica
-        replicas = self.store.replicas
-        local = replicas[result.origin_dc].heads.entries
-        lag = "|".join(
-            f"{d}:{replicas[d].heads.entries.get(d, 0) - local.get(d, 0)}"
-            for d in self._lag_dcs)
+        # behind them is the lag behind every replica. The result's clock
+        # is the local heads; an origin's head is its log's base + length
+        local = result.clock.entries
+        lag = "|".join(f"{d}:{r.base[d] + len(r.log[d]) - local.get(d, 0)}"
+                       for d, r in self._lag_replicas)
         if self._quote_lag:
             lag = '"' + lag.replace('"', '""') + '"'
         self.metrics.append(

@@ -472,10 +472,10 @@ def candidate_check(keys, pred, store, dc: str):
     """Re-evaluate keys against the current origin-replica state with the
     query's predicate, a function of attrs (see compile_expr); deleted or
     absent objects fail. Returns (kept, removed_count)."""
-    get = store.replicas[dc].get
+    objects = store.replicas[dc].objects
     kept = set()
     for key in keys:
-        attrs = get(key)
-        if attrs is not None and pred(attrs):
+        cur = objects.get(key)
+        if cur is not None and cur.attrs is not None and pred(cur.attrs):
             kept.add(key)
     return kept, len(keys) - len(kept)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
-from itertools import islice, pairwise
+from itertools import pairwise
 from operator import itemgetter
 from pathlib import Path
 
@@ -71,12 +71,31 @@ class Scenario:
 # -- loading ------------------------------------------------------------------------
 
 
-def _line_of(text: str, needle: str, occurrence: int = 0) -> int:
-    """The line of the `occurrence`-th `needle` that a colon follows, that
-    is, that names a field rather than gives a value; 0 when there is none."""
-    keys = re.finditer(re.escape(needle) + r"\s*:", text)
-    found = next(islice(keys, occurrence, None), None)
-    return text.count("\n", 0, found.start()) + 1 if found else 0
+_DECODE = json.JSONDecoder().raw_decode
+_GAP = re.compile(r"\s*[,:]?\s*")  # what parts two tokens of a document
+
+
+def _line_of(text: str, path: tuple) -> int:
+    """The line in JSON `text` of the member at `path`, a key or an index
+    per level: a key's own line, an item's first; 0 when there is none. An
+    action is found by its place in the list, not by a key of its name."""
+    pos = start = 0
+    try:
+        for step in path:
+            pos = _GAP.match(text, pos).end()
+            obj = "[{".index(text[pos])  # 1 an object, 0 a list, else raise
+            pos, n = pos + 1, 0
+            while True:
+                start = pos = _GAP.match(text, pos).end()
+                if obj:
+                    key, pos = _DECODE(text, pos)
+                    pos = _GAP.match(text, pos).end()
+                if (key if obj else n) == step:
+                    break
+                pos, n = _GAP.match(text, _DECODE(text, pos)[1]).end(), n + 1
+    except (ValueError, IndexError):  # no such member
+        return 0
+    return text.count("\n", 0, start) + 1
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -108,22 +127,21 @@ _LIMITS = {"max_ticks": 1_000_000, "max_events": 5_000_000}
 
 
 def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
-    def fail(msg: str, needle: str | None = None, occurrence: int = 0):
-        line = _line_of(text, needle, occurrence) if needle and text else 0
-        raise ScenarioError(msg, line)
+    def fail(msg: str, *path):
+        raise ScenarioError(msg, _line_of(text, path) if path else 0)
 
     def section(name: str) -> dict:
         """The optional top-level object `name`, empty when absent."""
         value = raw.get(name, {})
         if not isinstance(value, dict):
-            fail(f"{name} must be a JSON object", f'"{name}"')
+            fail(f"{name} must be a JSON object", name)
         return value
 
     if not isinstance(raw, dict):
         fail("scenario document must be a JSON object")
     for name in raw:
         if name not in _FIELDS:
-            fail(f"unknown top-level field {name!r}", f'"{name}"')
+            fail(f"unknown top-level field {name!r}", name)
     for req in ("dcs", "schema"):
         if req not in raw:
             fail(f"missing required field {req!r}")
@@ -131,13 +149,13 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     if (not isinstance(dcs, list) or not dcs
             or not all(isinstance(d, str) for d in dcs)
             or len(set(dcs)) != len(dcs)):
-        fail("dcs must be a list of unique datacenter names", '"dcs"')
+        fail("dcs must be a list of unique datacenter names", "dcs")
     if "root" in dcs or any("/" in d for d in dcs):
         # actor names are built from DC names: qpu/root, qpu/<dc>/h<n>
-        fail('dcs may not name "root" or hold a "/"', '"dcs"')
+        fail('dcs may not name "root" or hold a "/"', "dcs")
     seed = raw.get("seed", 0)
     if not is_int(seed):
-        fail("seed must be an integer", '"seed"')
+        fail("seed must be an integer", "seed")
 
     schema: dict[str, AttributeSchema] = {}
     for attr, spec in section("schema").items():
@@ -146,21 +164,21 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
                 attr, spec.get("kind", ""), spec.get("lo"), spec.get("hi"),
                 spec.get("alphabet"))
         except (ValueError, AttributeError) as exc:
-            fail(f"schema attribute {attr!r}: {exc}", f'"{attr}"')
+            fail(f"schema attribute {attr!r}: {exc}", "schema", attr)
 
     binning = section("binning")
     for attr in binning:
         if attr not in schema:
-            fail(f"binning names unknown attribute {attr!r}", f'"{attr}"')
+            fail(f"binning names unknown attribute {attr!r}", "binning", attr)
     try:
         binner = Binner(schema, binning)
     except ValueError as exc:
-        fail(f"binning: {exc}", '"binning"')
+        fail(f"binning: {exc}", "binning")
 
     try:
         net = NetConfig(**section("net"))
     except (TypeError, ValueError) as exc:
-        fail(f"net: {exc}", '"net"')
+        fail(f"net: {exc}", "net")
 
     tree_raw = dict(section("tree"))
     if "root_dc" not in tree_raw:
@@ -170,55 +188,57 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     replicated = tree_raw.pop("replicated", True)
     if replicated is not True:
         fail(f"tree.replicated must be true, got {replicated!r}",
-             '"replicated"')
+             "tree", "replicated")
     try:
         sel = SelectivityConfig(**tree_raw.pop("selectivity", {}))
         tree = TreeConfig(selectivity=sel, history_tree=history, **tree_raw)
     except (TypeError, ValueError) as exc:
-        fail(f"tree: {exc}", '"tree"')
+        fail(f"tree: {exc}", "tree")
     if tree.root_dc not in dcs:
-        fail(f"tree.root_dc {tree.root_dc!r} is not a declared DC", '"root_dc"')
-    _validate_history(history, Region.whole(schema), schema, fail)
+        fail(f"tree.root_dc {tree.root_dc!r} is not a declared DC",
+             "tree", "root_dc")
+    _validate_history(history, Region.whole(schema), schema,
+                      lambda msg: fail(msg, "tree", "history"))
 
     limits = section("limits")
     for name in limits:
         if name not in _LIMITS:
-            fail(f"limits: unknown field {name!r}", f'"{name}"')
+            fail(f"limits: unknown field {name!r}", "limits", name)
     bounds = {}
     for name, default in _LIMITS.items():
         value = bounds[name] = limits.get(name, default)
         if not is_int(value) or value < 1:
-            fail(f"limits.{name} must be a positive integer", f'"{name}"')
+            fail(f"limits.{name} must be a positive integer", "limits", name)
 
     workload = raw.get("workload", [])
     if "generate" in raw:
         if workload:
-            fail("give either workload or generate, not both", '"generate"')
+            fail("give either workload or generate, not both", "generate")
         gen = section("generate")
         if "phases" in gen and len(gen) > 1:
             fail(f"generate: give either phases or one phase's fields, not "
-                 f"both, got {sorted(gen)}", '"generate"')
+                 f"both, got {sorted(gen)}", "generate")
         phases = gen["phases"] if "phases" in gen else [gen]
         if (not isinstance(phases, list)
                 or not all(isinstance(p, dict) for p in phases)):
             fail(f"generate.phases must be a list of objects, got {phases!r}",
-                 '"generate"')
+                 "generate")
         try:
             specs = [WorkloadSpec(**{k: tuple(v) if k == "staleness_mix"
                                      else v for k, v in p.items()})
                      for p in phases]
         except (TypeError, ValueError) as exc:
-            fail(f"generate: {exc}", '"generate"')
+            fail(f"generate: {exc}", "generate")
         for spec in specs:
             for attr, (lo, hi) in spec.value_ranges.items():
                 sch = schema.get(attr)
                 if sch is None or sch.kind == "text":
                     fail(f"generate: value_ranges names {attr!r}, which is "
-                         f"not a numeric attribute", '"generate"')
+                         f"not a numeric attribute", "generate")
                 if not (sch.validate(lo) and sch.validate(hi) and lo <= hi):
                     fail(f"generate: value_ranges {attr!r} must be {sch.kind} "
                          f"bounds lo <= hi within [{sch.lo!r}, {sch.hi!r}], "
-                         f"got [{lo!r}, {hi!r}]", '"generate"')
+                         f"got [{lo!r}, {hi!r}]", "generate")
         # each action is at least one event, and a zipf key table holds one
         # weight per object, so both are bounded before anything is drawn
         actions = sum(s.actions for s in specs)
@@ -226,7 +246,7 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
         if max(actions, objects) > bounds["max_events"]:
             fail(f"generate: {actions} actions and {objects} objects may not "
                  f"exceed limits.max_events ({bounds['max_events']})",
-                 '"generate"')
+                 "generate")
         workload = gen_phases(schema, dcs, specs, seed)
     queries = _validate_workload(workload, dcs, schema, fail)
     if any(a["t"] > b["t"] for a, b in pairwise(workload)):
@@ -242,7 +262,8 @@ def parse_scenario(raw: dict, text: str = "", path: str = "") -> Scenario:
     verify = section("verify")
     oracle = verify.get("oracle", False)
     if not isinstance(oracle, bool):
-        fail(f"verify.oracle must be true or false, got {oracle!r}", '"oracle"')
+        fail(f"verify.oracle must be true or false, got {oracle!r}",
+             "verify", "oracle")
     return Scenario(
         name=raw.get("name", path or "scenario"),
         seed=seed,
@@ -270,15 +291,15 @@ def _validate_history(spec, region, schema, fail, where="tree.history"):
     if not isinstance(spec, dict) or set(spec) != {"attr", "at", "lo", "hi"}:
         got = sorted(spec) if isinstance(spec, dict) else repr(spec)
         fail(f"{where} must be \"leaf\" or a cut with exactly attr, at, lo "
-             f"and hi, got {got}", '"history"')
+             f"and hi, got {got}")
     attr, at = spec["attr"], spec["at"]
     if not isinstance(attr, str) or attr not in schema:
-        fail(f"{where} cuts unknown attribute {attr!r}", '"history"')
+        fail(f"{where} cuts unknown attribute {attr!r}")
     if not schema[attr].validate(at):
-        fail(f"{where} cut at {at!r} is not a value of {attr!r}", '"history"')
+        fail(f"{where} cut at {at!r} is not a value of {attr!r}")
     lo_part, hi_part = region.cut(attr, at)
     if lo_part is None or hi_part is None:
-        fail(f"{where} cut {attr}@{at!r} leaves an empty side", '"history"')
+        fail(f"{where} cut {attr}@{at!r} leaves an empty side")
     _validate_history(spec["lo"], lo_part, schema, fail, f"{where}.lo")
     _validate_history(spec["hi"], hi_part, schema, fail, f"{where}.hi")
 
@@ -291,17 +312,17 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
     """Check every action; returns the parsed query of each query action by
     its index, so a run does not parse the texts again."""
     if not isinstance(workload, list):
-        fail("workload must be a list", '"workload"')
+        fail("workload must be a list", "workload")
     queries: dict[int, Query] = {}
     parsed: dict[str, Query] = {}  # query text -> its one parse
     exprs: dict[object, object] = {}  # expression -> one shared object
     windows: dict[tuple, list] = {}  # DC pair -> its partitions' (t, until, i)
     for i, act in enumerate(workload):
         def bad(msg):
-            fail(f"workload action {i}: {msg}", '"op"', i)
+            fail(f"workload action {i}: {msg}", "workload", i, "op")
 
         if not isinstance(act, dict) or "op" not in act:
-            fail(f"workload action {i} needs an op", '"workload"')
+            fail(f"workload action {i} needs an op", "workload")
         op = act["op"]
         if not isinstance(op, str) or op not in _OPS:
             bad(f"unknown op {op!r}")
@@ -359,7 +380,7 @@ def _validate_workload(workload, dcs, schema, fail) -> dict[int, Query]:
         for (_, until, _), (t, _, i) in zip(spans, spans[1:]):
             if t < until:
                 fail(f"workload action {i}: partition overlaps another "
-                     f"window on {pair[0]}-{pair[1]}", '"op"', i)
+                     f"window on {pair[0]}-{pair[1]}", "workload", i, "op")
     return queries
 
 

@@ -127,30 +127,34 @@ class Simulation:
     def send(self, src: str, dst: str, kind: str, payload, note: str = ""):
         if dst not in self._actors:
             raise ValueError(f"unknown actor {dst!r}")
-        env = Envelope(src, dst, kind, payload, sent_at=self.now, note=note)
-        pair = self._pair(self.dc_of[src], self.dc_of[dst])
-        if pair in self._partitions:
-            self._partitions[pair].held.append(env)
+        env = Envelope(src, dst, kind, payload, self.now, 0, note)
+        a, b = self.dc_of[src], self.dc_of[dst]
+        if a == b:  # a fixed delay, never negative, so no check of the tick
+            tick = env.deliver_at = self.now + self.net.intra_dc_delay
+            heapq.heappush(self._heap, (tick, self._seq, env))
+            self._seq += 1
             return
-        self._dispatch(env, cross=pair is not None)
+        if self._partitions:
+            part = self._partitions.get(self._pair(a, b))
+            if part is not None:
+                part.held.append(env)
+                return
+        self._dispatch(env)
 
-    def _pair(self, a: str, b: str):
-        # None marks an intra-DC hop; partitions only key cross-DC pairs
-        if a == b:
-            return None
+    @staticmethod
+    def _pair(a: str, b: str):
+        # partitions key cross-DC pairs in name order
         return (a, b) if a < b else (b, a)
 
-    def _dispatch(self, env: Envelope, cross: bool):
-        if cross:
-            delay = self.net.inter_dc_delay + self.rng.randint(0, self.net.jitter)
-            if self.net.dup_prob > 0 and self.rng.random() < self.net.dup_prob:
-                dup = Envelope(env.src, env.dst, env.kind, env.payload,
-                               sent_at=env.sent_at, note=env.note)
-                extra = self.net.inter_dc_delay + self.rng.randint(0, self.net.jitter)
-                self._push(self.now + extra, dup)
-        else:
-            delay = self.net.intra_dc_delay
-        env.deliver_at = self.now + delay
+    def _dispatch(self, env: Envelope):
+        """Send a cross-DC message: a jittered delay, maybe a duplicate."""
+        net, rng, now = self.net, self.rng, self.now
+        env.deliver_at = now + net.inter_dc_delay + rng.randint(0, net.jitter)
+        if net.dup_prob > 0 and rng.random() < net.dup_prob:
+            dup = Envelope(env.src, env.dst, env.kind, env.payload, env.sent_at,
+                           now + net.inter_dc_delay + rng.randint(0, net.jitter),
+                           env.note)
+            self._push(dup.deliver_at, dup)
         self._push(env.deliver_at, env)
 
     # -- partitions ----------------------------------------------------------
@@ -174,7 +178,7 @@ class Simulation:
             return  # closed early, when a touching window opened
         del self._partitions[pair]
         for env in part.held:
-            self._dispatch(env, cross=True)
+            self._dispatch(env)
 
     # -- execution -----------------------------------------------------------
 
@@ -183,7 +187,7 @@ class Simulation:
             return False
         tick, _, item = heapq.heappop(self._heap)
         self.now = tick
-        if isinstance(item, Envelope):
+        if type(item) is Envelope:
             self.delivered += 1
             if self.trace_rows is not None:
                 self.trace_rows.append(
@@ -197,13 +201,14 @@ class Simulation:
                             max_events: int = 5_000_000) -> int:
         """Drain the queue; open partition windows keep it non-empty until
         their release event fires, so quiescence implies full delivery."""
+        heap, step = self._heap, self.step
         events = 0
-        while self._heap:
-            if self._heap[0][0] > max_ticks:
-                raise LivelockError(len(self._heap), self.now, "max_ticks")
+        while heap:
+            if heap[0][0] > max_ticks:
+                raise LivelockError(len(heap), self.now, "max_ticks")
             if events >= max_events:
-                raise LivelockError(len(self._heap), self.now, "max_events")
-            self.step()
+                raise LivelockError(len(heap), self.now, "max_events")
+            step()
             events += 1
         return self.now
 

@@ -524,9 +524,14 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      "unknown top-level field 'scrub_at_endd'", '"scrub_at_endd"'),
     (lambda doc: doc.update(limits={"max_tick": 10}),
      "limits: unknown field 'max_tick'", '"max_tick"'),
-    # a needle counts only where it names a field: action 0's key "op"
-    # is not action 1's op
+    # an action is found by its place in the workload list: action 0's
+    # key "op" is not action 1's op
     (_actions(_put(key="op", attrs=_GOOD_ATTRS), {"t": 2, "op": "nope"}),
+     "workload action 1: unknown op 'nope'", '"op": "nope"'),
+    # nor is a schema attribute named op, declared and given in each put
+    (lambda doc: _in_schema("op", kind="int", lo=0, hi=9)(doc)
+     or _actions(_put(key="z", attrs={**_GOOD_ATTRS, "op": 1}),
+                 {"t": 2, "op": "nope"})(doc),
      "workload action 1: unknown op 'nope'", '"op": "nope"'),
     (_actions({"t": 1, "op": "query", "dc": "dc1", "text": DEEP_LITERAL}),
      "workload action 0: query does not parse: value 1" + "0" * 400
@@ -589,6 +594,7 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
         "generate-phases-empty-object", "generate-phases-string",
         "generate-phases-number-list", "generate-phases-object",
         "top-level-unknown", "limits-unknown", "op-after-a-key-named-op",
+        "op-after-an-attribute-named-op",
         "query-literal-past-float-range", "query-nesting-330",
         "int-bound-past-float-range", "float-bounds-past-float-range",
         "int-bins-wider-than-floats",

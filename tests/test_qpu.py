@@ -440,6 +440,48 @@ def test_cache_hit_claims_the_entry_clock():
     assert set(hit.keys) == {"a"}
 
 
+def test_a_hit_behind_the_origin_is_completed_from_its_log():
+    # the root's entry is frozen at dc1:3; past it come a put the
+    # rectangles select, one they do not, an overwrite that moves a cached
+    # key out and a delete. The rescan adds the selected put's key and the
+    # check drops the moved and the deleted keys
+    sim, store, net, leaf = one_leaf_with(("a", 1.0), ("b", 1.5), ("c", 3.0))
+    text = "gpa < 2.0 FRESHNESS any"
+    assert ask(net, text, "dc1").keys == {"a", "b"}
+    store.put("dc1", "d", {"gpa": 0.5, "dept": "cs"})
+    store.put("dc1", "e", {"gpa": 3.5, "dept": "cs"})
+    store.put("dc1", "b", {"gpa": 3.0, "dept": "cs"})
+    store.delete("dc1", "a")
+    sim.run_until_quiescent()
+    res = ask(net, text, "dc1")
+    assert res.cache_hits == 1
+    assert res.claimed == VectorClock({"dc1": 3})
+    assert res.clock == VectorClock({"dc1": 7})
+    assert (res.candidate_checked, res.false_positives_removed,
+            res.result_size) == (3, 2, 1)
+    assert res.keys == {"d"}
+
+
+def test_a_row_reads_each_dcs_lag_behind_its_origin():
+    # dc1 has applied its own write but not dc2's, which a partition holds,
+    # and has no entry of dc2's or dc3's in its log at all
+    sim, store, net = quiesced()
+
+    def lag_of_a_dc1_query():
+        ask(net, "gpa < 2.0 FRESHNESS any", "dc1")
+        return net.metrics[-1].rstrip("\n").rsplit(",", 1)[1]
+
+    store.put("dc1", "a", {"gpa": 1.0, "dept": "cs"})
+    sim.run_until_quiescent()
+    partition(sim, "dc1", "dc2", sim.now + 1, sim.now + 100)
+    run_until(sim, sim.now + 1)
+    store.put("dc2", "b", {"gpa": 1.5, "dept": "cs"})
+    assert "dc2" not in store.replicas["dc1"].log
+    assert lag_of_a_dc1_query() == "dc1:0|dc2:1|dc3:0"
+    sim.run_until_quiescent()
+    assert lag_of_a_dc1_query() == "dc1:0|dc2:0|dc3:0"
+
+
 def test_a_served_clock_is_not_moved_by_later_ingest():
     # ingest advances the index clock in place; a response keeps the clock
     # the leaf served at

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,8 @@ def test_forced_duplication_delivers_exactly_twice():
     sim.run_until_quiescent()
     assert len(got) == 2
     assert [e.payload for e in got] == ["x", "x"]
+    # each copy records the tick it was delivered at
+    assert [e.deliver_at for e in got] == [2, 2]
 
 
 def test_duplication_is_cross_dc_only():
@@ -114,27 +117,45 @@ def test_ties_break_by_insertion_order():
     assert seen == ["first", "second"]
 
 
-def test_livelock_raises_with_pending_count():
-    sim = Simulation()
+def chain(sim, gap, n=None):
+    """`n` events, or an endless run of them when None: the first at tick 0,
+    each later one `gap` ticks after the one before."""
+    count = itertools.count(1)
 
     def again():
-        sim.after(1, again)
+        if n is None or next(count) < n:
+            sim.after(gap, again)
 
     sim.at(0, again)
-    with pytest.raises(LivelockError) as exc:
-        sim.run_until_quiescent(max_ticks=100)
-    assert exc.value.pending >= 1
+
+
+def test_livelock_raises_with_pending_count():
+    for n in (None, 102):  # endless, and one event past tick 100
+        sim = Simulation()
+        chain(sim, 1, n)
+        with pytest.raises(LivelockError) as exc:
+            sim.run_until_quiescent(max_ticks=100)
+        assert exc.value.pending >= 1
+        assert (exc.value.limit, exc.value.now) == ("max_ticks", 100)
+    # a run whose last event falls on the bound drains
+    sim = Simulation()
+    chain(sim, 1, 101)
+    assert sim.run_until_quiescent(max_ticks=100) == 100
+    assert sim.pending() == 0
 
 
 def test_event_budget_also_bounds_the_run():
+    for n in (None, 1001):  # endless, and one event past the budget
+        sim = Simulation()
+        chain(sim, 0, n)
+        with pytest.raises(LivelockError) as exc:
+            sim.run_until_quiescent(max_events=1000)
+        assert (exc.value.limit, exc.value.pending) == ("max_events", 1)
+    # a run of exactly max_events events drains
     sim = Simulation()
-
-    def fanout():
-        sim.after(0, fanout)
-
-    sim.at(0, fanout)
-    with pytest.raises(LivelockError):
-        sim.run_until_quiescent(max_events=1000)
+    chain(sim, 0, 1000)
+    assert sim.run_until_quiescent(max_events=1000) == 0
+    assert sim.pending() == 0
 
 
 def test_cannot_schedule_in_the_past():
