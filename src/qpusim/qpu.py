@@ -33,6 +33,8 @@ its origin log past the claim and candidate-checks every key, so later
 writes never need to reach the cache. No other node caches: a repeat is
 answered where its whole plan is known, so the stages below the root forward
 every probe, and a history leaf answers from its index as it stands.
+Responses carry trace spans, not text (see QueryResult): a leaf keeps one
+span per index state, and a root entry one, built on its first hit.
 
 Gossip note: the root's snapshot clock is the one reader of coverage
 gossip, and the gossip takes one hop. Since every leaf's clock is at or
@@ -202,7 +204,7 @@ class Resp:
     ceiling: VectorClock
     visited: frozenset
     cache_hits: int
-    trace: tuple
+    span: object  # the responder's trace span (see QueryResult)
     target: VectorClock | None = None  # echoed by the root
     join: _Join | None = None  # the probe's, so the receiver needs no table
 
@@ -215,9 +217,9 @@ class CacheEntry:
     keys: tuple  # the joined response's candidate keys, shared with it
     clock: VectorClock  # coverage at insertion; never advanced
     ceiling: VectorClock  # the response's ceiling at insertion
-    # the root's trace line for a hit, rendered on the first hit: it reads
-    # only the root's fixed actor, kind and region and the frozen clock
-    hit_line: str | None = None
+    # the root's span for a hit, built on the first hit and shared by every
+    # later one: it holds only the root, its kind and the frozen clock
+    hit_span: tuple | None = None
 
 
 class ResultCache:
@@ -295,7 +297,7 @@ class Qpu:
         self.cache = ResultCache(net.cfg.cache_capacity) if kind == "dc" else None
         # history-leaf state; unused elsewhere
         self.index = CrdtIndex(net.schema, net.binner) if kind == "hist" else None
-        self._served_clock: VectorClock | None = None  # see _serve_hist
+        self._served: tuple | None = None  # the leaf's span; see _serve_hist
         self.repl_mode = DELTA if net.cfg.repl_mode == DELTA else LOG
         self.adaptive = net.cfg.repl_mode == "adaptive"
         self.window = SelectivityWindow(net.cfg.selectivity)
@@ -347,10 +349,10 @@ class Qpu:
                 if self.net.check_hit is not None:
                     self.net.check_hit(self.actor, probe.origin_dc, probe.rects,
                                        probe.plan.key, e.keys, e.clock)
-                if e.hit_line is None:
-                    e.hit_line = self._line("cache-hit", e.clock)
-                self._respond(probe, e.keys, e.clock, e.ceiling,
-                              (e.hit_line,), cache_hits=1)
+                if e.hit_span is None:
+                    e.hit_span = (self, self.kind, "cache-hit", e.clock, None, ())
+                self._respond(probe, e.keys, e.clock, e.ceiling, e.hit_span,
+                              cache_hits=1)
                 return
         if self.kind == "hist":
             self._serve_hist(probe)
@@ -424,30 +426,34 @@ class Qpu:
         keys, ceiling = resps[0].keys, resps[0].ceiling  # one child's, shared
         if len(resps) > 1:
             keys = tuple({k for r in resps for k in r.keys})
-        for r in resps[1:]:
-            ceiling = ceiling.merge(r.ceiling)
+        for r in resps[1:]:  # a new clock only where neither side dominates
+            c = r.ceiling
+            if not ceiling.dominates(c):
+                ceiling = c if c.dominates(ceiling) else ceiling.merge(c)
         coverage = self._joined_clock(resps)
         visited = {self.actor}.union(*(r.visited for r in resps))
-        lines = [self._line("forward", coverage, target=join.probe.target)]
-        lines += ["  " + ln for r in resps for ln in r.trace]
+        probe = join.probe
+        span = (self, self.kind, "forward", coverage,
+                probe.target if self is self.net.root else None,
+                tuple(r.span for r in resps))
         if self.cache is not None:
-            self.cache.insert(join.probe.plan.key, keys, coverage, ceiling)
-        self._respond(join.probe, keys, coverage, ceiling, tuple(lines),
-                      visited=visited)
+            self.cache.insert(probe.plan.key, keys, coverage, ceiling)
+        self._respond(probe, keys, coverage, ceiling, span, visited=visited)
 
     def _joined_clock(self, resps: list) -> VectorClock:
         """Coverage of the union result: children answer over the same
         origins independently, so it is their floor."""
         return floor_all([r.clock for r in resps])
 
-    def _line(self, decision: str, clock, target=None) -> str:
-        s = (f"{self.actor} [{self.kind}] region=({self._region_text})"
+    def trace_line(self, kind: str, decision: str, clock, target) -> str:
+        """A span's line; `kind` is as it served: a reshape changes it."""
+        s = (f"{self.actor} [{kind}] region=({self._region_text})"
              f" decision={decision}")
-        if target is not None and self.actor == self.net.root.actor:
+        if target is not None:
             s += f" target={target!r}"
         return s + f" clock={clock!r}"
 
-    def _respond(self, probe: Probe, keys, clock, ceiling, trace, cache_hits=0,
+    def _respond(self, probe: Probe, keys, clock, ceiling, span, cache_hits=0,
                  visited=None):
         resp = Resp(
             qid=probe.qid,
@@ -456,7 +462,7 @@ class Qpu:
             ceiling=ceiling,
             visited=frozenset(visited or {self.actor}),
             cache_hits=cache_hits,
-            trace=trace,
+            span=span,
             target=probe.target if self.actor == self.net.root.actor else None,
             join=probe.join,
         )
@@ -473,13 +479,16 @@ class Qpu:
         if not clock.dominates(probe.target):
             raise UnsatisfiableStaleness(
                 [d for d, s in probe.target.entries.items() if clock.get(d) < s])
-        # ingest advances the index clock in place; responses share one
-        # copy per index state
-        served = self._served_clock
-        if served != clock:
-            served = self._served_clock = clock.copy()
-        self._respond(probe, self._lookup(probe.rects), served, served,
-                      (self._line("leaf-serve", served),))
+        # ingest advances the index clock in place, so responses share one
+        # span per index state, with the replica's heads snapshot as its
+        # clock when the index is at them, as always in log mode
+        span = self._served
+        if span is None or span[3] != clock:
+            heads = self.replica.heads
+            span = self._served = (
+                self, self.kind, "leaf-serve",
+                heads if heads == clock else clock.copy(), None, ())
+        self._respond(probe, self._lookup(probe.rects), span[3], span[3], span)
 
     def _lookup(self, rects) -> tuple:
         keys = set()
@@ -653,7 +662,7 @@ class Coordinator:
                 now = self.replica.heads
                 self._complete(info, Resp(
                     qid, (), now, now, frozenset(), 0,
-                    (f"{self.actor} [coord] empty plan",), target=None))
+                    f"{self.actor} [coord] empty plan", target=None))
             net.sim.after(0, answer)
             return qid
         self.pending[qid] = info
@@ -715,7 +724,7 @@ class Coordinator:
             # the heads dominate the ceiling here, and every producer's
             # ceiling dominates its claim, so they are the achieved coverage
             clock=self.replica.heads, target=resp.target,
-            trace="\n".join(resp.trace), error=None,
+            span=resp.span, error=None,
             response_tick=net.sim.now, staleness=info.query.staleness.render(),
             origin_dc=self.dc,
             qpus_visited=len(resp.visited), cache_hits=resp.cache_hits,

@@ -73,7 +73,10 @@ class QueryResult:
     achieved, the tree's claim, and the per-query counters. `keys` may be
     the frozenset of an earlier result of the same plan, and `clock` is the
     origin replica's shared heads snapshot (see Coordinator._complete), so
-    neither may be mutated."""
+    neither may be mutated. Nor may `span`, the trace tree that `trace`
+    renders when read: a span is (node, its kind as it served, decision,
+    clock, target at the root only, child spans), or for an empty plan the
+    coordinator's one line, and the tree shares spans and clocks."""
 
     query_id: str
     keys: frozenset
@@ -81,7 +84,7 @@ class QueryResult:
     # dominate the claim
     clock: object
     target: object  # the target resolved at the root; None for an empty plan
-    trace: str
+    span: object
     # always None: the tree answers every probe or stops the run. Kept
     # because traces.txt prints it as error=- and the bench reads it
     error: str | None
@@ -100,6 +103,11 @@ class QueryResult:
     claimed: object = None
 
     @property
+    def trace(self) -> str:
+        """The trace text: a line per span, indented two spaces a level."""
+        return "\n".join(_trace_lines(self.span, ""))
+
+    @property
     def stats(self) -> dict:
         return {
             "qpus_visited": self.qpus_visited,
@@ -109,6 +117,16 @@ class QueryResult:
             "result_size": self.result_size,
             "ticks_elapsed": self.ticks_elapsed,
         }
+
+
+def _trace_lines(span, pad: str):
+    if isinstance(span, str):  # the coordinator's empty-plan line
+        yield span
+        return
+    node, kind, decision, clock, target, children = span
+    yield pad + node.trace_line(kind, decision, clock, target)
+    for child in children:
+        yield from _trace_lines(child, pad + "  ")
 
 
 # -- lexer ----------------------------------------------------------------------

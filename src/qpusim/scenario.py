@@ -78,21 +78,27 @@ _GAP = re.compile(r"\s*[,:]?\s*")  # what parts two tokens of a document
 def _line_of(text: str, path: tuple) -> int:
     """The line in JSON `text` of the member at `path`, a key or an index
     per level: a key's own line, an item's first; 0 when there is none. An
-    action is found by its place in the list, not by a key of its name."""
+    action is found by its place in the list, not by a key of its name, and
+    a key given twice by its last occurrence, whose value json.loads keeps."""
     pos = start = 0
     try:
         for step in path:
             pos = _GAP.match(text, pos).end()
             obj = "[{".index(text[pos])  # 1 an object, 0 a list, else raise
-            pos, n = pos + 1, 0
-            while True:
-                start = pos = _GAP.match(text, pos).end()
+            pos, n, found = pos + 1, 0, None
+            while text[pos := _GAP.match(text, pos).end()] != "}":
+                start = pos
                 if obj:
                     key, pos = _DECODE(text, pos)
                     pos = _GAP.match(text, pos).end()
                 if (key if obj else n) == step:
-                    break
+                    found = start, pos
+                    if not obj:
+                        break
                 pos, n = _GAP.match(text, _DECODE(text, pos)[1]).end(), n + 1
+            if found is None:
+                return 0
+            start, pos = found
     except (ValueError, IndexError):  # no such member
         return 0
     return text.count("\n", 0, start) + 1

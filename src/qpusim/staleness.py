@@ -109,14 +109,20 @@ class VectorClock:
         return "{" + inner + "}"
 
 
+EMPTY_CLOCK = VectorClock()  # every `any` target; shared, so never mutated
+
+
 def floor_all(clocks) -> VectorClock | None:
     """Pointwise minimum of the clocks (absent components count as 0): the
     prefix every clock in the set has applied. None when there are no
-    clocks, so each caller picks its own answer for that case; a single
-    clock comes back as is."""
+    clocks, so each caller picks its own answer for that case. A clock that
+    is already the floor comes back as is, so no caller may mutate it."""
     out = None
     for c in clocks:
-        out = c if out is None else out.floor(c)
+        if out is None or out.dominates(c):
+            out = c
+        elif not c.dominates(out):
+            out = out.floor(c)
     return out
 
 
@@ -124,7 +130,8 @@ def resolve_target(level: StalenessLevel, stable: VectorClock,
                    heads: VectorClock) -> VectorClock:
     """Turn a staleness level into the clock results must cover, given the
     stable clock and the origin replica's heads. No reader mutates a target,
-    so `strong` and `snapshot` ones are those shared snapshots themselves."""
+    so `strong` and `snapshot` ones are those shared snapshots themselves,
+    and every `any` one is EMPTY_CLOCK."""
     if level.level is Level.STRONG:
         return heads
     if level.level is Level.BOUNDED:
@@ -133,7 +140,7 @@ def resolve_target(level: StalenessLevel, stable: VectorClock,
         )
     if level.level is Level.SNAPSHOT:
         return stable
-    return VectorClock()
+    return EMPTY_CLOCK
 
 
 class UnsatisfiableStaleness(Exception):

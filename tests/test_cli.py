@@ -576,6 +576,12 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
      '"tree"'),
     (_in_tree(selectivity={"theta_low": 0.5, "theta_high": 0.2}),
      "tree: need 0 < theta_low < theta_high < 1", '"tree"'),
+    # json.loads keeps the last of a key given twice, so the message must
+    # name the line of that one
+    (lambda doc: json.dumps(doc, indent=2)[:-2]
+     + ',\n  "net": {"jitter": -1}\n}',
+     "net: jitter must be a whole number of ticks >= 0, got -1",
+     '"net": {"jitter": -1}'),
 ], ids=["put-without-key", "put-attrs-number", "put-attrs-list",
         "put-attr-missing", "put-float-for-int", "put-true-for-float",
         "put-outside-domain",
@@ -601,7 +607,7 @@ _GOOD_ATTRS = {"GPA": 1.0, "Major": "Art"}
         "window-10**30", "binning-unknown-attr", "root-dc-undeclared",
         "workload-object", "action-without-op", "force-split-without-qpu",
         "force-merge-without-b", "partition-undeclared-dc",
-        "repl-mode-unknown", "thetas-reversed"])
+        "repl-mode-unknown", "thetas-reversed", "net-given-twice"])
 def test_malformed_input_exits_2_with_a_located_message(
         tmp_path, capsys, edit, message, on_line):
     exits_2_with(tmp_path, capsys, edit, message, on_line)
@@ -618,11 +624,12 @@ def test_empty_phases_are_an_empty_workload(tmp_path, capsys):
 
 def exits_2_with(tmp_path, capsys, edit, message, on_line):
     """`qpusim verify` on students.json after `edit` exits 2, and its
-    message holds `message` and names a line that holds `on_line`."""
+    message holds `message` and names a line that holds `on_line`. An edit
+    changes the document in place, or returns the text to write."""
     doc = json.loads(Path(STUDENTS).read_text())
-    edit(doc)
+    text = edit(doc)
     path = tmp_path / "students.json"
-    path.write_text(json.dumps(doc, indent=2))
+    path.write_text(text or json.dumps(doc, indent=2))
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -737,19 +737,21 @@ def test_equal_answers_of_one_expression_share_one_key_set():
     assert first.keys == second.keys == third.keys - {"new"}
 
 
-def test_a_cache_entry_renders_its_hit_line_once():
+def test_a_cache_entry_keeps_one_hit_span():
     sim, store, net = quiesced(dcs=("dc1",), n=40, seed=21, rngseed=21)
     text = "gpa < 2.5 FRESHNESS any"
     ask(net, text, "dc1")
     (entry,) = net.root.cache.entries.values()
-    assert entry.hit_line is None  # a miss renders no hit line
+    assert entry.hit_span is None  # a miss builds no hit span
     first = ask(net, text, "dc1")
-    line = entry.hit_line
+    span = entry.hit_span
     second = ask(net, text, "dc1")
     assert first.cache_hits == second.cache_hits == 1
-    assert entry.hit_line is line
-    assert line == net.root._line("cache-hit", entry.clock)
-    assert first.trace == second.trace == line
+    assert entry.hit_span is span
+    assert first.span is second.span is span
+    assert first.trace == second.trace == (
+        f"qpu/root [dc] region=({net.root.region.render()})"
+        f" decision=cache-hit clock={entry.clock!r}")
 
 
 # -- split and merge ----------------------------------------------------------------
@@ -822,6 +824,32 @@ def test_split_then_merge_preserves_query_results():
     for x, y, z in zip(before, mid, after):
         assert x.keys == y.keys == z.keys
         assert x.error is None
+
+
+def test_a_trace_survives_a_reshape_of_the_leaf_that_served_it():
+    # a span records its node's kind as the node served, so a split and a
+    # merge, which change the kind in place, leave a finished trace as is
+    sim, store, net = quiesced(dcs=("dc1",), n=40, seed=22, rngseed=22)
+    res = ask(net, "gpa > 1.0 FRESHNESS strong", "dc1")
+    text = res.trace
+    assert "qpu/dc1/h0 [hist]" in text
+    net.merge_siblings(*net.force_split("qpu/dc1/h0"))
+    sim.run_until_quiescent()
+    assert net.nodes["qpu/dc1/h0"].kind == "value"
+    assert res.trace == text
+
+
+def test_a_miss_claims_the_replica_heads_snapshot_itself():
+    # a log-mode leaf's index is at its replica's heads, so it serves that
+    # shared snapshot, and the tree floors it into the claim unchanged
+    sim, store, net = quiesced(dcs=("dc1",), n=40, seed=23, rngseed=23)
+    heads = store.replicas["dc1"].heads
+    res = ask(net, "gpa > 1.0 FRESHNESS strong", "dc1")
+    assert res.cache_hits == 0 and res.claimed is heads
+    fill(store, random.Random(24), 10, prefix="n")
+    sim.run_until_quiescent()
+    assert net.nodes["qpu/dc1/h0"].index.clock != heads
+    assert res.claimed is heads and res.claimed == VectorClock({"dc1": 40})
 
 
 def test_merged_clock_is_the_floor_of_the_parts():

@@ -63,6 +63,26 @@ def test_stable_snapshot_never_exceeds_any_input():
             assert snap == clocks[0]
 
 
+def test_floor_all_returns_the_operand_that_is_the_floor():
+    # a floor that is one of the clocks comes back as that very clock, and
+    # only a floor that none of them is makes a new one
+    low, high = vc(a=1, b=2), vc(a=3, b=2)
+    assert floor_all([high, low]) is low
+    assert floor_all([low, high, high]) is low
+    rng = random.Random(3)
+    for _ in range(500):
+        clocks = [random_clock(rng) for _ in range(rng.randint(1, 5))]
+        fold = clocks[0]
+        for c in clocks[1:]:
+            fold = fold.floor(c)
+        out = floor_all(clocks)
+        assert out == fold
+        if fold in clocks:
+            assert any(out is c for c in clocks)
+        else:
+            assert all(out is not c for c in clocks)
+
+
 def test_dominates_is_a_partial_order():
     assert vc(a=2, b=2).dominates(vc(a=1, b=2))
     assert not vc(a=2).dominates(vc(b=1))
@@ -84,7 +104,10 @@ def test_level_render_round_trip_forms():
 
 
 def test_resolve_any_is_zero_clock():
-    assert resolve_target(StalenessLevel.any(), vc(a=1), vc(a=9, b=4)) == VectorClock()
+    target = resolve_target(StalenessLevel.any(), vc(a=1), vc(a=9, b=4))
+    assert target == VectorClock()
+    # every `any` target is one shared empty clock
+    assert resolve_target(StalenessLevel.any(), vc(), vc(b=2)) is target
 
 
 def test_resolve_strong_is_the_heads_themselves():
