@@ -24,8 +24,9 @@ tag that is not posted does nothing.
 
 A posting set is keyed by bin, not by value, so a range query touching part
 of a bin returns candidates that may not match. Callers resolve those
-against source data; the scrub pass does the same in bulk for postings whose
-object has moved on.
+against source data. Two passes cull in bulk the postings whose object has
+moved on, the losers of concurrent overwrites, which no write retracts: the
+log cut culls each loser whose entry it takes, and the scrub any loser left.
 
 Every write is binned once, at commit: the store bins it with the run's one
 binner and the entry carries its bin keys, `LogEntry.bins`, which every leaf

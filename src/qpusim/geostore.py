@@ -22,16 +22,20 @@ carries its bin keys, and every replica and index leaf reads them from it.
 The store checks no input. Its DC names are unique, and a put's attrs must
 be a point of the schema: exactly its attributes, each value in its domain.
 `parse_scenario` checks every scenario once, as it loads, and the store
-trusts it, just as `apply_remote` trusts the entries a peer committed.
+trusts it, just as `apply_remote` trusts the entries a peer committed. A
+put's entry holds the caller's attrs dict itself, not a copy.
 
 What a replica keeps is its winners, plus each origin's log above that
 origin's base seq. `GeoStore.truncate` drops the entries at or below a
 frontier that no reader can still need (see QpuNetwork._frontier), so the
 log follows the live data, not the length of the run, as in Bayou's write
-log truncation (Petersen et al., SOSP 1997). Seqs still count from the
-start: `heads`, a local commit's seq and `apply_remote` add the base to the
-log's length, and `entries_after` raises on a clock below the base rather
-than answer from a history it no longer holds.
+log truncation (Petersen et al., SOSP 1997). The entries cut from each
+origin's own log go to the `on_cut` listeners: the oracle folds them into
+its checkpoint, and the QPU network culls the postings of those that lost
+a conflict, so the index follows the live data too. Seqs still count from
+the start: `heads`, a local commit's seq and `apply_remote` add the base
+to the log's length, and `entries_after` raises on a clock below the base
+rather than answer from a history it no longer holds.
 """
 
 from dataclasses import dataclass
@@ -102,9 +106,9 @@ class DcReplica:
 
     def put(self, key: str, attrs: dict, tick: int) -> LogEntry:
         """Commit `attrs` as the new version of `key`. `attrs` must be a
-        point of the schema (see the module note); the entry holds a copy,
-        so it does not change with the caller's dict."""
-        return self._commit_local(key, dict(attrs), tick)
+        point of the schema, and the caller must not change it afterwards:
+        the entry holds the dict itself (see the module note)."""
+        return self._commit_local(key, attrs, tick)
 
     def delete(self, key: str, tick: int) -> LogEntry:
         return self._commit_local(key, None, tick)
@@ -237,11 +241,13 @@ class GeoStore:
         return handle
 
     def _fan_out(self, origin: str, entry: LogEntry):
+        sim, src = self.sim, self._actor(origin)
+        # only the message trace reads a note
+        note = ("" if sim.trace_rows is None
+                else f"{entry.key}#{origin}:{entry.seq}")
         for dc in self.dcs:
             if dc != origin:
-                self.sim.send(
-                    self._actor(origin), self._actor(dc), "replicate", entry,
-                    note=f"{entry.key}#{entry.origin_dc}:{entry.seq}")
+                sim.send(src, self._actor(dc), "replicate", entry, note=note)
 
     def truncate(self, frontier: VectorClock):
         """Cut every replica's log at `frontier`, which every replica must
@@ -254,6 +260,8 @@ class GeoStore:
                     cb(own)
 
     def put(self, dc: str, key: str, attrs: dict) -> LogEntry:
+        """Commit `attrs` at `dc`, as the caller's dict itself (see
+        DcReplica.put), and send the entry to every peer."""
         entry = self.replicas[dc].put(key, attrs, self.sim.now)
         self._fan_out(dc, entry)
         return entry

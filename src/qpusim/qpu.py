@@ -529,9 +529,11 @@ class Qpu:
             inside or (prev in index.tag_info and entry.stamp > prev))
         index.apply_delta(entry, inside)
         if send:
+            sim = self.sim
+            # only the message trace reads a note
+            note = "" if sim.trace_rows is None else f"{origin}:{entry.seq}"
             for peer in sorted(self.subscribers):
-                self.sim.send(self.actor, peer, "index.delta", entry,
-                              note=f"{origin}:{entry.seq}")
+                sim.send(self.actor, peer, "index.delta", entry, note=note)
         # selectivity tracks writes, not deletes, so only a write can flip
         # the mode
         if attrs is not None and self.adaptive:
@@ -767,6 +769,7 @@ class QpuNetwork:
         self._ids: dict[str, int] = {}
         # expr -> its Plan, oldest first; see Coordinator
         self._plans: dict[object, Plan] = {}
+        store.on_cut.append(self._on_cut)
 
         whole = Region.whole(self.schema)
         self.root = self._new_node("qpu/root", "dc", cfg.root_dc, whole)
@@ -876,6 +879,16 @@ class QpuNetwork:
             clocks += [info.heads for info in infos]
             clocks += [info.hit for info in infos if info.hit is not None]
         return floor_all(clocks)
+
+    def _on_cut(self, entries: list[LogEntry]):
+        """Cull each cut entry that a leaf still posts and that lost to its
+        key's winner at the leaf's replica, as `scrub_all` decides. Every
+        replica has applied a cut entry, so the winner lookup cannot miss."""
+        for leaf in self.hist_leaves():
+            tag_info, objects = leaf.index.tag_info, leaf.replica.objects
+            leaf.index.cull_many([
+                (e.key, e.stamp) for e in entries
+                if e.stamp in tag_info and objects[e.key].stamp > e.stamp])
 
     # -- registries ---------------------------------------------------------------
 
@@ -991,7 +1004,9 @@ class QpuNetwork:
 
     def scrub_all(self) -> int:
         """One scrub pass: drop every posting whose tag lost to the current
-        winner. A cull changes a leaf's index without advancing its clock.
+        winner at the leaf's replica. Each log cut culls the losers it takes
+        (see _on_cut), save one whose winner the replica has not applied
+        yet. A cull changes a leaf's index without advancing its clock.
         Root cache entries keep the culled postings; the coordinator's
         candidate check drops them."""
         total = 0

@@ -357,11 +357,11 @@ OUTPUT_DIGESTS = {
     "students.json":
         "7aa2adcb6ca61f198e666c206fad5d1569dc9b6283e06c7d4bc46db41f130b7d",
     "convergence.json":
-        "ccb87b6d2df2edeb5b327fe58fa7b9d0c6858b414aff3fb7250339a604662e31",
+        "0ef45fb3b590ade5b7c8c7dae8ac8d2b3e805c956f8f40f9660c9c13469fa736",
     "churn.json":
-        "2b04c8610392ae8bed9120a0f94118c5986b0bb2115a8ce67db40429cb0ce8bf",
+        "47db77f4ee34f0502dbaceac69f8e4199ca743778bbfe426b72363020c4fb86c",
     "hysteresis.json":
-        "e779ca4aea484519f47069fcc8866a9c91a4ccdffe51a3f3ced571e48c5211cf",
+        "4bccd0273dec9a4a199df039bfa9c217b7f34deb45c00a347e8d1be9731d95f7",
     "maintenance.json":
         "8779d53508cb283bc2f09050139abc180e7cc828dc7e28ab9db73f9a17031472",
 }

@@ -111,6 +111,14 @@ def test_a_delete_carries_no_bins():
     assert all(r.objects["k"] is gone for r in store.replicas.values())
 
 
+def test_a_put_commits_the_callers_attrs_dict_itself():
+    sim, store, net = build(dcs=("dc1", "dc2"))
+    attrs = {"gpa": 3.0, "dept": "cs"}
+    assert store.put("dc1", "k", attrs).attrs is attrs
+    sim.run_until_quiescent()
+    assert store.replicas["dc2"].objects["k"].attrs is attrs
+
+
 def test_subscribe_on_empty_log_feeds_only_new_entries():
     sim, store, net = build(dcs=("dc1",))
     seen = []

@@ -1495,3 +1495,83 @@ def test_a_held_hit_survives_its_entrys_eviction_and_a_log_cut():
     (res,) = done
     assert res.stats["cache_hits"] == 1 and res.claimed == entry.clock
     assert res.keys == scan(store.replicas["dc2"], parse(text, SCHEMA))
+
+
+# -- culling at the log cut ----------------------------------------------------------
+
+
+def postings_of(net, tag):
+    """The DCs whose history leaves post `tag`."""
+    return {leaf.dc for leaf in net.hist_leaves() if tag in leaf.index.tag_info}
+
+
+def test_a_cut_culls_the_concurrent_loser_at_every_leaf_without_a_scrub():
+    # acceptance check 6's conflict: both postings stay visible, then 266
+    # dc1 writes grow the root's log past CUT_FLOOR, and the cut that
+    # follows takes the loser's posting with its log entry
+    from qpusim.geostore import CUT_FLOOR
+
+    sim, store, net = build(dcs=("dc1", "dc2"), seed=6)
+    sim.at(5, lambda: store.put("dc1", "obj", {"gpa": 3.0, "dept": "aaa"}))
+    sim.at(5, lambda: store.put("dc2", "obj", {"gpa": 3.0, "dept": "bbb"}))
+    sim.run_until_quiescent()
+    loser = logged(store.replicas["dc1"], "dc1", 1)
+    winner = store.replicas["dc1"].objects["obj"]
+    assert loser.stamp < winner.stamp and winner.prev_tag is None
+    assert postings_of(net, loser.stamp) == {"dc1", "dc2"}
+    rng = random.Random(6)
+    for i in range(266):
+        sim.at(sim.now + 1 + i, lambda i=i, a=random_student(rng):
+               store.put("dc1", f"k{i}", a))
+    sim.run_until_quiescent()
+    assert 2 + 266 >= CUT_FLOOR
+    assert all(r.base["dc1"] >= 1 and r.base["dc2"] == 1
+               for r in store.replicas.values())
+    assert postings_of(net, loser.stamp) == set()
+    assert postings_of(net, winner.stamp) == {"dc1", "dc2"}
+    assert net.scrub_all() == 0
+
+
+def test_a_loser_cut_before_its_winner_applies_stays_posted_for_the_scrub():
+    # dc2's winner is written before dc1's loser reaches dc2, so it does not
+    # retract it, and a dc2-dc3 partition holds it from dc3. The cut takes
+    # the loser, which every replica has, while dc3 still holds it as the
+    # key's winner: dc3's leaf keeps it, even once the winner applies, and
+    # the scrub culls it there
+    sim, store, net = build(dcs=("dc1", "dc2", "dc3"))
+    sim.at(5, lambda: store.put("dc1", "obj", {"gpa": 3.0, "dept": "aaa"}))
+    partition(sim, "dc2", "dc3", 6, 1000)
+    sim.at(6, lambda: store.put("dc2", "obj", {"gpa": 3.0, "dept": "bbb"}))
+    rng = random.Random(7)
+    for i in range(266):
+        sim.at(20 + i, lambda i=i, a=random_student(rng):
+               store.put("dc1", f"k{i}", a))
+    run_until(sim, 900)
+    dc3 = store.replicas["dc3"]
+    loser = dc3.objects["obj"]
+    assert loser.origin_dc == "dc1" and dc3.base["dc1"] >= loser.seq
+    winner = store.replicas["dc2"].objects["obj"]
+    assert winner.stamp > loser.stamp and winner.prev_tag is None
+    assert postings_of(net, loser.stamp) == {"dc3"}
+    sim.run_until_quiescent()
+    assert dc3.objects["obj"] is winner
+    assert postings_of(net, loser.stamp) == {"dc3"}
+    assert net.scrub_all() == 1
+    assert postings_of(net, loser.stamp) == set()
+
+
+def test_stale_postings_grow_with_the_log_not_the_history(monkeypatch):
+    # bench ingest at seed 3: eight times the writes leave the final scrub
+    # little more to cull, since each loser in a cut has left with it
+    from qpusim import parse_scenario, run_scenario
+    from qpusim.geostore import CUT_FLOOR
+
+    monkeypatch.syspath_prepend(str(SCENARIOS.parent / "bench"))
+    from run import ACTIONS
+    from workloads import WORKLOADS
+
+    one, eight = (
+        run_scenario(parse_scenario(WORKLOADS["ingest"](
+            3, ACTIONS["ingest"] * scale)), oracle=False).scrubbed
+        for scale in (1, 8))
+    assert 0 < one and eight <= 2 * one + CUT_FLOOR
