@@ -10,7 +10,9 @@ kept for it. Only a remove that arrives before its add is held, in
 `removed`, until the add's entry applies and the hold suppresses it. So add
 and remove commute: states that applied the same entries in any
 interleaving hold identical visible postings, and at quiescence an index
-holds no remove at all.
+holds no remove at all. The clock with its held removes is the index's
+ingest cursor, which may be one that several indexes share (see qpu's
+ingest note).
 
 An index applies log entries themselves. An entry's effect is a pure
 function of the entry and of whether its point lies in the leaf's region,
@@ -161,6 +163,21 @@ class Binner:
         return Interval(edges[key], edges[key + 1], False, key < len(edges) - 2)
 
 
+def advance_cursor(clock: VectorClock, removed: set, entry: LogEntry):
+    """Move an ingest cursor, a clock and its held removes, past `entry`:
+    drop the remove held for its add, and hold the superseded tag's while
+    the clock lacks that add. A tag a merged leaf posted above its clock is
+    held too, since its cursor offers that add again."""
+    origin, seq = entry.origin_dc, entry.seq
+    if removed:
+        removed.discard((origin, seq))
+    prev = entry.prev_tag
+    if (prev is not None and entry.stamp > prev
+            and clock.entries.get(prev.dc, 0) < prev.seq):
+        removed.add((prev.dc, prev.seq))
+    clock.entries[origin] = seq
+
+
 class CrdtIndex:
     """One leaf's postings (see the module note)."""
 
@@ -178,13 +195,16 @@ class CrdtIndex:
 
     # -- ingestion -------------------------------------------------------------
 
-    def apply_delta(self, entry: LogEntry, inside: bool) -> bool:
+    def apply_delta(self, entry: LogEntry, inside: bool,
+                    advance: bool = True) -> bool:
         """Apply one log entry: post its add when `inside`, that is when its
-        point lies in the caller's region, cull the tag it superseded, and
-        advance the clock. True when it advanced the state, False for a
+        point lies in the caller's region, cull the tag it superseded, and,
+        unless the cursor is shared and another index moves it, advance the
+        cursor past it. True when it advanced the state, False for a
         duplicate already covered by the clock. Gaps are protocol errors.
         The clock advances in place: a reader that keeps it copies it."""
         origin, seq = entry.origin_dc, entry.seq
+        removed = self.removed
         clock = self.clock.entries
         expected = clock.get(origin, 0) + 1
         if seq < expected:
@@ -192,25 +212,22 @@ class CrdtIndex:
         if seq > expected:
             raise ValueError(
                 f"delta gap for {origin}: got seq {seq}, expected {expected}")
-        removed = self.removed
-        if removed and (origin, seq) in removed:
-            # a remove held for this entry's tag suppresses its add, even
-            # one outside the region, and is then done
-            removed.remove((origin, seq))
-        elif inside:
+        # a remove held for this entry's tag suppresses its add, and the
+        # cursor's advance then drops it
+        if inside and not (removed and (origin, seq) in removed):
             self.post(entry)
         prev = entry.prev_tag
         # a write only retracts the version it actually superseded; when it
         # lost the tie-break to what it observed, that version stays visible
-        if prev is not None and entry.stamp > prev:
+        supersedes = prev is not None and entry.stamp > prev
+        if supersedes:
             self._cull(prev)
-            # an add the clock covers has applied, so nothing is held for it;
-            # a tag a merged leaf posted above its clock is held too, since
-            # its cursor offers that add again
-            _, dc, rseq = prev
-            if clock.get(dc, 0) < rseq:
-                removed.add((dc, rseq))
-        clock[origin] = seq
+        if advance:  # advance_cursor's steps, inline on this hot path
+            if removed:
+                removed.discard((origin, seq))
+            if supersedes and clock.get(prev.dc, 0) < prev.seq:
+                removed.add((prev.dc, prev.seq))
+            clock[origin] = seq
         return True
 
     def post(self, entry: LogEntry):

@@ -97,10 +97,10 @@ class DcReplica:
         return heads
 
     def subscribe(self, cb: Callable[[LogEntry], None]):
+        """Call `cb(entry)`, for the replica's life, synchronously as each
+        entry applies, per origin in seq order: a QPU network's freshness
+        node routes it to its leaves, then its coordinator sees it."""
         self._subscribers.append(cb)
-
-    def unsubscribe(self, cb: Callable[[LogEntry], None]):
-        self._subscribers.remove(cb)
 
     # -- local writes --------------------------------------------------------
 
@@ -144,7 +144,12 @@ class DcReplica:
         applied_to = self.base[origin] + len(log)
         if entry.seq <= applied_to:
             return 0
-        buf = self._pending.setdefault(origin, {})
+        buf = self._pending.get(origin)
+        if not buf:
+            if entry.seq == applied_to + 1:  # in order, with nothing to drain
+                self._apply(entry)
+                return 1
+            buf = self._pending[origin] = {}
         buf[entry.seq] = entry
         n = 0
         while applied_to + 1 in buf:
@@ -223,12 +228,12 @@ class GeoStore:
         self.replicas = {dc: DcReplica(dc, binner) for dc in dcs}
         # called with each batch of entries cut from their origin's own log
         self.on_cut: list[Callable[[list[LogEntry]], None]] = []
+        # dc -> its store actor, and the actors it fans its commits out to
+        actors = {dc: f"store/{dc}" for dc in dcs}
+        self._fans = {dc: (actors[dc], [actors[d] for d in dcs if d != dc])
+                      for dc in dcs}
         for dc in dcs:
-            sim.add_actor(self._actor(dc), dc, self._make_handler(dc))
-
-    @staticmethod
-    def _actor(dc: str) -> str:
-        return f"store/{dc}"
+            sim.add_actor(actors[dc], dc, self._make_handler(dc))
 
     def _make_handler(self, dc: str):
         replica = self.replicas[dc]
@@ -241,13 +246,13 @@ class GeoStore:
         return handle
 
     def _fan_out(self, origin: str, entry: LogEntry):
-        sim, src = self.sim, self._actor(origin)
+        sim = self.sim
+        src, peers = self._fans[origin]
         # only the message trace reads a note
         note = ("" if sim.trace_rows is None
                 else f"{entry.key}#{origin}:{entry.seq}")
-        for dc in self.dcs:
-            if dc != origin:
-                sim.send(src, self._actor(dc), "replicate", entry, note=note)
+        for dst in peers:
+            sim.send(src, dst, "replicate", entry, note=note)
 
     def truncate(self, frontier: VectorClock):
         """Cut every replica's log at `frontier`, which every replica must

@@ -5,24 +5,35 @@ freshness node per DC, and each freshness node owns a value-partitioned
 subtree of history leaves. History leaves keep converging inverted indexes
 and answer every query from them.
 
-Ingest note: a history leaf indexes every origin, each through one
-gapless cursor, the origin's component of the index clock, with one rule:
-the entry at clock+1 applies, and any other is dropped. Two sources offer
-log entries to it: the colocated log, in every mode, and the same-region
-peer abroad, in delta mode, which sends its own DC's entry before this
-leaf's replica has it. The leaf decides once whether the entry's point lies
-in its region, and its index applies the entry with that answer; a peer
-has the same region, so it reaches the same answer. The test reads only
-the axes the region cuts, kept when the node is built: the store keeps
-every value in its attribute's domain, so an uncut axis holds every point.
-A peer sends only the entries that change the receiver's postings: an add
-in the region, or the remove of a tag it posts itself, and nothing else.
-An entry past a seq the peer skipped is dropped too: the log offers
-everything the replica applies, in seq order and synchronously as the
-replica applies it, so it offers that entry again. A leaf's clock therefore never falls behind its
-replica's heads, and no mode switch or rewire leaves a gap to replay. So a
-leaf already covers any target its replica can: the paper's live leaf,
-which scans the log tail past the indexed prefix, would find nothing there.
+Ingest note: a history leaf indexes every origin, each through one gapless
+cursor, the origin's component of the index clock, with one rule: the entry
+at clock+1 applies, and any other is dropped. A replica's one feed into the
+tree is its freshness node, which routes each entry it applies,
+synchronously and in seq order, to the leaves the entry changes
+(content-based routing: Carzaniga, Rosenblum & Wolf, TOCS 2001): the leaf
+whose region holds the new point, found by descending the value nodes'
+cuts, since a DC's leaves tile its space (Bentley, CACM 1975), and the leaf
+that posts the tag it supersedes. The leaves at their replica's heads, in
+log mode every leaf, share one cursor per DC, a clock with its held
+removes, which moves once per entry. In delta mode the same-region peer
+abroad also sends a leaf its own DC's entries before this leaf's replica
+has them. One that applies moves the leaf onto a copy of the cursor; while
+ahead, the leaf is offered every entry its replica applies, and it rejoins
+the shared cursor once its clock and held removes equal it again, as they
+do by quiescence. A split's halves and a merged leaf start on the shared
+cursor when their index is at it, and on a copy otherwise. The leaf decides
+once whether the entry's point lies in its region, and its index applies
+the entry with that answer; a peer has the same region, so it reaches the
+same answer. The test reads only the axes the region cuts, kept when the
+node is built: the store keeps every value in its attribute's domain, so an
+uncut axis holds every point. A peer sends only the entries that change the
+receiver's postings: an add in the region, or the remove of a tag it posts
+itself, and nothing else. An entry past a seq the peer skipped is dropped
+too: the replica applies every entry in seq order, so the router brings the
+leaf past both. A leaf's clock therefore never falls behind its replica's
+heads, and no mode switch or rewire leaves a gap to replay. So a leaf
+already covers any target its replica can: the paper's live leaf, which
+scans the log tail past the indexed prefix, would find nothing there.
 
 Caching note: the root keeps the one result cache, whose entries are
 frozen at insertion: the keys are the join's candidates at the entry's
@@ -49,11 +60,10 @@ still needs (see QpuNetwork._frontier).
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
-from .crdt_index import CrdtIndex
+from .crdt_index import CrdtIndex, advance_cursor
 from .geostore import GeoStore, LogEntry
 from .regions import Region, greedy_cover, is_int
 from .router import (
@@ -100,7 +110,7 @@ class SelectivityConfig:
     """Sliding relevance window with two thresholds so mode choice has
     hysteresis: a leaf flips only after the ratio of a full window, ones /
     window, crosses the far threshold. A window is at most sys.maxsize
-    writes, the most a deque holds."""
+    writes, more than any run makes."""
 
     window: int = 1000
     theta_low: float = 0.05
@@ -116,21 +126,48 @@ class SelectivityConfig:
 
 
 class SelectivityWindow:
-    """The relevance bits (1 = the write lay in the leaf's region) of a
-    leaf's last `window` ingested writes, with a running count of the ones
-    and the config's thresholds on their ratio."""
+    """The relevance (1 = the write lay in the leaf's region) of a leaf's
+    last `size` ingested writes, with the config's thresholds on their
+    ratio. A write is named by its position in a count of puts, the DC's on
+    the shared cursor and the leaf's own off it, so a leaf outside a
+    write's region needs no offer of it: bit p - base of `bits` marks put p
+    relevant. The window holds the puts past `start`, and `due` is the put
+    at which the router next checks a shared leaf's mode."""
 
-    __slots__ = ("bits", "ones", "theta_low", "theta_high")
+    __slots__ = ("size", "theta_low", "theta_high", "start", "base", "bits",
+                 "due")
 
     def __init__(self, cfg: SelectivityConfig):
-        self.bits: deque = deque(maxlen=cfg.window)
-        self.ones = 0
+        self.size = cfg.window
         self.theta_low = cfg.theta_low
         self.theta_high = cfg.theta_high
+        self.clear(0)
 
-    def clear(self):
-        self.bits.clear()
-        self.ones = 0
+    def clear(self, p: int):
+        """Empty the window after put p; it must fill before a flip."""
+        self.start, self.base, self.bits, self.due = p, p + 1, 0, p + self.size
+
+    def slide(self, p: int) -> int:
+        """The relevant writes in the window at put p, dropping older ones.
+        A shared window is checked at least every `size` puts (next_flip),
+        so `bits` stays a few windows long."""
+        off = p - self.size + 1 - self.base
+        if off > 0:
+            self.bits >>= off
+            self.base += off
+        return self.bits.bit_count()
+
+    def next_flip(self, p: int, log: bool) -> int:
+        """The first put after p at which the mode can flip: the count of
+        ones moves by at most one a put, so a full window's ratio first
+        falls below theta_low, or passes theta_high, that many puts on."""
+        size = self.size
+        if p - self.start < size:
+            return self.start + size
+        ones = self.slide(p)
+        gap = (ones - int(self.theta_low * size) - 1 if log
+               else int(self.theta_high * size) - 1 - ones)
+        return p + max(gap, 1)
 
 
 @dataclass
@@ -289,8 +326,12 @@ class Qpu:
             (a, iv) for a, iv in region.ivs.items()
             if iv != net.schema[a].domain())
         self._region_text = region.render()
+        self._region_key = region.key()
         self.parent = parent
         self.children: list[Qpu] = []
+        # a dispatch node's cut of its region, (attr, at), when it has two
+        # children: a point goes low below `at`, high at or above it
+        self.cut: tuple | None = None
         # the root's: freshness actor -> the replica heads it last reported
         self.child_clocks: dict[str, VectorClock] = {}
         self._stable_clock: VectorClock | None = None  # see _stable
@@ -305,6 +346,17 @@ class Qpu:
         self.subscribers: set[str] = set()
         self.switch_log: list[tuple] = []
         self._gossip_armed = False  # a freshness node's report timer
+        # a leaf's feed order (see _on_replica), its router, the DC's
+        # freshness node, and its own put count while off the shared cursor
+        self.order = len(net.nodes)
+        self.router: Qpu | None = None
+        self.own_puts: int | None = None
+        if kind == "freshness":  # the router's: see the ingest note
+            self.leaves: list[Qpu] = []  # in feed order
+            self.private: list[Qpu] = []  # those off the shared cursor
+            self.clock, self.removed = VectorClock(), set()  # that cursor
+            self.puts = 0
+            self._next = sys.maxsize  # the first put a shared leaf's check is due
 
     def __repr__(self):
         return f"<Qpu {self.actor} {self.kind}>"
@@ -499,27 +551,37 @@ class Qpu:
     # -- ingest ---------------------------------------------------------------------
 
     def on_peer_delta(self, entry: LogEntry):
-        if self.kind == "hist":  # a split or merge may have overtaken it
-            self._on_feed(entry)
+        if self.kind != "hist":  # a split or merge may have overtaken it
+            return
+        index, router = self.index, self.router
+        if self.own_puts is None and entry.seq == (
+                index.clock.entries.get(entry.origin_dc, 0) + 1):
+            # it applies, ahead of the replica: onto a copy of the cursor
+            index.clock, index.removed = router.clock.copy(), set(router.removed)
+            self.own_puts = router.puts
+            router.private.append(self)
+        self._on_feed(entry)
 
-    def _on_feed(self, entry: LogEntry):
+    def _on_feed(self, entry: LogEntry, inside: bool | None = None,
+                 advance: bool = True):
         """Offer the entry to its origin's cursor (see the ingest note): it
         applies when it is the origin's next entry, at clock+1, and is
-        dropped otherwise. The log offers again any entry dropped here. The
-        colocated replica calls this synchronously as it applies an entry,
-        and on_peer_delta as a peer's entry arrives."""
+        dropped otherwise. The router calls this synchronously as the
+        replica applies an entry, telling a leaf on the shared cursor where
+        the point lies and whether to advance the cursor, and on_peer_delta
+        as a peer's entry arrives."""
         index = self.index
         origin = entry.origin_dc
         if entry.seq != index.clock.entries.get(origin, 0) + 1:
             return
         attrs = entry.attrs
-        # only the cut axes can put a point outside the region
-        inside = attrs is not None
-        if inside:
-            for a, iv in self.cut_axes:
-                if not iv.contains(attrs[a]):
-                    inside = False
-                    break
+        if inside is None:  # only the cut axes can put a point outside
+            inside = attrs is not None
+            if inside:
+                for a, iv in self.cut_axes:
+                    if not iv.contains(attrs[a]):
+                        inside = False
+                        break
         # a same-region peer is sent a local write that changes its
         # postings: an add, or the remove of a tag posted here, checked
         # before the apply culls it. A tag missing here lay outside the
@@ -527,7 +589,7 @@ class Qpu:
         prev = entry.prev_tag
         send = self.subscribers and origin == self.dc and (
             inside or (prev in index.tag_info and entry.stamp > prev))
-        index.apply_delta(entry, inside)
+        index.apply_delta(entry, inside, advance)
         if send:
             sim = self.sim
             # only the message trace reads a note
@@ -535,26 +597,27 @@ class Qpu:
             for peer in sorted(self.subscribers):
                 sim.send(self.actor, peer, "index.delta", entry, note=note)
         # selectivity tracks writes, not deletes, so only a write can flip
-        # the mode
-        if attrs is not None and self.adaptive:
-            self._maybe_switch(inside)
+        # the mode; off the shared cursor a leaf counts its own
+        own = self.own_puts
+        if attrs is not None and own is not None:
+            own = self.own_puts = own + 1
+            if self.adaptive:
+                if inside:
+                    window = self.window
+                    window.bits |= 1 << (own - window.base)
+                self._maybe_switch(own)
 
     # -- replication mode ----------------------------------------------------------
 
-    def _maybe_switch(self, bit: int):
-        """Record one write's relevance bit, and flip the mode once the
-        window is full and its ratio crosses the far threshold: below
-        theta_low in log mode, above theta_high in delta mode."""
+    def _maybe_switch(self, p: int):
+        """Flip the mode once the window is full at put p and its ratio
+        crosses the far threshold: below theta_low in log mode, above
+        theta_high in delta mode."""
         window = self.window
-        bits = window.bits
-        size = bits.maxlen
-        if len(bits) == size:
-            window.ones -= bits[0]
-        bits.append(bit)
-        ones = window.ones = window.ones + bit
-        if len(bits) < size:
+        size = window.size
+        if p - window.start < size:
             return
-        ratio = ones / size
+        ratio = window.slide(p) / size
         if self.repl_mode == LOG:
             if ratio < window.theta_low:
                 self._switch(DELTA, ratio)
@@ -565,16 +628,124 @@ class Qpu:
         self.switch_log.append((self.sim.now, self.repl_mode, to, round(ratio, 4)))
         self.repl_mode = to
         # a fresh window must fill before the next flip can happen
-        self.window.clear()
-        self.net._rewire_peers()
+        if self.own_puts is None:
+            self.window.clear(self.router.puts)
+            self.router._next = min(self.router._next, self.window.due)
+        else:
+            self.window.clear(self.own_puts)
+        self.net._rewire_peers(self._region_key)
 
-    # -- gossip (see the module note) ---------------------------------------------
+    # -- routing (a freshness node's; see the ingest note) ---------------------------
 
     def _on_replica(self, entry: LogEntry):
-        # a freshness node's feed: the first new entry arms a report
+        """The replica's first subscriber: the first new entry arms a
+        report (see the gossip note), and the entry goes to the leaves it
+        changes (see the ingest note)."""
         if not self._gossip_armed:
             self._gossip_armed = True
             self.sim.after(self.net.cfg.gossip_every, self._report_heads)
+        attrs = entry.attrs
+        home = None
+        if attrs is not None:
+            home = self.children[0]
+            while home.kind != "hist":
+                cut = home.cut
+                home = home.children[attrs[cut[0]] >= cut[1] if cut else 0]
+        culler = None  # the leaf that posts the tag the entry supersedes
+        prev = entry.prev_tag
+        if prev is not None and entry.stamp > prev:
+            if home is not None and prev in home.index.tag_info:
+                culler = home
+            else:
+                for leaf in self.leaves:
+                    if prev in leaf.index.tag_info:
+                        culler = leaf
+                        break
+        clock, removed = self.clock, self.removed
+        # a remove held for the add leaves the home leaf as it is. The two
+        # visit in feed order, since each may send its peers the entry, and
+        # the last to apply it moves the shared cursor
+        first, second = home, culler
+        if first is not None and removed and (
+                entry.origin_dc, entry.seq) in removed:
+            first = None
+        if second is first:
+            second = None
+        elif first is None or (second is not None
+                               and second.order < first.order):
+            first, second = second, first
+        private = self.private
+        if private:  # each leaf off the cursor is offered every entry
+            for leaf in (first, second):
+                if leaf is not None:
+                    if leaf.own_puts is None:
+                        leaf._on_feed(entry, leaf is home, False)
+                    else:
+                        leaf._on_feed(entry)
+            advance_cursor(clock, removed, entry)
+            for leaf in private:
+                if leaf is not first and leaf is not second:
+                    leaf._on_feed(entry)
+        elif first is None:
+            advance_cursor(clock, removed, entry)
+        elif second is None:
+            first._on_feed(entry, first is home)
+        else:
+            first._on_feed(entry, first is home, False)
+            second._on_feed(entry, second is home)
+        if attrs is not None and self.adaptive:
+            p = self.puts = self.puts + 1
+            if home.own_puts is None:
+                window = home.window
+                window.bits |= 1 << (p - window.base)
+            if p >= self._next:
+                self._check_modes(p)
+        if private:
+            for leaf in private[:]:
+                self._rejoin(leaf)
+
+    def _check_modes(self, p: int):
+        """Check the mode of each shared leaf whose check is due at put p,
+        and find when the next one is."""
+        self._next = sys.maxsize
+        for leaf in self.leaves:
+            if leaf.own_puts is None:
+                window = leaf.window
+                if window.due <= p:
+                    leaf._maybe_switch(p)
+                    window.due = window.next_flip(p, leaf.repl_mode == LOG)
+                self._next = min(self._next, window.due)
+
+    def _seat(self, leaf: "Qpu", own: int | None = None):
+        """Take a new leaf of this DC, its window empty, onto the shared
+        cursor if its index is at it, else with `own` as its put count."""
+        leaf.router = self
+        self.leaves.append(leaf)
+        leaf.own_puts = self.puts if own is None else own
+        leaf.window.clear(leaf.own_puts)
+        self.private.append(leaf)
+        self._rejoin(leaf)
+
+    def _unseat(self, leaf: "Qpu"):
+        self.leaves.remove(leaf)
+        if leaf.own_puts is not None:
+            self.private.remove(leaf)
+
+    def _rejoin(self, leaf: "Qpu"):
+        """Move a leaf whose cursor equals the shared one back onto it, its
+        window's positions moved from its put count to the DC's."""
+        index, window = leaf.index, leaf.window
+        if (index.clock.entries == self.clock.entries
+                and index.removed == self.removed):
+            index.clock, index.removed = self.clock, self.removed
+            shift = self.puts - leaf.own_puts
+            window.start, window.base = window.start + shift, window.base + shift
+            window.due = window.next_flip(self.puts, leaf.repl_mode == LOG)
+            self._next = min(self._next, window.due)
+            leaf.own_puts = None
+            self.private.remove(leaf)
+
+    # -- gossip (see the module note) ---------------------------------------------
 
     def _report_heads(self):
         # the timer was armed by a new entry, so the heads moved
@@ -801,11 +972,12 @@ class QpuNetwork:
         actor = self._next_leaf_actor(dc)
         if spec == "leaf":
             leaf = self._new_node(actor, "hist", dc, region, parent)
-            self.store.replicas[dc].subscribe(leaf._on_feed)
+            self.nodes[f"qpu/{dc}"]._seat(leaf)
             return leaf
         attr, at = spec["attr"], spec["at"]
         lo_part, hi_part = region.cut(attr, at)
         node = self._new_node(actor, "value", dc, region, parent)
+        node.cut = (attr, at)
         node.children = [
             self._build_history(spec["lo"], lo_part, dc, actor),
             self._build_history(spec["hi"], hi_part, dc, actor),
@@ -882,13 +1054,19 @@ class QpuNetwork:
 
     def _on_cut(self, entries: list[LogEntry]):
         """Cull each cut entry that a leaf still posts and that lost to its
-        key's winner at the leaf's replica, as `scrub_all` decides. Every
-        replica has applied a cut entry, so the winner lookup cannot miss."""
-        for leaf in self.hist_leaves():
-            tag_info, objects = leaf.index.tag_info, leaf.replica.objects
-            leaf.index.cull_many([
-                (e.key, e.stamp) for e in entries
-                if e.stamp in tag_info and objects[e.key].stamp > e.stamp])
+        key's winner at the leaf's replica, as `scrub_all` decides: a DC's
+        losers are found once, and each of its leaves culls those it posts.
+        Every replica has applied a cut entry, so the winner lookup cannot
+        miss."""
+        for fresh in self.root.children:
+            objects = fresh.replica.objects
+            lost = {e.stamp: e.key for e in entries
+                    if objects[e.key].stamp > e.stamp}
+            if lost:
+                for leaf in fresh.leaves:
+                    index = leaf.index
+                    index.cull_many([(lost[tag], tag) for tag
+                                     in index.tag_info.keys() & lost.keys()])
 
     # -- registries ---------------------------------------------------------------
 
@@ -897,19 +1075,26 @@ class QpuNetwork:
 
     # -- peer wiring -------------------------------------------------------------
 
-    def _rewire_peers(self):
-        """Rebuild every node's subscribers from the tree as it stands, after
-        each change of shape or mode. A history leaf feeds its local-origin
-        log entries to each same-region leaf abroad that is in delta mode.
-        Other nodes feed none. Subscriptions are control-plane: set
-        directly, while the entries themselves travel as network messages."""
+    def _rewire_peers(self, region_key: tuple | None = None):
+        """Rebuild the peer subscribers from the tree as it stands, after
+        each change of shape, or of mode in one region, `region_key`. A leaf
+        takes its replica's entries from its DC's one routed feed (see the
+        ingest note), and feeds its local-origin ones to each same-region
+        leaf abroad that is in delta mode. Other nodes feed none.
+        Subscriptions are control-plane: set directly, while the entries
+        themselves travel as network messages."""
         groups: dict[tuple, list[Qpu]] = {}
-        for leaf in self.hist_leaves():
-            groups.setdefault(leaf.region.key(), []).append(leaf)
-        for node in self.nodes.values():
-            group = groups[node.region.key()] if node.kind == "hist" else ()
-            node.subscribers = {p.actor for p in group
-                                if p.dc != node.dc and p.repl_mode == DELTA}
+        for leaf in self.nodes.values():
+            if leaf.kind == "hist" and region_key in (None, leaf._region_key):
+                groups.setdefault(leaf._region_key, []).append(leaf)
+        nodes = self.nodes.values() if region_key is None else groups[region_key]
+        for node in nodes:
+            if node.kind == "hist":
+                node.subscribers = {
+                    p.actor for p in groups[node._region_key]
+                    if p.dc != node.dc and p.repl_mode == DELTA}
+            elif node.subscribers:  # a leaf split or merged away
+                node.subscribers = set()
 
     # -- split / merge ------------------------------------------------------------
 
@@ -927,7 +1112,7 @@ class QpuNetwork:
         leaf = self.nodes.get(actor)
         if leaf is None or leaf.kind != "hist":
             raise ValueError(f"{actor} is not a history leaf")
-        region_a, region_b = self._split_point(leaf)
+        cut, (region_a, region_b) = self._split_point(leaf)
         kids = []
         for suffix, region in (("a", region_a), ("b", region_b)):
             child = self._new_node(f"{actor}.{suffix}", "hist", leaf.dc, region,
@@ -935,24 +1120,26 @@ class QpuNetwork:
             child.repl_mode = leaf.repl_mode
             child.index.clock = leaf.index.clock.copy()
             child.index.removed = set(leaf.index.removed)
-            self.store.replicas[leaf.dc].subscribe(child._on_feed)
+            leaf.router._seat(child, leaf.own_puts)
             kids.append(child)
         for entry in leaf.index.tag_info.values():
             child = kids[0] if region_a.contains_point(entry.attrs) else kids[1]
             child.index.post(entry)
-        self.store.replicas[leaf.dc].unsubscribe(leaf._on_feed)
+        leaf.router._unseat(leaf)
         # the leaf morphs in place into the value node over its halves
         leaf.kind = "value"
         leaf.index = None
+        leaf.cut = cut
         leaf.children = kids
         self._forget_covers()
         self._rewire_peers()
         return kids[0].actor, kids[1].actor
 
-    def _split_point(self, leaf: Qpu) -> tuple[Region, Region]:
-        """The two sides of a cut at the median of the widest normalized
-        axis; an axis where the median cannot cut off two non-empty sides is
-        degenerate and the next widest is tried instead."""
+    def _split_point(self, leaf: Qpu) -> tuple[tuple, tuple[Region, Region]]:
+        """A cut, (attr, at), at the median of the widest normalized axis,
+        and its two sides; an axis where the median cannot cut off two
+        non-empty sides is degenerate and the next widest is tried
+        instead."""
         axes = sorted(
             (a for a in leaf.region.ivs if self.schema[a].kind != "text"),
             key=lambda a: (-self.schema[a].norm_length(leaf.region.ivs[a]), a))
@@ -960,9 +1147,10 @@ class QpuNetwork:
             vals = sorted({e.attrs[attr] for e in leaf.index.tag_info.values()})
             if len(vals) < 2:
                 continue
-            lo, hi = leaf.region.cut(attr, vals[len(vals) // 2])
+            at = vals[len(vals) // 2]
+            lo, hi = leaf.region.cut(attr, at)
             if lo is not None and hi is not None:
-                return lo, hi
+                return (attr, at), (lo, hi)
         raise SplitRefused(f"{leaf.actor}: no axis offers a non-degenerate median")
 
     def merge_siblings(self, a_actor: str, b_actor: str) -> str:
@@ -987,14 +1175,15 @@ class QpuNetwork:
         # at the floor of the two clocks, so the log offers again every
         # entry one side lacks, such as the remove of a tag the other posted
         merged.index = CrdtIndex.merged(a.index, b.index)
-        self.store.replicas[a.dc].subscribe(merged._on_feed)
+        a.router._seat(merged)
         for old in (a, b):
-            self.store.replicas[old.dc].unsubscribe(old._on_feed)
+            a.router._unseat(old)
             # each old leaf morphs into a value node over the merged one, so
             # a probe already on its way to it is still answered
             old.kind = "value"
             old.index = None
             old.children = [merged]
+        parent.cut = None
         parent.children = [merged]
         self._forget_covers()
         self._rewire_peers()

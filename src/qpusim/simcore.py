@@ -147,13 +147,22 @@ class Simulation:
         return (a, b) if a < b else (b, a)
 
     def _dispatch(self, env: Envelope):
-        """Send a cross-DC message: a jittered delay, maybe a duplicate."""
+        """Send a cross-DC message: a jittered delay, maybe a duplicate. A
+        delay's jitter is drawn as `randint(0, jitter)` draws it, by
+        rejection from k random bits, without its Python frames."""
         net, rng, now = self.net, self.rng, self.now
-        env.deliver_at = now + net.inter_dc_delay + rng.randint(0, net.jitter)
+        bits, n = rng.getrandbits, net.jitter + 1
+        k = n.bit_length()
+        extra = bits(k)
+        while extra >= n:
+            extra = bits(k)
+        env.deliver_at = now + net.inter_dc_delay + extra
         if net.dup_prob > 0 and rng.random() < net.dup_prob:
+            extra = bits(k)
+            while extra >= n:
+                extra = bits(k)
             dup = Envelope(env.src, env.dst, env.kind, env.payload, env.sent_at,
-                           now + net.inter_dc_delay + rng.randint(0, net.jitter),
-                           env.note)
+                           now + net.inter_dc_delay + extra, env.note)
             self._push(dup.deliver_at, dup)
         self._push(env.deliver_at, env)
 

@@ -55,6 +55,33 @@ def test_query_past_the_dnf_bound_exits_2(tmp_path, capsys):
     assert "scenario error" in err and "DNF terms" in err and "at byte" in err
 
 
+def dnf_of(terms: int, by: str) -> str:
+    """A query over GPA whose DNF has `terms` conjuncts: one OR of that many
+    predicates, or an AND of ORs whose sizes multiply to it."""
+    if by == "or":
+        return " OR ".join(f"GPA > {i / 1000}" for i in range(terms))
+    sizes = {1024: [2] * 10, 1025: [5, 5, 41]}[terms]
+    return " AND ".join(
+        "(" + " OR ".join(f"GPA > 0.{j}{i}" for i in range(n)) + ")"
+        for j, n in enumerate(sizes))
+
+
+@pytest.mark.parametrize("by", ["or", "and"])
+def test_a_query_of_exactly_the_dnf_bound_runs_and_one_more_exits_2(
+        capsys, by):
+    # the bound is 1024 conjuncts, inclusive, whether they come from one
+    # OR or from a product of ORs; the first conjunct past it is located
+    # at the operator that adds it
+    assert main(["query", STUDENTS, dnf_of(1024, by), "--dc", "dc1"]) == 0
+    assert capsys.readouterr().err == ""
+    text = dnf_of(1025, by)
+    at = text.rindex(" OR ") + 1 if by == "or" else text.rindex(" AND ") + 1
+    assert main(["query", STUDENTS, text, "--dc", "dc1"]) == 2
+    assert capsys.readouterr().err == (
+        f"query error: query expands to more than 1024 DNF terms "
+        f"(at byte {at})\n")
+
+
 # an int literal past the float range on a float attribute, and parentheses
 # nested past the bound, each once ended in a traceback
 DEEP_LITERAL = "GPA > 1" + "0" * 400
@@ -281,6 +308,37 @@ def test_gen_workload_fractions_over_one_exit_2(tmp_path, capsys):
     assert "--query-frac plus --delete-frac" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+def test_gen_workload_fractions_summing_to_one_and_one_object_run(tmp_path,
+                                                                 capsys):
+    # both bounds are inclusive: the fractions may sum to exactly 1, and
+    # the key space may be a single object
+    out = tmp_path / "w.json"
+    assert main(["gen-workload", "--base", STUDENTS, "--out", str(out),
+                 "--actions", "80", "--objects", "1", "--seed", "2",
+                 "--query-frac", "0.75", "--delete-frac", "0.25"]) == 0
+    workload = json.loads(out.read_text())["workload"]
+    generated = [a for a in workload if a["op"] in ("put", "delete")]
+    assert {a["key"] for a in generated} == {"k0"}
+    assert {a["op"] for a in generated} == {"put", "delete"}
+    assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("base, kept", [(STUDENTS, 0), (MAINTENANCE, 5)])
+def test_gen_workload_summary_counts_what_it_wrote(tmp_path, capsys, base,
+                                                   kept):
+    out = tmp_path / "w.json"
+    assert main(["gen-workload", "--base", base, "--out", str(out),
+                 "--actions", "120", "--objects", "15", "--seed", "6",
+                 "--query-frac", "0.3", "--delete-frac", "0.1"]) == 0
+    workload = json.loads(out.read_text())["workload"]
+    ops = [a["op"] for a in workload]
+    assert len(workload) == 120 + kept
+    assert 0 < ops.count("delete") and ops.count("put") > ops.count("query")
+    assert capsys.readouterr().out == (
+        f"{out}: {120 + kept} actions ({ops.count('put')} puts, "
+        f"{ops.count('query')} queries, {kept} kept from the base), seed 6\n")
 
 
 @pytest.mark.parametrize("args, out, strerror", [

@@ -118,8 +118,8 @@ def test_a_refusal_fails_only_a_late_ops_case(tool, monkeypatch, capsys):
 def test_the_table_holds_every_case_once(tool):
     cases = list(tool.runs(ROOT))
     labels = [case[0] for case in cases]
-    assert len(labels) == len(set(labels)) == 126
-    assert sum(1 for case in cases if case[2]) == 108
+    assert len(labels) == len(set(labels)) == 131
+    assert sum(1 for case in cases if case[2]) == 113
     # the cases that predate the generated, late-ops and GPA-in-10-bins
     # ones keep their labels, first and in order, so their digest lines
     # diff against an older checkout's
@@ -134,13 +134,19 @@ def test_the_table_holds_every_case_once(tool):
               for variant in ("Major cut", "GPA unbinned") for mode in MODES]
     assert labels[:57] == older
     # only late-ops and seeded-sweep cases forbid a refused structural op;
-    # the sweep comes last, so the 105 earlier lines diff as they did
+    # the sweep comes next, and the wide trees last, so the 105 earlier
+    # lines, and the sweep's, diff as they did
     sweep = [f"bench {name} seed {seed} default oracle on"
              for name in ("churn", "readheavy", "ingest")
              for seed in range(4, 9)]
     sweep += [f"bench {name} x4 seed {seed} default oracle on"
               for name in ("churn", "readheavy", "ingest") for seed in (1, 2)]
-    assert labels[105:] == sweep
+    assert labels[105:126] == sweep
+    assert labels[126:] == [
+        f"convergence.json 8 leaves per DC {mode} oracle on"
+        for mode in MODES] + [
+        f"bench ingest seed 1 8 leaves per DC {mode} oracle on"
+        for mode in ("default", "delta")]
     assert [case[0] for case in cases if not case[3]] == [
         f"gen-workload maintenance.json seed {seed} late ops {mode} oracle on"
         for seed in (1, 2, 3) for mode in MODES] + sweep
@@ -148,6 +154,17 @@ def test_the_table_holds_every_case_once(tool):
     x4 = cases[labels.index("bench ingest x4 seed 1 default oracle on")]
     one = cases[labels.index("bench ingest seed 1 default oracle on")]
     assert len(x4[1]["workload"]) == 4 * len(one[1]["workload"])
+    # a wide case runs its base's workload over 8 leaves per DC
+    wide = cases[labels.index(
+        "bench ingest seed 1 8 leaves per DC default oracle on")]
+    assert wide[1]["workload"] == one[1]["workload"]
+    sc = scenario.parse_scenario(wide[1])
+    sim, store, net = scenario.build_scenario(sc)
+    assert [len(net.nodes[f"qpu/{dc}"].children[0].children) for dc in
+            store.dcs] == [2] * len(store.dcs)
+    assert sorted({leaf.region.ivs["price"].hi for leaf in net.hist_leaves()
+                   }) == [125.0 * i for i in range(1, 9)]
+    assert len(net.hist_leaves()) == 8 * len(store.dcs)
 
 
 def test_an_out_of_order_action_list_digests_as_its_sorted_copy(tool):

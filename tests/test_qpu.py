@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -72,11 +73,15 @@ def test_entry_outside_region_advances_clock_without_postings():
 
 
 def test_adaptive_leaves_track_each_writes_relevance():
+    # each DC counts the put once, and only the high leaf's window marks it
     sim, store, net = quiesced(history=CUT, repl_mode="adaptive")
     store.put("dc1", "hi", {"gpa": 3.5, "dept": "cs"})
     sim.run_until_quiescent()
-    assert list(net.nodes["qpu/dc1/h1"].window.bits) == [0]
-    assert list(net.nodes["qpu/dc1/h2"].window.bits) == [1]
+    for dc in ("dc1", "dc2", "dc3"):
+        assert net.nodes[f"qpu/{dc}"].puts == 1
+        lo, hi = (net.nodes[f"qpu/{dc}/h{i}"].window for i in (1, 2))
+        assert lo.start == hi.start == 0  # the window holds the write
+        assert (lo.slide(1), hi.slide(1)) == (0, 1)
 
 
 def test_delete_reaches_the_leaf_holding_the_posting():
@@ -1024,25 +1029,58 @@ def test_merge_rejects_leaves_under_different_parents():
 
 
 def adaptive_net(**kw):
-    return build(dcs=("dc1", "dc2"), repl_mode="adaptive",
+    return build(dcs=("dc1", "dc2"), repl_mode="adaptive", history=CUT,
                  selectivity=SelectivityConfig(window=8, theta_low=0.2,
                                                theta_high=0.6), **kw)
 
 
-def feed(leaf, bits):
+_fed = itertools.count()
+
+
+def feed(store, bits, dc="dc1"):
+    """One new key put at `dc` per relevance bit of CUT's low leaf, h1:
+    below the cut for a 1, above it for a 0. Only the DC's own replica
+    applies them until the simulation runs."""
     for bit in bits:
-        leaf._maybe_switch(bit)
+        store.put(dc, f"w{next(_fed)}", {"gpa": 1.0 if bit else 3.0,
+                                         "dept": "cs"})
+
+
+class ReferenceWindow:
+    """A deque of the last `window` relevance bits of a leaf's writes,
+    checked at every write, and the mode it chooses: the model a leaf's
+    positional window must match."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.bits = deque(maxlen=cfg.window)
+        self.mode = "log"
+        self.flips = []  # (writes so far, ratio) per flip
+
+    def write(self, n, bit):
+        self.bits.append(bit)
+        if len(self.bits) < self.cfg.window:
+            return
+        ratio = sum(self.bits) / self.cfg.window
+        if (ratio < self.cfg.theta_low if self.mode == "log"
+                else ratio > self.cfg.theta_high):
+            self.mode = "delta" if self.mode == "log" else "log"
+            self.flips.append((n, round(ratio, 4)))
+            self.bits.clear()
 
 
 def test_adaptive_leaf_switches_down_then_up():
     sim, store, net = adaptive_net()
-    leaf = net.nodes["qpu/dc1/h0"]
+    leaf = net.nodes["qpu/dc1/h1"]
     assert leaf.repl_mode == "log"
-    feed(leaf, [0] * 8)
+    feed(store, [0] * 8)
     assert leaf.repl_mode == "delta"
-    assert len(leaf.window.bits) == 0  # hysteresis: a full fresh window is needed
+    # hysteresis: the window restarts empty, and must fill again
+    assert leaf.window.start == net.nodes["qpu/dc1"].puts == 8
     assert leaf.switch_log[-1][1:3] == ("log", "delta")
-    feed(leaf, [1] * 8)
+    feed(store, [1] * 7)
+    assert leaf.repl_mode == "delta"
+    feed(store, [1])
     assert leaf.repl_mode == "log"
     assert [s[1:3] for s in leaf.switch_log] == [("log", "delta"),
                                                  ("delta", "log")]
@@ -1050,44 +1088,79 @@ def test_adaptive_leaf_switches_down_then_up():
 
 def test_adaptive_deadband_holds_the_mode():
     sim, store, net = adaptive_net()
-    leaf = net.nodes["qpu/dc1/h0"]
-    feed(leaf, [1, 0, 0, 1, 0, 0, 1, 0])  # ratio 0.375, inside band
+    leaf = net.nodes["qpu/dc1/h1"]
+    feed(store, [1, 0, 0, 1, 0, 0, 1, 0])  # ratio 0.375, inside band
     assert leaf.repl_mode == "log" and leaf.switch_log == []
 
 
 def test_adaptive_waits_for_a_full_window():
     sim, store, net = adaptive_net()
-    leaf = net.nodes["qpu/dc1/h0"]
-    feed(leaf, [0] * 7)
+    leaf = net.nodes["qpu/dc1/h1"]
+    feed(store, [0] * 7)
     assert leaf.repl_mode == "log"
 
 
 def test_a_ratio_on_a_threshold_holds_the_mode():
     # 0.05 * 200 and 0.15 * 200 land on whole counts, where the ratio
     # equals the threshold: a leaf flips only once it is strictly past
-    sim, store, net = build(dcs=("dc1",), repl_mode="adaptive",
+    sim, store, net = build(dcs=("dc1",), repl_mode="adaptive", history=CUT,
                             selectivity=SelectivityConfig(window=200))
-    leaf = net.nodes["qpu/dc1/h0"]
-    feed(leaf, [1] * 10 + [0] * 190)  # 10 / 200 == theta_low
+    leaf = net.nodes["qpu/dc1/h1"]
+    feed(store, [1] * 10 + [0] * 190)  # 10 / 200 == theta_low
     assert leaf.repl_mode == "log"
-    feed(leaf, [0])  # a one leaves the window: 9 / 200
+    feed(store, [0])  # a one leaves the window: 9 / 200
     assert leaf.repl_mode == "delta" and leaf.switch_log[-1][3] == 0.045
-    feed(leaf, [0] * 170 + [1] * 30)  # 30 / 200 == theta_high
+    feed(store, [0] * 170 + [1] * 30)  # 30 / 200 == theta_high
     assert leaf.repl_mode == "delta"
-    feed(leaf, [1])  # a zero leaves the window: 31 / 200
+    feed(store, [1])  # a zero leaves the window: 31 / 200
     assert leaf.repl_mode == "log" and leaf.switch_log[-1][3] == 0.155
 
 
 def test_window_count_matches_its_bits_across_switches():
+    # the window's count of relevant writes is the reference deque's sum
+    # after every write, across the switches it makes at the same writes
+    cfg = SelectivityConfig(window=8, theta_low=0.2, theta_high=0.6)
     sim, store, net = adaptive_net()
-    leaf = net.nodes["qpu/dc1/h0"]
+    leaf, router = net.nodes["qpu/dc1/h1"], net.nodes["qpu/dc1"]
+    ref = ReferenceWindow(cfg)
     rng = random.Random(6)
+    n = 0
     for phase in range(8):
         share = 0.9 if phase % 2 else 0.05
         for _ in range(40):
-            leaf._maybe_switch(1 if rng.random() < share else 0)
-            assert leaf.window.ones == sum(leaf.window.bits)
-    assert len(leaf.switch_log) >= 4
+            bit = 1 if rng.random() < share else 0
+            n += 1
+            feed(store, [bit])
+            ref.write(n, bit)
+            assert leaf.repl_mode == ref.mode
+            assert leaf.window.slide(router.puts) == sum(ref.bits)
+    assert len(leaf.switch_log) == len(ref.flips) >= 4
+
+
+@pytest.mark.parametrize("window, theta_low, theta_high", [
+    (8, 0.2, 0.6), (50, 0.1, 0.3), (200, 0.05, 0.15), (37, 0.01, 0.99)])
+def test_positional_windows_flip_where_the_reference_deque_does(
+        window, theta_low, theta_high):
+    # writes named by position, and checked only where a flip can come,
+    # flip at the same writes with the same ratios as a deque of bits
+    # checked at every write, on a stream whose relevant share drifts
+    cfg = SelectivityConfig(window=window, theta_low=theta_low,
+                            theta_high=theta_high)
+    sim, store, net = build(dcs=("dc1",), repl_mode="adaptive", history=CUT,
+                            selectivity=cfg)
+    leaf = net.nodes["qpu/dc1/h1"]
+    ref = ReferenceWindow(cfg)
+    rng = random.Random(window)
+    flips = []
+    for n in range(1, 40 * window + 1):
+        share = 0.5 + 0.5 * math.sin(n / (3 * window))
+        bit = 1 if rng.random() < share else 0
+        before = len(leaf.switch_log)
+        feed(store, [bit])
+        ref.write(n, bit)
+        if len(leaf.switch_log) > before:
+            flips.append((n, leaf.switch_log[-1][3]))
+    assert flips == ref.flips and len(flips) >= 3
 
 
 def test_fixed_modes_never_switch():
@@ -1108,11 +1181,177 @@ def test_fixed_modes_never_switch():
 
 
 def test_a_billion_write_window_builds_at_once():
+    # a window keeps only its relevant writes' positions, so its size
+    # costs nothing up front, and its first check is due when it fills
     size = 10**9
     cfg = SelectivityConfig(window=size)
     sim, store, net = build(dcs=("dc1",), repl_mode="adaptive",
                             selectivity=cfg)
-    assert net.nodes["qpu/dc1/h0"].window.bits.maxlen == size
+    window = net.nodes["qpu/dc1/h0"].window
+    assert window.size == size and window.due == size
+    store.put("dc1", "k", {"gpa": 1.0, "dept": "cs"})
+    assert window.slide(1) == 1 and window.bits == 1
+
+
+# -- routed ingest ---------------------------------------------------------------
+
+
+def gpa_halves(lo, hi, levels):
+    """`levels` levels of gpa cuts at the midpoints of [lo, hi]."""
+    if not levels:
+        return "leaf"
+    mid = (lo + hi) / 2
+    return {"attr": "gpa", "at": mid, "lo": gpa_halves(lo, mid, levels - 1),
+            "hi": gpa_halves(mid, hi, levels - 1)}
+
+
+WIDE = gpa_halves(0.0, 4.0, 3)  # 8 leaves per DC
+
+
+def test_a_wide_tree_culls_each_overwrite_where_it_was_posted():
+    # every overwrite moves its key to another of 8 leaves, and each waits
+    # for quiescence, so none is concurrent: the router must cull the old
+    # posting at its leaf, since a scrub would find it first. The
+    # candidate check and the scrub repair a router that skips that leaf,
+    # so only the scrub count shows it. Fewer than 256 entries keep the
+    # log uncut, so no cut culls it either
+    sim, store, net = build(history=WIDE, seed=4, jitter=3)
+    assert len(net.hist_leaves()) == 24
+    rng = random.Random(4)
+    dcs = ("dc1", "dc2", "dc3")
+    for rnd in range(3):
+        for i in range(20):
+            gpa = (i * 0.2 + rnd * 1.3 + rng.random() * 0.1) % 4.0
+            store.put(dcs[(i + rnd) % 3], f"k{i}", {"gpa": gpa, "dept": "cs"})
+            sim.run_until_quiescent()
+    assert net.scrub_all() == 0
+    assert sorted(e.key for leaf in net.hist_leaves()
+                  for e in leaf.index.tag_info.values()) == sorted(
+        [f"k{i}" for i in range(20)] * 3)
+    for leaf in net.hist_leaves():
+        want = rebuild_index(store.replicas[leaf.dc], net.binner,
+                             region=leaf.region)
+        assert leaf.index.canonical() == want.canonical(), leaf.actor
+
+
+def test_apply_delta_runs_once_per_post_or_cull(monkeypatch):
+    # a log-mode leaf is offered only the entries that change it: each
+    # apply posts or culls, and no leaf applies one entry twice
+    from qpusim import CrdtIndex
+
+    calls = []
+    apply = CrdtIndex.apply_delta
+
+    def counted(self, entry, inside, advance=True):
+        before = dict(self.tag_info)
+        out = apply(self, entry, inside, advance)
+        calls.append((id(self), entry.origin_dc, entry.seq))
+        assert out and self.tag_info != before, (entry, inside)
+        return out
+
+    monkeypatch.setattr(CrdtIndex, "apply_delta", counted)
+    sim, store, net = build(history=WIDE, jitter=4, dup=0.2, seed=9)
+    keys = fill(store, random.Random(9), 120)
+    sim.run_until_quiescent()
+    for key in keys[:10]:
+        store.delete("dc2", key)
+    sim.run_until_quiescent()
+    assert len(calls) == len(set(calls)) > 3 * 120
+
+
+def test_a_delta_leaf_ahead_of_its_replica_rejoins_the_shared_cursor(
+        monkeypatch):
+    # without jitter dc2's peer delta reaches qpu/dc1/h0 before dc1's
+    # replicate does: the leaf moves onto a copy of the cursor, and is
+    # offered the replica's copy of the entry, which it drops, and then
+    # shares its DC's cursor again
+    from qpusim import CrdtIndex
+
+    applied = []
+    apply = CrdtIndex.apply_delta
+
+    def counted(self, entry, inside, advance=True):
+        out = apply(self, entry, inside, advance)
+        applied.append((self, entry.seq, out))
+        return out
+
+    monkeypatch.setattr(CrdtIndex, "apply_delta", counted)
+    sim, store, net = build(dcs=("dc1", "dc2"), repl_mode="delta")
+    leaf, router = net.nodes["qpu/dc1/h0"], net.nodes["qpu/dc1"]
+    assert leaf.index.clock is router.clock
+    store.put("dc2", "k", {"gpa": 3.0, "dept": "cs"})
+    while not leaf.index.tag_info:
+        assert sim.step()
+    assert router.private == [leaf]
+    assert leaf.index.clock is not router.clock
+    assert (leaf.index.clock, router.clock) == (VectorClock({"dc2": 1}),
+                                               VectorClock())
+    offered = []
+    feed = leaf._on_feed
+    leaf._on_feed = lambda entry, *a: (offered.append(entry.seq),
+                                       feed(entry, *a))
+    sim.run_until_quiescent()
+    assert offered == [1]  # the replica's copy, dropped
+    assert [(i, seq, out) for i, seq, out in applied
+            if i is leaf.index] == [(leaf.index, 1, True)]
+    assert router.private == [] and leaf.own_puts is None
+    assert leaf.index.clock is router.clock == VectorClock({"dc2": 1})
+    assert leaf.index.removed is router.removed
+
+
+def test_split_and_merge_seat_their_leaves_on_the_shared_cursor():
+    sim, store, net = quiesced(dcs=("dc1", "dc2"), n=40, seed=3, rngseed=3)
+    router = net.nodes["qpu/dc1"]
+    a, b = (net.nodes[x] for x in net.force_split("qpu/dc1/h0"))
+    assert a.index.clock is b.index.clock is router.clock
+    assert a.index.removed is b.index.removed is router.removed
+    merged = net.nodes[net.merge_siblings(a.actor, b.actor)]
+    assert merged.index.clock is router.clock
+    assert router.leaves == [merged] and router.private == []
+    fill(store, random.Random(3), 20, prefix="n")
+    sim.run_until_quiescent()
+    assert merged.index.clock == store.replicas["dc1"].heads
+
+
+BENCH_INGEST_SWITCHES = {
+    1: {"qpu/dc1/h1": [(961, "log", "delta", 0.045)],
+        "qpu/dc1/h2": [(214, "log", "delta", 0.0), (794, "delta", "log", 0.155)],
+        "qpu/dc2/h1": [(970, "log", "delta", 0.045)],
+        "qpu/dc2/h2": [(223, "log", "delta", 0.0), (794, "delta", "log", 0.155)],
+        "qpu/dc3/h1": [(961, "log", "delta", 0.045)],
+        "qpu/dc3/h2": [(220, "log", "delta", 0.0), (790, "delta", "log", 0.155)]},
+    2: {"qpu/dc1/h1": [(962, "log", "delta", 0.045)],
+        "qpu/dc1/h2": [(217, "log", "delta", 0.0), (795, "delta", "log", 0.155)],
+        "qpu/dc2/h1": [(966, "log", "delta", 0.045)],
+        "qpu/dc2/h2": [(224, "log", "delta", 0.0), (798, "delta", "log", 0.155)],
+        "qpu/dc3/h1": [(967, "log", "delta", 0.045)],
+        "qpu/dc3/h2": [(220, "log", "delta", 0.0), (797, "delta", "log", 0.155)]},
+    3: {"qpu/dc1/h1": [(957, "log", "delta", 0.045)],
+        "qpu/dc1/h2": [(225, "log", "delta", 0.0), (793, "delta", "log", 0.155)],
+        "qpu/dc2/h1": [(969, "log", "delta", 0.045)],
+        "qpu/dc2/h2": [(222, "log", "delta", 0.0), (793, "delta", "log", 0.155)],
+        "qpu/dc3/h1": [(958, "log", "delta", 0.045)],
+        "qpu/dc3/h2": [(220, "log", "delta", 0.0), (796, "delta", "log", 0.155)]},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_ingest_leaves_switch_at_their_pinned_ticks(monkeypatch, seed):
+    # the ticks and rounded ratios of every leaf's mode switches in bench
+    # ingest at scale 1: a leaf checks its mode only where it can flip, and
+    # must flip where a check at every write would
+    from qpusim import parse_scenario, run_scenario
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    from run import ACTIONS
+    from workloads import WORKLOADS
+
+    report = run_scenario(parse_scenario(
+        WORKLOADS["ingest"](seed, ACTIONS["ingest"])), oracle=False)
+    switches = {n.actor: n.switch_log for n in report.net.nodes.values()
+                if n.switch_log}
+    assert switches == BENCH_INGEST_SWITCHES[seed]
 
 
 def test_delta_mode_converges_via_peer_feeds():
@@ -1235,7 +1474,7 @@ def test_peer_delta_past_a_skipped_seq_is_dropped_and_the_log_applies_both(
 
     dropped = []  # (leaf, origin, skipped seq, dropped seq)
     by_log = set()  # (leaf, origin, seq) applied from the log feed
-    on_peer_delta, on_feed = Qpu.on_peer_delta, Qpu._on_feed
+    on_peer_delta, on_replica = Qpu.on_peer_delta, Qpu._on_replica
 
     def watching_peer_delta(self, entry):
         origin = entry.origin_dc
@@ -1245,14 +1484,18 @@ def test_peer_delta_past_a_skipped_seq_is_dropped_and_the_log_applies_both(
             assert self.index.clock.get(origin) == clock  # dropped
             dropped.append((self.actor, origin, clock + 1, entry.seq))
 
-    def watching_feed(self, entry):
-        clock = self.index.clock.get(entry.origin_dc)
-        on_feed(self, entry)
-        if self.index.clock.get(entry.origin_dc) > clock:
-            by_log.add((self.actor, entry.origin_dc, entry.seq))
+    def watching_replica(self, entry):
+        # the router's feed: a leaf it routes the entry to, and one on the
+        # shared cursor it advances, take the entry from the log
+        origin = entry.origin_dc
+        before = {leaf: leaf.index.clock.get(origin) for leaf in self.leaves}
+        on_replica(self, entry)
+        for leaf, clock in before.items():
+            if leaf.index.clock.get(origin) > clock:
+                by_log.add((leaf.actor, origin, entry.seq))
 
     monkeypatch.setattr(Qpu, "on_peer_delta", watching_peer_delta)
-    monkeypatch.setattr(Qpu, "_on_feed", watching_feed)
+    monkeypatch.setattr(Qpu, "_on_replica", watching_replica)
     doc = json.loads((SCENARIOS / "students.json").read_text())
     doc["tree"]["repl_mode"] = "delta"
     doc["workload"] = [

@@ -19,7 +19,7 @@ from qpusim import (
     write_outputs,
 )
 from qpusim import geostore, scenario
-from qpusim.scenario import _verify_end_state
+from qpusim.scenario import _verify_end_state, _verify_ingest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -224,12 +224,44 @@ def quiesced_students():
     return report, lines[0]
 
 
+def test_ingest_check_counts_each_cursor_and_hold_once():
+    # dc2's two leaves share one cursor, so a shared clock one entry behind
+    # is one entry owed and a shared hold one remove; a leaf off the
+    # shared cursor at quiescence fails the check too
+    report, _ = quiesced_students()
+    net = report.net
+    assert _verify_ingest(net) == "PASS ingest: every leaf at its replica heads"
+    router = net.nodes["qpu/dc2"]
+
+    def fault(behind, held, ahead):
+        return (f"FAIL ingest: leaves {behind} entries behind their replica "
+                f"heads, {held} removes held, {ahead} leaves off the shared "
+                f"cursor")
+
+    router.removed.add(("dc1", 99))
+    assert _verify_ingest(net) == fault(0, 1, 0)
+    router.removed.clear()
+    router.clock.entries["dc1"] -= 1
+    assert _verify_ingest(net) == fault(1, 0, 0)
+    router.clock.entries["dc1"] += 1
+    leaf = net.nodes["qpu/dc2/h1"]  # on a copy of the cursor, as ahead
+    leaf.index.clock = router.clock.copy()
+    leaf.index.removed = set()
+    leaf.own_puts = router.puts
+    assert _verify_ingest(net) == fault(0, 0, 1)
+    leaf.index.clock.entries["dc3"] -= 1
+    leaf.index.removed.add(("dc1", 99))
+    assert _verify_ingest(net) == fault(1, 1, 1)
+
+
 def cull_a_tag(index):
     index._cull(min(index.tag_info))
 
 
 def advance_the_clock(index):
-    index.clock.entries["dc1"] += 1
+    # a clock of its own: at quiescence the DC's leaves share one
+    index.clock = VectorClock({**index.clock.entries,
+                               "dc1": index.clock.get("dc1") + 1})
 
 
 def map_a_tag_to_another_key(index):

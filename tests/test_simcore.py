@@ -46,6 +46,31 @@ def test_duplication_is_cross_dc_only():
     assert len(got) == 1
 
 
+@pytest.mark.parametrize("jitter", [0, 1, 6, 20])
+@pytest.mark.parametrize("dup_prob", [0.0, 0.3])
+def test_cross_dc_delays_are_the_stream_randint_draws(jitter, dup_prob):
+    # each delay's jitter is the draw randint(0, jitter) would make from
+    # the same generator, and a duplicate's comes after the random() call
+    # that chose it; jitter 0 still draws bits, as randint does
+    seed, inter = 17, 5
+    sim = Simulation(NetConfig(1, inter, jitter, dup_prob), seed=seed)
+    got = collector(sim, "b", dc="dc2")
+    sim.add_actor("a", "dc1", lambda e: None)
+    for i in range(200):
+        sim.send("a", "b", "ping", i)
+    sim.run_until_quiescent()
+    ref = random.Random(seed)
+    want = []
+    for i in range(200):
+        want.append((inter + ref.randint(0, jitter), i))
+        if dup_prob > 0 and ref.random() < dup_prob:
+            want.append((inter + ref.randint(0, jitter), i))
+    assert sorted((e.deliver_at, e.payload) for e in got) == sorted(want)
+    assert sim.rng.getstate() == ref.getstate()
+    if dup_prob:
+        assert len(got) > 200
+
+
 def test_unknown_destination_rejected():
     sim = Simulation()
     sim.add_actor("a", "dc1", lambda e: None)

@@ -89,6 +89,19 @@ def test_uniform_sampler_covers_all_ranks():
     assert {sampler.draw() for _ in range(500)} == set(range(10))
 
 
+def test_fractions_summing_to_one_and_a_single_object_generate():
+    # both bounds are inclusive: query_frac + delete_frac may be exactly 1,
+    # and objects exactly 1
+    spec = WorkloadSpec(objects=1, actions=300, query_frac=0.75,
+                        delete_frac=0.25)
+    acts = gen_workload(SCHEMA, DCS, spec, seed=4)
+    assert len(acts) == 300
+    ops = [a["op"] for a in acts]
+    assert ops.count("query") > 150 and ops.count("delete") > 30
+    assert ops.count("put") >= 1
+    assert {a["key"] for a in acts if a["op"] != "query"} == {"k0"}
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         WorkloadSpec(objects=0)

@@ -8,7 +8,7 @@ Each line names a case and gives the SHA-256 of everything it outputs: the
 metrics CSV, traces.txt, the verify lines and runtime errors, each result's
 sorted keys, clock, claim, target, stats and error, and the messages
 delivered, the final tick and the scrub count. `runs` is the one list of
-cases that CI checks. Its 126 cases are:
+cases that CI checks. Its 131 cases are:
 
 - bench churn, readheavy and ingest at scale 1, seeds 1-3, in the
   workload's own replication mode and in delta mode, oracle off and on (36)
@@ -29,6 +29,9 @@ cases that CI checks. Its 126 cases are:
   Scale 4 runs four times the history, so the oracle's views, caps and
   forward folds run long past their first uses, and the replica logs are
   cut many times
+- wide trees: convergence.json in log, delta and adaptive mode, and bench
+  ingest seed 1 in its own mode and delta mode, each with its history of
+  one `price` cut replaced by three levels of them, 8 leaves per DC (5)
 
 Every case but the bench's oracle-off runs has the oracle on. Outputs that
 must not change give equal lines under `diff`, between two checkouts or
@@ -67,6 +70,20 @@ REQUIRED = ("run", "ingest", "index", "convergence", "cache")
 MODES = ("log", "delta", "adaptive")
 
 
+def halves(attr: str, lo: float, hi: float, levels: int):
+    """A history of `levels` levels of cuts of `attr`, each at the midpoint
+    of its side of [lo, hi]: 2 ** levels leaves."""
+    if not levels:
+        return "leaf"
+    mid = (lo + hi) / 2
+    return {"attr": attr, "at": mid, "lo": halves(attr, lo, mid, levels - 1),
+            "hi": halves(attr, mid, hi, levels - 1)}
+
+
+# convergence.json's and bench ingest's schema, with 8 leaves per DC
+WIDE = halves("price", 0.0, 1000.0, 3)
+
+
 def digest(report) -> str:
     from qpusim.scenario import metrics_csv, traces_text
 
@@ -90,6 +107,11 @@ def digest(report) -> str:
 def in_mode(doc: dict, mode: str) -> dict:
     """A copy of `doc` in replication mode `mode`, sharing all but its tree."""
     return {**doc, "tree": {**doc.get("tree", {}), "repl_mode": mode}}
+
+
+def wide(doc: dict) -> dict:
+    """A copy of `doc` whose history is WIDE, sharing all but its tree."""
+    return {**doc, "tree": {**doc["tree"], "history": WIDE}}
 
 
 def late_ops(doc: dict) -> dict:
@@ -173,6 +195,15 @@ def runs(root: Path):
                 yield (f"bench {name} {at}seed {seed} default oracle on",
                        WORKLOADS[name](seed, ACTIONS[name] * scale), True,
                        False)
+    convergence = json.loads((scenarios / "convergence.json").read_text())
+    for mode in MODES:
+        yield (f"convergence.json 8 leaves per DC {mode} oracle on",
+               in_mode(wide(convergence), mode), True, True)
+    ingest = wide(WORKLOADS["ingest"](1, ACTIONS["ingest"]))
+    for mode in ("default", "delta"):
+        doc = ingest if mode == "default" else in_mode(ingest, "delta")
+        yield (f"bench ingest seed 1 8 leaves per DC {mode} oracle on",
+               doc, True, True)
 
 
 def broken(report, oracle: bool, may_refuse: bool) -> list[str]:
