@@ -10,9 +10,8 @@ kept for it. Only a remove that arrives before its add is held, in
 `removed`, until the add's entry applies and the hold suppresses it. So add
 and remove commute: states that applied the same entries in any
 interleaving hold identical visible postings, and at quiescence an index
-holds no remove at all. The clock with its held removes is the index's
-ingest cursor, which may be one that several indexes share (see qpu's
-ingest note).
+holds no remove at all. The clock with its held removes, the index's
+ingest cursor, may be shared by several indexes (see qpu's ingest note).
 
 An index applies log entries themselves. An entry's effect is a pure
 function of the entry and of whether its point lies in the leaf's region,
@@ -198,9 +197,9 @@ class CrdtIndex:
     def apply_delta(self, entry: LogEntry, inside: bool,
                     advance: bool = True) -> bool:
         """Apply one log entry: post its add when `inside`, that is when its
-        point lies in the caller's region, cull the tag it superseded, and,
-        unless the cursor is shared and another index moves it, advance the
-        cursor past it. True when it advanced the state, False for a
+        point lies in the caller's region, cull the tag it superseded, and
+        advance the cursor unless told not to, as when the caller moves a
+        shared one. True when it advanced the state, False for a
         duplicate already covered by the clock. Gaps are protocol errors.
         The clock advances in place: a reader that keeps it copies it."""
         origin, seq = entry.origin_dc, entry.seq
@@ -219,15 +218,10 @@ class CrdtIndex:
         prev = entry.prev_tag
         # a write only retracts the version it actually superseded; when it
         # lost the tie-break to what it observed, that version stays visible
-        supersedes = prev is not None and entry.stamp > prev
-        if supersedes:
+        if prev is not None and entry.stamp > prev:
             self._cull(prev)
-        if advance:  # advance_cursor's steps, inline on this hot path
-            if removed:
-                removed.discard((origin, seq))
-            if supersedes and clock.get(prev.dc, 0) < prev.seq:
-                removed.add((prev.dc, prev.seq))
-            clock[origin] = seq
+        if advance:
+            advance_cursor(self.clock, removed, entry)
         return True
 
     def post(self, entry: LogEntry):

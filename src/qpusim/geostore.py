@@ -97,9 +97,9 @@ class DcReplica:
         return heads
 
     def subscribe(self, cb: Callable[[LogEntry], None]):
-        """Call `cb(entry)`, for the replica's life, synchronously as each
-        entry applies, per origin in seq order: a QPU network's freshness
-        node routes it to its leaves, then its coordinator sees it."""
+        """Call `cb(entry)` synchronously as each entry applies, per origin
+        in seq order: a QPU tree's freshness node, which routes it to the
+        DC's leaves, then its coordinator."""
         self._subscribers.append(cb)
 
     # -- local writes --------------------------------------------------------
@@ -144,12 +144,7 @@ class DcReplica:
         applied_to = self.base[origin] + len(log)
         if entry.seq <= applied_to:
             return 0
-        buf = self._pending.get(origin)
-        if not buf:
-            if entry.seq == applied_to + 1:  # in order, with nothing to drain
-                self._apply(entry)
-                return 1
-            buf = self._pending[origin] = {}
+        buf = self._pending.setdefault(origin, {})
         buf[entry.seq] = entry
         n = 0
         while applied_to + 1 in buf:

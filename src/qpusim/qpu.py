@@ -7,33 +7,27 @@ and answer every query from them.
 
 Ingest note: a history leaf indexes every origin, each through one gapless
 cursor, the origin's component of the index clock, with one rule: the entry
-at clock+1 applies, and any other is dropped. A replica's one feed into the
-tree is its freshness node, which routes each entry it applies,
-synchronously and in seq order, to the leaves the entry changes
-(content-based routing: Carzaniga, Rosenblum & Wolf, TOCS 2001): the leaf
-whose region holds the new point, found by descending the value nodes'
-cuts, since a DC's leaves tile its space (Bentley, CACM 1975), and the leaf
-that posts the tag it supersedes. The leaves at their replica's heads, in
-log mode every leaf, share one cursor per DC, a clock with its held
-removes, which moves once per entry. In delta mode the same-region peer
-abroad also sends a leaf its own DC's entries before this leaf's replica
-has them. One that applies moves the leaf onto a copy of the cursor; while
-ahead, the leaf is offered every entry its replica applies, and it rejoins
-the shared cursor once its clock and held removes equal it again, as they
-do by quiescence. A split's halves and a merged leaf start on the shared
-cursor when their index is at it, and on a copy otherwise. The leaf decides
-once whether the entry's point lies in its region, and its index applies
-the entry with that answer; a peer has the same region, so it reaches the
-same answer. The test reads only the axes the region cuts, kept when the
-node is built: the store keeps every value in its attribute's domain, so an
-uncut axis holds every point. A peer sends only the entries that change the
-receiver's postings: an add in the region, or the remove of a tag it posts
-itself, and nothing else. An entry past a seq the peer skipped is dropped
-too: the replica applies every entry in seq order, so the router brings the
-leaf past both. A leaf's clock therefore never falls behind its replica's
-heads, and no mode switch or rewire leaves a gap to replay. So a leaf
-already covers any target its replica can: the paper's live leaf, which
-scans the log tail past the indexed prefix, would find nothing there.
+at clock+1 applies, and any other is dropped. A replica feeds the tree
+through its freshness node alone, which routes each entry, synchronously
+as the replica applies it, to the leaves it changes: the one whose region
+holds the new point, found by descending the value nodes' cuts, and the
+one that posts the tag it supersedes. The leaves at their replica's heads,
+in log mode all of them, share the DC's one cursor, a clock with its held
+removes, which the router moves once per entry. In delta mode the
+same-region peer abroad sends a leaf its own DC's entries early. One that
+applies moves the leaf onto a copy of the cursor, and the leaf is offered
+every entry until the copy equals the shared cursor again. A split's
+halves and a merged leaf start on the shared cursor when at it. A peer
+sends only the entries that change the receiver's postings: an add in the
+region, or the remove of a tag it posts itself. Both read only the axes
+the region cuts, since the store keeps every value in its attribute's
+domain, so they agree on whether a point lies inside. An entry past a seq
+the peer skipped is dropped: the replica applies every entry in seq order,
+so the router brings the leaf past both. A leaf's clock therefore never
+falls behind its replica's heads, and no mode switch or rewire leaves a
+gap to replay. So a leaf already covers any target its replica can: the
+paper's live leaf, which scans the log tail past the indexed prefix, would
+find nothing there.
 
 Caching note: the root keeps the one result cache, whose entries are
 frozen at insertion: the keys are the join's candidates at the entry's
@@ -127,12 +121,11 @@ class SelectivityConfig:
 
 class SelectivityWindow:
     """The relevance (1 = the write lay in the leaf's region) of a leaf's
-    last `size` ingested writes, with the config's thresholds on their
-    ratio. A write is named by its position in a count of puts, the DC's on
-    the shared cursor and the leaf's own off it, so a leaf outside a
-    write's region needs no offer of it: bit p - base of `bits` marks put p
-    relevant. The window holds the puts past `start`, and `due` is the put
-    at which the router next checks a shared leaf's mode."""
+    last `size` ingested writes, named by their positions in a count of
+    puts, so a leaf outside a write's region needs no offer of it: bit
+    p - base of `bits` marks put p relevant. The window holds the puts past
+    `start`, and `due` is the put at which the router next checks a shared
+    leaf's mode, at least once a window, so `bits` spans at most two."""
 
     __slots__ = ("size", "theta_low", "theta_high", "start", "base", "bits",
                  "due")
@@ -148,9 +141,7 @@ class SelectivityWindow:
         self.start, self.base, self.bits, self.due = p, p + 1, 0, p + self.size
 
     def slide(self, p: int) -> int:
-        """The relevant writes in the window at put p, dropping older ones.
-        A shared window is checked at least every `size` puts (next_flip),
-        so `bits` stays a few windows long."""
+        """The relevant writes in the window at put p, dropping older ones."""
         off = p - self.size + 1 - self.base
         if off > 0:
             self.bits >>= off
@@ -326,11 +317,9 @@ class Qpu:
             (a, iv) for a, iv in region.ivs.items()
             if iv != net.schema[a].domain())
         self._region_text = region.render()
-        self._region_key = region.key()
         self.parent = parent
         self.children: list[Qpu] = []
-        # a dispatch node's cut of its region, (attr, at), when it has two
-        # children: a point goes low below `at`, high at or above it
+        # a value node's (attr, at): a point below `at` goes to children[0]
         self.cut: tuple | None = None
         # the root's: freshness actor -> the replica heads it last reported
         self.child_clocks: dict[str, VectorClock] = {}
@@ -346,8 +335,8 @@ class Qpu:
         self.subscribers: set[str] = set()
         self.switch_log: list[tuple] = []
         self._gossip_armed = False  # a freshness node's report timer
-        # a leaf's feed order (see _on_replica), its router, the DC's
-        # freshness node, and its own put count while off the shared cursor
+        # a leaf's feed order, its DC's freshness node, and its own put
+        # count while off the shared cursor (see the ingest note)
         self.order = len(net.nodes)
         self.router: Qpu | None = None
         self.own_puts: int | None = None
@@ -562,14 +551,13 @@ class Qpu:
             router.private.append(self)
         self._on_feed(entry)
 
-    def _on_feed(self, entry: LogEntry, inside: bool | None = None,
-                 advance: bool = True):
+    def _on_feed(self, entry: LogEntry, inside: bool | None = None):
         """Offer the entry to its origin's cursor (see the ingest note): it
         applies when it is the origin's next entry, at clock+1, and is
         dropped otherwise. The router calls this synchronously as the
-        replica applies an entry, telling a leaf on the shared cursor where
-        the point lies and whether to advance the cursor, and on_peer_delta
-        as a peer's entry arrives."""
+        replica applies an entry, telling the leaf where the point lies, and
+        on_peer_delta as a peer's entry arrives. A leaf moves only a cursor
+        of its own: the router moves the shared one."""
         index = self.index
         origin = entry.origin_dc
         if entry.seq != index.clock.entries.get(origin, 0) + 1:
@@ -589,7 +577,8 @@ class Qpu:
         prev = entry.prev_tag
         send = self.subscribers and origin == self.dc and (
             inside or (prev in index.tag_info and entry.stamp > prev))
-        index.apply_delta(entry, inside, advance)
+        own = self.own_puts
+        index.apply_delta(entry, inside, own is not None)
         if send:
             sim = self.sim
             # only the message trace reads a note
@@ -598,7 +587,6 @@ class Qpu:
                 sim.send(self.actor, peer, "index.delta", entry, note=note)
         # selectivity tracks writes, not deletes, so only a write can flip
         # the mode; off the shared cursor a leaf counts its own
-        own = self.own_puts
         if attrs is not None and own is not None:
             own = self.own_puts = own + 1
             if self.adaptive:
@@ -628,19 +616,17 @@ class Qpu:
         self.switch_log.append((self.sim.now, self.repl_mode, to, round(ratio, 4)))
         self.repl_mode = to
         # a fresh window must fill before the next flip can happen
-        if self.own_puts is None:
-            self.window.clear(self.router.puts)
-            self.router._next = min(self.router._next, self.window.due)
-        else:
-            self.window.clear(self.own_puts)
-        self.net._rewire_peers(self._region_key)
+        router, own = self.router, self.own_puts
+        self.window.clear(router.puts if own is None else own)
+        if own is None:  # when the router checks it next
+            router._next = min(router._next, self.window.due)
+        self.net._rewire_peers()
 
     # -- routing (a freshness node's; see the ingest note) ---------------------------
 
     def _on_replica(self, entry: LogEntry):
-        """The replica's first subscriber: the first new entry arms a
-        report (see the gossip note), and the entry goes to the leaves it
-        changes (see the ingest note)."""
+        """The replica's first subscriber: the first new entry arms a report,
+        and the entry goes to the leaves it changes (see the ingest note)."""
         if not self._gossip_armed:
             self._gossip_armed = True
             self.sim.after(self.net.cfg.gossip_every, self._report_heads)
@@ -661,38 +647,23 @@ class Qpu:
                     if prev in leaf.index.tag_info:
                         culler = leaf
                         break
-        clock, removed = self.clock, self.removed
+        removed = self.removed
         # a remove held for the add leaves the home leaf as it is. The two
-        # visit in feed order, since each may send its peers the entry, and
-        # the last to apply it moves the shared cursor
-        first, second = home, culler
-        if first is not None and removed and (
-                entry.origin_dc, entry.seq) in removed:
-            first = None
-        if second is first:
-            second = None
-        elif first is None or (second is not None
-                               and second.order < first.order):
+        # visit in feed order, since each may send its peers the entry
+        held = removed and (entry.origin_dc, entry.seq) in removed
+        first = None if held else home
+        second = None if culler is first else culler
+        if first is None or (second is not None and second.order < first.order):
             first, second = second, first
-        private = self.private
-        if private:  # each leaf off the cursor is offered every entry
-            for leaf in (first, second):
-                if leaf is not None:
-                    if leaf.own_puts is None:
-                        leaf._on_feed(entry, leaf is home, False)
-                    else:
-                        leaf._on_feed(entry)
-            advance_cursor(clock, removed, entry)
-            for leaf in private:
-                if leaf is not first and leaf is not second:
-                    leaf._on_feed(entry)
-        elif first is None:
-            advance_cursor(clock, removed, entry)
-        elif second is None:
+        if first is not None:
             first._on_feed(entry, first is home)
-        else:
-            first._on_feed(entry, first is home, False)
-            second._on_feed(entry, second is home)
+            if second is not None:
+                second._on_feed(entry, second is home)
+        advance_cursor(self.clock, removed, entry)
+        private = self.private
+        for leaf in private:  # each leaf off the cursor is offered every entry
+            if leaf is not first and leaf is not second:
+                leaf._on_feed(entry, leaf is home)
         if attrs is not None and self.adaptive:
             p = self.puts = self.puts + 1
             if home.own_puts is None:
@@ -1054,19 +1025,13 @@ class QpuNetwork:
 
     def _on_cut(self, entries: list[LogEntry]):
         """Cull each cut entry that a leaf still posts and that lost to its
-        key's winner at the leaf's replica, as `scrub_all` decides: a DC's
-        losers are found once, and each of its leaves culls those it posts.
-        Every replica has applied a cut entry, so the winner lookup cannot
-        miss."""
-        for fresh in self.root.children:
-            objects = fresh.replica.objects
-            lost = {e.stamp: e.key for e in entries
-                    if objects[e.key].stamp > e.stamp}
-            if lost:
-                for leaf in fresh.leaves:
-                    index = leaf.index
-                    index.cull_many([(lost[tag], tag) for tag
-                                     in index.tag_info.keys() & lost.keys()])
+        key's winner at the leaf's replica, as `scrub_all` decides. Every
+        replica has applied a cut entry, so the winner lookup cannot miss."""
+        for leaf in self.hist_leaves():
+            tag_info, objects = leaf.index.tag_info, leaf.replica.objects
+            leaf.index.cull_many([
+                (e.key, e.stamp) for e in entries
+                if e.stamp in tag_info and objects[e.key].stamp > e.stamp])
 
     # -- registries ---------------------------------------------------------------
 
@@ -1075,26 +1040,20 @@ class QpuNetwork:
 
     # -- peer wiring -------------------------------------------------------------
 
-    def _rewire_peers(self, region_key: tuple | None = None):
-        """Rebuild the peer subscribers from the tree as it stands, after
-        each change of shape, or of mode in one region, `region_key`. A leaf
-        takes its replica's entries from its DC's one routed feed (see the
-        ingest note), and feeds its local-origin ones to each same-region
-        leaf abroad that is in delta mode. Other nodes feed none.
+    def _rewire_peers(self):
+        """Rebuild every node's subscribers from the tree as it stands, after
+        each change of shape or mode. A history leaf, fed by its DC's router
+        (see the ingest note), feeds its local-origin entries to each
+        same-region leaf abroad that is in delta mode. Other nodes feed none.
         Subscriptions are control-plane: set directly, while the entries
         themselves travel as network messages."""
         groups: dict[tuple, list[Qpu]] = {}
-        for leaf in self.nodes.values():
-            if leaf.kind == "hist" and region_key in (None, leaf._region_key):
-                groups.setdefault(leaf._region_key, []).append(leaf)
-        nodes = self.nodes.values() if region_key is None else groups[region_key]
-        for node in nodes:
-            if node.kind == "hist":
-                node.subscribers = {
-                    p.actor for p in groups[node._region_key]
-                    if p.dc != node.dc and p.repl_mode == DELTA}
-            elif node.subscribers:  # a leaf split or merged away
-                node.subscribers = set()
+        for leaf in self.hist_leaves():
+            groups.setdefault(leaf.region.key(), []).append(leaf)
+        for node in self.nodes.values():
+            group = groups[node.region.key()] if node.kind == "hist" else ()
+            node.subscribers = {p.actor for p in group
+                                if p.dc != node.dc and p.repl_mode == DELTA}
 
     # -- split / merge ------------------------------------------------------------
 
@@ -1136,10 +1095,9 @@ class QpuNetwork:
         return kids[0].actor, kids[1].actor
 
     def _split_point(self, leaf: Qpu) -> tuple[tuple, tuple[Region, Region]]:
-        """A cut, (attr, at), at the median of the widest normalized axis,
-        and its two sides; an axis where the median cannot cut off two
-        non-empty sides is degenerate and the next widest is tried
-        instead."""
+        """A cut, (attr, at), at the median of the widest normalized axis, and
+        its two sides; an axis where the median cannot cut off two non-empty
+        sides is degenerate and the next widest is tried instead."""
         axes = sorted(
             (a for a in leaf.region.ivs if self.schema[a].kind != "text"),
             key=lambda a: (-self.schema[a].norm_length(leaf.region.ivs[a]), a))

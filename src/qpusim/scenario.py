@@ -520,20 +520,16 @@ def _forced(fn, args, errors: list[str]):
 
 
 def _verify_ingest(net) -> str:
-    """Whether each ingest cursor, the one a DC's leaves share and each one
-    a leaf ahead of its replica took, has indexed all its replica holds,
-    whether any holds a remove for an add that never came, and whether
-    every leaf is back on its DC's shared cursor. A leaf keeps no entry
-    past its clock, so that is all it can owe."""
-    behind, held, cursors = 0, set(), set()
+    """Whether each ingest cursor, shared or a leaf's copy, has indexed all
+    its replica holds and holds no remove for an add that never came, and
+    whether every leaf is back on its DC's shared cursor. A leaf keeps no
+    entry past its clock, so that is all it can owe."""
     leaves = net.hist_leaves()
-    for leaf in leaves:
-        clock = leaf.index.clock
-        if id(clock) not in cursors:
-            cursors.add(id(clock))
-            lag = clock.lag_behind(leaf.replica.heads)
-            behind += sum(n for n in lag.values() if n > 0)
-        held.update((leaf.dc, r) for r in leaf.index.removed)
+    cursors = {id(leaf.index.clock): leaf for leaf in leaves}
+    behind = sum(n for leaf in cursors.values() for n
+                 in leaf.index.clock.lag_behind(leaf.replica.heads).values()
+                 if n > 0)
+    held = {(leaf.dc, r) for leaf in leaves for r in leaf.index.removed}
     ahead = sum(leaf.own_puts is not None for leaf in leaves)
     if behind or held or ahead:
         return (f"FAIL ingest: leaves {behind} entries behind their replica "

@@ -153,14 +153,12 @@ class Simulation:
         net, rng, now = self.net, self.rng, self.now
         bits, n = rng.getrandbits, net.jitter + 1
         k = n.bit_length()
-        extra = bits(k)
-        while extra >= n:
-            extra = bits(k)
+        while (extra := bits(k)) >= n:
+            pass
         env.deliver_at = now + net.inter_dc_delay + extra
         if net.dup_prob > 0 and rng.random() < net.dup_prob:
-            extra = bits(k)
-            while extra >= n:
-                extra = bits(k)
+            while (extra := bits(k)) >= n:
+                pass
             dup = Envelope(env.src, env.dst, env.kind, env.payload, env.sent_at,
                            now + net.inter_dc_delay + extra, env.note)
             self._push(dup.deliver_at, dup)

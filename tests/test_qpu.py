@@ -1193,6 +1193,28 @@ def test_a_billion_write_window_builds_at_once():
     assert window.slide(1) == 1 and window.bits == 1
 
 
+@pytest.mark.parametrize("size", [16, 10**9])
+def test_a_long_run_holds_at_most_two_windows_of_bits(size):
+    # the router checks a window at least once a window of puts, and a
+    # check drops the bits that left it; a window longer than the run
+    # keeps each relevant put, its count exact
+    sim, store, net = build(dcs=("dc1",), repl_mode="adaptive", history=CUT,
+                            selectivity=SelectivityConfig(window=size))
+    leaves = [net.nodes[f"qpu/dc1/h{i}"] for i in (1, 2)]
+    rng = random.Random(3)
+    ones = 0
+    for n in range(1, 3001):
+        bit = int(rng.random() < 0.5)
+        ones += bit
+        feed(store, [bit])
+        for leaf in leaves:
+            assert leaf.window.bits.bit_length() <= min(2 * size, n)
+    assert all(leaf.switch_log == [] for leaf in leaves)
+    if size > 3000:
+        low, high = (leaf.window.slide(3000) for leaf in leaves)
+        assert (low, high) == (ones, 3000 - ones)
+
+
 # -- routed ingest ---------------------------------------------------------------
 
 
